@@ -209,7 +209,7 @@ def cmd_urad(args) -> int:
         _emit(report, args.out)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.action == "faithful":
-        report = faithfulness_boundary(entry, args.s, seed=args.seed)
+        report = faithfulness_boundary(entry, args.s)
         ok = report.get("certificate_valid", True)
         _emit(report, args.out)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--hochschild", default="random", choices=["random", "zero"])
     p.add_argument("--value-dim", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed for verify and pointed only")
     p.add_argument("--tries", type=int, default=60)
     p.add_argument("--height", type=int, default=8)
     p.add_argument("--out")

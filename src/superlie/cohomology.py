@@ -10,6 +10,8 @@ parity-homogeneous without extra work.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from typing import Sequence
 
 from .assoc import AssocSuperalgebra
@@ -27,6 +29,7 @@ from .lsa import (
     Coordvec,
     LieSuperalgebra,
     ValidationError,
+    form_parity,
     make_lsa,
     structure_report,
 )
@@ -190,11 +193,6 @@ def centroid(L: LieSuperalgebra) -> EndSpace:
     )
 
 
-def centroid_is_scalar(L: LieSuperalgebra) -> bool:
-    c = centroid(L)
-    return len(c.odd) == 0 and len(c.even) == 1
-
-
 # -- the star involution ------------------------------------------------------
 
 
@@ -261,8 +259,6 @@ def split_by_star(
 def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> BilinearForm:
     """The bilinear form (x, y) -> kappa(Tx, y)."""
     B = BilinearForm([T.transpose() @ kappa.gram])
-    from .lsa import form_parity
-
     B.declared_parity = form_parity(L, B)
     return B
 
@@ -299,7 +295,7 @@ def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_par
     kt = kappa_T(L, kappa, T)
     rep = form_report(L, kt)
     Tstar = star(L, kappa, T)
-    cocycle_ok = _is_scalar_cocycle(L, kt.gram)
+    cocycle_ok = _cocycle_witness(L, kt.gram) is None
     return {
         "kappa_T_supersymmetric": rep["supersymmetric"],
         "T_star_eq_T": Tstar == T,
@@ -373,6 +369,134 @@ class PairBasis:
         return out
 
 
+# -- identities: one term generator each, for solving and for checking --------
+#
+# An identity on a bilinear map omega is generated triple by triple as terms
+# (c, a, b), read as sum c * omega(e_a, e_b) = 0.  The solvers turn the terms
+# into constraint rows over every triple.  The checks evaluate the same terms
+# on a given map, but only on the triples its support reaches: every term of
+# any other triple meets a zero entry, so the verdict and the lexicographically
+# first violated triple (the witness) are those of a dense sweep.
+
+
+def _cocycle_terms(L: LieSuperalgebra, x: int, y: int, z: int):
+    """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0."""
+    for k, c in L.bracket_basis(x, y).items():
+        yield c, k, z
+    for k, c in L.bracket_basis(y, z).items():
+        yield -c, x, k
+    odd = L.parities[x] and L.parities[y]
+    for k, c in L.bracket_basis(x, z).items():
+        yield (-c if odd else c), y, k
+
+
+def _hochschild_terms(A: AssocSuperalgebra, a: int, b: int, c: int):
+    """F(ab, c) - F(a, bc) - (-1)^{|a||b|} F(b, ac) = 0."""
+    for k, m in A.product_basis(a, b).items():
+        yield m, k, c
+    for k, m in A.product_basis(b, c).items():
+        yield -m, a, k
+    odd = A.parities[a] and A.parities[b]
+    for k, m in A.product_basis(a, c).items():
+        yield (m if odd else -m), b, k
+
+
+def _identity_rows(terms, triples, columns: dict) -> list[dict[int, Fraction]]:
+    """Nonzero constraint rows; columns maps (a, b) to (unknown, negate)."""
+    rows = []
+    for triple in triples:
+        row: dict[int, Fraction] = {}
+        for c, a, b in terms(*triple):
+            unknown = columns.get((a, b))
+            if unknown is not None:
+                col, negate = unknown
+                row[col] = row.get(col, Fraction(0)) + (-c if negate else c)
+        row = {col: v for col, v in row.items() if v}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _first_violation(terms, G: Matrix, triples) -> tuple | None:
+    """First of the triples whose terms do not sum to zero on G."""
+    rows = G.rows
+    for triple in triples:
+        tot = Fraction(0)
+        for c, a, b in terms(*triple):
+            g = rows[a][b]
+            if g:
+                tot += c * g
+        if tot:
+            return triple
+    return None
+
+
+def _support(G: Matrix) -> list[tuple[int, int]]:
+    return [(a, b) for a, row in enumerate(G.rows) for b, g in enumerate(row) if g]
+
+
+def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int]]]:
+    """k -> the pairs (u, v) whose table entry has a nonzero e_k coefficient."""
+    pre: dict[int, list[tuple[int, int]]] = {}
+    for (u, v), vec in table.items():
+        if sorted_pairs and u > v:
+            continue
+        for k, c in vec.items():
+            if c:
+                pre.setdefault(k, []).append((u, v))
+    return pre
+
+
+def _cocycle_witness(L: LieSuperalgebra, G: Matrix, pre: dict | None = None) -> tuple | None:
+    """First sorted triple (x, y, z) at which G breaks the cocycle identity.
+
+    Skewness is not assumed.  A term omega(e_a, e_b) with G[a][b] != 0 sits
+    on the sorted triple of b and a bracket preimage (u, v) of a, or of a and
+    a preimage of b; pre is the index of sorted preimage pairs.
+    """
+    if pre is None:
+        pre = _preimages(L.brackets, sorted_pairs=True)
+    candidates = set()
+    for a, b in _support(G):
+        for u, v in pre.get(a, ()):
+            candidates.add(tuple(sorted((u, v, b))))
+        for u, v in pre.get(b, ()):
+            candidates.add(tuple(sorted((u, v, a))))
+    return _first_violation(partial(_cocycle_terms, L), G, sorted(candidates))
+
+
+def _hochschild_witness(A: AssocSuperalgebra, F: Matrix) -> tuple | None:
+    """First triple (a, b, c) at which F breaks the cyclic Leibniz identity.
+
+    A term F(e_p, e_q) with F[p][q] != 0 sits on (u, v, q) for a product
+    preimage (u, v) of p, or on (p, u, v) and (u, p, v) for one of q.
+    """
+    pre = _preimages(A.table, sorted_pairs=False)
+    candidates = set()
+    for p, q in _support(F):
+        for u, v in pre.get(p, ()):
+            candidates.add((u, v, q))
+        for u, v in pre.get(q, ()):
+            candidates.add((p, u, v))
+            candidates.add((u, p, v))
+    return _first_violation(partial(_hochschild_terms, A), F, sorted(candidates))
+
+
+def _skew_witness(parities: Sequence[int], G: Matrix) -> tuple | None:
+    """First pair (i, j), i <= j, with G[i][j] != -(-1)^{|i||j|} G[j][i]."""
+    rows = G.rows
+    bad = [
+        (min(i, j), max(i, j))
+        for i, j in _support(G)
+        if rows[i][j] != (rows[j][i] if parities[i] and parities[j] else -rows[j][i])
+    ]
+    return min(bad, default=None)
+
+
+def _at(names: Sequence[str], witness: tuple) -> str:
+    return "(" + ", ".join(names[i] for i in witness) + ")"
+
+
 # -- 2-cocycles ---------------------------------------------------------------
 
 
@@ -419,74 +543,35 @@ class Cocycle2:
 
     def validate(self):
         L = self.carrier
-        n = L.dim
+        pre = _preimages(L.brackets, sorted_pairs=True)
         for G in self.grams:
-            for i in range(n):
-                for j in range(i, n):
-                    sign = -1 if L.parities[i] and L.parities[j] else 1
-                    if G.rows[i][j] != -sign * G.rows[j][i]:
-                        raise CohomologyError(f"cocycle is not super-skew at ({i},{j})")
-            if not _is_scalar_cocycle(L, G):
-                raise CohomologyError("cocycle identity fails")
+            w = _skew_witness(L.parities, G)
+            if w is not None:
+                raise CohomologyError(f"cocycle is not super-skew at {_at(L.names, w)}")
+            w = _cocycle_witness(L, G, pre)
+            if w is not None:
+                raise CohomologyError(f"cocycle identity fails at {_at(L.names, w)}")
 
     def __repr__(self):
         return f"Cocycle2(dim {self.carrier.dim}, values {self.value_dim})"
 
 
-def _is_scalar_cocycle(L: LieSuperalgebra, G: Matrix, witness: list | None = None) -> bool:
-    """Cocycle identity on sorted triples (skewness covers permutations)."""
-    n = L.dim
-    for x in range(n):
-        for y in range(x, n):
-            cxy = L.bracket_basis(x, y)
-            s = Fraction(-1) if L.parities[x] and L.parities[y] else Fraction(1)
-            for z in range(y, n):
-                tot = Fraction(0)
-                for k, c in cxy.items():
-                    if G.rows[k][z]:
-                        tot += c * G.rows[k][z]
-                for k, c in L.bracket_basis(y, z).items():
-                    if G.rows[x][k]:
-                        tot -= c * G.rows[x][k]
-                for k, c in L.bracket_basis(x, z).items():
-                    if G.rows[y][k]:
-                        tot += s * c * G.rows[y][k]
-                if tot:
-                    if witness is not None:
-                        witness.extend([x, y, z])
-                    return False
-    return True
-
-
 def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Fraction]]:
     n = L.dim
-    rows = []
-    for x in range(n):
-        for y in range(x, n):
-            cxy = L.bracket_basis(x, y)
-            s = Fraction(-1) if L.parities[x] and L.parities[y] else Fraction(1)
-            for z in range(y, n):
-                row: dict[int, Fraction] = {}
+    columns = {}
+    for a in range(n):
+        for b in range(n):
+            sc = pb.coeff(a, b)
+            if sc is not None:
+                columns[(a, b)] = (sc[1], sc[0] < 0)
+    triples = ((x, y, z) for x in range(n) for y in range(x, n) for z in range(y, n))
+    return _identity_rows(partial(_cocycle_terms, L), triples, columns)
 
-                def bump(sign_col, c):
-                    if sign_col is None:
-                        return
-                    sign, col = sign_col
-                    nv = row.get(col, Fraction(0)) + sign * c
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
 
-                for k, c in cxy.items():
-                    bump(pb.coeff(k, z), c)
-                for k, c in L.bracket_basis(y, z).items():
-                    bump(pb.coeff(x, k), -c)
-                for k, c in L.bracket_basis(x, z).items():
-                    bump(pb.coeff(y, k), s * c)
-                if row:
-                    rows.append(row)
-    return rows
+def _kernel_parity(parities: set[int]) -> int:
+    if len(parities) != 1:
+        raise CohomologyError("kernel vector is not parity-homogeneous")
+    return parities.pop()
 
 
 def z2_space(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> list[Cocycle2]:
@@ -500,8 +585,7 @@ def z2_space(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> list[Cocycle
     kernel = sparse_kernel(rows, pb.count)
     out = []
     for vec in kernel:
-        parities = {pb.parity[t] for t in vec}
-        vp = parities.pop() if len(parities) == 1 else 0
+        vp = _kernel_parity({pb.parity[t] for t in vec})
         out.append(Cocycle2(L, [pb.gram_of_vector(vec)], [vp], validate=False))
     return out
 
@@ -657,7 +741,7 @@ class HochschildMap:
         self.gram = gram
         self.parity = parity
         if validate and not is_hochschild(A, gram):
-            raise CohomologyError("not a Hochschild map")
+            raise CohomologyError(f"not a Hochschild map: {_hochschild_failure(A, gram)}")
 
     def eval_basis(self, a: int, b: int):
         return self.gram.rows[a][b]
@@ -674,27 +758,19 @@ class HochschildMap:
         return tot
 
 
+def _hochschild_failure(A: AssocSuperalgebra, F: Matrix) -> str | None:
+    """Why F is not a Hochschild map, naming the first failing pair or triple."""
+    w = _skew_witness(A.parities, F)
+    if w is not None:
+        return f"not super-skew at {_at(A.names, w)}"
+    w = _hochschild_witness(A, F)
+    if w is not None:
+        return f"cyclic Leibniz identity fails at {_at(A.names, w)}"
+    return None
+
+
 def is_hochschild(A: AssocSuperalgebra, F: Matrix) -> bool:
-    n = A.dim
-    for a in range(n):
-        for b in range(n):
-            sign = -1 if A.parities[a] and A.parities[b] else 1
-            if F.rows[a][b] != -sign * F.rows[b][a]:
-                return False
-    for a in range(n):
-        for b in range(n):
-            sab = -1 if A.parities[a] and A.parities[b] else 1
-            pab = A.product_basis(a, b)
-            for c in range(n):
-                lhs = sum((m * F.rows[k][c] for k, m in pab.items()), Fraction(0))
-                rhs = Fraction(0)
-                for k, m in A.product_basis(b, c).items():
-                    rhs += m * F.rows[a][k]
-                for k, m in A.product_basis(a, c).items():
-                    rhs += sab * m * F.rows[b][k]
-                if lhs != rhs:
-                    return False
-    return True
+    return _hochschild_failure(A, F) is None
 
 
 def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[HochschildMap]:
@@ -709,33 +785,14 @@ def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[Ho
             key = idx(b, a)
             row[key] = row.get(key, Fraction(0)) + sign
             rows.append({k: v for k, v in row.items() if v})
-    for a in range(n):
-        for b in range(n):
-            sab = Fraction(-1) if A.parities[a] and A.parities[b] else Fraction(1)
-            for c in range(n):
-                row = {}
-                for k, m in A.product_basis(a, b).items():
-                    key = idx(k, c)
-                    nv = row.get(key, Fraction(0)) + m
-                    row[key] = nv
-                for k, m in A.product_basis(b, c).items():
-                    key = idx(a, k)
-                    nv = row.get(key, Fraction(0)) - m
-                    row[key] = nv
-                for k, m in A.product_basis(a, c).items():
-                    key = idx(b, k)
-                    nv = row.get(key, Fraction(0)) - sab * m
-                    row[key] = nv
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+    columns = {(a, b): (idx(a, b), False) for a in range(n) for b in range(n)}
+    rows += _identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns)
     out = []
     for vec in sparse_kernel(rows, n * n):
         G = [[Fraction(0)] * n for _ in range(n)]
         for t, c in vec.items():
             G[t // n][t % n] = c
-        parities = {(A.parities[t // n] + A.parities[t % n]) % 2 for t in vec}
-        p = parities.pop() if len(parities) == 1 else 0
+        p = _kernel_parity({(A.parities[t // n] + A.parities[t % n]) % 2 for t in vec})
         if parity is not None and p != parity:
             continue
         out.append(HochschildMap(A, Matrix(G), p, validate=False))
@@ -743,6 +800,16 @@ def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[Ho
 
 
 # -- the eta and xi cocycle families -------------------------------------------
+
+
+def _kappa_parity(K: LieSuperalgebra, kappa: BilinearForm) -> int:
+    """1 for an odd form, 0 for an even one; an undeclared parity is computed."""
+    parity = kappa.declared_parity
+    if parity is None:
+        parity = form_parity(K, kappa)
+    if parity not in ("even", "odd"):
+        raise CohomologyError(f"kappa is not parity-homogeneous (parity {parity!r})")
+    return 1 if parity == "odd" else 0
 
 
 def eta_cocycle(
@@ -764,8 +831,7 @@ def eta_cocycle(
     n = cur.dim
     grams = []
     vps = []
-    kappa_parity = kappa.declared_parity if kappa.declared_parity in ("even", "odd") else "even"
-    kp = 1 if kappa_parity == "odd" else 0
+    kp = _kappa_parity(K, kappa)
     for f in f_rows:
         fp = {A.parities[p] for p, c in enumerate(f) if c}
         if len(fp) > 1:
@@ -807,11 +873,10 @@ def xi_cocycle(
             raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
         for F in F_list:
             if not is_hochschild(A, F.gram):
-                raise CohomologyError("xi needs Hochschild maps")
+                raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.gram)}")
     ks = (S.transpose() @ kappa.gram).rows
     n = cur.dim
-    kappa_parity = kappa.declared_parity if kappa.declared_parity in ("even", "odd") else "even"
-    kp = 1 if kappa_parity == "odd" else 0
+    kp = _kappa_parity(K, kappa)
     grams = []
     vps = []
     for F in F_list:
@@ -849,15 +914,6 @@ class CentralExtension:
     @property
     def value_dim(self) -> int:
         return len(self.m_names)
-
-    def project(self, vec: Sequence) -> list:
-        return list(vec[: self.base.dim])
-
-    def m_part(self, vec: Sequence) -> list:
-        return list(vec[self.base.dim :])
-
-    def section(self, vec: Sequence) -> list:
-        return list(vec) + [Fraction(0)] * self.value_dim
 
 
 def central_extension(
@@ -955,9 +1011,9 @@ def verify_cor1(
     ]
     if not drop_eta:
         for D, dp in d_reps:
-            for f in dual_f:
-                c = eta_cocycle(cur, kappa, [f], D, dp, check=True)
-                span.add_row(pb.vector_of_gram(c.grams[0]))
+            c = eta_cocycle(cur, kappa, dual_f, D, dp, check=True)
+            for G in c.grams:
+                span.add_row(pb.vector_of_gram(G))
                 n_eta += 1
     for S in s_reps:
         c = xi_cocycle(cur, kappa, hoch, S, check=True)

@@ -8,7 +8,6 @@ factor are contiguous index blocks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .assoc import AssocSuperalgebra
 from .linalg import Matrix, Subspace
@@ -39,17 +38,6 @@ class Current:
         if self.A.z_degrees is None:
             raise LsaError("the A factor carries no Z-grading")
         return self.A.z_degrees[index // self.K.dim]
-
-    def tensor(self, a: Sequence, x: Sequence) -> list:
-        """Coordinates of a (x) x in the current algebra."""
-        out = [Fraction(0)] * self.dim
-        for p, ca in enumerate(a):
-            if not ca:
-                continue
-            for i, cx in enumerate(x):
-                if cx:
-                    out[self.slot(p, i)] = ca * cx
-        return out
 
     def degree_block(self, keep) -> Subspace:
         """Span of slots whose A-degree satisfies the predicate."""

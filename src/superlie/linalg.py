@@ -18,8 +18,6 @@ from .scalars import Scalar
 Entry = object  # Fraction | Scalar | int
 Vector = list
 
-_DENSE_LIMIT = 32  # naive fraction elimination allowed below this size
-
 
 def _zero_like(x) -> Entry:
     return Fraction(0) if not isinstance(x, Scalar) else Scalar()

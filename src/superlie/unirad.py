@@ -580,7 +580,7 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
     return report
 
 
-def faithfulness_boundary(entry: CatalogEntry, s: int, seed: int = 0) -> dict:
+def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
     """Compact simple purely even k: pointed certificate for s <= 2, a
     square-zero witness in every extension for s >= 3."""
     K, kappa = entry.algebra, entry.form

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,8 +10,13 @@ from superlie.assoc import grassmann
 from superlie.cohomology import (
     CohomologyError,
     Cocycle2,
+    HochschildMap,
     PairBasis,
     _cocycle_constraint_rows,
+    _cocycle_witness,
+    _hochschild_witness,
+    _kernel_parity,
+    _skew_witness,
     b2_space,
     central_extension,
     centroid,
@@ -30,7 +37,8 @@ from superlie.cohomology import (
 )
 from superlie.current import current_lsa
 from superlie.linalg import Matrix, SparseEliminator, sparse_kernel
-from superlie.lsa import build_form, form_report, structure_report
+from superlie.catalog import build_catalog
+from superlie.lsa import BilinearForm, build_form, form_report, structure_report
 
 
 @pytest.fixture(scope="module")
@@ -445,3 +453,182 @@ def test_verify_cor1_rejects_nonperfect():
     with pytest.raises(CohomologyError) as err:
         verify_cor1(grassmann(1), L, kappa)
     assert "perfect" in str(err.value)
+
+
+# -- support-restricted checks against a dense triple sweep ------------------------
+
+
+def dense_cocycle_witness(L, G):
+    """Oracle: the cocycle identity on every sorted triple, in order."""
+    n = L.dim
+    R = G.rows
+    for x in range(n):
+        for y in range(x, n):
+            s = -1 if L.parities[x] and L.parities[y] else 1
+            for z in range(y, n):
+                tot = sum((c * R[k][z] for k, c in L.bracket_basis(x, y).items()), Fraction(0))
+                tot -= sum((c * R[x][k] for k, c in L.bracket_basis(y, z).items()), Fraction(0))
+                tot += s * sum((c * R[y][k] for k, c in L.bracket_basis(x, z).items()), Fraction(0))
+                if tot:
+                    return (x, y, z)
+    return None
+
+
+def dense_skew_witness(parities, G):
+    n = len(parities)
+    for i in range(n):
+        for j in range(i, n):
+            sign = -1 if parities[i] and parities[j] else 1
+            if G.rows[i][j] != -sign * G.rows[j][i]:
+                return (i, j)
+    return None
+
+
+def dense_hochschild_witness(A, F):
+    """Oracle: the cyclic Leibniz identity on every ordered triple, in order."""
+    R = F.rows
+    for a, b, c in product(range(A.dim), repeat=3):
+        s = -1 if A.parities[a] and A.parities[b] else 1
+        lhs = sum((m * R[k][c] for k, m in A.product_basis(a, b).items()), Fraction(0))
+        rhs = sum((m * R[a][k] for k, m in A.product_basis(b, c).items()), Fraction(0))
+        rhs += s * sum((m * R[b][k] for k, m in A.product_basis(a, c).items()), Fraction(0))
+        if lhs != rhs:
+            return (a, b, c)
+    return None
+
+
+def perturb(G, parities, rng, keep_skew=True):
+    """G changed at one random entry (and its mirror, to stay super-skew)."""
+    n = G.nrows
+    rows = [list(r) for r in G.rows]
+    i, j = rng.randrange(n), rng.randrange(n)
+    delta = Fraction(rng.choice([-2, -1, 1, 3]))
+    rows[i][j] += delta
+    if keep_skew and i != j:
+        sign = -1 if parities[i] and parities[j] else 1
+        rows[j][i] = -sign * rows[i][j]
+    elif keep_skew and not parities[i]:
+        rows[i][j] = Fraction(0)  # an even diagonal of a super-skew map is zero
+    return Matrix(rows)
+
+
+def combo(grams, rng, n):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for G in grams:
+        c = rng.randint(-2, 2)
+        if c:
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] += c * G.rows[i][j]
+    return Matrix(rows)
+
+
+@pytest.fixture(scope="module")
+def check_algebras():
+    su2 = build_catalog("su_n", 2).algebra
+    return [
+        build_catalog("su_pq", 2, 1).algebra,
+        build_catalog("psu_pp", 2).algebra,
+        current_lsa(grassmann(2), su2).algebra,
+        current_lsa(grassmann(3), su2).algebra,
+    ]
+
+
+def test_cocycle_check_matches_dense_sweep(check_algebras):
+    rng = random.Random(2)
+    verdicts = set()
+    for L in check_algebras:
+        pb = PairBasis(L)
+        cocycles = [c.grams[0] for c in z2_space(L)]
+        grams = []
+        for nnz in (1, 2, 4, 12):  # random super-skew grams, sparse to dense
+            vec = {rng.randrange(pb.count): Fraction(rng.choice([-1, 1, 2])) for _ in range(nnz)}
+            grams.append(pb.gram_of_vector(vec))
+        for _ in range(4):
+            valid = combo(cocycles, rng, L.dim)
+            grams += [valid, perturb(valid, L.parities, rng)]
+            # lemma_basic_report checks the identity on forms that need not be skew
+            grams.append(perturb(valid, L.parities, rng, keep_skew=False))
+        for G in grams:
+            want = dense_cocycle_witness(L, G)
+            assert _cocycle_witness(L, G) == want
+            verdicts.add(want is None)
+            if dense_skew_witness(L.parities, G) is not None:
+                continue
+            if want is None:
+                Cocycle2(L, [G])
+            else:
+                names = ", ".join(L.names[i] for i in want)
+                with pytest.raises(CohomologyError, match=re.escape(f"cocycle identity fails at ({names})")):
+                    Cocycle2(L, [G])
+    assert verdicts == {True, False}
+
+
+def test_skew_check_names_first_pair(check_algebras):
+    rng = random.Random(5)
+    for L in check_algebras:
+        cocycles = [c.grams[0] for c in z2_space(L)]
+        for _ in range(6):
+            G = perturb(combo(cocycles, rng, L.dim), L.parities, rng, keep_skew=False)
+            want = dense_skew_witness(L.parities, G)
+            assert _skew_witness(L.parities, G) == want
+            if want is not None:
+                names = ", ".join(L.names[i] for i in want)
+                with pytest.raises(CohomologyError, match=re.escape(f"not super-skew at ({names})")):
+                    Cocycle2(L, [G])
+
+
+def test_hochschild_check_matches_dense_sweep():
+    rng = random.Random(3)
+    A = grassmann(3)
+    basis = [F.gram for F in hochschild_space(A)]
+    verdicts = set()
+    for _ in range(12):
+        valid = combo(basis, rng, A.dim)
+        for F in (valid, perturb(valid, A.parities, rng), perturb(valid, A.parities, rng, False)):
+            want = dense_hochschild_witness(A, F)
+            assert _hochschild_witness(A, F) == want
+            skew = dense_skew_witness(A.parities, F)
+            assert is_hochschild(A, F) == (want is None and skew is None)
+            verdicts.add(want is None)
+            if skew is None and want is not None:
+                names = ", ".join(A.names[i] for i in want)
+                with pytest.raises(CohomologyError, match=re.escape(f"fails at ({names})")):
+                    HochschildMap(A, F)
+    assert verdicts == {True, False}
+
+
+def test_xi_names_failing_hochschild_triple(su2k):
+    L, kappa = su2k
+    A = grassmann(2)
+    cur = current_lsa(A, L)
+    F = perturb(hochschild_space(A)[0].gram, A.parities, random.Random(1))
+    want = dense_hochschild_witness(A, F)
+    assert want is not None
+    names = ", ".join(A.names[i] for i in want)
+    bad = HochschildMap(A, F, validate=False)
+    with pytest.raises(CohomologyError, match=re.escape(f"cyclic Leibniz identity fails at ({names})")):
+        xi_cocycle(cur, kappa, [bad], Matrix.identity(3))
+
+
+def test_kappa_parity_is_resolved_not_defaulted(su2k):
+    L, kappa = su2k
+    cur = current_lsa(grassmann(1), L)
+    F = hochschild_space(grassmann(1))
+    undeclared = BilinearForm([kappa.gram])
+    assert undeclared.declared_parity is None
+    got = xi_cocycle(cur, undeclared, F, Matrix.identity(3))
+    want = xi_cocycle(cur, kappa, F, Matrix.identity(3))
+    assert got.grams == want.grams and got.value_parities == want.value_parities
+    mixed = BilinearForm([kappa.gram])
+    mixed.declared_parity = "mixed"
+    with pytest.raises(CohomologyError, match="parity-homogeneous"):
+        xi_cocycle(cur, mixed, F, Matrix.identity(3), check=False)
+    with pytest.raises(CohomologyError, match="parity-homogeneous"):
+        eta_cocycle(cur, mixed, [[Fraction(1), Fraction(0)]], Matrix.zero(3, 3), 0, check=False)
+
+
+def test_mixed_parity_kernel_vector_raises():
+    assert _kernel_parity({1}) == 1
+    with pytest.raises(CohomologyError, match="parity-homogeneous"):
+        _kernel_parity({0, 1})
