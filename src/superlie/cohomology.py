@@ -23,6 +23,7 @@ from .linalg import (
     Subspace,
     echelon,
     sparse_kernel,
+    sparse_rank,
 )
 from .lsa import (
     BilinearForm,
@@ -410,7 +411,11 @@ def _identity_rows(terms, triples, columns: dict) -> list[dict[int, Fraction]]:
             unknown = columns.get((a, b))
             if unknown is not None:
                 col, negate = unknown
-                row[col] = row.get(col, Fraction(0)) + (-c if negate else c)
+                val = -c if negate else c
+                if col in row:
+                    row[col] += val
+                else:
+                    row[col] = val
         row = {col: v for col, v in row.items() if v}
         if row:
             rows.append(row)
@@ -606,10 +611,7 @@ def coboundary_vectors(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Frac
 def b2_space(L: LieSuperalgebra) -> Subspace:
     """Coboundary span in pair coordinates (canonical echelon basis)."""
     pb = PairBasis(L)
-    dense = []
-    for vec in coboundary_vectors(L, pb):
-        dense.append([vec.get(t, Fraction(0)) for t in range(pb.count)])
-    return Subspace(pb.count, dense)
+    return Subspace.from_sparse(pb.count, coboundary_vectors(L, pb))
 
 
 def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
@@ -618,10 +620,7 @@ def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
             f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}"
         )
     pb = PairBasis(L)
-    elim = SparseEliminator(pb.count)
-    for r in sorted(_cocycle_constraint_rows(L, pb), key=len):
-        elim.add_row(r)
-    dim_z2 = pb.count - elim.rank
+    dim_z2 = pb.count - sparse_rank(_cocycle_constraint_rows(L, pb), pb.count)
     belim = SparseEliminator(pb.count)
     for vec in coboundary_vectors(L, pb):
         belim.add_row(vec)
@@ -631,11 +630,10 @@ def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
 def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
     """Solve the B^2 membership system componentwise."""
     pb = PairBasis(L)
-    cbs = coboundary_vectors(L, pb)
+    elim = SparseEliminator(pb.count)
+    for vec in coboundary_vectors(L, pb):
+        elim.add_row(vec)
     for G in omega.grams:
-        elim = SparseEliminator(pb.count)
-        for vec in cbs:
-            elim.add_row(vec)
         target = pb.vector_of_gram(G)
         if target and not elim.in_row_space(target):
             return False

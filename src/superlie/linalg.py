@@ -4,12 +4,16 @@ Dense routines (echelon, solve, subspaces, definiteness) are generic over
 any exact field element supporting +, -, *, /, bool and ==, which covers
 both Fraction and Scalar.  Large homogeneous systems go through the sparse
 integer eliminator `sparse_kernel`, which strips row contents instead of
-carrying fractions (Bareiss-style swell control).
+carrying fractions (Bareiss-style swell control).  Each kernel vector is
+back-solved over only the pivot rows it reaches, and a span given by sparse
+vectors is reduced to its canonical `Subspace` without densifying
+(`Subspace.from_sparse`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -139,6 +143,39 @@ class Subspace:
         return cls(ambient_dim)
 
     @classmethod
+    def from_sparse(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
+        """Span of sparse {column: value} vectors, reduced without densifying.
+
+        Same rows and pivots as Subspace(ambient_dim, <the dense vectors>):
+        the reduced echelon form is unique.  The zeros of all rows are one
+        shared Fraction(0).
+        """
+        red: dict[int, dict] = {}  # pivot column -> reduced row, 1 at the pivot
+        for vec in vectors:
+            v = {c: x for c, x in vec.items() if x}
+            # the rows of red are zero at each other's pivots, so one pass clears v
+            for p in [c for c in v if c in red]:
+                _axpy(v, red[p], v[p])
+            if not v:
+                continue
+            lead = min(v)
+            inv = v[lead]
+            v = {c: x / inv for c, x in v.items()}
+            for r in red.values():
+                if lead in r:
+                    _axpy(r, v, r[lead])
+            red[lead] = v
+        pivots = sorted(red)
+        zero = Fraction(0)
+        rows = []
+        for p in pivots:
+            row = [zero] * ambient_dim
+            for c, x in red[p].items():
+                row[c] = x
+            rows.append(row)
+        return cls._raw(ambient_dim, rows, pivots)
+
+    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         eye = [[Fraction(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
         return cls._raw(ambient_dim, eye, list(range(ambient_dim)))
@@ -219,6 +256,16 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
+
+
+def _axpy(v: dict, w: dict, c) -> None:
+    """v -= c * w in place on sparse rows, dropping entries that cancel."""
+    for col, x in w.items():
+        nv = v[col] - c * x if col in v else -c * x
+        if nv:
+            v[col] = nv
+        else:
+            del v[col]
 
 
 def subspace_op(kind: str, U: Subspace, V: Subspace):
@@ -660,13 +707,28 @@ class SparseEliminator:
         return not self._reduce(_to_int_row(row))
 
     def kernel_basis(self) -> list[dict[int, Fraction]]:
-        """Exact kernel of all added rows, back-solved in reverse pivot order."""
-        piv_set = set(self.piv_cols)
-        free = [c for c in range(self.ncols) if c not in piv_set]
+        """Exact kernel of all added rows, back-solved in reverse pivot order.
+
+        A pivot row holds no pivot column of an earlier row, and it solves to
+        a nonzero value only if it holds a column already set in the vector.
+        So each vector visits just the rows it reaches, latest pivot first;
+        every row it skips would have solved to zero.
+        """
+        reach: dict[int, list[int]] = {}  # column -> pivot rows holding it off-pivot
+        for idx, (pc, row) in enumerate(zip(self.piv_cols, self.piv_rows)):
+            for c in row:
+                if c != pc:
+                    reach.setdefault(c, []).append(idx)
         out = []
-        for f in free:
+        for f in range(self.ncols):
+            if f in self.col_to_idx:
+                continue
             v: dict[int, Fraction] = {f: Fraction(1)}
-            for idx in range(len(self.piv_cols) - 1, -1, -1):
+            queued = set(reach.get(f, ()))
+            heap = [-idx for idx in queued]  # max-heap of pivot indices
+            heapify(heap)
+            while heap:
+                idx = -heappop(heap)
                 prow = self.piv_cols[idx]
                 row = self.piv_rows[idx]
                 s = Fraction(0)
@@ -678,20 +740,23 @@ class SparseEliminator:
                         s += coef * val
                 if s:
                     v[prow] = -s / row[prow]
+                    for j in reach.get(prow, ()):
+                        if j not in queued:
+                            queued.add(j)
+                            heappush(heap, -j)
             out.append(v)
         return out
 
 
 def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
     elim = SparseEliminator(ncols)
-    buffered = sorted((dict(r) for r in rows), key=len)
-    for r in buffered:
+    for r in sorted(rows, key=len):
         elim.add_row(r)
     return elim.kernel_basis()
 
 
 def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
     elim = SparseEliminator(ncols)
-    for r in sorted((dict(r) for r in rows), key=len):
+    for r in sorted(rows, key=len):
         elim.add_row(r)
     return elim.rank

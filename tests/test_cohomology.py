@@ -13,6 +13,7 @@ from superlie.cohomology import (
     HochschildMap,
     PairBasis,
     _cocycle_constraint_rows,
+    _cocycle_terms,
     _cocycle_witness,
     _hochschild_witness,
     _kernel_parity,
@@ -20,6 +21,7 @@ from superlie.cohomology import (
     b2_space,
     central_extension,
     centroid,
+    coboundary_vectors,
     derivation_space,
     eta_cocycle,
     h2_dim,
@@ -36,7 +38,7 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
-from superlie.linalg import Matrix, SparseEliminator, sparse_kernel
+from superlie.linalg import Matrix, SparseEliminator, Subspace, sparse_kernel
 from superlie.catalog import build_catalog
 from superlie.lsa import BilinearForm, build_form, form_report, structure_report
 
@@ -218,6 +220,59 @@ def test_sorted_triples_match_all_ordered_triples():
         assert all(
             sum(r.get(c, Fraction(0)) * v for c, v in vec.items()) == 0 for r in sorted_rows
         )
+
+
+SOLVER_CASES = {
+    "su(2)": lambda: build_catalog("su_n", 2).algebra,
+    "psu(2|2)": lambda: build_catalog("psu_pp", 2).algebra,
+    "L2 x su(2|1)": lambda: current_lsa(grassmann(2), build_catalog("su_pq", 2, 1).algebra).algebra,
+    "L3 x su(2)": lambda: current_lsa(grassmann(3), build_catalog("su_n", 2).algebra).algebra,
+}
+
+
+@pytest.mark.parametrize("case", SOLVER_CASES)
+def test_b2_space_matches_dense_echelon(case):
+    L = SOLVER_CASES[case]()
+    pb = PairBasis(L)
+    dense = [[vec.get(t, Fraction(0)) for t in range(pb.count)] for vec in coboundary_vectors(L, pb)]
+    oracle = Subspace(pb.count, dense)
+    b2 = b2_space(L)
+    assert b2.pivots == oracle.pivots
+    assert b2.rows == oracle.rows
+    assert b2 == oracle
+
+
+def accumulated_cocycle_rows(L, pb):
+    """The constraint rows summed through row.get(col, Fraction(0)): the reference."""
+    n = L.dim
+    columns = {}
+    for a in range(n):
+        for b in range(n):
+            sc = pb.coeff(a, b)
+            if sc is not None:
+                columns[(a, b)] = (sc[1], sc[0] < 0)
+    rows = []
+    for x in range(n):
+        for y in range(x, n):
+            for z in range(y, n):
+                row = {}
+                for c, a, b in _cocycle_terms(L, x, y, z):
+                    unknown = columns.get((a, b))
+                    if unknown is not None:
+                        col, negate = unknown
+                        row[col] = row.get(col, Fraction(0)) + (-c if negate else c)
+                row = {col: v for col, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("case", SOLVER_CASES)
+def test_cocycle_rows_match_accumulation(case):
+    L = SOLVER_CASES[case]()
+    pb = PairBasis(L)
+    got = [list(r.items()) for r in _cocycle_constraint_rows(L, pb)]
+    assert got == [list(r.items()) for r in accumulated_cocycle_rows(L, pb)]
 
 
 def test_cocycles_are_parity_homogeneous():

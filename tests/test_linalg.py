@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from superlie.assoc import grassmann
+from superlie.catalog import build_catalog
+from superlie.cohomology import PairBasis, _cocycle_constraint_rows
+from superlie.current import current_lsa
 from superlie.linalg import (
     Matrix,
+    SparseEliminator,
     Subspace,
     definiteness,
     definiteness_with_witness,
@@ -214,6 +219,78 @@ def test_sparse_kernel_matches_dense():
         for kv in ker_sparse:
             for row in rows:
                 assert sum(row[c] * kv.get(c, Fraction(0)) for c in row) == 0
+
+
+# -- reference back-solve: every pivot row, latest pivot first ----------------
+
+
+def full_sweep_kernel(elim):
+    piv_set = set(elim.piv_cols)
+    out = []
+    for f in range(elim.ncols):
+        if f in piv_set:
+            continue
+        v = {f: Fraction(1)}
+        for idx in range(len(elim.piv_cols) - 1, -1, -1):
+            prow = elim.piv_cols[idx]
+            row = elim.piv_rows[idx]
+            s = Fraction(0)
+            for c, coef in row.items():
+                if c == prow:
+                    continue
+                val = v.get(c)
+                if val:
+                    s += coef * val
+            if s:
+                v[prow] = -s / row[prow]
+        out.append(v)
+    return out
+
+
+def assert_same_kernel(elim):
+    # items, not dicts: the key order of each vector must match too
+    got = [list(v.items()) for v in elim.kernel_basis()]
+    assert got == [list(v.items()) for v in full_sweep_kernel(elim)]
+
+
+def block_system(rng, blocks, width):
+    """Rows on disjoint column blocks (scattered over the columns), shuffled together."""
+    cols = list(range(blocks * width))
+    rng.shuffle(cols)
+    rows = []
+    for b in range(blocks):
+        own = cols[b * width : (b + 1) * width]
+        for _ in range(rng.randint(1, width - 1)):
+            row = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for c in own if rng.random() < 0.5}
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_kernel_basis_matches_full_sweep_on_block_systems():
+    rng = random.Random(21)
+    for _ in range(40):
+        blocks, width = rng.randint(2, 5), rng.randint(3, 8)
+        rows = block_system(rng, blocks, width)
+        ncols = blocks * width + 2  # two columns no row touches
+        for order in (rows, sorted(rows, key=len)):
+            elim = SparseEliminator(ncols)
+            for r in order:
+                elim.add_row(r)
+            assert_same_kernel(elim)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_kernel_basis_matches_full_sweep_on_cocycle_rows(s):
+    L = current_lsa(grassmann(s), build_catalog("su_n", 2).algebra).algebra
+    pb = PairBasis(L)
+    elim = SparseEliminator(pb.count)
+    for r in sorted(_cocycle_constraint_rows(L, pb), key=len):
+        elim.add_row(r)
+    assert elim.rank and elim.rank < pb.count
+    assert_same_kernel(elim)
 
 
 def test_matrix_inverse():
