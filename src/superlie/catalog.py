@@ -10,10 +10,9 @@ facts per family; every failure is named.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from .cohomology import centroid, h2_dim
-from .linalg import Matrix, Subspace, definiteness
+from .cohomology import Cocycle2, centroid, h2_dim, is_coboundary, is_derivation, kappa_T, star
+from .linalg import Matrix, Subspace, basis_coordinates, definiteness
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
@@ -22,10 +21,11 @@ from .lsa import (
     form_report,
     from_matrix_basis,
     generated_submodule,
+    project_to_quotient,
     quotient_lsa,
     structure_report,
 )
-from .scalars import Scalar
+from .scalars import Scalar, squarefree_split
 
 FAMILIES = ("su_n", "su_pq", "psu_pp", "c_n", "q_n", "pq_n")
 
@@ -229,13 +229,6 @@ def build_psu_pp(p: int) -> CatalogEntry:
     radical = Subspace(dim, [pre.specials["i_one"]])
     quo, proj = quotient_lsa(L, radical)
 
-    def project(vec):
-        out = [Fraction(0)] * quo.dim
-        for i, c in enumerate(vec):
-            if c:
-                out = [a + c * b for a, b in zip(out, proj[i])]
-        return out
-
     # descended supertrace form: evaluate on kept representatives
     piv = set(radical.pivots)
     keep = [i for i in range(dim) if i not in piv]
@@ -251,23 +244,25 @@ def build_psu_pp(p: int) -> CatalogEntry:
     Dmat = _mat(Dmat)
     D_cols = []
     real = L.realization
+    coords = basis_coordinates(real.mats)
     for i in range(dim):
         img = Dmat @ real.mats[i] - real.mats[i] @ Dmat  # even conjugator
-        D_cols.append(_coords_in(real.mats, img))
+        D_cols.append(_coords_in(coords, img))
     D_on_pre = Matrix(list(map(list, zip(*D_cols))))
     # descended map: columns are images of the kept representative slots
-    Dq = Matrix(list(map(list, zip(*[project(D_on_pre.column(i)) for i in keep]))))
+    Dq_cols = [project_to_quotient(proj, D_on_pre.column(i)) for i in keep]
+    Dq = Matrix(list(map(list, zip(*Dq_cols))))
 
     comp = {}
     pre_comp = {"su_p": pre.components["su_p"], "su_q": pre.components["su_q"]}
     for key, sub in pre_comp.items():
         comp["k0_1" if key == "su_p" else "k0_2"] = Subspace(
-            quo.dim, [project(r) for r in sub.rows]
+            quo.dim, [project_to_quotient(proj, r) for r in sub.rows]
         )
     specials = {}
-    specials["x_star"] = project(_b_matrix_odd_vector(pre, p, "diag1m1"))
-    specials["y_star"] = project(_b_matrix_odd_vector(pre, p, "identity"))
-    specials["X"] = [project(v) for v in pre.specials["X"]]
+    specials["x_star"] = project_to_quotient(proj, _b_matrix_odd_vector(coords, p, "diag1m1"))
+    specials["y_star"] = project_to_quotient(proj, _b_matrix_odd_vector(coords, p, "identity"))
+    specials["X"] = [project_to_quotient(proj, v) for v in pre.specials["X"]]
     entry = CatalogEntry(
         "psu_pp", (p,), quo, form,
         outer_derivation=(Dq, 0),
@@ -277,28 +272,15 @@ def build_psu_pp(p: int) -> CatalogEntry:
     return entry
 
 
-def _coords_in(basis_mats: Sequence[Matrix], M: Matrix) -> list:
-    """Exact coordinates of M in a linearly independent matrix family."""
-    from .lsa import _flatten, _flatten_keys
-    from .linalg import echelon
-
-    keys = _flatten_keys(list(basis_mats) + [M])
-    flat = [_flatten(B, keys) for B in basis_mats]
-    nb = len(basis_mats)
-    width = len(keys)
-    aug = [flat[i] + [Fraction(t == i) for t in range(nb)] for i in range(nb)]
-    rows, pivots = echelon(aug)
-    v = _flatten(M, keys) + [Fraction(0)] * nb
-    for r, pvt in zip(rows, pivots):
-        if v[pvt]:
-            coef = v[pvt]
-            v = [a - coef * b for a, b in zip(v, r)]
-    if any(v[:width]):
+def _coords_in(coords, M: Matrix) -> list:
+    """Exact coordinates of M by a basis_coordinates function."""
+    out = coords(M)
+    if out is None:
         raise CatalogError("matrix does not lie in the span of the basis")
-    return [-x for x in v[width:]]
+    return out
 
 
-def _b_matrix_odd_vector(pre: CatalogEntry, p: int, shape: str) -> list:
+def _b_matrix_odd_vector(coords, p: int, shape: str) -> list:
     """Odd element of su(p|p) with B = diag(1,-1,0,..) or B = 1_p."""
     total = 2 * p
     R = _zrows(total)
@@ -312,7 +294,7 @@ def _b_matrix_odd_vector(pre: CatalogEntry, p: int, shape: str) -> list:
         if val:
             R[r][p + r] = _ONE * val
             R[p + r][r] = _I * val
-    return _coords_in(pre.algebra.realization.mats, _mat(R))
+    return _coords_in(coords, _mat(R))
 
 
 # -- c(n) -------------------------------------------------------------------------
@@ -526,13 +508,6 @@ def build_pq_n(n: int, _allow_small: bool = False) -> CatalogEntry:
     radical = Subspace(dim, [i_one])
     quo, proj = quotient_lsa(L, radical)
 
-    def project(vec):
-        out = [Fraction(0)] * quo.dim
-        for i, c in enumerate(vec):
-            if c:
-                out = [a + c * b for a, b in zip(out, proj[i])]
-        return out
-
     piv = set(radical.pivots)
     keep = [i for i in range(dim) if i not in piv]
     G = [[pre.form.gram.rows[i][j] for j in keep] for i in keep]
@@ -547,6 +522,7 @@ def build_pq_n(n: int, _allow_small: bool = False) -> CatalogEntry:
         Delta[n + r][r] = _I
     Delta = _mat(Delta)
     real = L.realization
+    coords = basis_coordinates(real.mats)
     D_cols = []
     for i in range(dim):
         X = real.mats[i]
@@ -554,13 +530,14 @@ def build_pq_n(n: int, _allow_small: bool = False) -> CatalogEntry:
             img = Delta @ X - X @ Delta
         else:
             img = Delta @ X + X @ Delta
-        D_cols.append(_coords_in(real.mats, img))
+        D_cols.append(_coords_in(coords, img))
     D_on_pre = Matrix(list(map(list, zip(*D_cols))))
-    Dq = Matrix(list(map(list, zip(*[project(D_on_pre.column(i)) for i in keep]))))
+    Dq_cols = [project_to_quotient(proj, D_on_pre.column(i)) for i in keep]
+    Dq = Matrix(list(map(list, zip(*Dq_cols))))
 
     components = {
-        "a_part": Subspace(quo.dim, [project(r) for r in pre.components["a_part"].rows]),
-        "b_part": Subspace(quo.dim, [project(r) for r in pre.components["b_part"].rows]),
+        part: Subspace(quo.dim, [project_to_quotient(proj, r) for r in pre.components[part].rows])
+        for part in ("a_part", "b_part")
     }
     # Y_j witnesses: b_j = i(B_j - B_{j+1}) cyclically
     specials = {}
@@ -575,7 +552,7 @@ def build_pq_n(n: int, _allow_small: bool = False) -> CatalogEntry:
         for r, c in enumerate(coeffs):
             if c:
                 vec[L.names.index(f"b.h{r + 1}")] = c
-        Y.append(project(vec))
+        Y.append(project_to_quotient(proj, vec))
     specials["Y"] = Y
     entry = CatalogEntry(
         "pq_n", (n,), quo, form,
@@ -715,8 +692,6 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
 
     # outer derivation: vanishes on the even part and kappa_D is not a coboundary
     if entry.outer_derivation is not None:
-        from .cohomology import Cocycle2, is_coboundary, is_derivation, kappa_T, star
-
         D, dp = entry.outer_derivation
         out["D_is_derivation"] = is_derivation(L, D, dp)
         out["D_vanishes_on_even"] = all(
@@ -792,8 +767,6 @@ def _isotropic_component_pair(entry: CatalogEntry):
         return None
     num = ratio.numerator
     den = ratio.denominator
-    from .scalars import squarefree_split
-
     cn, mn = squarefree_split(num)
     cd, md = squarefree_split(den)
     if mn == 1 and md == 1:

@@ -16,6 +16,12 @@ from fractions import Fraction
 
 from .assoc import grassmann
 from .catalog import FAMILIES, CatalogError, build_catalog, verify_catalog_facts
+from .clifford import (
+    commutant_dimension,
+    gamma_rep,
+    lambda_admissible_rep,
+    seeded_clifford_lie,
+)
 from .cohomology import CohomologyError, b2_space, verify_cor1, z2_space
 from .current import current_lsa
 from .lsa import LsaError
@@ -218,8 +224,6 @@ def cmd_urad(args) -> int:
 
 def cmd_clifford(args) -> int:
     if args.action == "gamma":
-        from .clifford import commutant_dimension, gamma_rep
-
         mu = [Fraction(x) for x in args.mu.split(",")]
         rep = gamma_rep(mu)
         report = {
@@ -233,8 +237,6 @@ def cmd_clifford(args) -> int:
         _emit(report, args.out)
         return EXIT_OK
     if args.action == "rep":
-        from .clifford import lambda_admissible_rep, seeded_clifford_lie
-
         N, lam = seeded_clifford_lie(args.seed)
         rep = lambda_admissible_rep(N, lam)
         report = {

@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, sparse_kernel, symmetric_diagonalize
+from .linalg import Matrix, Subspace, solve_linear, sparse_kernel, symmetric_diagonalize
 from .lsa import Coordvec, LieSuperalgebra, make_lsa
-from .scalars import Scalar, zeta8
+from .scalars import Field, Scalar, zeta8
 
 _I = Scalar.i()
 _ONE = Scalar.from_rational(1)
@@ -126,8 +126,6 @@ class CliffordAlgebra:
             col = self.product(u, self._basis(j))
             for i in range(self.dim):
                 rows[i][j] = col[i]
-        from .linalg import solve_linear
-
         res = solve_linear(Matrix(rows), self.unit())
         if res.particular is None:
             raise CliffordError("element is not invertible")
@@ -264,8 +262,6 @@ class CliffordRep:
 
     def field(self):
         """Smallest tower field containing every matrix entry."""
-        from .scalars import Field
-
         rads = set()
         has_i = False
         for M in self.matrices:

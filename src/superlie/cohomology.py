@@ -21,16 +21,22 @@ from .linalg import (
     Matrix,
     SparseEliminator,
     Subspace,
-    echelon,
+    _first_violation,
+    _identity_rows,
+    basis_coordinates,
+    solve_linear,
     sparse_kernel,
     sparse_rank,
 )
+from .linalg import kernel as dense_kernel
 from .lsa import (
     BilinearForm,
     Coordvec,
     LieSuperalgebra,
     ValidationError,
+    _invariance_terms,
     form_parity,
+    form_report,
     make_lsa,
     structure_report,
 )
@@ -65,21 +71,23 @@ class EndSpace:
             yield M, 1
 
 
-def _end_unknowns(L: LieSuperalgebra, d_parity: int) -> list[tuple[int, int]]:
+def _end_columns(L: LieSuperalgebra, d_parity: int) -> dict:
+    """(m, k) -> (unknown, False) for the entries X[m][k] of a map of parity d_parity."""
     n = L.dim
-    return [
+    unknowns = [
         (m, k)
         for m in range(n)
         for k in range(n)
         if (L.parities[m] + L.parities[k]) % 2 == d_parity
     ]
+    return {u: (t, False) for t, u in enumerate(unknowns)}
 
 
-def _solve_end_space(L: LieSuperalgebra, d_parity: int, rows_for) -> list[Matrix]:
-    unknowns = _end_unknowns(L, d_parity)
-    index = {u: t for t, u in enumerate(unknowns)}
-    rows = rows_for(index)
-    ker = sparse_kernel(rows, len(unknowns))
+def _solve_end_space(L: LieSuperalgebra, d_parity: int, terms, triples) -> list[Matrix]:
+    """Parity-d_parity endomorphisms X with the identity's terms zero on the triples."""
+    columns = _end_columns(L, d_parity)
+    unknowns = list(columns)
+    ker = sparse_kernel(_identity_rows(terms, triples, columns), len(unknowns))
     out = []
     n = L.dim
     for kv in ker:
@@ -91,60 +99,54 @@ def _solve_end_space(L: LieSuperalgebra, d_parity: int, rows_for) -> list[Matrix
     return out
 
 
+def _bracket_index(L: LieSuperalgebra) -> tuple[dict, dict]:
+    """(j, m) -> [(l, c)] with c the e_m coefficient of [e_l, e_j], and
+    (i, m) -> [(l, c)] with c that of [e_i, e_l]; l ascending in both."""
+    left: dict[tuple[int, int], list] = {}
+    right: dict[tuple[int, int], list] = {}
+    for (a, b), vec in sorted(L.brackets.items()):
+        for m, c in vec.items():
+            left.setdefault((b, m), []).append((a, c))
+            right.setdefault((a, m), []).append((b, c))
+    return left, right
+
+
+def _centroid_terms(L: LieSuperalgebra, left: dict, i: int, j: int, m: int):
+    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; X[a][b] is the e_a coefficient of S e_b."""
+    for k, c in L.bracket_basis(i, j).items():
+        yield c, m, k
+    for l, c in left.get((j, m), ()):
+        yield -c, l, i
+
+
+def _derivation_terms(L: LieSuperalgebra, index: tuple, parity: int, i: int, j: int, m: int):
+    """D[e_i, e_j] - [D e_i, e_j] - (-1)^{|D||i|} [e_i, D e_j] = 0 at e_m."""
+    left, right = index
+    yield from _centroid_terms(L, left, i, j, m)
+    odd = parity and L.parities[i]
+    for l, c in right.get((i, m), ()):
+        yield (c if odd else -c), l, j
+
+
+def _derivation_identity(L: LieSuperalgebra, parity: int):
+    """(terms, triples) of the derivation rule: (i, j, m) with i <= j."""
+    n = L.dim
+    triples = ((i, j, m) for i in range(n) for j in range(i, n) for m in range(n))
+    return partial(_derivation_terms, L, _bracket_index(L), parity), triples
+
+
+def _centroid_identity(L: LieSuperalgebra):
+    """(terms, triples) of the centroid rule: all ordered (i, j, m)."""
+    terms = partial(_centroid_terms, L, _bracket_index(L)[0])
+    return terms, product(range(L.dim), repeat=3)
+
+
 def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
     """All derivations (graded convention), plus the inner subspace im(ad)."""
-    n = L.dim
-
-    def rows_for(parity):
-        def build(index):
-            rows = []
-            sign_for = lambda i: -1 if (parity and L.parities[i]) else 1
-            for i in range(n):
-                for j in range(i, n):
-                    cij = L.bracket_basis(i, j)
-                    s = sign_for(i)
-                    for m in range(n):
-                        row: dict[int, Fraction] = {}
-
-                        def bump(key, val):
-                            if key is None:
-                                return
-                            t = index.get(key)
-                            if t is None:
-                                if val:
-                                    raise AssertionError("parity bookkeeping broke")
-                                return
-                            nv = row.get(t, Fraction(0)) + val
-                            if nv:
-                                row[t] = nv
-                            else:
-                                row.pop(t, None)
-
-                        for k, c in cij.items():
-                            if (L.parities[m] + L.parities[k]) % 2 == parity:
-                                bump((m, k), c)
-                        for l in range(n):
-                            if (L.parities[l] + L.parities[i]) % 2 == parity:
-                                c = L.bracket_basis(l, j).get(m)
-                                if c:
-                                    bump((l, i), -c)
-                            if (L.parities[l] + L.parities[j]) % 2 == parity:
-                                c = L.bracket_basis(i, l).get(m)
-                                if c:
-                                    bump((l, j), -s * c)
-                        if row:
-                            rows.append(row)
-            return rows
-
-        return build
-
-    der = EndSpace(
-        even=_solve_end_space(L, 0, rows_for(0)),
-        odd=_solve_end_space(L, 1, rows_for(1)),
-    )
+    der = EndSpace(*(_solve_end_space(L, p, *_derivation_identity(L, p)) for p in (0, 1)))
     inner_even = []
     inner_odd = []
-    for i in range(n):
+    for i in range(L.dim):
         A = L.ad_matrix(i)
         if not A.is_zero():
             (inner_even if L.parities[i] == 0 else inner_odd).append(A)
@@ -154,44 +156,7 @@ def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
 
 def centroid(L: LieSuperalgebra) -> EndSpace:
     """Endomorphisms with gamma[a,b] = [gamma(a), b] on all pairs."""
-    n = L.dim
-
-    def rows_for(parity):
-        def build(index):
-            rows = []
-            for i in range(n):
-                for j in range(n):
-                    cij = L.bracket_basis(i, j)
-                    for m in range(n):
-                        row: dict[int, Fraction] = {}
-                        for k, c in cij.items():
-                            if (L.parities[m] + L.parities[k]) % 2 == parity:
-                                t = index[(m, k)]
-                                nv = row.get(t, Fraction(0)) + c
-                                if nv:
-                                    row[t] = nv
-                                else:
-                                    row.pop(t, None)
-                        for l in range(n):
-                            if (L.parities[l] + L.parities[i]) % 2 == parity:
-                                c = L.bracket_basis(l, j).get(m)
-                                if c:
-                                    t = index[(l, i)]
-                                    nv = row.get(t, Fraction(0)) - c
-                                    if nv:
-                                        row[t] = nv
-                                    else:
-                                        row.pop(t, None)
-                        if row:
-                            rows.append(row)
-            return rows
-
-        return build
-
-    return EndSpace(
-        even=_solve_end_space(L, 0, rows_for(0)),
-        odd=_solve_end_space(L, 1, rows_for(1)),
-    )
+    return EndSpace(*(_solve_end_space(L, p, *_centroid_identity(L)) for p in (0, 1)))
 
 
 # -- the star involution ------------------------------------------------------
@@ -223,28 +188,17 @@ def split_by_star(
     for parity, basis in ((0, space.even), (1, space.odd)):
         if not basis:
             continue
-        flat = [M.flatten() for M in basis]
-        nb = len(basis)
-        width = len(flat[0])
-        aug = [flat[t] + [Fraction(s == t) for s in range(nb)] for t in range(nb)]
-        rows, pivots = echelon(aug)
-
-        def coords(M: Matrix) -> list:
-            v = M.flatten() + [Fraction(0)] * nb
-            for r, p in zip(rows, pivots):
-                if v[p]:
-                    coef = v[p]
-                    v = [a - coef * b for a, b in zip(v, r)]
-            if any(v[:width]):
+        coords = basis_coordinates(basis)
+        action = []  # columns per basis elt
+        for M in basis:
+            col = coords(star(L, kappa, M))
+            if col is None:
                 raise CohomologyError("space is not star-stable")
-            return [-x for x in v[width:]]
-
-        action = [coords(star(L, kappa, M)) for M in basis]  # columns per basis elt
+            action.append(col)
+        nb = len(basis)
         sys_rows = []
         for r in range(nb):
             sys_rows.append([action[c][r] - Fraction(sign) * Fraction(r == c) for c in range(nb)])
-        from .linalg import kernel as dense_kernel
-
         for combo in dense_kernel(sys_rows, nb):
             n = L.dim
             M = [[Fraction(0)] * n for _ in range(n)]
@@ -265,34 +219,15 @@ def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> BilinearForm:
 
 
 def is_derivation(L: LieSuperalgebra, D: Matrix, parity: int) -> bool:
-    n = L.dim
-    for i in range(n):
-        for j in range(i, n):
-            lhs = D.apply(L.bracket(L.basis_vector(i), L.basis_vector(j)))
-            s = Fraction(-1) if (parity and L.parities[i]) else Fraction(1)
-            rhs = L.bracket(D.column(i), L.basis_vector(j))
-            t2 = L.bracket(L.basis_vector(i), D.column(j))
-            rhs = [a + s * b for a, b in zip(rhs, t2)]
-            if lhs != rhs:
-                return False
-    return True
+    return _first_violation(*_derivation_identity(L, parity), D) is None
 
 
 def in_centroid(L: LieSuperalgebra, S: Matrix) -> bool:
-    n = L.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = S.apply(L.bracket(L.basis_vector(i), L.basis_vector(j)))
-            rhs = L.bracket(S.column(i), L.basis_vector(j))
-            if lhs != rhs:
-                return False
-    return True
+    return _first_violation(*_centroid_identity(L), S) is None
 
 
 def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_parity: int) -> dict:
     """The three equivalences tying kappa_T properties to star/centroid/derivation."""
-    from .lsa import form_report
-
     kt = kappa_T(L, kappa, T)
     rep = form_report(L, kt)
     Tstar = star(L, kappa, T)
@@ -336,6 +271,17 @@ class PairBasis:
     def count(self) -> int:
         return len(self.pairs)
 
+    def columns(self) -> dict:
+        """(a, b) -> (unknown, negate) for every pair that omega(e_a, e_b) can fill."""
+        n = self.L.dim
+        out = {}
+        for a in range(n):
+            for b in range(n):
+                sc = self.coeff(a, b)
+                if sc is not None:
+                    out[(a, b)] = (sc[1], sc[0] < 0)
+        return out
+
     def _mirror_sign(self, i: int, j: int) -> Fraction:
         koszul = -1 if self.L.parities[i] and self.L.parities[j] else 1
         return Fraction(-koszul if self.skew else koszul)
@@ -372,20 +318,17 @@ class PairBasis:
 
 # -- identities: one term generator each, for solving and for checking --------
 #
-# An identity on a bilinear map omega is generated triple by triple as terms
-# (c, a, b), read as sum c * omega(e_a, e_b) = 0.  The solvers turn the terms
-# into constraint rows over every triple.  The checks evaluate the same terms
-# on a given map, but only on the triples its support reaches: every term of
-# any other triple meets a zero entry, so the verdict and the lexicographically
-# first violated triple (the witness) are those of a dense sweep.
+# The solvers turn an identity's terms into constraint rows over every triple
+# (linalg._identity_rows).  The checks evaluate the same terms on a given map
+# (linalg._first_violation); the cocycle and Hochschild checks visit only the
+# triples the map's support reaches: every term of any other triple meets a
+# zero entry, so the verdict and the lexicographically first violated triple
+# (the witness) are those of a dense sweep.
 
 
 def _cocycle_terms(L: LieSuperalgebra, x: int, y: int, z: int):
     """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0."""
-    for k, c in L.bracket_basis(x, y).items():
-        yield c, k, z
-    for k, c in L.bracket_basis(y, z).items():
-        yield -c, x, k
+    yield from _invariance_terms(L, x, y, z)
     odd = L.parities[x] and L.parities[y]
     for k, c in L.bracket_basis(x, z).items():
         yield (-c if odd else c), y, k
@@ -402,38 +345,10 @@ def _hochschild_terms(A: AssocSuperalgebra, a: int, b: int, c: int):
         yield (m if odd else -m), b, k
 
 
-def _identity_rows(terms, triples, columns: dict) -> list[dict[int, Fraction]]:
-    """Nonzero constraint rows; columns maps (a, b) to (unknown, negate)."""
-    rows = []
-    for triple in triples:
-        row: dict[int, Fraction] = {}
-        for c, a, b in terms(*triple):
-            unknown = columns.get((a, b))
-            if unknown is not None:
-                col, negate = unknown
-                val = -c if negate else c
-                if col in row:
-                    row[col] += val
-                else:
-                    row[col] = val
-        row = {col: v for col, v in row.items() if v}
-        if row:
-            rows.append(row)
-    return rows
-
-
-def _first_violation(terms, G: Matrix, triples) -> tuple | None:
-    """First of the triples whose terms do not sum to zero on G."""
-    rows = G.rows
-    for triple in triples:
-        tot = Fraction(0)
-        for c, a, b in terms(*triple):
-            g = rows[a][b]
-            if g:
-                tot += c * g
-        if tot:
-            return triple
-    return None
+def _skew_terms(parities: Sequence[int], a: int, b: int):
+    """F(a, b) + (-1)^{|a||b|} F(b, a) = 0."""
+    yield 1, a, b
+    yield (-1 if parities[a] and parities[b] else 1), b, a
 
 
 def _support(G: Matrix) -> list[tuple[int, int]]:
@@ -467,7 +382,7 @@ def _cocycle_witness(L: LieSuperalgebra, G: Matrix, pre: dict | None = None) -> 
             candidates.add(tuple(sorted((u, v, b))))
         for u, v in pre.get(b, ()):
             candidates.add(tuple(sorted((u, v, a))))
-    return _first_violation(partial(_cocycle_terms, L), G, sorted(candidates))
+    return _first_violation(partial(_cocycle_terms, L), sorted(candidates), G)
 
 
 def _hochschild_witness(A: AssocSuperalgebra, F: Matrix) -> tuple | None:
@@ -484,7 +399,7 @@ def _hochschild_witness(A: AssocSuperalgebra, F: Matrix) -> tuple | None:
         for u, v in pre.get(q, ()):
             candidates.add((p, u, v))
             candidates.add((u, p, v))
-    return _first_violation(partial(_hochschild_terms, A), F, sorted(candidates))
+    return _first_violation(partial(_hochschild_terms, A), sorted(candidates), F)
 
 
 def _skew_witness(parities: Sequence[int], G: Matrix) -> tuple | None:
@@ -529,23 +444,6 @@ class Cocycle2:
     def value_dim(self) -> int:
         return len(self.grams)
 
-    def eval_basis(self, i: int, j: int) -> list:
-        return [G.rows[i][j] for G in self.grams]
-
-    def eval(self, u: Sequence, v: Sequence) -> list:
-        out = []
-        for G in self.grams:
-            tot = Fraction(0)
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                row = G.rows[i]
-                for j, b in enumerate(v):
-                    if b and row[j]:
-                        tot = tot + a * row[j] * b
-            out.append(tot)
-        return out
-
     def validate(self):
         L = self.carrier
         pre = _preimages(L.brackets, sorted_pairs=True)
@@ -563,14 +461,8 @@ class Cocycle2:
 
 def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Fraction]]:
     n = L.dim
-    columns = {}
-    for a in range(n):
-        for b in range(n):
-            sc = pb.coeff(a, b)
-            if sc is not None:
-                columns[(a, b)] = (sc[1], sc[0] < 0)
     triples = ((x, y, z) for x in range(n) for y in range(x, n) for z in range(y, n))
-    return _identity_rows(partial(_cocycle_terms, L), triples, columns)
+    return _identity_rows(partial(_cocycle_terms, L), triples, pb.columns())
 
 
 def _kernel_parity(parities: set[int]) -> int:
@@ -597,14 +489,10 @@ def z2_space(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> list[Cocycle
 
 def coboundary_vectors(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Fraction]]:
     """Pair-coordinate vectors of the coboundaries f -> f([.,.]), f in L*."""
-    out = []
-    for m in range(L.dim):
-        vec: dict[int, Fraction] = {}
-        for t, (i, j) in enumerate(pb.pairs):
-            c = L.bracket_basis(i, j).get(m)
-            if c:
-                vec[t] = c
-        out.append(vec)
+    out: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
+    for t, (i, j) in enumerate(pb.pairs):
+        for m, c in L.bracket_basis(i, j).items():
+            out[m][t] = c
     return out
 
 
@@ -619,12 +507,12 @@ def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
         raise CohomologyError(
             f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}"
         )
+    # B2 first: its dense rows are freed before the cocycle rows are built,
+    # so the two never add up in the peak memory
+    dim_b2 = b2_space(L).dim
     pb = PairBasis(L)
     dim_z2 = pb.count - sparse_rank(_cocycle_constraint_rows(L, pb), pb.count)
-    belim = SparseEliminator(pb.count)
-    for vec in coboundary_vectors(L, pb):
-        belim.add_row(vec)
-    return dim_z2 - belim.rank
+    return dim_z2 - dim_b2
 
 
 def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
@@ -643,33 +531,8 @@ def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
 def sym_invariant_forms(L: LieSuperalgebra) -> list[Matrix]:
     """Basis of supersymmetric invariant bilinear forms (the space Sym(L)^L)."""
     pb = PairBasis(L, skew=False)
-    n = L.dim
-    rows = []
-    for x in range(n):
-        for y in range(n):
-            cxy = L.bracket_basis(x, y)
-            for z in range(n):
-                row: dict[int, Fraction] = {}
-                for k, c in cxy.items():
-                    sc = pb.coeff(k, z)
-                    if sc:
-                        s, col = sc
-                        nv = row.get(col, Fraction(0)) + s * c
-                        if nv:
-                            row[col] = nv
-                        else:
-                            row.pop(col, None)
-                for k, c in L.bracket_basis(y, z).items():
-                    sc = pb.coeff(x, k)
-                    if sc:
-                        s, col = sc
-                        nv = row.get(col, Fraction(0)) - s * c
-                        if nv:
-                            row[col] = nv
-                        else:
-                            row.pop(col, None)
-                if row:
-                    rows.append(row)
+    triples = product(range(L.dim), repeat=3)
+    rows = _identity_rows(partial(_invariance_terms, L), triples, pb.columns())
     return [pb.gram_of_vector(vec) for vec in sparse_kernel(rows, pb.count)]
 
 
@@ -712,9 +575,7 @@ def _correct_to_vanish_on_even(
         for k in range(n):
             rows.append([A.rows[k][j] for A in ads])
             rhs.append(-D.rows[k][j])
-    from .linalg import Matrix as _M, solve_linear
-
-    res = solve_linear(_M(rows), rhs)
+    res = solve_linear(Matrix(rows), rhs)
     if res.particular is None:
         return D
     out = [list(r) for r in D.rows]
@@ -741,20 +602,6 @@ class HochschildMap:
         if validate and not is_hochschild(A, gram):
             raise CohomologyError(f"not a Hochschild map: {_hochschild_failure(A, gram)}")
 
-    def eval_basis(self, a: int, b: int):
-        return self.gram.rows[a][b]
-
-    def eval(self, u: Sequence, v: Sequence):
-        tot = Fraction(0)
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            row = self.gram.rows[i]
-            for j, y in enumerate(v):
-                if y and row[j]:
-                    tot = tot + x * row[j] * y
-        return tot
-
 
 def _hochschild_failure(A: AssocSuperalgebra, F: Matrix) -> str | None:
     """Why F is not a Hochschild map, naming the first failing pair or triple."""
@@ -774,16 +621,9 @@ def is_hochschild(A: AssocSuperalgebra, F: Matrix) -> bool:
 def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[HochschildMap]:
     """Kernel of the stacked skew + cyclic Leibniz constraints on A x A."""
     n = A.dim
-    idx = lambda a, b: a * n + b
-    rows: list[dict[int, Fraction]] = []
-    for a in range(n):
-        for b in range(a, n):
-            sign = Fraction(-1) if A.parities[a] and A.parities[b] else Fraction(1)
-            row = {idx(a, b): Fraction(1)}
-            key = idx(b, a)
-            row[key] = row.get(key, Fraction(0)) + sign
-            rows.append({k: v for k, v in row.items() if v})
-    columns = {(a, b): (idx(a, b), False) for a in range(n) for b in range(n)}
+    columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
+    pairs = ((a, b) for a in range(n) for b in range(a, n))
+    rows = _identity_rows(partial(_skew_terms, A.parities), pairs, columns)
     rows += _identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns)
     out = []
     for vec in sparse_kernel(rows, n * n):
@@ -822,7 +662,10 @@ def eta_cocycle(
     K, A = cur.K, cur.A
     if check:
         if not is_derivation(K, D, d_parity):
-            raise CohomologyError("eta needs D to be a derivation")
+            w = _first_violation(*_derivation_identity(K, d_parity), D)
+            raise CohomologyError(
+                f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
+            )
         if not (star(K, kappa, D) + D).is_zero():
             raise CohomologyError("eta needs D kappa-skew (D in der_-)")
     kd = (D.transpose() @ kappa.gram).rows  # kd[i][j] = kappa(D e_i, e_j)
@@ -866,7 +709,10 @@ def xi_cocycle(
     K, A = cur.K, cur.A
     if check:
         if not in_centroid(K, S):
-            raise CohomologyError("xi needs S in the centroid")
+            w = _first_violation(*_centroid_identity(K), S)
+            raise CohomologyError(
+                f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
+            )
         if star(K, kappa, S) != S:
             raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
         for F in F_list:
@@ -962,8 +808,6 @@ def verify_cor1(
     when the identity holds; a positive defect comes with a certificate
     cocycle outside the span.
     """
-    from .lsa import form_report
-
     rep = form_report(K, kappa)
     problems = []
     if not rep["supersymmetric"]:

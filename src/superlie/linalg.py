@@ -8,6 +8,11 @@ carrying fractions (Bareiss-style swell control).  Each kernel vector is
 back-solved over only the pivot rows it reaches, and a span given by sparse
 vectors is reduced to its canonical `Subspace` without densifying
 (`Subspace.from_sparse`).
+
+A linear identity on a bilinear map or an endomorphism X is generated one
+index triple at a time as terms (c, a, b), read as sum c * X[a][b] = 0.  The
+same generator gives the constraint rows of a solver (`_identity_rows`) and
+the check of a given matrix (`_first_violation`).
 """
 
 from __future__ import annotations
@@ -445,6 +450,72 @@ def kernel(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
     return out
 
 
+def _flatten_keys(mats: Sequence[Matrix]) -> list[tuple[int, int, tuple[int, int]]]:
+    keys = set()
+    for M in mats:
+        for r in range(M.nrows):
+            for c in range(M.ncols):
+                x = M.rows[r][c]
+                if isinstance(x, Scalar):
+                    for key in x.terms():
+                        keys.add((r, c, key))
+                elif x:
+                    keys.add((r, c, (1, 0)))
+    return sorted(keys)
+
+
+def _flatten(M: Matrix, idx: dict) -> Vector | None:
+    """Rational coordinates of M over the keyed columns; None off those keys."""
+    out = [Fraction(0)] * len(idx)
+    for r in range(M.nrows):
+        for c in range(M.ncols):
+            x = M.rows[r][c]
+            if isinstance(x, Scalar):
+                for key, coef in x.terms().items():
+                    pos = idx.get((r, c, key))
+                    if pos is None:
+                        return None
+                    out[pos] = coef
+            elif x:
+                pos = idx.get((r, c, (1, 0)))
+                if pos is None:
+                    return None
+                out[pos] = Fraction(x)
+    return out
+
+
+def basis_coordinates(mats: Sequence[Matrix]):
+    """Coordinates in a linearly independent family of exact matrices.
+
+    The family is written over the (row, column, tower monomial) keys of its
+    entries and reduced to echelon form once.  Returns a function mapping a
+    matrix to its coordinate list, or to None when the matrix lies outside
+    the span.  Raises ValueError when the family is linearly dependent.
+    """
+    idx = {k: t for t, k in enumerate(_flatten_keys(mats))}
+    nb = len(mats)
+    width = len(idx)
+    aug = [_flatten(M, idx) + [Fraction(t == i) for t in range(nb)] for i, M in enumerate(mats)]
+    rows, pivots = echelon(aug)
+    if len(rows) != nb or any(p >= width for p in pivots):
+        raise ValueError("matrices are linearly dependent")
+
+    def coords(M: Matrix) -> Vector | None:
+        v = _flatten(M, idx)
+        if v is None:
+            return None
+        v += [Fraction(0)] * nb
+        for r, p in zip(rows, pivots):
+            if v[p]:
+                coef = v[p]
+                v = [a - coef * b for a, b in zip(v, r)]
+        if any(v[:width]):
+            return None
+        return [-x for x in v[width:]]
+
+    return coords
+
+
 # -- definiteness ---------------------------------------------------------
 
 
@@ -644,6 +715,40 @@ def _to_int_row(row: dict) -> dict[int, int]:
         if iv:
             out[c] = iv
     return _row_primitive(out)
+
+
+def _identity_rows(terms, triples, columns: dict) -> list[dict[int, Fraction]]:
+    """Nonzero constraint rows; columns maps (a, b) to (unknown, negate)."""
+    rows = []
+    for triple in triples:
+        row: dict[int, Fraction] = {}
+        for c, a, b in terms(*triple):
+            unknown = columns.get((a, b))
+            if unknown is not None:
+                col, negate = unknown
+                val = -c if negate else c
+                if col in row:
+                    row[col] += val
+                else:
+                    row[col] = val
+        row = {col: v for col, v in row.items() if v}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _first_violation(terms, triples, G: Matrix) -> tuple | None:
+    """First of the triples whose terms do not sum to zero on G."""
+    rows = G.rows
+    for triple in triples:
+        tot = Fraction(0)
+        for c, a, b in terms(*triple):
+            g = rows[a][b]
+            if g:
+                tot += c * g
+        if tot:
+            return triple
+    return None
 
 
 class SparseEliminator:

@@ -9,9 +9,12 @@ functional, so operations are safe to run concurrently.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from typing import Iterable, Sequence
 
-from .linalg import EchelonBuilder, Matrix, Subspace, echelon
+from .linalg import EchelonBuilder, Matrix, Subspace, _first_violation, basis_coordinates
+from .linalg import kernel as dense_kernel
 from .scalars import Scalar
 
 Coordvec = dict[int, Fraction]
@@ -223,40 +226,6 @@ def make_lsa(
 # -- matrix-basis ingestion ------------------------------------------------
 
 
-def _flatten_keys(mats: Sequence[Matrix]) -> list[tuple[int, int, tuple[int, int]]]:
-    keys = set()
-    for M in mats:
-        for r in range(M.nrows):
-            for c in range(M.ncols):
-                x = M.rows[r][c]
-                if isinstance(x, Scalar):
-                    for key in x.terms():
-                        keys.add((r, c, key))
-                elif x:
-                    keys.add((r, c, (1, 0)))
-    return sorted(keys)
-
-
-def _flatten(M: Matrix, keys: list) -> list:
-    idx = {k: t for t, k in enumerate(keys)}
-    out = [Fraction(0)] * len(keys)
-    for r in range(M.nrows):
-        for c in range(M.ncols):
-            x = M.rows[r][c]
-            if isinstance(x, Scalar):
-                for key, coef in x.terms().items():
-                    pos = idx.get((r, c, key))
-                    if pos is None:
-                        raise LsaError("matrix entry leaves the ambient coefficient span")
-                    out[pos] = coef
-            elif x:
-                pos = idx.get((r, c, (1, 0)))
-                if pos is None:
-                    raise LsaError("matrix entry leaves the ambient coefficient span")
-                out[pos] = Fraction(x)
-    return out
-
-
 def super_matrix_bracket(X: Matrix, Y: Matrix, px: int, py: int) -> Matrix:
     XY = X @ Y
     YX = Y @ X
@@ -277,34 +246,20 @@ def from_matrix_basis(
     nb = len(mats)
     if names is None:
         names = [f"E{i + 1}" for i in range(nb)]
-    keys = _flatten_keys(mats)
-    flat = [_flatten(M, keys) for M in mats]
-    width = len(keys)
-    aug = [flat[i] + [Fraction(t == i) for t in range(nb)] for i in range(nb)]
-    rows, pivots = echelon(aug)
-    if len(rows) != nb or any(p >= width for p in pivots):
-        raise LsaError("matrices are linearly dependent over R")
-
-    def coords_of(M: Matrix, context: str) -> Coordvec:
-        try:
-            v = _flatten(M, keys)
-        except LsaError:
-            raise LsaError(f"bracket {context} leaves the span of the basis")
-        v = v + [Fraction(0)] * nb
-        for r, p in zip(rows, pivots):
-            if v[p]:
-                coef = v[p]
-                v = [a - coef * b for a, b in zip(v, r)]
-        if any(v[:width]):
-            raise LsaError(f"bracket {context} leaves the span of the basis")
-        return {t: -v[width + t] for t in range(nb) if v[width + t]}
+    try:
+        coords_of = basis_coordinates(mats)
+    except ValueError:
+        raise LsaError("matrices are linearly dependent over R") from None
 
     table: dict[tuple[int, int], Coordvec] = {}
     for i in range(nb):
         for j in range(nb):
             B = super_matrix_bracket(mats[i], mats[j], parities[i], parities[j])
             if not B.is_zero():
-                table[(i, j)] = coords_of(B, f"({names[i]},{names[j]})")
+                coords = coords_of(B)
+                if coords is None:
+                    raise LsaError(f"bracket ({names[i]},{names[j]}) leaves the span of the basis")
+                table[(i, j)] = {t: c for t, c in enumerate(coords) if c}
     return make_lsa(names, parities, table, MatrixRealization(mats, block_sizes))
 
 
@@ -330,9 +285,6 @@ class BilinearForm:
         if len(self.grams) != 1:
             raise LsaError("scalar gram requested from a vector-valued form")
         return self.grams[0]
-
-    def eval_basis(self, i: int, j: int) -> list:
-        return [G.rows[i][j] for G in self.grams]
 
     def eval(self, u: Sequence, v: Sequence) -> list:
         out = []
@@ -418,6 +370,14 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
     return B
 
 
+def _invariance_terms(L: LieSuperalgebra, x: int, y: int, z: int):
+    """omega([x,y],z) - omega(x,[y,z]) = 0, as terms (c, a, b) of omega(e_a, e_b)."""
+    for k, c in L.bracket_basis(x, y).items():
+        yield c, k, z
+    for k, c in L.bracket_basis(y, z).items():
+        yield -c, x, k
+
+
 def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     """Exact flags: supersymmetric, skew, invariant, parity, nondegenerate,
     radical, derivation_invariant (None when the star map is unavailable)."""
@@ -432,27 +392,11 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
                     supersym = False
                 if G.rows[i][j] != -sign * G.rows[j][i]:
                     skew = False
-    invariant = True
-    for i in range(n):
-        if not invariant:
-            break
-        for j in range(n):
-            cij = L.bracket_basis(i, j)
-            for k in range(n):
-                cjk = L.bracket_basis(j, k)
-                for G in B.grams:
-                    lhs = sum((c * G.rows[m][k] for m, c in cij.items()), Fraction(0))
-                    rhs = sum((c * G.rows[i][m] for m, c in cjk.items()), Fraction(0))
-                    if lhs != rhs:
-                        invariant = False
-                        break
-                if not invariant:
-                    break
-            if not invariant:
-                break
+    invariant = all(
+        _first_violation(partial(_invariance_terms, L), product(range(n), repeat=3), G) is None
+        for G in B.grams
+    )
     stacked = B.stacked_gram_rows()
-    from .linalg import kernel as dense_kernel
-
     # radical = {x : B(x, .) = 0}: kernel of the stacked rows viewed as a map on x
     rad_vectors = dense_kernel(list(map(list, zip(*stacked))), n)
     radical = Subspace(n, rad_vectors)
@@ -460,6 +404,7 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     parity = form_parity(L, B)
     deriv_inv = None
     if nondeg and B.value_dim == 1 and parity in ("even", "odd"):
+        # cohomology imports this module, so the import has to wait for the call
         from .cohomology import derivation_space, star
 
         der, _ = derivation_space(L)
@@ -557,6 +502,15 @@ def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, 
     return quo, proj_rows
 
 
+def project_to_quotient(proj: Sequence[Sequence], vec: Sequence) -> list:
+    """Image of vec in the quotient, from quotient_lsa's projection rows."""
+    out = [Fraction(0)] * len(proj[0])
+    for i, c in enumerate(vec):
+        if c:
+            out = [a + c * b for a, b in zip(out, proj[i])]
+    return out
+
+
 def structure_report(L: LieSuperalgebra) -> dict:
     n = L.dim
     derived_vecs = []
@@ -569,8 +523,6 @@ def structure_report(L: LieSuperalgebra) -> dict:
         # x central iff [x, e_j] = 0 for all j; rows of the map x -> [x, e_j]
         for k in range(n):
             stacked.append([L.bracket_basis(i, j).get(k, Fraction(0)) for i in range(n)])
-    from .linalg import kernel as dense_kernel
-
     center = Subspace(n, dense_kernel(stacked, n))
     return {
         "derived_subalgebra": derived,

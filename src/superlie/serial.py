@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
+from .cohomology import Cocycle2, HochschildMap
 from .linalg import Matrix, Subspace
 from .lsa import LieSuperalgebra, make_lsa
 from .scalars import Scalar, format_scalar, parse_scalar
@@ -123,8 +124,6 @@ def sanitize(obj: Any) -> Any:
             "dim": obj.dim,
             "basis": [vector_to_json(r) for r in obj.rows],
         }
-    from .cohomology import Cocycle2, HochschildMap
-
     if isinstance(obj, Cocycle2):
         return {
             "value_parities": list(obj.value_parities),

@@ -36,6 +36,7 @@ from .lsa import (
     BilinearForm,
     LieSuperalgebra,
     ideal_closure,
+    project_to_quotient,
     quotient_lsa,
     structure_report,
 )
@@ -426,17 +427,9 @@ def verify_urad_theorem(
 
     # quotient: hat-g / I is n rtimes k with n a Clifford--Lie superalgebra
     quo, proj = quotient_lsa(L, ideal_i)
-
-    def project(vec):
-        out = [Fraction(0)] * quo.dim
-        for i, c in enumerate(vec):
-            if c:
-                out = [a + c * b for a, b in zip(out, proj[i])]
-        return out
-
-    n_rows = [project(r) for r in gext.degree_block_embedded(lambda d: d >= 1)]
+    n_rows = [project_to_quotient(proj, r) for r in gext.degree_block_embedded(lambda d: d >= 1)]
     for c in range(vd):
-        n_rows.append(project(gext.m_vector({c: Fraction(1)})))
+        n_rows.append(project_to_quotient(proj, gext.m_vector({c: Fraction(1)})))
     n_sub = Subspace(quo.dim, n_rows)
     # n is an ideal with central even part; k-copy is a complement subalgebra
     n_even = [r for r in n_sub.rows if all(not c or quo.parities[i] == 0 for i, c in enumerate(r))]
@@ -452,7 +445,7 @@ def verify_urad_theorem(
     for i in range(K.dim):
         v = [Fraction(0)] * L.dim
         v[cur.slot(A.unit, i)] = Fraction(1)
-        k_rows.append(project(v))
+        k_rows.append(project_to_quotient(proj, v))
     k_sub = Subspace(quo.dim, k_rows)
     semidirect_ok = (
         k_sub.dim == K.dim

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -12,9 +13,12 @@ from superlie.cohomology import (
     Cocycle2,
     HochschildMap,
     PairBasis,
+    _centroid_identity,
     _cocycle_constraint_rows,
     _cocycle_terms,
     _cocycle_witness,
+    _derivation_identity,
+    _end_columns,
     _hochschild_witness,
     _kernel_parity,
     _skew_witness,
@@ -26,7 +30,9 @@ from superlie.cohomology import (
     eta_cocycle,
     h2_dim,
     hochschild_space,
+    in_centroid,
     is_coboundary,
+    is_derivation,
     is_hochschild,
     kappa_T,
     lemma_basic_report,
@@ -38,9 +44,22 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
-from superlie.linalg import Matrix, SparseEliminator, Subspace, sparse_kernel
+from superlie.linalg import (
+    Matrix,
+    SparseEliminator,
+    Subspace,
+    _first_violation,
+    _identity_rows,
+    sparse_kernel,
+)
 from superlie.catalog import build_catalog
-from superlie.lsa import BilinearForm, build_form, form_report, structure_report
+from superlie.lsa import (
+    BilinearForm,
+    _invariance_terms,
+    build_form,
+    form_report,
+    structure_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +292,21 @@ def test_cocycle_rows_match_accumulation(case):
     pb = PairBasis(L)
     got = [list(r.items()) for r in _cocycle_constraint_rows(L, pb)]
     assert got == [list(r.items()) for r in accumulated_cocycle_rows(L, pb)]
+
+
+@pytest.mark.parametrize("case", SOLVER_CASES)
+def test_coboundary_vectors_match_per_element_sweep(case):
+    L = SOLVER_CASES[case]()
+    pb = PairBasis(L)
+    want = []
+    for m in range(L.dim):
+        vec = {}
+        for t, (i, j) in enumerate(pb.pairs):
+            c = L.bracket_basis(i, j).get(m)
+            if c:
+                vec[t] = c
+        want.append(vec)
+    assert [list(v.items()) for v in coboundary_vectors(L, pb)] == [list(v.items()) for v in want]
 
 
 def test_cocycles_are_parity_homogeneous():
@@ -687,3 +721,233 @@ def test_mixed_parity_kernel_vector_raises():
     assert _kernel_parity({1}) == 1
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
         _kernel_parity({0, 1})
+
+
+# -- derivation, centroid and invariance identities against the dense code ----------
+
+IDENTITY_CASES = {
+    "su(2|1)": ("su_pq", 2, 1),
+    "psu(2|2)": ("psu_pp", 2),
+    "pq(3)": ("pq_n", 3),
+    "c(2)": ("c_n", 2),
+    "su(3)": ("su_n", 3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(IDENTITY_CASES))
+def identity_entry(request):
+    return build_catalog(*IDENTITY_CASES[request.param])
+
+
+def first_difference(lhs, rhs):
+    return next(m for m, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+def dense_derivation_witness(L, D, parity):
+    """Oracle: D[e_i,e_j] = [D e_i,e_j] + (-1)^{|D||i|}[e_i,D e_j] as dense vectors, i <= j."""
+    n = L.dim
+    for i in range(n):
+        for j in range(i, n):
+            lhs = D.apply(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            s = Fraction(-1) if (parity and L.parities[i]) else Fraction(1)
+            rhs = L.bracket(D.column(i), L.basis_vector(j))
+            t2 = L.bracket(L.basis_vector(i), D.column(j))
+            rhs = [a + s * b for a, b in zip(rhs, t2)]
+            if lhs != rhs:
+                return (i, j, first_difference(lhs, rhs))
+    return None
+
+
+def dense_centroid_witness(L, S):
+    """Oracle: S[e_i,e_j] = [S e_i,e_j] as dense vectors on every ordered pair."""
+    n = L.dim
+    for i in range(n):
+        for j in range(n):
+            lhs = S.apply(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            rhs = L.bracket(S.column(i), L.basis_vector(j))
+            if lhs != rhs:
+                return (i, j, first_difference(lhs, rhs))
+    return None
+
+
+def test_derivation_and_centroid_checks_match_dense_sweep(identity_entry):
+    L = identity_entry.algebra
+    rng = random.Random(7)
+    der, _ = derivation_space(L)
+    members = list(der.members()) + list(centroid(L).members())
+    members += [(L.ad_matrix(i), L.parities[i]) for i in range(L.dim)]
+    der_verdicts, cent_verdicts = set(), set()
+    for M, p in members:
+        for X in (M, perturb(M, L.parities, rng, keep_skew=False)):
+            want = dense_derivation_witness(L, X, p)
+            assert _first_violation(*_derivation_identity(L, p), X) == want
+            assert is_derivation(L, X, p) == (want is None)
+            want = dense_centroid_witness(L, X)
+            assert _first_violation(*_centroid_identity(L), X) == want
+            assert in_centroid(L, X) == (want is None)
+            der_verdicts.add(is_derivation(L, X, p))
+            cent_verdicts.add(in_centroid(L, X))
+    assert der_verdicts == cent_verdicts == {True, False}
+
+
+def end_unknowns(L, d_parity):
+    n = L.dim
+    return [(m, k) for m in range(n) for k in range(n) if (L.parities[m] + L.parities[k]) % 2 == d_parity]
+
+
+def accumulated_derivation_rows(L, parity, index):
+    """The derivation rows summed through row.get(t, Fraction(0)): the reference."""
+    n = L.dim
+    rows = []
+    sign_for = lambda i: -1 if (parity and L.parities[i]) else 1
+    for i in range(n):
+        for j in range(i, n):
+            cij = L.bracket_basis(i, j)
+            s = sign_for(i)
+            for m in range(n):
+                row = {}
+
+                def bump(key, val):
+                    t = index[key]
+                    nv = row.get(t, Fraction(0)) + val
+                    if nv:
+                        row[t] = nv
+                    else:
+                        row.pop(t, None)
+
+                for k, c in cij.items():
+                    if (L.parities[m] + L.parities[k]) % 2 == parity:
+                        bump((m, k), c)
+                for l in range(n):
+                    if (L.parities[l] + L.parities[i]) % 2 == parity:
+                        c = L.bracket_basis(l, j).get(m)
+                        if c:
+                            bump((l, i), -c)
+                    if (L.parities[l] + L.parities[j]) % 2 == parity:
+                        c = L.bracket_basis(i, l).get(m)
+                        if c:
+                            bump((l, j), -s * c)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def accumulated_centroid_rows(L, parity, index):
+    """The centroid rows summed through row.get(t, Fraction(0)): the reference."""
+    n = L.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            cij = L.bracket_basis(i, j)
+            for m in range(n):
+                row = {}
+                for k, c in cij.items():
+                    if (L.parities[m] + L.parities[k]) % 2 == parity:
+                        t = index[(m, k)]
+                        nv = row.get(t, Fraction(0)) + c
+                        if nv:
+                            row[t] = nv
+                        else:
+                            row.pop(t, None)
+                for l in range(n):
+                    if (L.parities[l] + L.parities[i]) % 2 == parity:
+                        c = L.bracket_basis(l, j).get(m)
+                        if c:
+                            t = index[(l, i)]
+                            nv = row.get(t, Fraction(0)) - c
+                            if nv:
+                                row[t] = nv
+                            else:
+                                row.pop(t, None)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def accumulated_invariance_rows(L, pb):
+    """The supersymmetric invariance rows summed through row.get: the reference."""
+    n = L.dim
+    rows = []
+    for x in range(n):
+        for y in range(n):
+            cxy = L.bracket_basis(x, y)
+            for z in range(n):
+                row = {}
+                for k, c in cxy.items():
+                    sc = pb.coeff(k, z)
+                    if sc:
+                        s, col = sc
+                        nv = row.get(col, Fraction(0)) + s * c
+                        if nv:
+                            row[col] = nv
+                        else:
+                            row.pop(col, None)
+                for k, c in L.bracket_basis(y, z).items():
+                    sc = pb.coeff(x, k)
+                    if sc:
+                        s, col = sc
+                        nv = row.get(col, Fraction(0)) - s * c
+                        if nv:
+                            row[col] = nv
+                        else:
+                            row.pop(col, None)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def end_kernel(L, unknowns, rows):
+    out = []
+    for kv in sparse_kernel(rows, len(unknowns)):
+        M = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+        for t, c in kv.items():
+            m, k = unknowns[t]
+            M[m][k] = c
+        out.append(Matrix(M))
+    return out
+
+
+def row_items(rows):
+    return [list(r.items()) for r in rows]
+
+
+def test_identity_rows_match_accumulation(identity_entry):
+    L = identity_entry.algebra
+    der, _ = derivation_space(L)
+    cent = centroid(L)
+    for p, der_basis, cent_basis in ((0, der.even, cent.even), (1, der.odd, cent.odd)):
+        unknowns = end_unknowns(L, p)
+        index = {u: t for t, u in enumerate(unknowns)}
+        columns = _end_columns(L, p)
+        # the reference interleaves the [D e_i, e_j] and [e_i, D e_j] terms, so
+        # the rows agree as dicts; the eliminator does not read key order
+        want = accumulated_derivation_rows(L, p, index)
+        assert _identity_rows(*_derivation_identity(L, p), columns) == want
+        assert der_basis == end_kernel(L, unknowns, want)
+        want = accumulated_centroid_rows(L, p, index)
+        assert row_items(_identity_rows(*_centroid_identity(L), columns)) == row_items(want)
+        assert cent_basis == end_kernel(L, unknowns, want)
+    pb = PairBasis(L, skew=False)
+    want = accumulated_invariance_rows(L, pb)
+    got = _identity_rows(partial(_invariance_terms, L), product(range(L.dim), repeat=3), pb.columns())
+    assert row_items(got) == row_items(want)
+    assert sym_invariant_forms(L) == [pb.gram_of_vector(v) for v in sparse_kernel(want, pb.count)]
+
+
+def test_eta_and_xi_name_failing_triple(identity_entry):
+    K, kappa = identity_entry.algebra, identity_entry.form
+    A = grassmann(1)
+    cur = current_lsa(A, K)
+    rng = random.Random(11)
+    D = perturb(K.ad_matrix(0), K.parities, rng, keep_skew=False)
+    want = dense_derivation_witness(K, D, K.parities[0])
+    assert want is not None
+    names = ", ".join(K.names[i] for i in want)
+    with pytest.raises(CohomologyError, match=re.escape(f"derivation rule fails at ({names})")):
+        eta_cocycle(cur, kappa, [[Fraction(1), Fraction(0)]], D, K.parities[0])
+    S = perturb(Matrix.identity(K.dim), K.parities, rng, keep_skew=False)
+    want = dense_centroid_witness(K, S)
+    assert want is not None
+    names = ", ".join(K.names[i] for i in want)
+    with pytest.raises(CohomologyError, match=re.escape(f"centroid rule fails at ({names})")):
+        xi_cocycle(cur, kappa, hochschild_space(A), S)

@@ -11,6 +11,7 @@ from superlie.linalg import (
     Matrix,
     SparseEliminator,
     Subspace,
+    basis_coordinates,
     definiteness,
     definiteness_with_witness,
     kernel,
@@ -291,6 +292,34 @@ def test_kernel_basis_matches_full_sweep_on_cocycle_rows(s):
         elim.add_row(r)
     assert elim.rank and elim.rank < pb.count
     assert_same_kernel(elim)
+
+
+def test_basis_coordinates():
+    from superlie.scalars import Scalar
+
+    rng = random.Random(6)
+    i = Scalar.i()
+
+    def tower_matrix():
+        return Matrix([[rng.randint(-2, 2) + i * rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+
+    def combine(coefs, mats):
+        out = Matrix.zero(3, 3)
+        for c, M in zip(coefs, mats):
+            out = out + M.scale(c)
+        return out
+
+    basis = [tower_matrix() for _ in range(4)]
+    coords = basis_coordinates(basis)
+    for _ in range(5):
+        coefs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+        assert coords(combine(coefs, basis)) == coefs
+    outside = combine([1, 1, 1, 1], basis)
+    outside.rows[0][0] = outside.rows[0][0] + Scalar.sqrt_rational(2)  # a monomial no basis entry has
+    assert coords(outside) is None
+    assert coords(tower_matrix()) is None  # 4 of 18 real dimensions: a random matrix is outside
+    with pytest.raises(ValueError, match="dependent"):
+        basis_coordinates(basis + [combine([1, -1, 2, 0], basis)])
 
 
 def test_matrix_inverse():

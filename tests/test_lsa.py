@@ -246,3 +246,43 @@ def test_ad_is_derivation(su2):
     K = build_catalog("su_pq", 2, 1).algebra
     for i in range(K.dim):
         assert is_derivation(K, K.ad_matrix(i), K.parities[i])
+
+
+def dense_invariant(L, B):
+    """Oracle: B([e_i,e_j],e_k) = B(e_i,[e_j,e_k]) on every ordered triple and component."""
+    n = L.dim
+    for i in range(n):
+        for j in range(n):
+            cij = L.bracket_basis(i, j)
+            for k in range(n):
+                cjk = L.bracket_basis(j, k)
+                for G in B.grams:
+                    lhs = sum((c * G.rows[m][k] for m, c in cij.items()), Fraction(0))
+                    rhs = sum((c * G.rows[i][m] for m, c in cjk.items()), Fraction(0))
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("spec", [("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2), ("su_n", 3)])
+def test_form_invariance_matches_dense_sweep(spec):
+    from superlie.catalog import build_catalog
+    from superlie.lsa import BilinearForm
+
+    entry = build_catalog(*spec)
+    L = entry.algebra
+    rng = random.Random(3)
+    grams = [entry.form.gram, build_form(L, "killing").gram]
+    for G in list(grams):
+        for _ in range(3):
+            rows = [list(r) for r in G.rows]
+            rows[rng.randrange(L.dim)][rng.randrange(L.dim)] += Fraction(rng.choice([-2, -1, 1, 3]))
+            grams.append(Matrix(rows))
+    forms = [BilinearForm([G]) for G in grams]
+    forms += [BilinearForm([grams[0], G]) for G in grams[1:]]  # vector-valued
+    verdicts = set()
+    for B in forms:
+        want = dense_invariant(L, B)
+        assert form_report(L, B)["invariant"] == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
