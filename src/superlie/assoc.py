@@ -61,11 +61,6 @@ class AssocSuperalgebra:
                     out[k] = out[k] + a * b * c
         return out
 
-    def unit_vector(self) -> list:
-        v = [Fraction(0)] * self._dim
-        v[self.unit] = Fraction(1)
-        return v
-
     # -- validation ------------------------------------------------------
 
     def validate(self):

@@ -57,13 +57,11 @@ def _parse_catalog_ref(text: str):
         parts = parts[1:]
     if not parts or parts[0] not in FAMILIES:
         return None
-    family = parts[0]
-    params = []
-    if len(parts) > 1:
-        for chunk in parts[1].split(","):
-            if chunk:
-                params.append(int(chunk))
-    return family, tuple(params)
+    chunks = parts[1].split(",") if len(parts) > 1 else []
+    try:
+        return parts[0], tuple(int(c) for c in chunks if c)
+    except ValueError:
+        raise UsageError(f"expected integer parameters in {text!r}") from None
 
 
 def _load_k(text: str):
@@ -78,8 +76,8 @@ def _load_k(text: str):
 
 def _parse_grassmann(text: str) -> int:
     parts = text.split(":")
-    if len(parts) != 2 or parts[0] != "grassmann":
-        raise UsageError(f"expected grassmann:s, got {text!r}")
+    if len(parts) != 2 or parts[0] != "grassmann" or not parts[1].isdigit() or int(parts[1]) < 1:
+        raise UsageError(f"expected grassmann:s with s >= 1, got {text!r}")
     return int(parts[1])
 
 
@@ -202,6 +200,8 @@ def cmd_urad(args) -> int:
         return EXIT_OK
     if entry is None:
         raise UsageError(f"urad {args.action} needs a catalog algebra (it carries kappa)")
+    if args.s < 1:
+        raise UsageError(f"urad {args.action} needs --s >= 1, got {args.s}")
     if args.action == "verify":
         if entry.algebra.odd_indices:
             report = verify_kernel_theorem(entry, args.s)

@@ -33,11 +33,9 @@ from .lsa import (
     BilinearForm,
     Coordvec,
     LieSuperalgebra,
-    ValidationError,
     _invariance_terms,
     form_parity,
     form_report,
-    make_lsa,
     structure_report,
 )
 
@@ -765,29 +763,38 @@ def central_extension(
     omega: Cocycle2,
     m_names: Sequence[str] | None = None,
 ) -> CentralExtension:
-    """Build the extension; full Jacobi validation re-proves omega is a cocycle."""
+    """Build L + M with [x, y] = [x, y]_L + omega(x, y), M central.
+
+    Graded Jacobi on the extension is graded Jacobi on L plus the cocycle
+    identity of omega, and its antisymmetry is omega's super-skewness.  So
+    the value parities of omega and Cocycle2.validate on L replace a sweep
+    of the extension; a bad omega raises CohomologyError naming its witness.
+    """
     vd = omega.value_dim
     if m_names is None:
         m_names = [f"m{c + 1}" for c in range(vd)]
     if len(m_names) != vd:
         raise CohomologyError("m_names must match the cocycle value dimension")
     n = L.dim
+    extra: dict[tuple[int, int], Coordvec] = {}
+    for c, (G, vp) in enumerate(zip(omega.grams, omega.value_parities)):
+        for a, b in _support(G):
+            if (L.parities[a] + L.parities[b] + vp) % 2:
+                raise CohomologyError(
+                    f"not a cocycle: {m_names[c]} has the wrong parity at {_at(L.names, (a, b))}"
+                )
+            extra.setdefault((a, b), {})[n + c] = Fraction(G.rows[a][b])
+    try:
+        Cocycle2(L, omega.grams, omega.value_parities)
+    except CohomologyError as exc:
+        raise CohomologyError(f"not a cocycle: {exc}") from None
+    table = {
+        key: {**L.bracket_basis(*key), **extra.get(key, {})}
+        for key in sorted(L.brackets.keys() | extra.keys())
+    }
     names = list(L.names) + list(m_names)
     parities = list(L.parities) + [p % 2 for p in omega.value_parities]
-    table: dict[tuple[int, int], Coordvec] = {}
-    for i in range(n):
-        for j in range(n):
-            entry = dict(L.bracket_basis(i, j))
-            for c in range(vd):
-                v = omega.grams[c].rows[i][j]
-                if v:
-                    entry[n + c] = Fraction(v)
-            if entry:
-                table[(i, j)] = entry
-    try:
-        algebra = make_lsa(names, parities, table)
-    except ValidationError as exc:
-        raise CohomologyError(f"not a cocycle: central extension fails validation ({exc})")
+    algebra = LieSuperalgebra(names, parities, table, validate=False)
     return CentralExtension(L, omega, algebra, m_names)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .assoc import AssocSuperalgebra
 from .linalg import Matrix, Subspace
-from .lsa import Coordvec, LieSuperalgebra, LsaError, make_lsa
+from .lsa import Coordvec, LieSuperalgebra, LsaError
 
 
 class Current:
@@ -51,7 +51,13 @@ class Current:
 
 
 def current_lsa(A: AssocSuperalgebra, K: LieSuperalgebra) -> Current:
-    """Build A (x) k; the result passes full Lie superalgebra validation."""
+    """Build A (x) k, a Lie superalgebra by construction: no sweep is run.
+
+    A is a validated AssocSuperalgebra (parity, unit, supercommutativity and
+    associativity) and K a validated LieSuperalgebra, so the sign-twisted
+    bracket has the right parities, is super-antisymmetric and satisfies the
+    graded Jacobi identity.
+    """
     nk = K.dim
     dim = A.dim * nk
     names = []
@@ -81,8 +87,7 @@ def current_lsa(A: AssocSuperalgebra, K: LieSuperalgebra) -> Current:
                     entry = {s: c for s, c in entry.items() if c}
                     if entry:
                         table[(p * nk + i, q * nk + j)] = entry
-    algebra = make_lsa(names, parities, table)
-    return Current(A, K, algebra)
+    return Current(A, K, LieSuperalgebra(names, parities, table, validate=False))
 
 
 def eps_projection(cur: Current) -> Matrix:

@@ -24,20 +24,11 @@ from typing import Iterable, Sequence
 
 from .scalars import Scalar
 
-Entry = object  # Fraction | Scalar | int
 Vector = list
-
-
-def _zero_like(x) -> Entry:
-    return Fraction(0) if not isinstance(x, Scalar) else Scalar()
 
 
 def vec_is_zero(v: Sequence) -> bool:
     return not any(v)
-
-
-def scale_vec(v: Sequence, c) -> Vector:
-    return [x * c if x else x for x in v]
 
 
 def sub_scaled(v: Sequence, w: Sequence, c) -> Vector:

@@ -2,8 +2,11 @@
 
 Validation (super antisymmetry, parity, graded Jacobi), matrix-basis
 ingestion, invariant forms, ideal saturation, graded quotients and module
-generation.  Everything is immutable after construction and purely
-functional, so operations are safe to run concurrently.
+generation.  make_lsa (files, user tables, catalog builds, quotient_lsa) runs
+the full sweep; current_lsa and central_extension are valid by construction,
+build with validate=False and check only what they add.  Everything is
+immutable after construction and purely functional, so operations are safe
+to run concurrently.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
-from .linalg import EchelonBuilder, Matrix, Subspace, _first_violation, basis_coordinates
+from .linalg import EchelonBuilder, Matrix, Subspace, _first_violation, basis_coordinates, sparse_kernel
 from .linalg import kernel as dense_kernel
 from .scalars import Scalar
 
@@ -513,17 +516,13 @@ def project_to_quotient(proj: Sequence[Sequence], vec: Sequence) -> list:
 
 def structure_report(L: LieSuperalgebra) -> dict:
     n = L.dim
-    derived_vecs = []
+    derived = Subspace.from_sparse(n, (val for (i, j), val in L.brackets.items() if i <= j))
+    # x central iff [x, e_j] = 0 for all j: one sparse row over x per (j, k)
+    rows: dict[tuple[int, int], Coordvec] = {}
     for (i, j), val in L.brackets.items():
-        if i <= j and val:
-            derived_vecs.append([val.get(k, Fraction(0)) for k in range(n)])
-    derived = Subspace(n, derived_vecs)
-    stacked = []
-    for j in range(n):
-        # x central iff [x, e_j] = 0 for all j; rows of the map x -> [x, e_j]
-        for k in range(n):
-            stacked.append([L.bracket_basis(i, j).get(k, Fraction(0)) for i in range(n)])
-    center = Subspace(n, dense_kernel(stacked, n))
+        for k, c in val.items():
+            rows.setdefault((j, k), {})[i] = c
+    center = Subspace.from_sparse(n, sparse_kernel(rows.values(), n))
     return {
         "derived_subalgebra": derived,
         "center": center,

@@ -132,10 +132,6 @@ class Scalar:
     def real(self) -> "Scalar":
         return Scalar({k: c for k, c in self._terms.items() if k[1] == 0})
 
-    def imag(self) -> "Scalar":
-        """Imaginary part as a real scalar (coefficient of i)."""
-        return Scalar({(r, 0): c for (r, e), c in self._terms.items() if e == 1})
-
     def radicands(self) -> set[int]:
         return {r for (r, _) in self._terms if r > 1}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .assoc import AssocSuperalgebra, grassmann
@@ -203,9 +204,6 @@ class CurrentExtension:
     def value_dim(self) -> int:
         return len(self.m_labels)
 
-    def embed(self, vec: Sequence) -> list:
-        return list(vec) + [Fraction(0)] * self.value_dim
-
     def m_vector(self, coords: dict[int, Fraction]) -> list:
         v = [Fraction(0)] * self.algebra.dim
         for c, val in coords.items():
@@ -228,20 +226,24 @@ def extend_current(
     eta_data: Sequence[tuple] = (),
     xi_data: Sequence[tuple] = (),
 ) -> CurrentExtension:
-    """Assemble the central extension by the given eta/xi cocycle components."""
+    """Assemble the central extension by the given eta/xi cocycle components.
+
+    Each run of eta_data sharing (D, d_parity), and each run of xi_data
+    sharing S, is one eta_cocycle / xi_cocycle call, so D or S is checked
+    once per run; the components keep their order and eta<t>/xi<t> labels.
+    """
     grams = []
     parities = []
-    labels = []
-    for t, (f_row, D, dp) in enumerate(eta_data):
-        c = eta_cocycle(cur, kappa, [f_row], D, dp, check=True)
-        grams.append(c.grams[0])
-        parities.append(c.value_parities[0])
-        labels.append(f"eta{t + 1}")
-    for t, (F, S) in enumerate(xi_data):
-        c = xi_cocycle(cur, kappa, [F], S, check=True)
-        grams.append(c.grams[0])
-        parities.append(c.value_parities[0])
-        labels.append(f"xi{t + 1}")
+    for (D, dp), run in groupby(eta_data, key=lambda e: (e[1], e[2])):
+        c = eta_cocycle(cur, kappa, [f_row for f_row, _D, _dp in run], D, dp, check=True)
+        grams += c.grams
+        parities += c.value_parities
+    for S, run in groupby(xi_data, key=lambda e: e[1]):
+        c = xi_cocycle(cur, kappa, [F for F, _S in run], S, check=True)
+        grams += c.grams
+        parities += c.value_parities
+    labels = [f"eta{t + 1}" for t in range(len(eta_data))]
+    labels += [f"xi{t + 1}" for t in range(len(xi_data))]
     if not grams:
         return CurrentExtension(cur, kappa, None, list(eta_data), list(xi_data), [])
     omega = Cocycle2(cur.algebra, grams, parities, validate=False)

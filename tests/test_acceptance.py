@@ -266,6 +266,7 @@ def test_criterion_9_property_suites():
         is_hochschild,
     )
     from superlie.linalg import kernel
+    from superlie.lsa import LsaError, make_lsa
 
     t0 = time.time()
     rng = random.Random(99)
@@ -341,7 +342,23 @@ def test_criterion_9_property_suites():
             extends = True
         except CohomologyError:
             extends = False
+        # third arm: make_lsa's full sweep of the extension table
+        n = L.dim
+        table = {}
+        for i in range(n):
+            for j in range(n):
+                entry = dict(L.bracket_basis(i, j))
+                if G.rows[i][j]:
+                    entry[n] = G.rows[i][j]
+                if entry:
+                    table[(i, j)] = entry
+        try:
+            make_lsa(list(L.names) + ["m1"], list(L.parities) + [0], table)
+            sweeps = True
+        except LsaError:
+            sweeps = False
         assert is_cocycle == extends
+        assert sweeps == is_cocycle
 
     elapsed = time.time() - t0
     assert elapsed < 60, f"criterion 9 took {elapsed:.1f}s"

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -53,13 +54,18 @@ from superlie.linalg import (
     sparse_kernel,
 )
 from superlie.catalog import build_catalog
+from superlie.cli import main
 from superlie.lsa import (
     BilinearForm,
+    LsaError,
+    ValidationError,
     _invariance_terms,
     build_form,
     form_report,
+    make_lsa,
     structure_report,
 )
+from superlie.serial import vector_to_json
 
 
 @pytest.fixture(scope="module")
@@ -501,7 +507,118 @@ def test_extension_validates_iff_cocycle():
             ok_ext = True
         except CohomologyError:
             ok_ext = False
+        try:
+            _sweep_extension(L, G)
+            ok_sweep = True
+        except LsaError:
+            ok_sweep = False
         assert ok_cocycle == ok_ext
+        assert ok_sweep == ok_cocycle
+
+
+def _extension_table(L, G):
+    """names, parities and table of L + omega (even-valued), built entry by entry."""
+    n = L.dim
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            entry = dict(L.bracket_basis(i, j))
+            if G.rows[i][j]:
+                entry[n] = G.rows[i][j]
+            if entry:
+                table[(i, j)] = entry
+    return list(L.names) + ["m1"], list(L.parities) + [0], table
+
+
+def _sweep_extension(L, G):
+    """The extension checked by make_lsa's full sweep (parity, antisymmetry, Jacobi)."""
+    return make_lsa(*_extension_table(L, G))
+
+
+def test_extension_and_sweep_agree_on_non_cocycles():
+    # on su(2) every super-skew form is a cocycle (Z2 = all 3 forms); on
+    # Lambda1 (x) su(2) Z2 has 7 of 18 dimensions, so both verdicts occur
+    rng = random.Random(5)
+    L = current_lsa(grassmann(1), su2_cyclic()).algebra
+    pb = PairBasis(L)
+    # even forms only, so every combination has value parity 0
+    cocycles = [pb.vector_of_gram(c.grams[0]) for c in z2_space(L) if c.value_parities == (0,)]
+    even_pairs = [k for k in range(pb.count) if pb.parity[k] == 0]
+    seen = set()
+    for t in range(16):
+        vec = {}
+        for z in cocycles if t % 2 else []:
+            c = Fraction(rng.randint(-2, 2))
+            for k, v in z.items():
+                vec[k] = vec.get(k, Fraction(0)) + c * v
+        if t % 4 == 3 or not t % 2:
+            k = rng.choice(even_pairs)
+            vec[k] = vec.get(k, Fraction(0)) + rng.randint(1, 2)
+        G = pb.gram_of_vector({k: v for k, v in vec.items() if v})
+        verdicts = []
+        for build in (
+            lambda: Cocycle2(L, [G]),
+            lambda: central_extension(L, Cocycle2(L, [G], validate=False)),
+            lambda: _sweep_extension(L, G),
+        ):
+            try:
+                build()
+                verdicts.append(True)
+            except (CohomologyError, LsaError):
+                verdicts.append(False)
+        assert len(set(verdicts)) == 1, verdicts
+        seen.add(verdicts[0])
+    assert seen == {True, False}
+
+
+def _mutant(L, kind):
+    """An even-valued coboundary of L with one entry broken."""
+    pb = PairBasis(L)
+    rows = [list(r) for r in pb.gram_of_vector(coboundary_vectors(L, pb)[2]).rows]
+    even, odd = L.even_indices, L.odd_indices
+    if kind == "cocycle":  # an odd pair: stays super-skew (symmetric)
+        a, b = odd[0], odd[1]
+        rows[a][b] += 1
+        rows[b][a] += 1
+    elif kind == "skew":
+        rows[even[0]][even[1]] += 1
+    else:  # an even value on an odd pair
+        rows = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+        a, b = even[1], odd[2]
+        rows[a][b] = Fraction(1)
+        rows[b][a] = Fraction(-1)
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize(
+    "kind, message, sweep_kind",
+    [
+        ("cocycle", "cocycle identity fails at", "Jacobi violation"),
+        ("skew", "cocycle is not super-skew at", "antisymmetry violation"),
+        ("parity", "m1 has the wrong parity at", "parity violation"),
+    ],
+)
+def test_extension_mutants_rejected_naming_witness(tmp_path, capsys, kind, message, sweep_kind):
+    L = current_lsa(grassmann(1), su2_cyclic()).algebra
+    G = _mutant(L, kind)
+    # the full sweep of the extension table is the oracle for the witness
+    with pytest.raises(ValidationError) as sweep:
+        _sweep_extension(L, G)
+    assert sweep.value.kind == sweep_kind
+    witness = "(" + ", ".join(L.names[i] for i in sorted(sweep.value.indices)) + ")"
+    with pytest.raises(CohomologyError) as err:
+        central_extension(L, Cocycle2(L, [G], validate=False))
+    assert str(err.value) == f"not a cocycle: {message} {witness}"
+    # the same table written as an algebra file fails `superlie validate`
+    names, parities, table = _extension_table(L, G)
+    brackets = [
+        {"i": i, "j": j, "value": vector_to_json([v.get(k, Fraction(0)) for k in range(len(names))])}
+        for (i, j), v in table.items()
+    ]
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"names": names, "parities": parities, "brackets": brackets}))
+    assert main(["validate", str(path)]) == 1
+    assert sweep_kind in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_extension_from_xi_on_lambda2(su2k):

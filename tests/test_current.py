@@ -4,6 +4,7 @@ import pytest
 
 from conftest import su2_cyclic
 from superlie.assoc import grassmann
+from superlie.catalog import build_catalog
 from superlie.current import current_lsa, eps_projection
 from superlie.lsa import structure_report
 
@@ -77,3 +78,11 @@ def test_eps_kernel_dimension():
 
 def test_current_names(lam1_su2):
     assert lam1_su2.algebra.names[lam1_su2.slot(1, 2)] == "e1 (x) e3"
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("spec", [("su_n", 2), ("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2)])
+def test_current_lsa_passes_full_validation(spec, s):
+    # current_lsa builds without a sweep; the full sweep is the oracle
+    cur = current_lsa(grassmann(s), build_catalog(*spec).algebra)
+    cur.algebra.validate()

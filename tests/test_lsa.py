@@ -286,3 +286,48 @@ def test_form_invariance_matches_dense_sweep(spec):
         assert form_report(L, B)["invariant"] == want
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def dense_structure_report(L):
+    """structure_report with dense rows: the derived span and the n^2 x n center system."""
+    from superlie.linalg import kernel
+
+    n = L.dim
+    derived_vecs = []
+    for (i, j), val in L.brackets.items():
+        if i <= j and val:
+            derived_vecs.append([val.get(k, Fraction(0)) for k in range(n)])
+    derived = Subspace(n, derived_vecs)
+    stacked = []
+    for j in range(n):
+        for k in range(n):
+            stacked.append([L.bracket_basis(i, j).get(k, Fraction(0)) for i in range(n)])
+    center = Subspace(n, kernel(stacked, n))
+    return {"derived_subalgebra": derived, "center": center, "is_perfect": derived.dim == n}
+
+
+def _report_cases():
+    from superlie.catalog import build_catalog
+    from superlie.cohomology import Cocycle2, central_extension
+    from superlie.unirad import universal_extension
+
+    for spec in [("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2), ("q_n", 3)]:
+        yield build_catalog(*spec).algebra
+    heis = Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
+    yield central_extension(abelian(2), Cocycle2(abelian(2), [heis])).algebra
+    yield central_extension(abelian(3), Cocycle2(abelian(3), [Matrix.zero(3, 3)])).algebra
+    yield odd_heisenberg()
+    yield odd_line()
+    yield abelian(4, [0, 1, 0, 1])
+    yield universal_extension(build_catalog("su_pq", 2, 1), 1).algebra
+
+
+def test_structure_report_matches_dense_version():
+    perfect = set()
+    for L in _report_cases():
+        got, want = structure_report(L), dense_structure_report(L)
+        assert got["center"] == want["center"]
+        assert got["derived_subalgebra"] == want["derived_subalgebra"]
+        assert got["is_perfect"] == want["is_perfect"]
+        perfect.add(got["is_perfect"])
+    assert perfect == {True, False}

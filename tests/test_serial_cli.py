@@ -192,3 +192,23 @@ def test_cli_catalog_deterministic(capsys):
     main(["catalog", "build", "pq_n", "--n", "3"])
     b = capsys.readouterr().out
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["current", "--A", "grassmann:x", "--k", "su_n:2"],
+        ["current", "--A", "grassmann:0", "--k", "su_n:2"],
+        ["current", "--A", "grassmann:1", "--k", "su_n:abc"],
+        ["cohomology", "h2", "--k", "catalog:su_n:2,x"],
+        ["urad", "verify", "--k", "su_n:2", "--s", "0"],
+        ["urad", "faithful", "--k", "su_n:2", "--s", "-1"],
+    ],
+)
+def test_cli_malformed_input_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -16,6 +16,7 @@ from superlie.unirad import (
     nonpointedness_witness,
     pointedness_certificate,
     square_zero_seeds,
+    universal_extension,
     urad_lower,
     verify_kernel_theorem,
     verify_urad_theorem,
@@ -299,3 +300,11 @@ def test_faithfulness_boundary(su2):
     assert rep["mode"] == "witness"
     assert rep["witness_slot"].startswith("e1^e2^e3")
     assert rep["hochschild_maps_checked"] >= 1
+
+
+@pytest.mark.parametrize("spec", [("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2)])
+def test_universal_extension_passes_full_validation(spec):
+    # central_extension builds without a sweep; the full sweep is the oracle
+    gext = universal_extension(build_catalog(*spec), 1)
+    assert gext.value_dim > 0
+    gext.algebra.validate()
