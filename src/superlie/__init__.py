@@ -38,7 +38,7 @@ from .cohomology import (
     z2_space,
 )
 from .current import Current, current_lsa, eps_projection
-from .linalg import Matrix, Subspace, definiteness, solve_linear, subspace_op
+from .linalg import Matrix, Subspace, definiteness, solve_linear
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
@@ -73,7 +73,7 @@ __all__ = [
     "derivation_space", "eta_cocycle", "h2_dim", "hochschild_space", "kappa_T",
     "split_by_star", "star", "verify_cor1", "xi_cocycle", "z2_space",
     "Current", "current_lsa", "eps_projection",
-    "Matrix", "Subspace", "definiteness", "solve_linear", "subspace_op",
+    "Matrix", "Subspace", "definiteness", "solve_linear",
     "BilinearForm", "LieSuperalgebra", "build_form", "form_report",
     "from_matrix_basis", "generated_submodule", "ideal_closure", "make_lsa",
     "quotient_lsa", "structure_report",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace
+from .linalg import Subspace, _axpy
 
 Coordvec = dict[int, Fraction]
 
@@ -109,25 +109,17 @@ class AssocSuperalgebra:
         return v
 
     def _product_sparse_left(self, u: Coordvec, k: int) -> Coordvec:
+        """u * e_k for a sparse u."""
         out: Coordvec = {}
         for m, a in u.items():
-            for t, c in self.product_basis(m, k).items():
-                s = out.get(t, Fraction(0)) + a * c
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+            _axpy(out, self.product_basis(m, k), -a)
         return out
 
     def _product_sparse_right(self, i: int, v: Coordvec) -> Coordvec:
+        """e_i * v for a sparse v."""
         out: Coordvec = {}
         for m, a in v.items():
-            for t, c in self.product_basis(i, m).items():
-                s = out.get(t, Fraction(0)) + a * c
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+            _axpy(out, self.product_basis(i, m), -a)
         return out
 
     def __repr__(self):

@@ -578,20 +578,25 @@ def _traceless_diag_coords(diag: list[Fraction]) -> list[Fraction]:
 # -- public entry point ---------------------------------------------------------
 
 
+_BUILDERS = {
+    "su_n": (build_su_n, ("n",)),
+    "su_pq": (build_su_pq, ("p", "q")),
+    "psu_pp": (build_psu_pp, ("p",)),
+    "c_n": (build_c_n, ("n",)),
+    "q_n": (build_q_n, ("n",)),
+    "pq_n": (build_pq_n, ("n",)),
+}
+
+
 def build_catalog(family: str, *params: int) -> CatalogEntry:
-    if family == "su_n":
-        return build_su_n(*params)
-    if family == "su_pq":
-        return build_su_pq(*params)
-    if family == "psu_pp":
-        return build_psu_pp(*params)
-    if family == "c_n":
-        return build_c_n(*params)
-    if family == "q_n":
-        return build_q_n(*params)
-    if family == "pq_n":
-        return build_pq_n(*params)
-    raise CatalogError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if family not in _BUILDERS:
+        raise CatalogError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    build, names = _BUILDERS[family]
+    if len(params) != len(names):
+        raise CatalogError(
+            f"family {family} takes the parameters ({', '.join(names)}), got {len(params)}"
+        )
+    return build(*params)
 
 
 def expected_dimension(family: str, *params: int) -> int:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .assoc import grassmann
 from .catalog import FAMILIES, CatalogError, build_catalog, verify_catalog_facts
 from .clifford import (
+    CliffordError,
     commutant_dimension,
     gamma_rep,
     lambda_admissible_rep,
@@ -224,8 +225,14 @@ def cmd_urad(args) -> int:
 
 def cmd_clifford(args) -> int:
     if args.action == "gamma":
-        mu = [Fraction(x) for x in args.mu.split(",")]
-        rep = gamma_rep(mu)
+        try:
+            mu = [Fraction(x) for x in args.mu.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"expected comma separated rationals for --mu, got {args.mu!r}") from None
+        try:
+            rep = gamma_rep(mu)
+        except CliffordError as exc:
+            raise UsageError(str(exc)) from None
         report = {
             "n": rep.n,
             "space_dim": rep.space_dim,

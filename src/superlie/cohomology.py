@@ -497,7 +497,7 @@ def coboundary_vectors(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Frac
 def b2_space(L: LieSuperalgebra) -> Subspace:
     """Coboundary span in pair coordinates (canonical echelon basis)."""
     pb = PairBasis(L)
-    return Subspace.from_sparse(pb.count, coboundary_vectors(L, pb))
+    return Subspace(pb.count, coboundary_vectors(L, pb))
 
 
 def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
@@ -505,8 +505,8 @@ def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
         raise CohomologyError(
             f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}"
         )
-    # B2 first: its dense rows are freed before the cocycle rows are built,
-    # so the two never add up in the peak memory
+    # B2 first: its rows are freed before the cocycle rows are built, so the
+    # two never add up in the peak memory
     dim_b2 = b2_space(L).dim
     pb = PairBasis(L)
     dim_z2 = pb.count - sparse_rank(_cocycle_constraint_rows(L, pb), pb.count)

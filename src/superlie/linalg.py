@@ -1,13 +1,14 @@
 """Exact linear algebra over the rational field and the scalar tower.
 
-Dense routines (echelon, solve, subspaces, definiteness) are generic over
-any exact field element supporting +, -, *, /, bool and ==, which covers
-both Fraction and Scalar.  Large homogeneous systems go through the sparse
-integer eliminator `sparse_kernel`, which strips row contents instead of
-carrying fractions (Bareiss-style swell control).  Each kernel vector is
-back-solved over only the pivot rows it reaches, and a span given by sparse
-vectors is reduced to its canonical `Subspace` without densifying
-(`Subspace.from_sparse`).
+One engine reduces every span: `EchelonBuilder`, an incremental reduced row
+echelon form kept as sparse rows.  It takes dense or sparse vectors over any
+exact field element supporting +, -, *, /, bool and ==, which covers both
+Fraction and Scalar.  `Subspace`, `kernel`, `solve_linear`,
+`Matrix.inverse`/`rank` and `basis_coordinates` all reduce with it.  Large
+homogeneous systems go through the sparse integer eliminator
+`sparse_kernel`, which strips row contents instead of carrying fractions
+(Bareiss-style swell control); each kernel vector is back-solved over only
+the pivot rows it reaches.
 
 A linear identity on a bilinear map or an endomorphism X is generated one
 index triple at a time as terms (c, a, b), read as sum c * X[a][b] = 0.  The
@@ -27,196 +28,151 @@ from .scalars import Scalar
 Vector = list
 
 
-def vec_is_zero(v: Sequence) -> bool:
-    return not any(v)
+def _axpy(v: dict, w: dict, c) -> None:
+    """v -= c * w in place on sparse rows, dropping entries that cancel."""
+    for col, x in w.items():
+        nv = v[col] - c * x if col in v else -c * x
+        if nv:
+            v[col] = nv
+        else:
+            del v[col]
 
 
-def sub_scaled(v: Sequence, w: Sequence, c) -> Vector:
-    return [a - b * c if b else a for a, b in zip(v, w)]
+def _as_sparse(vec) -> dict:
+    """A new {column: value} copy of a dense list or sparse dict, zeros dropped."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: x for c, x in items if x}
 
 
-def echelon(vectors: Iterable[Sequence], reduce_above: bool = True):
-    """Row-reduce exact vectors; returns (rows, pivot columns) in RREF.
-
-    Canonical: any two spanning sets of the same subspace give identical rows.
-    """
-    rows: list[Vector] = []
-    pivots: list[int] = []
-    for vec in vectors:
-        v = list(vec)
-        for r, p in zip(rows, pivots):
-            if v[p]:
-                v = sub_scaled(v, r, v[p])
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = v[lead]
-        v = [x / inv if x else x for x in v]
-        # insert keeping pivot order
-        k = 0
-        while k < len(pivots) and pivots[k] < lead:
-            k += 1
-        rows.insert(k, v)
-        pivots.insert(k, lead)
-        if reduce_above:
-            for idx in range(len(rows)):
-                if idx == k:
-                    continue
-                if rows[idx][lead]:
-                    rows[idx] = sub_scaled(rows[idx], v, rows[idx][lead])
-    return rows, pivots
+def _dense(v: dict, n: int) -> Vector:
+    zero = Fraction(0)
+    out = [zero] * n
+    for c, x in v.items():
+        out[c] = x
+    return out
 
 
 class EchelonBuilder:
-    """Incremental reduced-echelon accumulator used by saturation loops."""
+    """Incremental reduced row echelon form of dense or sparse vectors.
 
-    def __init__(self, ambient: int):
+    rows maps each pivot column to its row {column: value}, which is 1 at the
+    pivot and zero (absent) at every other pivot.  The reduced echelon form
+    is unique: any spanning set, in any order, gives the same rows.
+    """
+
+    __slots__ = ("ambient", "rows")
+
+    def __init__(self, ambient: int, vectors: Iterable = ()):
         self.ambient = ambient
-        self.rows: list[Vector] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict] = {}
+        for vec in vectors:
+            self.add(vec)
 
-    def reduce(self, vec: Sequence) -> Vector:
-        v = list(vec)
-        for r, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v = sub_scaled(v, r, v[p])
+    def reduce(self, vec) -> dict:
+        """vec minus its part along the rows, as a new sparse vector."""
+        v = _as_sparse(vec)
+        rows = self.rows
+        # the rows are zero at each other's pivots, so one pass clears v
+        for p in [c for c in v if c in rows]:
+            _axpy(v, rows[p], v[p])
         return v
 
-    def add(self, vec: Sequence) -> bool:
-        """Insert a vector; True if it enlarged the span."""
+    def add(self, vec) -> dict | None:
+        """Insert a vector; its reduced row if it enlarged the span, else None."""
         v = self.reduce(vec)
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
+        if not v:
+            return None
+        lead = min(v)
         inv = v[lead]
-        v = [x / inv if x else x for x in v]
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < lead:
-            k += 1
-        self.rows.insert(k, v)
-        self.pivots.insert(k, lead)
-        for idx in range(len(self.rows)):
-            if idx != k and self.rows[idx][lead]:
-                self.rows[idx] = sub_scaled(self.rows[idx], v, self.rows[idx][lead])
-        return True
+        v = {c: x / inv for c, x in v.items()}
+        for r in self.rows.values():
+            if lead in r:
+                _axpy(r, v, r[lead])
+        self.rows[lead] = v
+        return v
 
-    def contains(self, vec: Sequence) -> bool:
-        return vec_is_zero(self.reduce(vec))
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def subspace(self) -> "Subspace":
-        return Subspace._raw(self.ambient, [list(r) for r in self.rows], list(self.pivots))
+        return Subspace(self.ambient, self.rows.values())
 
 
 class Subspace:
-    """Subspace of Q^n (or tower^n) kept in reduced echelon form (canonical)."""
+    """Subspace of Q^n (or tower^n) kept in reduced echelon form (canonical).
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    Spanned by dense lists or sparse {column: value} dicts.  Only the sparse
+    rows are stored; the dense rows are built on first use, and every fill
+    gives the same rows.
+    """
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
-        rows, pivots = echelon(vectors)
+    __slots__ = ("ambient_dim", "pivots", "_echelon", "_dense_rows")
+
+    def __init__(self, ambient_dim: int, vectors: Iterable = ()):
+        echelon = EchelonBuilder(ambient_dim, vectors)
+        echelon.rows = dict(sorted(echelon.rows.items()))
         self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = pivots
-
-    @classmethod
-    def _raw(cls, ambient_dim, rows, pivots):
-        self = cls.__new__(cls)
-        self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = pivots
-        return self
-
-    @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        return cls(ambient_dim, vectors)
+        self.pivots = list(echelon.rows)
+        self._echelon = echelon
+        self._dense_rows = None
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim)
 
-    @classmethod
-    def from_sparse(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
-        """Span of sparse {column: value} vectors, reduced without densifying.
-
-        Same rows and pivots as Subspace(ambient_dim, <the dense vectors>):
-        the reduced echelon form is unique.  The zeros of all rows are one
-        shared Fraction(0).
-        """
-        red: dict[int, dict] = {}  # pivot column -> reduced row, 1 at the pivot
-        for vec in vectors:
-            v = {c: x for c, x in vec.items() if x}
-            # the rows of red are zero at each other's pivots, so one pass clears v
-            for p in [c for c in v if c in red]:
-                _axpy(v, red[p], v[p])
-            if not v:
-                continue
-            lead = min(v)
-            inv = v[lead]
-            v = {c: x / inv for c, x in v.items()}
-            for r in red.values():
-                if lead in r:
-                    _axpy(r, v, r[lead])
-            red[lead] = v
-        pivots = sorted(red)
-        zero = Fraction(0)
-        rows = []
-        for p in pivots:
-            row = [zero] * ambient_dim
-            for c, x in red[p].items():
-                row[c] = x
-            rows.append(row)
-        return cls._raw(ambient_dim, rows, pivots)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        eye = [[Fraction(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return cls._raw(ambient_dim, eye, list(range(ambient_dim)))
-
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce_vector(self, vec: Sequence) -> Vector:
-        v = list(vec)
-        for r, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v = sub_scaled(v, r, v[p])
-        return v
+    @property
+    def sparse_rows(self) -> list[dict]:
+        return list(self._echelon.rows.values())
 
-    def contains_vector(self, vec: Sequence) -> bool:
-        return vec_is_zero(self.reduce_vector(vec))
+    @property
+    def rows(self) -> list[Vector]:
+        if self._dense_rows is None:
+            self._dense_rows = [_dense(r, self.ambient_dim) for r in self._echelon.rows.values()]
+        return self._dense_rows
+
+    def reduce(self, vec) -> dict:
+        return self._echelon.reduce(vec)
+
+    def reduce_vector(self, vec) -> Vector:
+        return _dense(self.reduce(vec), self.ambient_dim)
+
+    def contains_vector(self, vec) -> bool:
+        return self._echelon.contains(vec)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.rows)
+        return all(self.contains_vector(r) for r in other.sparse_rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, list(self.rows) + list(other.rows))
+        return Subspace(self.ambient_dim, self.sparse_rows + other.sparse_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel trick: combos of self.rows that land in other."""
+        """Kernel trick: combos of self's rows that land in other."""
         self._check_ambient(other)
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.ambient_dim)
-        # stack [self.rows^T | -other.rows^T]; kernel rows give the combos
-        cols = len(self.rows) + len(other.rows)
-        mat = []
-        for j in range(self.ambient_dim):
-            row = [self.rows[i][j] for i in range(len(self.rows))]
-            row += [-other.rows[i][j] for i in range(len(other.rows))]
-            mat.append(row)
-        ker = kernel(mat, cols)
+        mine, theirs = self.sparse_rows, other.sparse_rows
+        # one sparse row per coordinate of [self.rows^T | -other.rows^T]
+        stacked: list[dict] = [{} for _ in range(self.ambient_dim)]
+        for i, r in enumerate(mine):
+            for c, x in r.items():
+                stacked[c][i] = x
+        for i, r in enumerate(theirs, len(mine)):
+            for c, x in r.items():
+                stacked[c][i] = -x
         vecs = []
-        for kv in ker:
-            v = [Fraction(0)] * self.ambient_dim
-            for i in range(len(self.rows)):
-                if kv[i]:
-                    v = [a + kv[i] * b for a, b in zip(v, self.rows[i])]
+        for kv in kernel(stacked, len(mine) + len(theirs)):
+            v: dict = {}
+            for x, r in zip(kv, mine):
+                if x:
+                    _axpy(v, r, -x)
             vecs.append(v)
         return Subspace(self.ambient_dim, vecs)
 
@@ -225,14 +181,8 @@ class Subspace:
         self._check_ambient(sub)
         if not self.contains(sub):
             raise ValueError("quotient_basis: second space is not contained in the first")
-        builder = EchelonBuilder(self.ambient_dim)
-        for r in sub.rows:
-            builder.add(r)
-        out = []
-        for r in self.rows:
-            if builder.add(r):
-                out.append(list(r))
-        return out
+        builder = EchelonBuilder(self.ambient_dim, sub.sparse_rows)
+        return [list(r) for r, s in zip(self.rows, self.sparse_rows) if builder.add(s)]
 
     def basis_matrix(self) -> list[Vector]:
         return [list(r) for r in self.rows]
@@ -247,34 +197,11 @@ class Subspace:
         return (
             self.ambient_dim == other.ambient_dim
             and self.pivots == other.pivots
-            and self.rows == other.rows
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
-
-
-def _axpy(v: dict, w: dict, c) -> None:
-    """v -= c * w in place on sparse rows, dropping entries that cancel."""
-    for col, x in w.items():
-        nv = v[col] - c * x if col in v else -c * x
-        if nv:
-            v[col] = nv
-        else:
-            del v[col]
-
-
-def subspace_op(kind: str, U: Subspace, V: Subspace):
-    """Dispatch for {sum | intersect | contains | quotient_basis}."""
-    if kind == "sum":
-        return U.sum(V)
-    if kind == "intersect":
-        return U.intersect(V)
-    if kind == "contains":
-        return U.contains(V)
-    if kind == "quotient_basis":
-        return U.quotient_basis(V)
-    raise ValueError(f"unknown subspace operation {kind!r}")
 
 
 # -- matrices ------------------------------------------------------------
@@ -387,15 +314,15 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a nonsquare matrix")
-        aug = [list(r) + [Fraction(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        rows, pivots = echelon(aug)
-        if pivots[:n] != list(range(n)):
+        one = Fraction(1)
+        red = EchelonBuilder(2 * n, ({**_as_sparse(r), n + i: one} for i, r in enumerate(self.rows))).rows
+        if any(i not in red for i in range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([r[n:] for r in rows])
+        zero = Fraction(0)
+        return Matrix([[red[i].get(n + j, zero) for j in range(n)] for i in range(n)])
 
     def rank(self) -> int:
-        _, pivots = echelon(self.rows)
-        return len(pivots)
+        return EchelonBuilder(self.ncols, self.rows).dim
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -415,28 +342,34 @@ def solve_linear(A: Matrix, b: Sequence) -> SolveResult:
     if A.nrows != len(bcol):
         raise ValueError("A.rows must match len(b)")
     n = A.ncols
-    aug = [list(r) + [bv] for r, bv in zip(A.rows, bcol)]
-    rows, pivots = echelon(aug)
+    # the rows of the reduced [A | b] with a pivot left of b reduce A itself
+    red = EchelonBuilder(n + 1, (list(r) + [bv] for r, bv in zip(A.rows, bcol))).rows
     particular = None
-    if not any(p == n for p in pivots):  # consistent
-        particular = [Fraction(0)] * n
-        for r, p in zip(rows, pivots):
-            particular[p] = r[n]
-    ker = kernel(A.rows, n)
-    return SolveResult(particular, Subspace(n, ker))
+    if n not in red:  # consistent
+        zero = Fraction(0)
+        particular = [zero] * n
+        for p, r in red.items():
+            particular[p] = r.get(n, zero)
+    return SolveResult(particular, Subspace(n, _kernel(red, n)))
 
 
-def kernel(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
-    """Kernel basis of a dense exact matrix (list of rows)."""
-    red, pivots = echelon(rows)
-    free = [j for j in range(ncols) if j not in pivots]
+def kernel(rows: Iterable, ncols: int) -> list[Vector]:
+    """Kernel basis of an exact matrix given by dense or sparse rows."""
+    return _kernel(EchelonBuilder(ncols, rows).rows, ncols)
+
+
+def _kernel(red: dict[int, dict], ncols: int) -> list[Vector]:
+    """One kernel vector per free column among the first ncols, from reduced rows."""
     out = []
-    for f in free:
+    for f in range(ncols):
+        if f in red:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, p in zip(red, pivots):
-            if r[f]:
-                v[p] = -r[f]
+        for p, r in red.items():
+            x = r.get(f)
+            if x:
+                v[p] = -x
         out.append(v)
     return out
 
@@ -455,12 +388,11 @@ def _flatten_keys(mats: Sequence[Matrix]) -> list[tuple[int, int, tuple[int, int
     return sorted(keys)
 
 
-def _flatten(M: Matrix, idx: dict) -> Vector | None:
-    """Rational coordinates of M over the keyed columns; None off those keys."""
-    out = [Fraction(0)] * len(idx)
-    for r in range(M.nrows):
-        for c in range(M.ncols):
-            x = M.rows[r][c]
+def _flatten(M: Matrix, idx: dict) -> dict | None:
+    """Sparse rational coordinates of M over the keyed columns; None off those keys."""
+    out = {}
+    for r, row in enumerate(M.rows):
+        for c, x in enumerate(row):
             if isinstance(x, Scalar):
                 for key, coef in x.terms().items():
                     pos = idx.get((r, c, key))
@@ -486,23 +418,20 @@ def basis_coordinates(mats: Sequence[Matrix]):
     idx = {k: t for t, k in enumerate(_flatten_keys(mats))}
     nb = len(mats)
     width = len(idx)
-    aug = [_flatten(M, idx) + [Fraction(t == i) for t in range(nb)] for i, M in enumerate(mats)]
-    rows, pivots = echelon(aug)
-    if len(rows) != nb or any(p >= width for p in pivots):
+    one = Fraction(1)
+    echelon = EchelonBuilder(width + nb, ({**_flatten(M, idx), width + i: one} for i, M in enumerate(mats)))
+    if any(p >= width for p in echelon.rows):
         raise ValueError("matrices are linearly dependent")
 
     def coords(M: Matrix) -> Vector | None:
         v = _flatten(M, idx)
         if v is None:
             return None
-        v += [Fraction(0)] * nb
-        for r, p in zip(rows, pivots):
-            if v[p]:
-                coef = v[p]
-                v = [a - coef * b for a, b in zip(v, r)]
-        if any(v[:width]):
+        v = echelon.reduce(v)
+        if any(c < width for c in v):
             return None
-        return [-x for x in v[width:]]
+        zero = Fraction(0)
+        return [-v[width + t] if width + t in v else zero for t in range(nb)]
 
     return coords
 

@@ -16,7 +16,15 @@ from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
-from .linalg import EchelonBuilder, Matrix, Subspace, _first_violation, basis_coordinates, sparse_kernel
+from .linalg import (
+    EchelonBuilder,
+    Matrix,
+    Subspace,
+    _axpy,
+    _first_violation,
+    basis_coordinates,
+    sparse_kernel,
+)
 from .linalg import kernel as dense_kernel
 from .scalars import Scalar
 
@@ -146,15 +154,8 @@ class LieSuperalgebra:
                 sgn = -1 if par[i] and par[j] else 1
                 for k in range(j, n):
                     lhs = self._sparse_left_bracket(i, self.bracket_basis(j, k))
-                    t1 = self._sparse_right_bracket(bij, k)
-                    t2 = self._sparse_left_bracket(j, self.bracket_basis(i, k))
-                    rhs = dict(t1)
-                    for m, c in t2.items():
-                        s = rhs.get(m, Fraction(0)) + sgn * c
-                        if s:
-                            rhs[m] = s
-                        else:
-                            rhs.pop(m, None)
+                    rhs = self._sparse_right_bracket(bij, k)
+                    _axpy(rhs, self._sparse_left_bracket(j, self.bracket_basis(i, k)), -sgn)
                     if lhs != rhs:
                         raise ValidationError(
                             "Jacobi violation", (i, j, k),
@@ -162,29 +163,21 @@ class LieSuperalgebra:
                         )
 
     def _sparse_left_bracket(self, i: int, v: Coordvec) -> Coordvec:
+        """[e_i, v] for a sparse v."""
         out: Coordvec = {}
         for m, a in v.items():
             cim = self.brackets.get((i, m))
             if cim:
-                for k, c in cim.items():
-                    s = out.get(k, Fraction(0)) + a * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                _axpy(out, cim, -a)
         return out
 
     def _sparse_right_bracket(self, u: Coordvec, k: int) -> Coordvec:
+        """[u, e_k] for a sparse u."""
         out: Coordvec = {}
         for m, a in u.items():
             cmk = self.brackets.get((m, k))
             if cmk:
-                for t, c in cmk.items():
-                    s = out.get(t, Fraction(0)) + a * c
-                    if s:
-                        out[t] = s
-                    else:
-                        out.pop(t, None)
+                _axpy(out, cmk, -a)
         return out
 
     def export_structure_constants(self) -> dict[tuple[int, int], Coordvec]:
@@ -381,20 +374,24 @@ def _invariance_terms(L: LieSuperalgebra, x: int, y: int, z: int):
         yield -c, x, k
 
 
+def _graded_symmetric(G: Matrix, parities: Sequence[int], sign: int) -> bool:
+    """G[i][j] == sign * (-1)^{|i||j|} G[j][i] for all i, j."""
+    rows = G.rows
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            t = -sign if parities[i] and parities[j] else sign
+            if rows[i][j] != t * rows[j][i]:
+                return False
+    return True
+
+
 def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     """Exact flags: supersymmetric, skew, invariant, parity, nondegenerate,
-    radical, derivation_invariant (None when the star map is unavailable)."""
+    radical, derivation_invariant (None unless B is a nondegenerate
+    homogeneous scalar form)."""
     n = L.dim
-    supersym = True
-    skew = True
-    for G in B.grams:
-        for i in range(n):
-            for j in range(n):
-                sign = -1 if L.parities[i] and L.parities[j] else 1
-                if G.rows[i][j] != sign * G.rows[j][i]:
-                    supersym = False
-                if G.rows[i][j] != -sign * G.rows[j][i]:
-                    skew = False
+    supersym = all(_graded_symmetric(G, L.parities, 1) for G in B.grams)
+    skew = all(_graded_symmetric(G, L.parities, -1) for G in B.grams)
     invariant = all(
         _first_violation(partial(_invariance_terms, L), product(range(n), repeat=3), G) is None
         for G in B.grams
@@ -408,15 +405,14 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     deriv_inv = None
     if nondeg and B.value_dim == 1 and parity in ("even", "odd"):
         # cohomology imports this module, so the import has to wait for the call
-        from .cohomology import derivation_space, star
+        from .cohomology import derivation_space
 
+        # D* = -D exactly when B(Dx, y) = -(-1)^{|x||y|} B(Dy, x): D^T G is graded-skew
         der, _ = derivation_space(L)
-        deriv_inv = True
-        for D, _dp in der.members():
-            Dstar = star(L, B, D)
-            if not (Dstar + D).is_zero():
-                deriv_inv = False
-                break
+        G = B.gram
+        deriv_inv = all(
+            _graded_symmetric(D.transpose() @ G, L.parities, -1) for D, _dp in der.members()
+        )
     return {
         "supersymmetric": supersym,
         "skew": skew,
@@ -431,36 +427,38 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
 # -- ideals, quotients, reports ---------------------------------------------
 
 
-def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:
-    """Smallest subspace containing the seeds and closed under all brackets."""
-    builder = EchelonBuilder(L.dim)
-    for s in seeds:
-        builder.add(s)
-    fresh = [list(r) for r in builder.rows]
+def _saturate(n: int, seeds: Iterable, maps: Sequence) -> Subspace:
+    """Smallest subspace of Q^n containing the seeds and mapped into itself by
+    each of the maps, which take and return sparse vectors."""
+    builder = EchelonBuilder(n)
+    fresh = [dict(r) for r in map(builder.add, seeds) if r]
     while fresh:
         next_fresh = []
         for v in fresh:
-            for i in range(L.dim):
-                w = L.bracket(L.basis_vector(i), v)
-                if any(w) and builder.add(w):
+            for f in maps:
+                w = f(v)
+                if w and builder.add(w):
                     next_fresh.append(w)
         fresh = next_fresh
     return builder.subspace()
+
+
+def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:
+    """Smallest subspace containing the seeds and closed under all brackets."""
+    return _saturate(L.dim, seeds, [partial(L._sparse_left_bracket, i) for i in range(L.dim)])
 
 
 def graded_components(L: LieSuperalgebra, V: Subspace) -> tuple[Subspace, Subspace] | None:
     """Split V into even and odd parts; None if V is not parity-graded."""
     even_rows = []
     odd_rows = []
-    for row in V.rows:
-        ev = [x if L.parities[k] == 0 else Fraction(0) for k, x in enumerate(row)]
-        od = [x if L.parities[k] == 1 else Fraction(0) for k, x in enumerate(row)]
+    for row in V.sparse_rows:
+        ev = {k: x for k, x in row.items() if L.parities[k] == 0}
+        od = {k: x for k, x in row.items() if L.parities[k] == 1}
         if not V.contains_vector(ev) or not V.contains_vector(od):
             return None
-        if any(ev):
-            even_rows.append(ev)
-        if any(od):
-            odd_rows.append(od)
+        even_rows.append(ev)
+        odd_rows.append(od)
     return Subspace(L.dim, even_rows), Subspace(L.dim, odd_rows)
 
 
@@ -475,9 +473,8 @@ def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, 
     if graded_components(L, ideal) is None:
         raise LsaError("ideal is not parity-graded")
     for i in range(n):
-        for row in ideal.rows:
-            w = L.bracket(L.basis_vector(i), row)
-            if not ideal.contains_vector(w):
+        for row in ideal.sparse_rows:
+            if not ideal.contains_vector(L._sparse_left_bracket(i, row)):
                 raise LsaError(
                     f"not an ideal: [{L.names[i]}, ideal] escapes (witness bracket with basis {i})"
                 )
@@ -485,14 +482,15 @@ def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, 
     keep = [i for i in range(n) if i not in piv]
     pos = {k: t for t, k in enumerate(keep)}
 
-    def project(vec) -> Coordvec:
-        v = ideal.reduce_vector(vec)
-        return {pos[k]: v[k] for k in keep if v[k]}
+    def project(vec: Coordvec) -> Coordvec:
+        # reduced by the ideal, vec vanishes at its pivots: it lives on keep
+        v = ideal.reduce(vec)
+        return {pos[k]: v[k] for k in sorted(v)}
 
     table: dict[tuple[int, int], Coordvec] = {}
     for a, i in enumerate(keep):
         for b, j in enumerate(keep):
-            img = project(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            img = project(L.bracket_basis(i, j))
             if img:
                 table[(a, b)] = img
     names = [L.names[i] for i in keep]
@@ -500,7 +498,7 @@ def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, 
     quo = make_lsa(names, parities, table)
     proj_rows = []
     for i in range(n):
-        img = project(L.basis_vector(i))
+        img = project({i: Fraction(1)})
         proj_rows.append([img.get(t, Fraction(0)) for t in range(len(keep))])
     return quo, proj_rows
 
@@ -516,13 +514,13 @@ def project_to_quotient(proj: Sequence[Sequence], vec: Sequence) -> list:
 
 def structure_report(L: LieSuperalgebra) -> dict:
     n = L.dim
-    derived = Subspace.from_sparse(n, (val for (i, j), val in L.brackets.items() if i <= j))
+    derived = Subspace(n, (val for (i, j), val in L.brackets.items() if i <= j))
     # x central iff [x, e_j] = 0 for all j: one sparse row over x per (j, k)
     rows: dict[tuple[int, int], Coordvec] = {}
     for (i, j), val in L.brackets.items():
         for k, c in val.items():
             rows.setdefault((j, k), {})[i] = c
-    center = Subspace.from_sparse(n, sparse_kernel(rows.values(), n))
+    center = Subspace(n, sparse_kernel(rows.values(), n))
     return {
         "derived_subalgebra": derived,
         "center": center,
@@ -530,19 +528,19 @@ def structure_report(L: LieSuperalgebra) -> dict:
     }
 
 
+def _apply_columns(columns: Sequence[dict], w: Coordvec) -> Coordvec:
+    """M w = sum_c w_c M[:, c], from the sparse columns of M."""
+    out: Coordvec = {}
+    for c, x in w.items():
+        _axpy(out, columns[c], -x)
+    return out
+
+
 def generated_submodule(action: Sequence[Matrix], v: Sequence) -> Subspace:
     """Smallest subspace containing v invariant under all action matrices."""
-    if not any(v):
-        return Subspace.zero(len(v))
-    builder = EchelonBuilder(len(v))
-    builder.add(v)
-    fresh = [list(r) for r in builder.rows]
-    while fresh:
-        nxt = []
-        for w in fresh:
-            for M in action:
-                u = M.apply(w)
-                if any(u) and builder.add(u):
-                    nxt.append(u)
-        fresh = nxt
-    return builder.subspace()
+    n = len(v)
+    maps = [
+        partial(_apply_columns, [{r: row[c] for r, row in enumerate(M.rows) if row[c]} for c in range(n)])
+        for M in action
+    ]
+    return _saturate(n, [v], maps)

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import abelian, su2_cyclic
+from test_linalg import dense_echelon
 from superlie.assoc import grassmann
 from superlie.cohomology import (
     CohomologyError,
@@ -260,11 +261,11 @@ def test_b2_space_matches_dense_echelon(case):
     L = SOLVER_CASES[case]()
     pb = PairBasis(L)
     dense = [[vec.get(t, Fraction(0)) for t in range(pb.count)] for vec in coboundary_vectors(L, pb)]
-    oracle = Subspace(pb.count, dense)
+    rows, pivots = dense_echelon(dense)
     b2 = b2_space(L)
-    assert b2.pivots == oracle.pivots
-    assert b2.rows == oracle.rows
-    assert b2 == oracle
+    assert b2.pivots == pivots
+    assert b2.rows == rows
+    assert b2 == Subspace(pb.count, rows)
 
 
 def accumulated_cocycle_rows(L, pb):

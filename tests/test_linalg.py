@@ -19,8 +19,8 @@ from superlie.linalg import (
     solve_linear,
     sparse_kernel,
     sparse_rank,
-    subspace_op,
 )
+from superlie.scalars import Scalar
 
 
 def frac_matrix(rows):
@@ -57,6 +57,48 @@ def bareiss_rank(rows):
         if row == m:
             break
     return rank
+
+
+# -- independent oracle: dense reduced row echelon form, one full row at a time
+
+class DenseEchelon:
+    """Incremental reduced row echelon form kept as full dense rows."""
+
+    def __init__(self, vectors=()):
+        self.rows, self.pivots = [], []
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, vec):
+        v = list(vec)
+        for r, p in zip(self.rows, self.pivots):
+            if v[p]:
+                c = v[p]
+                v = [a - b * c if b else a for a, b in zip(v, r)]
+        return v
+
+    def add(self, vec) -> bool:
+        """Insert a vector; True if it enlarged the span."""
+        v = self.reduce(vec)
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        inv = v[lead]
+        v = [x / inv if x else x for x in v]
+        k = sum(1 for p in self.pivots if p < lead)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, lead)
+        for idx, r in enumerate(self.rows):
+            if idx != k and r[lead]:
+                c = r[lead]
+                self.rows[idx] = [a - b * c if b else a for a, b in zip(r, v)]
+        return True
+
+
+def dense_echelon(vectors):
+    """(rows, pivots) of the reduced row echelon form, computed densely."""
+    oracle = DenseEchelon(vectors)
+    return oracle.rows, oracle.pivots
 
 
 def test_solve_identity():
@@ -111,8 +153,49 @@ def test_echelon_canonical():
             c = [Fraction(rng.randint(-2, 2)) for _ in range(len(vecs))]
             combos.append([sum(ci * vi for ci, vi in zip(c, col)) for col in zip(*vecs)])
         V = Subspace(6, combos)
+        for S, spanning in ((U, vecs), (V, combos)):
+            rows, pivots = dense_echelon(spanning)
+            assert S.rows == rows and S.pivots == pivots
         if U.contains(V) and V.contains(U):
             assert U.rows == V.rows and U.pivots == V.pivots
+
+
+def tower(rng):
+    """A random element of Q(i, sqrt 2, sqrt 3), zero about a third of the time."""
+    if rng.random() < 0.35:
+        return Fraction(0)
+    x = Scalar.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    x += Scalar.sqrt_rational(2) * rng.randint(-1, 1) + Scalar.sqrt_rational(3) * rng.randint(-1, 1)
+    return x + Scalar.i() * rng.randint(-1, 1)
+
+
+def test_echelon_mixed_inputs_match_dense_oracle():
+    """Dense, sparse and mixed spanning sets, rational and tower entries, in
+    shuffled orders, all reduce to the dense oracle's rows and pivots."""
+    rng = random.Random(21)
+    for trial in range(30):
+        n = rng.randint(1, 7)
+        entry = tower if trial % 2 else (lambda r: Fraction(r.randint(-2, 2), r.randint(1, 3)))
+        dense = [[entry(rng) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+        dense += [[a + b for a, b in zip(dense[0], dense[-1])]] if dense else []
+        sparse = [{c: x for c, x in enumerate(v) if x} for v in dense]
+        rows, pivots = dense_echelon(dense)
+        mixed = [v if rng.random() < 0.5 else s for v, s in zip(dense, sparse)]
+        for vectors in (dense, sparse, mixed):
+            order = list(vectors)
+            rng.shuffle(order)
+            for spanning in (vectors, order):
+                S = Subspace(n, spanning)
+                assert S.pivots == pivots
+                assert S.rows == rows
+                assert S == Subspace(n, rows)
+                for v in dense:
+                    assert S.contains_vector(v) and not any(S.reduce_vector(v))
+                # a vector off the span keeps a nonzero part, zero at every pivot
+                w = [entry(rng) for _ in range(n)]
+                if not S.contains_vector(w):
+                    red = S.reduce(w)
+                    assert red and not any(p in red for p in S.pivots)
 
 
 def e_vec(n, *idx):
@@ -125,9 +208,9 @@ def e_vec(n, *idx):
 def test_subspace_ops_examples():
     U = Subspace(3, [e_vec(3, 0), e_vec(3, 1)])
     V = Subspace(3, [e_vec(3, 1), e_vec(3, 2)])
-    inter = subspace_op("intersect", U, V)
+    inter = U.intersect(V)
     assert inter.dim == 1 and inter.contains_vector(e_vec(3, 1))
-    assert subspace_op("contains", Subspace(2, [e_vec(2, 0)]), Subspace(2, [e_vec(2, 0, 1)])) is False
+    assert Subspace(2, [e_vec(2, 0)]).contains(Subspace(2, [e_vec(2, 0, 1)])) is False
 
 
 def test_modular_law_random():
@@ -146,7 +229,7 @@ def test_modular_law_random():
 def test_quotient_basis():
     U = Subspace(3, [e_vec(3, 0), e_vec(3, 1)])
     V = Subspace(3, [e_vec(3, 0)])
-    comp = subspace_op("quotient_basis", U, V)
+    comp = U.quotient_basis(V)
     assert len(comp) == 1
     W = Subspace(3, [e_vec(3, 2)])
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import abelian, odd_heisenberg, odd_line, sc, smatrix
+from test_linalg import DenseEchelon
 from superlie.linalg import Matrix, Subspace
 from superlie.lsa import (
     LsaError,
@@ -331,3 +332,167 @@ def test_structure_report_matches_dense_version():
         assert got["is_perfect"] == want["is_perfect"]
         perfect.add(got["is_perfect"])
     assert perfect == {True, False}
+
+
+# -- the dense saturations and quotient, full rows throughout: oracles ----------
+
+
+def dense_ideal_closure(L, seeds):
+    builder = DenseEchelon(seeds)
+    fresh = [list(r) for r in builder.rows]
+    while fresh:
+        next_fresh = []
+        for v in fresh:
+            for i in range(L.dim):
+                w = L.bracket(L.basis_vector(i), v)
+                if any(w) and builder.add(w):
+                    next_fresh.append(w)
+        fresh = next_fresh
+    return builder
+
+
+def dense_generated_submodule(action, v):
+    builder = DenseEchelon([v])
+    fresh = [list(r) for r in builder.rows]
+    while fresh:
+        nxt = []
+        for w in fresh:
+            for M in action:
+                u = M.apply(w)
+                if any(u) and builder.add(u):
+                    nxt.append(u)
+        fresh = nxt
+    return builder
+
+
+def dense_quotient_lsa(L, ideal):
+    """quotient_lsa with dense brackets and a DenseEchelon ideal."""
+    n = L.dim
+    for row in ideal.rows:
+        ev = [x if L.parities[k] == 0 else Fraction(0) for k, x in enumerate(row)]
+        od = [x if L.parities[k] == 1 else Fraction(0) for k, x in enumerate(row)]
+        if any(ideal.reduce(ev)) or any(ideal.reduce(od)):
+            raise LsaError("ideal is not parity-graded")
+    for i in range(n):
+        for row in ideal.rows:
+            if any(ideal.reduce(L.bracket(L.basis_vector(i), row))):
+                raise LsaError(
+                    f"not an ideal: [{L.names[i]}, ideal] escapes (witness bracket with basis {i})"
+                )
+    piv = set(ideal.pivots)
+    keep = [i for i in range(n) if i not in piv]
+    pos = {k: t for t, k in enumerate(keep)}
+
+    def project(vec):
+        v = ideal.reduce(vec)
+        return {pos[k]: v[k] for k in keep if v[k]}
+
+    table = {}
+    for a, i in enumerate(keep):
+        for b, j in enumerate(keep):
+            img = project(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            if img:
+                table[(a, b)] = img
+    quo = make_lsa([L.names[i] for i in keep], [L.parities[i] for i in keep], table)
+    proj_rows = []
+    for i in range(n):
+        img = project(L.basis_vector(i))
+        proj_rows.append([img.get(t, Fraction(0)) for t in range(len(keep))])
+    return quo, proj_rows
+
+
+def _urad_current_case(s):
+    from superlie.assoc import grassmann
+    from superlie.catalog import build_catalog
+    from superlie.current import current_lsa
+    from superlie.unirad import _random_even_hochschild, extend_current, square_zero_seeds
+
+    su2 = build_catalog("su_n", 2)
+    A = grassmann(s)
+    F_list = _random_even_hochschild(A, 1, 0)
+    gext = extend_current(current_lsa(A, su2.algebra), su2.form, (), [(F, Matrix.identity(3)) for F in F_list])
+    return gext.algebra, square_zero_seeds(gext)
+
+
+def _kernel_case(*spec):
+    from superlie.catalog import build_catalog
+    from superlie.unirad import isotropic_even_list, square_zero_seeds, universal_extension
+
+    entry = build_catalog(*spec)
+    gext = universal_extension(entry, 1)
+    return gext.algebra, square_zero_seeds(gext, isotropic_even=isotropic_even_list(entry))
+
+
+URAD_CASES = {
+    "urad su(2) s=3": lambda: _urad_current_case(3),
+    "kernel su(2|1) s=1": lambda: _kernel_case("su_pq", 2, 1),
+    "kernel psu(2|2) s=1": lambda: _kernel_case("psu_pp", 2),
+}
+
+
+@pytest.mark.parametrize("case", URAD_CASES)
+def test_saturations_and_quotient_match_dense_versions(case):
+    L, seeds = URAD_CASES[case]()
+    closure = ideal_closure(L, seeds)
+    oracle = dense_ideal_closure(L, seeds)
+    assert closure.pivots == oracle.pivots and closure.rows == oracle.rows
+    assert 0 < closure.dim < L.dim
+
+    # under every ad e_i, the submodule a seed generates is its ideal closure
+    ads = [L.ad_matrix(i) for i in range(L.dim)]
+    for seed in seeds[:3]:
+        sub = generated_submodule(ads, seed)
+        want = dense_generated_submodule(ads, seed)
+        assert sub.pivots == want.pivots and sub.rows == want.rows
+        assert sub == ideal_closure(L, [seed])
+
+    quo, proj = quotient_lsa(L, closure)
+    want_quo, want_proj = dense_quotient_lsa(L, oracle)
+    assert (quo.names, quo.parities) == (want_quo.names, want_quo.parities)
+    assert list(quo.brackets.items()) == list(want_quo.brackets.items())
+    assert proj == want_proj
+
+    # rejections name the same witness
+    odd, even = L.odd_indices[0], L.even_indices[0]
+    mixed = [Fraction(k in (odd, even)) for k in range(L.dim)]
+    for vectors in ([seeds[0]], [mixed]):
+        with pytest.raises(LsaError) as got:
+            quotient_lsa(L, Subspace(L.dim, vectors))
+        with pytest.raises(LsaError) as want:
+            dense_quotient_lsa(L, DenseEchelon(vectors))
+        assert str(got.value) == str(want.value)
+
+
+def star_verdict(L, B):
+    """derivation_invariant by the star map: D* + D = 0 for every derivation."""
+    from superlie.cohomology import derivation_space, star
+
+    der, _ = derivation_space(L)
+    return all((star(L, B, D) + D).is_zero() for D, _dp in der.members())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("psu_pp", 2), ("c_n", 2), ("q_n", 3), ("pq_n", 3)],
+)
+def test_derivation_invariant_matches_star_verdict(spec):
+    from superlie.catalog import build_catalog
+    from superlie.lsa import BilinearForm
+
+    entry = build_catalog(*spec)
+    L = entry.algebra
+    # a nondegenerate homogeneous gram that no longer pairs like kappa: scale one row and column
+    G = [list(r) for r in entry.form.gram.rows]
+    i = next(i for i in range(L.dim) if any(G[i]))
+    G[i] = [2 * x for x in G[i]]
+    for row in G:
+        row[i] = 2 * row[i]
+    verdicts = []
+    for B in (entry.form, BilinearForm([Matrix(G)])):
+        rep = form_report(L, B)
+        homogeneous = rep["parity"] in ("even", "odd")
+        want = star_verdict(L, B) if rep["nondegenerate"] and homogeneous else None
+        assert rep["derivation_invariant"] == want
+        verdicts.append(want)
+    if verdicts[0] is not None:
+        assert verdicts == [True, False]

@@ -203,6 +203,13 @@ def test_cli_catalog_deterministic(capsys):
         ["cohomology", "h2", "--k", "catalog:su_n:2,x"],
         ["urad", "verify", "--k", "su_n:2", "--s", "0"],
         ["urad", "faithful", "--k", "su_n:2", "--s", "-1"],
+        ["current", "--A", "grassmann:1", "--k", "su_n:2,3"],
+        ["current", "--A", "grassmann:1", "--k", "su_n:"],
+        ["catalog", "build", "su_n", "--p", "2", "--q", "3"],
+        ["catalog", "build", "su_pq", "--p", "2"],
+        ["clifford", "gamma", "--mu", "1,-1"],
+        ["clifford", "gamma", "--mu", "abc"],
+        ["clifford", "gamma", "--mu", "1/0"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(capsys, argv):
@@ -212,3 +219,12 @@ def test_cli_malformed_input_is_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_star_import_resolves_every_public_name():
+    import superlie
+
+    namespace = {}
+    exec("from superlie import *", namespace)
+    assert len(set(superlie.__all__)) == len(superlie.__all__)
+    assert [name for name in superlie.__all__ if name not in namespace] == []
