@@ -259,16 +259,57 @@ def cmd_clifford(args) -> int:
     raise UsageError(f"unknown clifford action {args.action!r}")
 
 
+def _check_k(k, path: str):
+    if not (isinstance(k, list) and k and k[0] in FAMILIES and all(type(x) is int for x in k[1:])):
+        raise SchemaError(f"expected [family, integer parameters...] with a known family at {path}")
+
+
+def _check_sweep(sweep) -> None:
+    """Raise SchemaError naming the JSON path of the first malformed part."""
+    if not isinstance(sweep, dict):
+        raise SchemaError("expected a JSON object at $")
+    for key in ("catalog", "cor1", "urad", "kernel"):
+        specs = sweep.get(key, [])
+        if not isinstance(specs, list):
+            raise SchemaError(f"expected a list at $.{key}")
+        for t, spec in enumerate(specs):
+            path = f"$.{key}[{t}]"
+            if key == "catalog":
+                _check_k(spec, path)
+                continue
+            if not isinstance(spec, dict):
+                raise SchemaError(f"expected an object at {path}")
+            for name in ("s", "k"):
+                if name not in spec:
+                    raise SchemaError(f"missing key {name!r} at {path}")
+            if type(spec["s"]) is not int or spec["s"] < 1:
+                raise SchemaError(f"expected an integer >= 1 at {path}.s")
+            _check_k(spec["k"], f"{path}.k")
+            if key == "urad":
+                if spec.get("hochschild", "random") not in ("random", "zero"):
+                    raise SchemaError(f"expected \"random\" or \"zero\" at {path}.hochschild")
+                if type(spec.get("seed", 0)) is not int:
+                    raise SchemaError(f"expected an integer at {path}.seed")
+
+
+def _sweep_entry(k: list, path: str):
+    try:
+        return build_catalog(k[0], *k[1:])
+    except CatalogError as exc:
+        raise SchemaError(f"{exc} at {path}") from None
+
+
 def cmd_report_all(args) -> int:
     with open(args.params) as fh:
         try:
             sweep = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"malformed JSON in {args.params}: {exc}")
+    _check_sweep(sweep)
     results = {}
     all_pass = True
-    for spec in sweep.get("catalog", []):
-        entry = build_catalog(spec[0], *spec[1:])
+    for t, spec in enumerate(sweep.get("catalog", [])):
+        entry = _sweep_entry(spec, f"$.catalog[{t}]")
         facts = verify_catalog_facts(entry)
         ok = not any(v is False for v in facts.values())
         all_pass = all_pass and ok
@@ -276,14 +317,14 @@ def cmd_report_all(args) -> int:
             "pass": ok,
             "facts": facts,
         }
-    for spec in sweep.get("cor1", []):
-        entry = build_catalog(spec["k"][0], *spec["k"][1:])
+    for t, spec in enumerate(sweep.get("cor1", [])):
+        entry = _sweep_entry(spec["k"], f"$.cor1[{t}].k")
         rep = verify_cor1(grassmann(spec["s"]), entry.algebra, entry.form)
         ok = rep["defect"] == 0
         all_pass = all_pass and ok
         results[f"cor1:lambda{spec['s']}:{spec['k'][0]}"] = rep
-    for spec in sweep.get("urad", []):
-        entry = build_catalog(spec["k"][0], *spec["k"][1:])
+    for t, spec in enumerate(sweep.get("urad", [])):
+        entry = _sweep_entry(spec["k"], f"$.urad[{t}].k")
         rep = verify_urad_theorem(
             entry, spec["s"], hochschild=spec.get("hochschild", "random"),
             seed=spec.get("seed", args.seed),
@@ -291,8 +332,8 @@ def cmd_report_all(args) -> int:
         ok = rep["closure_contains_I"]
         all_pass = all_pass and ok
         results[f"urad:lambda{spec['s']}:{spec['k'][0]}"] = rep
-    for spec in sweep.get("kernel", []):
-        entry = build_catalog(spec["k"][0], *spec["k"][1:])
+    for t, spec in enumerate(sweep.get("kernel", [])):
+        entry = _sweep_entry(spec["k"], f"$.kernel[{t}].k")
         rep = verify_kernel_theorem(entry, spec["s"])
         ok = rep["contains_lambda_plus_k"]
         all_pass = all_pass and ok

@@ -23,6 +23,8 @@ from .linalg import (
     Subspace,
     _first_violation,
     _identity_rows,
+    _preimages,
+    _support,
     basis_coordinates,
     solve_linear,
     sparse_kernel,
@@ -139,6 +141,45 @@ def _centroid_identity(L: LieSuperalgebra):
     return terms, product(range(L.dim), repeat=3)
 
 
+def _reached_triples(L: LieSuperalgebra, X: Matrix, derivation: bool) -> list[tuple]:
+    """The sorted triples (i, j, m) on which a nonzero X[a][b] has a term.
+
+    Centroid rule (all ordered triples) and derivation rule (i <= j) alike:
+    (i, j, a) for a bracket preimage (i, j) of b, and (b, j, m) for e_m in
+    [e_a, e_j]; the derivation rule adds (i, b, m) for e_m in [e_i, e_a].
+    Every term of any other triple meets a zero entry of X, so the first
+    violated triple among these is that of the full sweep.
+    """
+    pre = _preimages(L.brackets, sorted_pairs=derivation)
+    first: dict[int, list] = {}
+    second: dict[int, list] = {}
+    for (u, v), vec in L.brackets.items():
+        first.setdefault(u, []).append((v, vec))
+        second.setdefault(v, []).append((u, vec))
+    out = set()
+    for a, b in _support(X):
+        for i, j in pre.get(b, ()):
+            out.add((i, j, a))
+        for j, vec in first.get(a, ()):
+            if not derivation or b <= j:
+                out.update((b, j, m) for m in vec)
+        if derivation:
+            for i, vec in second.get(a, ()):
+                if i <= b:
+                    out.update((i, b, m) for m in vec)
+    return sorted(out)
+
+
+def _derivation_witness(L: LieSuperalgebra, D: Matrix, parity: int) -> tuple | None:
+    terms, _ = _derivation_identity(L, parity)
+    return _first_violation(terms, _reached_triples(L, D, True), D)
+
+
+def _centroid_witness(L: LieSuperalgebra, S: Matrix) -> tuple | None:
+    terms, _ = _centroid_identity(L)
+    return _first_violation(terms, _reached_triples(L, S, False), S)
+
+
 def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
     """All derivations (graded convention), plus the inner subspace im(ad)."""
     der = EndSpace(*(_solve_end_space(L, p, *_derivation_identity(L, p)) for p in (0, 1)))
@@ -217,11 +258,11 @@ def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> BilinearForm:
 
 
 def is_derivation(L: LieSuperalgebra, D: Matrix, parity: int) -> bool:
-    return _first_violation(*_derivation_identity(L, parity), D) is None
+    return _derivation_witness(L, D, parity) is None
 
 
 def in_centroid(L: LieSuperalgebra, S: Matrix) -> bool:
-    return _first_violation(*_centroid_identity(L), S) is None
+    return _centroid_witness(L, S) is None
 
 
 def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_parity: int) -> dict:
@@ -318,10 +359,10 @@ class PairBasis:
 #
 # The solvers turn an identity's terms into constraint rows over every triple
 # (linalg._identity_rows).  The checks evaluate the same terms on a given map
-# (linalg._first_violation); the cocycle and Hochschild checks visit only the
-# triples the map's support reaches: every term of any other triple meets a
-# zero entry, so the verdict and the lexicographically first violated triple
-# (the witness) are those of a dense sweep.
+# (linalg._first_violation), each visiting only the triples the map's support
+# reaches: every term of any other triple meets a zero entry, so the verdict
+# and the lexicographically first violated triple (the witness) are those of
+# a dense sweep.
 
 
 def _cocycle_terms(L: LieSuperalgebra, x: int, y: int, z: int):
@@ -347,22 +388,6 @@ def _skew_terms(parities: Sequence[int], a: int, b: int):
     """F(a, b) + (-1)^{|a||b|} F(b, a) = 0."""
     yield 1, a, b
     yield (-1 if parities[a] and parities[b] else 1), b, a
-
-
-def _support(G: Matrix) -> list[tuple[int, int]]:
-    return [(a, b) for a, row in enumerate(G.rows) for b, g in enumerate(row) if g]
-
-
-def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int]]]:
-    """k -> the pairs (u, v) whose table entry has a nonzero e_k coefficient."""
-    pre: dict[int, list[tuple[int, int]]] = {}
-    for (u, v), vec in table.items():
-        if sorted_pairs and u > v:
-            continue
-        for k, c in vec.items():
-            if c:
-                pre.setdefault(k, []).append((u, v))
-    return pre
 
 
 def _cocycle_witness(L: LieSuperalgebra, G: Matrix, pre: dict | None = None) -> tuple | None:
@@ -659,8 +684,8 @@ def eta_cocycle(
     """eta_{f,D}(a x, b y) = (-1)^{|b||x|} f(ab) kappa(Dx, y); needs D in der_-."""
     K, A = cur.K, cur.A
     if check:
-        if not is_derivation(K, D, d_parity):
-            w = _first_violation(*_derivation_identity(K, d_parity), D)
+        w = _derivation_witness(K, D, d_parity)
+        if w is not None:
             raise CohomologyError(
                 f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
             )
@@ -706,8 +731,8 @@ def xi_cocycle(
     """xi_{F,S}(a x, b y) = (-1)^{|b||x|} F(a, b) kappa(Sx, y); S in cent_+."""
     K, A = cur.K, cur.A
     if check:
-        if not in_centroid(K, S):
-            w = _first_violation(*_centroid_identity(K), S)
+        w = _centroid_witness(K, S)
+        if w is not None:
             raise CohomologyError(
                 f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
             )

@@ -10,10 +10,14 @@ homogeneous systems go through the sparse integer eliminator
 (Bareiss-style swell control); each kernel vector is back-solved over only
 the pivot rows it reaches.
 
+Matrix products visit nonzero entries only (`_sparse_products`, Gustavson's
+row-wise product) and give the values and entry types of a dense sum.
+
 A linear identity on a bilinear map or an endomorphism X is generated one
 index triple at a time as terms (c, a, b), read as sum c * X[a][b] = 0.  The
 same generator gives the constraint rows of a solver (`_identity_rows`) and
-the check of a given matrix (`_first_violation`).
+the check of a given matrix (`_first_violation`), which visits only the
+triples the support of X reaches (`_support`, `_preimages`).
 """
 
 from __future__ import annotations
@@ -258,11 +262,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ot = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            out.append([sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in ot])
-        return Matrix(out)
+        return Matrix(_sparse_products([(1, self, other)], self.nrows, other.ncols))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -289,12 +289,6 @@ class Matrix:
 
     def trace(self):
         return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
-    def supertrace(self, parities: Sequence[int]):
-        tot = Fraction(0)
-        for i in range(self.nrows):
-            tot = tot - self.rows[i][i] if parities[i] else tot + self.rows[i][i]
-        return tot
 
     def apply(self, vec: Sequence) -> Vector:
         return [
@@ -326,6 +320,37 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
+
+
+def _sparse_products(terms, nrows: int, ncols: int) -> list[list]:
+    """Dense rows of the sum of s * X @ Y over the terms (s, X, Y), s = +1 or -1.
+
+    Row by row (Gustavson): each nonzero X[i][k] meets the nonzeros of Y's
+    row k only.  An entry starts at Fraction(0) and takes its products in
+    order, term by term and k ascending, as a dense sum over k would; an
+    entry no product reaches is Fraction(0).
+    """
+    zero = Fraction(0)
+    # the nonzeros of each row of Y, listed once per call
+    terms = [(s, X.rows, [[(j, y) for j, y in enumerate(r) if y] for r in Y.rows]) for s, X, Y in terms]
+    out = []
+    for i in range(nrows):
+        acc: dict = {}
+        for s, xrows, ynz in terms:
+            for k, a in enumerate(xrows[i]):
+                if not a:
+                    continue
+                for j, b in ynz[k]:
+                    t = a * b
+                    if j in acc:
+                        acc[j] = acc[j] + t if s > 0 else acc[j] - t
+                    else:
+                        acc[j] = zero + t if s > 0 else zero - t
+        row = [zero] * ncols
+        for j, x in acc.items():
+            row[j] = x
+        out.append(row)
+    return out
 
 
 class SolveResult:
@@ -628,7 +653,10 @@ def _to_int_row(row: dict) -> dict[int, int]:
     for v in row.values():
         if isinstance(v, Fraction):
             d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
+            if d != 1:
+                lcm = lcm // gcd(lcm, d) * d
+    if lcm == 1:  # already integral: no Fraction products
+        return _row_primitive({c: v.numerator for c, v in row.items() if v})
     out = {}
     for c, v in row.items():
         iv = int(v * lcm) if isinstance(v, Fraction) else v * lcm
@@ -655,6 +683,22 @@ def _identity_rows(terms, triples, columns: dict) -> list[dict[int, Fraction]]:
         if row:
             rows.append(row)
     return rows
+
+
+def _support(G: Matrix) -> list[tuple[int, int]]:
+    return [(a, b) for a, row in enumerate(G.rows) for b, g in enumerate(row) if g]
+
+
+def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int]]]:
+    """k -> the pairs (u, v) whose table entry has a nonzero e_k coefficient."""
+    pre: dict[int, list[tuple[int, int]]] = {}
+    for (u, v), vec in table.items():
+        if sorted_pairs and u > v:
+            continue
+        for k, c in vec.items():
+            if c:
+                pre.setdefault(k, []).append((u, v))
+    return pre
 
 
 def _first_violation(terms, triples, G: Matrix) -> tuple | None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -22,6 +21,9 @@ from .linalg import (
     Subspace,
     _axpy,
     _first_violation,
+    _preimages,
+    _sparse_products,
+    _support,
     basis_coordinates,
     sparse_kernel,
 )
@@ -223,9 +225,11 @@ def make_lsa(
 
 
 def super_matrix_bracket(X: Matrix, Y: Matrix, px: int, py: int) -> Matrix:
-    XY = X @ Y
-    YX = Y @ X
-    return XY + YX if (px and py) else XY - YX
+    """XY - (-1)^{|X||Y|} YX of two square matrices, in one sparse accumulation."""
+    if X.shape != Y.shape or X.nrows != X.ncols:
+        raise ValueError("super bracket needs square matrices of one size")
+    sign = 1 if (px and py) else -1
+    return Matrix(_sparse_products([(1, X, Y), (sign, Y, X)], X.nrows, X.ncols))
 
 
 def from_matrix_basis(
@@ -350,11 +354,18 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
         if L.realization is None:
             raise LsaError("supertrace form needs a matrix realization")
         par = L.realization.matrix_parities
+        mats = L.realization.mats
+        # str(XY) = sum (-1)^{p_r} X[r][k] Y[k][r] over the nonzeros of X
+        entries = [[(r, k, X.rows[r][k]) for r, k in _support(X)] for X in mats]
         rows = []
         for i in range(n):
             row = []
-            for j in range(n):
-                val = (L.realization.mats[i] @ L.realization.mats[j]).supertrace(par)
+            for Y in mats:
+                val = Fraction(0)
+                for r, k, x in entries[i]:
+                    y = Y.rows[k][r]
+                    if y:
+                        val = val - x * y if par[r] else val + x * y
                 if isinstance(val, Scalar):
                     val = val.as_fraction()
                 row.append(Fraction(val))
@@ -372,6 +383,22 @@ def _invariance_terms(L: LieSuperalgebra, x: int, y: int, z: int):
         yield c, k, z
     for k, c in L.bracket_basis(y, z).items():
         yield -c, x, k
+
+
+def _invariance_witness(L: LieSuperalgebra, G: Matrix, pre: dict) -> tuple | None:
+    """First triple (x, y, z) at which G breaks invariance.
+
+    A term omega(e_a, e_b) with G[a][b] != 0 sits on (u, v, b) for a bracket
+    preimage (u, v) of a, or on (a, u, v) for one of b; pre is the index of
+    all preimage pairs.  Every other triple has only zero terms.
+    """
+    candidates = set()
+    for a, b in _support(G):
+        for u, v in pre.get(a, ()):
+            candidates.add((u, v, b))
+        for u, v in pre.get(b, ()):
+            candidates.add((a, u, v))
+    return _first_violation(partial(_invariance_terms, L), sorted(candidates), G)
 
 
 def _graded_symmetric(G: Matrix, parities: Sequence[int], sign: int) -> bool:
@@ -392,10 +419,8 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     n = L.dim
     supersym = all(_graded_symmetric(G, L.parities, 1) for G in B.grams)
     skew = all(_graded_symmetric(G, L.parities, -1) for G in B.grams)
-    invariant = all(
-        _first_violation(partial(_invariance_terms, L), product(range(n), repeat=3), G) is None
-        for G in B.grams
-    )
+    pre = _preimages(L.brackets, sorted_pairs=False)
+    invariant = all(_invariance_witness(L, G, pre) is None for G in B.grams)
     stacked = B.stacked_gram_rows()
     # radical = {x : B(x, .) = 0}: kernel of the stacked rows viewed as a map on x
     rad_vectors = dense_kernel(list(map(list, zip(*stacked))), n)

@@ -30,6 +30,7 @@ from .current import Current, current_lsa
 from .linalg import (
     Matrix,
     Subspace,
+    _support,
     definiteness_with_witness,
     kernel,
 )
@@ -349,16 +350,16 @@ def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> 
     basis = hochschild_space(A, parity=0)
     if not basis:
         return []
+    supports = [[(i, j, F.gram.rows[i][j]) for i, j in _support(F.gram)] for F in basis]
     rng = random.Random(seed)
     out = []
     for _ in range(value_dim):
         n = A.dim
         G = [[Fraction(0)] * n for _ in range(n)]
-        for F in basis:
+        for nz in supports:
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            for i in range(n):
-                for j in range(n):
-                    G[i][j] += c * F.gram.rows[i][j]
+            for i, j, g in nz:
+                G[i][j] += c * g
         out.append(HochschildMap(A, Matrix(G), 0))
     return out
 

@@ -16,10 +16,12 @@ from superlie.cohomology import (
     HochschildMap,
     PairBasis,
     _centroid_identity,
+    _centroid_witness,
     _cocycle_constraint_rows,
     _cocycle_terms,
     _cocycle_witness,
     _derivation_identity,
+    _derivation_witness,
     _end_columns,
     _hochschild_witness,
     _kernel_parity,
@@ -899,9 +901,11 @@ def test_derivation_and_centroid_checks_match_dense_sweep(identity_entry):
         for X in (M, perturb(M, L.parities, rng, keep_skew=False)):
             want = dense_derivation_witness(L, X, p)
             assert _first_violation(*_derivation_identity(L, p), X) == want
+            assert _derivation_witness(L, X, p) == want
             assert is_derivation(L, X, p) == (want is None)
             want = dense_centroid_witness(L, X)
             assert _first_violation(*_centroid_identity(L), X) == want
+            assert _centroid_witness(L, X) == want
             assert in_centroid(L, X) == (want is None)
             der_verdicts.add(is_derivation(L, X, p))
             cent_verdicts.add(in_centroid(L, X))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,7 @@ from superlie.linalg import (
     Matrix,
     SparseEliminator,
     Subspace,
+    _to_int_row,
     basis_coordinates,
     definiteness,
     definiteness_with_witness,
@@ -414,3 +416,38 @@ def test_matrix_inverse():
         except ValueError:
             continue
         assert A @ inv == Matrix.identity(4)
+
+
+def general_int_row(row):
+    """Denominators cleared by Fraction products, then content stripped."""
+    lcm = 1
+    for v in row.values():
+        if isinstance(v, Fraction):
+            lcm = lcm // gcd(lcm, v.denominator) * v.denominator
+    out = {}
+    for c, v in row.items():
+        iv = int(v * lcm) if isinstance(v, Fraction) else v * lcm
+        if iv:
+            out[c] = iv
+    g = 0
+    for v in out.values():
+        g = gcd(g, abs(v))
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
+def test_to_int_row_matches_general_path():
+    rng = random.Random(19)
+    kinds = ("integral", "int", "mixed", "fractional")
+    for t in range(400):
+        kind = kinds[t % 4]
+        row = {}
+        for c in rng.sample(range(30), rng.randint(0, 8)):
+            v = rng.choice([0, -6, -4, -1, 2, 3, 4, 12])
+            if kind == "integral" or (kind == "mixed" and rng.random() < 0.5):
+                v = Fraction(v)
+            elif kind == "fractional":
+                v = Fraction(v, rng.choice([1, 2, 3, 4, 6]))
+            row[c] = v
+        got, want = _to_int_row(row), general_int_row(row)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is int for v in got.values())

@@ -210,15 +210,30 @@ def test_cli_catalog_deterministic(capsys):
         ["clifford", "gamma", "--mu", "1,-1"],
         ["clifford", "gamma", "--mu", "abc"],
         ["clifford", "gamma", "--mu", "1/0"],
+        # report all: the params file holds the last argument (see below)
+        ["report", "all", "--params", '{"cor1": [{"s": 1}]}'],
+        ["report", "all", "--params", '{"cor1": {"s": 1, "k": ["su_n", 2]}}'],
+        ["report", "all", "--params", '{"cor1": [{"s": 1, "k": ["su_x", 2]}]}'],
+        ["report", "all", "--params", '{"urad": [{"s": 3, "k": ["su_n", "2"]}]}'],
+        ["report", "all", "--params", '{"kernel": [{"s": 0, "k": ["su_n", 2]}]}'],
+        ["report", "all", "--params", '{"catalog": [["su_n", 2, 3]]}'],
+        ["report", "all", "--params", '{"catalog": "su_n"}'],
+        ["report", "all", "--params", '[["su_n", 2]]'],
     ],
 )
-def test_cli_malformed_input_is_usage_error(capsys, argv):
+def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
+    if argv[:2] == ["report", "all"]:
+        params = tmp_path / "sweep.json"
+        params.write_text(argv[-1])
+        argv = argv[:-1] + [str(params)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if argv[:2] == ["report", "all"]:
+        assert " at $" in lines[0]  # names the JSON path
 
 
 def test_star_import_resolves_every_public_name():

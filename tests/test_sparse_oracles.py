@@ -1,0 +1,221 @@
+"""Sparse matrix products and support-restricted checks against dense code.
+
+The oracles below are the dense versions these paths replaced: the n^3
+matrix product, the super bracket as two products and a sum, the supertrace
+form through the full product, and the checks of the derivation rule, the
+centroid rule and invariance over every triple.  Products must agree in
+value and in entry type (Fraction against Scalar); checks must agree in
+verdict and in the first violated triple.
+"""
+
+import random
+from fractions import Fraction
+from functools import partial
+from itertools import product
+
+import pytest
+
+from superlie.catalog import build_catalog, build_su_pq
+from superlie.clifford import gamma_rep
+from superlie.cohomology import (
+    _centroid_identity,
+    _centroid_witness,
+    _derivation_identity,
+    _derivation_witness,
+    centroid,
+    derivation_space,
+    in_centroid,
+    is_derivation,
+)
+from superlie.linalg import Matrix, _first_violation, _preimages
+from superlie.lsa import (
+    BilinearForm,
+    _invariance_terms,
+    _invariance_witness,
+    build_form,
+    form_report,
+    super_matrix_bracket,
+)
+from superlie.scalars import Scalar
+
+CATALOG_BUILDS = (
+    ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
+    ("psu_pp", 2), ("psu_pp", 3), ("c_n", 2), ("c_n", 3), ("q_n", 3), ("pq_n", 3),
+)
+
+
+# -- the dense code ------------------------------------------------------------
+
+
+def dense_matmul(X, Y):
+    if X.ncols != Y.nrows:
+        raise ValueError("shape mismatch in matrix product")
+    ot = list(zip(*Y.rows))
+    out = []
+    for r in X.rows:
+        out.append([sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in ot])
+    return Matrix(out)
+
+
+def dense_super_bracket(X, Y, px, py):
+    XY = dense_matmul(X, Y)
+    YX = dense_matmul(Y, X)
+    return XY + YX if (px and py) else XY - YX
+
+
+def dense_supertrace(M, parities):
+    tot = Fraction(0)
+    for i in range(M.nrows):
+        tot = tot - M.rows[i][i] if parities[i] else tot + M.rows[i][i]
+    return tot
+
+
+def dense_supertrace_gram(L):
+    par = L.realization.matrix_parities
+    rows = []
+    for X in L.realization.mats:
+        row = []
+        for Y in L.realization.mats:
+            val = dense_supertrace(dense_matmul(X, Y), par)
+            if isinstance(val, Scalar):
+                val = val.as_fraction()
+            row.append(Fraction(val))
+        rows.append(row)
+    return Matrix(rows)
+
+
+def assert_same_entries(got, want):
+    assert got.shape == want.shape
+    for r, s in zip(got.rows, want.rows):
+        assert [type(x) for x in r] == [type(x) for x in s]
+        assert r == s
+
+
+# -- products ------------------------------------------------------------------
+
+
+def _realizations():
+    """Every matrix realization the catalog builds or starts from."""
+    out = {}
+    for spec in CATALOG_BUILDS:
+        L = build_catalog(*spec).algebra
+        if L.realization is not None:
+            out[spec] = L
+    for p in (2, 3):  # psu(p|p) is a quotient of su(p|p)
+        out[("su_pq", p, p)] = build_su_pq(p, p, _allow_equal=True).algebra
+    return out
+
+
+@pytest.fixture(scope="module")
+def realizations():
+    return _realizations()
+
+
+def test_products_match_dense_on_catalog_realizations(realizations):
+    assert len(realizations) == 10  # pq(3) is a quotient of q(3)
+    for L in realizations.values():
+        mats, par = L.realization.mats, L.parities
+        for i, j in product(range(L.dim), repeat=2):
+            X, Y = mats[i], mats[j]
+            assert_same_entries(X @ Y, dense_matmul(X, Y))
+            assert_same_entries(
+                super_matrix_bracket(X, Y, par[i], par[j]), dense_super_bracket(X, Y, par[i], par[j])
+            )
+        assert_same_entries(build_form(L, "supertrace").gram, dense_supertrace_gram(L))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_products_match_dense_on_clifford_gammas(n):
+    gammas = gamma_rep([Fraction(m) for m in range(1, n + 1)]).matrices
+    for X, Y in product(gammas, repeat=2):
+        assert_same_entries(X @ Y, dense_matmul(X, Y))
+        for px, py in ((0, 0), (0, 1), (1, 1)):
+            assert_same_entries(super_matrix_bracket(X, Y, px, py), dense_super_bracket(X, Y, px, py))
+
+
+def random_sparse(rng, m, n, tower=False):
+    """Entries mostly zero, small enough to cancel; Scalars too if tower."""
+
+    def entry():
+        if rng.random() < 0.6:
+            return Fraction(0)
+        q = Fraction(rng.choice([-2, -1, 1, 1, 3]), rng.choice([1, 1, 2]))
+        if tower and rng.random() < 0.5:
+            return Scalar({(rng.choice([1, 2]), rng.randint(0, 1)): q})
+        return q
+
+    return Matrix([[entry() for _ in range(n)] for _ in range(m)])
+
+
+def test_products_match_dense_on_random_sparse_matrices():
+    rng = random.Random(5)
+    for trial in range(300):
+        tower = trial % 2 == 1
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        X, Y = random_sparse(rng, m, k, tower), random_sparse(rng, k, n, tower)
+        assert_same_entries(X @ Y, dense_matmul(X, Y))
+        S, T = random_sparse(rng, m, m, tower), random_sparse(rng, m, m, tower)
+        for px, py in ((0, 0), (1, 0), (1, 1)):
+            assert_same_entries(super_matrix_bracket(S, T, px, py), dense_super_bracket(S, T, px, py))
+    # empty shapes: a matrix with no rows has no columns either
+    for X, Y in ((Matrix([]), Matrix([])), (Matrix([[], [], []]), Matrix([]))):
+        assert_same_entries(X @ Y, dense_matmul(X, Y))
+    assert_same_entries(super_matrix_bracket(Matrix([]), Matrix([]), 1, 1), Matrix([]))
+    X, Y = random_sparse(rng, 2, 3), random_sparse(rng, 2, 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        X @ Y
+    with pytest.raises(ValueError, match="square"):
+        super_matrix_bracket(X, Y, 0, 0)
+
+
+# -- support-restricted checks ---------------------------------------------------
+
+
+def one_entry_mutant(M, rng):
+    rows = [list(r) for r in M.rows]
+    a, b = rng.randrange(M.nrows), rng.randrange(M.ncols)
+    rows[a][b] += Fraction(rng.choice([-2, -1, 1, 3]))
+    return Matrix(rows)
+
+
+@pytest.fixture(scope="module", params=CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))
+def catalog_entry(request):
+    return build_catalog(*request.param)
+
+
+def test_invariance_check_matches_full_sweep(catalog_entry):
+    L = catalog_entry.algebra
+    rng = random.Random(13)
+    pre = _preimages(L.brackets, sorted_pairs=False)
+    terms = partial(_invariance_terms, L)
+    grams = [catalog_entry.form.gram, build_form(L, "killing").gram]
+    grams += [one_entry_mutant(G, rng) for G in grams for _ in range(3)]
+    verdicts = set()
+    for G in grams:
+        want = _first_violation(terms, product(range(L.dim), repeat=3), G)
+        assert _invariance_witness(L, G, pre) == want
+        assert form_report(L, BilinearForm([G]))["invariant"] == (want is None)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_derivation_and_centroid_checks_match_full_sweep(catalog_entry):
+    L = catalog_entry.algebra
+    rng = random.Random(17)
+    der, _ = derivation_space(L)
+    members = list(der.members())
+    members = rng.sample(members, min(len(members), 6)) + list(centroid(L).members())
+    members += [(L.ad_matrix(i), L.parities[i]) for i in rng.sample(range(L.dim), 3)]
+    der_verdicts, cent_verdicts = set(), set()
+    for M, p in members:
+        for X in (M, one_entry_mutant(M, rng)):
+            want = _first_violation(*_derivation_identity(L, p), X)
+            assert _derivation_witness(L, X, p) == want
+            assert is_derivation(L, X, p) == (want is None)
+            assert want is None or want[0] <= want[1]
+            der_verdicts.add(want is None)
+            want = _first_violation(*_centroid_identity(L), X)
+            assert _centroid_witness(L, X) == want
+            assert in_centroid(L, X) == (want is None)
+            cent_verdicts.add(want is None)
+    assert der_verdicts == cent_verdicts == {True, False}

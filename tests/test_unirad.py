@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa
 from superlie.linalg import Matrix, Subspace
+from superlie.cohomology import hochschild_space
 from superlie.unirad import (
     UniradError,
+    _random_even_hochschild,
     even_center_projections,
     extend_current,
     faithfulness_boundary,
@@ -308,3 +311,31 @@ def test_universal_extension_passes_full_validation(spec):
     gext = universal_extension(build_catalog(*spec), 1)
     assert gext.value_dim > 0
     gext.algebra.validate()
+
+
+def dense_random_even_hochschild(A, value_dim, seed):
+    """The dense loop: every entry of every basis map, in the same draw order."""
+    basis = hochschild_space(A, parity=0)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(value_dim):
+        n = A.dim
+        G = [[Fraction(0)] * n for _ in range(n)]
+        for F in basis:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for i in range(n):
+                for j in range(n):
+                    G[i][j] += c * F.gram.rows[i][j]
+        out.append(G)
+    return out
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_random_even_hochschild_matches_dense_loop(s):
+    A = grassmann(s)
+    for seed, value_dim in ((0, 1), (7, 2), (123, 3)):
+        got = _random_even_hochschild(A, value_dim, seed)
+        want = dense_random_even_hochschild(A, value_dim, seed)
+        assert [F.parity for F in got] == [0] * value_dim
+        assert [F.gram.rows for F in got] == want
+        assert {type(x) for F in got for r in F.gram.rows for x in r} == {Fraction}
