@@ -23,7 +23,7 @@ from .clifford import (
     lambda_admissible_rep,
     seeded_clifford_lie,
 )
-from .cohomology import CohomologyError, b2_space, verify_cor1, z2_space
+from .cohomology import DEFAULT_DIM_CAP, CohomologyError, b2_space, verify_cor1, z2_space
 from .current import current_lsa
 from .lsa import LsaError
 from .serial import (
@@ -204,6 +204,8 @@ def cmd_urad(args) -> int:
     if args.s < 1:
         raise UsageError(f"urad {args.action} needs --s >= 1, got {args.s}")
     if args.action == "verify":
+        if args.value_dim < 0:
+            raise UsageError(f"urad verify needs --value-dim >= 0, got {args.value_dim}")
         if entry.algebra.odd_indices:
             report = verify_kernel_theorem(entry, args.s)
             ok = report["contains_lambda_plus_k"]
@@ -216,6 +218,8 @@ def cmd_urad(args) -> int:
         _emit(report, args.out)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.action == "faithful":
+        if entry.algebra.odd_indices:
+            raise UsageError("urad faithful needs a purely even catalog algebra")
         report = faithfulness_boundary(entry, args.s)
         ok = report.get("certificate_valid", True)
         _emit(report, args.out)
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--A", help="grassmann:s (required for verify-cor1)")
     p.add_argument("--drop-eta", action="store_true")
-    p.add_argument("--max-dim", type=int, default=48)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cohomology)
 

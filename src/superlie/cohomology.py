@@ -28,13 +28,13 @@ from .linalg import (
     basis_coordinates,
     solve_linear,
     sparse_kernel,
-    sparse_rank,
 )
 from .linalg import kernel as dense_kernel
 from .lsa import (
     BilinearForm,
     Coordvec,
     LieSuperalgebra,
+    _graded_symmetric,
     _invariance_terms,
     form_parity,
     form_report,
@@ -255,6 +255,18 @@ def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> BilinearForm:
     B = BilinearForm([T.transpose() @ kappa.gram])
     B.declared_parity = form_parity(L, B)
     return B
+
+
+def _derivation_invariant(
+    L: LieSuperalgebra, kappa: BilinearForm, rep: dict, der: EndSpace
+) -> bool | None:
+    """D* = -D for every D in der, i.e. every D^T G graded-skew; rep is
+    form_report(L, kappa).  None unless kappa is a nondegenerate homogeneous
+    scalar form."""
+    if not (rep["nondegenerate"] and kappa.value_dim == 1 and rep["parity"] in ("even", "odd")):
+        return None
+    G = kappa.gram
+    return all(_graded_symmetric(D.transpose() @ G, L.parities, -1) for D, _dp in der.members())
 
 
 def is_derivation(L: LieSuperalgebra, D: Matrix, parity: int) -> bool:
@@ -488,6 +500,30 @@ def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int
     return _identity_rows(partial(_cocycle_terms, L), triples, pb.columns())
 
 
+def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
+    """Pair coordinates of L; refuses L beyond the 2-cocycle solver cap."""
+    if L.dim > max_dim:
+        raise CohomologyError(f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}")
+    return PairBasis(L)
+
+
+def _cocycle_eliminator(L: LieSuperalgebra, pb: PairBasis) -> SparseEliminator:
+    """The cocycle constraint rows of L, shortest first, in one eliminator;
+    only its pivot rows outlive the call."""
+    elim = SparseEliminator(pb.count)
+    for r in sorted(_cocycle_constraint_rows(L, pb), key=len):
+        elim.add_row(r)
+    return elim
+
+
+def _coboundary_span(L: LieSuperalgebra, pb: PairBasis) -> SparseEliminator:
+    """An eliminator seeded with the coboundaries f -> f([.,.]), f in L*."""
+    span = SparseEliminator(pb.count)
+    for vec in coboundary_vectors(L, pb):
+        span.add_row(vec)
+    return span
+
+
 def _kernel_parity(parities: set[int]) -> int:
     if len(parities) != 1:
         raise CohomologyError("kernel vector is not parity-homogeneous")
@@ -496,15 +532,9 @@ def _kernel_parity(parities: set[int]) -> int:
 
 def z2_space(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> list[Cocycle2]:
     """Basis of scalar-valued 2-cocycles, each parity-homogeneous."""
-    if L.dim > max_dim:
-        raise CohomologyError(
-            f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}"
-        )
-    pb = PairBasis(L)
-    rows = _cocycle_constraint_rows(L, pb)
-    kernel = sparse_kernel(rows, pb.count)
+    pb = _capped_pair_basis(L, max_dim)
     out = []
-    for vec in kernel:
+    for vec in _cocycle_eliminator(L, pb).kernel_basis():
         vp = _kernel_parity({pb.parity[t] for t in vec})
         out.append(Cocycle2(L, [pb.gram_of_vector(vec)], [vp], validate=False))
     return out
@@ -526,27 +556,20 @@ def b2_space(L: LieSuperalgebra) -> Subspace:
 
 
 def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
-    if L.dim > max_dim:
-        raise CohomologyError(
-            f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}"
-        )
+    pb = _capped_pair_basis(L, max_dim)
     # B2 first: its rows are freed before the cocycle rows are built, so the
     # two never add up in the peak memory
     dim_b2 = b2_space(L).dim
-    pb = PairBasis(L)
-    dim_z2 = pb.count - sparse_rank(_cocycle_constraint_rows(L, pb), pb.count)
-    return dim_z2 - dim_b2
+    return pb.count - _cocycle_eliminator(L, pb).rank - dim_b2
 
 
 def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
     """Solve the B^2 membership system componentwise."""
     pb = PairBasis(L)
-    elim = SparseEliminator(pb.count)
-    for vec in coboundary_vectors(L, pb):
-        elim.add_row(vec)
+    span = _coboundary_span(L, pb)
     for G in omega.grams:
         target = pb.vector_of_gram(G)
-        if target and not elim.in_row_space(target):
+        if target and not span.in_row_space(target):
             return False
     return True
 
@@ -567,7 +590,12 @@ def h2_representatives(
     With vanish_on_even, each representative is corrected by an inner
     derivation so that it kills the even part, whenever the class allows it.
     """
-    der, inner = derivation_space(L)
+    return _h2_representatives(L, kappa, *derivation_space(L), vanish_on_even)
+
+
+def _h2_representatives(
+    L: LieSuperalgebra, kappa: BilinearForm, der: EndSpace, inner: EndSpace, vanish_on_even: bool
+) -> list[tuple[Matrix, int]]:
     der_minus = split_by_star(L, kappa, der, -1)
     builder = EchelonBuilder(L.dim * L.dim)
     for M, _p in inner.members():
@@ -673,6 +701,26 @@ def _kappa_parity(K: LieSuperalgebra, kappa: BilinearForm) -> int:
     return 1 if parity == "odd" else 0
 
 
+def _current_gram(cur: Current, coeffs: Sequence[Sequence], kt: Sequence[Sequence]) -> Matrix:
+    """Gram of (a x, b y) -> (-1)^{|b||x|} c(a, b) kt(x, y) on A (x) K, with
+    c(e_p, e_q) = coeffs[p][q] and kt(e_i, e_j) = kt[i][j]."""
+    K, A = cur.K, cur.A
+    n = cur.dim
+    G = [[Fraction(0)] * n for _ in range(n)]
+    for p in range(A.dim):
+        for q in range(A.dim):
+            c = coeffs[p][q]
+            if not c:
+                continue
+            for i in range(K.dim):
+                sign = -1 if (K.parities[i] and A.parities[q]) else 1
+                for j in range(K.dim):
+                    v = kt[i][j]
+                    if v:
+                        G[cur.slot(p, i)][cur.slot(q, j)] = sign * c * v
+    return Matrix(G)
+
+
 def eta_cocycle(
     cur: Current,
     kappa: BilinearForm,
@@ -692,7 +740,6 @@ def eta_cocycle(
         if not (star(K, kappa, D) + D).is_zero():
             raise CohomologyError("eta needs D kappa-skew (D in der_-)")
     kd = (D.transpose() @ kappa.gram).rows  # kd[i][j] = kappa(D e_i, e_j)
-    n = cur.dim
     grams = []
     vps = []
     kp = _kappa_parity(K, kappa)
@@ -701,22 +748,14 @@ def eta_cocycle(
         if len(fp) > 1:
             raise CohomologyError("eta needs parity-homogeneous functionals on A")
         f_parity = fp.pop() if fp else 0
-        G = [[Fraction(0)] * n for _ in range(n)]
-        for p in range(A.dim):
-            for q in range(A.dim):
-                fab = Fraction(0)
-                for r, m in A.product_basis(p, q).items():
-                    if f[r]:
-                        fab += m * f[r]
-                if not fab:
-                    continue
-                for i in range(K.dim):
-                    sign = -1 if (K.parities[i] and A.parities[q]) else 1
-                    for j in range(K.dim):
-                        v = kd[i][j]
-                        if v:
-                            G[cur.slot(p, i)][cur.slot(q, j)] = sign * fab * v
-        grams.append(Matrix(G))
+        fab = [
+            [
+                sum((m * f[r] for r, m in A.product_basis(p, q).items() if f[r]), Fraction(0))
+                for q in range(A.dim)
+            ]
+            for p in range(A.dim)
+        ]
+        grams.append(_current_gram(cur, fab, kd))
         vps.append((f_parity + kp + d_parity) % 2)
     return Cocycle2(cur.algebra, grams, vps, validate=check)
 
@@ -742,25 +781,9 @@ def xi_cocycle(
             if not is_hochschild(A, F.gram):
                 raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.gram)}")
     ks = (S.transpose() @ kappa.gram).rows
-    n = cur.dim
     kp = _kappa_parity(K, kappa)
-    grams = []
-    vps = []
-    for F in F_list:
-        G = [[Fraction(0)] * n for _ in range(n)]
-        for p in range(A.dim):
-            for q in range(A.dim):
-                fv = F.gram.rows[p][q]
-                if not fv:
-                    continue
-                for i in range(K.dim):
-                    sign = -1 if (K.parities[i] and A.parities[q]) else 1
-                    for j in range(K.dim):
-                        v = ks[i][j]
-                        if v:
-                            G[cur.slot(p, i)][cur.slot(q, j)] = sign * fv * v
-        grams.append(Matrix(G))
-        vps.append((F.parity + kp) % 2)
+    grams = [_current_gram(cur, F.gram.rows, ks) for F in F_list]
+    vps = [(F.parity + kp) % 2 for F in F_list]
     return Cocycle2(cur.algebra, grams, vps, validate=check)
 
 
@@ -841,6 +864,7 @@ def verify_cor1(
     cocycle outside the span.
     """
     rep = form_report(K, kappa)
+    der, inner = derivation_space(K)
     problems = []
     if not rep["supersymmetric"]:
         problems.append("kappa is not supersymmetric")
@@ -850,7 +874,7 @@ def verify_cor1(
         problems.append("kappa is degenerate")
     if rep["parity"] not in ("even", "odd"):
         problems.append("kappa is not parity-homogeneous")
-    if rep["derivation_invariant"] is not True:
+    if _derivation_invariant(K, kappa, rep, der) is not True:
         problems.append("kappa is not derivation invariant")
     if not structure_report(K)["is_perfect"]:
         problems.append("K is not perfect")
@@ -858,23 +882,13 @@ def verify_cor1(
         raise CohomologyError("theorem assumptions fail: " + "; ".join(problems))
 
     cur = current_lsa(A, K)
-    if cur.dim > max_dim:
-        raise CohomologyError(
-            f"dim {cur.dim} exceeds the configured 2-cocycle solver cap {max_dim}"
-        )
-    pb = PairBasis(cur.algebra)
-    elim = SparseEliminator(pb.count)
-    for r in sorted(_cocycle_constraint_rows(cur.algebra, pb), key=len):
-        elim.add_row(r)
+    pb = _capped_pair_basis(cur.algebra, max_dim)
+    elim = _cocycle_eliminator(cur.algebra, pb)
     dim_z2 = pb.count - elim.rank
-
-    span = SparseEliminator(pb.count)
-    cbs = coboundary_vectors(cur.algebra, pb)
-    for vec in cbs:
-        span.add_row(vec)
+    span = _coboundary_span(cur.algebra, pb)
     dim_b2 = span.rank
 
-    d_reps = h2_representatives(K, kappa)
+    d_reps = _h2_representatives(K, kappa, der, inner, vanish_on_even=False)
     s_reps = [S for S, _p in split_by_star(K, kappa, centroid(K), +1).members()]
     hoch = hochschild_space(A)
 

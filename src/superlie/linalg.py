@@ -822,10 +822,3 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]
     for r in sorted(rows, key=len):
         elim.add_row(r)
     return elim.kernel_basis()
-
-
-def sparse_rank(rows: Iterable[dict], ncols: int) -> int:
-    elim = SparseEliminator(ncols)
-    for r in sorted(rows, key=len):
-        elim.add_row(r)
-    return elim.rank

@@ -414,8 +414,7 @@ def _graded_symmetric(G: Matrix, parities: Sequence[int], sign: int) -> bool:
 
 def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     """Exact flags: supersymmetric, skew, invariant, parity, nondegenerate,
-    radical, derivation_invariant (None unless B is a nondegenerate
-    homogeneous scalar form)."""
+    radical."""
     n = L.dim
     supersym = all(_graded_symmetric(G, L.parities, 1) for G in B.grams)
     skew = all(_graded_symmetric(G, L.parities, -1) for G in B.grams)
@@ -425,27 +424,13 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     # radical = {x : B(x, .) = 0}: kernel of the stacked rows viewed as a map on x
     rad_vectors = dense_kernel(list(map(list, zip(*stacked))), n)
     radical = Subspace(n, rad_vectors)
-    nondeg = radical.dim == 0
-    parity = form_parity(L, B)
-    deriv_inv = None
-    if nondeg and B.value_dim == 1 and parity in ("even", "odd"):
-        # cohomology imports this module, so the import has to wait for the call
-        from .cohomology import derivation_space
-
-        # D* = -D exactly when B(Dx, y) = -(-1)^{|x||y|} B(Dy, x): D^T G is graded-skew
-        der, _ = derivation_space(L)
-        G = B.gram
-        deriv_inv = all(
-            _graded_symmetric(D.transpose() @ G, L.parities, -1) for D, _dp in der.members()
-        )
     return {
         "supersymmetric": supersym,
         "skew": skew,
         "invariant": invariant,
-        "parity": parity,
-        "nondegenerate": nondeg,
+        "parity": form_parity(L, B),
+        "nondegenerate": radical.dim == 0,
         "radical": radical,
-        "derivation_invariant": deriv_inv,
     }
 
 

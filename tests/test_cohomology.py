@@ -9,6 +9,7 @@ import pytest
 
 from conftest import abelian, su2_cyclic
 from test_linalg import dense_echelon
+from test_lsa import scaled_form
 from superlie.assoc import grassmann
 from superlie.cohomology import (
     CohomologyError,
@@ -662,6 +663,42 @@ def test_verify_cor1_rejects_nonperfect():
     with pytest.raises(CohomologyError) as err:
         verify_cor1(grassmann(1), L, kappa)
     assert "perfect" in str(err.value)
+
+
+def test_verify_cor1_rejects_form_that_is_not_derivation_invariant():
+    for spec in (("su_n", 2), ("su_pq", 2, 1)):
+        entry = build_catalog(*spec)
+        L = entry.algebra
+        B = BilinearForm([Matrix(scaled_form(entry))])
+        rep = form_report(L, B)
+        assert rep["nondegenerate"] and rep["parity"] in ("even", "odd")
+        with pytest.raises(CohomologyError) as err:
+            verify_cor1(grassmann(1), L, B)
+        assert str(err.value) == (
+            "theorem assumptions fail: kappa is not invariant; kappa is not derivation invariant"
+        )
+
+
+def test_derivation_space_solved_once_per_cor1_and_never_per_fact_sheet(monkeypatch):
+    import superlie.catalog
+    import superlie.cohomology
+
+    calls = []
+    solve = superlie.cohomology.derivation_space
+
+    def counting(L):
+        calls.append(L.dim)
+        return solve(L)
+
+    for module in (superlie.cohomology, superlie.catalog):
+        monkeypatch.setattr(module, "derivation_space", counting, raising=False)
+    entry = build_catalog("su_pq", 2, 1)
+    assert verify_cor1(grassmann(1), entry.algebra, entry.form)["defect"] == 0
+    assert calls == [entry.algebra.dim]
+    calls.clear()
+    facts = superlie.catalog.verify_catalog_facts(entry)
+    assert not [k for k, v in facts.items() if v is False]
+    assert calls == []
 
 
 # -- support-restricted checks against a dense triple sweep ------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import abelian, odd_heisenberg, odd_line, sc, smatrix
 from test_linalg import DenseEchelon
+from superlie.cohomology import _derivation_invariant, derivation_space, star
 from superlie.linalg import Matrix, Subspace
 from superlie.lsa import (
     LsaError,
@@ -116,9 +117,10 @@ def test_killing_form_su2_matrix(su2_matrix):
 def test_killing_form_report(su2):
     kappa = build_form(su2, "killing")
     rep = form_report(su2, kappa)
+    assert set(rep) == {"supersymmetric", "skew", "invariant", "parity", "nondegenerate", "radical"}
     assert rep["supersymmetric"] and rep["invariant"] and rep["nondegenerate"]
     assert rep["parity"] == "even"
-    assert rep["derivation_invariant"] is True
+    assert _derivation_invariant(su2, kappa, rep, derivation_space(su2)[0]) is True
     assert rep["radical"].dim == 0
 
 
@@ -463,10 +465,18 @@ def test_saturations_and_quotient_match_dense_versions(case):
         assert str(got.value) == str(want.value)
 
 
-def star_verdict(L, B):
-    """derivation_invariant by the star map: D* + D = 0 for every derivation."""
-    from superlie.cohomology import derivation_space, star
+def scaled_form(entry):
+    """A nondegenerate homogeneous gram that no longer pairs like kappa: one row and column scaled."""
+    G = [list(r) for r in entry.form.gram.rows]
+    i = next(i for i in range(entry.algebra.dim) if any(G[i]))
+    G[i] = [2 * x for x in G[i]]
+    for row in G:
+        row[i] = 2 * row[i]
+    return G
 
+
+def star_verdict(L, B):
+    """Derivation invariance by the star map: D* + D = 0 for every derivation."""
     der, _ = derivation_space(L)
     return all((star(L, B, D) + D).is_zero() for D, _dp in der.members())
 
@@ -481,18 +491,14 @@ def test_derivation_invariant_matches_star_verdict(spec):
 
     entry = build_catalog(*spec)
     L = entry.algebra
-    # a nondegenerate homogeneous gram that no longer pairs like kappa: scale one row and column
-    G = [list(r) for r in entry.form.gram.rows]
-    i = next(i for i in range(L.dim) if any(G[i]))
-    G[i] = [2 * x for x in G[i]]
-    for row in G:
-        row[i] = 2 * row[i]
+    G = scaled_form(entry)
+    der, _ = derivation_space(L)
     verdicts = []
     for B in (entry.form, BilinearForm([Matrix(G)])):
         rep = form_report(L, B)
         homogeneous = rep["parity"] in ("even", "odd")
         want = star_verdict(L, B) if rep["nondegenerate"] and homogeneous else None
-        assert rep["derivation_invariant"] == want
+        assert _derivation_invariant(L, B, rep, der) == want
         verdicts.append(want)
     if verdicts[0] is not None:
         assert verdicts == [True, False]

@@ -203,6 +203,8 @@ def test_cli_catalog_deterministic(capsys):
         ["cohomology", "h2", "--k", "catalog:su_n:2,x"],
         ["urad", "verify", "--k", "su_n:2", "--s", "0"],
         ["urad", "faithful", "--k", "su_n:2", "--s", "-1"],
+        ["urad", "faithful", "--k", "catalog:su_pq:2,1", "--s", "1"],
+        ["urad", "verify", "--k", "catalog:su_n:2", "--s", "3", "--value-dim", "-2"],
         ["current", "--A", "grassmann:1", "--k", "su_n:2,3"],
         ["current", "--A", "grassmann:1", "--k", "su_n:"],
         ["catalog", "build", "su_n", "--p", "2", "--q", "3"],
