@@ -9,6 +9,7 @@ parity-homogeneous without extra work.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -257,13 +258,18 @@ def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> BilinearForm:
     return B
 
 
+def _invariance_testable(kappa: BilinearForm, rep: dict) -> bool:
+    """Whether kappa is a nondegenerate homogeneous scalar form; rep is its
+    form_report."""
+    return rep["nondegenerate"] and kappa.value_dim == 1 and rep["parity"] in ("even", "odd")
+
+
 def _derivation_invariant(
     L: LieSuperalgebra, kappa: BilinearForm, rep: dict, der: EndSpace
 ) -> bool | None:
     """D* = -D for every D in der, i.e. every D^T G graded-skew; rep is
-    form_report(L, kappa).  None unless kappa is a nondegenerate homogeneous
-    scalar form."""
-    if not (rep["nondegenerate"] and kappa.value_dim == 1 and rep["parity"] in ("even", "odd")):
+    form_report(L, kappa).  None unless _invariance_testable."""
+    if not _invariance_testable(kappa, rep):
         return None
     G = kappa.gram
     return all(_graded_symmetric(D.transpose() @ G, L.parities, -1) for D, _dp in der.members())
@@ -370,7 +376,8 @@ class PairBasis:
 # -- identities: one term generator each, for solving and for checking --------
 #
 # The solvers turn an identity's terms into constraint rows over every triple
-# (linalg._identity_rows).  The checks evaluate the same terms on a given map
+# (linalg._identity_rows); the cocycle solver skips the triples on which no
+# bracket gives a term.  The checks evaluate the same terms on a given map
 # (linalg._first_violation), each visiting only the triples the map's support
 # reaches: every term of any other triple meets a zero entry, so the verdict
 # and the lexicographically first violated triple (the witness) are those of
@@ -494,10 +501,37 @@ class Cocycle2:
         return f"Cocycle2(dim {self.carrier.dim}, values {self.value_dim})"
 
 
-def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Fraction]]:
+def _cocycle_triples(L: LieSuperalgebra):
+    """The sorted triples x <= y <= z with a bracket on (x, y), (y, z) or
+    (x, z), in lexicographic order, one leading index x at a time.
+
+    _cocycle_terms reads only these three brackets, so every other sorted
+    triple has no term and gives no row.
+    """
     n = L.dim
-    triples = ((x, y, z) for x in range(n) for y in range(x, n) for z in range(y, n))
-    return _identity_rows(partial(_cocycle_terms, L), triples, pb.columns())
+    above: list[list[int]] = [[] for _ in range(n)]  # u -> v >= u with [e_u, e_v] != 0
+    for u, v in L.brackets:
+        if u <= v:
+            above[u].append(v)
+    for vs in above:
+        vs.sort()
+    for x in range(n):
+        ax = above[x]
+        hit = set(ax)
+        for y in range(x, n):
+            if y in hit:
+                for z in range(y, n):
+                    yield x, y, z
+                continue
+            zs = ax[bisect_left(ax, y):]
+            if above[y]:
+                zs = sorted(set(zs).union(above[y]))
+            for z in zs:
+                yield x, y, z
+
+
+def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Fraction]]:
+    return _identity_rows(partial(_cocycle_terms, L), _cocycle_triples(L), pb.columns())
 
 
 def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
@@ -507,13 +541,20 @@ def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
     return PairBasis(L)
 
 
-def _cocycle_eliminator(L: LieSuperalgebra, pb: PairBasis) -> SparseEliminator:
-    """The cocycle constraint rows of L, shortest first, in one eliminator;
-    only its pivot rows outlive the call."""
-    elim = SparseEliminator(pb.count)
-    for r in sorted(_cocycle_constraint_rows(L, pb), key=len):
-        elim.add_row(r)
-    return elim
+def _cocycle_kernel(L: LieSuperalgebra, pb: PairBasis) -> tuple[dict[int, Fraction], ...]:
+    """Kernel vectors of L's cocycle system in the pair coordinates
+    pb = PairBasis(L).
+
+    Solved on first use and kept on L: the rows go into one eliminator,
+    shortest first, and are freed before the back-solve.  Every fill gives
+    the same vectors, so a race between two fills is harmless.
+    """
+    if L._z2_kernel is None:
+        elim = SparseEliminator(pb.count)
+        for r in sorted(_cocycle_constraint_rows(L, pb), key=len):
+            elim.add_row(r)
+        L._z2_kernel = tuple(elim.kernel_basis())
+    return L._z2_kernel
 
 
 def _coboundary_span(L: LieSuperalgebra, pb: PairBasis) -> SparseEliminator:
@@ -534,7 +575,7 @@ def z2_space(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> list[Cocycle
     """Basis of scalar-valued 2-cocycles, each parity-homogeneous."""
     pb = _capped_pair_basis(L, max_dim)
     out = []
-    for vec in _cocycle_eliminator(L, pb).kernel_basis():
+    for vec in _cocycle_kernel(L, pb):
         vp = _kernel_parity({pb.parity[t] for t in vec})
         out.append(Cocycle2(L, [pb.gram_of_vector(vec)], [vp], validate=False))
     return out
@@ -557,10 +598,10 @@ def b2_space(L: LieSuperalgebra) -> Subspace:
 
 def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
     pb = _capped_pair_basis(L, max_dim)
-    # B2 first: its rows are freed before the cocycle rows are built, so the
+    # B2 first: its rows are freed before any cocycle rows are built, so the
     # two never add up in the peak memory
     dim_b2 = b2_space(L).dim
-    return pb.count - _cocycle_eliminator(L, pb).rank - dim_b2
+    return len(_cocycle_kernel(L, pb)) - dim_b2
 
 
 def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
@@ -864,7 +905,11 @@ def verify_cor1(
     cocycle outside the span.
     """
     rep = form_report(K, kappa)
-    der, inner = derivation_space(K)
+    # derivation invariance is tested only for a nondegenerate homogeneous
+    # scalar kappa; any other kappa fails it without a derivation solve
+    der = inner = None
+    if _invariance_testable(kappa, rep):
+        der, inner = derivation_space(K)
     problems = []
     if not rep["supersymmetric"]:
         problems.append("kappa is not supersymmetric")
@@ -874,7 +919,7 @@ def verify_cor1(
         problems.append("kappa is degenerate")
     if rep["parity"] not in ("even", "odd"):
         problems.append("kappa is not parity-homogeneous")
-    if _derivation_invariant(K, kappa, rep, der) is not True:
+    if der is None or not _derivation_invariant(K, kappa, rep, der):
         problems.append("kappa is not derivation invariant")
     if not structure_report(K)["is_perfect"]:
         problems.append("K is not perfect")
@@ -883,8 +928,8 @@ def verify_cor1(
 
     cur = current_lsa(A, K)
     pb = _capped_pair_basis(cur.algebra, max_dim)
-    elim = _cocycle_eliminator(cur.algebra, pb)
-    dim_z2 = pb.count - elim.rank
+    z2 = _cocycle_kernel(cur.algebra, pb)
+    dim_z2 = len(z2)
     span = _coboundary_span(cur.algebra, pb)
     dim_b2 = span.rank
 
@@ -912,7 +957,7 @@ def verify_cor1(
     defect = dim_z2 - span_dim
     certificate = None
     if defect > 0:
-        for vec in elim.kernel_basis():
+        for vec in z2:
             if not span.in_row_space(vec):
                 certificate = Cocycle2(cur.algebra, [pb.gram_of_vector(vec)], validate=False)
                 break

@@ -62,7 +62,7 @@ class MatrixRealization:
 
 
 class LieSuperalgebra:
-    __slots__ = ("names", "parities", "brackets", "realization", "_dim")
+    __slots__ = ("names", "parities", "brackets", "realization", "_dim", "_z2_kernel")
 
     def __init__(
         self,
@@ -77,6 +77,7 @@ class LieSuperalgebra:
         self._dim = len(self.names)
         self.brackets = _complete_brackets(brackets, self.parities, self._dim)
         self.realization = realization
+        self._z2_kernel = None  # filled by cohomology._cocycle_kernel
         if validate:
             self.validate()
 

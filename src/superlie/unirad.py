@@ -376,6 +376,8 @@ def verify_urad_theorem(
     K, kappa = entry.algebra, entry.form
     if K.odd_indices:
         raise UniradError("verify_urad_theorem needs a purely even algebra")
+    if value_dim < 0:
+        raise UniradError(f"verify_urad_theorem needs value_dim >= 0, got {value_dim}")
     A = grassmann(s)
     cur = current_lsa(A, K)
     if hochschild == "random":

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import abelian, su2_cyclic
+from conftest import abelian, odd_heisenberg, su2_cyclic
 from test_linalg import dense_echelon
 from test_lsa import scaled_form
 from superlie.assoc import grassmann
@@ -20,6 +20,7 @@ from superlie.cohomology import (
     _centroid_witness,
     _cocycle_constraint_rows,
     _cocycle_terms,
+    _cocycle_triples,
     _cocycle_witness,
     _derivation_identity,
     _derivation_witness,
@@ -272,7 +273,8 @@ def test_b2_space_matches_dense_echelon(case):
 
 
 def accumulated_cocycle_rows(L, pb):
-    """The constraint rows summed through row.get(col, Fraction(0)): the reference."""
+    """The constraint rows of every sorted triple, summed through
+    row.get(col, Fraction(0)): the reference."""
     n = L.dim
     columns = {}
     for a in range(n):
@@ -296,12 +298,73 @@ def accumulated_cocycle_rows(L, pb):
     return rows
 
 
-@pytest.mark.parametrize("case", SOLVER_CASES)
+ROW_CASES = {
+    **SOLVER_CASES,
+    "su(2|1)": lambda: build_catalog("su_pq", 2, 1).algebra,
+    "pq(3)": lambda: build_catalog("pq_n", 3).algebra,
+    "abelian": lambda: abelian(4, [0, 1, 0, 1]),
+    "heisenberg": lambda: make_lsa(["p", "q", "c"], [0, 0, 0], {(0, 1): {2: Fraction(1)}}),
+    "odd heisenberg": odd_heisenberg,
+}
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
 def test_cocycle_rows_match_accumulation(case):
-    L = SOLVER_CASES[case]()
+    # the solver visits only the triples with terms; the rows, their order and
+    # each row's key order are those of the full sweep
+    L = ROW_CASES[case]()
     pb = PairBasis(L)
     got = [list(r.items()) for r in _cocycle_constraint_rows(L, pb)]
     assert got == [list(r.items()) for r in accumulated_cocycle_rows(L, pb)]
+    n = L.dim
+    with_terms = [
+        (x, y, z)
+        for x in range(n)
+        for y in range(x, n)
+        for z in range(y, n)
+        if any(c for c, _a, _b in _cocycle_terms(L, x, y, z))
+    ]
+    assert list(_cocycle_triples(L)) == with_terms
+    assert (with_terms == []) == (case == "abelian")
+
+
+H2_SCALE_CASES = {
+    "L3 x su(2|1)": (("su_pq", 2, 1), 3, (81, 64, 17)),
+    "L3 x su(3)": (("su_n", 3), 3, (81, 64, 17)),
+    "L5 x su(2)": (("su_n", 2), 5, (225, 96, 129)),
+}
+
+
+@pytest.mark.parametrize("case", H2_SCALE_CASES)
+def test_cocycle_system_solved_once_per_algebra_beyond_the_cap(case, monkeypatch):
+    import superlie.cohomology
+
+    spec, s, (dim_z2, dim_b2, h2) = H2_SCALE_CASES[case]
+    K = build_catalog(*spec).algebra
+    assembled = []
+    assemble = superlie.cohomology._cocycle_constraint_rows
+
+    def counting(L, pb):
+        assembled.append(L.dim)
+        return assemble(L, pb)
+
+    monkeypatch.setattr(superlie.cohomology, "_cocycle_constraint_rows", counting)
+    first = current_lsa(grassmann(s), K).algebra
+    assert h2_dim(first, max_dim=96) == h2
+    cocycles = z2_space(first, max_dim=96)
+    assert len(cocycles) == dim_z2 and b2_space(first).dim == dim_b2
+    assert len(z2_space(first, max_dim=96)) == dim_z2
+    assert assembled == [first.dim]
+    # the cap is refused before the filled slot is read
+    for solve in (z2_space, h2_dim):
+        with pytest.raises(CohomologyError, match="exceeds the configured 2-cocycle solver cap"):
+            solve(first)
+    fresh = current_lsa(grassmann(s), K).algebra
+    again = z2_space(fresh, max_dim=96)
+    assert h2_dim(fresh, max_dim=96) == h2
+    assert assembled == [first.dim, fresh.dim]
+    assert [c.grams for c in again] == [c.grams for c in cocycles]
+    assert [c.value_parities for c in again] == [c.value_parities for c in cocycles]
 
 
 @pytest.mark.parametrize("case", SOLVER_CASES)
@@ -698,6 +761,20 @@ def test_derivation_space_solved_once_per_cor1_and_never_per_fact_sheet(monkeypa
     calls.clear()
     facts = superlie.catalog.verify_catalog_facts(entry)
     assert not [k for k, v in facts.items() if v is False]
+    assert calls == []
+    # a degenerate kappa is refused before any derivation solve, with the
+    # same problem list as when the solve ran first
+    L = entry.algebra
+    corner = [[Fraction(i == j and i < 2) for j in range(L.dim)] for i in range(L.dim)]
+    for K, gram, problems in (
+        (su2_cyclic(), Matrix.zero(3, 3), "kappa is degenerate"),
+        (L, Matrix(corner), "kappa is not invariant; kappa is degenerate"),
+    ):
+        with pytest.raises(CohomologyError) as err:
+            verify_cor1(grassmann(1), K, build_form(K, "custom", gram=gram))
+        assert str(err.value) == (
+            f"theorem assumptions fail: {problems}; kappa is not derivation invariant"
+        )
     assert calls == []
 
 

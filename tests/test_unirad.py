@@ -265,6 +265,14 @@ def test_urad_theorem_rejects_super(su21):
         verify_urad_theorem(su21, 2)
 
 
+def test_urad_theorem_rejects_negative_value_dim(su2):
+    for hochschild in ("random", "zero"):
+        with pytest.raises(UniradError) as err:
+            verify_urad_theorem(su2, 3, hochschild=hochschild, value_dim=-2)
+        assert str(err.value) == "verify_urad_theorem needs value_dim >= 0, got -2"
+    assert verify_urad_theorem(su2, 3, value_dim=0)["value_dim"] == 0
+
+
 def test_isotropic_lists(su21, psu22, pq3):
     for entry in (su21, psu22, pq3, build_catalog("c_n", 2)):
         L, kappa = entry.algebra, entry.form
