@@ -2,7 +2,9 @@
 
 Grassmann algebras on s odd generators (bitset monomials, inversion-count
 signs), their Z-grading, the augmentation map, and graded quotients such as
-Lambda_s / Lambda^(>=3).
+Lambda_s / Lambda^(>=3).  The constructor runs the full sweep (parity, unit,
+supercommutativity, associativity, grading); quotient_assoc checks only its
+ideal and builds the quotient with validate=False.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace, _axpy
+from .linalg import Subspace, _axpy, is_graded, quotient_table
 
 Coordvec = dict[int, Fraction]
 
@@ -199,47 +201,27 @@ def quotient_assoc(A: AssocSuperalgebra, ideal: Subspace) -> tuple[AssocSuperalg
 
     The complement is spanned by the standard basis vectors away from the
     ideal's pivot columns, so quotient structure constants are canonical.
+    The ideal must be closed under products, graded (by Z-degree, or by
+    parity when A has no Z-grading) and free of the unit; the quotient is
+    then valid and is built without the sweep.
     """
     n = A.dim
     if ideal.ambient_dim != n:
         raise AssocError("ideal lives in the wrong ambient space")
     for i in range(n):
-        for row in ideal.rows:
-            prod = A.product(A._basis_vec(i), row)
-            if not ideal.contains_vector(prod):
+        for row in ideal.sparse_rows:
+            if not ideal.contains_vector(A._product_sparse_right(i, row)):
                 raise AssocError(
                     f"not an ideal: product of basis {i} with an ideal element escapes"
                 )
-    # graded check: each echelon row must split into homogeneous parts inside
-    if A.z_degrees is not None:
-        for row in ideal.rows:
-            degs = {A.z_degrees[k] for k, x in enumerate(row) if x}
-            for d in degs:
-                part = [x if A.z_degrees[k] == d else Fraction(0) for k, x in enumerate(row)]
-                if not ideal.contains_vector(part):
-                    raise AssocError("ideal is not graded")
-    piv = set(ideal.pivots)
-    keep = [i for i in range(n) if i not in piv]
-    if A.unit in piv:
+    if not is_graded(ideal, A.z_degrees if A.z_degrees is not None else A.parities):
+        raise AssocError("ideal is not graded")
+    if A.unit in ideal.pivots:
         raise AssocError("ideal contains the unit")
-    pos = {k: t for t, k in enumerate(keep)}
-
-    def project(vec) -> Coordvec:
-        v = ideal.reduce_vector(vec)
-        return {pos[k]: v[k] for k in keep if v[k]}
-
-    table: dict[tuple[int, int], Coordvec] = {}
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            img = project(A.product(A._basis_vec(i), A._basis_vec(j)))
-            if img:
-                table[(a, b)] = img
-    names = [A.names[i] for i in keep]
-    parities = [A.parities[i] for i in keep]
+    keep, table, rows, _project = quotient_table(A.table, ideal)
     degrees = [A.z_degrees[i] for i in keep] if A.z_degrees is not None else None
-    quo = AssocSuperalgebra(names, parities, table, unit=pos[A.unit], z_degrees=degrees)
-    proj_rows = []
-    for i in range(n):
-        img = project(A._basis_vec(i))
-        proj_rows.append([img.get(t, Fraction(0)) for t in range(len(keep))])
-    return quo, proj_rows
+    quo = AssocSuperalgebra(
+        [A.names[i] for i in keep], [A.parities[i] for i in keep], table,
+        unit=keep.index(A.unit), z_degrees=degrees, validate=False,
+    )
+    return quo, rows

@@ -12,18 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import Cocycle2, centroid, h2_dim, is_coboundary, is_derivation, kappa_T, star
-from .linalg import Matrix, Subspace, basis_coordinates, definiteness
+from .linalg import Matrix, Subspace, _dense, basis_coordinates, definiteness
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
+    _quotient,
     build_form,
     form_parity,
     form_report,
     from_matrix_basis,
     generated_submodule,
-    project_to_quotient,
-    quotient_lsa,
     structure_report,
+    super_matrix_bracket,
 )
 from .scalars import Scalar, squarefree_split
 
@@ -224,52 +224,51 @@ def build_psu_pp(p: int) -> CatalogEntry:
     if p < 2:
         raise CatalogError("psu_pp needs p >= 2")
     pre = build_su_pq(p, p, _allow_equal=True)
-    L = pre.algebra
-    dim = L.dim
-    radical = Subspace(dim, [pre.specials["i_one"]])
-    quo, proj = quotient_lsa(L, radical)
-
-    # descended supertrace form: evaluate on kept representatives
-    piv = set(radical.pivots)
-    keep = [i for i in range(dim) if i not in piv]
-    G = [[pre.form.gram.rows[i][j] for j in keep] for i in keep]
-    form = BilinearForm([Matrix(G)])
-    form.declared_parity = form_parity(quo, form)
-
-    # outer derivation: ad diag(i 1_p, 0) descended to the quotient
-    total = 2 * p
-    Dmat = _zrows(total)
+    # outer derivation: ad diag(i 1_p, 0)
+    D = _zrows(2 * p)
     for r in range(p):
-        Dmat[r][r] = _I
-    Dmat = _mat(Dmat)
-    D_cols = []
-    real = L.realization
-    coords = basis_coordinates(real.mats)
-    for i in range(dim):
-        img = Dmat @ real.mats[i] - real.mats[i] @ Dmat  # even conjugator
-        D_cols.append(_coords_in(coords, img))
-    D_on_pre = Matrix(list(map(list, zip(*D_cols))))
-    # descended map: columns are images of the kept representative slots
-    Dq_cols = [project_to_quotient(proj, D_on_pre.column(i)) for i in keep]
-    Dq = Matrix(list(map(list, zip(*Dq_cols))))
-
-    comp = {}
-    pre_comp = {"su_p": pre.components["su_p"], "su_q": pre.components["su_q"]}
-    for key, sub in pre_comp.items():
-        comp["k0_1" if key == "su_p" else "k0_2"] = Subspace(
-            quo.dim, [project_to_quotient(proj, r) for r in sub.rows]
-        )
-    specials = {}
-    specials["x_star"] = project_to_quotient(proj, _b_matrix_odd_vector(coords, p, "diag1m1"))
-    specials["y_star"] = project_to_quotient(proj, _b_matrix_odd_vector(coords, p, "identity"))
-    specials["X"] = [project_to_quotient(proj, v) for v in pre.specials["X"]]
-    entry = CatalogEntry(
-        "psu_pp", (p,), quo, form,
-        outer_derivation=(Dq, 0),
-        specials=specials, components=comp,
-        prequotient=pre, projection=proj,
-    )
+        D[r][r] = _I
+    entry, lift, coords = _descend("psu_pp", pre, _mat(D), 0)
+    entry.components = {
+        new: Subspace(entry.algebra.dim, [lift(r) for r in pre.components[old].rows])
+        for new, old in (("k0_1", "su_p"), ("k0_2", "su_q"))
+    }
+    entry.specials = {
+        "x_star": lift(_b_matrix_odd_vector(coords, p, "diag1m1")),
+        "y_star": lift(_b_matrix_odd_vector(coords, p, "identity")),
+        "X": [lift(v) for v in pre.specials["X"]],
+    }
     return entry
+
+
+def _descend(family: str, pre: CatalogEntry, delta: Matrix, d_parity: int):
+    """pre modulo its central line R i1: su(p|p) -> psu(p|p), q(n) -> pq(n).
+
+    The form is pre's, read on the kept slots, and the outer derivation is
+    the super-ad of the matrix delta (of parity d_parity) on the kept slots,
+    projected.  Returns (entry, lift, coords): the entry without specials or
+    components, the map of a dense vector of pre to its dense image, and
+    the coordinate function of pre's matrix realization.
+    """
+    L = pre.algebra
+    quo, keep, proj, project = _quotient(L, Subspace(L.dim, [pre.specials["i_one"]]))
+
+    def lift(vec) -> list:
+        return _dense(project(vec), quo.dim)
+
+    G = pre.form.gram.rows
+    form = BilinearForm([Matrix([[G[i][j] for j in keep] for i in keep])])
+    form.declared_parity = form_parity(quo, form)
+    mats = L.realization.mats
+    coords = basis_coordinates(mats)
+    # column a is the image of the kept slot keep[a]
+    images = [super_matrix_bracket(delta, mats[i], d_parity, L.parities[i]) for i in keep]
+    D = Matrix([lift(_coords_in(coords, M)) for M in images]).transpose()
+    entry = CatalogEntry(
+        family, pre.params[:1], quo, form,
+        outer_derivation=(D, d_parity), prequotient=pre, projection=proj,
+    )
+    return entry, lift, coords
 
 
 def _coords_in(coords, M: Matrix) -> list:
@@ -502,48 +501,21 @@ def build_pq_n(n: int, _allow_small: bool = False) -> CatalogEntry:
     if n <= 2 and not _allow_small:
         raise CatalogError("pq_n needs n > 2")
     pre = build_q_n(n)
-    L = pre.algebra
-    dim = L.dim
-    i_one = pre.specials["i_one"]
-    radical = Subspace(dim, [i_one])
-    quo, proj = quotient_lsa(L, radical)
-
-    piv = set(radical.pivots)
-    keep = [i for i in range(dim) if i not in piv]
-    G = [[pre.form.gram.rows[i][j] for j in keep] for i in keep]
-    form = BilinearForm([Matrix(G)])
-    form.declared_parity = form_parity(quo, form)
-
     # odd outer derivation: super-ad of Delta = [[0, 1],[i 1, 0]]
-    total = 2 * n
-    Delta = _zrows(total)
+    Delta = _zrows(2 * n)
     for r in range(n):
         Delta[r][n + r] = _ONE
         Delta[n + r][r] = _I
-    Delta = _mat(Delta)
-    real = L.realization
-    coords = basis_coordinates(real.mats)
-    D_cols = []
-    for i in range(dim):
-        X = real.mats[i]
-        if L.parities[i] == 0:
-            img = Delta @ X - X @ Delta
-        else:
-            img = Delta @ X + X @ Delta
-        D_cols.append(_coords_in(coords, img))
-    D_on_pre = Matrix(list(map(list, zip(*D_cols))))
-    Dq_cols = [project_to_quotient(proj, D_on_pre.column(i)) for i in keep]
-    Dq = Matrix(list(map(list, zip(*Dq_cols))))
-
-    components = {
-        part: Subspace(quo.dim, [project_to_quotient(proj, r) for r in pre.components[part].rows])
+    entry, lift, _coords = _descend("pq_n", pre, _mat(Delta), 1)
+    entry.components = {
+        part: Subspace(entry.algebra.dim, [lift(r) for r in pre.components[part].rows])
         for part in ("a_part", "b_part")
     }
     # Y_j witnesses: b_j = i(B_j - B_{j+1}) cyclically
-    specials = {}
+    L = pre.algebra
     Y = []
     for j in range(n):
-        vec = [Fraction(0)] * dim
+        vec = [Fraction(0)] * L.dim
         b = [Fraction(0)] * n
         b[j] = Fraction(1)
         b[(j + 1) % n] = Fraction(-1)
@@ -552,14 +524,8 @@ def build_pq_n(n: int, _allow_small: bool = False) -> CatalogEntry:
         for r, c in enumerate(coeffs):
             if c:
                 vec[L.names.index(f"b.h{r + 1}")] = c
-        Y.append(project_to_quotient(proj, vec))
-    specials["Y"] = Y
-    entry = CatalogEntry(
-        "pq_n", (n,), quo, form,
-        outer_derivation=(Dq, 1),
-        specials=specials, components=components,
-        prequotient=pre, projection=proj,
-    )
+        Y.append(lift(vec))
+    entry.specials = {"Y": Y}
     return entry
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix, Subspace, solve_linear, sparse_kernel, symmetric_diagonalize
-from .lsa import Coordvec, LieSuperalgebra, make_lsa
+from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram
 from .scalars import Field, Scalar, zeta8
 
 _I = Scalar.i()
@@ -494,16 +494,7 @@ def mu_lambda(N: CliffordLieSuperalgebra, lam: Sequence) -> MuLambdaResult:
     witness, certifying lambda is outside the dual cone); the quotient by
     the radical is diagonalized by exact congruence for gamma_rep use.
     """
-    L = N.algebra
-    odd = L.odd_indices
-    k = len(odd)
-    half = Fraction(1, 2)
-    G = [[Fraction(0)] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            w = L.bracket_basis(odd[a], odd[b])
-            G[a][b] = sum((c * lam[m] for m, c in w.items()), Fraction(0)) * half
-    gram = Matrix(G)
+    gram = odd_square_gram(N.algebra, lam).scale(Fraction(1, 2))
     pairs, radical, witness = symmetric_diagonalize(gram)
     if witness is not None:
         err = CliffordError(
@@ -511,7 +502,7 @@ def mu_lambda(N: CliffordLieSuperalgebra, lam: Sequence) -> MuLambdaResult:
         )
         err.witness = witness
         raise err
-    return MuLambdaResult(gram, Subspace(k, radical), [p[0] for p in pairs], [p[1] for p in pairs])
+    return MuLambdaResult(gram, Subspace(gram.nrows, radical), [p[0] for p in pairs], [p[1] for p in pairs])
 
 
 class LambdaRep:

@@ -859,6 +859,14 @@ def central_extension(
     the value parities of omega and Cocycle2.validate on L replace a sweep
     of the extension; a bad omega raises CohomologyError naming its witness.
     """
+    return _central_extension(L, omega, m_names, validated=False)
+
+
+def _central_extension(
+    L: LieSuperalgebra, omega: Cocycle2, m_names: Sequence[str] | None, validated: bool
+) -> CentralExtension:
+    """central_extension; validated=True skips the cocycle identity for an
+    omega assembled from cocycles that were validated when built."""
     vd = omega.value_dim
     if m_names is None:
         m_names = [f"m{c + 1}" for c in range(vd)]
@@ -873,10 +881,11 @@ def central_extension(
                     f"not a cocycle: {m_names[c]} has the wrong parity at {_at(L.names, (a, b))}"
                 )
             extra.setdefault((a, b), {})[n + c] = Fraction(G.rows[a][b])
-    try:
-        Cocycle2(L, omega.grams, omega.value_parities)
-    except CohomologyError as exc:
-        raise CohomologyError(f"not a cocycle: {exc}") from None
+    if not validated:
+        try:
+            Cocycle2(L, omega.grams, omega.value_parities)
+        except CohomologyError as exc:
+            raise CohomologyError(f"not a cocycle: {exc}") from None
     table = {
         key: {**L.bracket_basis(*key), **extra.get(key, {})}
         for key in sorted(L.brackets.keys() | extra.keys())

@@ -208,6 +208,49 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
+# -- quotients -----------------------------------------------------------
+
+
+def is_graded(space: Subspace, labels: Sequence) -> bool:
+    """Whether the space is the sum of its parts on each label (a parity or a
+    Z-degree per basis slot): each echelon row's parts must lie in it."""
+    for row in space.sparse_rows:
+        parts: dict = {}
+        for c, x in row.items():
+            parts.setdefault(labels[c], {})[c] = x
+        if len(parts) > 1 and not all(map(space.contains_vector, parts.values())):
+            return False
+    return True
+
+
+def quotient_table(table: dict, ideal: Subspace):
+    """The quotient of a structure table {(i, j): sparse vector} by an ideal.
+
+    The complement is spanned by the basis slots off the ideal's pivots, and
+    a vector projects by reduction against the ideal: reduced, it vanishes
+    at the pivots and lives on the kept slots.  Returns (keep, carried,
+    rows, project): the kept slots, the table carried over to them, the
+    dense image of each basis slot, and the sparse projection.
+    """
+    piv = set(ideal.pivots)
+    keep = [i for i in range(ideal.ambient_dim) if i not in piv]
+    pos = {k: t for t, k in enumerate(keep)}
+
+    def project(vec) -> dict:
+        v = ideal.reduce(vec)
+        return {pos[k]: v[k] for k in sorted(v)}
+
+    carried = {}
+    for a, i in enumerate(keep):
+        for b, j in enumerate(keep):
+            img = project(table.get((i, j), {}))
+            if img:
+                carried[(a, b)] = img
+    one = Fraction(1)
+    rows = [_dense(project({i: one}), len(keep)) for i in range(ideal.ambient_dim)]
+    return keep, carried, rows, project
+
+
 # -- matrices ------------------------------------------------------------
 
 

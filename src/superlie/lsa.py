@@ -2,11 +2,12 @@
 
 Validation (super antisymmetry, parity, graded Jacobi), matrix-basis
 ingestion, invariant forms, ideal saturation, graded quotients and module
-generation.  make_lsa (files, user tables, catalog builds, quotient_lsa) runs
-the full sweep; current_lsa and central_extension are valid by construction,
-build with validate=False and check only what they add.  Everything is
-immutable after construction and purely functional, so operations are safe
-to run concurrently.
+generation.  make_lsa (files, user tables, catalog builds) runs the full
+sweep; current_lsa, central_extension and quotient_lsa are valid by
+construction, build with validate=False and check only what they add (a
+quotient checks that its ideal is graded and closed under brackets).
+Everything is immutable after construction and purely functional, so
+operations are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .linalg import (
     _sparse_products,
     _support,
     basis_coordinates,
+    is_graded,
+    quotient_table,
     sparse_kernel,
 )
 from .linalg import kernel as dense_kernel
@@ -307,6 +310,14 @@ class BilinearForm:
         return [[G.rows[i][j] for G in self.grams for j in range(n)] for i in range(n)]
 
 
+def odd_square_gram(L: LieSuperalgebra, lam: Sequence) -> Matrix:
+    """Gram of lam([e_a, e_b]) over the pairs of odd basis elements."""
+    odd = L.odd_indices
+    return Matrix(
+        [[sum((c * lam[m] for m, c in L.bracket_basis(a, b).items()), Fraction(0)) for b in odd] for a in odd]
+    )
+
+
 def form_parity(L: LieSuperalgebra, B: BilinearForm) -> str:
     even_ok = True
     odd_ok = True
@@ -459,29 +470,13 @@ def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:
     return _saturate(L.dim, seeds, [partial(L._sparse_left_bracket, i) for i in range(L.dim)])
 
 
-def graded_components(L: LieSuperalgebra, V: Subspace) -> tuple[Subspace, Subspace] | None:
-    """Split V into even and odd parts; None if V is not parity-graded."""
-    even_rows = []
-    odd_rows = []
-    for row in V.sparse_rows:
-        ev = {k: x for k, x in row.items() if L.parities[k] == 0}
-        od = {k: x for k, x in row.items() if L.parities[k] == 1}
-        if not V.contains_vector(ev) or not V.contains_vector(od):
-            return None
-        even_rows.append(ev)
-        odd_rows.append(od)
-    return Subspace(L.dim, even_rows), Subspace(L.dim, odd_rows)
-
-
-def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, list]:
-    """Quotient by a graded ideal; complement = non-pivot standard basis slots.
-
-    Returns (quotient, projection) with projection[i] the image of basis i.
-    """
+def _quotient(L: LieSuperalgebra, ideal: Subspace):
+    """quotient_lsa with the kept slots and the sparse projection as well:
+    (quotient, keep, projection rows, project)."""
     n = L.dim
     if ideal.ambient_dim != n:
         raise LsaError("ideal lives in the wrong ambient space")
-    if graded_components(L, ideal) is None:
+    if not is_graded(ideal, L.parities):
         raise LsaError("ideal is not parity-graded")
     for i in range(n):
         for row in ideal.sparse_rows:
@@ -489,38 +484,21 @@ def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, 
                 raise LsaError(
                     f"not an ideal: [{L.names[i]}, ideal] escapes (witness bracket with basis {i})"
                 )
-    piv = set(ideal.pivots)
-    keep = [i for i in range(n) if i not in piv]
-    pos = {k: t for t, k in enumerate(keep)}
-
-    def project(vec: Coordvec) -> Coordvec:
-        # reduced by the ideal, vec vanishes at its pivots: it lives on keep
-        v = ideal.reduce(vec)
-        return {pos[k]: v[k] for k in sorted(v)}
-
-    table: dict[tuple[int, int], Coordvec] = {}
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            img = project(L.bracket_basis(i, j))
-            if img:
-                table[(a, b)] = img
-    names = [L.names[i] for i in keep]
-    parities = [L.parities[i] for i in keep]
-    quo = make_lsa(names, parities, table)
-    proj_rows = []
-    for i in range(n):
-        img = project({i: Fraction(1)})
-        proj_rows.append([img.get(t, Fraction(0)) for t in range(len(keep))])
-    return quo, proj_rows
+    keep, table, rows, project = quotient_table(L.brackets, ideal)
+    # a valid algebra modulo a graded ideal is valid: no sweep
+    quo = LieSuperalgebra([L.names[i] for i in keep], [L.parities[i] for i in keep], table, validate=False)
+    return quo, keep, rows, project
 
 
-def project_to_quotient(proj: Sequence[Sequence], vec: Sequence) -> list:
-    """Image of vec in the quotient, from quotient_lsa's projection rows."""
-    out = [Fraction(0)] * len(proj[0])
-    for i, c in enumerate(vec):
-        if c:
-            out = [a + c * b for a, b in zip(out, proj[i])]
-    return out
+def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, list]:
+    """Quotient by a graded ideal; complement = non-pivot standard basis slots.
+
+    Checks that the ideal is graded and closed under brackets, then carries
+    the table over.  Returns (quotient, projection) with projection[i] the
+    image of basis i.
+    """
+    quo, _keep, rows, _project = _quotient(L, ideal)
+    return quo, rows
 
 
 def structure_report(L: LieSuperalgebra) -> dict:

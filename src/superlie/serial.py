@@ -86,9 +86,15 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
             if key not in entry:
                 raise SchemaError(f"bracket entry misses {key!r} at $.brackets[{t}]")
         i, j = entry["i"], entry["j"]
-        if not (0 <= i < n and 0 <= j < n):
+        if not all(type(x) is int and 0 <= x < n for x in (i, j)):
             raise SchemaError(f"bracket index out of range at $.brackets[{t}]")
-        vec = vector_from_json(entry["value"])
+        value = entry["value"]
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise SchemaError(f"expected a list of scalar strings at $.brackets[{t}].value")
+        try:
+            vec = vector_from_json(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"malformed scalar at $.brackets[{t}].value: {exc}") from None
         if len(vec) != n:
             raise SchemaError(f"bracket value has wrong length at $.brackets[{t}].value")
         table[(i, j)] = {k: c for k, c in enumerate(vec) if c}

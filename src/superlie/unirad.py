@@ -18,7 +18,7 @@ from .catalog import CatalogEntry
 from .cohomology import (
     Cocycle2,
     HochschildMap,
-    central_extension,
+    _central_extension,
     eta_cocycle,
     h2_representatives,
     hochschild_space,
@@ -38,7 +38,7 @@ from .lsa import (
     BilinearForm,
     LieSuperalgebra,
     ideal_closure,
-    project_to_quotient,
+    odd_square_gram,
     quotient_lsa,
     structure_report,
 )
@@ -74,14 +74,8 @@ def pointedness_certificate(L: LieSuperalgebra, lam: Sequence) -> PointednessCer
     for i in odd:
         if lam[i]:
             raise UniradError("lambda must vanish on odd coordinates")
-    k = len(odd)
-    G = [[Fraction(0)] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            w = L.bracket_basis(odd[a], odd[b])
-            G[a][b] = sum((c * lam[m] for m, c in w.items()), Fraction(0))
-    gram = Matrix(G)
-    if k == 0:
+    gram = odd_square_gram(L, lam)
+    if not odd:
         return PointednessCertificate(list(lam), gram, True, None, odd)
     verdict, data = definiteness_with_witness(gram)
     if verdict == "positive_definite":
@@ -247,8 +241,9 @@ def extend_current(
     labels += [f"xi{t + 1}" for t in range(len(xi_data))]
     if not grams:
         return CurrentExtension(cur, kappa, None, list(eta_data), list(xi_data), [])
+    # each run's cocycle was validated when built (check=True)
     omega = Cocycle2(cur.algebra, grams, parities, validate=False)
-    ext = central_extension(cur.algebra, omega, labels)
+    ext = _central_extension(cur.algebra, omega, labels, validated=True)
     return CurrentExtension(cur, kappa, ext, list(eta_data), list(xi_data), labels)
 
 
@@ -432,10 +427,10 @@ def verify_urad_theorem(
 
     # quotient: hat-g / I is n rtimes k with n a Clifford--Lie superalgebra
     quo, proj = quotient_lsa(L, ideal_i)
-    n_rows = [project_to_quotient(proj, r) for r in gext.degree_block_embedded(lambda d: d >= 1)]
-    for c in range(vd):
-        n_rows.append(project_to_quotient(proj, gext.m_vector({c: Fraction(1)})))
-    n_sub = Subspace(quo.dim, n_rows)
+    # proj[i] is the image of basis slot i: n is spanned by the images of
+    # the slots of A-degree >= 1 and of the value slots
+    n_slots = [i for i in range(L.dim) if i >= gext.base_dim or cur.a_degree(i) >= 1]
+    n_sub = Subspace(quo.dim, [proj[i] for i in n_slots])
     # n is an ideal with central even part; k-copy is a complement subalgebra
     n_even = [r for r in n_sub.rows if all(not c or quo.parities[i] == 0 for i, c in enumerate(r))]
     clifford_ok = True
@@ -446,12 +441,7 @@ def verify_urad_theorem(
                 break
         if not clifford_ok:
             break
-    k_rows = []
-    for i in range(K.dim):
-        v = [Fraction(0)] * L.dim
-        v[cur.slot(A.unit, i)] = Fraction(1)
-        k_rows.append(project_to_quotient(proj, v))
-    k_sub = Subspace(quo.dim, k_rows)
+    k_sub = Subspace(quo.dim, [proj[cur.slot(A.unit, i)] for i in range(K.dim)])
     semidirect_ok = (
         k_sub.dim == K.dim
         and n_sub.dim + k_sub.dim == quo.dim

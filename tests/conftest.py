@@ -2,24 +2,32 @@ from fractions import Fraction
 
 import pytest
 
+from superlie.assoc import AssocSuperalgebra
 from superlie.linalg import Matrix
 from superlie.lsa import LieSuperalgebra, from_matrix_basis, make_lsa
 from superlie.scalars import Scalar
 
-_lsa_init = LieSuperalgebra.__init__
 
+def _with_full_sweep(cls, validate_pos):
+    """cls.__init__ that also runs the full sweep when called with
+    validate=False (the argument at position validate_pos after self)."""
+    init = cls.__init__
 
-def _init_with_full_sweep(self, *args, **kwargs):
-    """Algebras valid by construction (validate=False) get the full sweep too."""
-    _lsa_init(self, *args, **kwargs)
-    if not kwargs.get("validate", args[4] if len(args) > 4 else True):
-        self.validate()
+    def __init__(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not kwargs.get("validate", args[validate_pos] if len(args) > validate_pos else True):
+            self.validate()
+
+    return __init__
 
 
 # Installed on import, before any test module is collected, so that every
-# current algebra and central extension the suite builds, at collection time
-# or in a test, still passes parity, super antisymmetry and graded Jacobi.
-LieSuperalgebra.__init__ = _init_with_full_sweep
+# algebra valid by construction that the suite builds, at collection time or
+# in a test, still gets the full sweep: current algebras, central extensions
+# and Lie quotients (parity, super antisymmetry, graded Jacobi), associative
+# quotients (parity, unit, supercommutativity, associativity, grading).
+LieSuperalgebra.__init__ = _with_full_sweep(LieSuperalgebra, 4)
+AssocSuperalgebra.__init__ = _with_full_sweep(AssocSuperalgebra, 5)
 
 
 def sc(q=0, i=0):

@@ -6,11 +6,14 @@ import pytest
 
 from superlie.assoc import (
     AssocError,
+    AssocSuperalgebra,
     augmentation,
     graded_part,
     grassmann,
     quotient_assoc,
 )
+from superlie.linalg import Subspace
+from test_linalg import DenseEchelon
 
 
 def basis_index(A, name):
@@ -146,3 +149,100 @@ def test_graded_part_requires_grading():
     ungraded = type(A)(A.names, A.parities, A.table, A.unit, z_degrees=None, validate=False)
     with pytest.raises(AssocError):
         graded_part(ungraded, 1)
+
+
+def ungraded(A):
+    return AssocSuperalgebra(A.names, A.parities, A.table, A.unit, z_degrees=None, validate=False)
+
+
+# -- the dense quotient, full rows throughout: an oracle ------------------------
+
+
+def dense_quotient_assoc(A, ideal):
+    """quotient_assoc with dense products, a DenseEchelon ideal and the
+    constructor's full sweep on the result."""
+    n = A.dim
+    for i in range(n):
+        for row in ideal.rows:
+            if any(ideal.reduce(A.product(A._basis_vec(i), row))):
+                raise AssocError(f"not an ideal: product of basis {i} with an ideal element escapes")
+    if A.z_degrees is not None:
+        for row in ideal.rows:
+            for d in {A.z_degrees[k] for k, x in enumerate(row) if x}:
+                part = [x if A.z_degrees[k] == d else Fraction(0) for k, x in enumerate(row)]
+                if any(ideal.reduce(part)):
+                    raise AssocError("ideal is not graded")
+    keep = [i for i in range(n) if i not in ideal.pivots]
+    if A.unit in ideal.pivots:
+        raise AssocError("ideal contains the unit")
+    pos = {k: t for t, k in enumerate(keep)}
+
+    def project(vec):
+        v = ideal.reduce(vec)
+        return {pos[k]: v[k] for k in keep if v[k]}
+
+    table = {}
+    for a, i in enumerate(keep):
+        for b, j in enumerate(keep):
+            img = project(A.product(A._basis_vec(i), A._basis_vec(j)))
+            if img:
+                table[(a, b)] = img
+    degrees = [A.z_degrees[i] for i in keep] if A.z_degrees is not None else None
+    quo = AssocSuperalgebra(
+        [A.names[i] for i in keep], [A.parities[i] for i in keep], table, unit=pos[A.unit], z_degrees=degrees
+    )
+    proj_rows = []
+    for i in range(n):
+        img = project(A._basis_vec(i))
+        proj_rows.append([img.get(t, Fraction(0)) for t in range(len(keep))])
+    return quo, proj_rows
+
+
+def _cuts(A):
+    """graded_part(A, d) for each d, "plus", the tails of degree >= d and A itself."""
+    cuts = {f"degree {d}": graded_part(A, d) for d in range(max(A.z_degrees) + 1)}
+    cuts["plus"] = graded_part(A, "plus")
+    for d in range(2, max(A.z_degrees) + 1):
+        tail = [A._basis_vec(i) for i, e in enumerate(A.z_degrees) if e >= d]
+        cuts[f"degree >= {d}"] = Subspace(A.dim, tail)
+    cuts["all"] = Subspace(A.dim, [A._basis_vec(i) for i in range(A.dim)])
+    return cuts
+
+
+def _outcome(quotient, A, ideal):
+    try:
+        quo, proj = quotient(A, ideal)
+    except AssocError as exc:
+        return str(exc)
+    return (quo.names, quo.parities, quo.z_degrees, quo.unit, list(quo.table.items()), proj)
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_quotient_assoc_matches_dense_version(s):
+    seen = set()
+    for A in (grassmann(s), ungraded(grassmann(s))):
+        for name, ideal in _cuts(grassmann(s)).items():
+            got = _outcome(quotient_assoc, A, ideal)
+            assert got == _outcome(dense_quotient_assoc, A, DenseEchelon(ideal.rows)), name
+            seen.add(got if isinstance(got, str) else "quotient")
+    assert seen == {
+        "quotient",
+        "ideal contains the unit",
+        "not an ideal: product of basis 1 with an ideal element escapes",
+    }
+
+
+def test_quotient_assoc_rejects_ideal_that_is_not_parity_graded():
+    # I = span{e1 + e2^e3, e1^e2, e1^e3, e1^e2^e3} is a two-sided ideal of
+    # Lambda_3 that mixes degrees 1 and 2, hence parities
+    A = grassmann(3)
+    mixed = vec(A, e1=1, **{"e2^e3": 1})
+    ideal = Subspace(A.dim, [mixed] + [vec(A, **{m: 1}) for m in ("e1^e2", "e1^e3", "e1^e2^e3")])
+    assert ideal.dim == 4
+    for B in (A, ungraded(A)):
+        with pytest.raises(AssocError, match="ideal is not graded"):
+            quotient_assoc(B, ideal)
+    # the dense loop tests degrees only, so without them it took the ideal
+    # and sent the odd e1 to the even -e2^e3
+    quo, proj = dense_quotient_assoc(ungraded(A), DenseEchelon(ideal.rows))
+    assert quo.parities == (0, 1, 1, 0)

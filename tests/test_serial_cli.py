@@ -221,11 +221,20 @@ def test_cli_catalog_deterministic(capsys):
         ["report", "all", "--params", '{"catalog": [["su_n", 2, 3]]}'],
         ["report", "all", "--params", '{"catalog": "su_n"}'],
         ["report", "all", "--params", '[["su_n", 2]]'],
+        # validate: the algebra file holds the last argument
+        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+                     '"brackets": [{"i": 0, "j": 1, "value": ["x", "0"]}]}'],
+        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+                     '"brackets": [{"i": 0, "j": 1, "value": ["1/0", "0"]}]}'],
+        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+                     '"brackets": [{"i": 0, "j": 1, "value": [1, "0"]}]}'],
+        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+                     '"brackets": [{"i": "0", "j": 1, "value": ["1", "0"]}]}'],
     ],
 )
 def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
-    if argv[:2] == ["report", "all"]:
-        params = tmp_path / "sweep.json"
+    if argv[:2] == ["report", "all"] or argv[0] == "validate":
+        params = tmp_path / "input.json"
         params.write_text(argv[-1])
         argv = argv[:-1] + [str(params)]
     assert main(argv) == 2
@@ -236,6 +245,8 @@ def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if argv[:2] == ["report", "all"]:
         assert " at $" in lines[0]  # names the JSON path
+    if argv[0] == "validate":
+        assert " at $.brackets[0]" in lines[0]
 
 
 def test_star_import_resolves_every_public_name():

@@ -296,6 +296,19 @@ def test_kernel_theorem_all_families(su21, psu22, pq3):
             assert rep["meets_one_k_only_in_m"]
 
 
+def test_extend_current_validates_each_cocycle_once(psu22, monkeypatch):
+    # eta_cocycle/xi_cocycle validate each component as they build it; the
+    # extension by the assembled omega does not validate it again
+    from superlie import cohomology
+
+    calls = []
+    witness = cohomology._cocycle_witness
+    monkeypatch.setattr(cohomology, "_cocycle_witness", lambda *args: calls.append(1) or witness(*args))
+    rep = verify_kernel_theorem(psu22, 2)
+    assert rep["value_dim"] == 17 and rep["contains_lambda_plus_k"]
+    assert len(calls) == 17
+
+
 def test_kernel_theorem_rejects_even(su2):
     with pytest.raises(UniradError):
         verify_kernel_theorem(su2, 1)
