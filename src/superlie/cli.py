@@ -52,11 +52,16 @@ class UsageError(ValueError):
 
 
 def _parse_catalog_ref(text: str):
-    """catalog:family:params or family:params; returns (family, params)."""
+    """catalog:family:params or family:params; returns (family, params), or
+    None for text that names no family and is not marked catalog:."""
     parts = text.split(":")
-    if parts[0] == "catalog":
+    explicit = parts[0] == "catalog"
+    if explicit:
         parts = parts[1:]
     if not parts or parts[0] not in FAMILIES:
+        if explicit:
+            family = parts[0] if parts else ""
+            raise UsageError(f"unknown catalog family {family!r} in {text!r} (known: {', '.join(FAMILIES)})")
         return None
     chunks = parts[1].split(",") if len(parts) > 1 else []
     try:
@@ -152,6 +157,8 @@ def cmd_current(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.max_dim < 1:
+        raise UsageError(f"cohomology {args.action} needs --max-dim >= 1, got {args.max_dim}")
     entry, K = _load_k(args.k)
     if args.action in ("z2", "h2"):
         if args.A:

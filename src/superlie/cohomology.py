@@ -39,6 +39,7 @@ from .lsa import (
     _invariance_terms,
     form_parity,
     form_report,
+    generating_set,
     structure_report,
 )
 
@@ -136,10 +137,12 @@ def _derivation_identity(L: LieSuperalgebra, parity: int):
     return partial(_derivation_terms, L, _bracket_index(L), parity), triples
 
 
-def _centroid_identity(L: LieSuperalgebra):
-    """(terms, triples) of the centroid rule: all ordered (i, j, m)."""
+def _centroid_identity(L: LieSuperalgebra, right: Sequence[int]):
+    """(terms, triples) of the centroid rule on the ordered (i, j, m) with j
+    in right, lexicographic; right = range(L.dim) gives the full sweep."""
+    n = L.dim
     terms = partial(_centroid_terms, L, _bracket_index(L)[0])
-    return terms, product(range(L.dim), repeat=3)
+    return terms, [(i, j, m) for i in range(n) for j in right for m in range(n)]
 
 
 def _reached_triples(L: LieSuperalgebra, X: Matrix, derivation: bool) -> list[tuple]:
@@ -177,7 +180,7 @@ def _derivation_witness(L: LieSuperalgebra, D: Matrix, parity: int) -> tuple | N
 
 
 def _centroid_witness(L: LieSuperalgebra, S: Matrix) -> tuple | None:
-    terms, _ = _centroid_identity(L)
+    terms, _ = _centroid_identity(L, ())
     return _first_violation(terms, _reached_triples(L, S, False), S)
 
 
@@ -195,8 +198,15 @@ def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
 
 
 def centroid(L: LieSuperalgebra) -> EndSpace:
-    """Endomorphisms with gamma[a,b] = [gamma(a), b] on all pairs."""
-    return EndSpace(*(_solve_end_space(L, p, *_centroid_identity(L)) for p in (0, 1)))
+    """Endomorphisms with gamma[a,b] = [gamma(a), b] on all pairs.
+
+    Solved on the pairs whose right argument lies in a generating set of L:
+    the rule says gamma commutes with R_y = [., y], and by graded Jacobi
+    R_[y,z] = R_z R_y - (-1)^{|y||z|} R_y R_z, so the y it holds for form a
+    subalgebra, all of L once it holds on the generators.
+    """
+    identity = _centroid_identity(L, generating_set(L, range(L.dim)))
+    return EndSpace(*(_solve_end_space(L, p, *identity) for p in (0, 1)))
 
 
 # -- the star involution ------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Validation (super antisymmetry, parity, graded Jacobi), matrix-basis
 ingestion, invariant forms, ideal saturation, graded quotients and module
-generation.  make_lsa (files, user tables, catalog builds) runs the full
-sweep; current_lsa, central_extension and quotient_lsa are valid by
-construction, build with validate=False and check only what they add (a
+generation.  make_lsa (files, user tables) runs the full sweep;
+from_matrix_basis, current_lsa, central_extension and quotient_lsa are valid
+by construction, build with validate=False and check only what they add (a
+matrix basis is checked for block-homogeneity, independence and closure; a
 quotient checks that its ideal is graded and closed under brackets).
 Everything is immutable after construction and purely functional, so
 operations are safe to run concurrently.
@@ -236,6 +237,21 @@ def super_matrix_bracket(X: Matrix, Y: Matrix, px: int, py: int) -> Matrix:
     return Matrix(_sparse_products([(1, X, Y), (sign, Y, X)], X.nrows, X.ncols))
 
 
+def _check_homogeneous(mats: Sequence[Matrix], parities: Sequence[int], block_sizes: tuple[int, int], names):
+    """Each matrix is (p+q) x (p+q) with its nonzero entries in the blocks of
+    its declared parity: the diagonal blocks if even, the off-diagonal if odd."""
+    p, q = block_sizes
+    mpar = [0] * p + [1] * q
+    size = p + q
+    for M, par, name in zip(mats, parities, names):
+        if M.shape != (size, size):
+            raise LsaError(f"matrix {name} is not {size}x{size}, as block sizes {block_sizes} ask")
+        for r, c in _support(M):
+            if mpar[r] ^ mpar[c] != par:
+                kind = "odd" if par else "even"
+                raise LsaError(f"matrix {name} is declared {kind} but has a nonzero entry at ({r},{c})")
+
+
 def from_matrix_basis(
     mats: Sequence[Matrix],
     parities: Sequence[int],
@@ -246,25 +262,41 @@ def from_matrix_basis(
 
     Structure constants are the exact rational coordinates of the matrix
     brackets in the given basis; the realization is kept on the result.
+    Checked: each matrix is block-homogeneous of its declared parity, the
+    basis is linearly independent and every bracket has coordinates in it.
+    Then the table is that of a sub-superalgebra of gl(p|q), where graded
+    Jacobi and super antisymmetry hold, so no sweep runs: the pairs i > j
+    are filled by antisymmetry, which is exact for homogeneous matrices.
     """
     nb = len(mats)
     if names is None:
         names = [f"E{i + 1}" for i in range(nb)]
+    if not len(names) == len(parities) == nb:
+        raise LsaError("matrices, parities and names must have matching lengths")
+    parities = [int(p) % 2 for p in parities]
+    _check_homogeneous(mats, parities, block_sizes, names)
     try:
         coords_of = basis_coordinates(mats)
     except ValueError:
         raise LsaError("matrices are linearly dependent over R") from None
 
+    # row-major insertion order, as the all-pairs loop would give
     table: dict[tuple[int, int], Coordvec] = {}
     for i in range(nb):
         for j in range(nb):
+            if i > j:
+                upper = table.get((j, i))
+                if upper:
+                    sign = 1 if parities[i] and parities[j] else -1
+                    table[(i, j)] = {t: sign * c for t, c in upper.items()}
+                continue
             B = super_matrix_bracket(mats[i], mats[j], parities[i], parities[j])
             if not B.is_zero():
                 coords = coords_of(B)
                 if coords is None:
                     raise LsaError(f"bracket ({names[i]},{names[j]}) leaves the span of the basis")
                 table[(i, j)] = {t: c for t, c in enumerate(coords) if c}
-    return make_lsa(names, parities, table, MatrixRealization(mats, block_sizes))
+    return LieSuperalgebra(names, parities, table, MatrixRealization(mats, block_sizes), validate=False)
 
 
 # -- bilinear forms ----------------------------------------------------------
@@ -463,6 +495,33 @@ def _saturate(n: int, seeds: Iterable, maps: Sequence) -> Subspace:
                     next_fresh.append(w)
         fresh = next_fresh
     return builder.subspace()
+
+
+def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
+    """Candidate basis indices, taken greedily in order, that generate L.
+
+    e_j joins unless it lies in the subalgebra generated so far: the span of
+    the e_g taken, saturated under each ad e_g (by graded Jacobi the brackets
+    [e_g1, [e_g2, ... e_gk]] span it).  The loop stops once that closure is L;
+    if the candidates run out first, LsaError names a basis element outside.
+    """
+    n = L.dim
+    gens: list[int] = []
+    closure = Subspace(n)
+    for j in candidates:
+        if closure.dim == n:
+            break
+        if not closure.contains_vector({j: Fraction(1)}):
+            gens.append(j)
+            maps = [partial(L._sparse_left_bracket, g) for g in gens]
+            closure = _saturate(n, ({g: Fraction(1)} for g in gens), maps)
+    if closure.dim < n:
+        outside = next(j for j in range(n) if not closure.contains_vector({j: Fraction(1)}))
+        raise LsaError(
+            f"{{{', '.join(L.names[g] for g in gens)}}} generates a subalgebra of dimension "
+            f"{closure.dim} < {n}: {L.names[outside]} lies outside it"
+        )
+    return gens
 
 
 def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:

@@ -72,16 +72,30 @@ def algebra_to_json(L: LieSuperalgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> LieSuperalgebra:
+    if not isinstance(data, dict):
+        raise SchemaError("expected a JSON object at $")
     for key in ("names", "parities", "brackets"):
         if key not in data:
             raise SchemaError(f"algebra JSON misses required key {key!r} at $.{key}")
     names = data["names"]
     parities = data["parities"]
+    brackets = data["brackets"]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise SchemaError("expected a list of name strings at $.names")
+    if not isinstance(parities, list):
+        raise SchemaError("expected a list of parities at $.parities")
+    for t, p in enumerate(parities):
+        if type(p) is not int or p not in (0, 1):
+            raise SchemaError(f"expected parity 0 or 1 at $.parities[{t}]")
     if len(names) != len(parities):
         raise SchemaError("names and parities lengths differ at $.parities")
+    if not isinstance(brackets, list):
+        raise SchemaError("expected a list of bracket entries at $.brackets")
     n = len(names)
     table = {}
-    for t, entry in enumerate(data["brackets"]):
+    for t, entry in enumerate(brackets):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"expected an object at $.brackets[{t}]")
         for key in ("i", "j", "value"):
             if key not in entry:
                 raise SchemaError(f"bracket entry misses {key!r} at $.brackets[{t}]")

@@ -28,6 +28,7 @@ from superlie.cohomology import (
     _hochschild_witness,
     _kernel_parity,
     _skew_witness,
+    _solve_end_space,
     b2_space,
     central_extension,
     centroid,
@@ -109,6 +110,14 @@ def test_su2_centroid_scalar(su2k):
 
 def test_abelian_centroid_full():
     assert centroid(abelian(2)).dim == 4
+
+
+def test_centroid_rows_need_a_generating_set(su2k):
+    # rows for j = e1 alone leave every polynomial in ad e1 standing; with
+    # e1, e2 (which generate su(2)) only the scalars survive
+    L, _ = su2k
+    assert len(_solve_end_space(L, 0, *_centroid_identity(L, [0]))) > 1
+    assert len(_solve_end_space(L, 0, *_centroid_identity(L, [0, 1]))) == 1
 
 
 # -- star involution -----------------------------------------------------------
@@ -1018,7 +1027,7 @@ def test_derivation_and_centroid_checks_match_dense_sweep(identity_entry):
             assert _derivation_witness(L, X, p) == want
             assert is_derivation(L, X, p) == (want is None)
             want = dense_centroid_witness(L, X)
-            assert _first_violation(*_centroid_identity(L), X) == want
+            assert _first_violation(*_centroid_identity(L, range(L.dim)), X) == want
             assert _centroid_witness(L, X) == want
             assert in_centroid(L, X) == (want is None)
             der_verdicts.add(is_derivation(L, X, p))
@@ -1161,7 +1170,7 @@ def test_identity_rows_match_accumulation(identity_entry):
         assert _identity_rows(*_derivation_identity(L, p), columns) == want
         assert der_basis == end_kernel(L, unknowns, want)
         want = accumulated_centroid_rows(L, p, index)
-        assert row_items(_identity_rows(*_centroid_identity(L), columns)) == row_items(want)
+        assert row_items(_identity_rows(*_centroid_identity(L, range(L.dim)), columns)) == row_items(want)
         assert cent_basis == end_kernel(L, unknowns, want)
     pb = PairBasis(L, skew=False)
     want = accumulated_invariance_rows(L, pb)

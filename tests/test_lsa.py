@@ -14,6 +14,7 @@ from superlie.lsa import (
     form_report,
     from_matrix_basis,
     generated_submodule,
+    generating_set,
     ideal_closure,
     make_lsa,
     quotient_lsa,
@@ -106,6 +107,40 @@ def test_from_matrix_basis_dependence_error():
     with pytest.raises(LsaError) as err:
         from_matrix_basis([is1, is1.scale(Fraction(2))], [0, 0], (2, 0))
     assert "dependent" in str(err.value)
+
+
+def test_from_matrix_basis_rejects_blocks_against_declared_parity():
+    # gl(1|1): diagonal blocks even, off-diagonal odd
+    h = smatrix([[1, 0], [0, 1]])
+    x = smatrix([[0, 1], [0, 0]])
+    y = smatrix([[0, 0], [1, 0]])
+    assert from_matrix_basis([h, x, y], [0, 1, 1], (1, 1)).bracket_basis(1, 2) == {0: Fraction(1)}
+    with pytest.raises(LsaError, match=r"matrix x is declared even but has a nonzero entry at \(0,1\)"):
+        from_matrix_basis([h, x, y], [0, 0, 1], (1, 1), names=["h", "x", "y"])
+    with pytest.raises(LsaError, match=r"matrix h is declared odd but has a nonzero entry at \(0,0\)"):
+        from_matrix_basis([h, x, y], [1, 1, 1], (1, 1), names=["h", "x", "y"])
+    # the same matrices are all even once both slots are even
+    with pytest.raises(LsaError, match=r"matrix x is declared odd but has a nonzero entry at \(0,1\)"):
+        from_matrix_basis([h, x, y], [0, 1, 1], (2, 0), names=["h", "x", "y"])
+    with pytest.raises(LsaError, match="is not 3x3"):
+        from_matrix_basis([h, x, y], [0, 1, 1], (1, 2))
+
+
+def test_generating_set_greedy_and_refuses_proper_subalgebra(su2):
+    assert generating_set(su2, range(3)) == [0, 1]  # [e1, e2] = e3
+    assert generating_set(su2, [2, 0, 1]) == [2, 0]
+    with pytest.raises(LsaError, match=r"\{e1\} generates a subalgebra of dimension 1 < 3: e2 lies outside it"):
+        generating_set(su2, [0])
+    # gl(1|1) without its odd part: the even part is a proper subalgebra
+    h = smatrix([[1, 0], [0, 1]])
+    k = smatrix([[1, 0], [0, -1]])
+    x = smatrix([[0, 1], [0, 0]])
+    y = smatrix([[0, 0], [1, 0]])
+    L = from_matrix_basis([h, k, x, y], [0, 0, 1, 1], (1, 1), names=["h", "k", "x", "y"])
+    assert generating_set(L, range(4)) == [0, 1, 2, 3]
+    with pytest.raises(LsaError, match=r"\{h, k\} generates a subalgebra of dimension 2 < 4: x lies outside"):
+        generating_set(L, L.even_indices)
+    assert generating_set(L, [2, 3, 0, 1]) == [2, 3, 1]  # [x, y] = h
 
 
 def test_killing_form_su2_matrix(su2_matrix):

@@ -221,18 +221,30 @@ def test_cli_catalog_deterministic(capsys):
         ["report", "all", "--params", '{"catalog": [["su_n", 2, 3]]}'],
         ["report", "all", "--params", '{"catalog": "su_n"}'],
         ["report", "all", "--params", '[["su_n", 2]]'],
-        # validate: the algebra file holds the last argument
-        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+        # validate: the algebra file holds the last argument, the JSON path
+        # the error must name the one before it
+        ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
                      '"brackets": [{"i": 0, "j": 1, "value": ["x", "0"]}]}'],
-        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+        ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
                      '"brackets": [{"i": 0, "j": 1, "value": ["1/0", "0"]}]}'],
-        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+        ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
                      '"brackets": [{"i": 0, "j": 1, "value": [1, "0"]}]}'],
-        ["validate", '{"names": ["a", "b"], "parities": [0, 0], '
+        ["validate", "$.brackets[0]", '{"names": ["a", "b"], "parities": [0, 0], '
                      '"brackets": [{"i": "0", "j": 1, "value": ["1", "0"]}]}'],
+        ["validate", "$.parities[0]", '{"names": ["a", "b"], "parities": ["x", 0], "brackets": []}'],
+        ["validate", "$.brackets[0]", '{"names": ["a", "b"], "parities": [0, 0], "brackets": [5]}'],
+        ["validate", "$.names", '{"names": "ab", "parities": [0, 0], "brackets": []}'],
+        ["current", "--A", "grassmann:1", "--k", "catalog:nofam:2"],
+        ["cohomology", "h2", "--k", "catalog:su_n:2", "--max-dim", "0"],
+        ["cohomology", "z2", "--k", "catalog:su_n:2", "--max-dim", "-1"],
+        ["cohomology", "verify-cor1", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--max-dim", "0"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
+    json_path = None
+    if argv[0] == "validate":
+        json_path = argv[1]
+        argv = argv[:1] + argv[2:]
     if argv[:2] == ["report", "all"] or argv[0] == "validate":
         params = tmp_path / "input.json"
         params.write_text(argv[-1])
@@ -245,8 +257,10 @@ def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if argv[:2] == ["report", "all"]:
         assert " at $" in lines[0]  # names the JSON path
-    if argv[0] == "validate":
-        assert " at $.brackets[0]" in lines[0]
+    if json_path is not None:
+        assert f" at {json_path}" in lines[0]
+    if "catalog:nofam:2" in argv:
+        assert "unknown catalog family 'nofam'" in lines[0] and "su_n" in lines[0]
 
 
 def test_star_import_resolves_every_public_name():

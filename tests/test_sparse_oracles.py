@@ -2,10 +2,12 @@
 
 The oracles below are the dense versions these paths replaced: the n^3
 matrix product, the super bracket as two products and a sum, the supertrace
-form through the full product, and the checks of the derivation rule, the
-centroid rule and invariance over every triple.  Products must agree in
-value and in entry type (Fraction against Scalar); checks must agree in
-verdict and in the first violated triple.
+form through the full product, the checks of the derivation rule, the
+centroid rule and invariance over every triple, the centroid solved over
+every triple, and the structure constants of a matrix basis from every
+ordered pair.  Products must agree in value and in entry type (Fraction
+against Scalar); checks must agree in verdict and in the first violated
+triple; solves and tables must agree entry for entry and in order.
 """
 
 import random
@@ -15,6 +17,8 @@ from itertools import product
 
 import pytest
 
+from conftest import abelian, su2_cyclic
+from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
 from superlie.clifford import gamma_rep
 from superlie.cohomology import (
@@ -22,18 +26,22 @@ from superlie.cohomology import (
     _centroid_witness,
     _derivation_identity,
     _derivation_witness,
+    _solve_end_space,
     centroid,
     derivation_space,
     in_centroid,
     is_derivation,
 )
-from superlie.linalg import Matrix, _first_violation, _preimages
+from superlie.current import current_lsa
+from superlie.linalg import Matrix, _first_violation, _preimages, basis_coordinates
 from superlie.lsa import (
     BilinearForm,
     _invariance_terms,
     _invariance_witness,
     build_form,
     form_report,
+    generating_set,
+    make_lsa,
     super_matrix_bracket,
 )
 from superlie.scalars import Scalar
@@ -122,6 +130,30 @@ def test_products_match_dense_on_catalog_realizations(realizations):
                 super_matrix_bracket(X, Y, par[i], par[j]), dense_super_bracket(X, Y, par[i], par[j])
             )
         assert_same_entries(build_form(L, "supertrace").gram, dense_supertrace_gram(L))
+
+
+def all_pairs_table(L):
+    """Structure constants of L's matrix basis from the dense super bracket
+    of every ordered pair, in row-major order."""
+    mats, par = L.realization.mats, L.parities
+    coords_of = basis_coordinates(mats)
+    table = {}
+    for i, j in product(range(L.dim), repeat=2):
+        B = dense_super_bracket(mats[i], mats[j], par[i], par[j])
+        if not B.is_zero():
+            table[(i, j)] = {t: c for t, c in enumerate(coords_of(B)) if c}
+    return table
+
+
+def table_items(L):
+    return [(pair, list(vec.items())) for pair, vec in L.brackets.items()]
+
+
+def test_matrix_builds_match_all_pairs_table(realizations):
+    for L in realizations.values():
+        # make_lsa runs the full graded-Jacobi sweep on the all-pairs table
+        want = make_lsa(L.names, L.parities, all_pairs_table(L))
+        assert table_items(L) == table_items(want)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -214,8 +246,42 @@ def test_derivation_and_centroid_checks_match_full_sweep(catalog_entry):
             assert is_derivation(L, X, p) == (want is None)
             assert want is None or want[0] <= want[1]
             der_verdicts.add(want is None)
-            want = _first_violation(*_centroid_identity(L), X)
+            want = _first_violation(*_centroid_identity(L, range(L.dim)), X)
             assert _centroid_witness(L, X) == want
             assert in_centroid(L, X) == (want is None)
             cent_verdicts.add(want is None)
     assert der_verdicts == cent_verdicts == {True, False}
+
+
+# -- the centroid over a generating set ---------------------------------------------
+
+
+def full_triple_centroid(L):
+    """The centroid solved on every ordered triple (i, j, m)."""
+    identity = _centroid_identity(L, range(L.dim))
+    return [_solve_end_space(L, p, *identity) for p in (0, 1)]
+
+
+def assert_centroid_matches_full_solve(L):
+    cent = centroid(L)
+    assert [cent.even, cent.odd] == full_triple_centroid(L)
+
+
+def test_centroid_matches_full_triple_solve(catalog_entry):
+    L = catalog_entry.algebra
+    assert len(generating_set(L, range(L.dim))) < L.dim
+    assert_centroid_matches_full_solve(L)
+
+
+def test_centroid_matches_full_triple_solve_on_su_pp(realizations):
+    for p in (2, 3):  # the carriers of psu(p|p), with a centre
+        assert_centroid_matches_full_solve(realizations[("su_pq", p, p)])
+
+
+def test_centroid_matches_full_triple_solve_abelian_and_current():
+    L = abelian(2)
+    assert generating_set(L, range(L.dim)) == [0, 1]  # nothing brackets: every index
+    assert_centroid_matches_full_solve(L)
+    L = current_lsa(grassmann(2), su2_cyclic()).algebra
+    assert len(generating_set(L, range(L.dim))) < L.dim
+    assert_centroid_matches_full_solve(L)
