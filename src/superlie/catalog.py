@@ -497,8 +497,8 @@ def build_q_n(n: int) -> CatalogEntry:
     )
 
 
-def build_pq_n(n: int, _allow_small: bool = False) -> CatalogEntry:
-    if n <= 2 and not _allow_small:
+def build_pq_n(n: int) -> CatalogEntry:
+    if n <= 2:
         raise CatalogError("pq_n needs n > 2")
     pre = build_q_n(n)
     # odd outer derivation: super-ad of Delta = [[0, 1],[i 1, 0]]

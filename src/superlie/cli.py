@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .assoc import grassmann
+from .assoc import AssocError, grassmann
 from .catalog import FAMILIES, CatalogError, build_catalog, verify_catalog_facts
 from .clifford import (
     CliffordError,
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, SchemaError, CatalogError) as exc:
+    except (UsageError, SchemaError, CatalogError, AssocError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (LsaError, CohomologyError, UniradError) as exc:

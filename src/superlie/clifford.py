@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, solve_linear, sparse_kernel, symmetric_diagonalize
-from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram
+from .linalg import Matrix, Subspace, _identity_rows, solve_linear, sparse_kernel, symmetric_diagonalize
+from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram, super_matrix_bracket
 from .scalars import Field, Scalar, zeta8
 
 _I = Scalar.i()
@@ -185,8 +185,6 @@ def _unit_gammas(n: int) -> tuple[list[Matrix], Matrix]:
     """Standard Gamma_i with entries in {0, +-1, +-i}; also the chirality."""
     X, Y, Z = _pauli()
     k = n // 2
-    size = 2**k
-    eye = Matrix([[_ONE if i == j else Scalar() for j in range(size)] for i in range(size)])
 
     def tensor_chain(factors):
         M = factors[0]
@@ -207,6 +205,17 @@ def _unit_gammas(n: int) -> tuple[list[Matrix], Matrix]:
 
 def _id2() -> Matrix:
     return Matrix([[_ONE, Scalar()], [Scalar(), _ONE]])
+
+
+def _combination(size: int, terms) -> Matrix:
+    """sum c * M over the pairs (c, M), entries starting at Scalar()."""
+    out = [[Scalar() for _ in range(size)] for _ in range(size)]
+    for c, M in terms:
+        for a, row in enumerate(M.rows):
+            for b, v in enumerate(row):
+                if v:
+                    out[a][b] = out[a][b] + c * v
+    return Matrix(out)
 
 
 class CliffordRep:
@@ -233,26 +242,15 @@ class CliffordRep:
     def validate(self):
         n = self.n
         size = self.space_dim
-        zero = Matrix([[Scalar() for _ in range(size)] for _ in range(size)])
         for i in range(n):
             gi = self.matrices[i]
             if gi.conj_transpose() != gi:
                 raise CliffordError(f"gamma_{i + 1} is not symmetric for the inner product")
             for j in range(i, n):
-                gj = self.matrices[j]
-                anti = gi @ gj + gj @ gi
-                target = zero
-                if i == j:
-                    target = Matrix(
-                        [
-                            [
-                                Scalar.from_rational(2 * self.mu_diag[i]) if a == b else Scalar()
-                                for b in range(size)
-                            ]
-                            for a in range(size)
-                        ]
-                    )
-                if anti != target:
+                # gamma_i gamma_j + gamma_j gamma_i = 2 mu_i delta_ij
+                anti = super_matrix_bracket(gi, self.matrices[j], 1, 1).rows
+                two_mu = 2 * self.mu_diag[i] if i == j else 0
+                if any(anti[a][b] != (two_mu if a == b else 0) for a in range(size) for b in range(size)):
                     raise CliffordError(f"anticommutation fails at ({i + 1},{j + 1})")
             if self.graded:
                 for a in range(size):
@@ -273,16 +271,7 @@ class CliffordRep:
         return Field(sorted(rads), has_i)
 
     def apply_vector(self, coords: Sequence) -> Matrix:
-        size = self.space_dim
-        out = [[Scalar() for _ in range(size)] for _ in range(size)]
-        for i, c in enumerate(coords):
-            if c:
-                for a in range(size):
-                    for b in range(size):
-                        v = self.matrices[i].rows[a][b]
-                        if v:
-                            out[a][b] = out[a][b] + c * v
-        return Matrix(out)
+        return _combination(self.space_dim, ((c, self.matrices[i]) for i, c in enumerate(coords) if c))
 
     def __repr__(self):
         return f"CliffordRep(n={self.n}, dim {self.space_dim})"
@@ -331,49 +320,34 @@ def _split_complex_commutant(rep: CliffordRep, block: str) -> int:
     """
     size = rep.space_dim
     unit, _ = _unit_gammas(rep.n)
-    allowed = []
+    columns = {}  # (r, c) -> (unknown, False); X[r][c] = x[2t] + i x[2t + 1]
     for r in range(size):
         for c in range(size):
             same = rep.grading[r] == rep.grading[c]
-            if block == "diag" and not same:
-                continue
-            if block == "off" and same:
-                continue
-            allowed.append((r, c))
-    pos = {rc: 2 * t for t, rc in enumerate(allowed)}  # +1 for imaginary part
+            if block == "all" or same == (block == "diag"):
+                columns[(r, c)] = (len(columns), False)
+    # the nonzeros of each monomial unit gamma, by row and by column
+    by_row = [[[(k, v) for k, v in enumerate(row) if v] for row in G.rows] for G in unit]
+    by_col = [[[(k, v) for k, v in enumerate(col) if v] for col in zip(*G.rows)] for G in unit]
+
+    def terms(g: int, r: int, c: int):
+        """(X G - G X)[r][c] = sum_k X[r][k] G[k][c] - G[r][k] X[k][c]."""
+        for k, v in by_col[g][c]:
+            yield v, r, k
+        for k, v in by_row[g][r]:
+            yield -v, k, c
+
+    triples = ((g, r, c) for g in range(len(unit)) for r in range(size) for c in range(size))
     rows = []
-    for G in unit:
-        for r in range(size):
-            for c in range(size):
-                # (X G - G X)[r][c] = 0, split into real and imaginary parts
-                row_re: dict[int, Fraction] = {}
-                row_im: dict[int, Fraction] = {}
-                for k in range(size):
-                    v = G.rows[k][c]
-                    if v and (r, k) in pos:
-                        re, im = v.coeff(1, 0), v.coeff(1, 1)
-                        base = pos[(r, k)]
-                        if re:
-                            row_re[base] = row_re.get(base, Fraction(0)) + re
-                            row_im[base + 1] = row_im.get(base + 1, Fraction(0)) + re
-                        if im:
-                            row_re[base + 1] = row_re.get(base + 1, Fraction(0)) - im
-                            row_im[base] = row_im.get(base, Fraction(0)) + im
-                    w = G.rows[r][k]
-                    if w and (k, c) in pos:
-                        re, im = w.coeff(1, 0), w.coeff(1, 1)
-                        base = pos[(k, c)]
-                        if re:
-                            row_re[base] = row_re.get(base, Fraction(0)) - re
-                            row_im[base + 1] = row_im.get(base + 1, Fraction(0)) - re
-                        if im:
-                            row_re[base + 1] = row_re.get(base + 1, Fraction(0)) + im
-                            row_im[base] = row_im.get(base, Fraction(0)) - im
-                for row in (row_re, row_im):
-                    row = {k: v for k, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-    ker = sparse_kernel(rows, 2 * len(allowed))
+    for row in _identity_rows(terms, triples, columns):
+        # v (x_re + i x_im) = (a x_re - b x_im) + i (b x_re + a x_im), v = a + i b
+        re, im = {}, {}
+        for t, v in row.items():
+            a, b = v.coeff(1, 0), v.coeff(1, 1)
+            re[2 * t], re[2 * t + 1] = a, -b
+            im[2 * t], im[2 * t + 1] = b, a
+        rows += [{k: x for k, x in part.items() if x} for part in (re, im)]
+    ker = sparse_kernel(rows, 2 * len(columns))
     if len(ker) % 2:
         raise CliffordError("commutant computation lost the complex structure")
     return len(ker) // 2
@@ -536,17 +510,7 @@ class LambdaRep:
         return Matrix([[z8 * x for x in row] for row in base.rows])
 
     def chi(self, vec: Sequence) -> Matrix:
-        size = self.space_dim
-        out = [[Scalar() for _ in range(size)] for _ in range(size)]
-        for i, c in enumerate(vec):
-            if c:
-                M = self.chi_basis(i)
-                for a in range(size):
-                    for b in range(size):
-                        v = M.rows[a][b]
-                        if v:
-                            out[a][b] = out[a][b] + c * v
-        return Matrix(out)
+        return _combination(self.space_dim, ((c, self.chi_basis(i)) for i, c in enumerate(vec) if c))
 
     def _quotient_coords(self, odd_coords: Sequence) -> list:
         """Coordinates of the image in the diagonalized quotient basis."""
@@ -582,24 +546,13 @@ def lambda_admissible_rep(N: CliffordLieSuperalgebra, lam: Sequence) -> LambdaRe
 def _verify_lambda_rep(rep: LambdaRep):
     L = rep.N.algebra
     n = L.dim
-    size = rep.space_dim
     chis = [rep.chi_basis(i) for i in range(n)]
-    zero = Matrix([[Scalar() for _ in range(size)] for _ in range(size)])
     for i in range(n):
         for j in range(i, n):
             lhs = rep.chi(
                 L.bracket(L.basis_vector(i), L.basis_vector(j))
             )
-            sign = -1 if L.parities[i] and L.parities[j] else 1
-            rhs_rows = []
-            A, B = chis[i], chis[j]
-            AB = A @ B
-            BA = B @ A
-            for a in range(size):
-                rhs_rows.append(
-                    [AB.rows[a][b] - sign * BA.rows[a][b] for b in range(size)]
-                )
-            if lhs != Matrix(rhs_rows):
+            if lhs != super_matrix_bracket(chis[i], chis[j], L.parities[i], L.parities[j]):
                 raise CliffordError(f"homomorphism contract fails at ({i},{j})")
     # unitarity: <chi(X)u, v> = <u, -i^{|X|} chi(X) v> for <u, v> = sum u conj(v)
     for i in range(n):
@@ -615,7 +568,7 @@ def _verify_lambda_rep(rep: LambdaRep):
         vec = [Fraction(0)] * n
         for t, c in enumerate(r):
             vec[odd[t]] = c
-        if rep.chi(vec) != zero:
+        if not rep.chi(vec).is_zero():
             raise CliffordError("a radical element fails to act by zero")
     # -i chi([x,x]) is PSD for every odd basis x
     for i in odd:
@@ -628,38 +581,10 @@ def _verify_lambda_rep(rep: LambdaRep):
 
 def hermitian_psd(H: Matrix) -> bool:
     """Exact PSD test for a Hermitian matrix over the tower."""
-    n = H.nrows
     if H.conj_transpose() != H:
         raise CliffordError("hermitian_psd expects a Hermitian matrix")
-    h = [[_scalarize(x) for x in row] for row in H.rows]
-    active = list(range(n))
-    while active:
-        piv = None
-        for i in active:
-            d = h[i][i]
-            if d:
-                if d.sign() < 0:
-                    return False
-                piv = i
-                break
-        if piv is None:
-            return all(not h[i][j] for i in active for j in active)
-        active.remove(piv)
-        d = h[piv][piv]
-        for a in active:
-            c = h[piv][a]
-            if not c:
-                continue
-            for b in active:
-                h[a][b] = h[a][b] - c.conjugate() * h[piv][b] / d
-        for b in active:
-            h[piv][b] = Scalar()
-            h[b][piv] = Scalar()
-    return True
-
-
-def _scalarize(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar.from_rational(x)
+    _pairs, _radical, witness = symmetric_diagonalize(H)
+    return witness is None
 
 
 def phase_adjust(T: Matrix, grading: Sequence[int]) -> Matrix:
@@ -676,4 +601,4 @@ def phase_adjust(T: Matrix, grading: Sequence[int]) -> Matrix:
     if not has_odd:
         return T
     z8 = zeta8()
-    return Matrix([[z8 * _scalarize(x) if x else _scalarize(x) for x in row] for row in T.rows])
+    return Matrix([[z8 * x if x else Scalar() for x in row] for row in T.rows])

@@ -130,11 +130,12 @@ def _derivation_terms(L: LieSuperalgebra, index: tuple, parity: int, i: int, j: 
         yield (c if odd else -c), l, j
 
 
-def _derivation_identity(L: LieSuperalgebra, parity: int):
-    """(terms, triples) of the derivation rule: (i, j, m) with i <= j."""
+def _derivation_identity(L: LieSuperalgebra, parity: int, right: Sequence[int]):
+    """(terms, triples) of the derivation rule on the ordered (i, j, m) with
+    j in right, lexicographic."""
     n = L.dim
-    triples = ((i, j, m) for i in range(n) for j in range(i, n) for m in range(n))
-    return partial(_derivation_terms, L, _bracket_index(L), parity), triples
+    terms = partial(_derivation_terms, L, _bracket_index(L), parity)
+    return terms, [(i, j, m) for i in range(n) for j in right for m in range(n)]
 
 
 def _centroid_identity(L: LieSuperalgebra, right: Sequence[int]):
@@ -175,7 +176,8 @@ def _reached_triples(L: LieSuperalgebra, X: Matrix, derivation: bool) -> list[tu
 
 
 def _derivation_witness(L: LieSuperalgebra, D: Matrix, parity: int) -> tuple | None:
-    terms, _ = _derivation_identity(L, parity)
+    """First violated triple of the full sweep over (i, j, m) with i <= j."""
+    terms, _ = _derivation_identity(L, parity, ())
     return _first_violation(terms, _reached_triples(L, D, True), D)
 
 
@@ -185,8 +187,14 @@ def _centroid_witness(L: LieSuperalgebra, S: Matrix) -> tuple | None:
 
 
 def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
-    """All derivations (graded convention), plus the inner subspace im(ad)."""
-    der = EndSpace(*(_solve_end_space(L, p, *_derivation_identity(L, p)) for p in (0, 1)))
+    """All derivations (graded convention), plus the inner subspace im(ad).
+
+    Solved on the pairs whose right argument lies in a generating set of L,
+    as for the centroid: the y for which D[x, y] = [Dx, y] + (-1)^{|D||x|}
+    [x, Dy] holds against every x form a subalgebra.
+    """
+    right = generating_set(L, range(L.dim))
+    der = EndSpace(*(_solve_end_space(L, p, *_derivation_identity(L, p, right)) for p in (0, 1)))
     inner_even = []
     inner_odd = []
     for i in range(L.dim):
@@ -778,18 +786,16 @@ def eta_cocycle(
     f_rows: Sequence[Sequence],
     D: Matrix,
     d_parity: int,
-    check: bool = True,
 ) -> Cocycle2:
     """eta_{f,D}(a x, b y) = (-1)^{|b||x|} f(ab) kappa(Dx, y); needs D in der_-."""
     K, A = cur.K, cur.A
-    if check:
-        w = _derivation_witness(K, D, d_parity)
-        if w is not None:
-            raise CohomologyError(
-                f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
-            )
-        if not (star(K, kappa, D) + D).is_zero():
-            raise CohomologyError("eta needs D kappa-skew (D in der_-)")
+    w = _derivation_witness(K, D, d_parity)
+    if w is not None:
+        raise CohomologyError(
+            f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
+        )
+    if not (star(K, kappa, D) + D).is_zero():
+        raise CohomologyError("eta needs D kappa-skew (D in der_-)")
     kd = (D.transpose() @ kappa.gram).rows  # kd[i][j] = kappa(D e_i, e_j)
     grams = []
     vps = []
@@ -808,7 +814,7 @@ def eta_cocycle(
         ]
         grams.append(_current_gram(cur, fab, kd))
         vps.append((f_parity + kp + d_parity) % 2)
-    return Cocycle2(cur.algebra, grams, vps, validate=check)
+    return Cocycle2(cur.algebra, grams, vps)
 
 
 def xi_cocycle(
@@ -816,26 +822,24 @@ def xi_cocycle(
     kappa: BilinearForm,
     F_list: Sequence[HochschildMap],
     S: Matrix,
-    check: bool = True,
 ) -> Cocycle2:
     """xi_{F,S}(a x, b y) = (-1)^{|b||x|} F(a, b) kappa(Sx, y); S in cent_+."""
     K, A = cur.K, cur.A
-    if check:
-        w = _centroid_witness(K, S)
-        if w is not None:
-            raise CohomologyError(
-                f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
-            )
-        if star(K, kappa, S) != S:
-            raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
-        for F in F_list:
-            if not is_hochschild(A, F.gram):
-                raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.gram)}")
+    w = _centroid_witness(K, S)
+    if w is not None:
+        raise CohomologyError(
+            f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
+        )
+    if star(K, kappa, S) != S:
+        raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
+    for F in F_list:
+        if not is_hochschild(A, F.gram):
+            raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.gram)}")
     ks = (S.transpose() @ kappa.gram).rows
     kp = _kappa_parity(K, kappa)
     grams = [_current_gram(cur, F.gram.rows, ks) for F in F_list]
     vps = [(F.parity + kp) % 2 for F in F_list]
-    return Cocycle2(cur.algebra, grams, vps, validate=check)
+    return Cocycle2(cur.algebra, grams, vps)
 
 
 # -- central extensions ---------------------------------------------------------
@@ -963,12 +967,12 @@ def verify_cor1(
     ]
     if not drop_eta:
         for D, dp in d_reps:
-            c = eta_cocycle(cur, kappa, dual_f, D, dp, check=True)
+            c = eta_cocycle(cur, kappa, dual_f, D, dp)
             for G in c.grams:
                 span.add_row(pb.vector_of_gram(G))
                 n_eta += 1
     for S in s_reps:
-        c = xi_cocycle(cur, kappa, hoch, S, check=True)
+        c = xi_cocycle(cur, kappa, hoch, S)
         for G in c.grams:
             span.add_row(pb.vector_of_gram(G))
             n_xi += 1

@@ -48,6 +48,11 @@ def _as_sparse(vec) -> dict:
     return {c: x for c, x in items if x}
 
 
+def _conj(x):
+    """Complex conjugate of a Scalar; other exact entries are real."""
+    return x.conjugate() if isinstance(x, Scalar) else x
+
+
 def _dense(v: dict, n: int) -> Vector:
     zero = Fraction(0)
     out = [zero] * n
@@ -325,10 +330,7 @@ class Matrix:
         return Matrix(list(map(list, zip(*self.rows)))) if self.rows else Matrix([])
 
     def conj_transpose(self) -> "Matrix":
-        def conj(x):
-            return x.conjugate() if isinstance(x, Scalar) else x
-
-        return Matrix([[conj(x) for x in col] for col in zip(*self.rows)])
+        return Matrix([[_conj(x) for x in col] for col in zip(*self.rows)])
 
     def trace(self):
         return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
@@ -513,23 +515,27 @@ def sign_of(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def is_symmetric(G: Matrix) -> bool:
+def is_hermitian(G: Matrix) -> bool:
+    """G equals its conjugate transpose; for real entries, G is symmetric."""
     n = G.nrows
     return G.ncols == n and all(
-        G.rows[i][j] == G.rows[j][i] for i in range(n) for j in range(i + 1, n)
+        G.rows[i][j] == _conj(G.rows[j][i]) for i in range(n) for j in range(i, n)
     )
 
 
 def symmetric_diagonalize(G: Matrix):
-    """Pivoted congruence diagonalization of a symmetric exact matrix.
+    """Pivoted congruence diagonalization of a Hermitian exact matrix.
 
-    Returns (pairs, radical, witness): pairs is a list of (vector, value)
-    with G(b_i, b_j) = value_i * delta_ij and value_i > 0, radical spans the
-    kernel directions found, and witness is a vector with x^T G x <= 0 (and
-    nonzero) exactly when G is not positive semidefinite (pairs/radical then
-    cover only the part processed so far).
+    The form is h(u, v) = sum conj(u_a) G[a][b] v_b, which is the symmetric
+    form u^T G v on real input.  Returns (pairs, radical, witness): pairs is
+    a list of (vector, value) with h(b_i, b_j) = value_i * delta_ij and
+    value_i > 0, radical spans the kernel directions found, and witness is a
+    nonzero vector with h(x, x) <= 0 exactly when G is not positive
+    semidefinite (pairs/radical then cover only the part processed so far).
+    A pivot d with row entries c clears row j by conj(c)/d times the pivot
+    row and basis vector j by c/d times the pivot vector.
     """
-    if not is_symmetric(G):
+    if not is_hermitian(G):
         raise ValueError("symmetric_diagonalize expects a symmetric matrix")
     n = G.nrows
     g = [list(r) for r in G.rows]
@@ -539,52 +545,35 @@ def symmetric_diagonalize(G: Matrix):
     while active:
         piv = next((i for i in active if g[i][i]), None)
         if piv is None:
-            off = None
-            for i in active:
-                for j in active:
-                    if j > i and g[i][j]:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(((i, j) for i in active for j in active if j > i and g[i][j]), None)
             if off is None:
                 return pairs, [basis[i] for i in active], None
             i, j = off
-            s = sign_of(g[i][j])
-            # Q(b_i -+ b_j) = -+2 g_ij < 0 for the right sign choice
-            witness = (
-                [a - b for a, b in zip(basis[i], basis[j])]
-                if s > 0
-                else [a + b for a, b in zip(basis[i], basis[j])]
-            )
-            return pairs, [], witness
-        if sign_of(g[piv][piv]) < 0:
+            c = g[i][j]
+            # h(b_i - a b_j) = -2 Re(a g_ij) < 0 for a = sign(g_ij), or conj(g_ij)
+            a = _conj(c) if isinstance(c, Scalar) and not c.is_real() else sign_of(c)
+            return pairs, [], [x - a * y for x, y in zip(basis[i], basis[j])]
+        d = g[piv][piv]
+        if sign_of(d) < 0:
             return pairs, [], list(basis[piv])
         active.remove(piv)
-        d = g[piv][piv]
         pairs.append((list(basis[piv]), d))
-        for j in active:
-            c = g[piv][j]
-            if not c:
-                continue
+        prow = [(k, g[piv][k]) for k in active if g[piv][k]]
+        for j, c in prow:
             t = c / d
-            basis[j] = [a - t * b for a, b in zip(basis[j], basis[piv])]
-            for k in active:
-                if g[piv][k]:
-                    g[j][k] = g[j][k] - t * g[piv][k]
-            g[j][piv] = Fraction(0)
-        for k in range(n):
-            if k != piv:
-                g[piv][k] = Fraction(0)
+            basis[j] = [x - t * y for x, y in zip(basis[j], basis[piv])]
+            t = _conj(t)  # conj(c)/d, as d is real
+            for k, x in prow:
+                g[j][k] = g[j][k] - t * x
     return pairs, [], None
 
 
 def definiteness_with_witness(G: Matrix):
-    """Classify a symmetric exact matrix by pivoted congruence elimination.
+    """Classify a Hermitian exact matrix by pivoted congruence elimination.
 
     Returns (verdict, data): verdict in {"positive_definite",
     "positive_semidefinite", "indefinite_or_negative"}; data is a witness
-    vector x with x^T G x <= 0 for the indefinite verdict, or the radical
+    vector x with h(x, x) <= 0 for the indefinite verdict, or the radical
     basis for the semidefinite one.
     """
     pairs, radical, witness = symmetric_diagonalize(G)
@@ -596,65 +585,13 @@ def definiteness_with_witness(G: Matrix):
 
 
 def definiteness(G: Matrix) -> str:
-    """Sylvester positive-definiteness, else the pivoted semidefinite test."""
-    if not is_symmetric(G):
-        raise ValueError("definiteness expects a symmetric matrix")
-    minors = leading_principal_minors(G)
-    if all(sign_of(m) > 0 for m in minors):
-        return "positive_definite"
-    verdict, _ = definiteness_with_witness(G)
-    if verdict == "positive_definite":  # Sylvester said no, elimination says yes
-        raise AssertionError("inconsistent definiteness paths")
-    return verdict
+    """The verdict of definiteness_with_witness."""
+    return definiteness_with_witness(G)[0]
 
 
-def leading_principal_minors(G: Matrix) -> list:
-    """All leading principal minors, via fraction-free (Bareiss) elimination."""
-    n = G.nrows
-    a = [list(r) for r in G.rows]
-    minors = []
-    prev = Fraction(1)
-    singular_at = None
-    for k in range(n):
-        if singular_at is not None:
-            # once a leading pivot vanished we fall back to direct expansion
-            minors.append(_det_dense([row[: k + 1] for row in G.rows[: k + 1]]))
-            continue
-        if not a[k][k]:
-            minors.append(_det_dense([row[: k + 1] for row in G.rows[: k + 1]]))
-            singular_at = k
-            continue
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        minors.append(a[k][k])
-        prev = a[k][k]
-    return minors
-
-
-def _det_dense(rows: list[list]):
-    return _det_expand(rows) if len(rows) <= 5 else _det_bareiss(rows)
-
-
-def _det_expand(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det_expand(minor)
-        total = total - term if j % 2 else total + term
-    return total
-
-
-def _det_bareiss(rows):
-    a = [list(r) for r in rows]
+def det(M: Matrix):
+    """Determinant by fraction-free (Bareiss) elimination with row swaps."""
+    a = [list(r) for r in M.rows]
     n = len(a)
     sign = 1
     prev = Fraction(1)
@@ -670,10 +607,6 @@ def _det_bareiss(rows):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
         prev = a[k][k]
     return a[n - 1][n - 1] * sign
-
-
-def det(M: Matrix):
-    return _det_bareiss([list(r) for r in M.rows])
 
 
 # -- sparse integer elimination ------------------------------------------
@@ -802,15 +735,8 @@ class SparseEliminator:
             a, b = prow[c], r[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            out = {}
-            for col, v in r.items():
-                out[col] = v * ma
-            for col, v in prow.items():
-                nv = out.get(col, 0) - v * mb
-                if nv:
-                    out[col] = nv
-                else:
-                    out.pop(col, None)
+            out = {col: v * ma for col, v in r.items()}
+            _axpy(out, prow, mb)
             r = _row_primitive(out)
             if not r:
                 return r

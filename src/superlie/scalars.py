@@ -314,11 +314,6 @@ def _square_terms(terms: dict[int, Fraction]) -> dict[int, Fraction]:
     return {r: c for r, c in out.items() if c}
 
 
-ZERO = Scalar()
-ONE = Scalar.from_rational(1)
-I = Scalar.i()
-
-
 def zeta8() -> Scalar:
     """The primitive 8th root of unity (1 + i)/sqrt(2); squares to i."""
     h = Fraction(1, 2)

@@ -123,14 +123,9 @@ def even_center_projections(L: LieSuperalgebra) -> list[list]:
     return out
 
 
-def find_certificate(
-    L: LieSuperalgebra,
-    strategies: Sequence[str] = ("center", "random"),
-    seed: int = 0,
-    tries: int = 60,
-    height: int = 8,
-):
-    """Search for a pointedness certificate.
+def find_certificate(L: LieSuperalgebra, seed: int = 0, tries: int = 60, height: int = 8):
+    """Search for a pointedness certificate: first +-lambda for each
+    projection onto the centre of the even part, then `tries` random lambda.
 
     Returns (status, certificate): status "pointed" with a valid certificate,
     or "unknown" with None.  Absence of a certificate proves nothing.
@@ -138,24 +133,19 @@ def find_certificate(
     if not L.odd_indices:
         lam = [Fraction(0)] * L.dim
         return "pointed", pointedness_certificate(L, lam)
-    for strat in strategies:
-        if strat == "center":
-            for lam in even_center_projections(L):
-                for sign in (1, -1):
-                    cert = pointedness_certificate(L, [sign * x for x in lam])
-                    if cert.valid:
-                        return "pointed", cert
-        elif strat == "random":
-            rng = random.Random(seed)
-            for _ in range(tries):
-                lam = [Fraction(0)] * L.dim
-                for i in L.even_indices:
-                    lam[i] = Fraction(rng.randint(-height, height), rng.randint(1, height))
-                cert = pointedness_certificate(L, lam)
-                if cert.valid:
-                    return "pointed", cert
-        else:
-            raise UniradError(f"unknown certificate strategy {strat!r}")
+    for lam in even_center_projections(L):
+        for sign in (1, -1):
+            cert = pointedness_certificate(L, [sign * x for x in lam])
+            if cert.valid:
+                return "pointed", cert
+    rng = random.Random(seed)
+    for _ in range(tries):
+        lam = [Fraction(0)] * L.dim
+        for i in L.even_indices:
+            lam[i] = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        cert = pointedness_certificate(L, lam)
+        if cert.valid:
+            return "pointed", cert
     return "unknown", None
 
 
@@ -230,18 +220,18 @@ def extend_current(
     grams = []
     parities = []
     for (D, dp), run in groupby(eta_data, key=lambda e: (e[1], e[2])):
-        c = eta_cocycle(cur, kappa, [f_row for f_row, _D, _dp in run], D, dp, check=True)
+        c = eta_cocycle(cur, kappa, [f_row for f_row, _D, _dp in run], D, dp)
         grams += c.grams
         parities += c.value_parities
     for S, run in groupby(xi_data, key=lambda e: e[1]):
-        c = xi_cocycle(cur, kappa, [F for F, _S in run], S, check=True)
+        c = xi_cocycle(cur, kappa, [F for F, _S in run], S)
         grams += c.grams
         parities += c.value_parities
     labels = [f"eta{t + 1}" for t in range(len(eta_data))]
     labels += [f"xi{t + 1}" for t in range(len(xi_data))]
     if not grams:
         return CurrentExtension(cur, kappa, None, list(eta_data), list(xi_data), [])
-    # each run's cocycle was validated when built (check=True)
+    # each run's cocycle was validated when built
     omega = Cocycle2(cur.algebra, grams, parities, validate=False)
     ext = _central_extension(cur.algebra, omega, labels, validated=True)
     return CurrentExtension(cur, kappa, ext, list(eta_data), list(xi_data), labels)
@@ -275,15 +265,12 @@ def universal_extension(entry: CatalogEntry, s: int) -> CurrentExtension:
 
 
 def square_zero_seeds(
-    gext: CurrentExtension,
-    isotropic_even: Sequence[Sequence] | None = None,
-    include_all_odd_degree: bool = False,
+    gext: CurrentExtension, isotropic_even: Sequence[Sequence] | None = None
 ) -> list[list]:
     """Odd elements with [X, X]_omega = 0, re-verified exactly before emission.
 
     Patterns: (a) odd-degree >= 3 monomials tensor even k-vectors; (b)
-    odd-degree monomials tensor isotropic even elements; optionally all
-    odd-degree monomials tensor everything even (kept only if they verify).
+    odd-degree monomials tensor isotropic even elements.
     """
     cur = gext.cur
     A, K = cur.A, cur.K
@@ -291,23 +278,18 @@ def square_zero_seeds(
     seeds = []
     odd_monomials = [p for p in range(A.dim) if A.z_degrees[p] % 2 == 1]
     for p in odd_monomials:
-        deg = A.z_degrees[p]
+        if A.z_degrees[p] < 3:
+            continue
         for i in range(K.dim):
             if K.parities[i] == 1:
                 continue
             vec = [Fraction(0)] * L.dim
             vec[cur.slot(p, i)] = Fraction(1)
-            if deg >= 3:
-                sq = L.bracket(vec, vec)
-                if any(sq):
-                    raise UniradError(
-                        f"top-degree seed {A.names[p]} (x) {K.names[i]} fails the square check"
-                    )
-                seeds.append(vec)
-            elif include_all_odd_degree:
-                sq = L.bracket(vec, vec)
-                if not any(sq):
-                    seeds.append(vec)
+            if any(L.bracket(vec, vec)):
+                raise UniradError(
+                    f"top-degree seed {A.names[p]} (x) {K.names[i]} fails the square check"
+                )
+            seeds.append(vec)
     for x in isotropic_even or ():
         for p in odd_monomials:
             vec = [Fraction(0)] * L.dim
@@ -323,15 +305,10 @@ def square_zero_seeds(
     return seeds
 
 
-def urad_lower(
-    L: LieSuperalgebra, seeds: Sequence[Sequence], assume_lineality: bool = False
-) -> Subspace:
+def urad_lower(L: LieSuperalgebra, seeds: Sequence[Sequence]) -> Subspace:
     """Ideal closure of verified square-zero odd seeds, a subspace of urad."""
     for t, v in enumerate(seeds):
-        odd_ok = all(not c or L.parities[i] == 1 for i, c in enumerate(v))
-        if not odd_ok:
-            if assume_lineality:
-                continue
+        if any(c and L.parities[i] == 0 for i, c in enumerate(v)):
             raise UniradError(f"seed {t} is not an odd vector")
         if any(L.bracket(v, v)):
             raise UniradError(f"seed {t} is not square-zero")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superlie.assoc import AssocSuperalgebra
+from superlie.cohomology import _derivation_identity
 from superlie.linalg import Matrix
 from superlie.lsa import LieSuperalgebra, from_matrix_basis, make_lsa
 from superlie.scalars import Scalar
@@ -28,6 +29,14 @@ def _with_full_sweep(cls, validate_pos):
 # quotients (parity, unit, supercommutativity, associativity, grading).
 LieSuperalgebra.__init__ = _with_full_sweep(LieSuperalgebra, 4)
 AssocSuperalgebra.__init__ = _with_full_sweep(AssocSuperalgebra, 5)
+
+
+def derivation_sweep(L, parity):
+    """(terms, triples) of the derivation rule over every (i, j, m) with
+    i <= j: the full sweep the witness search follows."""
+    terms, _ = _derivation_identity(L, parity, ())
+    n = L.dim
+    return terms, [(i, j, m) for i in range(n) for j in range(i, n) for m in range(n)]
 
 
 def sc(q=0, i=0):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from superlie.assoc import (
+    GRASSMANN_CAP,
     AssocError,
     AssocSuperalgebra,
     augmentation,
@@ -31,6 +32,13 @@ def test_grassmann_2_basis():
     A = grassmann(2)
     assert A.dim == 4
     assert set(A.names) == {"1", "e1", "e2", "e1^e2"}
+
+
+def test_grassmann_cap_refuses_before_building():
+    assert grassmann(GRASSMANN_CAP).dim == 2**GRASSMANN_CAP
+    for s in (GRASSMANN_CAP + 1, 30, 10**6):
+        with pytest.raises(AssocError, match=f"capped at {GRASSMANN_CAP} generators, got {s}"):
+            grassmann(s)
 
 
 def test_defining_relation():

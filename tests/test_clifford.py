@@ -1,10 +1,14 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from superlie.clifford import (
     CliffordError,
+    CliffordRep,
+    _split_complex_commutant,
+    _unit_gammas,
     clifford_algebra,
     clifford_lie,
     commutant_dimension,
@@ -17,7 +21,7 @@ from superlie.clifford import (
     phase_adjust,
     seeded_clifford_lie,
 )
-from superlie.linalg import Matrix, det
+from superlie.linalg import Matrix, det, sparse_kernel, symmetric_diagonalize
 from superlie.scalars import Scalar, zeta8
 
 
@@ -263,3 +267,189 @@ def test_hermitian_psd():
     assert not hermitian_psd(H2)
     with pytest.raises(CliffordError):
         hermitian_psd(Matrix([[Scalar(), i], [i, Scalar()]]))
+
+
+# -- the retired Clifford engines, kept as oracles ------------------------------------
+
+
+def dense_hermitian_psd(H):
+    """The private elimination hermitian_psd ran before the shared engine."""
+    n = H.nrows
+    h = [[x if isinstance(x, Scalar) else Scalar.from_rational(x) for x in row] for row in H.rows]
+    active = list(range(n))
+    while active:
+        piv = None
+        for i in active:
+            d = h[i][i]
+            if d:
+                if d.sign() < 0:
+                    return False
+                piv = i
+                break
+        if piv is None:
+            return all(not h[i][j] for i in active for j in active)
+        active.remove(piv)
+        d = h[piv][piv]
+        for a in active:
+            c = h[piv][a]
+            if not c:
+                continue
+            for b in active:
+                h[a][b] = h[a][b] - c.conjugate() * h[piv][b] / d
+        for b in active:
+            h[piv][b] = Scalar()
+            h[b][piv] = Scalar()
+    return True
+
+
+def dense_split_complex_commutant(rep, block):
+    """The hand-accumulated commutant rows _split_complex_commutant replaced."""
+    size = rep.space_dim
+    unit, _ = _unit_gammas(rep.n)
+    allowed = []
+    for r in range(size):
+        for c in range(size):
+            same = rep.grading[r] == rep.grading[c]
+            if block == "diag" and not same:
+                continue
+            if block == "off" and same:
+                continue
+            allowed.append((r, c))
+    pos = {rc: 2 * t for t, rc in enumerate(allowed)}
+    rows = []
+    for G in unit:
+        for r in range(size):
+            for c in range(size):
+                row_re, row_im = {}, {}
+                for k in range(size):
+                    v = G.rows[k][c]
+                    if v and (r, k) in pos:
+                        re, im = v.coeff(1, 0), v.coeff(1, 1)
+                        base = pos[(r, k)]
+                        if re:
+                            row_re[base] = row_re.get(base, Fraction(0)) + re
+                            row_im[base + 1] = row_im.get(base + 1, Fraction(0)) + re
+                        if im:
+                            row_re[base + 1] = row_re.get(base + 1, Fraction(0)) - im
+                            row_im[base] = row_im.get(base, Fraction(0)) + im
+                    w = G.rows[r][k]
+                    if w and (k, c) in pos:
+                        re, im = w.coeff(1, 0), w.coeff(1, 1)
+                        base = pos[(k, c)]
+                        if re:
+                            row_re[base] = row_re.get(base, Fraction(0)) - re
+                            row_im[base + 1] = row_im.get(base + 1, Fraction(0)) - re
+                        if im:
+                            row_re[base + 1] = row_re.get(base + 1, Fraction(0)) + im
+                            row_im[base] = row_im.get(base, Fraction(0)) - im
+                for row in (row_re, row_im):
+                    row = {k: v for k, v in row.items() if v}
+                    if row:
+                        rows.append(row)
+    ker = sparse_kernel(rows, 2 * len(allowed))
+    assert len(ker) % 2 == 0
+    return len(ker) // 2
+
+
+def two_product_failure(rep):
+    """First failing contract of CliffordRep.validate, with the
+    anticommutator formed as two products and a dense sum."""
+    size = rep.space_dim
+    for i, gi in enumerate(rep.matrices):
+        if gi.conj_transpose() != gi:
+            return f"gamma_{i + 1} is not symmetric for the inner product"
+        for j in range(i, rep.n):
+            gj = rep.matrices[j]
+            anti = gi @ gj + gj @ gi
+            two_mu = Scalar.from_rational(2 * rep.mu_diag[i]) if i == j else Scalar()
+            target = Matrix([[two_mu if a == b else Scalar() for b in range(size)] for a in range(size)])
+            if anti != target:
+                return f"anticommutation fails at ({i + 1},{j + 1})"
+    return None
+
+
+def random_gaussian_hermitian(rng, n):
+    """Hermitian over Q(i): random entries, or a Gram B^* D B of random rank
+    (semidefinite with a radical, or indefinite when D has a negative entry)."""
+    def gauss():
+        return Scalar({(1, 0): rng.randint(-2, 2), (1, 1): rng.randint(-2, 2)})
+
+    if rng.random() < 0.5:
+        H = [[None] * n for _ in range(n)]
+        for a in range(n):
+            H[a][a] = Scalar.from_rational(rng.randint(-1, 3) if rng.random() < 0.8 else 0)
+            for b in range(a + 1, n):
+                H[a][b] = gauss()
+                H[b][a] = H[a][b].conjugate()
+        return Matrix(H)
+    rank = rng.randint(0, n)
+    B = [[gauss() for _ in range(n)] for _ in range(rank)]
+    D = [rng.choice((1, 2, 3, 1, -1)) for _ in range(rank)]
+    return Matrix(
+        [
+            [sum((D[t] * B[t][a].conjugate() * B[t][b] for t in range(rank)), Scalar()) for b in range(n)]
+            for a in range(n)
+        ]
+    )
+
+
+def form(H, u, v):
+    """h(u, v) = sum conj(u_a) H[a][b] v_b, as a Scalar."""
+    n = H.nrows
+    return sum(
+        (u[a].conjugate() * H.rows[a][b] * v[b] for a in range(n) for b in range(n) if u[a] and v[b]),
+        Scalar(),
+    )
+
+
+def test_hermitian_engine_matches_retired_elimination():
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(400):
+        H = random_gaussian_hermitian(rng, rng.randint(1, 5))
+        pairs, radical, witness = symmetric_diagonalize(H)
+        psd = dense_hermitian_psd(H)
+        assert hermitian_psd(H) == psd == (witness is None)
+        verdicts.add(psd)
+        if witness is not None:
+            assert any(witness) and form(H, witness, witness).sign() <= 0
+            continue
+        for t, (b, d) in enumerate(pairs):
+            for u, (c, _e) in enumerate(pairs):
+                assert form(H, b, c) == (d if t == u else 0)
+        for r in radical:
+            assert not any(H.apply(r))
+        assert len(pairs) + len(radical) == H.nrows
+    assert verdicts == {True, False}
+
+
+def test_commutant_matches_retired_accumulation():
+    for n in range(1, 10):
+        rep = gamma_rep([frac(m) for m in range(1, n + 1)])
+        dims = {block: _split_complex_commutant(rep, block) for block in ("diag", "off", "all")}
+        assert dims == {block: dense_split_complex_commutant(rep, block) for block in dims}
+        assert dims == {"diag": 1, "off": 0, "all": 1}  # irreducible, with no odd self-map
+
+
+def test_validate_matches_two_product_check():
+    for n in range(1, 10):
+        rep = gamma_rep([frac(m) for m in range(1, n + 1)])  # validates on construction
+        assert two_product_failure(rep) is None
+    rep = gamma_rep([frac(1), frac(2), frac(3), frac(5)])
+    for t in range(rep.n):
+        mats = [Matrix(M.rows) for M in rep.matrices]
+        g = mats[t].rows
+        b = next(c for c, x in enumerate(g[0]) if x)
+        assert b != 0
+        g[0][b], g[b][0] = -g[0][b], -g[b][0]  # a Hermitian flip: only the anticommutator can fail
+        bad = CliffordRep(rep.mu_diag, mats, rep.grading, validate=False)
+        want = two_product_failure(bad)
+        assert want is not None and want.startswith("anticommutation fails at")
+        with pytest.raises(CliffordError, match=re.escape(want)):
+            bad.validate()
+    mats = [Matrix(M.rows) for M in rep.matrices]
+    r, c = next((r, c) for r, row in enumerate(mats[1].rows) for c, x in enumerate(row) if x)
+    mats[1].rows[r][c] = -mats[1].rows[r][c]  # one entry: no longer Hermitian
+    bad = CliffordRep(rep.mu_diag, mats, rep.grading, validate=False)
+    with pytest.raises(CliffordError, match=re.escape(two_product_failure(bad))):
+        bad.validate()

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import abelian, odd_heisenberg, su2_cyclic
+from conftest import abelian, derivation_sweep, odd_heisenberg, su2_cyclic
 from test_linalg import dense_echelon
 from test_lsa import scaled_form
 from superlie.assoc import grassmann
@@ -22,7 +22,6 @@ from superlie.cohomology import (
     _cocycle_terms,
     _cocycle_triples,
     _cocycle_witness,
-    _derivation_identity,
     _derivation_witness,
     _end_columns,
     _hochschild_witness,
@@ -955,9 +954,9 @@ def test_kappa_parity_is_resolved_not_defaulted(su2k):
     mixed = BilinearForm([kappa.gram])
     mixed.declared_parity = "mixed"
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
-        xi_cocycle(cur, mixed, F, Matrix.identity(3), check=False)
+        xi_cocycle(cur, mixed, F, Matrix.identity(3))
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
-        eta_cocycle(cur, mixed, [[Fraction(1), Fraction(0)]], Matrix.zero(3, 3), 0, check=False)
+        eta_cocycle(cur, mixed, [[Fraction(1), Fraction(0)]], Matrix.zero(3, 3), 0)
 
 
 def test_mixed_parity_kernel_vector_raises():
@@ -1023,7 +1022,7 @@ def test_derivation_and_centroid_checks_match_dense_sweep(identity_entry):
     for M, p in members:
         for X in (M, perturb(M, L.parities, rng, keep_skew=False)):
             want = dense_derivation_witness(L, X, p)
-            assert _first_violation(*_derivation_identity(L, p), X) == want
+            assert _first_violation(*derivation_sweep(L, p), X) == want
             assert _derivation_witness(L, X, p) == want
             assert is_derivation(L, X, p) == (want is None)
             want = dense_centroid_witness(L, X)
@@ -1167,7 +1166,7 @@ def test_identity_rows_match_accumulation(identity_entry):
         # the reference interleaves the [D e_i, e_j] and [e_i, D e_j] terms, so
         # the rows agree as dicts; the eliminator does not read key order
         want = accumulated_derivation_rows(L, p, index)
-        assert _identity_rows(*_derivation_identity(L, p), columns) == want
+        assert _identity_rows(*derivation_sweep(L, p), columns) == want
         assert der_basis == end_kernel(L, unknowns, want)
         want = accumulated_centroid_rows(L, p, index)
         assert row_items(_identity_rows(*_centroid_identity(L, range(L.dim)), columns)) == row_items(want)

@@ -16,10 +16,12 @@ from superlie.linalg import (
     basis_coordinates,
     definiteness,
     definiteness_with_witness,
+    is_hermitian,
     kernel,
-    leading_principal_minors,
+    sign_of,
     solve_linear,
     sparse_kernel,
+    symmetric_diagonalize,
 )
 from superlie.scalars import Scalar
 
@@ -245,6 +247,15 @@ def test_definiteness_examples():
         definiteness(frac_matrix([[0, 1], [0, 0]]))
 
 
+def test_is_hermitian_over_the_tower():
+    i, one = Scalar.i(), Scalar.from_rational(1)
+    assert is_hermitian(Matrix([[one, i], [-i, Fraction(2)]]))
+    assert not is_hermitian(Matrix([[one, i], [i, one]]))
+    assert not is_hermitian(Matrix([[i, Scalar()], [Scalar(), one]]))  # diagonal not real
+    with pytest.raises(ValueError):
+        symmetric_diagonalize(Matrix([[one, i], [i, one]]))
+
+
 def test_definiteness_witness():
     verdict, witness = definiteness_with_witness(frac_matrix([[1, 2], [2, 1]]))
     assert verdict == "indefinite_or_negative"
@@ -253,23 +264,128 @@ def test_definiteness_witness():
     assert q <= 0 and any(witness)
 
 
+# -- the retired definiteness routes, kept as oracles --------------------------
+
+
+def det_expand(rows):
+    """Cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return rows[0][0]
+    total = Fraction(0)
+    for j in range(n):
+        if not rows[0][j]:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * det_expand(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def leading_principal_minors(G):
+    """All leading principal minors, via fraction-free (Bareiss) elimination;
+    once a leading pivot vanishes, by cofactor expansion."""
+    n = G.nrows
+    a = [list(r) for r in G.rows]
+    minors = []
+    prev = Fraction(1)
+    singular_at = None
+    for k in range(n):
+        if singular_at is not None or not a[k][k]:
+            minors.append(det_expand([row[: k + 1] for row in G.rows[: k + 1]]))
+            singular_at = k if singular_at is None else singular_at
+            continue
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        minors.append(a[k][k])
+        prev = a[k][k]
+    return minors
+
+
 def minor_oracle(G):
-    """Exponential principal-minor enumeration oracle."""
+    """Sylvester's criterion, else the exponential principal-minor enumeration."""
     import itertools
 
     n = G.nrows
-    verdict = "positive_definite"
-    lead = leading_principal_minors(G)
-    if all(m > 0 for m in lead):
+    if all(m > 0 for m in leading_principal_minors(G)):
         return "positive_definite"
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
-            rows = [[G[i, j] for j in subset] for i in subset]
-            from superlie.linalg import _det_expand
-
-            if _det_expand(rows) < 0:
+            if det_expand([[G[i, j] for j in subset] for i in subset]) < 0:
                 return "indefinite_or_negative"
     return "positive_semidefinite"
+
+
+def real_symmetric_diagonalize(G):
+    """The real-only congruence elimination the Hermitian engine replaced."""
+    n = G.nrows
+    g = [list(r) for r in G.rows]
+    basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    pairs = []
+    while active:
+        piv = next((i for i in active if g[i][i]), None)
+        if piv is None:
+            off = None
+            for i in active:
+                for j in active:
+                    if j > i and g[i][j]:
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                return pairs, [basis[i] for i in active], None
+            i, j = off
+            if sign_of(g[i][j]) > 0:
+                return pairs, [], [a - b for a, b in zip(basis[i], basis[j])]
+            return pairs, [], [a + b for a, b in zip(basis[i], basis[j])]
+        if sign_of(g[piv][piv]) < 0:
+            return pairs, [], list(basis[piv])
+        active.remove(piv)
+        d = g[piv][piv]
+        pairs.append((list(basis[piv]), d))
+        for j in active:
+            c = g[piv][j]
+            if not c:
+                continue
+            t = c / d
+            basis[j] = [a - t * b for a, b in zip(basis[j], basis[piv])]
+            for k in active:
+                if g[piv][k]:
+                    g[j][k] = g[j][k] - t * g[piv][k]
+            g[j][piv] = Fraction(0)
+        for k in range(n):
+            if k != piv:
+                g[piv][k] = Fraction(0)
+    return pairs, [], None
+
+
+def random_symmetric(rng, n):
+    """Symmetric integer matrices of every kind: random entries, a Gram
+    B^T D B of random rank (semidefinite with a radical, or indefinite when
+    D has a negative entry), or a zero diagonal."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        rank = rng.randint(0, n)
+        B = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rank)]
+        D = [Fraction(rng.choice((1, 2, 3, 1, 2, -1))) for _ in range(rank)]
+        entries = [
+            [sum((D[t] * B[t][a] * B[t][b] for t in range(rank)), Fraction(0)) for b in range(n)]
+            for a in range(n)
+        ]
+        return Matrix(entries)
+    entries = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if kind == 2:
+            entries[i][i] = Fraction(0)
+        for j in range(i):
+            entries[i][j] = entries[j][i]
+    return Matrix(entries)
 
 
 def test_definiteness_against_minor_oracle():
@@ -282,6 +398,21 @@ def test_definiteness_against_minor_oracle():
                 entries[i][j] = entries[j][i]
         G = Matrix(entries)
         assert definiteness(G) == minor_oracle(G)
+
+
+def test_symmetric_diagonalize_matches_real_elimination():
+    """On real symmetric input the Hermitian engine returns the pairs,
+    radical and witness of the real elimination, entry types included."""
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(300):
+        G = random_symmetric(rng, rng.randint(1, 6))
+        got = symmetric_diagonalize(G)
+        assert repr(got) == repr(real_symmetric_diagonalize(G))
+        verdict = definiteness(G)
+        assert verdict == minor_oracle(G)
+        verdicts.add(verdict)
+    assert verdicts == {"positive_definite", "positive_semidefinite", "indefinite_or_negative"}
 
 
 def test_sparse_kernel_matches_dense():

@@ -238,6 +238,9 @@ def test_cli_catalog_deterministic(capsys):
         ["cohomology", "h2", "--k", "catalog:su_n:2", "--max-dim", "0"],
         ["cohomology", "z2", "--k", "catalog:su_n:2", "--max-dim", "-1"],
         ["cohomology", "verify-cor1", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--max-dim", "0"],
+        # refused by the Grassmann cap before anything is allocated
+        ["urad", "verify", "--k", "catalog:su_n:2", "--s", "30"],
+        ["current", "--A", "grassmann:30", "--k", "su_n:2"],
     ],
 )
 def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):

@@ -4,8 +4,9 @@ The oracles below are the dense versions these paths replaced: the n^3
 matrix product, the super bracket as two products and a sum, the supertrace
 form through the full product, the checks of the derivation rule, the
 centroid rule and invariance over every triple, the centroid solved over
-every triple, and the structure constants of a matrix basis from every
-ordered pair.  Products must agree in value and in entry type (Fraction
+every triple, the derivations solved over every triple (i, j, m) with
+i <= j, and the structure constants of a matrix basis from every ordered
+pair.  Products must agree in value and in entry type (Fraction
 against Scalar); checks must agree in verdict and in the first violated
 triple; solves and tables must agree entry for entry and in order.
 """
@@ -17,14 +18,13 @@ from itertools import product
 
 import pytest
 
-from conftest import abelian, su2_cyclic
+from conftest import abelian, derivation_sweep, su2_cyclic
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
 from superlie.clifford import gamma_rep
 from superlie.cohomology import (
     _centroid_identity,
     _centroid_witness,
-    _derivation_identity,
     _derivation_witness,
     _solve_end_space,
     centroid,
@@ -241,7 +241,7 @@ def test_derivation_and_centroid_checks_match_full_sweep(catalog_entry):
     der_verdicts, cent_verdicts = set(), set()
     for M, p in members:
         for X in (M, one_entry_mutant(M, rng)):
-            want = _first_violation(*_derivation_identity(L, p), X)
+            want = _first_violation(*derivation_sweep(L, p), X)
             assert _derivation_witness(L, X, p) == want
             assert is_derivation(L, X, p) == (want is None)
             assert want is None or want[0] <= want[1]
@@ -285,3 +285,30 @@ def test_centroid_matches_full_triple_solve_abelian_and_current():
     L = current_lsa(grassmann(2), su2_cyclic()).algebra
     assert len(generating_set(L, range(L.dim))) < L.dim
     assert_centroid_matches_full_solve(L)
+
+
+# -- the derivations over a generating set ------------------------------------------
+
+
+def full_sweep_derivations(L):
+    """The derivations solved on every triple (i, j, m) with i <= j."""
+    return [_solve_end_space(L, p, *derivation_sweep(L, p)) for p in (0, 1)]
+
+
+def assert_derivations_match_full_solve(L):
+    der, _ = derivation_space(L)
+    assert [der.even, der.odd] == full_sweep_derivations(L)
+
+
+def test_derivations_match_full_sweep_solve(catalog_entry):
+    assert_derivations_match_full_solve(catalog_entry.algebra)
+
+
+def test_derivations_match_full_sweep_solve_on_su_pp(realizations):
+    for p in (2, 3):
+        assert_derivations_match_full_solve(realizations[("su_pq", p, p)])
+
+
+def test_derivations_match_full_sweep_solve_abelian_and_current():
+    assert_derivations_match_full_solve(abelian(2))  # every map is a derivation
+    assert_derivations_match_full_solve(current_lsa(grassmann(2), su2_cyclic()).algebra)

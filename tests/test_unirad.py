@@ -7,6 +7,7 @@ from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa
 from superlie.linalg import Matrix, Subspace
+from superlie.lsa import ideal_closure
 from superlie.cohomology import hochschild_space
 from superlie.unirad import (
     UniradError,
@@ -77,8 +78,10 @@ def test_purely_even_trivially_pointed(su2):
 
 def test_find_certificate_su31():
     e = build_catalog("su_pq", 3, 1)
-    status, cert = find_certificate(e.algebra, strategies=("center",))
+    status, cert = find_certificate(e.algebra)
     assert status == "pointed" and cert.valid
+    # found among +-lambda for the centre projections, before any random lambda
+    assert any(cert.lam in (lam, [-x for x in lam]) for lam in even_center_projections(e.algebra))
 
 
 def test_find_certificate_c2():
@@ -220,7 +223,7 @@ def test_urad_lower_monotone_idempotent(su2):
     v = [Fraction(0)] * G.dim
     v[cur.slot(A.names.index("e1^e2^e3"), 0)] = Fraction(1)
     small = urad_lower(G, [v])
-    again = urad_lower(G, small.rows, assume_lineality=True)
+    again = ideal_closure(G, small.rows)  # the closure urad_lower takes, of its own output
     assert small.rows == again.rows
     w = [Fraction(0)] * G.dim
     w[cur.slot(A.names.index("e1"), 1)] = Fraction(1)
