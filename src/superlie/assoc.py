@@ -144,10 +144,11 @@ def _merge_sign(a: int, b: int) -> int:
 
 
 # The validating constructor sweeps all triples of the 2^s monomials, about
-# six times the work per generator (0.09 s at s = 6 and 0.5 s at s = 7 with
-# CPython 3.11 on a 2-vCPU machine), and no solver reaches past the
-# dimension-192 Lambda6 (x) su(2).  Larger s is refused before allocating.
-GRASSMANN_CAP = 6
+# seven times the work per generator: 0.09 s at s = 6, 3.9 s at s = 8 and
+# 197 s (58 MB peak) at s = 10 with CPython 3.11 on a 2-vCPU machine, so
+# s = 11 would take some 25 minutes.  Larger s is refused before allocating;
+# at s = 30 the monomial list alone raised MemoryError.
+GRASSMANN_CAP = 10
 
 
 def grassmann(s: int) -> AssocSuperalgebra:

@@ -735,8 +735,17 @@ class SparseEliminator:
             a, b = prow[c], r[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            out = {col: v * ma for col, v in r.items()}
-            _axpy(out, prow, mb)
+            out = {}
+            for col, v in r.items():
+                out[col] = v * ma
+            # inline rather than _axpy: the hot loop of the eliminator, where
+            # the extra call and second dict lookup cost a few percent
+            for col, v in prow.items():
+                nv = out.get(col, 0) - v * mb
+                if nv:
+                    out[col] = nv
+                else:
+                    out.pop(col, None)
             r = _row_primitive(out)
             if not r:
                 return r

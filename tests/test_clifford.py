@@ -302,8 +302,9 @@ def dense_hermitian_psd(H):
     return True
 
 
-def dense_split_complex_commutant(rep, block):
-    """The hand-accumulated commutant rows _split_complex_commutant replaced."""
+def dense_commutant_rows(rep, block):
+    """The hand-accumulated commutant rows _split_complex_commutant replaced,
+    with their number of real unknowns."""
     size = rep.space_dim
     unit, _ = _unit_gammas(rep.n)
     allowed = []
@@ -346,7 +347,11 @@ def dense_split_complex_commutant(rep, block):
                     row = {k: v for k, v in row.items() if v}
                     if row:
                         rows.append(row)
-    ker = sparse_kernel(rows, 2 * len(allowed))
+    return rows, 2 * len(allowed)
+
+
+def dense_split_complex_commutant(rep, block):
+    ker = sparse_kernel(*dense_commutant_rows(rep, block))
     assert len(ker) % 2 == 0
     return len(ker) // 2
 
@@ -423,12 +428,31 @@ def test_hermitian_engine_matches_retired_elimination():
     assert verdicts == {True, False}
 
 
-def test_commutant_matches_retired_accumulation():
+def test_commutant_matches_retired_accumulation(monkeypatch):
+    import superlie.clifford
+
+    seen = []
+
+    def recording(rows, ncols):
+        seen.append((rows, ncols))
+        return sparse_kernel(rows, ncols)
+
+    monkeypatch.setattr(superlie.clifford, "sparse_kernel", recording)
+    rng = random.Random(3)
     for n in range(1, 10):
         rep = gamma_rep([frac(m) for m in range(1, n + 1)])
         dims = {block: _split_complex_commutant(rep, block) for block in ("diag", "off", "all")}
         assert dims == {block: dense_split_complex_commutant(rep, block) for block in dims}
         assert dims == {"diag": 1, "off": 0, "all": 1}  # irreducible, with no odd self-map
+        # the same real and imaginary rows, in the same order: a dimension
+        # alone cannot see a sign error in the split
+        grading = [rng.randint(0, 1) for _ in rep.grading]
+        regraded = CliffordRep(rep.mu_diag, rep.matrices, grading, validate=False)
+        for r in (rep, regraded):
+            for block in ("diag", "off", "all"):
+                seen.clear()
+                _split_complex_commutant(r, block)
+                assert seen == [dense_commutant_rows(r, block)]
 
 
 def test_validate_matches_two_product_check():
