@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import Cocycle2, centroid, h2_dim, is_coboundary, is_derivation, kappa_T, star
-from .linalg import Matrix, Subspace, _dense, basis_coordinates, definiteness
+from .linalg import Matrix, Subspace, _dense, _entries, basis_coordinates, definiteness
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
@@ -670,7 +670,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         )
         out["D_kappa_skew"] = (star(L, entry.form, D) + D).is_zero()
         kd = kappa_T(L, entry.form, D)
-        omega = Cocycle2(L, [kd.gram], validate=True)
+        omega = Cocycle2(L, [_entries(kd.gram)], validate=True)
         out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
         if entry.family == "pq_n":
             odd = Subspace(L.dim, [L.basis_vector(i) for i in L.odd_indices])

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .assoc import AssocError, grassmann
+from .assoc import GRASSMANN_CAP, AssocError, grassmann
 from .catalog import FAMILIES, CatalogError, build_catalog, verify_catalog_facts
 from .clifford import (
     CliffordError,
@@ -295,6 +295,8 @@ def _check_sweep(sweep) -> None:
                     raise SchemaError(f"missing key {name!r} at {path}")
             if type(spec["s"]) is not int or spec["s"] < 1:
                 raise SchemaError(f"expected an integer >= 1 at {path}.s")
+            if spec["s"] > GRASSMANN_CAP:
+                raise SchemaError(f"grassmann capped at {GRASSMANN_CAP} generators, got {spec['s']} at {path}.s")
             _check_k(spec["k"], f"{path}.k")
             if key == "urad":
                 if spec.get("hochschild", "random") not in ("random", "zero"):

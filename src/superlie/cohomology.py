@@ -22,10 +22,11 @@ from .linalg import (
     Matrix,
     SparseEliminator,
     Subspace,
+    _entries,
     _first_violation,
+    _gram,
     _identity_rows,
     _preimages,
-    _support,
     basis_coordinates,
     solve_linear,
     sparse_kernel,
@@ -90,15 +91,7 @@ def _solve_end_space(L: LieSuperalgebra, d_parity: int, terms, triples) -> list[
     columns = _end_columns(L, d_parity)
     unknowns = list(columns)
     ker = sparse_kernel(_identity_rows(terms, triples, columns), len(unknowns))
-    out = []
-    n = L.dim
-    for kv in ker:
-        M = [[Fraction(0)] * n for _ in range(n)]
-        for t, c in kv.items():
-            m, k = unknowns[t]
-            M[m][k] = c
-        out.append(Matrix(M))
-    return out
+    return [_gram({unknowns[t]: c for t, c in kv.items()}, L.dim) for kv in ker]
 
 
 def _bracket_index(L: LieSuperalgebra) -> tuple[dict, dict]:
@@ -146,8 +139,9 @@ def _centroid_identity(L: LieSuperalgebra, right: Sequence[int]):
     return terms, [(i, j, m) for i in range(n) for j in right for m in range(n)]
 
 
-def _reached_triples(L: LieSuperalgebra, X: Matrix, derivation: bool) -> list[tuple]:
-    """The sorted triples (i, j, m) on which a nonzero X[a][b] has a term.
+def _reached_triples(L: LieSuperalgebra, X: dict, derivation: bool) -> list[tuple]:
+    """The sorted triples (i, j, m) on which a nonzero X[a, b] of the sparse
+    map X has a term.
 
     Centroid rule (all ordered triples) and derivation rule (i <= j) alike:
     (i, j, a) for a bracket preimage (i, j) of b, and (b, j, m) for e_m in
@@ -162,7 +156,7 @@ def _reached_triples(L: LieSuperalgebra, X: Matrix, derivation: bool) -> list[tu
         first.setdefault(u, []).append((v, vec))
         second.setdefault(v, []).append((u, vec))
     out = set()
-    for a, b in _support(X):
+    for a, b in X:
         for i, j in pre.get(b, ()):
             out.add((i, j, a))
         for j, vec in first.get(a, ()):
@@ -175,13 +169,14 @@ def _reached_triples(L: LieSuperalgebra, X: Matrix, derivation: bool) -> list[tu
     return sorted(out)
 
 
-def _derivation_witness(L: LieSuperalgebra, D: Matrix, parity: int) -> tuple | None:
-    """First violated triple of the full sweep over (i, j, m) with i <= j."""
+def _derivation_witness(L: LieSuperalgebra, D: dict, parity: int) -> tuple | None:
+    """First violated triple of the full sweep over (i, j, m) with i <= j;
+    D is the sparse map of the endomorphism's entries."""
     terms, _ = _derivation_identity(L, parity, ())
     return _first_violation(terms, _reached_triples(L, D, True), D)
 
 
-def _centroid_witness(L: LieSuperalgebra, S: Matrix) -> tuple | None:
+def _centroid_witness(L: LieSuperalgebra, S: dict) -> tuple | None:
     terms, _ = _centroid_identity(L, ())
     return _first_violation(terms, _reached_triples(L, S, False), S)
 
@@ -294,11 +289,11 @@ def _derivation_invariant(
 
 
 def is_derivation(L: LieSuperalgebra, D: Matrix, parity: int) -> bool:
-    return _derivation_witness(L, D, parity) is None
+    return _derivation_witness(L, _entries(D), parity) is None
 
 
 def in_centroid(L: LieSuperalgebra, S: Matrix) -> bool:
-    return _centroid_witness(L, S) is None
+    return _centroid_witness(L, _entries(S)) is None
 
 
 def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_parity: int) -> dict:
@@ -306,7 +301,7 @@ def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_par
     kt = kappa_T(L, kappa, T)
     rep = form_report(L, kt)
     Tstar = star(L, kappa, T)
-    cocycle_ok = _cocycle_witness(L, kt.gram) is None
+    cocycle_ok = _cocycle_witness(L, _entries(kt.gram)) is None
     return {
         "kappa_T_supersymmetric": rep["supersymmetric"],
         "T_star_eq_T": Tstar == T,
@@ -372,34 +367,32 @@ class PairBasis:
             return (Fraction(1), self.index[(a, b)])
         return (self._mirror_sign(a, b), self.index[(b, a)])
 
-    def gram_of_vector(self, vec: dict[int, Fraction]) -> Matrix:
-        n = self.L.dim
-        G = [[Fraction(0)] * n for _ in range(n)]
+    def gram_of_vector(self, vec: dict[int, Fraction]) -> dict:
+        """The sparse map {(a, b): omega(e_a, e_b)} of a pair vector without
+        zeros, both orientations of each pair."""
+        out = {}
         for t, c in vec.items():
             i, j = self.pairs[t]
-            G[i][j] = c
+            out[(i, j)] = c
             if i != j:
-                G[j][i] = self._mirror_sign(i, j) * c
-        return Matrix(G)
-
-    def vector_of_gram(self, G: Matrix) -> dict[int, Fraction]:
-        out = {}
-        for t, (i, j) in enumerate(self.pairs):
-            c = G.rows[i][j]
-            if c:
-                out[t] = Fraction(c)
+                out[(j, i)] = self._mirror_sign(i, j) * c
         return out
+
+    def vector_of_gram(self, F: dict) -> dict[int, Fraction]:
+        """Pair coordinates of a sparse map, in pair order (pairs are sorted)."""
+        index = self.index
+        return {index[p]: Fraction(F[p]) for p in sorted(F) if p in index}
 
 
 # -- identities: one term generator each, for solving and for checking --------
 #
 # The solvers turn an identity's terms into constraint rows over every triple
 # (linalg._identity_rows); the cocycle solver skips the triples on which no
-# bracket gives a term.  The checks evaluate the same terms on a given map
-# (linalg._first_violation), each visiting only the triples the map's support
-# reaches: every term of any other triple meets a zero entry, so the verdict
-# and the lexicographically first violated triple (the witness) are those of
-# a dense sweep.
+# bracket gives a term.  The checks evaluate the same terms on a given sparse
+# map {(a, b): x} (linalg._first_violation), each visiting only the triples
+# the map's support reaches: every term of any other triple meets a zero
+# entry, so the verdict and the lexicographically first violated triple (the
+# witness) are those of a dense sweep.
 
 
 def _cocycle_terms(L: LieSuperalgebra, x: int, y: int, z: int):
@@ -427,33 +420,33 @@ def _skew_terms(parities: Sequence[int], a: int, b: int):
     yield (-1 if parities[a] and parities[b] else 1), b, a
 
 
-def _cocycle_witness(L: LieSuperalgebra, G: Matrix, pre: dict | None = None) -> tuple | None:
-    """First sorted triple (x, y, z) at which G breaks the cocycle identity.
+def _cocycle_witness(L: LieSuperalgebra, F: dict, pre: dict | None = None) -> tuple | None:
+    """First sorted triple (x, y, z) at which F breaks the cocycle identity.
 
-    Skewness is not assumed.  A term omega(e_a, e_b) with G[a][b] != 0 sits
+    Skewness is not assumed.  A term omega(e_a, e_b) with F[a, b] != 0 sits
     on the sorted triple of b and a bracket preimage (u, v) of a, or of a and
     a preimage of b; pre is the index of sorted preimage pairs.
     """
     if pre is None:
         pre = _preimages(L.brackets, sorted_pairs=True)
     candidates = set()
-    for a, b in _support(G):
+    for a, b in F:
         for u, v in pre.get(a, ()):
             candidates.add(tuple(sorted((u, v, b))))
         for u, v in pre.get(b, ()):
             candidates.add(tuple(sorted((u, v, a))))
-    return _first_violation(partial(_cocycle_terms, L), sorted(candidates), G)
+    return _first_violation(partial(_cocycle_terms, L), sorted(candidates), F)
 
 
-def _hochschild_witness(A: AssocSuperalgebra, F: Matrix) -> tuple | None:
+def _hochschild_witness(A: AssocSuperalgebra, F: dict) -> tuple | None:
     """First triple (a, b, c) at which F breaks the cyclic Leibniz identity.
 
-    A term F(e_p, e_q) with F[p][q] != 0 sits on (u, v, q) for a product
+    A term F(e_p, e_q) with F[p, q] != 0 sits on (u, v, q) for a product
     preimage (u, v) of p, or on (p, u, v) and (u, p, v) for one of q.
     """
     pre = _preimages(A.table, sorted_pairs=False)
     candidates = set()
-    for p, q in _support(F):
+    for p, q in F:
         for u, v in pre.get(p, ()):
             candidates.add((u, v, q))
         for u, v in pre.get(q, ()):
@@ -462,13 +455,12 @@ def _hochschild_witness(A: AssocSuperalgebra, F: Matrix) -> tuple | None:
     return _first_violation(partial(_hochschild_terms, A), sorted(candidates), F)
 
 
-def _skew_witness(parities: Sequence[int], G: Matrix) -> tuple | None:
-    """First pair (i, j), i <= j, with G[i][j] != -(-1)^{|i||j|} G[j][i]."""
-    rows = G.rows
+def _skew_witness(parities: Sequence[int], F: dict) -> tuple | None:
+    """First pair (i, j), i <= j, with F[i, j] != -(-1)^{|i||j|} F[j, i]."""
     bad = [
         (min(i, j), max(i, j))
-        for i, j in _support(G)
-        if rows[i][j] != (rows[j][i] if parities[i] and parities[j] else -rows[j][i])
+        for (i, j), x in F.items()
+        if x != (F.get((j, i), 0) if parities[i] and parities[j] else -F.get((j, i), 0))
     ]
     return min(bad, default=None)
 
@@ -481,37 +473,46 @@ def _at(names: Sequence[str], witness: tuple) -> str:
 
 
 class Cocycle2:
-    """Super-skew bilinear map satisfying the graded cocycle identity."""
+    """Super-skew bilinear map satisfying the graded cocycle identity.
 
-    __slots__ = ("carrier", "grams", "value_parities")
+    Each value component is a sparse map {(a, b): omega(e_a, e_b)} holding
+    both orientations of every nonzero pair; grams builds the dense matrices
+    anew on each read.
+    """
+
+    __slots__ = ("carrier", "components", "value_parities")
 
     def __init__(
         self,
         carrier: LieSuperalgebra,
-        grams: Sequence[Matrix],
+        components: Sequence[dict],
         value_parities: Sequence[int] | None = None,
         validate: bool = True,
     ):
         self.carrier = carrier
-        self.grams = tuple(grams)
+        self.components = tuple(components)
         self.value_parities = (
-            tuple(value_parities) if value_parities is not None else (0,) * len(self.grams)
+            tuple(value_parities) if value_parities is not None else (0,) * len(self.components)
         )
         if validate:
             self.validate()
 
     @property
     def value_dim(self) -> int:
-        return len(self.grams)
+        return len(self.components)
+
+    @property
+    def grams(self) -> tuple[Matrix, ...]:
+        return tuple(_gram(F, self.carrier.dim) for F in self.components)
 
     def validate(self):
         L = self.carrier
         pre = _preimages(L.brackets, sorted_pairs=True)
-        for G in self.grams:
-            w = _skew_witness(L.parities, G)
+        for F in self.components:
+            w = _skew_witness(L.parities, F)
             if w is not None:
                 raise CohomologyError(f"cocycle is not super-skew at {_at(L.names, w)}")
-            w = _cocycle_witness(L, G, pre)
+            w = _cocycle_witness(L, F, pre)
             if w is not None:
                 raise CohomologyError(f"cocycle identity fails at {_at(L.names, w)}")
 
@@ -626,15 +627,16 @@ def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
     """Solve the B^2 membership system componentwise."""
     pb = PairBasis(L)
     span = _coboundary_span(L, pb)
-    for G in omega.grams:
-        target = pb.vector_of_gram(G)
+    for F in omega.components:
+        target = pb.vector_of_gram(F)
         if target and not span.in_row_space(target):
             return False
     return True
 
 
-def sym_invariant_forms(L: LieSuperalgebra) -> list[Matrix]:
-    """Basis of supersymmetric invariant bilinear forms (the space Sym(L)^L)."""
+def sym_invariant_forms(L: LieSuperalgebra) -> list[dict]:
+    """Basis of supersymmetric invariant bilinear forms (the space Sym(L)^L),
+    as sparse maps."""
     pb = PairBasis(L, skew=False)
     triples = product(range(L.dim), repeat=3)
     rows = _identity_rows(partial(_invariance_terms, L), triples, pb.columns())
@@ -701,19 +703,25 @@ def _correct_to_vanish_on_even(
 
 
 class HochschildMap:
-    """Super-skew bilinear map on A with the cyclic Leibniz identity."""
+    """Super-skew bilinear map on A with the cyclic Leibniz identity, held as
+    the sparse map {(a, b): F(e_a, e_b)}; gram builds the dense matrix anew
+    on each read."""
 
-    __slots__ = ("A", "gram", "parity")
+    __slots__ = ("A", "entries", "parity")
 
-    def __init__(self, A: AssocSuperalgebra, gram: Matrix, parity: int = 0, validate: bool = True):
+    def __init__(self, A: AssocSuperalgebra, entries: dict, parity: int = 0, validate: bool = True):
         self.A = A
-        self.gram = gram
+        self.entries = entries
         self.parity = parity
-        if validate and not is_hochschild(A, gram):
-            raise CohomologyError(f"not a Hochschild map: {_hochschild_failure(A, gram)}")
+        if validate and not is_hochschild(A, entries):
+            raise CohomologyError(f"not a Hochschild map: {_hochschild_failure(A, entries)}")
+
+    @property
+    def gram(self) -> Matrix:
+        return _gram(self.entries, self.A.dim)
 
 
-def _hochschild_failure(A: AssocSuperalgebra, F: Matrix) -> str | None:
+def _hochschild_failure(A: AssocSuperalgebra, F: dict) -> str | None:
     """Why F is not a Hochschild map, naming the first failing pair or triple."""
     w = _skew_witness(A.parities, F)
     if w is not None:
@@ -724,7 +732,7 @@ def _hochschild_failure(A: AssocSuperalgebra, F: Matrix) -> str | None:
     return None
 
 
-def is_hochschild(A: AssocSuperalgebra, F: Matrix) -> bool:
+def is_hochschild(A: AssocSuperalgebra, F: dict) -> bool:
     return _hochschild_failure(A, F) is None
 
 
@@ -737,13 +745,11 @@ def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[Ho
     rows += _identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns)
     out = []
     for vec in sparse_kernel(rows, n * n):
-        G = [[Fraction(0)] * n for _ in range(n)]
-        for t, c in vec.items():
-            G[t // n][t % n] = c
-        p = _kernel_parity({(A.parities[t // n] + A.parities[t % n]) % 2 for t in vec})
+        F = {divmod(t, n): c for t, c in sorted(vec.items())}
+        p = _kernel_parity({(A.parities[a] + A.parities[b]) % 2 for a, b in F})
         if parity is not None and p != parity:
             continue
-        out.append(HochschildMap(A, Matrix(G), p, validate=False))
+        out.append(HochschildMap(A, F, p, validate=False))
     return out
 
 
@@ -760,24 +766,16 @@ def _kappa_parity(K: LieSuperalgebra, kappa: BilinearForm) -> int:
     return 1 if parity == "odd" else 0
 
 
-def _current_gram(cur: Current, coeffs: Sequence[Sequence], kt: Sequence[Sequence]) -> Matrix:
-    """Gram of (a x, b y) -> (-1)^{|b||x|} c(a, b) kt(x, y) on A (x) K, with
-    c(e_p, e_q) = coeffs[p][q] and kt(e_i, e_j) = kt[i][j]."""
+def _current_map(cur: Current, coeffs: dict, kt: dict) -> dict:
+    """Sparse map of (a x, b y) -> (-1)^{|b||x|} c(a, b) kt(x, y) on A (x) K,
+    with c(e_p, e_q) = coeffs[p, q] and kt(e_i, e_j) = kt[i, j], both sparse."""
     K, A = cur.K, cur.A
-    n = cur.dim
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for p in range(A.dim):
-        for q in range(A.dim):
-            c = coeffs[p][q]
-            if not c:
-                continue
-            for i in range(K.dim):
-                sign = -1 if (K.parities[i] and A.parities[q]) else 1
-                for j in range(K.dim):
-                    v = kt[i][j]
-                    if v:
-                        G[cur.slot(p, i)][cur.slot(q, j)] = sign * c * v
-    return Matrix(G)
+    out = {}
+    for (p, q), c in coeffs.items():
+        for (i, j), v in kt.items():
+            sign = -1 if (K.parities[i] and A.parities[q]) else 1
+            out[(cur.slot(p, i), cur.slot(q, j))] = sign * c * v
+    return out
 
 
 def eta_cocycle(
@@ -789,15 +787,15 @@ def eta_cocycle(
 ) -> Cocycle2:
     """eta_{f,D}(a x, b y) = (-1)^{|b||x|} f(ab) kappa(Dx, y); needs D in der_-."""
     K, A = cur.K, cur.A
-    w = _derivation_witness(K, D, d_parity)
+    w = _derivation_witness(K, _entries(D), d_parity)
     if w is not None:
         raise CohomologyError(
             f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
         )
     if not (star(K, kappa, D) + D).is_zero():
         raise CohomologyError("eta needs D kappa-skew (D in der_-)")
-    kd = (D.transpose() @ kappa.gram).rows  # kd[i][j] = kappa(D e_i, e_j)
-    grams = []
+    kd = _entries(D.transpose() @ kappa.gram)  # kd[i, j] = kappa(D e_i, e_j)
+    maps = []
     vps = []
     kp = _kappa_parity(K, kappa)
     for f in f_rows:
@@ -805,16 +803,14 @@ def eta_cocycle(
         if len(fp) > 1:
             raise CohomologyError("eta needs parity-homogeneous functionals on A")
         f_parity = fp.pop() if fp else 0
-        fab = [
-            [
-                sum((m * f[r] for r, m in A.product_basis(p, q).items() if f[r]), Fraction(0))
-                for q in range(A.dim)
-            ]
-            for p in range(A.dim)
-        ]
-        grams.append(_current_gram(cur, fab, kd))
+        fab = {}
+        for pq, prod in A.table.items():
+            x = sum((m * f[r] for r, m in prod.items() if f[r]), Fraction(0))
+            if x:
+                fab[pq] = x
+        maps.append(_current_map(cur, fab, kd))
         vps.append((f_parity + kp + d_parity) % 2)
-    return Cocycle2(cur.algebra, grams, vps)
+    return Cocycle2(cur.algebra, maps, vps)
 
 
 def xi_cocycle(
@@ -825,7 +821,7 @@ def xi_cocycle(
 ) -> Cocycle2:
     """xi_{F,S}(a x, b y) = (-1)^{|b||x|} F(a, b) kappa(Sx, y); S in cent_+."""
     K, A = cur.K, cur.A
-    w = _centroid_witness(K, S)
+    w = _centroid_witness(K, _entries(S))
     if w is not None:
         raise CohomologyError(
             f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
@@ -833,13 +829,13 @@ def xi_cocycle(
     if star(K, kappa, S) != S:
         raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
     for F in F_list:
-        if not is_hochschild(A, F.gram):
-            raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.gram)}")
-    ks = (S.transpose() @ kappa.gram).rows
+        if not is_hochschild(A, F.entries):
+            raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.entries)}")
+    ks = _entries(S.transpose() @ kappa.gram)
     kp = _kappa_parity(K, kappa)
-    grams = [_current_gram(cur, F.gram.rows, ks) for F in F_list]
+    maps = [_current_map(cur, F.entries, ks) for F in F_list]
     vps = [(F.parity + kp) % 2 for F in F_list]
-    return Cocycle2(cur.algebra, grams, vps)
+    return Cocycle2(cur.algebra, maps, vps)
 
 
 # -- central extensions ---------------------------------------------------------
@@ -888,16 +884,16 @@ def _central_extension(
         raise CohomologyError("m_names must match the cocycle value dimension")
     n = L.dim
     extra: dict[tuple[int, int], Coordvec] = {}
-    for c, (G, vp) in enumerate(zip(omega.grams, omega.value_parities)):
-        for a, b in _support(G):
+    for c, (F, vp) in enumerate(zip(omega.components, omega.value_parities)):
+        for (a, b), x in sorted(F.items()):
             if (L.parities[a] + L.parities[b] + vp) % 2:
                 raise CohomologyError(
                     f"not a cocycle: {m_names[c]} has the wrong parity at {_at(L.names, (a, b))}"
                 )
-            extra.setdefault((a, b), {})[n + c] = Fraction(G.rows[a][b])
+            extra.setdefault((a, b), {})[n + c] = Fraction(x)
     if not validated:
         try:
-            Cocycle2(L, omega.grams, omega.value_parities)
+            Cocycle2(L, omega.components, omega.value_parities)
         except CohomologyError as exc:
             raise CohomologyError(f"not a cocycle: {exc}") from None
     table = {
@@ -962,19 +958,17 @@ def verify_cor1(
 
     n_eta = 0
     n_xi = 0
-    dual_f = [
-        [Fraction(p == t) for p in range(A.dim)] for t in range(A.dim)
-    ]
+    dual_f = [[Fraction(p == t) for p in range(A.dim)] for t in range(A.dim)]
     if not drop_eta:
         for D, dp in d_reps:
             c = eta_cocycle(cur, kappa, dual_f, D, dp)
-            for G in c.grams:
-                span.add_row(pb.vector_of_gram(G))
+            for F in c.components:
+                span.add_row(pb.vector_of_gram(F))
                 n_eta += 1
     for S in s_reps:
         c = xi_cocycle(cur, kappa, hoch, S)
-        for G in c.grams:
-            span.add_row(pb.vector_of_gram(G))
+        for F in c.components:
+            span.add_row(pb.vector_of_gram(F))
             n_xi += 1
     span_dim = span.rank
     defect = dim_z2 - span_dim

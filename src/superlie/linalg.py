@@ -16,8 +16,10 @@ row-wise product) and give the values and entry types of a dense sum.
 A linear identity on a bilinear map or an endomorphism X is generated one
 index triple at a time as terms (c, a, b), read as sum c * X[a][b] = 0.  The
 same generator gives the constraint rows of a solver (`_identity_rows`) and
-the check of a given matrix (`_first_violation`), which visits only the
-triples the support of X reaches (`_support`, `_preimages`).
+the check of a given map (`_first_violation`), which visits only the
+triples the support of X reaches (`_preimages`).  The check reads X as a
+sparse map {(a, b): x} of its nonzero entries: a 2-cochain is held that way
+from the start, and a `Matrix` is read through `_entries`.
 """
 
 from __future__ import annotations
@@ -661,8 +663,17 @@ def _identity_rows(terms, triples, columns: dict) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _support(G: Matrix) -> list[tuple[int, int]]:
-    return [(a, b) for a, row in enumerate(G.rows) for b, g in enumerate(row) if g]
+def _entries(M: Matrix) -> dict[tuple[int, int], object]:
+    """The nonzero entries {(a, b): M[a][b]} of a matrix, row-major."""
+    return {(a, b): x for a, row in enumerate(M.rows) for b, x in enumerate(row) if x}
+
+
+def _gram(F: dict, n: int) -> Matrix:
+    """The dense n x n matrix of a sparse map, Fraction(0) off its support."""
+    M = Matrix.zero(n, n)
+    for (a, b), x in F.items():
+        M.rows[a][b] = x
+    return M
 
 
 def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int]]]:
@@ -677,13 +688,13 @@ def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int
     return pre
 
 
-def _first_violation(terms, triples, G: Matrix) -> tuple | None:
-    """First of the triples whose terms do not sum to zero on G."""
-    rows = G.rows
+def _first_violation(terms, triples, F: dict) -> tuple | None:
+    """First of the triples whose terms do not sum to zero on the sparse map F."""
+    get = F.get
     for triple in triples:
         tot = Fraction(0)
         for c, a, b in terms(*triple):
-            g = rows[a][b]
+            g = get((a, b))
             if g:
                 tot += c * g
         if tot:

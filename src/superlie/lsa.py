@@ -22,10 +22,10 @@ from .linalg import (
     Matrix,
     Subspace,
     _axpy,
+    _entries,
     _first_violation,
     _preimages,
     _sparse_products,
-    _support,
     basis_coordinates,
     is_graded,
     quotient_table,
@@ -246,7 +246,7 @@ def _check_homogeneous(mats: Sequence[Matrix], parities: Sequence[int], block_si
     for M, par, name in zip(mats, parities, names):
         if M.shape != (size, size):
             raise LsaError(f"matrix {name} is not {size}x{size}, as block sizes {block_sizes} ask")
-        for r, c in _support(M):
+        for r, c in _entries(M):
             if mpar[r] ^ mpar[c] != par:
                 kind = "odd" if par else "even"
                 raise LsaError(f"matrix {name} is declared {kind} but has a nonzero entry at ({r},{c})")
@@ -353,16 +353,13 @@ def odd_square_gram(L: LieSuperalgebra, lam: Sequence) -> Matrix:
 def form_parity(L: LieSuperalgebra, B: BilinearForm) -> str:
     even_ok = True
     odd_ok = True
-    n = L.dim
     for G, vp in zip(B.grams, B.value_parities):
-        for i in range(n):
-            for j in range(n):
-                if G.rows[i][j]:
-                    pair = (L.parities[i] + L.parities[j]) % 2
-                    if pair != vp % 2:
-                        even_ok = False
-                    if pair != (vp + 1) % 2:
-                        odd_ok = False
+        for i, j in _entries(G):
+            pair = (L.parities[i] + L.parities[j]) % 2
+            if pair != vp % 2:
+                even_ok = False
+            if pair != (vp + 1) % 2:
+                odd_ok = False
     if even_ok and odd_ok:
         return "even"  # zero form, vacuously homogeneous
     if even_ok:
@@ -400,13 +397,13 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
         par = L.realization.matrix_parities
         mats = L.realization.mats
         # str(XY) = sum (-1)^{p_r} X[r][k] Y[k][r] over the nonzeros of X
-        entries = [[(r, k, X.rows[r][k]) for r, k in _support(X)] for X in mats]
+        entries = [_entries(X).items() for X in mats]
         rows = []
         for i in range(n):
             row = []
             for Y in mats:
                 val = Fraction(0)
-                for r, k, x in entries[i]:
+                for (r, k), x in entries[i]:
                     y = Y.rows[k][r]
                     if y:
                         val = val - x * y if par[r] else val + x * y
@@ -429,20 +426,20 @@ def _invariance_terms(L: LieSuperalgebra, x: int, y: int, z: int):
         yield -c, x, k
 
 
-def _invariance_witness(L: LieSuperalgebra, G: Matrix, pre: dict) -> tuple | None:
-    """First triple (x, y, z) at which G breaks invariance.
+def _invariance_witness(L: LieSuperalgebra, F: dict, pre: dict) -> tuple | None:
+    """First triple (x, y, z) at which the sparse map F breaks invariance.
 
-    A term omega(e_a, e_b) with G[a][b] != 0 sits on (u, v, b) for a bracket
+    A term omega(e_a, e_b) with F[a, b] != 0 sits on (u, v, b) for a bracket
     preimage (u, v) of a, or on (a, u, v) for one of b; pre is the index of
     all preimage pairs.  Every other triple has only zero terms.
     """
     candidates = set()
-    for a, b in _support(G):
+    for a, b in F:
         for u, v in pre.get(a, ()):
             candidates.add((u, v, b))
         for u, v in pre.get(b, ()):
             candidates.add((a, u, v))
-    return _first_violation(partial(_invariance_terms, L), sorted(candidates), G)
+    return _first_violation(partial(_invariance_terms, L), sorted(candidates), F)
 
 
 def _graded_symmetric(G: Matrix, parities: Sequence[int], sign: int) -> bool:
@@ -463,7 +460,7 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     supersym = all(_graded_symmetric(G, L.parities, 1) for G in B.grams)
     skew = all(_graded_symmetric(G, L.parities, -1) for G in B.grams)
     pre = _preimages(L.brackets, sorted_pairs=False)
-    invariant = all(_invariance_witness(L, G, pre) is None for G in B.grams)
+    invariant = all(_invariance_witness(L, _entries(G), pre) is None for G in B.grams)
     stacked = B.stacked_gram_rows()
     # radical = {x : B(x, .) = 0}: kernel of the stacked rows viewed as a map on x
     rad_vectors = dense_kernel(list(map(list, zip(*stacked))), n)

@@ -30,7 +30,7 @@ from .current import Current, current_lsa
 from .linalg import (
     Matrix,
     Subspace,
-    _support,
+    _axpy,
     definiteness_with_witness,
     kernel,
 )
@@ -217,22 +217,22 @@ def extend_current(
     sharing S, is one eta_cocycle / xi_cocycle call, so D or S is checked
     once per run; the components keep their order and eta<t>/xi<t> labels.
     """
-    grams = []
+    maps = []
     parities = []
     for (D, dp), run in groupby(eta_data, key=lambda e: (e[1], e[2])):
         c = eta_cocycle(cur, kappa, [f_row for f_row, _D, _dp in run], D, dp)
-        grams += c.grams
+        maps += c.components
         parities += c.value_parities
     for S, run in groupby(xi_data, key=lambda e: e[1]):
         c = xi_cocycle(cur, kappa, [F for F, _S in run], S)
-        grams += c.grams
+        maps += c.components
         parities += c.value_parities
     labels = [f"eta{t + 1}" for t in range(len(eta_data))]
     labels += [f"xi{t + 1}" for t in range(len(xi_data))]
-    if not grams:
+    if not maps:
         return CurrentExtension(cur, kappa, None, list(eta_data), list(xi_data), [])
     # each run's cocycle was validated when built
-    omega = Cocycle2(cur.algebra, grams, parities, validate=False)
+    omega = Cocycle2(cur.algebra, maps, parities, validate=False)
     ext = _central_extension(cur.algebra, omega, labels, validated=True)
     return CurrentExtension(cur, kappa, ext, list(eta_data), list(xi_data), labels)
 
@@ -322,17 +322,15 @@ def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> 
     basis = hochschild_space(A, parity=0)
     if not basis:
         return []
-    supports = [[(i, j, F.gram.rows[i][j]) for i, j in _support(F.gram)] for F in basis]
     rng = random.Random(seed)
     out = []
     for _ in range(value_dim):
-        n = A.dim
-        G = [[Fraction(0)] * n for _ in range(n)]
-        for nz in supports:
+        F: dict = {}
+        for B in basis:
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            for i, j, g in nz:
-                G[i][j] += c * g
-        out.append(HochschildMap(A, Matrix(G), 0))
+            if c:
+                _axpy(F, B.entries, -c)
+        out.append(HochschildMap(A, F, 0))
     return out
 
 
@@ -374,11 +372,7 @@ def verify_urad_theorem(
         for q in range(A.dim):
             if A.z_degrees[q] < 3:
                 continue
-            coords = {}
-            for c, F in enumerate(F_list):
-                val = F.gram.rows[p][q]
-                if val:
-                    coords[c] = val
+            coords = {c: F.entries[(p, q)] for c, F in enumerate(F_list) if (p, q) in F.entries}
             if coords:
                 r_rows.append(gext.m_vector(coords))
     ideal_i = Subspace(L.dim, i_rows + r_rows)
@@ -554,12 +548,8 @@ def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
     A = grassmann(s)
     report = {"family": entry.family, "s": s}
     if s <= 2:
-        n = A.dim
-        G = [[Fraction(0)] * n for _ in range(n)]
-        for t in range(s):
-            k = A.names.index(f"e{t + 1}")
-            G[k][k] = Fraction(1)
-        F = HochschildMap(A, Matrix(G), 0)  # validates the Hochschild identities
+        delta = {(k, k): Fraction(1) for k in (A.names.index(f"e{t + 1}") for t in range(s))}
+        F = HochschildMap(A, delta, 0)  # validates the Hochschild identities
         cur = current_lsa(A, K)
         gext = extend_current(cur, kappa, (), [(F, Matrix.identity(K.dim))])
         L = gext.algebra
@@ -583,7 +573,7 @@ def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
     witness[cur.slot(top3, 0)] = Fraction(1)
     checked = 0
     for F in hoch:
-        if F.gram.rows[top3][top3] != 0:
+        if F.entries.get((top3, top3), 0) != 0:
             raise UniradError("witness square check failed for a Hochschild map")
         checked += 1
     sq = cur.algebra.bracket(witness, witness)

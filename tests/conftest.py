@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superlie.assoc import AssocSuperalgebra
-from superlie.cohomology import _derivation_identity
+from superlie.cohomology import Cocycle2, _derivation_identity
 from superlie.linalg import Matrix
 from superlie.lsa import LieSuperalgebra, from_matrix_basis, make_lsa
 from superlie.scalars import Scalar
@@ -22,13 +22,27 @@ def _with_full_sweep(cls, validate_pos):
     return __init__
 
 
+_cocycle_init = Cocycle2.__init__
+
 # Installed on import, before any test module is collected, so that every
 # algebra valid by construction that the suite builds, at collection time or
 # in a test, still gets the full sweep: current algebras, central extensions
 # and Lie quotients (parity, super antisymmetry, graded Jacobi), associative
-# quotients (parity, unit, supercommutativity, associativity, grading).
+# quotients (parity, unit, supercommutativity, associativity, grading).  So
+# does every cocycle built with validate=False (super-skewness and the
+# cocycle identity): the z2_space basis, the omega extend_current assembles
+# and the verify_cor1 certificate.
 LieSuperalgebra.__init__ = _with_full_sweep(LieSuperalgebra, 4)
 AssocSuperalgebra.__init__ = _with_full_sweep(AssocSuperalgebra, 5)
+Cocycle2.__init__ = _with_full_sweep(Cocycle2, 3)
+
+
+@pytest.fixture
+def unswept_cocycles(monkeypatch):
+    """Cocycle2 with its own __init__ only, for the tests that hand
+    central_extension a broken omega built with validate=False, or count the
+    checks the library itself runs."""
+    monkeypatch.setattr(Cocycle2, "__init__", _cocycle_init)
 
 
 def derivation_sweep(L, parity):

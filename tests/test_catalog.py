@@ -16,7 +16,7 @@ from superlie.cohomology import (
     sym_invariant_forms,
     z2_space,
 )
-from superlie.linalg import Subspace, kernel
+from superlie.linalg import Subspace, _entries, kernel
 from superlie.lsa import form_report
 from superlie.scalars import Scalar
 
@@ -293,7 +293,7 @@ def test_outer_derivation_descends_and_is_outer(psu22, pq3):
         L = entry.algebra
         for i in L.even_indices:
             assert not any(D.column(i))
-        omega = Cocycle2(L, [kappa_T(L, entry.form, D).gram])
+        omega = Cocycle2(L, [_entries(kappa_T(L, entry.form, D).gram)])
         assert not is_coboundary(L, omega)
 
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import abelian, derivation_sweep, odd_heisenberg, su2_cyclic
 from test_linalg import dense_echelon
 from test_lsa import scaled_form
+from test_sparse_oracles import dense_gram_of_vector
 from superlie.assoc import grassmann
 from superlie.cohomology import (
     CohomologyError,
@@ -54,6 +55,7 @@ from superlie.linalg import (
     Matrix,
     SparseEliminator,
     Subspace,
+    _entries,
     _first_violation,
     _identity_rows,
     sparse_kernel,
@@ -177,7 +179,7 @@ def test_kappa_ad_is_coboundary_cocycle(su2k):
     L, kappa = su2k
     T = L.ad_matrix(2)
     form = kappa_T(L, kappa, T)
-    omega = Cocycle2(L, [form.gram])  # validates super skew + cocycle identity
+    omega = Cocycle2(L, [_entries(form.gram)])  # validates super skew + cocycle identity
     assert is_coboundary(L, omega)
     # equals f([x,y]) for f = kappa(e3, .): direct expansion
     for i in range(3):
@@ -390,6 +392,36 @@ def test_coboundary_vectors_match_per_element_sweep(case):
     assert [list(v.items()) for v in coboundary_vectors(L, pb)] == [list(v.items()) for v in want]
 
 
+def test_z2_cocycles_hold_only_their_nonzero_entries():
+    # each cocycle stores the mirrored support of its kernel vector, and the
+    # dense grams are built anew on every read, never kept
+    L = current_lsa(grassmann(3), su2_cyclic()).algebra
+    cocycles = z2_space(L)
+    pb = PairBasis(L)
+    mirrored = sum(1 if pb.pairs[t][0] == pb.pairs[t][1] else 2 for v in L._z2_kernel for t, x in v.items() if x)
+    assert sum(len(F) for c in cocycles for F in c.components) == mirrored
+    for c in cocycles:
+        assert c.grams == c.grams and c.grams is not c.grams and c.grams[0] is not c.grams[0]
+
+
+def test_2_cochain_paths_build_no_dense_gram(monkeypatch):
+    # Lambda3 (x) su(2) has dim 24, above dim A = 8 and dim k = 3: no 24-row
+    # Matrix is built until a gram is read
+    entry, A = build_catalog("su_n", 2), grassmann(3)
+    L = current_lsa(A, entry.algebra).algebra
+    sizes = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__", lambda self, rows: sizes.append(len(rows)) or init(self, rows))
+    cocycles = z2_space(L)
+    is_coboundary(L, cocycles[0])
+    central_extension(L, cocycles[-1])
+    assert verify_cor1(A, entry.algebra, entry.form)["defect"] == 0
+    assert len(hochschild_space(A)) > 0
+    assert L.dim not in sizes
+    cocycles[0].grams
+    assert L.dim in sizes
+
+
 def test_cocycles_are_parity_homogeneous():
     cur = current_lsa(grassmann(1), su2_cyclic())
     for omega in z2_space(cur.algebra):
@@ -423,11 +455,11 @@ def test_cocycle_reconstruction_from_kappa_d_basis(su2k):
         der_minus = split_by_star(L, kappa, der, -1)
         basis_forms = [kappa_T(L, kappa, D).gram for D, _ in der_minus.members()]
         pb = PairBasis(L)
-        elim_vecs = [pb.vector_of_gram(G) for G in basis_forms]
+        elim_vecs = [pb.vector_of_gram(_entries(G)) for G in basis_forms]
         cocycles = z2_space(L)
         assert len(cocycles) == der_minus.dim
         for omega in cocycles:
-            target = pb.vector_of_gram(omega.grams[0])
+            target = pb.vector_of_gram(omega.components[0])
             elim = SparseEliminator(pb.count)
             for v in elim_vecs:
                 elim.add_row(v)
@@ -454,7 +486,7 @@ def test_delta_map_is_hochschild_s2():
     for name in ("e1", "e2"):
         k = A.names.index(name)
         G[k][k] = Fraction(1)
-    assert is_hochschild(A, Matrix(G))
+    assert is_hochschild(A, _entries(Matrix(G)))
 
 
 def test_hochschild_kills_unit():
@@ -529,7 +561,7 @@ def test_xi_zero_map(su2k):
     cur = current_lsa(A, L)
     from superlie.cohomology import HochschildMap
 
-    F0 = HochschildMap(A, Matrix.zero(2, 2), 0)
+    F0 = HochschildMap(A, _entries(Matrix.zero(2, 2)), 0)
     omega = xi_cocycle(cur, kappa, [F0], Matrix.identity(3))
     assert all(G.is_zero() for G in omega.grams)
 
@@ -548,7 +580,7 @@ def test_xi_rejects_bad_inputs(su2k):
 
 def test_extension_by_zero_cocycle(su2k):
     L, _ = su2k
-    omega = Cocycle2(L, [Matrix.zero(3, 3)])
+    omega = Cocycle2(L, [_entries(Matrix.zero(3, 3))])
     ext = central_extension(L, omega)
     assert ext.algebra.dim == 4
     rep = structure_report(ext.algebra)
@@ -558,27 +590,27 @@ def test_extension_by_zero_cocycle(su2k):
 def test_heisenberg_extension():
     L = abelian(2)
     G = Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
-    ext = central_extension(L, Cocycle2(L, [G]))
+    ext = central_extension(L, Cocycle2(L, [_entries(G)]))
     H = ext.algebra
     assert H.dim == 3
     assert H.bracket_basis(0, 1) == {2: Fraction(1)}
     assert structure_report(H)["center"].dim == 1
 
 
-def test_extension_validates_iff_cocycle():
+def test_extension_validates_iff_cocycle(unswept_cocycles):
     rng = random.Random(31)
     L = su2_cyclic()
     pb = PairBasis(L)
     for _ in range(15):
         vec = {t: Fraction(rng.randint(-2, 2)) for t in range(pb.count)}
-        G = pb.gram_of_vector({t: c for t, c in vec.items() if c})
+        G = dense_gram_of_vector(pb, {t: c for t, c in vec.items() if c})
         try:
-            Cocycle2(L, [G])
+            Cocycle2(L, [_entries(G)])
             ok_cocycle = True
         except CohomologyError:
             ok_cocycle = False
         try:
-            central_extension(L, Cocycle2(L, [G], validate=False))
+            central_extension(L, Cocycle2(L, [_entries(G)], validate=False))
             ok_ext = True
         except CohomologyError:
             ok_ext = False
@@ -610,14 +642,14 @@ def _sweep_extension(L, G):
     return make_lsa(*_extension_table(L, G))
 
 
-def test_extension_and_sweep_agree_on_non_cocycles():
+def test_extension_and_sweep_agree_on_non_cocycles(unswept_cocycles):
     # on su(2) every super-skew form is a cocycle (Z2 = all 3 forms); on
     # Lambda1 (x) su(2) Z2 has 7 of 18 dimensions, so both verdicts occur
     rng = random.Random(5)
     L = current_lsa(grassmann(1), su2_cyclic()).algebra
     pb = PairBasis(L)
     # even forms only, so every combination has value parity 0
-    cocycles = [pb.vector_of_gram(c.grams[0]) for c in z2_space(L) if c.value_parities == (0,)]
+    cocycles = [pb.vector_of_gram(c.components[0]) for c in z2_space(L) if c.value_parities == (0,)]
     even_pairs = [k for k in range(pb.count) if pb.parity[k] == 0]
     seen = set()
     for t in range(16):
@@ -629,11 +661,11 @@ def test_extension_and_sweep_agree_on_non_cocycles():
         if t % 4 == 3 or not t % 2:
             k = rng.choice(even_pairs)
             vec[k] = vec.get(k, Fraction(0)) + rng.randint(1, 2)
-        G = pb.gram_of_vector({k: v for k, v in vec.items() if v})
+        G = dense_gram_of_vector(pb, {k: v for k, v in vec.items() if v})
         verdicts = []
         for build in (
-            lambda: Cocycle2(L, [G]),
-            lambda: central_extension(L, Cocycle2(L, [G], validate=False)),
+            lambda: Cocycle2(L, [_entries(G)]),
+            lambda: central_extension(L, Cocycle2(L, [_entries(G)], validate=False)),
             lambda: _sweep_extension(L, G),
         ):
             try:
@@ -649,7 +681,7 @@ def test_extension_and_sweep_agree_on_non_cocycles():
 def _mutant(L, kind):
     """An even-valued coboundary of L with one entry broken."""
     pb = PairBasis(L)
-    rows = [list(r) for r in pb.gram_of_vector(coboundary_vectors(L, pb)[2]).rows]
+    rows = [list(r) for r in dense_gram_of_vector(pb, coboundary_vectors(L, pb)[2]).rows]
     even, odd = L.even_indices, L.odd_indices
     if kind == "cocycle":  # an odd pair: stays super-skew (symmetric)
         a, b = odd[0], odd[1]
@@ -673,7 +705,7 @@ def _mutant(L, kind):
         ("parity", "m1 has the wrong parity at", "parity violation"),
     ],
 )
-def test_extension_mutants_rejected_naming_witness(tmp_path, capsys, kind, message, sweep_kind):
+def test_extension_mutants_rejected_naming_witness(tmp_path, capsys, unswept_cocycles, kind, message, sweep_kind):
     L = current_lsa(grassmann(1), su2_cyclic()).algebra
     G = _mutant(L, kind)
     # the full sweep of the extension table is the oracle for the witness
@@ -682,7 +714,7 @@ def test_extension_mutants_rejected_naming_witness(tmp_path, capsys, kind, messa
     assert sweep.value.kind == sweep_kind
     witness = "(" + ", ".join(L.names[i] for i in sorted(sweep.value.indices)) + ")"
     with pytest.raises(CohomologyError) as err:
-        central_extension(L, Cocycle2(L, [G], validate=False))
+        central_extension(L, Cocycle2(L, [_entries(G)], validate=False))
     assert str(err.value) == f"not a cocycle: {message} {witness}"
     # the same table written as an algebra file fails `superlie validate`
     names, parities, table = _extension_table(L, G)
@@ -874,7 +906,7 @@ def test_cocycle_check_matches_dense_sweep(check_algebras):
         grams = []
         for nnz in (1, 2, 4, 12):  # random super-skew grams, sparse to dense
             vec = {rng.randrange(pb.count): Fraction(rng.choice([-1, 1, 2])) for _ in range(nnz)}
-            grams.append(pb.gram_of_vector(vec))
+            grams.append(dense_gram_of_vector(pb, vec))
         for _ in range(4):
             valid = combo(cocycles, rng, L.dim)
             grams += [valid, perturb(valid, L.parities, rng)]
@@ -882,16 +914,16 @@ def test_cocycle_check_matches_dense_sweep(check_algebras):
             grams.append(perturb(valid, L.parities, rng, keep_skew=False))
         for G in grams:
             want = dense_cocycle_witness(L, G)
-            assert _cocycle_witness(L, G) == want
+            assert _cocycle_witness(L, _entries(G)) == want
             verdicts.add(want is None)
             if dense_skew_witness(L.parities, G) is not None:
                 continue
             if want is None:
-                Cocycle2(L, [G])
+                Cocycle2(L, [_entries(G)])
             else:
                 names = ", ".join(L.names[i] for i in want)
                 with pytest.raises(CohomologyError, match=re.escape(f"cocycle identity fails at ({names})")):
-                    Cocycle2(L, [G])
+                    Cocycle2(L, [_entries(G)])
     assert verdicts == {True, False}
 
 
@@ -902,11 +934,11 @@ def test_skew_check_names_first_pair(check_algebras):
         for _ in range(6):
             G = perturb(combo(cocycles, rng, L.dim), L.parities, rng, keep_skew=False)
             want = dense_skew_witness(L.parities, G)
-            assert _skew_witness(L.parities, G) == want
+            assert _skew_witness(L.parities, _entries(G)) == want
             if want is not None:
                 names = ", ".join(L.names[i] for i in want)
                 with pytest.raises(CohomologyError, match=re.escape(f"not super-skew at ({names})")):
-                    Cocycle2(L, [G])
+                    Cocycle2(L, [_entries(G)])
 
 
 def test_hochschild_check_matches_dense_sweep():
@@ -918,14 +950,14 @@ def test_hochschild_check_matches_dense_sweep():
         valid = combo(basis, rng, A.dim)
         for F in (valid, perturb(valid, A.parities, rng), perturb(valid, A.parities, rng, False)):
             want = dense_hochschild_witness(A, F)
-            assert _hochschild_witness(A, F) == want
+            assert _hochschild_witness(A, _entries(F)) == want
             skew = dense_skew_witness(A.parities, F)
-            assert is_hochschild(A, F) == (want is None and skew is None)
+            assert is_hochschild(A, _entries(F)) == (want is None and skew is None)
             verdicts.add(want is None)
             if skew is None and want is not None:
                 names = ", ".join(A.names[i] for i in want)
                 with pytest.raises(CohomologyError, match=re.escape(f"fails at ({names})")):
-                    HochschildMap(A, F)
+                    HochschildMap(A, _entries(F))
     assert verdicts == {True, False}
 
 
@@ -937,7 +969,7 @@ def test_xi_names_failing_hochschild_triple(su2k):
     want = dense_hochschild_witness(A, F)
     assert want is not None
     names = ", ".join(A.names[i] for i in want)
-    bad = HochschildMap(A, F, validate=False)
+    bad = HochschildMap(A, _entries(F), validate=False)
     with pytest.raises(CohomologyError, match=re.escape(f"cyclic Leibniz identity fails at ({names})")):
         xi_cocycle(cur, kappa, [bad], Matrix.identity(3))
 
@@ -1022,12 +1054,12 @@ def test_derivation_and_centroid_checks_match_dense_sweep(identity_entry):
     for M, p in members:
         for X in (M, perturb(M, L.parities, rng, keep_skew=False)):
             want = dense_derivation_witness(L, X, p)
-            assert _first_violation(*derivation_sweep(L, p), X) == want
-            assert _derivation_witness(L, X, p) == want
+            assert _first_violation(*derivation_sweep(L, p), _entries(X)) == want
+            assert _derivation_witness(L, _entries(X), p) == want
             assert is_derivation(L, X, p) == (want is None)
             want = dense_centroid_witness(L, X)
-            assert _first_violation(*_centroid_identity(L, range(L.dim)), X) == want
-            assert _centroid_witness(L, X) == want
+            assert _first_violation(*_centroid_identity(L, range(L.dim)), _entries(X)) == want
+            assert _centroid_witness(L, _entries(X)) == want
             assert in_centroid(L, X) == (want is None)
             der_verdicts.add(is_derivation(L, X, p))
             cent_verdicts.add(in_centroid(L, X))

@@ -53,7 +53,7 @@ def test_z2_basis_survives_exhaustive_validation():
     su21 = build_catalog("su_pq", 2, 1)
     cur = current_lsa(grassmann(1), su21.algebra)
     for omega in z2_space(cur.algebra):
-        Cocycle2(cur.algebra, omega.grams, omega.value_parities, validate=True)
+        Cocycle2(cur.algebra, omega.components, omega.value_parities, validate=True)
 
 
 def test_kernel_theorem_s3_spot_check():

@@ -6,7 +6,7 @@ import pytest
 from conftest import abelian, odd_heisenberg, odd_line, sc, smatrix
 from test_linalg import DenseEchelon
 from superlie.cohomology import _derivation_invariant, derivation_space, star
-from superlie.linalg import Matrix, Subspace
+from superlie.linalg import Matrix, Subspace, _entries
 from superlie.lsa import (
     LsaError,
     ValidationError,
@@ -352,8 +352,8 @@ def _report_cases():
     for spec in [("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2), ("q_n", 3)]:
         yield build_catalog(*spec).algebra
     heis = Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
-    yield central_extension(abelian(2), Cocycle2(abelian(2), [heis])).algebra
-    yield central_extension(abelian(3), Cocycle2(abelian(3), [Matrix.zero(3, 3)])).algebra
+    yield central_extension(abelian(2), Cocycle2(abelian(2), [_entries(heis)])).algebra
+    yield central_extension(abelian(3), Cocycle2(abelian(3), [_entries(Matrix.zero(3, 3))])).algebra
     yield odd_heisenberg()
     yield odd_line()
     yield abelian(4, [0, 1, 0, 1])

@@ -241,6 +241,8 @@ def test_cli_catalog_deterministic(capsys):
         # refused by the Grassmann cap before anything is allocated
         ["urad", "verify", "--k", "catalog:su_n:2", "--s", "30"],
         ["current", "--A", "grassmann:30", "--k", "su_n:2"],
+        # report all names the JSON path of an s above the cap
+        ["report", "all", "--params", '{"cor1": [{"s": 30, "k": ["su_n", 2]}]}'],
     ],
 )
 def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):

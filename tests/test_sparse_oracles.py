@@ -5,10 +5,11 @@ matrix product, the super bracket as two products and a sum, the supertrace
 form through the full product, the checks of the derivation rule, the
 centroid rule and invariance over every triple, the centroid solved over
 every triple, the derivations solved over every triple (i, j, m) with
-i <= j, and the structure constants of a matrix basis from every ordered
-pair.  Products must agree in value and in entry type (Fraction
+i <= j, the structure constants of a matrix basis from every ordered
+pair, and the dense grams of 2-cochains (from pair vectors, and the eta/xi
+builder).  Products must agree in value and in entry type (Fraction
 against Scalar); checks must agree in verdict and in the first violated
-triple; solves and tables must agree entry for entry and in order.
+triple; solves, tables and grams must agree entry for entry and in order.
 """
 
 import random
@@ -22,18 +23,23 @@ from conftest import abelian, derivation_sweep, su2_cyclic
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
 from superlie.clifford import gamma_rep
+from superlie import cohomology
 from superlie.cohomology import (
+    PairBasis,
     _centroid_identity,
     _centroid_witness,
     _derivation_witness,
     _solve_end_space,
     centroid,
     derivation_space,
+    eta_cocycle,
     in_centroid,
     is_derivation,
+    verify_cor1,
+    z2_space,
 )
 from superlie.current import current_lsa
-from superlie.linalg import Matrix, _first_violation, _preimages, basis_coordinates
+from superlie.linalg import Matrix, _entries, _first_violation, _preimages, basis_coordinates
 from superlie.lsa import (
     BilinearForm,
     _invariance_terms,
@@ -90,6 +96,68 @@ def dense_supertrace_gram(L):
             row.append(Fraction(val))
         rows.append(row)
     return Matrix(rows)
+
+
+def dense_gram_of_vector(pb, vec):
+    """The gram of a pair vector, both orientations filled by the mirror rule."""
+    n = pb.L.dim
+    G = [[Fraction(0)] * n for _ in range(n)]
+    for t, c in vec.items():
+        i, j = pb.pairs[t]
+        G[i][j] = c
+        if i != j:
+            G[j][i] = pb._mirror_sign(i, j) * c
+    return Matrix(G)
+
+
+def dense_vector_of_gram(pb, G):
+    out = {}
+    for t, (i, j) in enumerate(pb.pairs):
+        c = G.rows[i][j]
+        if c:
+            out[t] = Fraction(c)
+    return out
+
+
+def dense_current_gram(cur, coeffs, kt):
+    """Gram of (a x, b y) -> (-1)^{|b||x|} c(a, b) kt(x, y) on A (x) K, with
+    c(e_p, e_q) = coeffs[p][q] and kt(e_i, e_j) = kt[i][j]."""
+    K, A = cur.K, cur.A
+    n = cur.dim
+    G = [[Fraction(0)] * n for _ in range(n)]
+    for p in range(A.dim):
+        for q in range(A.dim):
+            c = coeffs[p][q]
+            if not c:
+                continue
+            for i in range(K.dim):
+                sign = -1 if (K.parities[i] and A.parities[q]) else 1
+                for j in range(K.dim):
+                    v = kt[i][j]
+                    if v:
+                        G[cur.slot(p, i)][cur.slot(q, j)] = sign * c * v
+    return Matrix(G)
+
+
+def dense_eta_grams(cur, kappa, f_rows, D):
+    A = cur.A
+    kd = (D.transpose() @ kappa.gram).rows
+    out = []
+    for f in f_rows:
+        fab = [
+            [
+                sum((m * f[r] for r, m in A.product_basis(p, q).items() if f[r]), Fraction(0))
+                for q in range(A.dim)
+            ]
+            for p in range(A.dim)
+        ]
+        out.append(dense_current_gram(cur, fab, kd))
+    return out
+
+
+def dense_xi_grams(cur, kappa, F_list, S):
+    ks = (S.transpose() @ kappa.gram).rows
+    return [dense_current_gram(cur, F.gram.rows, ks) for F in F_list]
 
 
 def assert_same_entries(got, want):
@@ -224,8 +292,8 @@ def test_invariance_check_matches_full_sweep(catalog_entry):
     grams += [one_entry_mutant(G, rng) for G in grams for _ in range(3)]
     verdicts = set()
     for G in grams:
-        want = _first_violation(terms, product(range(L.dim), repeat=3), G)
-        assert _invariance_witness(L, G, pre) == want
+        want = _first_violation(terms, product(range(L.dim), repeat=3), _entries(G))
+        assert _invariance_witness(L, _entries(G), pre) == want
         assert form_report(L, BilinearForm([G]))["invariant"] == (want is None)
         verdicts.add(want is None)
     assert verdicts == {True, False}
@@ -241,13 +309,13 @@ def test_derivation_and_centroid_checks_match_full_sweep(catalog_entry):
     der_verdicts, cent_verdicts = set(), set()
     for M, p in members:
         for X in (M, one_entry_mutant(M, rng)):
-            want = _first_violation(*derivation_sweep(L, p), X)
-            assert _derivation_witness(L, X, p) == want
+            want = _first_violation(*derivation_sweep(L, p), _entries(X))
+            assert _derivation_witness(L, _entries(X), p) == want
             assert is_derivation(L, X, p) == (want is None)
             assert want is None or want[0] <= want[1]
             der_verdicts.add(want is None)
-            want = _first_violation(*_centroid_identity(L, range(L.dim)), X)
-            assert _centroid_witness(L, X) == want
+            want = _first_violation(*_centroid_identity(L, range(L.dim)), _entries(X))
+            assert _centroid_witness(L, _entries(X)) == want
             assert in_centroid(L, X) == (want is None)
             cent_verdicts.add(want is None)
     assert der_verdicts == cent_verdicts == {True, False}
@@ -312,3 +380,78 @@ def test_derivations_match_full_sweep_solve_on_su_pp(realizations):
 def test_derivations_match_full_sweep_solve_abelian_and_current():
     assert_derivations_match_full_solve(abelian(2))  # every map is a derivation
     assert_derivations_match_full_solve(current_lsa(grassmann(2), su2_cyclic()).algebra)
+
+
+# -- 2-cochains: sparse maps against the dense grams -----------------------------
+
+
+def z2_rows(L):
+    """(cocycle, oracle grams) for the z2_space basis: the dense gram of each
+    kernel vector."""
+    cocycles = z2_space(L)
+    pb = PairBasis(L)
+    return [(c, [dense_gram_of_vector(pb, vec)]) for c, vec in zip(cocycles, L._z2_kernel)]
+
+
+def cor1_rows(monkeypatch, A, entry, drop_eta):
+    """(cocycle, oracle grams) for every eta/xi cocycle verify_cor1 builds,
+    and for its certificate."""
+    out, certified = [], []
+    eta, xi, to_gram = cohomology.eta_cocycle, cohomology.xi_cocycle, PairBasis.gram_of_vector
+
+    def eta_rec(cur, kappa, f_rows, D, dp):
+        c = eta(cur, kappa, f_rows, D, dp)
+        out.append((c, dense_eta_grams(cur, kappa, f_rows, D)))
+        return c
+
+    def xi_rec(cur, kappa, F_list, S):
+        c = xi(cur, kappa, F_list, S)
+        out.append((c, dense_xi_grams(cur, kappa, F_list, S)))
+        return c
+
+    def to_gram_rec(pb, vec):
+        certified.append(dense_gram_of_vector(pb, vec))
+        return to_gram(pb, vec)
+
+    monkeypatch.setattr(cohomology, "eta_cocycle", eta_rec)
+    monkeypatch.setattr(cohomology, "xi_cocycle", xi_rec)
+    monkeypatch.setattr(PairBasis, "gram_of_vector", to_gram_rec)
+    rep = verify_cor1(A, entry.algebra, entry.form, drop_eta=drop_eta)
+    monkeypatch.undo()
+    if rep["certificate"] is not None:
+        out.append((rep["certificate"], certified[-1:]))
+    return out
+
+
+def inner_eta_rows(A, entry):
+    """eta cocycles with D = ad(e_i), which is kappa-skew for an invariant kappa."""
+    cur = current_lsa(A, entry.algebra)
+    f_rows = [[Fraction(p == t) for p in range(A.dim)] for t in range(A.dim)]
+    out = []
+    for i in range(entry.algebra.dim):
+        D = entry.algebra.ad_matrix(i)
+        out.append((eta_cocycle(cur, entry.form, f_rows, D, 0), dense_eta_grams(cur, entry.form, f_rows, D)))
+    return out
+
+
+COCHAIN_CASES = {
+    "z2 L2 x su(2|1)": lambda mp: z2_rows(current_lsa(grassmann(2), build_catalog("su_pq", 2, 1).algebra).algebra),
+    "z2 L3 x su(2)": lambda mp: z2_rows(current_lsa(grassmann(3), build_catalog("su_n", 2).algebra).algebra),
+    "z2 psu(2|2)": lambda mp: z2_rows(build_catalog("psu_pp", 2).algebra),
+    "cor1 eta/xi su(2) s=2": lambda mp: cor1_rows(mp, grassmann(2), build_catalog("su_n", 2), False),
+    "inner eta su(2) s=2": lambda mp: inner_eta_rows(grassmann(2), build_catalog("su_n", 2)),
+    "cor1 drop_eta certificate pq(3) s=1": lambda mp: cor1_rows(mp, grassmann(1), build_catalog("pq_n", 3), True),
+}
+
+
+@pytest.mark.parametrize("case", COCHAIN_CASES)
+def test_cochains_match_dense_grams(case, monkeypatch):
+    rows = COCHAIN_CASES[case](monkeypatch)
+    assert rows
+    for c, want in rows:
+        pb = PairBasis(c.carrier)
+        grams = c.grams
+        assert len(grams) == len(want) == c.value_dim
+        for G, W, F in zip(grams, want, c.components):
+            assert_same_entries(G, W)
+            assert list(pb.vector_of_gram(F).items()) == list(dense_vector_of_gram(pb, W).items())

@@ -298,7 +298,7 @@ def test_kernel_theorem_all_families(su21, psu22, pq3):
             assert rep["meets_one_k_only_in_m"]
 
 
-def test_extend_current_validates_each_cocycle_once(psu22, monkeypatch):
+def test_extend_current_validates_each_cocycle_once(psu22, monkeypatch, unswept_cocycles):
     # eta_cocycle/xi_cocycle validate each component as they build it; the
     # extension by the assembled omega does not validate it again
     from superlie import cohomology
@@ -348,7 +348,7 @@ def dense_random_even_hochschild(A, value_dim, seed):
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             for i in range(n):
                 for j in range(n):
-                    G[i][j] += c * F.gram.rows[i][j]
+                    G[i][j] += c * F.entries.get((i, j), 0)
         out.append(G)
     return out
 
