@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace, _axpy, is_graded, quotient_table
+from .linalg import Subspace, _as_sparse, _dense, _table_product, is_graded, quotient_table
 
 Coordvec = dict[int, Fraction]
 
@@ -54,14 +54,8 @@ class AssocSuperalgebra:
         return self.table.get((i, j), {})
 
     def product(self, u: Sequence, v: Sequence) -> list:
-        out = [Fraction(0)] * self._dim
-        nz_u = [(i, a) for i, a in enumerate(u) if a]
-        nz_v = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in nz_u:
-            for j, b in nz_v:
-                for k, c in self.product_basis(i, j).items():
-                    out[k] = out[k] + a * b * c
-        return out
+        """u v as a dense list, for dense or sparse u and v."""
+        return _dense(_table_product(self.table, _as_sparse(u), _as_sparse(v)), self._dim)
 
     # -- validation ------------------------------------------------------
 
@@ -96,43 +90,24 @@ class AssocSuperalgebra:
                 pji = self.product_basis(j, i)
                 if pij != {k: sign * c for k, c in pji.items()}:
                     raise AssocError(f"supercommutativity fails at pair ({i},{j})")
+        table = self.table
+        units = [{m: Fraction(1)} for m in range(n)]
         for i in range(n):
             for j in range(i, n):
                 pij = self.product_basis(i, j)
                 for k in range(j, n):
-                    left = self._product_sparse_left(pij, k)
-                    right = self._product_sparse_right(i, self.product_basis(j, k))
+                    left = _table_product(table, pij, units[k])
+                    right = _table_product(table, units[i], self.product_basis(j, k))
                     if left != right:
                         raise AssocError(f"associativity fails at triple ({i},{j},{k})")
-
-    def _basis_vec(self, i: int) -> list:
-        v = [Fraction(0)] * self._dim
-        v[i] = Fraction(1)
-        return v
-
-    def _product_sparse_left(self, u: Coordvec, k: int) -> Coordvec:
-        """u * e_k for a sparse u."""
-        out: Coordvec = {}
-        for m, a in u.items():
-            _axpy(out, self.product_basis(m, k), -a)
-        return out
-
-    def _product_sparse_right(self, i: int, v: Coordvec) -> Coordvec:
-        """e_i * v for a sparse v."""
-        out: Coordvec = {}
-        for m, a in v.items():
-            _axpy(out, self.product_basis(i, m), -a)
-        return out
 
     def __repr__(self):
         return f"AssocSuperalgebra(dim {self._dim})"
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Koszul sign for merging two sorted generator bitsets; 0 on overlap."""
-    if a & b:
-        return 0
-    # count inversions: pairs (i in a, j in b) with i > j
+def _koszul_sign(a: int, b: int) -> int:
+    """(-1)^(inversions) for the word of generator bitset a followed by b: the
+    pairs of a generator of a above a generator of b."""
     inv = 0
     bits_b = b
     while bits_b:
@@ -141,6 +116,11 @@ def _merge_sign(a: int, b: int) -> int:
         inv += bin(a & ~(low - 1) & ~low).count("1")
         bits_b ^= low
     return -1 if inv % 2 else 1
+
+
+def _merge_sign(a: int, b: int) -> int:
+    """Koszul sign for merging two sorted generator bitsets; 0 on overlap."""
+    return 0 if a & b else _koszul_sign(a, b)
 
 
 # The validating constructor sweeps all triples of the 2^s monomials, about
@@ -199,11 +179,8 @@ def graded_part(A: AssocSuperalgebra, selector) -> Subspace:
         keep = lambda d: d >= 2 and d % 2 == 0
     else:
         raise AssocError(f"unknown degree selector {selector!r}")
-    vecs = []
-    for i, d in enumerate(A.z_degrees):
-        if keep(d):
-            vecs.append(A._basis_vec(i))
-    return Subspace(A.dim, vecs)
+    one = Fraction(1)
+    return Subspace(A.dim, ({i: one} for i, d in enumerate(A.z_degrees) if keep(d)))
 
 
 def quotient_assoc(A: AssocSuperalgebra, ideal: Subspace) -> tuple[AssocSuperalgebra, list]:
@@ -219,8 +196,9 @@ def quotient_assoc(A: AssocSuperalgebra, ideal: Subspace) -> tuple[AssocSuperalg
     if ideal.ambient_dim != n:
         raise AssocError("ideal lives in the wrong ambient space")
     for i in range(n):
+        unit = {i: Fraction(1)}
         for row in ideal.sparse_rows:
-            if not ideal.contains_vector(A._product_sparse_right(i, row)):
+            if not ideal.contains_vector(_table_product(A.table, unit, row)):
                 raise AssocError(
                     f"not an ideal: product of basis {i} with an ideal element escapes"
                 )

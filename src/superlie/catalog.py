@@ -174,12 +174,8 @@ def _su_pq_data(p: int, q: int):
 
 
 def _range_subspace(dim: int, rng: tuple[int, int]) -> Subspace:
-    vecs = []
-    for i in range(*rng):
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        vecs.append(v)
-    return Subspace(dim, vecs)
+    one = Fraction(1)
+    return Subspace(dim, ({i: one} for i in range(*rng)))
 
 
 def build_su_n(n: int) -> CatalogEntry:
@@ -673,7 +669,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         omega = Cocycle2(L, [_entries(kd.gram)], validate=True)
         out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
         if entry.family == "pq_n":
-            odd = Subspace(L.dim, [L.basis_vector(i) for i in L.odd_indices])
+            odd = Subspace(L.dim, ({i: Fraction(1)} for i in L.odd_indices))
             sym = BilinearForm([kd.gram])
             verdict = _restricted_definiteness(sym, odd)
             neg = BilinearForm([kd.gram.scale(Fraction(-1))])

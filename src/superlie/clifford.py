@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+from .assoc import _koszul_sign
 from .linalg import Matrix, Subspace, _identity_rows, solve_linear, sparse_kernel, symmetric_diagonalize
 from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram, super_matrix_bracket
 from .scalars import Field, Scalar, zeta8
@@ -54,17 +55,8 @@ class CliffordAlgebra:
 
     def product_masks(self, a: int, b: int) -> tuple[Fraction, int]:
         """e_a e_b = coef * e_(a xor b); squared generators contribute mu."""
-        coef = Fraction(1)
-        # inversions: generators of a above each generator of b
-        bits = b
-        while bits:
-            low = bits & -bits
-            above = bin(a & ~(low - 1) & ~low).count("1")
-            if above % 2:
-                coef = -coef
-            bits ^= low
-        common = a & b
-        bits = common
+        coef = Fraction(_koszul_sign(a, b))
+        bits = a & b
         while bits:
             low = bits & -bits
             coef *= self.mu_diag[low.bit_length() - 1]
@@ -547,11 +539,13 @@ def _verify_lambda_rep(rep: LambdaRep):
     L = rep.N.algebra
     n = L.dim
     chis = [rep.chi_basis(i) for i in range(n)]
+
+    def chi(vec: Coordvec) -> Matrix:
+        return _combination(rep.space_dim, ((c, chis[k]) for k, c in vec.items()))
+
     for i in range(n):
         for j in range(i, n):
-            lhs = rep.chi(
-                L.bracket(L.basis_vector(i), L.basis_vector(j))
-            )
+            lhs = chi(L.bracket_basis(i, j))
             if lhs != super_matrix_bracket(chis[i], chis[j], L.parities[i], L.parities[j]):
                 raise CliffordError(f"homomorphism contract fails at ({i},{j})")
     # unitarity: <chi(X)u, v> = <u, -i^{|X|} chi(X) v> for <u, v> = sum u conj(v)
@@ -564,17 +558,12 @@ def _verify_lambda_rep(rep: LambdaRep):
             raise CliffordError(f"unitarity contract fails at basis {i}")
     # radical elements act by zero
     odd = L.odd_indices
-    for r in rep.mu.radical.rows:
-        vec = [Fraction(0)] * n
-        for t, c in enumerate(r):
-            vec[odd[t]] = c
-        if not rep.chi(vec).is_zero():
+    for r in rep.mu.radical.sparse_rows:
+        if not chi({odd[t]: c for t, c in r.items()}).is_zero():
             raise CliffordError("a radical element fails to act by zero")
     # -i chi([x,x]) is PSD for every odd basis x
     for i in odd:
-        w = L.bracket(L.basis_vector(i), L.basis_vector(i))
-        M = rep.chi(w)
-        H = Matrix([[(-_I) * x for x in row] for row in M.rows])
+        H = Matrix([[(-_I) * x for x in row] for row in chi(L.bracket_basis(i, i)).rows])
         if not hermitian_psd(H):
             raise CliffordError(f"-i chi([x,x]) fails positivity at odd basis {i}")
 

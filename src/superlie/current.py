@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assoc import AssocSuperalgebra
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _table_product
 from .lsa import Coordvec, LieSuperalgebra, LsaError
 
 
@@ -41,13 +41,8 @@ class Current:
 
     def degree_block(self, keep) -> Subspace:
         """Span of slots whose A-degree satisfies the predicate."""
-        vecs = []
-        for idx in range(self.dim):
-            if keep(self.a_degree(idx)):
-                v = [Fraction(0)] * self.dim
-                v[idx] = Fraction(1)
-                vecs.append(v)
-        return Subspace(self.dim, vecs)
+        one = Fraction(1)
+        return Subspace(self.dim, ({idx: one} for idx in range(self.dim) if keep(self.a_degree(idx))))
 
 
 def current_lsa(A: AssocSuperalgebra, K: LieSuperalgebra) -> Current:
@@ -97,18 +92,20 @@ def eps_projection(cur: Current) -> Matrix:
     """
     K, A = cur.K, cur.A
     rows = [[Fraction(0)] * cur.dim for _ in range(K.dim)]
-    for p in range(A.dim):
-        coef = Fraction(1) if p == A.unit else Fraction(0)
-        if coef:
-            for i in range(K.dim):
-                rows[i][cur.slot(p, i)] = coef
+    for i in range(K.dim):
+        rows[i][cur.slot(A.unit, i)] = Fraction(1)
     P = Matrix(rows)
-    # homomorphism check on all basis pairs
+    # homomorphism check on all basis pairs, with P applied to sparse vectors
+    pos = {cur.slot(A.unit, i): i for i in range(K.dim)}
+
+    def image(w: Coordvec) -> Coordvec:
+        return {pos[idx]: c for idx, c in w.items() if idx in pos}
+
     G = cur.algebra
     for a in range(cur.dim):
         for b in range(cur.dim):
-            lhs = P.apply(G.bracket(G.basis_vector(a), G.basis_vector(b)))
-            rhs = K.bracket(P.apply(G.basis_vector(a)), P.apply(G.basis_vector(b)))
+            lhs = image(G.bracket_basis(a, b))
+            rhs = _table_product(K.brackets, image({a: Fraction(1)}), image({b: Fraction(1)}))
             if lhs != rhs:
                 raise LsaError(f"eps projection fails to be a homomorphism at ({a},{b})")
     return P

@@ -12,6 +12,8 @@ the pivot rows it reaches.
 
 Matrix products visit nonzero entries only (`_sparse_products`, Gustavson's
 row-wise product) and give the values and entry types of a dense sum.
+Coordinate vectors multiply through a structure table {(i, j): {k: c}} in
+`_table_product` alone, on sparse vectors.
 
 A linear identity on a bilinear map or an endomorphism X is generated one
 index triple at a time as terms (c, a, b), read as sum c * X[a][b] = 0.  The
@@ -35,13 +37,32 @@ Vector = list
 
 
 def _axpy(v: dict, w: dict, c) -> None:
-    """v -= c * w in place on sparse rows, dropping entries that cancel."""
+    """v -= c * w in place on sparse rows, dropping entries that cancel or
+    that a zero c * w[col] would have created."""
     for col, x in w.items():
         nv = v[col] - c * x if col in v else -c * x
         if nv:
             v[col] = nv
         else:
-            del v[col]
+            v.pop(col, None)
+
+
+def _table_product(table: dict, u: dict, v: dict) -> dict:
+    """The sparse vector sum u_i v_j table[i, j] for sparse u and v.
+
+    table is a structure table {(i, j): {k: c}}, the bracket of a Lie
+    superalgebra or the product of an associative one.  Terms are taken in
+    the order of u, then v, then the table entry; entries that cancel are
+    dropped.  The inputs are read, never copied.
+    """
+    out: dict = {}
+    get = table.get
+    for i, a in u.items():
+        for j, b in v.items():
+            t = get((i, j))
+            if t:
+                _axpy(out, t, -a * b)
+    return out
 
 
 def _as_sparse(vec) -> dict:

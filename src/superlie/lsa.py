@@ -21,11 +21,14 @@ from .linalg import (
     EchelonBuilder,
     Matrix,
     Subspace,
+    _as_sparse,
     _axpy,
+    _dense,
     _entries,
     _first_violation,
     _preimages,
     _sparse_products,
+    _table_product,
     basis_coordinates,
     is_graded,
     quotient_table,
@@ -101,17 +104,8 @@ class LieSuperalgebra:
         return self.brackets.get((i, j), {})
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
-        out = [Fraction(0)] * self._dim
-        nz_u = [(i, a) for i, a in enumerate(u) if a]
-        nz_v = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in nz_u:
-            for j, b in nz_v:
-                cij = self.brackets.get((i, j))
-                if cij:
-                    ab = a * b
-                    for k, c in cij.items():
-                        out[k] = out[k] + ab * c
-        return out
+        """[u, v] as a dense list, for dense or sparse u and v."""
+        return _dense(_table_product(self.brackets, _as_sparse(u), _as_sparse(v)), self._dim)
 
     def ad_matrix(self, i: int) -> Matrix:
         n = self._dim
@@ -155,37 +149,21 @@ class LieSuperalgebra:
                         f"[{self.names[i]},{self.names[i]}] must vanish for an even element",
                     )
         # graded Jacobi on sorted triples (antisymmetry covers permutations)
+        table = self.brackets
+        units = [{m: Fraction(1)} for m in range(n)]
         for i in range(n):
             for j in range(i, n):
                 bij = self.bracket_basis(i, j)
                 sgn = -1 if par[i] and par[j] else 1
                 for k in range(j, n):
-                    lhs = self._sparse_left_bracket(i, self.bracket_basis(j, k))
-                    rhs = self._sparse_right_bracket(bij, k)
-                    _axpy(rhs, self._sparse_left_bracket(j, self.bracket_basis(i, k)), -sgn)
+                    lhs = _table_product(table, units[i], self.bracket_basis(j, k))
+                    rhs = _table_product(table, bij, units[k])
+                    _axpy(rhs, _table_product(table, units[j], self.bracket_basis(i, k)), -sgn)
                     if lhs != rhs:
                         raise ValidationError(
                             "Jacobi violation", (i, j, k),
                             f"graded Jacobi fails on ({self.names[i]},{self.names[j]},{self.names[k]})",
                         )
-
-    def _sparse_left_bracket(self, i: int, v: Coordvec) -> Coordvec:
-        """[e_i, v] for a sparse v."""
-        out: Coordvec = {}
-        for m, a in v.items():
-            cim = self.brackets.get((i, m))
-            if cim:
-                _axpy(out, cim, -a)
-        return out
-
-    def _sparse_right_bracket(self, u: Coordvec, k: int) -> Coordvec:
-        """[u, e_k] for a sparse u."""
-        out: Coordvec = {}
-        for m, a in u.items():
-            cmk = self.brackets.get((m, k))
-            if cmk:
-                _axpy(out, cmk, -a)
-        return out
 
     def export_structure_constants(self) -> dict[tuple[int, int], Coordvec]:
         return {key: dict(val) for key, val in self.brackets.items() if val}
@@ -510,7 +488,7 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
             break
         if not closure.contains_vector({j: Fraction(1)}):
             gens.append(j)
-            maps = [partial(L._sparse_left_bracket, g) for g in gens]
+            maps = [partial(_table_product, L.brackets, {g: Fraction(1)}) for g in gens]
             closure = _saturate(n, ({g: Fraction(1)} for g in gens), maps)
     if closure.dim < n:
         outside = next(j for j in range(n) if not closure.contains_vector({j: Fraction(1)}))
@@ -523,7 +501,8 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
 
 def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and closed under all brackets."""
-    return _saturate(L.dim, seeds, [partial(L._sparse_left_bracket, i) for i in range(L.dim)])
+    maps = [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
+    return _saturate(L.dim, seeds, maps)
 
 
 def _quotient(L: LieSuperalgebra, ideal: Subspace):
@@ -535,8 +514,9 @@ def _quotient(L: LieSuperalgebra, ideal: Subspace):
     if not is_graded(ideal, L.parities):
         raise LsaError("ideal is not parity-graded")
     for i in range(n):
+        unit = {i: Fraction(1)}
         for row in ideal.sparse_rows:
-            if not ideal.contains_vector(L._sparse_left_bracket(i, row)):
+            if not ideal.contains_vector(_table_product(L.brackets, unit, row)):
                 raise LsaError(
                     f"not an ideal: [{L.names[i]}, ideal] escapes (witness bracket with basis {i})"
                 )

@@ -30,7 +30,10 @@ from .current import Current, current_lsa
 from .linalg import (
     Matrix,
     Subspace,
+    _as_sparse,
     _axpy,
+    _dense,
+    _table_product,
     definiteness_with_witness,
     kernel,
 )
@@ -156,10 +159,10 @@ def nonpointedness_witness(entry: CatalogEntry):
         return None
     vecs = entry.specials[key]
     L = entry.algebra
-    total = [Fraction(0)] * L.dim
-    for v in vecs:
-        total = [a + b for a, b in zip(total, L.bracket(v, v))]
-    if any(total) or not any(any(v) for v in vecs):
+    total: dict = {}
+    for v in map(_as_sparse, vecs):
+        _axpy(total, _table_product(L.brackets, v, v), -1)
+    if total or not any(any(v) for v in vecs):
         raise UniradError("catalog witness fails its defining identity")
     return vecs
 
@@ -189,20 +192,11 @@ class CurrentExtension:
     def value_dim(self) -> int:
         return len(self.m_labels)
 
-    def m_vector(self, coords: dict[int, Fraction]) -> list:
-        v = [Fraction(0)] * self.algebra.dim
-        for c, val in coords.items():
-            v[self.base_dim + c] = val
-        return v
-
-    def degree_block_embedded(self, keep) -> list[list]:
-        rows = []
-        for idx in range(self.base_dim):
-            if keep(self.cur.a_degree(idx)):
-                v = [Fraction(0)] * self.algebra.dim
-                v[idx] = Fraction(1)
-                rows.append(v)
-        return rows
+    def degree_block_embedded(self, keep) -> Subspace:
+        """Span of the current slots whose A-degree satisfies the predicate."""
+        one = Fraction(1)
+        slots = (idx for idx in range(self.base_dim) if keep(self.cur.a_degree(idx)))
+        return Subspace(self.algebra.dim, ({idx: one} for idx in slots))
 
 
 def extend_current(
@@ -254,10 +248,8 @@ def universal_extension(entry: CatalogEntry, s: int) -> CurrentExtension:
             f_row = [Fraction(p == t) for p in range(A.dim)]
             eta_data.append((f_row, D, dp))
     s_reps = [S for S, p in split_by_star(K, kappa, centroid(K), +1).members() if p == 0]
-    xi_data = []
-    for S in s_reps:
-        for F in hochschild_space(A):
-            xi_data.append((F, S))
+    hoch = hochschild_space(A) if s_reps else []
+    xi_data = [(F, S) for S in s_reps for F in hoch]
     return extend_current(cur, kappa, eta_data, xi_data)
 
 
@@ -266,15 +258,16 @@ def universal_extension(entry: CatalogEntry, s: int) -> CurrentExtension:
 
 def square_zero_seeds(
     gext: CurrentExtension, isotropic_even: Sequence[Sequence] | None = None
-) -> list[list]:
+) -> list[dict]:
     """Odd elements with [X, X]_omega = 0, re-verified exactly before emission.
 
     Patterns: (a) odd-degree >= 3 monomials tensor even k-vectors; (b)
-    odd-degree monomials tensor isotropic even elements.
+    odd-degree monomials tensor isotropic even elements.  The seeds are
+    sparse vectors {slot: coefficient}.
     """
     cur = gext.cur
     A, K = cur.A, cur.K
-    L = gext.algebra
+    table = gext.algebra.brackets
     seeds = []
     odd_monomials = [p for p in range(A.dim) if A.z_degrees[p] % 2 == 1]
     for p in odd_monomials:
@@ -283,21 +276,16 @@ def square_zero_seeds(
         for i in range(K.dim):
             if K.parities[i] == 1:
                 continue
-            vec = [Fraction(0)] * L.dim
-            vec[cur.slot(p, i)] = Fraction(1)
-            if any(L.bracket(vec, vec)):
+            vec = {cur.slot(p, i): Fraction(1)}
+            if _table_product(table, vec, vec):
                 raise UniradError(
                     f"top-degree seed {A.names[p]} (x) {K.names[i]} fails the square check"
                 )
             seeds.append(vec)
     for x in isotropic_even or ():
         for p in odd_monomials:
-            vec = [Fraction(0)] * L.dim
-            for i, c in enumerate(x):
-                if c:
-                    vec[cur.slot(p, i)] = c
-            sq = L.bracket(vec, vec)
-            if any(sq):
+            vec = {cur.slot(p, i): c for i, c in enumerate(x) if c}
+            if _table_product(table, vec, vec):
                 raise UniradError(
                     f"isotropic seed at monomial {A.names[p]} fails the square check"
                 )
@@ -306,11 +294,15 @@ def square_zero_seeds(
 
 
 def urad_lower(L: LieSuperalgebra, seeds: Sequence[Sequence]) -> Subspace:
-    """Ideal closure of verified square-zero odd seeds, a subspace of urad."""
+    """Ideal closure of verified square-zero odd seeds, a subspace of urad.
+
+    The seeds may be dense lists or sparse dicts.
+    """
+    seeds = [_as_sparse(v) for v in seeds]
     for t, v in enumerate(seeds):
-        if any(c and L.parities[i] == 0 for i, c in enumerate(v)):
+        if any(L.parities[i] == 0 for i in v):
             raise UniradError(f"seed {t} is not an odd vector")
-        if any(L.bracket(v, v)):
+        if _table_product(L.brackets, v, v):
             raise UniradError(f"seed {t} is not square-zero")
     return ideal_closure(L, seeds)
 
@@ -327,9 +319,7 @@ def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> 
     for _ in range(value_dim):
         F: dict = {}
         for B in basis:
-            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if c:
-                _axpy(F, B.entries, -c)
+            _axpy(F, B.entries, -Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         out.append(HochschildMap(A, F, 0))
     return out
 
@@ -365,35 +355,31 @@ def verify_urad_theorem(
     closure = urad_lower(L, seeds)
 
     # I = (Lambda^{>=3} (x) k) + R with R = span F(., Lambda^{>=3})
-    i_rows = gext.degree_block_embedded(lambda d: d >= 3)
     r_rows = []
-    vd = gext.value_dim
     for p in range(A.dim):
         for q in range(A.dim):
             if A.z_degrees[q] < 3:
                 continue
-            coords = {c: F.entries[(p, q)] for c, F in enumerate(F_list) if (p, q) in F.entries}
-            if coords:
-                r_rows.append(gext.m_vector(coords))
-    ideal_i = Subspace(L.dim, i_rows + r_rows)
-    contains_i = all(closure.contains_vector(r) for r in ideal_i.rows)
-    inside_i = all(ideal_i.contains_vector(r) for r in closure.rows)
+            row = {gext.base_dim + c: F.entries[p, q] for c, F in enumerate(F_list) if (p, q) in F.entries}
+            if row:
+                r_rows.append(row)
+    r_space = Subspace(L.dim, r_rows)
+    ideal_i = gext.degree_block_embedded(lambda d: d >= 3).sum(r_space)
+    contains_i = all(closure.contains_vector(r) for r in ideal_i.sparse_rows)
+    inside_i = all(ideal_i.contains_vector(r) for r in closure.sparse_rows)
     report = {
         "family": entry.family,
         "s": s,
-        "value_dim": vd,
+        "value_dim": gext.value_dim,
         "dim_I": ideal_i.dim,
-        "dim_R": Subspace(L.dim, r_rows).dim,
+        "dim_R": r_space.dim,
         "closure_dim": closure.dim,
         "closure_contains_I": contains_i,
         "closure_equals_I": contains_i and inside_i,
         "counterexample": None,
     }
     if not contains_i:
-        for r in ideal_i.rows:
-            if not closure.contains_vector(r):
-                report["counterexample"] = r
-                break
+        report["counterexample"] = next(r for r in ideal_i.rows if not closure.contains_vector(r))
         return report
 
     # quotient: hat-g / I is n rtimes k with n a Clifford--Lie superalgebra
@@ -402,16 +388,10 @@ def verify_urad_theorem(
     # the slots of A-degree >= 1 and of the value slots
     n_slots = [i for i in range(L.dim) if i >= gext.base_dim or cur.a_degree(i) >= 1]
     n_sub = Subspace(quo.dim, [proj[i] for i in n_slots])
+    n_rows = n_sub.sparse_rows
     # n is an ideal with central even part; k-copy is a complement subalgebra
-    n_even = [r for r in n_sub.rows if all(not c or quo.parities[i] == 0 for i, c in enumerate(r))]
-    clifford_ok = True
-    for u in n_even:
-        for v in n_sub.rows:
-            if any(quo.bracket(u, v)):
-                clifford_ok = False
-                break
-        if not clifford_ok:
-            break
+    n_even = [r for r in n_rows if all(quo.parities[i] == 0 for i in r)]
+    clifford_ok = not any(_table_product(quo.brackets, u, v) for u in n_even for v in n_rows)
     k_sub = Subspace(quo.dim, [proj[cur.slot(A.unit, i)] for i in range(K.dim)])
     semidirect_ok = (
         k_sub.dim == K.dim
@@ -419,8 +399,8 @@ def verify_urad_theorem(
         and k_sub.intersect(n_sub).dim == 0
     )
     n_ideal_ok = all(
-        n_sub.contains_vector(quo.bracket(quo.basis_vector(i), r))
-        for r in n_sub.rows
+        n_sub.contains_vector(_table_product(quo.brackets, {i: Fraction(1)}, r))
+        for r in n_rows
         for i in range(quo.dim)
     )
     report.update(
@@ -490,15 +470,14 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
     seeds = square_zero_seeds(gext, isotropic_even=iso)
     closure = urad_lower(L, seeds)
 
+    one = Fraction(1)
+
     def block(pred_deg, pred_parity):
-        rows = []
-        for idx in range(gext.base_dim):
-            p, i = cur.factors(idx)
-            if pred_deg(A.z_degrees[p]) and pred_parity(K.parities[i]):
-                v = [Fraction(0)] * L.dim
-                v[idx] = Fraction(1)
-                rows.append(v)
-        return rows
+        factors = map(cur.factors, range(gext.base_dim))
+        slots = [
+            cur.slot(p, i) for p, i in factors if pred_deg(A.z_degrees[p]) and pred_parity(K.parities[i])
+        ]
+        return Subspace(L.dim, ({idx: one} for idx in slots))
 
     stages = [
         ("odd_degree_k0", block(lambda d: d % 2 == 1, lambda p: p == 0)),
@@ -514,23 +493,19 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
         "contains_lambda_plus_k": False,
         "missing": None,
     }
-    for name, rows in stages:
-        missing = next((r for r in rows if not closure.contains_vector(r)), None)
+    for name, stage in stages:
+        missing = next((r for r in stage.sparse_rows if not closure.contains_vector(r)), None)
         report["stages"][name] = missing is None
         if missing is not None and report["missing"] is None:
-            report["missing"] = (name, missing)
+            report["missing"] = (name, _dense(missing, L.dim))
     report["contains_lambda_plus_k"] = report["stages"]["plus_k"]
 
     # Step 2 sanity: the lower bound meets 1 (x) k + M only inside M
-    one_k_rows = []
-    for i in range(K.dim):
-        v = [Fraction(0)] * L.dim
-        v[cur.slot(A.unit, i)] = Fraction(1)
-        one_k_rows.append(v)
-    m_rows = [gext.m_vector({c: Fraction(1)}) for c in range(gext.value_dim)]
-    meet = closure.intersect(Subspace(L.dim, one_k_rows + m_rows))
-    m_space = Subspace(L.dim, m_rows)
-    report["meets_one_k_only_in_m"] = m_space.contains(meet)
+    m_slots = list(range(gext.base_dim, L.dim))
+    one_k_slots = [cur.slot(A.unit, i) for i in range(K.dim)]
+    one_k_m = Subspace(L.dim, ({i: one} for i in one_k_slots + m_slots))
+    m_space = Subspace(L.dim, ({i: one} for i in m_slots))
+    report["meets_one_k_only_in_m"] = m_space.contains(closure.intersect(one_k_m))
 
     srep = structure_report(L)
     report["extension_perfect"] = srep["is_perfect"]

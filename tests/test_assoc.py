@@ -21,6 +21,12 @@ def basis_index(A, name):
     return A.names.index(name)
 
 
+def basis_vec(A, i):
+    v = [Fraction(0)] * A.dim
+    v[i] = Fraction(1)
+    return v
+
+
 def vec(A, **coeffs):
     v = [Fraction(0)] * A.dim
     for name, c in coeffs.items():
@@ -47,7 +53,7 @@ def test_defining_relation():
     e1 = basis_index(A, "e1")
     e2 = basis_index(A, "e2")
     e12 = basis_index(A, "e1^e2")
-    prod = A.product(A._basis_vec(e2), A._basis_vec(e1))
+    prod = A.product(basis_vec(A, e2), basis_vec(A, e1))
     expect = [Fraction(0)] * 4
     expect[e12] = Fraction(-1)
     assert prod == expect
@@ -57,7 +63,7 @@ def test_repeated_generator_kills_product():
     A = grassmann(2)
     e1 = basis_index(A, "e1")
     e12 = basis_index(A, "e1^e2")
-    assert A.product(A._basis_vec(e12), A._basis_vec(e1)) == [Fraction(0)] * 4
+    assert A.product(basis_vec(A, e12), basis_vec(A, e1)) == [Fraction(0)] * 4
 
 
 def test_validation_runs_exhaustively_small_s():
@@ -173,7 +179,7 @@ def dense_quotient_assoc(A, ideal):
     n = A.dim
     for i in range(n):
         for row in ideal.rows:
-            if any(ideal.reduce(A.product(A._basis_vec(i), row))):
+            if any(ideal.reduce(A.product(basis_vec(A, i), row))):
                 raise AssocError(f"not an ideal: product of basis {i} with an ideal element escapes")
     if A.z_degrees is not None:
         for row in ideal.rows:
@@ -193,7 +199,7 @@ def dense_quotient_assoc(A, ideal):
     table = {}
     for a, i in enumerate(keep):
         for b, j in enumerate(keep):
-            img = project(A.product(A._basis_vec(i), A._basis_vec(j)))
+            img = project(A.product(basis_vec(A, i), basis_vec(A, j)))
             if img:
                 table[(a, b)] = img
     degrees = [A.z_degrees[i] for i in keep] if A.z_degrees is not None else None
@@ -202,7 +208,7 @@ def dense_quotient_assoc(A, ideal):
     )
     proj_rows = []
     for i in range(n):
-        img = project(A._basis_vec(i))
+        img = project(basis_vec(A, i))
         proj_rows.append([img.get(t, Fraction(0)) for t in range(len(keep))])
     return quo, proj_rows
 
@@ -212,9 +218,9 @@ def _cuts(A):
     cuts = {f"degree {d}": graded_part(A, d) for d in range(max(A.z_degrees) + 1)}
     cuts["plus"] = graded_part(A, "plus")
     for d in range(2, max(A.z_degrees) + 1):
-        tail = [A._basis_vec(i) for i, e in enumerate(A.z_degrees) if e >= d]
+        tail = [basis_vec(A, i) for i, e in enumerate(A.z_degrees) if e >= d]
         cuts[f"degree >= {d}"] = Subspace(A.dim, tail)
-    cuts["all"] = Subspace(A.dim, [A._basis_vec(i) for i in range(A.dim)])
+    cuts["all"] = Subspace(A.dim, [basis_vec(A, i) for i in range(A.dim)])
     return cuts
 
 

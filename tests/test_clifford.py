@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from superlie.assoc import _merge_sign
 from superlie.clifford import (
     CliffordError,
     CliffordRep,
@@ -47,6 +48,34 @@ def test_generators_anticommute():
     rhs = [-x for x in C.product(e2, e1)]
     assert lhs == rhs
     assert C.product(e1, e1) == [2 * x for x in C.unit()]
+
+
+def word_sort_sign(a, b):
+    """(-1)^(adjacent swaps) to sort the generators of bitset a, then those of
+    bitset b, into ascending order (equal generators are not swapped)."""
+    word = [g for g in range(8) if a >> g & 1] + [g for g in range(8) if b >> g & 1]
+    swaps = 0
+    for end in range(len(word) - 1, 0, -1):
+        for t in range(end):
+            if word[t] > word[t + 1]:
+                word[t], word[t + 1] = word[t + 1], word[t]
+                swaps += 1
+    return -1 if swaps % 2 else 1
+
+
+def test_subset_monomial_signs_match_word_sort():
+    mu = [frac(2), frac(3), frac(5), frac(7)]
+    C = clifford_algebra(mu)
+    for a in range(16):
+        for b in range(16):
+            sign = word_sort_sign(a, b)
+            assert _merge_sign(a, b) == (0 if a & b else sign)
+            squares = Fraction(1)
+            for g in range(4):
+                if (a & b) >> g & 1:
+                    squares *= mu[g]
+            coef, mask = C.product_masks(a, b)
+            assert (type(coef), coef, mask) == (Fraction, sign * squares, a ^ b)
 
 
 def test_norm_equals_mu_on_vectors():

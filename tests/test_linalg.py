@@ -12,6 +12,7 @@ from superlie.linalg import (
     Matrix,
     SparseEliminator,
     Subspace,
+    _axpy,
     _to_int_row,
     basis_coordinates,
     definiteness,
@@ -581,3 +582,17 @@ def test_to_int_row_matches_general_path():
         got, want = _to_int_row(row), general_int_row(row)
         assert list(got.items()) == list(want.items())
         assert all(type(v) is int for v in got.values())
+
+
+def test_axpy_skips_zero_terms():
+    # a zero c * w[col] on a column absent from v once raised KeyError
+    v = {}
+    _axpy(v, {0: Fraction(1)}, Fraction(0))
+    assert v == {}
+    v = {0: Fraction(2)}
+    _axpy(v, {0: Fraction(1), 1: Fraction(3)}, Fraction(0))
+    assert v == {0: Fraction(2)}
+    # otherwise entries are created, updated and dropped when they cancel
+    v = {0: Fraction(2), 2: Fraction(1)}
+    _axpy(v, {0: Fraction(1), 1: Fraction(3), 2: Fraction(1)}, Fraction(2))
+    assert list(v.items()) == [(2, Fraction(-1)), (1, Fraction(-6))]

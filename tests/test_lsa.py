@@ -6,7 +6,7 @@ import pytest
 from conftest import abelian, odd_heisenberg, odd_line, sc, smatrix
 from test_linalg import DenseEchelon
 from superlie.cohomology import _derivation_invariant, derivation_space, star
-from superlie.linalg import Matrix, Subspace, _entries
+from superlie.linalg import Matrix, Subspace, _dense, _entries
 from superlie.lsa import (
     LsaError,
     ValidationError,
@@ -470,16 +470,17 @@ URAD_CASES = {
 @pytest.mark.parametrize("case", URAD_CASES)
 def test_saturations_and_quotient_match_dense_versions(case):
     L, seeds = URAD_CASES[case]()
+    dense_seeds = [_dense(v, L.dim) for v in seeds]
     closure = ideal_closure(L, seeds)
-    oracle = dense_ideal_closure(L, seeds)
+    oracle = dense_ideal_closure(L, dense_seeds)
     assert closure.pivots == oracle.pivots and closure.rows == oracle.rows
     assert 0 < closure.dim < L.dim
 
     # under every ad e_i, the submodule a seed generates is its ideal closure
     ads = [L.ad_matrix(i) for i in range(L.dim)]
-    for seed in seeds[:3]:
-        sub = generated_submodule(ads, seed)
-        want = dense_generated_submodule(ads, seed)
+    for seed, dense_seed in zip(seeds[:3], dense_seeds):
+        sub = generated_submodule(ads, dense_seed)
+        want = dense_generated_submodule(ads, dense_seed)
         assert sub.pivots == want.pivots and sub.rows == want.rows
         assert sub == ideal_closure(L, [seed])
 
@@ -492,7 +493,7 @@ def test_saturations_and_quotient_match_dense_versions(case):
     # rejections name the same witness
     odd, even = L.odd_indices[0], L.even_indices[0]
     mixed = [Fraction(k in (odd, even)) for k in range(L.dim)]
-    for vectors in ([seeds[0]], [mixed]):
+    for vectors in ([dense_seeds[0]], [mixed]):
         with pytest.raises(LsaError) as got:
             quotient_lsa(L, Subspace(L.dim, vectors))
         with pytest.raises(LsaError) as want:

@@ -6,10 +6,12 @@ form through the full product, the checks of the derivation rule, the
 centroid rule and invariance over every triple, the centroid solved over
 every triple, the derivations solved over every triple (i, j, m) with
 i <= j, the structure constants of a matrix basis from every ordered
-pair, and the dense grams of 2-cochains (from pair vectors, and the eta/xi
-builder).  Products must agree in value and in entry type (Fraction
-against Scalar); checks must agree in verdict and in the first violated
-triple; solves, tables and grams must agree entry for entry and in order.
+pair, the dense grams of 2-cochains (from pair vectors, and the eta/xi
+builder), and the dense loops of LieSuperalgebra.bracket and
+AssocSuperalgebra.product.  Products must agree in value and in entry type
+(Fraction against Scalar); checks must agree in verdict and in the first
+violated triple; solves, tables and grams must agree entry for entry and in
+order.
 """
 
 import random
@@ -39,7 +41,15 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
-from superlie.linalg import Matrix, _entries, _first_violation, _preimages, basis_coordinates
+from superlie.linalg import (
+    Matrix,
+    _dense,
+    _entries,
+    _first_violation,
+    _preimages,
+    _table_product,
+    basis_coordinates,
+)
 from superlie.lsa import (
     BilinearForm,
     _invariance_terms,
@@ -51,6 +61,7 @@ from superlie.lsa import (
     super_matrix_bracket,
 )
 from superlie.scalars import Scalar
+from superlie.unirad import isotropic_even_list, square_zero_seeds, universal_extension
 
 CATALOG_BUILDS = (
     ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
@@ -160,6 +171,34 @@ def dense_xi_grams(cur, kappa, F_list, S):
     return [dense_current_gram(cur, F.gram.rows, ks) for F in F_list]
 
 
+def dense_bracket(L, u, v):
+    """The retired LieSuperalgebra.bracket: a dense list, every entry from
+    Fraction(0) through the products that reach it."""
+    out = [Fraction(0)] * L.dim
+    nz_u = [(i, a) for i, a in enumerate(u) if a]
+    nz_v = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in nz_u:
+        for j, b in nz_v:
+            cij = L.brackets.get((i, j))
+            if cij:
+                ab = a * b
+                for k, c in cij.items():
+                    out[k] = out[k] + ab * c
+    return out
+
+
+def dense_product(A, u, v):
+    """The retired AssocSuperalgebra.product."""
+    out = [Fraction(0)] * A.dim
+    nz_u = [(i, a) for i, a in enumerate(u) if a]
+    nz_v = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in nz_u:
+        for j, b in nz_v:
+            for k, c in A.product_basis(i, j).items():
+                out[k] = out[k] + a * b * c
+    return out
+
+
 def assert_same_entries(got, want):
     assert got.shape == want.shape
     for r, s in zip(got.rows, want.rows):
@@ -266,6 +305,95 @@ def test_products_match_dense_on_random_sparse_matrices():
         X @ Y
     with pytest.raises(ValueError, match="square"):
         super_matrix_bracket(X, Y, 0, 0)
+
+
+# -- table products ----------------------------------------------------------------
+
+
+TABLE_CASES = {
+    "su(2|1)": lambda: build_catalog("su_pq", 2, 1).algebra,
+    "psu(2|2)": lambda: build_catalog("psu_pp", 2).algebra,
+    "pq(3)": lambda: build_catalog("pq_n", 3).algebra,
+    "L4": lambda: grassmann(4),
+    "L2 x su(2)": lambda: current_lsa(grassmann(2), build_catalog("su_n", 2).algebra).algebra,
+}
+
+
+def random_vector(rng, n, density, tower):
+    """A dense list with about density * n nonzeros, tower Scalars if asked."""
+    out = []
+    for _ in range(n):
+        if rng.random() >= density:
+            out.append(Fraction(0))
+            continue
+        q = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+        if tower and rng.random() < 0.5:
+            q = Scalar({(rng.choice([1, 2, 3]), rng.randint(0, 1)): q})
+        out.append(q)
+    return out
+
+
+def assert_same_vector(got, want):
+    """Equal entry for entry; a nonzero entry is a Scalar in both or in neither."""
+    assert len(got) == len(want) and got == want
+    for x, y in zip(got, want):
+        assert not y or isinstance(x, Scalar) == isinstance(y, Scalar)
+
+
+def check_table_product(X, u, v):
+    """The adapter on dense and sparse input and the table product on sparse
+    input agree with the dense loop; no input is modified."""
+    if hasattr(X, "brackets"):
+        table, adapter, oracle = X.brackets, X.bracket, partial(dense_bracket, X)
+    else:
+        table, adapter, oracle = X.table, X.product, partial(dense_product, X)
+    want = oracle(u, v)
+    su = {i: a for i, a in enumerate(u) if a}
+    sv = {j: b for j, b in enumerate(v) if b}
+    before = (list(su.items()), list(sv.items()), list(table.items()))
+    got = _table_product(table, su, sv)
+    assert (list(su.items()), list(sv.items()), list(table.items())) == before
+    assert got == {k: x for k, x in enumerate(want) if x}
+    assert all(got.values())
+    assert_same_vector(_dense(got, len(u)), want)
+    assert_same_vector(adapter(u, v), want)
+    assert_same_vector(adapter(su, sv), want)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_product_and_adapters_match_dense_loops(case):
+    X = TABLE_CASES[case]()
+    rng = random.Random(11)
+    n = X.dim
+    for trial in range(60):
+        density = (1.0, 0.5, 0.1)[trial % 3]
+        tower = trial % 2 == 1
+        check_table_product(X, random_vector(rng, n, density, tower), random_vector(rng, n, density, tower))
+    # every pair of basis vectors, and the zero vector on either side
+    zero = [Fraction(0)] * n
+    for i, j in product(range(n), repeat=2):
+        check_table_product(X, [Fraction(t == i) for t in range(n)], [Fraction(t == j) for t in range(n)])
+    check_table_product(X, zero, random_vector(rng, n, 0.5, True))
+    check_table_product(X, random_vector(rng, n, 0.5, True), zero)
+
+
+@pytest.mark.parametrize("spec", [("su_pq", 2, 1), ("su_pq", 3, 1), ("psu_pp", 2), ("c_n", 3), ("pq_n", 3)])
+def test_table_product_matches_dense_loop_on_isotropic_seeds(spec):
+    """The square-zero seeds from isotropic even elements (with sqrt
+    coefficients on su(3|1) and c(3)) square to zero, and every bracket of
+    two seeds agrees with the dense loop."""
+    entry = build_catalog(*spec)
+    gext = universal_extension(entry, 1)
+    L = gext.algebra
+    seeds = square_zero_seeds(gext, isotropic_even=isotropic_even_list(entry))
+    assert seeds
+    towers = [v for v in seeds if any(isinstance(c, Scalar) and not c.is_rational() for c in v.values())]
+    assert bool(towers) == (spec in (("su_pq", 3, 1), ("c_n", 3)))
+    for u, v in product(seeds, repeat=2):
+        check_table_product(L, _dense(u, L.dim), _dense(v, L.dim))
+    for u in seeds:
+        assert _table_product(L.brackets, u, u) == {}
+        assert not any(dense_bracket(L, _dense(u, L.dim), _dense(u, L.dim)))
 
 
 # -- support-restricted checks ---------------------------------------------------

@@ -336,6 +336,34 @@ def test_universal_extension_passes_full_validation(spec):
     gext.algebra.validate()
 
 
+def test_universal_extension_solves_hochschild_space_once(monkeypatch):
+    """With two even star-symmetric centroid members S and 2S, the Hochschild
+    space of A is solved once, and xi_data lists its maps for S, then 2S."""
+    from superlie import unirad
+    from superlie.cohomology import EndSpace
+
+    real_hoch, real_split = unirad.hochschild_space, unirad.split_by_star
+    calls = []
+
+    def counted_hoch(A, *args, **kwargs):
+        calls.append(A.dim)
+        return real_hoch(A, *args, **kwargs)
+
+    def doubled_split(*args):
+        space = real_split(*args)
+        return EndSpace([T for S in space.even for T in (S, S.scale(Fraction(2)))], space.odd)
+
+    monkeypatch.setattr(unirad, "hochschild_space", counted_hoch)
+    monkeypatch.setattr(unirad, "split_by_star", doubled_split)
+    gext = universal_extension(build_catalog("su_pq", 2, 1), 2)
+    assert calls == [4]
+    hoch = real_hoch(grassmann(2))
+    S_list = [S for _F, S in gext.xi_data[:: len(hoch)]]
+    assert len(S_list) == 2 and S_list[1] == S_list[0].scale(Fraction(2))
+    assert [(F.entries, S) for F, S in gext.xi_data] == [(F.entries, S) for S in S_list for F in hoch]
+    assert gext.value_dim == len(gext.eta_data) + 2 * len(hoch)
+
+
 def dense_random_even_hochschild(A, value_dim, seed):
     """The dense loop: every entry of every basis map, in the same draw order."""
     basis = hochschild_space(A, parity=0)
