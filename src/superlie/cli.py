@@ -263,7 +263,7 @@ def cmd_clifford(args) -> int:
             "quotient_dim": rep.mu.quotient_dim,
             "space_dim": rep.space_dim,
             "grading": list(rep.grading),
-            "chi": [rep.chi_basis(i) for i in range(N.algebra.dim)],
+            "chi": rep.chis,
         }
         _emit(report, args.out)
         return EXIT_OK

@@ -474,7 +474,7 @@ def mu_lambda(N: CliffordLieSuperalgebra, lam: Sequence) -> MuLambdaResult:
 class LambdaRep:
     """chi: n -> matrices with even part acting by the scalar i * lambda."""
 
-    __slots__ = ("N", "lam", "mu", "rep", "space_dim", "grading")
+    __slots__ = ("N", "lam", "mu", "rep", "space_dim", "grading", "chis")
 
     def __init__(self, N, lam, mu, rep):
         self.N = N
@@ -483,6 +483,7 @@ class LambdaRep:
         self.rep = rep
         self.space_dim = rep.space_dim if rep is not None else 1
         self.grading = rep.grading if rep is not None else (0,)
+        self.chis = [self.chi_basis(i) for i in range(N.algebra.dim)]
 
     def chi_basis(self, i: int) -> Matrix:
         L = self.N.algebra
@@ -501,8 +502,9 @@ class LambdaRep:
         z8 = zeta8()
         return Matrix([[z8 * x for x in row] for row in base.rows])
 
-    def chi(self, vec: Sequence) -> Matrix:
-        return _combination(self.space_dim, ((c, self.chi_basis(i)) for i, c in enumerate(vec) if c))
+    def chi(self, vec: Coordvec) -> Matrix:
+        """chi of a sparse vector {basis index: coefficient}."""
+        return _combination(self.space_dim, ((c, self.chis[k]) for k, c in vec.items()))
 
     def _quotient_coords(self, odd_coords: Sequence) -> list:
         """Coordinates of the image in the diagonalized quotient basis."""
@@ -538,14 +540,10 @@ def lambda_admissible_rep(N: CliffordLieSuperalgebra, lam: Sequence) -> LambdaRe
 def _verify_lambda_rep(rep: LambdaRep):
     L = rep.N.algebra
     n = L.dim
-    chis = [rep.chi_basis(i) for i in range(n)]
-
-    def chi(vec: Coordvec) -> Matrix:
-        return _combination(rep.space_dim, ((c, chis[k]) for k, c in vec.items()))
-
+    chis = rep.chis
     for i in range(n):
         for j in range(i, n):
-            lhs = chi(L.bracket_basis(i, j))
+            lhs = rep.chi(L.bracket_basis(i, j))
             if lhs != super_matrix_bracket(chis[i], chis[j], L.parities[i], L.parities[j]):
                 raise CliffordError(f"homomorphism contract fails at ({i},{j})")
     # unitarity: <chi(X)u, v> = <u, -i^{|X|} chi(X) v> for <u, v> = sum u conj(v)
@@ -559,11 +557,11 @@ def _verify_lambda_rep(rep: LambdaRep):
     # radical elements act by zero
     odd = L.odd_indices
     for r in rep.mu.radical.sparse_rows:
-        if not chi({odd[t]: c for t, c in r.items()}).is_zero():
+        if not rep.chi({odd[t]: c for t, c in r.items()}).is_zero():
             raise CliffordError("a radical element fails to act by zero")
     # -i chi([x,x]) is PSD for every odd basis x
     for i in odd:
-        H = Matrix([[(-_I) * x for x in row] for row in chi(L.bracket_basis(i, i)).rows])
+        H = Matrix([[(-_I) * x for x in row] for row in rep.chi(L.bracket_basis(i, i)).rows])
         if not hermitian_psd(H):
             raise CliffordError(f"-i chi([x,x]) fails positivity at odd basis {i}")
 

@@ -54,14 +54,27 @@ def _table_product(table: dict, u: dict, v: dict) -> dict:
     superalgebra or the product of an associative one.  Terms are taken in
     the order of u, then v, then the table entry; entries that cancel are
     dropped.  The inputs are read, never copied.
+
+    The validation sweeps make one call per term of every basis triple, with
+    a basis vector on one side and often an empty vector on the other, so an
+    empty side returns at once and a Fraction 1 is not multiplied in: 1 * b
+    is b in value and type for Fraction and Scalar b.
     """
     out: dict = {}
+    if not (u and v):
+        return out
     get = table.get
     for i, a in u.items():
         for j, b in v.items():
             t = get((i, j))
             if t:
-                _axpy(out, t, -a * b)
+                if a.__class__ is Fraction and a == 1:
+                    c = -b
+                elif b.__class__ is Fraction and b == 1:
+                    c = -a
+                else:
+                    c = -a * b
+                _axpy(out, t, c)
     return out
 
 

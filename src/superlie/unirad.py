@@ -473,11 +473,10 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
     one = Fraction(1)
 
     def block(pred_deg, pred_parity):
-        factors = map(cur.factors, range(gext.base_dim))
-        slots = [
-            cur.slot(p, i) for p, i in factors if pred_deg(A.z_degrees[p]) and pred_parity(K.parities[i])
-        ]
-        return Subspace(L.dim, ({idx: one} for idx in slots))
+        factors = enumerate(map(cur.factors, range(gext.base_dim)))
+        return Subspace(L.dim, (
+            {idx: one} for idx, (p, i) in factors if pred_deg(A.z_degrees[p]) and pred_parity(K.parities[i])
+        ))
 
     stages = [
         ("odd_degree_k0", block(lambda d: d % 2 == 1, lambda p: p == 0)),

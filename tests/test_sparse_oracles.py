@@ -375,6 +375,13 @@ def test_table_product_and_adapters_match_dense_loops(case):
         check_table_product(X, [Fraction(t == i) for t in range(n)], [Fraction(t == j) for t in range(n)])
     check_table_product(X, zero, random_vector(rng, n, 0.5, True))
     check_table_product(X, random_vector(rng, n, 0.5, True), zero)
+    # a tower 1 is multiplied in, so a rational partner yields Scalar entries
+    scalar_one = Scalar.from_rational(1)
+    for i in range(n):
+        unit = [scalar_one if t == i else Fraction(0) for t in range(n)]
+        rational = random_vector(rng, n, 0.5, False)
+        check_table_product(X, unit, rational)
+        check_table_product(X, rational, unit)
 
 
 @pytest.mark.parametrize("spec", [("su_pq", 2, 1), ("su_pq", 3, 1), ("psu_pp", 2), ("c_n", 3), ("pq_n", 3)])
