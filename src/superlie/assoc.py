@@ -12,7 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace, _as_sparse, _dense, _table_product, is_graded, quotient_table
+from .linalg import (
+    Subspace,
+    _as_sparse,
+    _dense,
+    _integral_table,
+    _table_product,
+    is_graded,
+    quotient_table,
+)
 
 Coordvec = dict[int, Fraction]
 
@@ -24,7 +32,7 @@ class AssocError(ValueError):
 class AssocSuperalgebra:
     """Finite dimensional unital supercommutative associative superalgebra."""
 
-    __slots__ = ("names", "parities", "z_degrees", "table", "unit", "_dim")
+    __slots__ = ("names", "parities", "z_degrees", "table", "unit", "_dim", "_int_view")
 
     def __init__(
         self,
@@ -43,6 +51,7 @@ class AssocSuperalgebra:
         }
         self.unit = unit
         self.z_degrees = tuple(z_degrees) if z_degrees is not None else None
+        self._int_view = None  # filled by _int_table
         if validate:
             self.validate()
 
@@ -52,6 +61,13 @@ class AssocSuperalgebra:
 
     def product_basis(self, i: int, j: int) -> Coordvec:
         return self.table.get((i, j), {})
+
+    def _int_table(self) -> dict:
+        """The products as int pairs, scaled by the lcm of their denominators
+        (linalg._integral_table); built on first use and kept."""
+        if self._int_view is None:
+            self._int_view = _integral_table(self.table)
+        return self._int_view
 
     def product(self, u: Sequence, v: Sequence) -> list:
         """u v as a dense list, for dense or sparse u and v."""

@@ -96,19 +96,23 @@ def _solve_end_space(L: LieSuperalgebra, d_parity: int, terms, triples) -> list[
 
 def _bracket_index(L: LieSuperalgebra) -> tuple[dict, dict]:
     """(j, m) -> [(l, c)] with c the e_m coefficient of [e_l, e_j], and
-    (i, m) -> [(l, c)] with c that of [e_i, e_l]; l ascending in both."""
+    (i, m) -> [(l, c)] with c that of [e_i, e_l]; l ascending in both, c
+    from L's integral table."""
     left: dict[tuple[int, int], list] = {}
     right: dict[tuple[int, int], list] = {}
-    for (a, b), vec in sorted(L.brackets.items()):
-        for m, c in vec.items():
+    for (a, b), vec in sorted(L._int_table().items()):
+        for m, c in vec:
             left.setdefault((b, m), []).append((a, c))
             right.setdefault((a, m), []).append((b, c))
     return left, right
 
 
 def _centroid_terms(L: LieSuperalgebra, left: dict, i: int, j: int, m: int):
-    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; X[a][b] is the e_a coefficient of S e_b."""
-    for k, c in L.bracket_basis(i, j).items():
+    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; X[a][b] is the e_a coefficient of S e_b.
+
+    left is _bracket_index(L)[0]; both read L's integral table.
+    """
+    for k, c in L._int_table().get((i, j), ()):
         yield c, m, k
     for l, c in left.get((j, m), ()):
         yield -c, l, i
@@ -387,30 +391,34 @@ class PairBasis:
 # -- identities: one term generator each, for solving and for checking --------
 #
 # The solvers turn an identity's terms into constraint rows over every triple
-# (linalg._identity_rows); the cocycle solver skips the triples on which no
-# bracket gives a term.  The checks evaluate the same terms on a given sparse
-# map {(a, b): x} (linalg._first_violation), each visiting only the triples
-# the map's support reaches: every term of any other triple meets a zero
-# entry, so the verdict and the lexicographically first violated triple (the
-# witness) are those of a dense sweep.
+# (linalg._identity_rows); the cocycle and Hochschild solvers skip the
+# triples on which no bracket or product gives a term.  The terms carry the
+# int coefficients of the algebra's integral table (linalg._integral_table),
+# so every row is an int row.  The checks evaluate the same terms on a given
+# sparse map {(a, b): x} (linalg._first_violation), each visiting only the
+# triples the map's support reaches: every term of any other triple meets a
+# zero entry, so the verdict and the lexicographically first violated triple
+# (the witness) are those of a dense sweep.
 
 
 def _cocycle_terms(L: LieSuperalgebra, x: int, y: int, z: int):
     """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0."""
     yield from _invariance_terms(L, x, y, z)
     odd = L.parities[x] and L.parities[y]
-    for k, c in L.bracket_basis(x, z).items():
+    for k, c in L._int_table().get((x, z), ()):
         yield (-c if odd else c), y, k
 
 
 def _hochschild_terms(A: AssocSuperalgebra, a: int, b: int, c: int):
-    """F(ab, c) - F(a, bc) - (-1)^{|a||b|} F(b, ac) = 0."""
-    for k, m in A.product_basis(a, b).items():
+    """F(ab, c) - F(a, bc) - (-1)^{|a||b|} F(b, ac) = 0, with int
+    coefficients from A's integral table."""
+    get = A._int_table().get
+    for k, m in get((a, b), ()):
         yield m, k, c
-    for k, m in A.product_basis(b, c).items():
+    for k, m in get((b, c), ()):
         yield -m, a, k
     odd = A.parities[a] and A.parities[b]
-    for k, m in A.product_basis(a, c).items():
+    for k, m in get((a, c), ()):
         yield (m if odd else -m), b, k
 
 
@@ -520,36 +528,43 @@ class Cocycle2:
         return f"Cocycle2(dim {self.carrier.dim}, values {self.value_dim})"
 
 
-def _cocycle_triples(L: LieSuperalgebra):
-    """The sorted triples x <= y <= z with a bracket on (x, y), (y, z) or
-    (x, z), in lexicographic order, one leading index x at a time.
+def _table_triples(table: dict, n: int, ascending: bool):
+    """The triples (x, y, z) with a table entry on (x, y), (y, z) or (x, z),
+    in lexicographic order, one leading index x at a time; ascending keeps
+    only those with x <= y <= z.
 
-    _cocycle_terms reads only these three brackets, so every other sorted
-    triple has no term and gives no row.
+    An identity whose terms read only these three entries, as the cocycle
+    and cyclic Leibniz identities do, has no term on any other triple and
+    gives no row there.
     """
-    n = L.dim
-    above: list[list[int]] = [[] for _ in range(n)]  # u -> v >= u with [e_u, e_v] != 0
-    for u, v in L.brackets:
-        if u <= v:
-            above[u].append(v)
-    for vs in above:
+    after: list[list[int]] = [[] for _ in range(n)]  # u -> v with an entry on (u, v)
+    for u, v in table:
+        if u <= v or not ascending:
+            after[u].append(v)
+    for vs in after:
         vs.sort()
     for x in range(n):
-        ax = above[x]
+        ax = after[x]
         hit = set(ax)
-        for y in range(x, n):
+        for y in range(x if ascending else 0, n):
+            lo = y if ascending else 0
             if y in hit:
-                for z in range(y, n):
+                for z in range(lo, n):
                     yield x, y, z
                 continue
-            zs = ax[bisect_left(ax, y):]
-            if above[y]:
-                zs = sorted(set(zs).union(above[y]))
+            zs = ax[bisect_left(ax, lo):]
+            if after[y]:
+                zs = sorted(set(zs).union(after[y]))
             for z in zs:
                 yield x, y, z
 
 
-def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, Fraction]]:
+def _cocycle_triples(L: LieSuperalgebra):
+    """The sorted triples x <= y <= z on which _cocycle_terms has a term."""
+    return _table_triples(L.brackets, L.dim, True)
+
+
+def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, int]]:
     return _identity_rows(partial(_cocycle_terms, L), _cocycle_triples(L), pb.columns())
 
 
@@ -736,15 +751,23 @@ def is_hochschild(A: AssocSuperalgebra, F: dict) -> bool:
     return _hochschild_failure(A, F) is None
 
 
-def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[HochschildMap]:
-    """Kernel of the stacked skew + cyclic Leibniz constraints on A x A."""
+def _hochschild_rows(A: AssocSuperalgebra) -> list[dict[int, int]]:
+    """The skew rows on the pairs a <= b, then the cyclic Leibniz rows on the
+    triples with a product (in the order of the full sweep over A^3), over
+    the unknowns F[a, b] at column a * n + b."""
     n = A.dim
     columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
     pairs = ((a, b) for a in range(n) for b in range(a, n))
     rows = _identity_rows(partial(_skew_terms, A.parities), pairs, columns)
-    rows += _identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns)
+    rows += _identity_rows(partial(_hochschild_terms, A), _table_triples(A.table, n, False), columns)
+    return rows
+
+
+def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[HochschildMap]:
+    """Kernel of the stacked skew + cyclic Leibniz constraints on A x A."""
+    n = A.dim
     out = []
-    for vec in sparse_kernel(rows, n * n):
+    for vec in sparse_kernel(_hochschild_rows(A), n * n):
         F = {divmod(t, n): c for t, c in sorted(vec.items())}
         p = _kernel_parity({(A.parities[a] + A.parities[b]) % 2 for a, b in F})
         if parity is not None and p != parity:

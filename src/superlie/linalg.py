@@ -660,7 +660,16 @@ def _row_primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _to_int_row(row: dict) -> dict[int, int]:
-    """Clear denominators of a sparse Fraction/int row; strip content."""
+    """Clear denominators of a sparse Fraction/int row; strip content.
+
+    A row of nonzero ints, as the identity systems emit, goes straight to
+    _row_primitive and may come back as the same dict.
+    """
+    for v in row.values():
+        if v.__class__ is not int or not v:
+            break
+    else:
+        return _row_primitive(row)
     lcm = 1
     for v in row.values():
         if isinstance(v, Fraction):
@@ -677,11 +686,37 @@ def _to_int_row(row: dict) -> dict[int, int]:
     return _row_primitive(out)
 
 
-def _identity_rows(terms, triples, columns: dict) -> list[dict[int, Fraction]]:
-    """Nonzero constraint rows; columns maps (a, b) to (unknown, negate)."""
+def _integral_table(table: dict) -> dict:
+    """A structure table {(i, j): {k: c}} times the lcm D of its denominators,
+    as int pairs {(i, j): ((k, D c), ...)} in the table's order: the integral
+    view the identity systems are built from.  Tuples hold it in about a
+    third of the memory of dicts.
+
+    Every term of an identity carries exactly one structure coefficient, so
+    each constraint row built from this view is D > 0 times the row of the
+    rational table: the same primitive integer row, and a check sum that is
+    zero exactly when the rational one is.
+    """
+    d = 1
+    for vec in table.values():
+        for c in vec.values():
+            q = c.denominator
+            if q != 1:
+                d = d // gcd(d, q) * q
+    return {
+        key: tuple((k, c.numerator * (d // c.denominator)) for k, c in vec.items())
+        for key, vec in table.items()
+    }
+
+
+def _identity_rows(terms, triples, columns: dict) -> list[dict]:
+    """Nonzero constraint rows; columns maps (a, b) to (unknown, negate).
+
+    Terms read from an integral table (_integral_table) give int rows.
+    """
     rows = []
     for triple in triples:
-        row: dict[int, Fraction] = {}
+        row: dict = {}
         for c, a, b in terms(*triple):
             unknown = columns.get((a, b))
             if unknown is not None:
@@ -730,7 +765,7 @@ def _first_violation(terms, triples, F: dict) -> tuple | None:
         for c, a, b in terms(*triple):
             g = get((a, b))
             if g:
-                tot += c * g
+                tot += g * c  # c is an int: Fraction * int takes the forward path
         if tot:
             return triple
     return None
@@ -769,31 +804,47 @@ class SparseEliminator:
         return True
 
     def _reduce(self, r: dict[int, int]) -> dict[int, int]:
-        while True:
-            hits = [c for c in r if c in self.col_to_idx]
-            if not hits:
-                return r
-            # eliminate the earliest-created pivot first (termination order)
-            c = min(hits, key=lambda cc: self.col_to_idx[cc])
-            idx = self.col_to_idx[c]
-            prow = self.piv_rows[idx]
-            a, b = prow[c], r[c]
+        """Clear every pivot column of r, the earliest-created pivot first.
+
+        A pivot row holds no pivot column of an earlier row, so subtracting
+        pivot row idx brings in only pivots later than idx.  A min-heap of
+        the pivot indices r holds therefore yields them in the order a
+        rescan for the earliest pivot would; an index whose column has
+        cancelled since it was pushed is skipped.
+        """
+        col_to_idx = self.col_to_idx
+        heap = [col_to_idx[c] for c in r if c in col_to_idx]
+        heapify(heap)
+        piv_cols, piv_rows = self.piv_cols, self.piv_rows
+        while heap:
+            idx = heappop(heap)
+            c = piv_cols[idx]
+            b = r.get(c)
+            if b is None:
+                continue
+            prow = piv_rows[idx]
+            a = prow[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            out = {}
-            for col, v in r.items():
-                out[col] = v * ma
+            out = {col: v * ma for col, v in r.items()} if ma != 1 else dict(r)
             # inline rather than _axpy: the hot loop of the eliminator, where
             # the extra call and second dict lookup cost a few percent
             for col, v in prow.items():
-                nv = out.get(col, 0) - v * mb
-                if nv:
-                    out[col] = nv
+                old = out.get(col)
+                if old is None:
+                    out[col] = -v * mb
+                    if col in col_to_idx:
+                        heappush(heap, col_to_idx[col])
                 else:
-                    out.pop(col, None)
+                    nv = old - v * mb
+                    if nv:
+                        out[col] = nv
+                    else:
+                        del out[col]
             r = _row_primitive(out)
             if not r:
                 return r
+        return r
 
     def in_row_space(self, row: dict) -> bool:
         return not self._reduce(_to_int_row(row))

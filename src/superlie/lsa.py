@@ -26,6 +26,7 @@ from .linalg import (
     _dense,
     _entries,
     _first_violation,
+    _integral_table,
     _preimages,
     _sparse_products,
     _table_product,
@@ -69,7 +70,7 @@ class MatrixRealization:
 
 
 class LieSuperalgebra:
-    __slots__ = ("names", "parities", "brackets", "realization", "_dim", "_z2_kernel")
+    __slots__ = ("names", "parities", "brackets", "realization", "_dim", "_z2_kernel", "_int_view")
 
     def __init__(
         self,
@@ -85,6 +86,7 @@ class LieSuperalgebra:
         self.brackets = _complete_brackets(brackets, self.parities, self._dim)
         self.realization = realization
         self._z2_kernel = None  # filled by cohomology._cocycle_kernel
+        self._int_view = None  # filled by _int_table
         if validate:
             self.validate()
 
@@ -102,6 +104,13 @@ class LieSuperalgebra:
 
     def bracket_basis(self, i: int, j: int) -> Coordvec:
         return self.brackets.get((i, j), {})
+
+    def _int_table(self) -> dict:
+        """The brackets as int pairs, scaled by the lcm of their denominators
+        (linalg._integral_table); built on first use and kept."""
+        if self._int_view is None:
+            self._int_view = _integral_table(self.brackets)
+        return self._int_view
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
         """[u, v] as a dense list, for dense or sparse u and v."""
@@ -397,10 +406,12 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
 
 
 def _invariance_terms(L: LieSuperalgebra, x: int, y: int, z: int):
-    """omega([x,y],z) - omega(x,[y,z]) = 0, as terms (c, a, b) of omega(e_a, e_b)."""
-    for k, c in L.bracket_basis(x, y).items():
+    """omega([x,y],z) - omega(x,[y,z]) = 0, as terms (c, a, b) of omega(e_a, e_b),
+    with int c from L's integral table."""
+    get = L._int_table().get
+    for k, c in get((x, y), ()):
         yield c, k, z
-    for k, c in L.bracket_basis(y, z).items():
+    for k, c in get((y, z), ()):
         yield -c, x, k
 
 

@@ -4,11 +4,12 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import gcd
 
 import pytest
 
 from conftest import abelian, derivation_sweep, odd_heisenberg, su2_cyclic
-from test_linalg import dense_echelon
+from test_linalg import assert_same_elimination, dense_echelon
 from test_lsa import scaled_form
 from test_sparse_oracles import dense_gram_of_vector
 from superlie.assoc import grassmann
@@ -25,10 +26,14 @@ from superlie.cohomology import (
     _cocycle_witness,
     _derivation_witness,
     _end_columns,
+    _hochschild_rows,
+    _hochschild_terms,
     _hochschild_witness,
     _kernel_parity,
+    _skew_terms,
     _skew_witness,
     _solve_end_space,
+    _table_triples,
     b2_space,
     central_extension,
     centroid,
@@ -58,6 +63,7 @@ from superlie.linalg import (
     _entries,
     _first_violation,
     _identity_rows,
+    _to_int_row,
     sparse_kernel,
 )
 from superlie.catalog import build_catalog
@@ -283,8 +289,8 @@ def test_b2_space_matches_dense_echelon(case):
 
 
 def accumulated_cocycle_rows(L, pb):
-    """The constraint rows of every sorted triple, summed through
-    row.get(col, Fraction(0)): the reference."""
+    """The constraint rows of every sorted triple, summed as Fractions from
+    L.brackets through row.get(col, Fraction(0)): the reference."""
     n = L.dim
     columns = {}
     for a in range(n):
@@ -296,8 +302,12 @@ def accumulated_cocycle_rows(L, pb):
     for x in range(n):
         for y in range(x, n):
             for z in range(y, n):
+                odd = L.parities[x] and L.parities[y]
+                terms = [(c, k, z) for k, c in L.brackets.get((x, y), {}).items()]
+                terms += [(-c, x, k) for k, c in L.brackets.get((y, z), {}).items()]
+                terms += [(-c if odd else c, y, k) for k, c in L.brackets.get((x, z), {}).items()]
                 row = {}
-                for c, a, b in _cocycle_terms(L, x, y, z):
+                for c, a, b in terms:
                     unknown = columns.get((a, b))
                     if unknown is not None:
                         col, negate = unknown
@@ -320,12 +330,16 @@ ROW_CASES = {
 
 @pytest.mark.parametrize("case", ROW_CASES)
 def test_cocycle_rows_match_accumulation(case):
-    # the solver visits only the triples with terms; the rows, their order and
-    # each row's key order are those of the full sweep
+    # the solver visits only the triples with terms and reads the integral
+    # table; the rows the eliminator reduces, their order and each row's key
+    # order are those of the full sweep over L.brackets
     L = ROW_CASES[case]()
     pb = PairBasis(L)
-    got = [list(r.items()) for r in _cocycle_constraint_rows(L, pb)]
-    assert got == [list(r.items()) for r in accumulated_cocycle_rows(L, pb)]
+    rows = _cocycle_constraint_rows(L, pb)
+    want = accumulated_cocycle_rows(L, pb)
+    assert row_items(_to_int_row(r) for r in rows) == row_items(_to_int_row(r) for r in want)
+    assert row_items(rows) == row_items(scaled_rows(want, denominator_lcm(L.brackets)))
+    assert all(type(v) is int for r in rows for v in r.values())
     n = L.dim
     with_terms = [
         (x, y, z)
@@ -375,6 +389,23 @@ def test_cocycle_system_solved_once_per_algebra_beyond_the_cap(case, monkeypatch
     assert assembled == [first.dim, fresh.dim]
     assert [c.grams for c in again] == [c.grams for c in cocycles]
     assert [c.value_parities for c in again] == [c.value_parities for c in cocycles]
+
+
+@pytest.mark.parametrize("case", H2_SCALE_CASES)
+def test_heap_reduce_matches_rescanning_on_h2_scale_systems(case):
+    spec, s, (dim_z2, _dim_b2, _h2) = H2_SCALE_CASES[case]
+    L = current_lsa(grassmann(s), build_catalog(*spec).algebra).algebra
+    pb = PairBasis(L)
+    rows = sorted(_cocycle_constraint_rows(L, pb), key=len)
+    combo = dict(rows[-1])
+    for r in rows[-40:-1]:
+        for col, v in r.items():
+            combo[col] = combo.get(col, 0) + 2 * v
+    probes = rows[::5000] + [{c: v for c, v in combo.items() if v}]
+    probes += [{t: 1} for t in range(0, pb.count, 97)]
+    scan, verdicts = assert_same_elimination(rows, pb.count, probes)
+    assert set(verdicts) == {True, False}
+    assert pb.count - scan.rank == dim_z2
 
 
 @pytest.mark.parametrize("case", SOLVER_CASES)
@@ -467,6 +498,42 @@ def test_cocycle_reconstruction_from_kappa_d_basis(su2k):
 
 
 # -- Hochschild maps -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_hochschild_rows_match_full_sweep(s):
+    # the cyclic Leibniz rows come from the triples with a product only; the
+    # rows, their order and each row's key order are those of the sweep over
+    # every triple of A^3
+    A = grassmann(s)
+    n = A.dim
+    columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    want = _identity_rows(partial(_skew_terms, A.parities), pairs, columns)
+    want += _identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns)
+    assert row_items(_hochschild_rows(A)) == row_items(want)
+    with_terms = [t for t in product(range(n), repeat=3) if any(True for _ in _hochschild_terms(A, *t))]
+    assert list(_table_triples(A.table, n, False)) == with_terms
+
+
+# s: (dim hochschild_space(Lambda_s), dim of its even part)
+HOCHSCHILD_DIMS = {1: (1, 1), 2: (5, 3), 3: (17, 9), 4: (49, 25), 5: (129, 65)}
+
+
+@pytest.mark.parametrize("s", sorted(HOCHSCHILD_DIMS))
+def test_hochschild_dimension_closed_form(s):
+    """dim hochschild_space(Lambda_s) = (s - 1) 2^s + 1, with even part
+    (s - 1) 2^(s - 1) + 1.
+
+    A fitted pattern, not a cited theorem: it is checked here for s = 1..5
+    only, against the table above.  It is a second route to these
+    dimensions, apart from the solver.
+    """
+    dim, even = HOCHSCHILD_DIMS[s]
+    assert (dim, even) == ((s - 1) * 2**s + 1, (s - 1) * 2 ** (s - 1) + 1)
+    A = grassmann(s)
+    assert len(hochschild_space(A)) == dim
+    assert len(hochschild_space(A, parity=0)) == even
 
 
 def test_hochschild_lambda1():
@@ -1187,8 +1254,34 @@ def row_items(rows):
     return [list(r.items()) for r in rows]
 
 
+def denominator_lcm(table):
+    """The lcm of the denominators of a structure table's coefficients."""
+    d = 1
+    for vec in table.values():
+        for c in vec.values():
+            d = d * c.denominator // gcd(d, c.denominator)
+    return d
+
+
+def scaled_rows(rows, d):
+    """Fraction rows times d, as int rows; each product must be integral."""
+    out = []
+    for row in rows:
+        scaled = {}
+        for col, v in row.items():
+            x = v * d
+            assert x.denominator == 1
+            scaled[col] = int(x)
+        out.append(scaled)
+    return out
+
+
 def test_identity_rows_match_accumulation(identity_entry):
+    # the solver's rows are built from the integral table: each is the
+    # reference row, summed as Fractions from L.brackets, times the lcm D of
+    # the brackets' denominators
     L = identity_entry.algebra
+    d = denominator_lcm(L.brackets)
     der, _ = derivation_space(L)
     cent = centroid(L)
     for p, der_basis, cent_basis in ((0, der.even, cent.even), (1, der.odd, cent.odd)):
@@ -1198,15 +1291,17 @@ def test_identity_rows_match_accumulation(identity_entry):
         # the reference interleaves the [D e_i, e_j] and [e_i, D e_j] terms, so
         # the rows agree as dicts; the eliminator does not read key order
         want = accumulated_derivation_rows(L, p, index)
-        assert _identity_rows(*derivation_sweep(L, p), columns) == want
+        assert _identity_rows(*derivation_sweep(L, p), columns) == scaled_rows(want, d)
         assert der_basis == end_kernel(L, unknowns, want)
         want = accumulated_centroid_rows(L, p, index)
-        assert row_items(_identity_rows(*_centroid_identity(L, range(L.dim)), columns)) == row_items(want)
+        got = _identity_rows(*_centroid_identity(L, range(L.dim)), columns)
+        assert row_items(got) == row_items(scaled_rows(want, d))
         assert cent_basis == end_kernel(L, unknowns, want)
     pb = PairBasis(L, skew=False)
     want = accumulated_invariance_rows(L, pb)
     got = _identity_rows(partial(_invariance_terms, L), product(range(L.dim), repeat=3), pb.columns())
-    assert row_items(got) == row_items(want)
+    assert row_items(got) == row_items(scaled_rows(want, d))
+    assert all(type(v) is int for row in got for v in row.values())
     assert sym_invariant_forms(L) == [pb.gram_of_vector(v) for v in sparse_kernel(want, pb.count)]
 
 

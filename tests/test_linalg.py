@@ -13,6 +13,7 @@ from superlie.linalg import (
     SparseEliminator,
     Subspace,
     _axpy,
+    _row_primitive,
     _to_int_row,
     basis_coordinates,
     definiteness,
@@ -508,6 +509,104 @@ def test_kernel_basis_matches_full_sweep_on_cocycle_rows(s):
         elim.add_row(r)
     assert elim.rank and elim.rank < pb.count
     assert_same_kernel(elim)
+
+
+# -- reference reduction: rescan the row for its earliest pivot at every step -----
+
+
+class RescanningEliminator(SparseEliminator):
+    """SparseEliminator with the reduction it had before the pivot heap: each
+    step rescans the row for the pivot columns it holds and clears the
+    earliest-created one.
+
+    It also counts, over all reductions, the pivot columns that cancelled
+    without being the one cleared, those that a subtracted pivot row brought
+    in, and those brought back in after they had cancelled.
+    """
+
+    def __init__(self, ncols):
+        super().__init__(ncols)
+        self.cancelled = self.introduced = self.reintroduced = 0
+
+    def _reduce(self, r):
+        gone = set()
+        while True:
+            hits = [c for c in r if c in self.col_to_idx]
+            if not hits:
+                return r
+            c = min(hits, key=lambda cc: self.col_to_idx[cc])
+            idx = self.col_to_idx[c]
+            prow = self.piv_rows[idx]
+            a, b = prow[c], r[c]
+            g = gcd(a, b)
+            ma, mb = a // g, b // g
+            out = {}
+            for col, v in r.items():
+                out[col] = v * ma
+            for col, v in prow.items():
+                nv = out.get(col, 0) - v * mb
+                if nv:
+                    out[col] = nv
+                else:
+                    out.pop(col, None)
+            before = set(hits) - {c}
+            after = {cc for cc in out if cc in self.col_to_idx}
+            self.cancelled += len(before - after)
+            self.introduced += len(after - before)
+            self.reintroduced += len(after & gone)
+            gone = (gone | (before - after)) - after
+            r = _row_primitive(out)
+            if not r:
+                return r
+
+
+def assert_same_elimination(rows, ncols, probes):
+    """The heap reduction against the rescanning one: the same rank steps,
+    pivot columns, pivot rows (item order included), kernel vectors and
+    row-space verdicts.  Returns the oracle and the verdicts."""
+    heap, scan = SparseEliminator(ncols), RescanningEliminator(ncols)
+    for r in rows:
+        assert heap.add_row(r) == scan.add_row(r)
+    assert heap.piv_cols == scan.piv_cols
+    assert [list(r.items()) for r in heap.piv_rows] == [list(r.items()) for r in scan.piv_rows]
+    assert [list(v.items()) for v in heap.kernel_basis()] == [list(v.items()) for v in scan.kernel_basis()]
+    verdicts = [heap.in_row_space(p) for p in probes]
+    assert verdicts == [scan.in_row_space(p) for p in probes]
+    return scan, verdicts
+
+
+def random_int_system(rng, nrows, ncols):
+    """Random sparse int rows, dense enough that reductions cancel pivot
+    columns and bring them back."""
+    rows = []
+    for _ in range(nrows):
+        row = {c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in range(ncols) if rng.random() < 0.4}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def test_heap_reduce_matches_rescanning_on_random_systems():
+    rng = random.Random(29)
+    verdicts = set()
+    cancelled = introduced = reintroduced = 0
+    for t in range(60):
+        ncols = rng.randint(4, 24)
+        rows = random_int_system(rng, rng.randint(2, 30), ncols)
+        if t % 2:
+            rows.sort(key=len)
+        # a multiple and a combination of added rows, and random rows
+        combo = {c: 3 * v for c, v in rows[0].items()}
+        _axpy(combo, rows[-1], -2)
+        probes = [{c: 2 * v for c, v in rows[0].items()}, combo]
+        probes += random_int_system(rng, 4, ncols)
+        scan, got = assert_same_elimination(rows, ncols, [p for p in probes if p])
+        verdicts.update(got)
+        cancelled += scan.cancelled
+        introduced += scan.introduced
+        reintroduced += scan.reintroduced
+    assert verdicts == {True, False}
+    assert cancelled and introduced and reintroduced
 
 
 def test_basis_coordinates():
