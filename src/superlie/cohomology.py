@@ -12,8 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from itertools import product
-from typing import Sequence
+from itertools import chain, product
+from typing import Iterator, Sequence
 
 from .assoc import AssocSuperalgebra
 from .current import Current, current_lsa
@@ -564,7 +564,7 @@ def _cocycle_triples(L: LieSuperalgebra):
     return _table_triples(L.brackets, L.dim, True)
 
 
-def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> list[dict[int, int]]:
+def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> Iterator[dict[int, int]]:
     return _identity_rows(partial(_cocycle_terms, L), _cocycle_triples(L), pb.columns())
 
 
@@ -579,15 +579,13 @@ def _cocycle_kernel(L: LieSuperalgebra, pb: PairBasis) -> tuple[dict[int, Fracti
     """Kernel vectors of L's cocycle system in the pair coordinates
     pb = PairBasis(L).
 
-    Solved on first use and kept on L: the rows go into one eliminator,
-    shortest first, and are freed before the back-solve.  Every fill gives
-    the same vectors, so a race between two fills is harmless.
+    Solved on first use and kept on L: sparse_kernel reads the rows as they
+    are assembled, feeds them shortest first and frees them before the
+    back-solve.  Every fill gives the same vectors, so a race between two
+    fills is harmless.
     """
     if L._z2_kernel is None:
-        elim = SparseEliminator(pb.count)
-        for r in sorted(_cocycle_constraint_rows(L, pb), key=len):
-            elim.add_row(r)
-        L._z2_kernel = tuple(elim.kernel_basis())
+        L._z2_kernel = tuple(sparse_kernel(_cocycle_constraint_rows(L, pb), pb.count))
     return L._z2_kernel
 
 
@@ -751,16 +749,17 @@ def is_hochschild(A: AssocSuperalgebra, F: dict) -> bool:
     return _hochschild_failure(A, F) is None
 
 
-def _hochschild_rows(A: AssocSuperalgebra) -> list[dict[int, int]]:
+def _hochschild_rows(A: AssocSuperalgebra) -> Iterator[dict[int, int]]:
     """The skew rows on the pairs a <= b, then the cyclic Leibniz rows on the
     triples with a product (in the order of the full sweep over A^3), over
-    the unknowns F[a, b] at column a * n + b."""
+    the unknowns F[a, b] at column a * n + b, generated in that order."""
     n = A.dim
     columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
     pairs = ((a, b) for a in range(n) for b in range(a, n))
-    rows = _identity_rows(partial(_skew_terms, A.parities), pairs, columns)
-    rows += _identity_rows(partial(_hochschild_terms, A), _table_triples(A.table, n, False), columns)
-    return rows
+    return chain(
+        _identity_rows(partial(_skew_terms, A.parities), pairs, columns),
+        _identity_rows(partial(_hochschild_terms, A), _table_triples(A.table, n, False), columns),
+    )
 
 
 def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[HochschildMap]:

@@ -7,8 +7,9 @@ Fraction and Scalar.  `Subspace`, `kernel`, `solve_linear`,
 `Matrix.inverse`/`rank` and `basis_coordinates` all reduce with it.  Large
 homogeneous systems go through the sparse integer eliminator
 `sparse_kernel`, which strips row contents instead of carrying fractions
-(Bareiss-style swell control); each kernel vector is back-solved over only
-the pivot rows it reaches.
+(Bareiss-style swell control); it reads its rows as a stream, feeds them
+shortest first and drops those its unit pivot rows {c: 1} already span;
+each kernel vector is back-solved over only the pivot rows it reaches.
 
 Matrix products visit nonzero entries only (`_sparse_products`, Gustavson's
 row-wise product) and give the values and entry types of a dense sum.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .scalars import Scalar
 
@@ -709,12 +710,12 @@ def _integral_table(table: dict) -> dict:
     }
 
 
-def _identity_rows(terms, triples, columns: dict) -> list[dict]:
-    """Nonzero constraint rows; columns maps (a, b) to (unknown, negate).
+def _identity_rows(terms, triples, columns: dict) -> Iterator[dict]:
+    """The nonzero constraint rows, one per triple, generated as the triples
+    are visited; columns maps (a, b) to (unknown, negate).
 
     Terms read from an integral table (_integral_table) give int rows.
     """
-    rows = []
     for triple in triples:
         row: dict = {}
         for c, a, b in terms(*triple):
@@ -728,8 +729,7 @@ def _identity_rows(terms, triples, columns: dict) -> list[dict]:
                     row[col] = val
         row = {col: v for col, v in row.items() if v}
         if row:
-            rows.append(row)
-    return rows
+            yield row
 
 
 def _entries(M: Matrix) -> dict[tuple[int, int], object]:
@@ -783,6 +783,7 @@ class SparseEliminator:
         self.piv_rows: list[dict[int, int]] = []
         self.piv_cols: list[int] = []
         self.col_to_idx: dict[int, int] = {}
+        self.unit_cols: set[int] = set()  # pivot columns whose pivot row is {c: 1}
 
     @property
     def rank(self) -> int:
@@ -798,20 +799,35 @@ class SparseEliminator:
         pc = min(r, key=lambda c: (abs(r[c]), c))
         if r[pc] < 0:
             r = {c: -v for c, v in r.items()}
+        if len(r) == 1:
+            self.unit_cols.add(pc)
         self.col_to_idx[pc] = len(self.piv_cols)
         self.piv_cols.append(pc)
         self.piv_rows.append(r)
         return True
 
     def _reduce(self, r: dict[int, int]) -> dict[int, int]:
-        """Clear every pivot column of r, the earliest-created pivot first.
+        """Clear every pivot column of r.
 
-        A pivot row holds no pivot column of an earlier row, so subtracting
-        pivot row idx brings in only pivots later than idx.  A min-heap of
-        the pivot indices r holds therefore yields them in the order a
-        rescan for the earliest pivot would; an index whose column has
-        cancelled since it was pushed is skipped.
+        The unit pivot columns go first, all at once: subtracting the pivot
+        row {c: 1} only deletes c.  The rest go earliest-created pivot
+        first.  A pivot row holds no pivot column of an earlier row, so
+        subtracting pivot row idx brings in only pivots later than idx.  A
+        min-heap of the pivot indices r holds therefore yields them in the
+        order a rescan for the earliest pivot would; an index whose column
+        has cancelled since it was pushed is skipped, and a unit column that
+        a subtracted row brings back is cleared like any other.
+
+        Clearing the unit columns first changes nothing: the fully reduced
+        row is the one representative of r modulo the pivot rows that is
+        zero on every pivot column, times the positive factor that makes it
+        primitive, whatever the order of the steps; and deleting a column
+        moves no other key, so the item order is that of the earliest-first
+        reduction too.
         """
+        units = self.unit_cols
+        if not units.isdisjoint(r):
+            r = _row_primitive({c: v for c, v in r.items() if c not in units})
         col_to_idx = self.col_to_idx
         heap = [col_to_idx[c] for c in r if c in col_to_idx]
         heapify(heap)
@@ -892,7 +908,33 @@ class SparseEliminator:
 
 
 def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
+    """Exact kernel of the rows, fed to one eliminator shortest first.
+
+    The rows may be a generator, read once.  They are fed in the order of
+    the stable sort by length without being held all at once: a one-entry
+    row is fed as it arrives, since no longer row can come before it, and
+    the longer ones wait in one bucket per length until the stream ends.
+    A row of ints whose every column already has the unit pivot row {c: 1}
+    lies in the pivot span, so it would reduce to zero whenever it was fed,
+    and it is dropped: an empty row, each later copy of a one-entry row, and
+    many of the longer rows.  Any other row goes through add_row as given,
+    so a row the eliminator cannot take raises there.
+    """
     elim = SparseEliminator(ncols)
-    for r in sorted(rows, key=len):
-        elim.add_row(r)
+    units = elim.unit_cols
+    buckets: dict[int, list[dict]] = {}
+    for r in rows:
+        if units.issuperset(r):
+            for v in r.values():
+                if v.__class__ is not int:
+                    break
+            else:
+                continue
+        if len(r) > 1:
+            buckets.setdefault(len(r), []).append(r)
+        else:
+            elim.add_row(r)
+    for size in sorted(buckets):
+        for r in buckets.pop(size):
+            elim.add_row(r)
     return elim.kernel_basis()

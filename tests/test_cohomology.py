@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from conftest import abelian, derivation_sweep, odd_heisenberg, su2_cyclic
-from test_linalg import assert_same_elimination, dense_echelon
+from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon
 from test_lsa import scaled_form
 from test_sparse_oracles import dense_gram_of_vector
 from superlie.assoc import grassmann
@@ -232,7 +232,7 @@ def test_sorted_triples_match_all_ordered_triples():
     cur = current_lsa(grassmann(1), su2_cyclic())
     L = cur.algebra
     pb = PairBasis(L)
-    sorted_rows = _cocycle_constraint_rows(L, pb)
+    sorted_rows = list(_cocycle_constraint_rows(L, pb))
     all_rows = []
     n = L.dim
     for x in range(n):
@@ -335,7 +335,7 @@ def test_cocycle_rows_match_accumulation(case):
     # order are those of the full sweep over L.brackets
     L = ROW_CASES[case]()
     pb = PairBasis(L)
-    rows = _cocycle_constraint_rows(L, pb)
+    rows = list(_cocycle_constraint_rows(L, pb))
     want = accumulated_cocycle_rows(L, pb)
     assert row_items(_to_int_row(r) for r in rows) == row_items(_to_int_row(r) for r in want)
     assert row_items(rows) == row_items(scaled_rows(want, denominator_lcm(L.brackets)))
@@ -406,6 +406,15 @@ def test_heap_reduce_matches_rescanning_on_h2_scale_systems(case):
     scan, verdicts = assert_same_elimination(rows, pb.count, probes)
     assert set(verdicts) == {True, False}
     assert pb.count - scan.rank == dim_z2
+
+
+@pytest.mark.parametrize("case", H2_SCALE_CASES)
+def test_streamed_cocycle_solve_matches_sorted_feed(case):
+    spec, s, (dim_z2, _dim_b2, _h2) = H2_SCALE_CASES[case]
+    L = current_lsa(grassmann(s), build_catalog(*spec).algebra).algebra
+    pb = PairBasis(L)
+    elim = assert_same_as_sorted_feed(list(_cocycle_constraint_rows(L, pb)), pb.count)
+    assert pb.count - elim.rank == dim_z2
 
 
 @pytest.mark.parametrize("case", SOLVER_CASES)
@@ -509,15 +518,22 @@ def test_hochschild_rows_match_full_sweep(s):
     n = A.dim
     columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    want = _identity_rows(partial(_skew_terms, A.parities), pairs, columns)
-    want += _identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns)
-    assert row_items(_hochschild_rows(A)) == row_items(want)
+    want = list(_identity_rows(partial(_skew_terms, A.parities), pairs, columns))
+    want += list(_identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns))
+    assert row_items(list(_hochschild_rows(A))) == row_items(want)
     with_terms = [t for t in product(range(n), repeat=3) if any(True for _ in _hochschild_terms(A, *t))]
     assert list(_table_triples(A.table, n, False)) == with_terms
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_streamed_hochschild_solve_matches_sorted_feed(s):
+    A = grassmann(s)
+    elim = assert_same_as_sorted_feed(list(_hochschild_rows(A)), A.dim**2)
+    assert A.dim**2 - elim.rank == HOCHSCHILD_DIMS[s][0]
+
+
 # s: (dim hochschild_space(Lambda_s), dim of its even part)
-HOCHSCHILD_DIMS = {1: (1, 1), 2: (5, 3), 3: (17, 9), 4: (49, 25), 5: (129, 65)}
+HOCHSCHILD_DIMS = {1: (1, 1), 2: (5, 3), 3: (17, 9), 4: (49, 25), 5: (129, 65), 6: (321, 161)}
 
 
 @pytest.mark.parametrize("s", sorted(HOCHSCHILD_DIMS))
@@ -525,7 +541,7 @@ def test_hochschild_dimension_closed_form(s):
     """dim hochschild_space(Lambda_s) = (s - 1) 2^s + 1, with even part
     (s - 1) 2^(s - 1) + 1.
 
-    A fitted pattern, not a cited theorem: it is checked here for s = 1..5
+    A fitted pattern, not a cited theorem: it is checked here for s = 1..6
     only, against the table above.  It is a second route to these
     dimensions, apart from the solver.
     """
@@ -1291,15 +1307,15 @@ def test_identity_rows_match_accumulation(identity_entry):
         # the reference interleaves the [D e_i, e_j] and [e_i, D e_j] terms, so
         # the rows agree as dicts; the eliminator does not read key order
         want = accumulated_derivation_rows(L, p, index)
-        assert _identity_rows(*derivation_sweep(L, p), columns) == scaled_rows(want, d)
+        assert list(_identity_rows(*derivation_sweep(L, p), columns)) == scaled_rows(want, d)
         assert der_basis == end_kernel(L, unknowns, want)
         want = accumulated_centroid_rows(L, p, index)
-        got = _identity_rows(*_centroid_identity(L, range(L.dim)), columns)
+        got = list(_identity_rows(*_centroid_identity(L, range(L.dim)), columns))
         assert row_items(got) == row_items(scaled_rows(want, d))
         assert cent_basis == end_kernel(L, unknowns, want)
     pb = PairBasis(L, skew=False)
     want = accumulated_invariance_rows(L, pb)
-    got = _identity_rows(partial(_invariance_terms, L), product(range(L.dim), repeat=3), pb.columns())
+    got = list(_identity_rows(partial(_invariance_terms, L), product(range(L.dim), repeat=3), pb.columns()))
     assert row_items(got) == row_items(scaled_rows(want, d))
     assert all(type(v) is int for row in got for v in row.values())
     assert sym_invariant_forms(L) == [pb.gram_of_vector(v) for v in sparse_kernel(want, pb.count)]

@@ -9,6 +9,7 @@ from superlie.catalog import build_catalog
 from superlie.cohomology import (
     Cocycle2,
     CohomologyError,
+    b2_space,
     h2_dim,
     verify_cor1,
     z2_space,
@@ -31,6 +32,17 @@ def test_cor1_at_the_cap_dim48():
     rep = verify_cor1(grassmann(4), su2.algebra, su2.form)
     assert rep["defect"] == 0
     assert time.time() - t < 60
+
+
+def test_h2_lambda6_su2_at_dim192():
+    # Lambda_6 (x) su(2), dim 192 and 18,432 pair unknowns, with the cap
+    # raised to 192: Z2 / B2 / H2 = 513 / 192 / 321.  H2 is the value the
+    # closed form of test_hochschild_dimension_closed_form gives at s = 6
+    # (h2(su(2)) = 0 and dim cent_+ = 1)
+    L = current_lsa(grassmann(6), build_catalog("su_n", 2).algebra).algebra
+    assert len(z2_space(L, max_dim=192)) == 513
+    assert b2_space(L).dim == 192
+    assert h2_dim(L, max_dim=192) == 321
 
 
 def test_refusal_beyond_cap():

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import superlie.linalg
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.cohomology import PairBasis, _cocycle_constraint_rows
@@ -607,6 +608,110 @@ def test_heap_reduce_matches_rescanning_on_random_systems():
         reintroduced += scan.reintroduced
     assert verdicts == {True, False}
     assert cancelled and introduced and reintroduced
+
+
+# -- reference feed: every row held, then sorted by length ----------------------
+
+
+def sorted_feed(rows, ncols):
+    """The feed sparse_kernel had before it streamed its rows, as the oracle:
+    every row held and stably sorted by length, each through add_row, on the
+    rescanning eliminator (no pivot heap, no unit filter)."""
+    elim = RescanningEliminator(ncols)
+    for r in sorted(rows, key=len):
+        elim.add_row(r)
+    return elim
+
+
+def assert_same_as_sorted_feed(rows, ncols):
+    """sparse_kernel on a one-pass stream of the rows against the sorted
+    feed: the same pivot columns, pivot rows and kernel vectors, item order
+    included.  Returns the eliminator sparse_kernel used, with the number
+    of rows it was fed as `fed`."""
+    made = []
+
+    class Recording(SparseEliminator):
+        def __init__(self, n):
+            super().__init__(n)
+            self.fed = 0
+            made.append(self)
+
+        def add_row(self, row):
+            self.fed += 1
+            return super().add_row(row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(superlie.linalg, "SparseEliminator", Recording)
+        ker = sparse_kernel((r for r in rows), ncols)
+    (elim,) = made
+    oracle = sorted_feed(rows, ncols)
+    assert elim.piv_cols == oracle.piv_cols
+    assert [list(r.items()) for r in elim.piv_rows] == [list(r.items()) for r in oracle.piv_rows]
+    assert [list(v.items()) for v in ker] == [list(v.items()) for v in oracle.kernel_basis()]
+    return elim
+
+
+def unit_heavy_system(rng, ncols):
+    """Shuffled random rows of one to four entries, most of one: one-entry
+    rows repeated with either sign, Fraction rows, rows holding a zero
+    entry (int or Fraction) and sometimes an empty row."""
+    rows = []
+    for _ in range(rng.randint(5, 40)):
+        cols = rng.sample(range(ncols), min(rng.choice((1, 1, 1, 2, 2, 3, 4)), ncols))
+        row = {c: rng.choice((-2, -1, 1, 2, 3)) for c in cols}
+        roll = rng.random()
+        if roll < 0.2:
+            row = {c: Fraction(v, rng.randint(1, 3)) for c, v in row.items()}
+        elif roll < 0.3:
+            row[rng.choice(cols)] = rng.choice((0, Fraction(0)))
+        rows.append(row)
+        if len(row) == 1 and rng.random() < 0.5:
+            rows.append({c: -v for c, v in row.items()})
+    if rng.random() < 0.3:
+        rows.append({})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sparse_kernel_matches_sorted_feed_on_random_systems():
+    rng = random.Random(31)
+    dropped = late_units = 0
+    for _ in range(80):
+        ncols = rng.randint(3, 16)
+        rows = unit_heavy_system(rng, ncols)
+        elim = assert_same_as_sorted_feed(rows, ncols)
+        dropped += len(rows) - elim.fed
+        # unit pivot rows that no nonzero one-entry row gave
+        given = {c for r in rows if len(r) == 1 for c, v in r.items() if v}
+        late_units += len(elim.unit_cols - given)
+    assert dropped and late_units
+
+
+def test_sparse_kernel_clears_a_unit_column_that_a_pivot_row_brings_back():
+    # {1: 1} becomes a unit pivot row only after the pivot row {0: 1, 1: 1}
+    # holds column 1, so the last row meets column 1 only through that row:
+    # {0: 1, 2: 1} - {0: 1, 1: 1} = {2: 1, 1: -1}, then column 1 is cleared
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 2: 1}]
+    elim = assert_same_as_sorted_feed(rows, 4)
+    assert [list(r.items()) for r in elim.piv_rows] == [[(0, 1), (1, 1)], [(1, 1)], [(2, 1)]]
+    assert elim.unit_cols == {1, 2}
+
+
+SQRT2 = Scalar.sqrt_rational(2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: SQRT2}],  # the first one-entry row of its column
+        [{0: 1}, {0: SQRT2}],  # a one-entry row on a unit column
+        [{0: 1, 1: SQRT2}],
+        [{0: 1}, {1: 1}, {0: 2, 1: SQRT2}],  # a longer row on unit columns
+    ],
+)
+def test_sparse_kernel_raises_on_a_scalar_entry(rows):
+    with pytest.raises(AttributeError):
+        sparse_kernel((r for r in rows), 3)
 
 
 def test_basis_coordinates():
