@@ -312,26 +312,26 @@ def _split_complex_commutant(rep: CliffordRep, block: str) -> int:
     """
     size = rep.space_dim
     unit, _ = _unit_gammas(rep.n)
-    columns = {}  # (r, c) -> (unknown, False); X[r][c] = x[2t] + i x[2t + 1]
+    # cols[r][c] = (t, False) with X[r][c] = x[2t] + i x[2t + 1]
+    cols: list[list] = [[None] * size for _ in range(size)]
+    count = 0
     for r in range(size):
         for c in range(size):
             same = rep.grading[r] == rep.grading[c]
             if block == "all" or same == (block == "diag"):
-                columns[(r, c)] = (len(columns), False)
+                cols[r][c] = (count, False)
+                count += 1
     # the nonzeros of each monomial unit gamma, by row and by column
     by_row = [[[(k, v) for k, v in enumerate(row) if v] for row in G.rows] for G in unit]
     by_col = [[[(k, v) for k, v in enumerate(col) if v] for col in zip(*G.rows)] for G in unit]
 
-    def terms(g: int, r: int, c: int):
+    def groups(g: int, r: int, c: int):
         """(X G - G X)[r][c] = sum_k X[r][k] G[k][c] - G[r][k] X[k][c]."""
-        for k, v in by_col[g][c]:
-            yield v, r, k
-        for k, v in by_row[g][r]:
-            yield -v, k, c
+        return ((1, by_col[g][c], r, False), (-1, by_row[g][r], c, True))
 
     triples = ((g, r, c) for g in range(len(unit)) for r in range(size) for c in range(size))
     rows = []
-    for row in _identity_rows(terms, triples, columns):
+    for row in _identity_rows(groups, triples, cols):
         # v (x_re + i x_im) = (a x_re - b x_im) + i (b x_re + a x_im), v = a + i b
         re, im = {}, {}
         for t, v in row.items():
@@ -339,7 +339,7 @@ def _split_complex_commutant(rep: CliffordRep, block: str) -> int:
             re[2 * t], re[2 * t + 1] = a, -b
             im[2 * t], im[2 * t + 1] = b, a
         rows += [{k: x for k, x in part.items() if x} for part in (re, im)]
-    ker = sparse_kernel(rows, 2 * len(columns))
+    ker = sparse_kernel(rows, 2 * count)
     if len(ker) % 2:
         raise CliffordError("commutant computation lost the complex structure")
     return len(ker) // 2

@@ -37,7 +37,7 @@ from .lsa import (
     Coordvec,
     LieSuperalgebra,
     _graded_symmetric,
-    _invariance_terms,
+    _invariance_groups,
     form_parity,
     form_report,
     generating_set,
@@ -74,24 +74,28 @@ class EndSpace:
             yield M, 1
 
 
-def _end_columns(L: LieSuperalgebra, d_parity: int) -> dict:
-    """(m, k) -> (unknown, False) for the entries X[m][k] of a map of parity d_parity."""
+def _end_columns(L: LieSuperalgebra, d_parity: int) -> list[list]:
+    """cols[m][k] = (unknown, False) for the entries X[m][k] of a map of
+    parity d_parity, row-major; None off that parity."""
     n = L.dim
-    unknowns = [
-        (m, k)
-        for m in range(n)
-        for k in range(n)
-        if (L.parities[m] + L.parities[k]) % 2 == d_parity
-    ]
-    return {u: (t, False) for t, u in enumerate(unknowns)}
+    par = L.parities
+    cols: list[list] = [[None] * n for _ in range(n)]
+    t = 0
+    for m in range(n):
+        for k in range(n):
+            if (par[m] + par[k]) % 2 == d_parity:
+                cols[m][k] = (t, False)
+                t += 1
+    return cols
 
 
-def _solve_end_space(L: LieSuperalgebra, d_parity: int, terms, triples) -> list[Matrix]:
-    """Parity-d_parity endomorphisms X with the identity's terms zero on the triples."""
-    columns = _end_columns(L, d_parity)
-    unknowns = list(columns)
-    ker = sparse_kernel(_identity_rows(terms, triples, columns), len(unknowns))
-    return [_gram({unknowns[t]: c for t, c in kv.items()}, L.dim) for kv in ker]
+def _solve_end_space(L: LieSuperalgebra, d_parity: int, groups, triples) -> list[Matrix]:
+    """Parity-d_parity endomorphisms X with the identity's groups zero on the triples."""
+    cols = _end_columns(L, d_parity)
+    n = L.dim
+    unknowns = [(m, k) for m in range(n) for k in range(n) if cols[m][k]]
+    ker = sparse_kernel(_identity_rows(groups, triples, cols), len(unknowns))
+    return [_gram({unknowns[t]: c for t, c in kv.items()}, n) for kv in ker]
 
 
 def _bracket_index(L: LieSuperalgebra) -> tuple[dict, dict]:
@@ -107,40 +111,35 @@ def _bracket_index(L: LieSuperalgebra) -> tuple[dict, dict]:
     return left, right
 
 
-def _centroid_terms(L: LieSuperalgebra, left: dict, i: int, j: int, m: int):
+def _centroid_groups(L: LieSuperalgebra, index: tuple, i: int, j: int, m: int):
     """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; X[a][b] is the e_a coefficient of S e_b.
 
-    left is _bracket_index(L)[0]; both read L's integral table.
+    index is _bracket_index(L); both read L's integral table.
     """
-    for k, c in L._int_table().get((i, j), ()):
-        yield c, m, k
-    for l, c in left.get((j, m), ()):
-        yield -c, l, i
+    return ((1, L._int_table().get((i, j), ()), m, False), (-1, index[0].get((j, m), ()), i, True))
 
 
-def _derivation_terms(L: LieSuperalgebra, index: tuple, parity: int, i: int, j: int, m: int):
+def _derivation_groups(L: LieSuperalgebra, index: tuple, parity: int, i: int, j: int, m: int):
     """D[e_i, e_j] - [D e_i, e_j] - (-1)^{|D||i|} [e_i, D e_j] = 0 at e_m."""
-    left, right = index
-    yield from _centroid_terms(L, left, i, j, m)
     odd = parity and L.parities[i]
-    for l, c in right.get((i, m), ()):
-        yield (c if odd else -c), l, j
+    third = (1 if odd else -1, index[1].get((i, m), ()), j, True)
+    return _centroid_groups(L, index, i, j, m) + (third,)
 
 
 def _derivation_identity(L: LieSuperalgebra, parity: int, right: Sequence[int]):
-    """(terms, triples) of the derivation rule on the ordered (i, j, m) with
+    """(groups, triples) of the derivation rule on the ordered (i, j, m) with
     j in right, lexicographic."""
     n = L.dim
-    terms = partial(_derivation_terms, L, _bracket_index(L), parity)
-    return terms, [(i, j, m) for i in range(n) for j in right for m in range(n)]
+    groups = partial(_derivation_groups, L, _bracket_index(L), parity)
+    return groups, [(i, j, m) for i in range(n) for j in right for m in range(n)]
 
 
 def _centroid_identity(L: LieSuperalgebra, right: Sequence[int]):
-    """(terms, triples) of the centroid rule on the ordered (i, j, m) with j
+    """(groups, triples) of the centroid rule on the ordered (i, j, m) with j
     in right, lexicographic; right = range(L.dim) gives the full sweep."""
     n = L.dim
-    terms = partial(_centroid_terms, L, _bracket_index(L)[0])
-    return terms, [(i, j, m) for i in range(n) for j in right for m in range(n)]
+    groups = partial(_centroid_groups, L, _bracket_index(L))
+    return groups, [(i, j, m) for i in range(n) for j in right for m in range(n)]
 
 
 def _reached_triples(L: LieSuperalgebra, X: dict, derivation: bool) -> list[tuple]:
@@ -176,13 +175,13 @@ def _reached_triples(L: LieSuperalgebra, X: dict, derivation: bool) -> list[tupl
 def _derivation_witness(L: LieSuperalgebra, D: dict, parity: int) -> tuple | None:
     """First violated triple of the full sweep over (i, j, m) with i <= j;
     D is the sparse map of the endomorphism's entries."""
-    terms, _ = _derivation_identity(L, parity, ())
-    return _first_violation(terms, _reached_triples(L, D, True), D)
+    groups, _ = _derivation_identity(L, parity, ())
+    return _first_violation(groups, _reached_triples(L, D, True), D)
 
 
 def _centroid_witness(L: LieSuperalgebra, S: dict) -> tuple | None:
-    terms, _ = _centroid_identity(L, ())
-    return _first_violation(terms, _reached_triples(L, S, False), S)
+    groups, _ = _centroid_identity(L, ())
+    return _first_violation(groups, _reached_triples(L, S, False), S)
 
 
 def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
@@ -222,16 +221,16 @@ def centroid(L: LieSuperalgebra) -> EndSpace:
 def star(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> Matrix:
     """The unique T* with kappa(Tx, y) = (-1)^{|x||y|} kappa(T*y, x)."""
     G = kappa.gram
-    n = L.dim
+    return _star(L, G, G.transpose().inverse(), T)
+
+
+def _star(L: LieSuperalgebra, G: Matrix, Gt_inv: Matrix, T: Matrix) -> Matrix:
+    """star with the inverse of G^T given."""
     lhs = T.transpose() @ G
     signed = [
-        [
-            (-(lhs.rows[i][j]) if (L.parities[i] and L.parities[j]) else lhs.rows[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
+        [(-x if (L.parities[i] and L.parities[j]) else x) for j, x in enumerate(row)]
+        for i, row in enumerate(lhs.rows)
     ]
-    Gt_inv = G.transpose().inverse()
     return Gt_inv @ Matrix(signed)
 
 
@@ -242,13 +241,17 @@ def split_by_star(
     if sign not in (1, -1):
         raise CohomologyError("sign must be +1 or -1")
     out_even, out_odd = [], []
+    G = kappa.gram
+    # an empty space stars nothing, so a singular G is not inverted for it
+    Gt_inv = G.transpose().inverse() if space.dim else None
+    n = L.dim
     for parity, basis in ((0, space.even), (1, space.odd)):
         if not basis:
             continue
         coords = basis_coordinates(basis)
         action = []  # columns per basis elt
         for M in basis:
-            col = coords(star(L, kappa, M))
+            col = coords(_star(L, G, Gt_inv, M))
             if col is None:
                 raise CohomologyError("space is not star-stable")
             action.append(col)
@@ -257,13 +260,13 @@ def split_by_star(
         for r in range(nb):
             sys_rows.append([action[c][r] - Fraction(sign) * Fraction(r == c) for c in range(nb)])
         for combo in dense_kernel(sys_rows, nb):
-            n = L.dim
             M = [[Fraction(0)] * n for _ in range(n)]
             for c, coef in enumerate(combo):
                 if coef:
-                    for i in range(n):
-                        for j in range(n):
-                            M[i][j] += coef * basis[c].rows[i][j]
+                    for out, row in zip(M, basis[c].rows):
+                        for j, x in enumerate(row):
+                            if x:
+                                out[j] += coef * x
             (out_even if parity == 0 else out_odd).append(Matrix(M))
     return EndSpace(out_even, out_odd)
 
@@ -345,31 +348,22 @@ class PairBasis:
     def count(self) -> int:
         return len(self.pairs)
 
-    def columns(self) -> dict:
-        """(a, b) -> (unknown, negate) for every pair that omega(e_a, e_b) can fill."""
+    def columns(self) -> list[list]:
+        """cols[a][b] = (unknown, negate) for every pair that omega(e_a, e_b)
+        can fill, None elsewhere: the pair itself, and its mirror negated
+        when the mirror sign is -1."""
         n = self.L.dim
-        out = {}
-        for a in range(n):
-            for b in range(n):
-                sc = self.coeff(a, b)
-                if sc is not None:
-                    out[(a, b)] = (sc[1], sc[0] < 0)
-        return out
+        par = self.L.parities
+        cols: list[list] = [[None] * n for _ in range(n)]
+        for t, (i, j) in enumerate(self.pairs):
+            cols[i][j] = (t, False)
+            if i != j:
+                cols[j][i] = (t, self.skew is not bool(par[i] and par[j]))
+        return cols
 
     def _mirror_sign(self, i: int, j: int) -> Fraction:
         koszul = -1 if self.L.parities[i] and self.L.parities[j] else 1
         return Fraction(-koszul if self.skew else koszul)
-
-    def coeff(self, a: int, b: int):
-        """(sign, column) of the unknown carrying omega(e_a, e_b); None if zero."""
-        if a == b:
-            key = (a, a)
-            if key not in self.index:
-                return None
-            return (Fraction(1), self.index[key])
-        if a < b:
-            return (Fraction(1), self.index[(a, b)])
-        return (self._mirror_sign(a, b), self.index[(b, a)])
 
     def gram_of_vector(self, vec: dict[int, Fraction]) -> dict:
         """The sparse map {(a, b): omega(e_a, e_b)} of a pair vector without
@@ -388,44 +382,49 @@ class PairBasis:
         return {index[p]: Fraction(F[p]) for p in sorted(F) if p in index}
 
 
-# -- identities: one term generator each, for solving and for checking --------
+# -- identities: one group function each, for solving and for checking -------
 #
-# The solvers turn an identity's terms into constraint rows over every triple
+# An identity gives its term groups (s, entries, r, left) on one triple: the
+# sum over (k, c) in entries of s * c * X[k][r] if left, else of
+# s * c * X[r][k], with entries a row of the algebra's integral table
+# (linalg._integral_table) taken as-is, so every constraint row is an int
+# row.  The solvers turn the groups into rows over every triple
 # (linalg._identity_rows); the cocycle and Hochschild solvers skip the
-# triples on which no bracket or product gives a term.  The terms carry the
-# int coefficients of the algebra's integral table (linalg._integral_table),
-# so every row is an int row.  The checks evaluate the same terms on a given
-# sparse map {(a, b): x} (linalg._first_violation), each visiting only the
-# triples the map's support reaches: every term of any other triple meets a
-# zero entry, so the verdict and the lexicographically first violated triple
-# (the witness) are those of a dense sweep.
+# triples on which no bracket or product gives a term.  The checks evaluate
+# the same groups on a given sparse map {(a, b): x}
+# (linalg._first_violation), each visiting only the triples the map's
+# support reaches: every term of any other triple meets a zero entry, so the
+# verdict and the lexicographically first violated triple (the witness) are
+# those of a dense sweep.
 
 
-def _cocycle_terms(L: LieSuperalgebra, x: int, y: int, z: int):
-    """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0."""
-    yield from _invariance_terms(L, x, y, z)
+def _cocycle_groups(L: LieSuperalgebra, x: int, y: int, z: int):
+    """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0:
+    the invariance groups and the Koszul third group."""
+    get = L._int_table().get
     odd = L.parities[x] and L.parities[y]
-    for k, c in L._int_table().get((x, z), ()):
-        yield (-c if odd else c), y, k
+    return (
+        (1, get((x, y), ()), z, True),
+        (-1, get((y, z), ()), x, False),
+        (-1 if odd else 1, get((x, z), ()), y, False),
+    )
 
 
-def _hochschild_terms(A: AssocSuperalgebra, a: int, b: int, c: int):
+def _hochschild_groups(A: AssocSuperalgebra, a: int, b: int, c: int):
     """F(ab, c) - F(a, bc) - (-1)^{|a||b|} F(b, ac) = 0, with int
     coefficients from A's integral table."""
     get = A._int_table().get
-    for k, m in get((a, b), ()):
-        yield m, k, c
-    for k, m in get((b, c), ()):
-        yield -m, a, k
     odd = A.parities[a] and A.parities[b]
-    for k, m in get((a, c), ()):
-        yield (m if odd else -m), b, k
+    return (
+        (1, get((a, b), ()), c, True),
+        (-1, get((b, c), ()), a, False),
+        (1 if odd else -1, get((a, c), ()), b, False),
+    )
 
 
-def _skew_terms(parities: Sequence[int], a: int, b: int):
+def _skew_groups(parities: Sequence[int], a: int, b: int):
     """F(a, b) + (-1)^{|a||b|} F(b, a) = 0."""
-    yield 1, a, b
-    yield (-1 if parities[a] and parities[b] else 1), b, a
+    return ((1, ((b, 1),), a, False), (-1 if parities[a] and parities[b] else 1, ((a, 1),), b, False))
 
 
 def _cocycle_witness(L: LieSuperalgebra, F: dict, pre: dict | None = None) -> tuple | None:
@@ -443,7 +442,7 @@ def _cocycle_witness(L: LieSuperalgebra, F: dict, pre: dict | None = None) -> tu
             candidates.add(tuple(sorted((u, v, b))))
         for u, v in pre.get(b, ()):
             candidates.add(tuple(sorted((u, v, a))))
-    return _first_violation(partial(_cocycle_terms, L), sorted(candidates), F)
+    return _first_violation(partial(_cocycle_groups, L), sorted(candidates), F)
 
 
 def _hochschild_witness(A: AssocSuperalgebra, F: dict) -> tuple | None:
@@ -460,7 +459,7 @@ def _hochschild_witness(A: AssocSuperalgebra, F: dict) -> tuple | None:
         for u, v in pre.get(q, ()):
             candidates.add((p, u, v))
             candidates.add((u, p, v))
-    return _first_violation(partial(_hochschild_terms, A), sorted(candidates), F)
+    return _first_violation(partial(_hochschild_groups, A), sorted(candidates), F)
 
 
 def _skew_witness(parities: Sequence[int], F: dict) -> tuple | None:
@@ -560,12 +559,12 @@ def _table_triples(table: dict, n: int, ascending: bool):
 
 
 def _cocycle_triples(L: LieSuperalgebra):
-    """The sorted triples x <= y <= z on which _cocycle_terms has a term."""
+    """The sorted triples x <= y <= z on which _cocycle_groups has a term."""
     return _table_triples(L.brackets, L.dim, True)
 
 
 def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> Iterator[dict[int, int]]:
-    return _identity_rows(partial(_cocycle_terms, L), _cocycle_triples(L), pb.columns())
+    return _identity_rows(partial(_cocycle_groups, L), _cocycle_triples(L), pb.columns())
 
 
 def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
@@ -652,7 +651,7 @@ def sym_invariant_forms(L: LieSuperalgebra) -> list[dict]:
     as sparse maps."""
     pb = PairBasis(L, skew=False)
     triples = product(range(L.dim), repeat=3)
-    rows = _identity_rows(partial(_invariance_terms, L), triples, pb.columns())
+    rows = _identity_rows(partial(_invariance_groups, L), triples, pb.columns())
     return [pb.gram_of_vector(vec) for vec in sparse_kernel(rows, pb.count)]
 
 
@@ -754,11 +753,11 @@ def _hochschild_rows(A: AssocSuperalgebra) -> Iterator[dict[int, int]]:
     triples with a product (in the order of the full sweep over A^3), over
     the unknowns F[a, b] at column a * n + b, generated in that order."""
     n = A.dim
-    columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
+    cols = [[(a * n + b, False) for b in range(n)] for a in range(n)]
     pairs = ((a, b) for a in range(n) for b in range(a, n))
     return chain(
-        _identity_rows(partial(_skew_terms, A.parities), pairs, columns),
-        _identity_rows(partial(_hochschild_terms, A), _table_triples(A.table, n, False), columns),
+        _identity_rows(partial(_skew_groups, A.parities), pairs, cols),
+        _identity_rows(partial(_hochschild_groups, A), _table_triples(A.table, n, False), cols),
     )
 
 

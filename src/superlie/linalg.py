@@ -16,13 +16,16 @@ row-wise product) and give the values and entry types of a dense sum.
 Coordinate vectors multiply through a structure table {(i, j): {k: c}} in
 `_table_product` alone, on sparse vectors.
 
-A linear identity on a bilinear map or an endomorphism X is generated one
-index triple at a time as terms (c, a, b), read as sum c * X[a][b] = 0.  The
-same generator gives the constraint rows of a solver (`_identity_rows`) and
-the check of a given map (`_first_violation`), which visits only the
-triples the support of X reaches (`_preimages`).  The check reads X as a
-sparse map {(a, b): x} of its nonzero entries: a 2-cochain is held that way
-from the start, and a `Matrix` is read through `_entries`.
+A linear identity on a bilinear map or an endomorphism X is written once,
+one index triple at a time, as term groups (s, entries, r, left): a sign, a
+sequence of (k, c) taken as-is from a structure table row, and a fixed index
+r, standing for s * sum c * X[k][r] if left, else s * sum c * X[r][k].  Two
+readers take the groups: `_identity_rows` builds the constraint rows of a
+solver from an n x n list of columns, and `_first_violation` checks a given
+map, visiting only the triples the support of X reaches (`_preimages`).  The
+check reads X as a sparse map {(a, b): x} of its nonzero entries: a
+2-cochain is held that way from the start, and a `Matrix` is read through
+`_entries`.
 """
 
 from __future__ import annotations
@@ -710,24 +713,34 @@ def _integral_table(table: dict) -> dict:
     }
 
 
-def _identity_rows(terms, triples, columns: dict) -> Iterator[dict]:
+def _identity_rows(groups, triples, cols: list) -> Iterator[dict]:
     """The nonzero constraint rows, one per triple, generated as the triples
-    are visited; columns maps (a, b) to (unknown, negate).
+    are visited; groups(*triple) gives the identity's term groups there.
 
-    Terms read from an integral table (_integral_table) give int rows.
+    cols[a][b] is (unknown, negate) for the entry X[a][b], or None where X
+    is zero.  The entries of a group hold nonzero c, so a row needs a copy
+    only when some sum cancelled to 0.  Groups read from an integral table
+    (_integral_table) give int rows.
     """
+    by_col = [list(line) for line in zip(*cols)]  # by_col[b][a] = cols[a][b]
     for triple in triples:
         row: dict = {}
-        for c, a, b in terms(*triple):
-            unknown = columns.get((a, b))
-            if unknown is not None:
-                col, negate = unknown
-                val = -c if negate else c
-                if col in row:
-                    row[col] += val
-                else:
+        cancelled = False
+        for s, entries, r, left in groups(*triple):
+            line = by_col[r] if left else cols[r]
+            flip = s < 0
+            for k, c in entries:
+                unknown = line[k]
+                if unknown is not None:
+                    col, negate = unknown
+                    val = -c if negate is not flip else c
+                    if col in row:
+                        val = row[col] + val
+                        if not val:
+                            cancelled = True
                     row[col] = val
-        row = {col: v for col, v in row.items() if v}
+        if cancelled:
+            row = {col: v for col, v in row.items() if v}
         if row:
             yield row
 
@@ -757,15 +770,25 @@ def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int
     return pre
 
 
-def _first_violation(terms, triples, F: dict) -> tuple | None:
-    """First of the triples whose terms do not sum to zero on the sparse map F."""
-    get = F.get
+def _first_violation(groups, triples, F: dict) -> tuple | None:
+    """First of the triples whose term groups do not sum to zero on the
+    sparse map F, read one row or column of F per group."""
+    rows: dict = {}  # a -> {b: F[a, b]}
+    cols: dict = {}  # b -> {a: F[a, b]}
+    for (a, b), x in F.items():
+        rows.setdefault(a, {})[b] = x
+        cols.setdefault(b, {})[a] = x
     for triple in triples:
         tot = Fraction(0)
-        for c, a, b in terms(*triple):
-            g = get((a, b))
-            if g:
-                tot += g * c  # c is an int: Fraction * int takes the forward path
+        for s, entries, r, left in groups(*triple):
+            line = (cols if left else rows).get(r)
+            if line:
+                get = line.get
+                for k, c in entries:
+                    g = get(k)
+                    if g:
+                        # c is an int: Fraction * int takes the forward path
+                        tot += g * c if s > 0 else g * -c
         if tot:
             return triple
     return None
@@ -917,8 +940,10 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]
     A row of ints whose every column already has the unit pivot row {c: 1}
     lies in the pivot span, so it would reduce to zero whenever it was fed,
     and it is dropped: an empty row, each later copy of a one-entry row, and
-    many of the longer rows.  Any other row goes through add_row as given,
-    so a row the eliminator cannot take raises there.
+    many of the longer rows.  A longer row is tested again when its bucket
+    is fed, against the unit pivots found since it arrived.  Any other row
+    goes through add_row as given, so a row the eliminator cannot take
+    raises there.
     """
     elim = SparseEliminator(ncols)
     units = elim.unit_cols
@@ -936,5 +961,11 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]
             elim.add_row(r)
     for size in sorted(buckets):
         for r in buckets.pop(size):
+            if units.issuperset(r):
+                for v in r.values():
+                    if v.__class__ is not int:
+                        break
+                else:
+                    continue
             elim.add_row(r)
     return elim.kernel_basis()

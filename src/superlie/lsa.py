@@ -405,14 +405,12 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
     return B
 
 
-def _invariance_terms(L: LieSuperalgebra, x: int, y: int, z: int):
-    """omega([x,y],z) - omega(x,[y,z]) = 0, as terms (c, a, b) of omega(e_a, e_b),
-    with int c from L's integral table."""
+def _invariance_groups(L: LieSuperalgebra, x: int, y: int, z: int):
+    """omega([x,y],z) - omega(x,[y,z]) = 0, as term groups (s, entries, r,
+    left) over omega(e_a, e_b) (linalg._identity_rows), with the int entries
+    of L's integral table."""
     get = L._int_table().get
-    for k, c in get((x, y), ()):
-        yield c, k, z
-    for k, c in get((y, z), ()):
-        yield -c, x, k
+    return ((1, get((x, y), ()), z, True), (-1, get((y, z), ()), x, False))
 
 
 def _invariance_witness(L: LieSuperalgebra, F: dict, pre: dict) -> tuple | None:
@@ -428,7 +426,7 @@ def _invariance_witness(L: LieSuperalgebra, F: dict, pre: dict) -> tuple | None:
             candidates.add((u, v, b))
         for u, v in pre.get(b, ()):
             candidates.add((a, u, v))
-    return _first_violation(partial(_invariance_terms, L), sorted(candidates), F)
+    return _first_violation(partial(_invariance_groups, L), sorted(candidates), F)
 
 
 def _graded_symmetric(G: Matrix, parities: Sequence[int], sign: int) -> bool:

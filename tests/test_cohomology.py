@@ -12,25 +12,24 @@ from conftest import abelian, derivation_sweep, odd_heisenberg, su2_cyclic
 from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon
 from test_lsa import scaled_form
 from test_sparse_oracles import dense_gram_of_vector
+from test_term_groups import cocycle_terms, hochschild_terms, pair_coeff, skew_terms, term_rows
 from superlie.assoc import grassmann
 from superlie.cohomology import (
     CohomologyError,
     Cocycle2,
+    EndSpace,
     HochschildMap,
     PairBasis,
     _centroid_identity,
     _centroid_witness,
     _cocycle_constraint_rows,
-    _cocycle_terms,
     _cocycle_triples,
     _cocycle_witness,
     _derivation_witness,
     _end_columns,
     _hochschild_rows,
-    _hochschild_terms,
     _hochschild_witness,
     _kernel_parity,
-    _skew_terms,
     _skew_witness,
     _solve_end_space,
     _table_triples,
@@ -64,15 +63,17 @@ from superlie.linalg import (
     _first_violation,
     _identity_rows,
     _to_int_row,
+    basis_coordinates,
     sparse_kernel,
 )
+from superlie.linalg import kernel as dense_kernel
 from superlie.catalog import build_catalog
 from superlie.cli import main
 from superlie.lsa import (
     BilinearForm,
     LsaError,
     ValidationError,
-    _invariance_terms,
+    _invariance_groups,
     build_form,
     form_report,
     make_lsa,
@@ -242,15 +243,15 @@ def test_sorted_triples_match_all_ordered_triples():
             for z in range(n):
                 row = {}
                 for k, c in cxy.items():
-                    sc = pb.coeff(k, z)
+                    sc = pair_coeff(pb, k, z)
                     if sc:
                         row[sc[1]] = row.get(sc[1], Fraction(0)) + sc[0] * c
                 for k, c in L.bracket_basis(y, z).items():
-                    sc = pb.coeff(x, k)
+                    sc = pair_coeff(pb, x, k)
                     if sc:
                         row[sc[1]] = row.get(sc[1], Fraction(0)) - sc[0] * c
                 for k, c in L.bracket_basis(x, z).items():
-                    sc = pb.coeff(y, k)
+                    sc = pair_coeff(pb, y, k)
                     if sc:
                         row[sc[1]] = row.get(sc[1], Fraction(0)) + s * sc[0] * c
                 row = {k: v for k, v in row.items() if v}
@@ -295,7 +296,7 @@ def accumulated_cocycle_rows(L, pb):
     columns = {}
     for a in range(n):
         for b in range(n):
-            sc = pb.coeff(a, b)
+            sc = pair_coeff(pb, a, b)
             if sc is not None:
                 columns[(a, b)] = (sc[1], sc[0] < 0)
     rows = []
@@ -346,7 +347,7 @@ def test_cocycle_rows_match_accumulation(case):
         for x in range(n)
         for y in range(x, n)
         for z in range(y, n)
-        if any(c for c, _a, _b in _cocycle_terms(L, x, y, z))
+        if any(c for c, _a, _b in cocycle_terms(L, x, y, z))
     ]
     assert list(_cocycle_triples(L)) == with_terms
     assert (with_terms == []) == (case == "abelian")
@@ -415,6 +416,7 @@ def test_streamed_cocycle_solve_matches_sorted_feed(case):
     pb = PairBasis(L)
     elim = assert_same_as_sorted_feed(list(_cocycle_constraint_rows(L, pb)), pb.count)
     assert pb.count - elim.rank == dim_z2
+    assert elim.drained > 0
 
 
 @pytest.mark.parametrize("case", SOLVER_CASES)
@@ -518,10 +520,10 @@ def test_hochschild_rows_match_full_sweep(s):
     n = A.dim
     columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    want = list(_identity_rows(partial(_skew_terms, A.parities), pairs, columns))
-    want += list(_identity_rows(partial(_hochschild_terms, A), product(range(n), repeat=3), columns))
+    want = list(term_rows(partial(skew_terms, A.parities), pairs, columns))
+    want += list(term_rows(partial(hochschild_terms, A), product(range(n), repeat=3), columns))
     assert row_items(list(_hochschild_rows(A))) == row_items(want)
-    with_terms = [t for t in product(range(n), repeat=3) if any(True for _ in _hochschild_terms(A, *t))]
+    with_terms = [t for t in product(range(n), repeat=3) if any(True for _ in hochschild_terms(A, *t))]
     assert list(_table_triples(A.table, n, False)) == with_terms
 
 
@@ -1233,7 +1235,7 @@ def accumulated_invariance_rows(L, pb):
             for z in range(n):
                 row = {}
                 for k, c in cxy.items():
-                    sc = pb.coeff(k, z)
+                    sc = pair_coeff(pb, k, z)
                     if sc:
                         s, col = sc
                         nv = row.get(col, Fraction(0)) + s * c
@@ -1242,7 +1244,7 @@ def accumulated_invariance_rows(L, pb):
                         else:
                             row.pop(col, None)
                 for k, c in L.bracket_basis(y, z).items():
-                    sc = pb.coeff(x, k)
+                    sc = pair_coeff(pb, x, k)
                     if sc:
                         s, col = sc
                         nv = row.get(col, Fraction(0)) - s * c
@@ -1315,10 +1317,50 @@ def test_identity_rows_match_accumulation(identity_entry):
         assert cent_basis == end_kernel(L, unknowns, want)
     pb = PairBasis(L, skew=False)
     want = accumulated_invariance_rows(L, pb)
-    got = list(_identity_rows(partial(_invariance_terms, L), product(range(L.dim), repeat=3), pb.columns()))
+    got = list(_identity_rows(partial(_invariance_groups, L), product(range(L.dim), repeat=3), pb.columns()))
     assert row_items(got) == row_items(scaled_rows(want, d))
     assert all(type(v) is int for row in got for v in row.values())
     assert sym_invariant_forms(L) == [pb.gram_of_vector(v) for v in sparse_kernel(want, pb.count)]
+
+
+def per_element_split_by_star(L, kappa, space, sign):
+    """split_by_star with the public star on every basis element (so one
+    inversion of G^T each) and every entry of every eigenvector combined."""
+    out = ([], [])
+    for parity, basis in ((0, space.even), (1, space.odd)):
+        if not basis:
+            continue
+        coords = basis_coordinates(basis)
+        action = [coords(star(L, kappa, M)) for M in basis]
+        assert None not in action
+        nb = len(basis)
+        rows = [[action[c][r] - Fraction(sign) * Fraction(r == c) for c in range(nb)] for r in range(nb)]
+        for combo in dense_kernel(rows, nb):
+            M = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+            for c, coef in enumerate(combo):
+                if coef:
+                    for i in range(L.dim):
+                        for j in range(L.dim):
+                            M[i][j] += coef * basis[c].rows[i][j]
+            out[parity].append(Matrix(M))
+    return EndSpace(*out)
+
+
+def test_split_by_star_matches_per_element_star(identity_entry):
+    L, kappa = identity_entry.algebra, identity_entry.form
+    der, inner = derivation_space(L)
+    for space in (der, inner, centroid(L)):
+        for sign in (1, -1):
+            got = split_by_star(L, kappa, space, sign)
+            want = per_element_split_by_star(L, kappa, space, sign)
+            assert (got.even, got.odd) == (want.even, want.odd)
+            for M in got.even + got.odd:
+                assert all(type(x) is Fraction for row in M.rows for x in row)
+    # a matrix unit whose star is no multiple of it spans no star-stable space
+    units = [Matrix([[Fraction((i, j) == (0, b)) for j in range(L.dim)] for i in range(L.dim)]) for b in range(L.dim)]
+    E = next(E for E in units if basis_coordinates([E])(star(L, kappa, E)) is None)
+    with pytest.raises(CohomologyError, match="not star-stable"):
+        split_by_star(L, kappa, EndSpace([E]), 1)
 
 
 def test_eta_and_xi_name_failing_triple(identity_entry):

@@ -623,27 +623,48 @@ def sorted_feed(rows, ncols):
     return elim
 
 
+def spanned_by_units(units, row):
+    """Whether row is an int row whose every column has a unit pivot row."""
+    return units.issuperset(row) and all(type(v) is int for v in row.values())
+
+
 def assert_same_as_sorted_feed(rows, ncols):
     """sparse_kernel on a one-pass stream of the rows against the sorted
     feed: the same pivot columns, pivot rows and kernel vectors, item order
-    included.  Returns the eliminator sparse_kernel used, with the number
-    of rows it was fed as `fed`."""
+    included.  No longer row reaches add_row once unit pivot rows span it.
+    Returns the eliminator sparse_kernel used, with the number of rows it
+    was fed as `fed`, and as `drained` the number of longer rows that were
+    not spanned by unit pivot rows when they arrived but were dropped when
+    their bucket was fed."""
     made = []
 
     class Recording(SparseEliminator):
         def __init__(self, n):
             super().__init__(n)
-            self.fed = 0
+            self.fed = self.fed_longer = 0
             made.append(self)
 
         def add_row(self, row):
             self.fed += 1
+            if len(row) > 1:
+                assert not spanned_by_units(self.unit_cols, row)
+                self.fed_longer += 1
             return super().add_row(row)
+
+    held = 0
+
+    def stream():
+        nonlocal held
+        for r in rows:
+            # sparse_kernel made its eliminator before it read the first row
+            held += len(r) > 1 and not spanned_by_units(made[0].unit_cols, r)
+            yield r
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(superlie.linalg, "SparseEliminator", Recording)
-        ker = sparse_kernel((r for r in rows), ncols)
+        ker = sparse_kernel(stream(), ncols)
     (elim,) = made
+    elim.drained = held - elim.fed_longer
     oracle = sorted_feed(rows, ncols)
     assert elim.piv_cols == oracle.piv_cols
     assert [list(r.items()) for r in elim.piv_rows] == [list(r.items()) for r in oracle.piv_rows]
@@ -675,16 +696,17 @@ def unit_heavy_system(rng, ncols):
 
 def test_sparse_kernel_matches_sorted_feed_on_random_systems():
     rng = random.Random(31)
-    dropped = late_units = 0
+    dropped = late_units = drained = 0
     for _ in range(80):
         ncols = rng.randint(3, 16)
         rows = unit_heavy_system(rng, ncols)
         elim = assert_same_as_sorted_feed(rows, ncols)
         dropped += len(rows) - elim.fed
+        drained += elim.drained
         # unit pivot rows that no nonzero one-entry row gave
         given = {c for r in rows if len(r) == 1 for c, v in r.items() if v}
         late_units += len(elim.unit_cols - given)
-    assert dropped and late_units
+    assert dropped and late_units and drained
 
 
 def test_sparse_kernel_clears_a_unit_column_that_a_pivot_row_brings_back():

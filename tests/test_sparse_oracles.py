@@ -52,7 +52,7 @@ from superlie.linalg import (
 )
 from superlie.lsa import (
     BilinearForm,
-    _invariance_terms,
+    _invariance_groups,
     _invariance_witness,
     build_form,
     form_report,
@@ -422,7 +422,7 @@ def test_invariance_check_matches_full_sweep(catalog_entry):
     L = catalog_entry.algebra
     rng = random.Random(13)
     pre = _preimages(L.brackets, sorted_pairs=False)
-    terms = partial(_invariance_terms, L)
+    terms = partial(_invariance_groups, L)
     grams = [catalog_entry.form.gram, build_form(L, "killing").gram]
     grams += [one_entry_mutant(G, rng) for G in grams for _ in range(3)]
     verdicts = set()

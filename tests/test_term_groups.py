@@ -1,0 +1,421 @@
+"""The term groups of every identity against the per-term generators they
+replaced.
+
+The oracles below are those generators, one term (c, a, b) at a time, read
+as sum c * X[a][b] = 0, with the row builder and the check that consumed
+them and the tuple-keyed column maps they read.  On the catalog algebras,
+the h2_scale current algebras, the Grassmann algebras and the Clifford
+commutants, the group form must give the same rows (values, order and key
+order), and the same first violated triple on valid and mutated maps.
+"""
+
+import random
+from fractions import Fraction
+from functools import partial
+from itertools import chain, product
+
+import pytest
+
+import superlie.clifford
+from superlie.assoc import grassmann
+from superlie.catalog import build_catalog
+from superlie.clifford import CliffordRep, _split_complex_commutant, _unit_gammas, gamma_rep
+from superlie.cohomology import (
+    PairBasis,
+    _bracket_index,
+    _centroid_identity,
+    _centroid_witness,
+    _cocycle_constraint_rows,
+    _cocycle_groups,
+    _cocycle_triples,
+    _cocycle_witness,
+    _derivation_identity,
+    _derivation_witness,
+    _end_columns,
+    _hochschild_groups,
+    _hochschild_rows,
+    _hochschild_witness,
+    _skew_groups,
+    _table_triples,
+    centroid,
+    derivation_space,
+    hochschild_space,
+    sym_invariant_forms,
+    z2_space,
+)
+from superlie.current import current_lsa
+from superlie.linalg import _entries, _first_violation, _identity_rows, _preimages, sparse_kernel
+from superlie.lsa import _invariance_groups, _invariance_witness, build_form
+
+CATALOG_BUILDS = (
+    ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
+    ("psu_pp", 2), ("psu_pp", 3), ("c_n", 2), ("c_n", 3), ("q_n", 3), ("pq_n", 3),
+)
+
+H2_SCALE_SYSTEMS = {
+    "L3 x su(2|1)": (("su_pq", 2, 1), 3),
+    "L3 x su(3)": (("su_n", 3), 3),
+    "L5 x su(2)": (("su_n", 2), 5),
+}
+
+
+# -- the per-term generators and their readers ---------------------------------
+
+
+def invariance_terms(L, x, y, z):
+    """omega([x,y],z) - omega(x,[y,z]) = 0, as terms (c, a, b) of omega(e_a, e_b)."""
+    get = L._int_table().get
+    for k, c in get((x, y), ()):
+        yield c, k, z
+    for k, c in get((y, z), ()):
+        yield -c, x, k
+
+
+def cocycle_terms(L, x, y, z):
+    """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0."""
+    yield from invariance_terms(L, x, y, z)
+    odd = L.parities[x] and L.parities[y]
+    for k, c in L._int_table().get((x, z), ()):
+        yield (-c if odd else c), y, k
+
+
+def hochschild_terms(A, a, b, c):
+    """F(ab, c) - F(a, bc) - (-1)^{|a||b|} F(b, ac) = 0."""
+    get = A._int_table().get
+    for k, m in get((a, b), ()):
+        yield m, k, c
+    for k, m in get((b, c), ()):
+        yield -m, a, k
+    odd = A.parities[a] and A.parities[b]
+    for k, m in get((a, c), ()):
+        yield (m if odd else -m), b, k
+
+
+def skew_terms(parities, a, b):
+    """F(a, b) + (-1)^{|a||b|} F(b, a) = 0."""
+    yield 1, a, b
+    yield (-1 if parities[a] and parities[b] else 1), b, a
+
+
+def centroid_terms(L, left, i, j, m):
+    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; left is _bracket_index(L)[0]."""
+    for k, c in L._int_table().get((i, j), ()):
+        yield c, m, k
+    for l, c in left.get((j, m), ()):
+        yield -c, l, i
+
+
+def derivation_terms(L, index, parity, i, j, m):
+    """D[e_i, e_j] - [D e_i, e_j] - (-1)^{|D||i|} [e_i, D e_j] = 0 at e_m."""
+    left, right = index
+    yield from centroid_terms(L, left, i, j, m)
+    odd = parity and L.parities[i]
+    for l, c in right.get((i, m), ()):
+        yield (c if odd else -c), l, j
+
+
+def term_rows(terms, triples, columns):
+    """The nonzero rows, one per triple; columns maps (a, b) to (unknown, negate)."""
+    for triple in triples:
+        row = {}
+        for c, a, b in terms(*triple):
+            unknown = columns.get((a, b))
+            if unknown is not None:
+                col, negate = unknown
+                val = -c if negate else c
+                if col in row:
+                    row[col] += val
+                else:
+                    row[col] = val
+        row = {col: v for col, v in row.items() if v}
+        if row:
+            yield row
+
+
+def term_violation(terms, triples, F):
+    """First of the triples whose terms do not sum to zero on the sparse map F."""
+    for triple in triples:
+        tot = Fraction(0)
+        for c, a, b in terms(*triple):
+            g = F.get((a, b))
+            if g:
+                tot += g * c
+        if tot:
+            return triple
+    return None
+
+
+def pair_coeff(pb, a, b):
+    """(sign, column) of the unknown carrying omega(e_a, e_b) in the pair
+    coordinates pb; None if zero."""
+    if a == b:
+        key = (a, a)
+        if key not in pb.index:
+            return None
+        return (Fraction(1), pb.index[key])
+    if a < b:
+        return (Fraction(1), pb.index[(a, b)])
+    return (pb._mirror_sign(a, b), pb.index[(b, a)])
+
+
+def pair_columns(pb):
+    """(a, b) -> (unknown, negate) through pair_coeff and its Fraction signs."""
+    n = pb.L.dim
+    out = {}
+    for a in range(n):
+        for b in range(n):
+            sc = pair_coeff(pb, a, b)
+            if sc is not None:
+                out[(a, b)] = (sc[1], sc[0] < 0)
+    return out
+
+
+def end_columns(L, d_parity):
+    """(m, k) -> (unknown, False) for the entries of a map of parity d_parity."""
+    n = L.dim
+    unknowns = [(m, k) for m in range(n) for k in range(n) if (L.parities[m] + L.parities[k]) % 2 == d_parity]
+    return {u: (t, False) for t, u in enumerate(unknowns)}
+
+
+def commutant_rows(rep, block):
+    """The real and imaginary rows of the Clifford commutant system, built
+    from per-term generators: (rows, ncols)."""
+    size = rep.space_dim
+    unit, _ = _unit_gammas(rep.n)
+    columns = {}
+    for r in range(size):
+        for c in range(size):
+            same = rep.grading[r] == rep.grading[c]
+            if block == "all" or same == (block == "diag"):
+                columns[(r, c)] = (len(columns), False)
+    by_row = [[[(k, v) for k, v in enumerate(row) if v] for row in G.rows] for G in unit]
+    by_col = [[[(k, v) for k, v in enumerate(col) if v] for col in zip(*G.rows)] for G in unit]
+
+    def terms(g, r, c):
+        for k, v in by_col[g][c]:
+            yield v, r, k
+        for k, v in by_row[g][r]:
+            yield -v, k, c
+
+    triples = ((g, r, c) for g in range(len(unit)) for r in range(size) for c in range(size))
+    rows = []
+    for row in term_rows(terms, triples, columns):
+        re, im = {}, {}
+        for t, v in row.items():
+            a, b = v.coeff(1, 0), v.coeff(1, 1)
+            re[2 * t], re[2 * t + 1] = a, -b
+            im[2 * t], im[2 * t + 1] = b, a
+        rows += [{k: x for k, x in part.items() if x} for part in (re, im)]
+    return rows, 2 * len(columns)
+
+
+def column_map(cols):
+    """The n x n column list as the tuple-keyed map it replaced."""
+    return {(a, b): u for a, line in enumerate(cols) for b, u in enumerate(line) if u is not None}
+
+
+def row_items(rows):
+    return [list(r.items()) for r in rows]
+
+
+def mutants(F, n, rng, count):
+    """Sparse maps that differ from F in one entry: changed, added or removed."""
+    out = []
+    for _ in range(count):
+        G = dict(F)
+        key = rng.choice(sorted(G)) if G and rng.random() < 0.5 else (rng.randrange(n), rng.randrange(n))
+        x = G.get(key, 0) + Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+        if x:
+            G[key] = x
+        else:
+            del G[key]
+        out.append(G)
+    return out
+
+
+def sorted_triples(n):
+    return [(x, y, z) for x in range(n) for y in range(x, n) for z in range(y, n)]
+
+
+@pytest.fixture(scope="module", params=CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))
+def catalog_entry(request):
+    return build_catalog(*request.param)
+
+
+# -- rows --------------------------------------------------------------------------
+
+
+def test_column_lists_match_the_tuple_keyed_maps(catalog_entry):
+    L = catalog_entry.algebra
+    for skew in (True, False):
+        pb = PairBasis(L, skew=skew)
+        assert column_map(pb.columns()) == pair_columns(pb)
+    for p in (0, 1):
+        assert column_map(_end_columns(L, p)) == end_columns(L, p)
+
+
+def test_group_rows_match_term_rows_on_the_catalog(catalog_entry):
+    L = catalog_entry.algebra
+    n = L.dim
+    pb = PairBasis(L)
+    want = term_rows(partial(cocycle_terms, L), _cocycle_triples(L), pair_columns(pb))
+    assert row_items(_cocycle_constraint_rows(L, pb)) == row_items(want)
+    pb = PairBasis(L, skew=False)
+    triples = list(product(range(n), repeat=3))
+    want = term_rows(partial(invariance_terms, L), triples, pair_columns(pb))
+    assert row_items(_identity_rows(partial(_invariance_groups, L), triples, pb.columns())) == row_items(want)
+    index = _bracket_index(L)
+    for p in (0, 1):
+        cols = _end_columns(L, p)
+        groups, triples = _derivation_identity(L, p, range(n))
+        want = term_rows(partial(derivation_terms, L, index, p), triples, end_columns(L, p))
+        assert row_items(_identity_rows(groups, triples, cols)) == row_items(want)
+        groups, triples = _centroid_identity(L, range(n))
+        want = term_rows(partial(centroid_terms, L, index[0]), triples, end_columns(L, p))
+        assert row_items(_identity_rows(groups, triples, cols)) == row_items(want)
+    pairs = list(product(range(n), repeat=2))
+    cols = [[(a * n + b, False) for b in range(n)] for a in range(n)]
+    want = term_rows(partial(skew_terms, L.parities), pairs, column_map(cols))
+    assert row_items(_identity_rows(partial(_skew_groups, L.parities), pairs, cols)) == row_items(want)
+
+
+@pytest.mark.parametrize("case", H2_SCALE_SYSTEMS)
+def test_group_rows_match_term_rows_on_h2_scale_systems(case):
+    spec, s = H2_SCALE_SYSTEMS[case]
+    L = current_lsa(grassmann(s), build_catalog(*spec).algebra).algebra
+    pb = PairBasis(L)
+    want = term_rows(partial(cocycle_terms, L), _cocycle_triples(L), pair_columns(pb))
+    got = _cocycle_constraint_rows(L, pb)
+    assert row_items(got) == row_items(want)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_group_rows_match_term_rows_on_hochschild_systems(s):
+    A = grassmann(s)
+    n = A.dim
+    columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
+    pairs = ((a, b) for a in range(n) for b in range(a, n))
+    want = chain(
+        term_rows(partial(skew_terms, A.parities), pairs, columns),
+        term_rows(partial(hochschild_terms, A), _table_triples(A.table, n, False), columns),
+    )
+    assert row_items(_hochschild_rows(A)) == row_items(want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_rows_match_term_rows_on_clifford_commutants(n, monkeypatch):
+    seen = []
+
+    def recording(rows, ncols):
+        seen.append((rows, ncols))
+        return sparse_kernel(rows, ncols)
+
+    monkeypatch.setattr(superlie.clifford, "sparse_kernel", recording)
+    rep = gamma_rep([Fraction(m) for m in range(1, n + 1)])
+    rng = random.Random(n)
+    regraded = CliffordRep(rep.mu_diag, rep.matrices, [rng.randint(0, 1) for _ in rep.grading], validate=False)
+    for r in (rep, regraded):
+        for block in ("diag", "off", "all"):
+            _split_complex_commutant(r, block)
+            rows, ncols = seen.pop()
+            want, want_ncols = commutant_rows(r, block)
+            assert ncols == want_ncols
+            assert row_items(rows) == row_items(want)
+
+
+# -- witnesses -----------------------------------------------------------------------
+
+
+def assert_same_witnesses(groups, terms, triples, maps):
+    """The group check and the term check agree on every map; returns the verdicts."""
+    verdicts = set()
+    for F in maps:
+        want = term_violation(terms, triples, F)
+        assert _first_violation(groups, triples, F) == want
+        verdicts.add(want is None)
+    return verdicts
+
+
+def test_group_checks_match_term_checks_on_the_catalog(catalog_entry):
+    L = catalog_entry.algebra
+    n = L.dim
+    rng = random.Random(41)
+    cocycles = [F for omega in z2_space(L) for F in omega.components]
+    cocycles = rng.sample(cocycles, min(len(cocycles), 6))
+    forms = [_entries(catalog_entry.form.gram), _entries(build_form(L, "killing").gram)]
+    maps = cocycles + forms
+    maps += [G for F in maps for G in mutants(F, n, rng, 2)]
+    triples = sorted_triples(n)
+    verdicts = assert_same_witnesses(partial(_cocycle_groups, L), partial(cocycle_terms, L), triples, maps)
+    assert verdicts == {True, False}
+    pre = _preimages(L.brackets, sorted_pairs=True)
+    for F in maps:
+        assert _cocycle_witness(L, F, pre) == term_violation(partial(cocycle_terms, L), triples, F)
+    sym = forms + sym_invariant_forms(L)
+    sym += [G for F in sym for G in mutants(F, n, rng, 2)]
+    triples = list(product(range(n), repeat=3))
+    verdicts = assert_same_witnesses(partial(_invariance_groups, L), partial(invariance_terms, L), triples, sym)
+    assert verdicts == {True, False}
+    pre = _preimages(L.brackets, sorted_pairs=False)
+    for F in sym:
+        assert _invariance_witness(L, F, pre) == term_violation(partial(invariance_terms, L), triples, F)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    skew = partial(_skew_groups, L.parities), partial(skew_terms, L.parities)
+    assert assert_same_witnesses(*skew, pairs, maps) == {True, False}
+
+
+def test_group_checks_match_term_checks_on_endomorphisms(catalog_entry):
+    L = catalog_entry.algebra
+    n = L.dim
+    rng = random.Random(43)
+    index = _bracket_index(L)
+    der, _ = derivation_space(L)
+    members = [(_entries(M), p) for M, p in der.members()][:6]
+    members += [(_entries(M), p) for M, p in centroid(L).members()]
+    members += [(_entries(L.ad_matrix(i)), L.parities[i]) for i in rng.sample(range(n), 3)]
+    members += [(G, p) for F, p in members for G in mutants(F, n, rng, 2)]
+    der_verdicts, cent_verdicts = set(), set()
+    for F, p in members:
+        groups, triples = _derivation_identity(L, p, range(n))
+        triples = [(i, j, m) for i, j, m in triples if i <= j]
+        want = term_violation(partial(derivation_terms, L, index, p), triples, F)
+        assert _first_violation(groups, triples, F) == want
+        assert _derivation_witness(L, F, p) == want
+        der_verdicts.add(want is None)
+        groups, triples = _centroid_identity(L, range(n))
+        want = term_violation(partial(centroid_terms, L, index[0]), triples, F)
+        assert _first_violation(groups, triples, F) == want
+        assert _centroid_witness(L, F) == want
+        cent_verdicts.add(want is None)
+    assert der_verdicts == cent_verdicts == {True, False}
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_group_checks_match_term_checks_on_current_cocycles(s):
+    L = current_lsa(grassmann(s), build_catalog("su_pq", 2, 1).algebra).algebra
+    rng = random.Random(s)
+    cocycles = [F for omega in z2_space(L, max_dim=64) for F in omega.components]
+    maps = rng.sample(cocycles, 4)
+    maps += [G for F in maps for G in mutants(F, L.dim, rng, 2)]
+    triples = sorted_triples(L.dim)
+    verdicts = assert_same_witnesses(partial(_cocycle_groups, L), partial(cocycle_terms, L), triples, maps)
+    assert verdicts == {True, False}
+    for F in maps:
+        assert _cocycle_witness(L, F) == term_violation(partial(cocycle_terms, L), triples, F)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_group_checks_match_term_checks_on_hochschild_maps(s):
+    A = grassmann(s)
+    n = A.dim
+    rng = random.Random(s)
+    maps = [H.entries for H in hochschild_space(A)]
+    maps += [G for F in maps for G in mutants(F, n, rng, 2)]
+    triples = list(product(range(n), repeat=3))
+    groups, terms = partial(_hochschild_groups, A), partial(hochschild_terms, A)
+    assert assert_same_witnesses(groups, terms, triples, maps) == {True, False}
+    for F in maps:
+        assert _hochschild_witness(A, F) == term_violation(terms, triples, F)
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    skew = partial(_skew_groups, A.parities), partial(skew_terms, A.parities)
+    assert assert_same_witnesses(*skew, pairs, maps) == {True, False}
