@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import Cocycle2, centroid, h2_dim, is_coboundary, is_derivation, kappa_T, star
+from .cohomology import Cocycle2, centroid, h2_dim, is_coboundary, is_derivation, kappa_T
 from .linalg import Matrix, Subspace, _dense, _entries, basis_coordinates, definiteness
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
     _quotient,
+    _symmetry_witness,
     build_form,
     form_parity,
     form_report,
@@ -28,6 +29,15 @@ from .lsa import (
 from .scalars import Scalar, squarefree_split
 
 FAMILIES = ("su_n", "su_pq", "psu_pp", "c_n", "q_n", "pq_n")
+
+# The even components (CatalogEntry.components) on which a family's form is
+# definite: the negative definite one, then the positive definite ones.
+DEFINITE_COMPONENTS = {
+    "su_n": ("all", ()),
+    "su_pq": ("su_p", ("su_q", "center")),
+    "psu_pp": ("k0_1", ("k0_2",)),
+    "c_n": ("R", ("sp",)),
+}
 
 
 class CatalogError(ValueError):
@@ -640,21 +650,16 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         out["prequotient_radical_is_i_one"] = rad.dim == 1 and rad.contains(line)
 
     # signs of the form on even components
-    sign_expect = {
-        "su_n": [("all", "negative")],
-        "su_pq": [("su_p", "negative"), ("su_q", "positive"), ("center", "positive")],
-        "psu_pp": [("k0_1", "negative"), ("k0_2", "positive")],
-        "c_n": [("R", "negative"), ("sp", "positive")],
-    }
-    for comp_name, expected in sign_expect.get(entry.family, []):
+    neg_name, pos_names = DEFINITE_COMPONENTS.get(entry.family, (None, ()))
+    for comp_name in (neg_name, *pos_names):
         sub = entry.components.get(comp_name)
         if sub is None or sub.dim == 0:
             continue
-        if expected == "negative":
-            neg = BilinearForm([entry.form.gram.scale(Fraction(-1))])
-            got = _restricted_definiteness(neg, sub) == "positive_definite"
+        if comp_name == neg_name:
+            expected, form = "negative", BilinearForm([entry.form.gram.scale(Fraction(-1))])
         else:
-            got = _restricted_definiteness(entry.form, sub) == "positive_definite"
+            expected, form = "positive", entry.form
+        got = _restricted_definiteness(form, sub) == "positive_definite"
         out[f"form_{expected}_definite_on_{comp_name}"] = got
 
     # outer derivation: vanishes on the even part and kappa_D is not a coboundary
@@ -664,9 +669,10 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         out["D_vanishes_on_even"] = all(
             not any(D.column(i)) for i in L.even_indices
         )
-        out["D_kappa_skew"] = (star(L, entry.form, D) + D).is_zero()
         kd = kappa_T(L, entry.form, D)
-        omega = Cocycle2(L, [_entries(kd.gram)], validate=True)
+        kd_map = _entries(kd.gram)
+        out["D_kappa_skew"] = _symmetry_witness(L.parities, -1, kd_map) is None
+        omega = Cocycle2(L, [kd_map], validate=True)
         out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
         if entry.family == "pq_n":
             odd = Subspace(L.dim, ({i: Fraction(1)} for i in L.odd_indices))
@@ -714,14 +720,11 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
 def _isotropic_component_pair(entry: CatalogEntry):
     """Even x in the negative component and y in a positive one with
     kappa(x,x) = -kappa(y,y) != 0 and kappa(x,y) = 0 (rescaled exactly)."""
-    neg_name = {"su_pq": "su_p", "psu_pp": "k0_1", "c_n": "R"}[entry.family]
-    pos_name = {"su_pq": "su_q", "psu_pp": "k0_2", "c_n": "sp"}[entry.family]
+    neg_name, pos_names = DEFINITE_COMPONENTS[entry.family]
     neg = entry.components[neg_name]
-    pos = entry.components[pos_name]
-    if pos.dim == 0:
-        pos = entry.components.get("center")
-        if pos is None or pos.dim == 0:
-            return None
+    pos = next((entry.components[name] for name in pos_names if entry.components[name].dim), None)
+    if pos is None:
+        return None
     x = list(neg.rows[0])
     y = list(pos.rows[0])
     kxx = entry.form.eval(x, x)[0]

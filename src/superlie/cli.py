@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     except (LsaError, CohomologyError, UniradError) as exc:
         sys.stdout.write(dumps_canonical({"error": str(exc), "passed": False}))
         return EXIT_CHECK_FAILED
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -5,6 +5,8 @@ verifier for the structure theorem on 2-cocycles of current algebras.
 All solvers run on exact sparse integer eliminations; cocycle spaces
 decompose by the parity of basis pairs, so kernels come out
 parity-homogeneous without extra work.
+The star condition T* = sign T is read as graded (skew)symmetry of
+kappa_T, the identity lsa._symmetry_groups that also checks every cocycle.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .linalg import (
     _entries,
     _first_violation,
     _gram,
+    _group_sums,
     _identity_rows,
     _preimages,
-    basis_coordinates,
     solve_linear,
     sparse_kernel,
 )
@@ -36,8 +38,9 @@ from .lsa import (
     BilinearForm,
     Coordvec,
     LieSuperalgebra,
-    _graded_symmetric,
     _invariance_groups,
+    _symmetry_groups,
+    _symmetry_witness,
     form_parity,
     form_report,
     generating_set,
@@ -219,47 +222,47 @@ def centroid(L: LieSuperalgebra) -> EndSpace:
 
 
 def star(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> Matrix:
-    """The unique T* with kappa(Tx, y) = (-1)^{|x||y|} kappa(T*y, x)."""
+    """The unique T* with kappa(Tx, y) = (-1)^{|x||y|} kappa(T*y, x); the
+    library reads T* = sign T off kappa_T, lemma_basic_report off this."""
     G = kappa.gram
-    return _star(L, G, G.transpose().inverse(), T)
-
-
-def _star(L: LieSuperalgebra, G: Matrix, Gt_inv: Matrix, T: Matrix) -> Matrix:
-    """star with the inverse of G^T given."""
     lhs = T.transpose() @ G
     signed = [
         [(-x if (L.parities[i] and L.parities[j]) else x) for j, x in enumerate(row)]
         for i, row in enumerate(lhs.rows)
     ]
-    return Gt_inv @ Matrix(signed)
+    return G.transpose().inverse() @ Matrix(signed)
 
 
 def split_by_star(
     L: LieSuperalgebra, kappa: BilinearForm, space: EndSpace, sign: int
 ) -> EndSpace:
-    """Eigenspace of the star involution inside a star-stable EndSpace."""
+    """Eigenspace of the star involution inside a star-stable EndSpace.
+
+    sum c_t T_t is in it when the c kill the symmetry identity's sums on each
+    kappa_{T_t}, one row per pair.  Star is an involution for a nondegenerate
+    kappa, so the space is star-stable when its two eigenspaces fill it.
+    """
     if sign not in (1, -1):
         raise CohomologyError("sign must be +1 or -1")
     out_even, out_odd = [], []
     G = kappa.gram
-    # an empty space stars nothing, so a singular G is not inverted for it
-    Gt_inv = G.transpose().inverse() if space.dim else None
     n = L.dim
+    # an empty space stars nothing, so kappa is not tested for it
+    if space.dim and G.rank() < n:
+        raise CohomologyError("kappa is degenerate, so star is not defined")
     for parity, basis in ((0, space.even), (1, space.odd)):
         if not basis:
             continue
-        coords = basis_coordinates(basis)
-        action = []  # columns per basis elt
-        for M in basis:
-            col = coords(_star(L, G, Gt_inv, M))
-            if col is None:
-                raise CohomologyError("space is not star-stable")
-            action.append(col)
-        nb = len(basis)
-        sys_rows = []
-        for r in range(nb):
-            sys_rows.append([action[c][r] - Fraction(sign) * Fraction(r == c) for c in range(nb)])
-        for combo in dense_kernel(sys_rows, nb):
+        maps = [_entries(T.transpose() @ G) for T in basis]
+        pairs = sorted({(a, b) if a <= b else (b, a) for F in maps for a, b in F})
+        kernels = {}
+        for s in (1, -1):
+            groups = partial(_symmetry_groups, L.parities, s)
+            sums = [[tot for _pair, tot in _group_sums(groups, pairs, F)] for F in maps]
+            kernels[s] = dense_kernel(zip(*sums), len(basis))
+        if len(kernels[1]) + len(kernels[-1]) != len(basis):
+            raise CohomologyError("space is not star-stable")
+        for combo in kernels[sign]:
             M = [[Fraction(0)] * n for _ in range(n)]
             for c, coef in enumerate(combo):
                 if coef:
@@ -287,12 +290,14 @@ def _invariance_testable(kappa: BilinearForm, rep: dict) -> bool:
 def _derivation_invariant(
     L: LieSuperalgebra, kappa: BilinearForm, rep: dict, der: EndSpace
 ) -> bool | None:
-    """D* = -D for every D in der, i.e. every D^T G graded-skew; rep is
+    """D* = -D for every D in der, i.e. every kappa_D graded skew; rep is
     form_report(L, kappa).  None unless _invariance_testable."""
     if not _invariance_testable(kappa, rep):
         return None
     G = kappa.gram
-    return all(_graded_symmetric(D.transpose() @ G, L.parities, -1) for D, _dp in der.members())
+    return all(
+        _symmetry_witness(L.parities, -1, _entries(D.transpose() @ G)) is None for D, _dp in der.members()
+    )
 
 
 def is_derivation(L: LieSuperalgebra, D: Matrix, parity: int) -> bool:
@@ -422,11 +427,6 @@ def _hochschild_groups(A: AssocSuperalgebra, a: int, b: int, c: int):
     )
 
 
-def _skew_groups(parities: Sequence[int], a: int, b: int):
-    """F(a, b) + (-1)^{|a||b|} F(b, a) = 0."""
-    return ((1, ((b, 1),), a, False), (-1 if parities[a] and parities[b] else 1, ((a, 1),), b, False))
-
-
 def _cocycle_witness(L: LieSuperalgebra, F: dict, pre: dict | None = None) -> tuple | None:
     """First sorted triple (x, y, z) at which F breaks the cocycle identity.
 
@@ -460,16 +460,6 @@ def _hochschild_witness(A: AssocSuperalgebra, F: dict) -> tuple | None:
             candidates.add((p, u, v))
             candidates.add((u, p, v))
     return _first_violation(partial(_hochschild_groups, A), sorted(candidates), F)
-
-
-def _skew_witness(parities: Sequence[int], F: dict) -> tuple | None:
-    """First pair (i, j), i <= j, with F[i, j] != -(-1)^{|i||j|} F[j, i]."""
-    bad = [
-        (min(i, j), max(i, j))
-        for (i, j), x in F.items()
-        if x != (F.get((j, i), 0) if parities[i] and parities[j] else -F.get((j, i), 0))
-    ]
-    return min(bad, default=None)
 
 
 def _at(names: Sequence[str], witness: tuple) -> str:
@@ -516,7 +506,7 @@ class Cocycle2:
         L = self.carrier
         pre = _preimages(L.brackets, sorted_pairs=True)
         for F in self.components:
-            w = _skew_witness(L.parities, F)
+            w = _symmetry_witness(L.parities, -1, F)
             if w is not None:
                 raise CohomologyError(f"cocycle is not super-skew at {_at(L.names, w)}")
             w = _cocycle_witness(L, F, pre)
@@ -663,13 +653,13 @@ def h2_representatives(
     With vanish_on_even, each representative is corrected by an inner
     derivation so that it kills the even part, whenever the class allows it.
     """
-    return _h2_representatives(L, kappa, *derivation_space(L), vanish_on_even)
+    der, inner = derivation_space(L)
+    return _h2_representatives(L, split_by_star(L, kappa, der, -1), inner, vanish_on_even)
 
 
 def _h2_representatives(
-    L: LieSuperalgebra, kappa: BilinearForm, der: EndSpace, inner: EndSpace, vanish_on_even: bool
+    L: LieSuperalgebra, der_minus: EndSpace, inner: EndSpace, vanish_on_even: bool
 ) -> list[tuple[Matrix, int]]:
-    der_minus = split_by_star(L, kappa, der, -1)
     builder = EchelonBuilder(L.dim * L.dim)
     for M, _p in inner.members():
         builder.add(M.flatten())
@@ -735,7 +725,7 @@ class HochschildMap:
 
 def _hochschild_failure(A: AssocSuperalgebra, F: dict) -> str | None:
     """Why F is not a Hochschild map, naming the first failing pair or triple."""
-    w = _skew_witness(A.parities, F)
+    w = _symmetry_witness(A.parities, -1, F)
     if w is not None:
         return f"not super-skew at {_at(A.names, w)}"
     w = _hochschild_witness(A, F)
@@ -756,7 +746,7 @@ def _hochschild_rows(A: AssocSuperalgebra) -> Iterator[dict[int, int]]:
     cols = [[(a * n + b, False) for b in range(n)] for a in range(n)]
     pairs = ((a, b) for a in range(n) for b in range(a, n))
     return chain(
-        _identity_rows(partial(_skew_groups, A.parities), pairs, cols),
+        _identity_rows(partial(_symmetry_groups, A.parities, -1), pairs, cols),
         _identity_rows(partial(_hochschild_groups, A), _table_triples(A.table, n, False), cols),
     )
 
@@ -813,9 +803,9 @@ def eta_cocycle(
         raise CohomologyError(
             f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
         )
-    if not (star(K, kappa, D) + D).is_zero():
-        raise CohomologyError("eta needs D kappa-skew (D in der_-)")
     kd = _entries(D.transpose() @ kappa.gram)  # kd[i, j] = kappa(D e_i, e_j)
+    if _symmetry_witness(K.parities, -1, kd) is not None:
+        raise CohomologyError("eta needs D kappa-skew (D in der_-)")
     maps = []
     vps = []
     kp = _kappa_parity(K, kappa)
@@ -847,12 +837,12 @@ def xi_cocycle(
         raise CohomologyError(
             f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
         )
-    if star(K, kappa, S) != S:
+    ks = _entries(S.transpose() @ kappa.gram)
+    if _symmetry_witness(K.parities, 1, ks) is not None:
         raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
     for F in F_list:
         if not is_hochschild(A, F.entries):
             raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.entries)}")
-    ks = _entries(S.transpose() @ kappa.gram)
     kp = _kappa_parity(K, kappa)
     maps = [_current_map(cur, F.entries, ks) for F in F_list]
     vps = [(F.parity + kp) % 2 for F in F_list]
@@ -973,7 +963,8 @@ def verify_cor1(
     span = _coboundary_span(cur.algebra, pb)
     dim_b2 = span.rank
 
-    d_reps = _h2_representatives(K, kappa, der, inner, vanish_on_even=False)
+    # _derivation_invariant proved D* = -D on all of der, so der_- = der
+    d_reps = _h2_representatives(K, der, inner, vanish_on_even=False)
     s_reps = [S for S, _p in split_by_star(K, kappa, centroid(K), +1).members()]
     hoch = hochschild_space(A)
 

@@ -21,11 +21,11 @@ one index triple at a time, as term groups (s, entries, r, left): a sign, a
 sequence of (k, c) taken as-is from a structure table row, and a fixed index
 r, standing for s * sum c * X[k][r] if left, else s * sum c * X[r][k].  Two
 readers take the groups: `_identity_rows` builds the constraint rows of a
-solver from an n x n list of columns, and `_first_violation` checks a given
-map, visiting only the triples the support of X reaches (`_preimages`).  The
-check reads X as a sparse map {(a, b): x} of its nonzero entries: a
-2-cochain is held that way from the start, and a `Matrix` is read through
-`_entries`.
+solver from an n x n list of columns, and `_group_sums` evaluates them on a
+given map; `_first_violation` checks the map with it, visiting only the
+triples the support of X reaches (`_preimages`).  Both read X as a sparse
+map {(a, b): x} of its nonzero entries: a 2-cochain is held that way from
+the start, and a `Matrix` is read through `_entries`.
 """
 
 from __future__ import annotations
@@ -770,9 +770,9 @@ def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int
     return pre
 
 
-def _first_violation(groups, triples, F: dict) -> tuple | None:
-    """First of the triples whose term groups do not sum to zero on the
-    sparse map F, read one row or column of F per group."""
+def _group_sums(groups, triples, F: dict) -> Iterator[tuple]:
+    """(triple, the sum of its term groups on the sparse map F) for each of
+    the triples in order, read one row or column of F per group."""
     rows: dict = {}  # a -> {b: F[a, b]}
     cols: dict = {}  # b -> {a: F[a, b]}
     for (a, b), x in F.items():
@@ -789,9 +789,13 @@ def _first_violation(groups, triples, F: dict) -> tuple | None:
                     if g:
                         # c is an int: Fraction * int takes the forward path
                         tot += g * c if s > 0 else g * -c
-        if tot:
-            return triple
-    return None
+        yield triple, tot
+
+
+def _first_violation(groups, triples, F: dict) -> tuple | None:
+    """First of the triples whose term groups do not sum to zero on the
+    sparse map F."""
+    return next((triple for triple, tot in _group_sums(groups, triples, F) if tot), None)
 
 
 class SparseEliminator:

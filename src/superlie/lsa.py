@@ -429,25 +429,29 @@ def _invariance_witness(L: LieSuperalgebra, F: dict, pre: dict) -> tuple | None:
     return _first_violation(partial(_invariance_groups, L), sorted(candidates), F)
 
 
-def _graded_symmetric(G: Matrix, parities: Sequence[int], sign: int) -> bool:
-    """G[i][j] == sign * (-1)^{|i||j|} G[j][i] for all i, j."""
-    rows = G.rows
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            t = -sign if parities[i] and parities[j] else sign
-            if rows[i][j] != t * rows[j][i]:
-                return False
-    return True
+def _symmetry_groups(parities: Sequence[int], sign: int, a: int, b: int):
+    """F(a, b) - sign * (-1)^{|a||b|} F(b, a) = 0 on the pair (a, b):
+    graded symmetry for sign 1, graded skewness for sign -1."""
+    mirror = sign if parities[a] and parities[b] else -sign
+    return ((1, ((b, 1),), a, False), (mirror, ((a, 1),), b, False))
+
+
+def _symmetry_witness(parities: Sequence[int], sign: int, F: dict) -> tuple | None:
+    """First pair (a, b), a <= b, at which the sparse map F breaks
+    _symmetry_groups; every other pair has only zero terms."""
+    pairs = sorted({(a, b) if a <= b else (b, a) for a, b in F})
+    return _first_violation(partial(_symmetry_groups, parities, sign), pairs, F)
 
 
 def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     """Exact flags: supersymmetric, skew, invariant, parity, nondegenerate,
     radical."""
     n = L.dim
-    supersym = all(_graded_symmetric(G, L.parities, 1) for G in B.grams)
-    skew = all(_graded_symmetric(G, L.parities, -1) for G in B.grams)
+    maps = [_entries(G) for G in B.grams]
+    supersym = all(_symmetry_witness(L.parities, 1, F) is None for F in maps)
+    skew = all(_symmetry_witness(L.parities, -1, F) is None for F in maps)
     pre = _preimages(L.brackets, sorted_pairs=False)
-    invariant = all(_invariance_witness(L, _entries(G), pre) is None for G in B.grams)
+    invariant = all(_invariance_witness(L, F, pre) is None for F in maps)
     stacked = B.stacked_gram_rows()
     # radical = {x : B(x, .) = 0}: kernel of the stacked rows viewed as a map on x
     rad_vectors = dense_kernel(list(map(list, zip(*stacked))), n)

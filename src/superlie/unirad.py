@@ -14,7 +14,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .assoc import AssocSuperalgebra, grassmann
-from .catalog import CatalogEntry
+from .catalog import DEFINITE_COMPONENTS, CatalogEntry
 from .cohomology import (
     Cocycle2,
     HochschildMap,
@@ -420,14 +420,9 @@ def isotropic_even_list(entry: CatalogEntry) -> list[list]:
     if entry.family == "pq_n":
         # the odd form vanishes on even x even: every even vector is isotropic
         return [L.basis_vector(i) for i in L.even_indices]
-    names = {
-        "su_pq": ("su_p", ("su_q", "center")),
-        "psu_pp": ("k0_1", ("k0_2",)),
-        "c_n": ("R", ("sp",)),
-    }.get(entry.family)
-    if names is None:
+    neg_name, pos_names = DEFINITE_COMPONENTS.get(entry.family, (None, ()))
+    if not pos_names:
         raise UniradError(f"no isotropic recipe for family {entry.family}")
-    neg_name, pos_names = names
     neg = entry.components[neg_name]
     pos_rows = []
     for pn in pos_names:

@@ -30,7 +30,6 @@ from superlie.cohomology import (
     _hochschild_rows,
     _hochschild_witness,
     _kernel_parity,
-    _skew_witness,
     _solve_end_space,
     _table_triples,
     b2_space,
@@ -74,6 +73,8 @@ from superlie.lsa import (
     LsaError,
     ValidationError,
     _invariance_groups,
+    _symmetry_groups,
+    _symmetry_witness,
     build_form,
     form_report,
     make_lsa,
@@ -932,6 +933,28 @@ def dense_skew_witness(parities, G):
     return None
 
 
+def skew_witness(parities, F):
+    """Oracle: the sparse skew check that the symmetry identity replaced."""
+    bad = [
+        (min(i, j), max(i, j))
+        for (i, j), x in F.items()
+        if x != (F.get((j, i), 0) if parities[i] and parities[j] else -F.get((j, i), 0))
+    ]
+    return min(bad, default=None)
+
+
+def graded_symmetric(G, parities, sign):
+    """Oracle: G[i][j] == sign * (-1)^{|i||j|} G[j][i] for all i, j, on the
+    dense matrix (the form_report and derivation-invariance check replaced)."""
+    rows = G.rows
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            t = -sign if parities[i] and parities[j] else sign
+            if rows[i][j] != t * rows[j][i]:
+                return False
+    return True
+
+
 def dense_hochschild_witness(A, F):
     """Oracle: the cyclic Leibniz identity on every ordered triple, in order."""
     R = F.rows
@@ -1019,11 +1042,38 @@ def test_skew_check_names_first_pair(check_algebras):
         for _ in range(6):
             G = perturb(combo(cocycles, rng, L.dim), L.parities, rng, keep_skew=False)
             want = dense_skew_witness(L.parities, G)
-            assert _skew_witness(L.parities, _entries(G)) == want
+            assert _symmetry_witness(L.parities, -1, _entries(G)) == want
             if want is not None:
                 names = ", ".join(L.names[i] for i in want)
                 with pytest.raises(CohomologyError, match=re.escape(f"not super-skew at ({names})")):
                     Cocycle2(L, [_entries(G)])
+
+
+def test_symmetry_witness_matches_the_retired_checks(check_algebras):
+    rng = random.Random(29)
+    cases = []  # (parities, dense maps)
+    for spec in (("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2), ("su_n", 3)):
+        entry = build_catalog(*spec)
+        L = entry.algebra
+        cases.append((L.parities, [entry.form.gram, build_form(L, "killing").gram]))
+    for L in check_algebras:
+        cases.append((L.parities, [c.grams[0] for c in rng.sample(z2_space(L), 4)]))
+    for s in (2, 3):
+        A = grassmann(s)
+        cases.append((A.parities, [F.gram for F in hochschild_space(A)]))
+    verdicts = set()
+    for parities, valid in cases:
+        n = len(parities)
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        for G in valid + [perturb(G, parities, rng, keep_skew=False) for G in valid for _ in range(3)]:
+            F = _entries(G)
+            for sign in (1, -1):
+                got = _symmetry_witness(parities, sign, F)
+                assert (got is None) == graded_symmetric(G, parities, sign)
+                assert got == _first_violation(partial(_symmetry_groups, parities, sign), pairs, F)
+                verdicts.add((sign, got is None))
+            assert _symmetry_witness(parities, -1, F) == skew_witness(parities, F) == dense_skew_witness(parities, G)
+    assert verdicts == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
 def test_hochschild_check_matches_dense_sweep():
@@ -1349,7 +1399,20 @@ def per_element_split_by_star(L, kappa, space, sign):
 def test_split_by_star_matches_per_element_star(identity_entry):
     L, kappa = identity_entry.algebra, identity_entry.form
     der, inner = derivation_space(L)
-    for space in (der, inner, centroid(L)):
+    # and random star-stable spaces span{T, T*} of either parity
+    rng = random.Random(31)
+    spans = []
+    for parity in (0, 1):
+        T = Matrix([
+            [Fraction(rng.randint(-2, 2)) if (L.parities[i] + L.parities[j]) % 2 == parity else Fraction(0)
+             for j in range(L.dim)]
+            for i in range(L.dim)
+        ])
+        if T.is_zero():  # no odd part
+            continue
+        pair = [T, star(L, kappa, T)]
+        spans.append(EndSpace(pair) if parity == 0 else EndSpace((), pair))
+    for space in (der, inner, centroid(L), *spans):
         for sign in (1, -1):
             got = split_by_star(L, kappa, space, sign)
             want = per_element_split_by_star(L, kappa, space, sign)
@@ -1361,6 +1424,29 @@ def test_split_by_star_matches_per_element_star(identity_entry):
     E = next(E for E in units if basis_coordinates([E])(star(L, kappa, E)) is None)
     with pytest.raises(CohomologyError, match="not star-stable"):
         split_by_star(L, kappa, EndSpace([E]), 1)
+
+
+def test_star_condition_is_symmetry_of_kappa_T(identity_entry):
+    L, kappa = identity_entry.algebra, identity_entry.form
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(3):
+        T = rand_matrix(rng, L.dim)
+        Ts = star(L, kappa, T)
+        for M in (T, T + Ts, T - Ts):
+            for sign in (1, -1):
+                want = star(L, kappa, M) == M.scale(sign)
+                assert (_symmetry_witness(L.parities, sign, _entries(M.transpose() @ kappa.gram)) is None) == want
+                verdicts.add((sign, want))
+    assert verdicts == {(1, True), (1, False), (-1, True), (-1, False)}
+
+
+def test_split_by_star_names_a_degenerate_kappa():
+    entry = build_catalog("q_n", 3)  # the odd pairing has the radical R i1
+    L, kappa = entry.algebra, entry.form
+    assert split_by_star(L, kappa, EndSpace(), -1).dim == 0
+    with pytest.raises(CohomologyError, match="kappa is degenerate"):
+        split_by_star(L, kappa, centroid(L), 1)
 
 
 def test_eta_and_xi_name_failing_triple(identity_entry):

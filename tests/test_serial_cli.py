@@ -123,6 +123,15 @@ def test_cli_negative_control_exit_code(capsys):
     assert out["defect"] >= 1
 
 
+def test_cli_urad_verify_on_a_degenerate_form(capsys):
+    # q(n)'s odd pairing has the radical R i1, so der_- is not defined: one
+    # JSON error and exit 1, as verify-cor1 gives on it
+    code = main(["urad", "verify", "--k", "catalog:q_n:3", "--s", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": "kappa is degenerate, so star is not defined", "passed": False}
+
+
 def test_cli_clifford_gamma(capsys):
     code = main(["clifford", "gamma", "--mu", "1,1"])
     assert code == 0
@@ -194,6 +203,9 @@ def test_cli_catalog_deterministic(capsys):
     assert a == b
 
 
+DIRECTORY = "<a directory>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -243,14 +255,20 @@ def test_cli_catalog_deterministic(capsys):
         ["current", "--A", "grassmann:30", "--k", "su_n:2"],
         # report all names the JSON path of an s above the cap
         ["report", "all", "--params", '{"cor1": [{"s": 30, "k": ["su_n", 2]}]}'],
+        # a directory where an input file is expected (see below)
+        ["validate", DIRECTORY],
+        ["report", "all", "--params", DIRECTORY],
     ],
 )
 def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
     json_path = None
-    if argv[0] == "validate":
+    directory = argv[-1] == DIRECTORY
+    if directory:
+        argv = argv[:-1] + [str(tmp_path)]
+    elif argv[0] == "validate":
         json_path = argv[1]
         argv = argv[:1] + argv[2:]
-    if argv[:2] == ["report", "all"] or argv[0] == "validate":
+    if not directory and (argv[:2] == ["report", "all"] or argv[0] == "validate"):
         params = tmp_path / "input.json"
         params.write_text(argv[-1])
         argv = argv[:-1] + [str(params)]
@@ -260,7 +278,9 @@ def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    if argv[:2] == ["report", "all"]:
+    if directory:
+        assert "Is a directory" in lines[0]
+    elif argv[:2] == ["report", "all"]:
         assert " at $" in lines[0]  # names the JSON path
     if json_path is not None:
         assert f" at {json_path}" in lines[0]

@@ -35,7 +35,6 @@ from superlie.cohomology import (
     _hochschild_groups,
     _hochschild_rows,
     _hochschild_witness,
-    _skew_groups,
     _table_triples,
     centroid,
     derivation_space,
@@ -45,7 +44,7 @@ from superlie.cohomology import (
 )
 from superlie.current import current_lsa
 from superlie.linalg import _entries, _first_violation, _identity_rows, _preimages, sparse_kernel
-from superlie.lsa import _invariance_groups, _invariance_witness, build_form
+from superlie.lsa import _invariance_groups, _invariance_witness, _symmetry_groups, build_form
 
 CATALOG_BUILDS = (
     ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
@@ -276,7 +275,7 @@ def test_group_rows_match_term_rows_on_the_catalog(catalog_entry):
     pairs = list(product(range(n), repeat=2))
     cols = [[(a * n + b, False) for b in range(n)] for a in range(n)]
     want = term_rows(partial(skew_terms, L.parities), pairs, column_map(cols))
-    assert row_items(_identity_rows(partial(_skew_groups, L.parities), pairs, cols)) == row_items(want)
+    assert row_items(_identity_rows(partial(_symmetry_groups, L.parities, -1), pairs, cols)) == row_items(want)
 
 
 @pytest.mark.parametrize("case", H2_SCALE_SYSTEMS)
@@ -360,7 +359,7 @@ def test_group_checks_match_term_checks_on_the_catalog(catalog_entry):
     for F in sym:
         assert _invariance_witness(L, F, pre) == term_violation(partial(invariance_terms, L), triples, F)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    skew = partial(_skew_groups, L.parities), partial(skew_terms, L.parities)
+    skew = partial(_symmetry_groups, L.parities, -1), partial(skew_terms, L.parities)
     assert assert_same_witnesses(*skew, pairs, maps) == {True, False}
 
 
@@ -417,5 +416,5 @@ def test_group_checks_match_term_checks_on_hochschild_maps(s):
     for F in maps:
         assert _hochschild_witness(A, F) == term_violation(terms, triples, F)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    skew = partial(_skew_groups, A.parities), partial(skew_terms, A.parities)
+    skew = partial(_symmetry_groups, A.parities, -1), partial(skew_terms, A.parities)
     assert assert_same_witnesses(*skew, pairs, maps) == {True, False}
