@@ -26,7 +26,7 @@ from .lsa import (
     structure_report,
     super_matrix_bracket,
 )
-from .scalars import Scalar, squarefree_split
+from .scalars import Scalar
 
 FAMILIES = ("su_n", "su_pq", "psu_pp", "c_n", "q_n", "pq_n")
 
@@ -63,7 +63,7 @@ class CatalogEntry:
         self.params = params
         self.algebra = algebra
         self.form = form
-        self.outer_derivation = outer_derivation  # (Matrix, parity) or None
+        self.outer_derivation = outer_derivation  # (sparse map, parity) or None
         self.specials = specials or {}
         self.components = components or {}
         self.prequotient = prequotient
@@ -269,7 +269,7 @@ def _descend(family: str, pre: CatalogEntry, delta: Matrix, d_parity: int):
     coords = basis_coordinates(mats)
     # column a is the image of the kept slot keep[a]
     images = [super_matrix_bracket(delta, mats[i], d_parity, L.parities[i]) for i in keep]
-    D = Matrix([lift(_coords_in(coords, M)) for M in images]).transpose()
+    D = _entries(Matrix([lift(_coords_in(coords, M)) for M in images]).transpose())
     entry = CatalogEntry(
         family, pre.params[:1], quo, form,
         outer_derivation=(D, d_parity), prequotient=pre, projection=proj,
@@ -666,9 +666,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
     if entry.outer_derivation is not None:
         D, dp = entry.outer_derivation
         out["D_is_derivation"] = is_derivation(L, D, dp)
-        out["D_vanishes_on_even"] = all(
-            not any(D.column(i)) for i in L.even_indices
-        )
+        out["D_vanishes_on_even"] = all(L.parities[b] for _a, b in D)
         kd = kappa_T(L, entry.form, D)
         kd_map = _entries(kd.gram)
         out["D_kappa_skew"] = _symmetry_witness(L.parities, -1, kd_map) is None
@@ -727,22 +725,22 @@ def _isotropic_component_pair(entry: CatalogEntry):
         return None
     x = list(neg.rows[0])
     y = list(pos.rows[0])
-    kxx = entry.form.eval(x, x)[0]
-    kyy = entry.form.eval(y, y)[0]
-    if not kxx or not kyy:
+    t = _balancing_factor(entry.form, x, y)
+    if t is None:
         return None
-    # scale y so that kappa(y,y) = -kappa(x,x); needs -kxx/kyy a rational square
-    ratio = Fraction(-kxx, kyy) if not isinstance(kxx, Scalar) else None
-    if ratio is None or ratio <= 0:
+    return x, [t * c for c in y]
+
+
+def _balancing_factor(form: BilinearForm, x, y):
+    """t with kappa(t y, t y) = -kappa(x, x) != 0, for rational kappa(x, x)
+    and kappa(y, y) of opposite signs; None otherwise.  t is a Fraction when
+    the root is rational, else a tower Scalar."""
+    kxx = form.eval(x, x)[0]
+    kyy = form.eval(y, y)[0]
+    if not kxx or not kyy or isinstance(kxx, Scalar) or isinstance(kyy, Scalar):
         return None
-    num = ratio.numerator
-    den = ratio.denominator
-    cn, mn = squarefree_split(num)
-    cd, md = squarefree_split(den)
-    if mn == 1 and md == 1:
-        y = [Fraction(cn, cd) * t for t in y]
-        return x, y
-    # fall back to a tower scalar coefficient
-    s = Scalar.sqrt_rational(ratio)
-    y = [s * t for t in y]
-    return x, y
+    ratio = Fraction(-kxx, kyy)
+    if ratio <= 0:
+        return None
+    t = Scalar.sqrt_rational(ratio)
+    return t.as_fraction() if t.is_rational() else t

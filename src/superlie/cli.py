@@ -88,11 +88,13 @@ def _parse_grassmann(text: str) -> int:
 
 
 def _emit(report, out_path: str | None):
+    """Write the report to out_path, then to stdout: a bad path is a usage
+    error with nothing on stdout."""
     payload = dumps_canonical(report)
-    sys.stdout.write(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(payload)
+    sys.stdout.write(payload)
 
 
 def cmd_validate(args) -> int:
@@ -134,9 +136,9 @@ def cmd_catalog_build(args) -> int:
         if failed:
             code = EXIT_CHECK_FAILED
     # --out writes a bare algebra file consumable by `superlie validate`
-    _emit(report, None)
     if args.out:
         save_algebra(entry.algebra, args.out)
+    _emit(report, None)
     return code
 
 
@@ -150,9 +152,9 @@ def cmd_current(args) -> int:
         "odd_dim": len(cur.algebra.odd_indices),
         "algebra": algebra_to_json(cur.algebra),
     }
-    _emit(report, None)
     if args.out:
         save_algebra(cur.algebra, args.out)
+    _emit(report, None)
     return EXIT_OK
 
 

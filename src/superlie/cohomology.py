@@ -5,8 +5,11 @@ verifier for the structure theorem on 2-cocycles of current algebras.
 All solvers run on exact sparse integer eliminations; cocycle spaces
 decompose by the parity of basis pairs, so kernels come out
 parity-homogeneous without extra work.
-The star condition T* = sign T is read as graded (skew)symmetry of
-kappa_T, the identity lsa._symmetry_groups that also checks every cocycle.
+Endomorphisms and 2-cochains are sparse maps {(a, b): X[a][b]} with keys in
+row-major order; only star and lemma_basic_report, the lemma's dense route,
+take an endomorphism as a Matrix.  The star condition T* = sign T is read
+as graded (skew)symmetry of kappa_T, the identity lsa._symmetry_groups that
+also checks every cocycle.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from .linalg import (
     Matrix,
     SparseEliminator,
     Subspace,
+    _axpy,
     _entries,
     _first_violation,
     _gram,
     _group_sums,
     _identity_rows,
     _preimages,
-    solve_linear,
     sparse_kernel,
 )
 from .linalg import kernel as dense_kernel
@@ -58,11 +61,12 @@ class CohomologyError(ValueError):
 
 
 class EndSpace:
-    """Parity-split subspace of End(L), stored as explicit matrix bases."""
+    """Parity-split subspace of End(L); each basis member is a sparse map
+    {(a, b): X[a][b]}, X[a][b] the e_a coefficient of X e_b, row-major."""
 
     __slots__ = ("even", "odd")
 
-    def __init__(self, even: Sequence[Matrix] = (), odd: Sequence[Matrix] = ()):
+    def __init__(self, even: Sequence[dict] = (), odd: Sequence[dict] = ()):
         self.even = list(even)
         self.odd = list(odd)
 
@@ -92,13 +96,13 @@ def _end_columns(L: LieSuperalgebra, d_parity: int) -> list[list]:
     return cols
 
 
-def _solve_end_space(L: LieSuperalgebra, d_parity: int, groups, triples) -> list[Matrix]:
+def _solve_end_space(L: LieSuperalgebra, d_parity: int, groups, triples) -> list[dict]:
     """Parity-d_parity endomorphisms X with the identity's groups zero on the triples."""
     cols = _end_columns(L, d_parity)
     n = L.dim
     unknowns = [(m, k) for m in range(n) for k in range(n) if cols[m][k]]
     ker = sparse_kernel(_identity_rows(groups, triples, cols), len(unknowns))
-    return [_gram({unknowns[t]: c for t, c in kv.items()}, n) for kv in ker]
+    return [{unknowns[t]: c for t, c in sorted(kv.items())} for kv in ker]
 
 
 def _bracket_index(L: LieSuperalgebra) -> tuple[dict, dict]:
@@ -196,14 +200,11 @@ def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
     """
     right = generating_set(L, range(L.dim))
     der = EndSpace(*(_solve_end_space(L, p, *_derivation_identity(L, p, right)) for p in (0, 1)))
-    inner_even = []
-    inner_odd = []
-    for i in range(L.dim):
-        A = L.ad_matrix(i)
-        if not A.is_zero():
-            (inner_even if L.parities[i] == 0 else inner_odd).append(A)
-    inner = EndSpace(inner_even, inner_odd)
-    return der, inner
+    ads: list[dict] = [{} for _ in range(L.dim)]  # ad e_i: (k, j) -> e_k coefficient of [e_i, e_j]
+    for (i, j), vec in L.brackets.items():
+        ads[i].update(((k, j), c) for k, c in vec.items() if c)
+    inner = [[dict(sorted(A.items())) for A, q in zip(ads, L.parities) if A and q == p] for p in (0, 1)]
+    return der, EndSpace(*inner)
 
 
 def centroid(L: LieSuperalgebra) -> EndSpace:
@@ -233,6 +234,18 @@ def star(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> Matrix:
     return G.transpose().inverse() @ Matrix(signed)
 
 
+def _kappa_map(T: dict, G: Matrix) -> dict:
+    """kappa_T as a sparse map {(i, j): kappa(T e_i, e_j)} = sum_a T[a, i] G[a][j],
+    row-major, with G the gram of kappa and T a sparse map."""
+    nonzero = [[(j, g) for j, g in enumerate(row) if g] for row in G.rows]
+    acc: dict = {}
+    zero = Fraction(0)
+    for (a, i), t in T.items():
+        for j, g in nonzero[a]:
+            acc[(i, j)] = acc.get((i, j), zero) + t * g
+    return {key: acc[key] for key in sorted(acc) if acc[key]}
+
+
 def split_by_star(
     L: LieSuperalgebra, kappa: BilinearForm, space: EndSpace, sign: int
 ) -> EndSpace:
@@ -253,7 +266,7 @@ def split_by_star(
     for parity, basis in ((0, space.even), (1, space.odd)):
         if not basis:
             continue
-        maps = [_entries(T.transpose() @ G) for T in basis]
+        maps = [_kappa_map(T, G) for T in basis]
         pairs = sorted({(a, b) if a <= b else (b, a) for F in maps for a, b in F})
         kernels = {}
         for s in (1, -1):
@@ -263,20 +276,17 @@ def split_by_star(
         if len(kernels[1]) + len(kernels[-1]) != len(basis):
             raise CohomologyError("space is not star-stable")
         for combo in kernels[sign]:
-            M = [[Fraction(0)] * n for _ in range(n)]
+            X: dict = {}
             for c, coef in enumerate(combo):
                 if coef:
-                    for out, row in zip(M, basis[c].rows):
-                        for j, x in enumerate(row):
-                            if x:
-                                out[j] += coef * x
-            (out_even if parity == 0 else out_odd).append(Matrix(M))
+                    _axpy(X, basis[c], -coef)
+            (out_even if parity == 0 else out_odd).append(dict(sorted(X.items())))
     return EndSpace(out_even, out_odd)
 
 
-def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> BilinearForm:
-    """The bilinear form (x, y) -> kappa(Tx, y)."""
-    B = BilinearForm([T.transpose() @ kappa.gram])
+def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: dict) -> BilinearForm:
+    """The bilinear form (x, y) -> kappa(Tx, y) of the sparse map T."""
+    B = BilinearForm([_gram(_kappa_map(T, kappa.gram), L.dim)])
     B.declared_parity = form_parity(L, B)
     return B
 
@@ -295,22 +305,21 @@ def _derivation_invariant(
     if not _invariance_testable(kappa, rep):
         return None
     G = kappa.gram
-    return all(
-        _symmetry_witness(L.parities, -1, _entries(D.transpose() @ G)) is None for D, _dp in der.members()
-    )
+    return all(_symmetry_witness(L.parities, -1, _kappa_map(D, G)) is None for D, _dp in der.members())
 
 
-def is_derivation(L: LieSuperalgebra, D: Matrix, parity: int) -> bool:
-    return _derivation_witness(L, _entries(D), parity) is None
+def is_derivation(L: LieSuperalgebra, D: dict, parity: int) -> bool:
+    return _derivation_witness(L, D, parity) is None
 
 
-def in_centroid(L: LieSuperalgebra, S: Matrix) -> bool:
-    return _centroid_witness(L, _entries(S)) is None
+def in_centroid(L: LieSuperalgebra, S: dict) -> bool:
+    return _centroid_witness(L, S) is None
 
 
 def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_parity: int) -> dict:
     """The three equivalences tying kappa_T properties to star/centroid/derivation."""
-    kt = kappa_T(L, kappa, T)
+    X = _entries(T)
+    kt = kappa_T(L, kappa, X)
     rep = form_report(L, kt)
     Tstar = star(L, kappa, T)
     cocycle_ok = _cocycle_witness(L, _entries(kt.gram)) is None
@@ -320,9 +329,9 @@ def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_par
         "kappa_T_skew": rep["skew"],
         "T_star_eq_minus_T": (Tstar + T).is_zero(),
         "kappa_T_invariant": rep["invariant"],
-        "T_in_centroid": in_centroid(L, T),
+        "T_in_centroid": in_centroid(L, X),
         "kappa_T_cocycle": cocycle_ok,
-        "T_is_derivation": is_derivation(L, T, t_parity),
+        "T_is_derivation": is_derivation(L, X, t_parity),
     }
 
 
@@ -647,7 +656,7 @@ def sym_invariant_forms(L: LieSuperalgebra) -> list[dict]:
 
 def h2_representatives(
     L: LieSuperalgebra, kappa: BilinearForm, vanish_on_even: bool = False
-) -> list[tuple[Matrix, int]]:
+) -> list[tuple[dict, int]]:
     """Echelon-selected D's in der_-(L) whose kappa_D classes span H^2(L).
 
     With vanish_on_even, each representative is corrected by an inner
@@ -659,46 +668,41 @@ def h2_representatives(
 
 def _h2_representatives(
     L: LieSuperalgebra, der_minus: EndSpace, inner: EndSpace, vanish_on_even: bool
-) -> list[tuple[Matrix, int]]:
+) -> list[tuple[dict, int]]:
+    # the (a, b) keys order the columns row-major, as a flattened matrix would
     builder = EchelonBuilder(L.dim * L.dim)
     for M, _p in inner.members():
-        builder.add(M.flatten())
+        builder.add(M)
     reps = []
     for M, p in der_minus.members():
-        if builder.add(M.flatten()):
+        if builder.add(M):
             if vanish_on_even:
                 M = _correct_to_vanish_on_even(L, M, p, inner)
             reps.append((M, p))
     return reps
 
 
-def _correct_to_vanish_on_even(
-    L: LieSuperalgebra, D: Matrix, parity: int, inner: EndSpace
-) -> Matrix:
+def _correct_to_vanish_on_even(L: LieSuperalgebra, D: dict, parity: int, inner: EndSpace) -> dict:
     """Subtract an inner derivation so D kills L_0, if the class allows it."""
     ads = inner.even if parity == 0 else inner.odd
-    even_idx = L.even_indices
-    if all(not any(D.column(j)) for j in even_idx):
+    if not ads or all(L.parities[j] for _k, j in D):
         return D
-    if not ads:
+    # sum_c x_c ads[c][k, j] = -D[k, j] for each even j, one row per entry
+    # (k, j) that a map reaches, the right side -D in column m
+    m = len(ads)
+    eqs: dict = {}
+    for c, A in enumerate([*ads, {key: -x for key, x in D.items()}]):
+        for (k, j), x in A.items():
+            if not L.parities[j]:
+                eqs.setdefault((k, j), {})[c] = x
+    red = EchelonBuilder(m + 1, eqs.values()).rows
+    if m in red:  # inconsistent
         return D
-    rows = []
-    rhs = []
-    n = L.dim
-    for j in even_idx:
-        for k in range(n):
-            rows.append([A.rows[k][j] for A in ads])
-            rhs.append(-D.rows[k][j])
-    res = solve_linear(Matrix(rows), rhs)
-    if res.particular is None:
-        return D
-    out = [list(r) for r in D.rows]
-    for c, coef in enumerate(res.particular):
-        if coef:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += coef * ads[c].rows[i][j]
-    return Matrix(out)
+    out = dict(D)
+    for c in sorted(red):
+        if red[c].get(m):
+            _axpy(out, ads[c], -red[c][m])
+    return dict(sorted(out.items()))
 
 
 # -- Hochschild maps -----------------------------------------------------------
@@ -793,17 +797,17 @@ def eta_cocycle(
     cur: Current,
     kappa: BilinearForm,
     f_rows: Sequence[Sequence],
-    D: Matrix,
+    D: dict,
     d_parity: int,
 ) -> Cocycle2:
     """eta_{f,D}(a x, b y) = (-1)^{|b||x|} f(ab) kappa(Dx, y); needs D in der_-."""
     K, A = cur.K, cur.A
-    w = _derivation_witness(K, _entries(D), d_parity)
+    w = _derivation_witness(K, D, d_parity)
     if w is not None:
         raise CohomologyError(
             f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
         )
-    kd = _entries(D.transpose() @ kappa.gram)  # kd[i, j] = kappa(D e_i, e_j)
+    kd = _kappa_map(D, kappa.gram)  # kd[i, j] = kappa(D e_i, e_j)
     if _symmetry_witness(K.parities, -1, kd) is not None:
         raise CohomologyError("eta needs D kappa-skew (D in der_-)")
     maps = []
@@ -828,16 +832,16 @@ def xi_cocycle(
     cur: Current,
     kappa: BilinearForm,
     F_list: Sequence[HochschildMap],
-    S: Matrix,
+    S: dict,
 ) -> Cocycle2:
     """xi_{F,S}(a x, b y) = (-1)^{|b||x|} F(a, b) kappa(Sx, y); S in cent_+."""
     K, A = cur.K, cur.A
-    w = _centroid_witness(K, _entries(S))
+    w = _centroid_witness(K, S)
     if w is not None:
         raise CohomologyError(
             f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
         )
-    ks = _entries(S.transpose() @ kappa.gram)
+    ks = _kappa_map(S, kappa.gram)
     if _symmetry_witness(K.parities, 1, ks) is not None:
         raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
     for F in F_list:

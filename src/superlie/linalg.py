@@ -383,9 +383,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return [r[j] for r in self.rows]
 
-    def flatten(self) -> Vector:
-        return [x for r in self.rows for x in r]
-
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
 

@@ -14,7 +14,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .assoc import AssocSuperalgebra, grassmann
-from .catalog import DEFINITE_COMPONENTS, CatalogEntry
+from .catalog import DEFINITE_COMPONENTS, CatalogEntry, _balancing_factor
 from .cohomology import (
     Cocycle2,
     HochschildMap,
@@ -45,7 +45,6 @@ from .lsa import (
     quotient_lsa,
     structure_report,
 )
-from .scalars import Scalar
 
 
 class UniradError(ValueError):
@@ -349,7 +348,8 @@ def verify_urad_theorem(
     for F in F_list:
         if F.parity != 0:
             raise UniradError("the even-cocycle theorem needs even Hochschild maps")
-    gext = extend_current(cur, kappa, (), [(F, Matrix.identity(K.dim)) for F in F_list])
+    identity = {(i, i): Fraction(1) for i in range(K.dim)}
+    gext = extend_current(cur, kappa, (), [(F, identity) for F in F_list])
     L = gext.algebra
     seeds = square_zero_seeds(gext)
     closure = urad_lower(L, seeds)
@@ -431,18 +431,12 @@ def isotropic_even_list(entry: CatalogEntry) -> list[list]:
             pos_rows.extend(sub.basis_matrix())
     out = []
     for x in neg.basis_matrix():
-        kxx = kappa.eval(x, x)[0]
         for y in pos_rows:
-            kyy = kappa.eval(y, y)[0]
-            kxy = kappa.eval(x, y)[0]
-            if kxy != 0:
+            if kappa.eval(x, y)[0] != 0:
                 raise UniradError("component pair is not kappa-orthogonal")
-            ratio = Fraction(-kyy, kxx)
-            if ratio <= 0:
+            t = _balancing_factor(kappa, y, x)
+            if t is None:
                 raise UniradError("component pair has unusable signs")
-            t = Scalar.sqrt_rational(ratio)
-            if t.is_rational():
-                t = t.as_fraction()
             out.append([t * a + b for a, b in zip(x, y)])
             out.append([t * a - b for a, b in zip(x, y)])
     return out
@@ -520,7 +514,7 @@ def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
         delta = {(k, k): Fraction(1) for k in (A.names.index(f"e{t + 1}") for t in range(s))}
         F = HochschildMap(A, delta, 0)  # validates the Hochschild identities
         cur = current_lsa(A, K)
-        gext = extend_current(cur, kappa, (), [(F, Matrix.identity(K.dim))])
+        gext = extend_current(cur, kappa, (), [(F, {(i, i): Fraction(1) for i in range(K.dim)})])
         L = gext.algebra
         lam = [Fraction(0)] * L.dim
         lam[L.dim - 1] = Fraction(-1)  # minus the central coordinate

@@ -23,7 +23,7 @@ from superlie.cohomology import (
     split_by_star,
     verify_cor1,
 )
-from superlie.linalg import Subspace, _entries
+from superlie.linalg import Subspace, _entries, _gram
 from superlie.unirad import (
     faithfulness_boundary,
     verify_kernel_theorem,
@@ -194,7 +194,7 @@ def test_criterion_7_special_element_identities():
     # f-use identities for psu(2|2)
     psu = build_catalog("psu_pp", 2)
     x, y = psu.specials["x_star"], psu.specials["y_star"]
-    D, _ = psu.outer_derivation
+    D = _gram(psu.outer_derivation[0], psu.algebra.dim)
     assert psu.form.eval(x, y)[0] == 0
     assert psu.form.eval(D.apply(x), y)[0] == 0
     w = psu.algebra.bracket(x, y)

@@ -60,6 +60,7 @@ from superlie.linalg import (
     Subspace,
     _entries,
     _first_violation,
+    _gram,
     _identity_rows,
     _to_int_row,
     basis_coordinates,
@@ -114,7 +115,7 @@ def test_su2_centroid_scalar(su2k):
     L, _ = su2k
     c = centroid(L)
     assert c.dim == 1
-    assert c.even[0].rank() == 3  # multiple of the identity
+    assert _gram(c.even[0], 3).rank() == 3  # multiple of the identity
 
 
 def test_abelian_centroid_full():
@@ -180,13 +181,13 @@ def test_split_by_star(su2k):
 
 def test_kappa_id_is_killing(su2k):
     L, kappa = su2k
-    assert kappa_T(L, kappa, Matrix.identity(3)).gram == kappa.gram
+    assert kappa_T(L, kappa, _entries(Matrix.identity(3))).gram == kappa.gram
 
 
 def test_kappa_ad_is_coboundary_cocycle(su2k):
     L, kappa = su2k
     T = L.ad_matrix(2)
-    form = kappa_T(L, kappa, T)
+    form = kappa_T(L, kappa, _entries(T))
     omega = Cocycle2(L, [_entries(form.gram)])  # validates super skew + cocycle identity
     assert is_coboundary(L, omega)
     # equals f([x,y]) for f = kappa(e3, .): direct expansion
@@ -592,14 +593,14 @@ def test_eta_coboundary_case(su2k):
     cur = current_lsa(A, L)
     D = L.ad_matrix(2)
     f = [Fraction(1) if p == A.unit else Fraction(0) for p in range(A.dim)]  # augmentation
-    omega = eta_cocycle(cur, kappa, [f], D, 0)
+    omega = eta_cocycle(cur, kappa, [f], _entries(D), 0)
     assert is_coboundary(cur.algebra, omega)
 
 
 def test_eta_zero_derivation(su2k):
     L, kappa = su2k
     cur = current_lsa(grassmann(1), L)
-    omega = eta_cocycle(cur, kappa, [[Fraction(1), Fraction(0)]], Matrix.zero(3, 3), 0)
+    omega = eta_cocycle(cur, kappa, [[Fraction(1), Fraction(0)]], _entries(Matrix.zero(3, 3)), 0)
     assert all(G.is_zero() for G in omega.grams)
 
 
@@ -607,7 +608,7 @@ def test_eta_rejects_non_skew_derivation(su2k):
     L, kappa = su2k
     cur = current_lsa(grassmann(1), L)
     with pytest.raises(CohomologyError):
-        eta_cocycle(cur, kappa, [[Fraction(1), Fraction(0)]], Matrix.identity(3), 0)
+        eta_cocycle(cur, kappa, [[Fraction(1), Fraction(0)]], _entries(Matrix.identity(3)), 0)
 
 
 def test_eta_psu22_outer_derivation_nonzero_cocycle():
@@ -630,7 +631,7 @@ def test_xi_rem3_shape(su2k):
     A = grassmann(2)
     cur = current_lsa(A, L)
     hoch = hochschild_space(A)
-    omega = xi_cocycle(cur, kappa, hoch, Matrix.identity(3))
+    omega = xi_cocycle(cur, kappa, hoch, _entries(Matrix.identity(3)))
     for t, F in enumerate(hoch):
         G = omega.grams[t]
         for p in range(A.dim):
@@ -648,7 +649,7 @@ def test_xi_zero_map(su2k):
     from superlie.cohomology import HochschildMap
 
     F0 = HochschildMap(A, _entries(Matrix.zero(2, 2)), 0)
-    omega = xi_cocycle(cur, kappa, [F0], Matrix.identity(3))
+    omega = xi_cocycle(cur, kappa, [F0], _entries(Matrix.identity(3)))
     assert all(G.is_zero() for G in omega.grams)
 
 
@@ -658,7 +659,7 @@ def test_xi_rejects_bad_inputs(su2k):
     cur = current_lsa(A, L)
     hoch = hochschild_space(A)
     with pytest.raises(CohomologyError):
-        xi_cocycle(cur, kappa, hoch, L.ad_matrix(0))  # ad is skew, not in cent_+
+        xi_cocycle(cur, kappa, hoch, _entries(L.ad_matrix(0)))  # ad is skew, not in cent_+
 
 
 # -- central extensions ------------------------------------------------------------
@@ -820,7 +821,7 @@ def test_extension_from_xi_on_lambda2(su2k):
     cur = current_lsa(A, L)
     hoch = hochschild_space(A)
     # one scalar component: the 13-dim extension of the 12-dim current algebra
-    omega = xi_cocycle(cur, kappa, hoch[:1], Matrix.identity(3))
+    omega = xi_cocycle(cur, kappa, hoch[:1], _entries(Matrix.identity(3)))
     ext = central_extension(cur.algebra, omega)
     assert ext.algebra.dim == 13
     center = structure_report(ext.algebra)["center"]
@@ -1106,7 +1107,7 @@ def test_xi_names_failing_hochschild_triple(su2k):
     names = ", ".join(A.names[i] for i in want)
     bad = HochschildMap(A, _entries(F), validate=False)
     with pytest.raises(CohomologyError, match=re.escape(f"cyclic Leibniz identity fails at ({names})")):
-        xi_cocycle(cur, kappa, [bad], Matrix.identity(3))
+        xi_cocycle(cur, kappa, [bad], _entries(Matrix.identity(3)))
 
 
 def test_kappa_parity_is_resolved_not_defaulted(su2k):
@@ -1115,15 +1116,15 @@ def test_kappa_parity_is_resolved_not_defaulted(su2k):
     F = hochschild_space(grassmann(1))
     undeclared = BilinearForm([kappa.gram])
     assert undeclared.declared_parity is None
-    got = xi_cocycle(cur, undeclared, F, Matrix.identity(3))
-    want = xi_cocycle(cur, kappa, F, Matrix.identity(3))
+    got = xi_cocycle(cur, undeclared, F, _entries(Matrix.identity(3)))
+    want = xi_cocycle(cur, kappa, F, _entries(Matrix.identity(3)))
     assert got.grams == want.grams and got.value_parities == want.value_parities
     mixed = BilinearForm([kappa.gram])
     mixed.declared_parity = "mixed"
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
-        xi_cocycle(cur, mixed, F, Matrix.identity(3))
+        xi_cocycle(cur, mixed, F, _entries(Matrix.identity(3)))
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
-        eta_cocycle(cur, mixed, [[Fraction(1), Fraction(0)]], Matrix.zero(3, 3), 0)
+        eta_cocycle(cur, mixed, [[Fraction(1), Fraction(0)]], _entries(Matrix.zero(3, 3)), 0)
 
 
 def test_mixed_parity_kernel_vector_raises():
@@ -1183,7 +1184,7 @@ def test_derivation_and_centroid_checks_match_dense_sweep(identity_entry):
     L = identity_entry.algebra
     rng = random.Random(7)
     der, _ = derivation_space(L)
-    members = list(der.members()) + list(centroid(L).members())
+    members = [(_gram(X, L.dim), p) for space in (der, centroid(L)) for X, p in space.members()]
     members += [(L.ad_matrix(i), L.parities[i]) for i in range(L.dim)]
     der_verdicts, cent_verdicts = set(), set()
     for M, p in members:
@@ -1191,13 +1192,13 @@ def test_derivation_and_centroid_checks_match_dense_sweep(identity_entry):
             want = dense_derivation_witness(L, X, p)
             assert _first_violation(*derivation_sweep(L, p), _entries(X)) == want
             assert _derivation_witness(L, _entries(X), p) == want
-            assert is_derivation(L, X, p) == (want is None)
+            assert is_derivation(L, _entries(X), p) == (want is None)
             want = dense_centroid_witness(L, X)
             assert _first_violation(*_centroid_identity(L, range(L.dim)), _entries(X)) == want
             assert _centroid_witness(L, _entries(X)) == want
-            assert in_centroid(L, X) == (want is None)
-            der_verdicts.add(is_derivation(L, X, p))
-            cent_verdicts.add(in_centroid(L, X))
+            assert in_centroid(L, _entries(X)) == (want is None)
+            der_verdicts.add(is_derivation(L, _entries(X), p))
+            cent_verdicts.add(in_centroid(L, _entries(X)))
     assert der_verdicts == cent_verdicts == {True, False}
 
 
@@ -1360,11 +1361,11 @@ def test_identity_rows_match_accumulation(identity_entry):
         # the rows agree as dicts; the eliminator does not read key order
         want = accumulated_derivation_rows(L, p, index)
         assert list(_identity_rows(*derivation_sweep(L, p), columns)) == scaled_rows(want, d)
-        assert der_basis == end_kernel(L, unknowns, want)
+        assert [_gram(X, L.dim) for X in der_basis] == end_kernel(L, unknowns, want)
         want = accumulated_centroid_rows(L, p, index)
         got = list(_identity_rows(*_centroid_identity(L, range(L.dim)), columns))
         assert row_items(got) == row_items(scaled_rows(want, d))
-        assert cent_basis == end_kernel(L, unknowns, want)
+        assert [_gram(X, L.dim) for X in cent_basis] == end_kernel(L, unknowns, want)
     pb = PairBasis(L, skew=False)
     want = accumulated_invariance_rows(L, pb)
     got = list(_identity_rows(partial(_invariance_groups, L), product(range(L.dim), repeat=3), pb.columns()))
@@ -1375,11 +1376,13 @@ def test_identity_rows_match_accumulation(identity_entry):
 
 def per_element_split_by_star(L, kappa, space, sign):
     """split_by_star with the public star on every basis element (so one
-    inversion of G^T each) and every entry of every eigenvector combined."""
+    inversion of G^T each) and every entry of every eigenvector combined,
+    as dense matrices."""
     out = ([], [])
     for parity, basis in ((0, space.even), (1, space.odd)):
         if not basis:
             continue
+        basis = [_gram(X, L.dim) for X in basis]
         coords = basis_coordinates(basis)
         action = [coords(star(L, kappa, M)) for M in basis]
         assert None not in action
@@ -1410,20 +1413,20 @@ def test_split_by_star_matches_per_element_star(identity_entry):
         ])
         if T.is_zero():  # no odd part
             continue
-        pair = [T, star(L, kappa, T)]
+        pair = [_entries(T), _entries(star(L, kappa, T))]
         spans.append(EndSpace(pair) if parity == 0 else EndSpace((), pair))
     for space in (der, inner, centroid(L), *spans):
         for sign in (1, -1):
             got = split_by_star(L, kappa, space, sign)
             want = per_element_split_by_star(L, kappa, space, sign)
-            assert (got.even, got.odd) == (want.even, want.odd)
-            for M in got.even + got.odd:
-                assert all(type(x) is Fraction for row in M.rows for x in row)
+            assert ([_gram(X, L.dim) for X in got.even], [_gram(X, L.dim) for X in got.odd]) == (want.even, want.odd)
+            for X in got.even + got.odd:
+                assert list(X) == sorted(X) and all(type(x) is Fraction and x for x in X.values())
     # a matrix unit whose star is no multiple of it spans no star-stable space
     units = [Matrix([[Fraction((i, j) == (0, b)) for j in range(L.dim)] for i in range(L.dim)]) for b in range(L.dim)]
     E = next(E for E in units if basis_coordinates([E])(star(L, kappa, E)) is None)
     with pytest.raises(CohomologyError, match="not star-stable"):
-        split_by_star(L, kappa, EndSpace([E]), 1)
+        split_by_star(L, kappa, EndSpace([_entries(E)]), 1)
 
 
 def test_star_condition_is_symmetry_of_kappa_T(identity_entry):
@@ -1459,10 +1462,10 @@ def test_eta_and_xi_name_failing_triple(identity_entry):
     assert want is not None
     names = ", ".join(K.names[i] for i in want)
     with pytest.raises(CohomologyError, match=re.escape(f"derivation rule fails at ({names})")):
-        eta_cocycle(cur, kappa, [[Fraction(1), Fraction(0)]], D, K.parities[0])
+        eta_cocycle(cur, kappa, [[Fraction(1), Fraction(0)]], _entries(D), K.parities[0])
     S = perturb(Matrix.identity(K.dim), K.parities, rng, keep_skew=False)
     want = dense_centroid_witness(K, S)
     assert want is not None
     names = ", ".join(K.names[i] for i in want)
     with pytest.raises(CohomologyError, match=re.escape(f"centroid rule fails at ({names})")):
-        xi_cocycle(cur, kappa, hochschild_space(A), S)
+        xi_cocycle(cur, kappa, hochschild_space(A), _entries(S))

@@ -6,7 +6,7 @@ import pytest
 from conftest import abelian, odd_heisenberg, odd_line, sc, smatrix
 from test_linalg import DenseEchelon
 from superlie.cohomology import _derivation_invariant, derivation_space, star
-from superlie.linalg import Matrix, Subspace, _dense, _entries
+from superlie.linalg import Matrix, Subspace, _dense, _entries, _gram
 from superlie.lsa import (
     LsaError,
     ValidationError,
@@ -280,10 +280,10 @@ def test_ad_is_derivation(su2):
     from superlie.catalog import build_catalog
 
     for i in range(3):
-        assert is_derivation(su2, su2.ad_matrix(i), su2.parities[i])
+        assert is_derivation(su2, _entries(su2.ad_matrix(i)), su2.parities[i])
     K = build_catalog("su_pq", 2, 1).algebra
     for i in range(K.dim):
-        assert is_derivation(K, K.ad_matrix(i), K.parities[i])
+        assert is_derivation(K, _entries(K.ad_matrix(i)), K.parities[i])
 
 
 def dense_invariant(L, B):
@@ -447,7 +447,7 @@ def _urad_current_case(s):
     su2 = build_catalog("su_n", 2)
     A = grassmann(s)
     F_list = _random_even_hochschild(A, 1, 0)
-    gext = extend_current(current_lsa(A, su2.algebra), su2.form, (), [(F, Matrix.identity(3)) for F in F_list])
+    gext = extend_current(current_lsa(A, su2.algebra), su2.form, (), [(F, _entries(Matrix.identity(3))) for F in F_list])
     return gext.algebra, square_zero_seeds(gext)
 
 
@@ -514,7 +514,8 @@ def scaled_form(entry):
 def star_verdict(L, B):
     """Derivation invariance by the star map: D* + D = 0 for every derivation."""
     der, _ = derivation_space(L)
-    return all((star(L, B, D) + D).is_zero() for D, _dp in der.members())
+    dense = [_gram(X, L.dim) for X, _dp in der.members()]
+    return all((star(L, B, D) + D).is_zero() for D in dense)
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,11 @@ DIRECTORY = "<a directory>"
         # a directory where an input file is expected (see below)
         ["validate", DIRECTORY],
         ["report", "all", "--params", DIRECTORY],
+        # --out naming a directory: refused before the report reaches stdout
+        ["catalog", "build", "su_n", "--n", "2", "--out", DIRECTORY],
+        ["catalog", "build", "q_n", "--n", "3", "--facts", "--out", DIRECTORY],
+        ["current", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--out", DIRECTORY],
+        ["cohomology", "z2", "--k", "catalog:su_n:2", "--out", DIRECTORY],
     ],
 )
 def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):

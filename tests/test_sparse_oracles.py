@@ -7,11 +7,13 @@ centroid rule and invariance over every triple, the centroid solved over
 every triple, the derivations solved over every triple (i, j, m) with
 i <= j, the structure constants of a matrix basis from every ordered
 pair, the dense grams of 2-cochains (from pair vectors, and the eta/xi
-builder), and the dense loops of LieSuperalgebra.bracket and
-AssocSuperalgebra.product.  Products must agree in value and in entry type
-(Fraction against Scalar); checks must agree in verdict and in the first
-violated triple; solves, tables and grams must agree entry for entry and in
-order.
+builder), the endomorphism bases as dense matrices (the solver's kernel
+matrices, ad e_i, the star split, the inner correction and the echelon
+choice of H^2 representatives), and the dense loops of
+LieSuperalgebra.bracket and AssocSuperalgebra.product.  Products must agree
+in value and in entry type (Fraction against Scalar); checks must agree in
+verdict and in the first violated triple; solves, tables and grams must
+agree entry for entry and in order.
 """
 
 import random
@@ -27,33 +29,48 @@ from superlie.catalog import build_catalog, build_su_pq
 from superlie.clifford import gamma_rep
 from superlie import cohomology
 from superlie.cohomology import (
+    CohomologyError,
     PairBasis,
     _centroid_identity,
     _centroid_witness,
+    _correct_to_vanish_on_even,
+    _derivation_identity,
     _derivation_witness,
+    _end_columns,
+    _kappa_map,
     _solve_end_space,
     centroid,
     derivation_space,
     eta_cocycle,
+    h2_representatives,
     in_centroid,
     is_derivation,
+    split_by_star,
     verify_cor1,
     z2_space,
 )
 from superlie.current import current_lsa
 from superlie.linalg import (
+    EchelonBuilder,
     Matrix,
     _dense,
     _entries,
     _first_violation,
+    _gram,
+    _group_sums,
+    _identity_rows,
     _preimages,
     _table_product,
     basis_coordinates,
+    solve_linear,
+    sparse_kernel,
 )
+from superlie.linalg import kernel as dense_kernel
 from superlie.lsa import (
     BilinearForm,
     _invariance_groups,
     _invariance_witness,
+    _symmetry_groups,
     build_form,
     form_report,
     generating_set,
@@ -440,18 +457,19 @@ def test_derivation_and_centroid_checks_match_full_sweep(catalog_entry):
     der, _ = derivation_space(L)
     members = list(der.members())
     members = rng.sample(members, min(len(members), 6)) + list(centroid(L).members())
+    members = [(_gram(X, L.dim), p) for X, p in members]
     members += [(L.ad_matrix(i), L.parities[i]) for i in rng.sample(range(L.dim), 3)]
     der_verdicts, cent_verdicts = set(), set()
     for M, p in members:
         for X in (M, one_entry_mutant(M, rng)):
             want = _first_violation(*derivation_sweep(L, p), _entries(X))
             assert _derivation_witness(L, _entries(X), p) == want
-            assert is_derivation(L, X, p) == (want is None)
+            assert is_derivation(L, _entries(X), p) == (want is None)
             assert want is None or want[0] <= want[1]
             der_verdicts.add(want is None)
             want = _first_violation(*_centroid_identity(L, range(L.dim)), _entries(X))
             assert _centroid_witness(L, _entries(X)) == want
-            assert in_centroid(L, X) == (want is None)
+            assert in_centroid(L, _entries(X)) == (want is None)
             cent_verdicts.add(want is None)
     assert der_verdicts == cent_verdicts == {True, False}
 
@@ -499,8 +517,9 @@ def full_sweep_derivations(L):
 
 
 def assert_derivations_match_full_solve(L):
-    der, _ = derivation_space(L)
+    der, inner = derivation_space(L)
     assert [der.even, der.odd] == full_sweep_derivations(L)
+    assert dense_members(inner, L.dim) == dense_inner(L)
 
 
 def test_derivations_match_full_sweep_solve(catalog_entry):
@@ -515,6 +534,136 @@ def test_derivations_match_full_sweep_solve_on_su_pp(realizations):
 def test_derivations_match_full_sweep_solve_abelian_and_current():
     assert_derivations_match_full_solve(abelian(2))  # every map is a derivation
     assert_derivations_match_full_solve(current_lsa(grassmann(2), su2_cyclic()).algebra)
+
+
+# -- endomorphisms: sparse maps against the dense matrices --------------------------
+
+
+def dense_end_space(L, d_parity, groups, triples):
+    """The solver's kernel vectors, each written into a dense matrix."""
+    n = L.dim
+    cols = _end_columns(L, d_parity)
+    unknowns = [(m, k) for m in range(n) for k in range(n) if cols[m][k]]
+    out = []
+    for kv in sparse_kernel(_identity_rows(groups, triples, cols), len(unknowns)):
+        M = [[Fraction(0)] * n for _ in range(n)]
+        for t, c in kv.items():
+            m, k = unknowns[t]
+            M[m][k] = c
+        out.append(Matrix(M))
+    return out
+
+
+def dense_inner(L):
+    """[even, odd] bases of the nonzero ad e_i."""
+    ads = [L.ad_matrix(i) for i in range(L.dim)]
+    return [[A for A, q in zip(ads, L.parities) if q == p and not A.is_zero()] for p in (0, 1)]
+
+
+def dense_centroid(L):
+    identity = _centroid_identity(L, generating_set(L, range(L.dim)))
+    return [dense_end_space(L, p, *identity) for p in (0, 1)]
+
+
+def dense_split_by_star(L, kappa, space, sign):
+    """The retired split_by_star on [even, odd] dense bases: kappa_T = T^T G,
+    and every entry of every eigenvector combined."""
+    G = kappa.gram
+    out = [[], []]
+    for parity, basis in enumerate(space):
+        if not basis:
+            continue
+        maps = [_entries(T.transpose() @ G) for T in basis]
+        pairs = sorted({(a, b) if a <= b else (b, a) for F in maps for a, b in F})
+        kernels = {}
+        for s in (1, -1):
+            groups = partial(_symmetry_groups, L.parities, s)
+            sums = [[tot for _pair, tot in _group_sums(groups, pairs, F)] for F in maps]
+            kernels[s] = dense_kernel(zip(*sums), len(basis))
+        assert len(kernels[1]) + len(kernels[-1]) == len(basis)
+        for combo in kernels[sign]:
+            M = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+            for c, coef in enumerate(combo):
+                if coef:
+                    for row, brow in zip(M, basis[c].rows):
+                        for j, x in enumerate(brow):
+                            if x:
+                                row[j] += coef * x
+            out[parity].append(Matrix(M))
+    return out
+
+
+def dense_correct_to_vanish_on_even(L, D, parity, inner):
+    """The retired _correct_to_vanish_on_even: one dense solve over the even
+    columns, then D plus the solution's inner combination, entry by entry."""
+    ads = inner[parity]
+    even_idx = L.even_indices
+    if all(not any(D.column(j)) for j in even_idx) or not ads:
+        return D
+    rows, rhs = [], []
+    for j in even_idx:
+        for k in range(L.dim):
+            rows.append([A.rows[k][j] for A in ads])
+            rhs.append(-D.rows[k][j])
+    res = solve_linear(Matrix(rows), rhs)
+    if res.particular is None:
+        return D
+    out = [list(r) for r in D.rows]
+    for c, coef in enumerate(res.particular):
+        if coef:
+            for i in range(L.dim):
+                for j in range(L.dim):
+                    out[i][j] += coef * ads[c].rows[i][j]
+    return Matrix(out)
+
+
+def dense_h2_representatives(L, der_minus, inner):
+    """The retired _h2_representatives with vanish_on_even: the flattened
+    matrices in one echelon, inner first."""
+    builder = EchelonBuilder(L.dim * L.dim)
+    for M in inner[0] + inner[1]:
+        builder.add([x for r in M.rows for x in r])
+    reps = []
+    for p in (0, 1):
+        for M in der_minus[p]:
+            if builder.add([x for r in M.rows for x in r]):
+                reps.append((dense_correct_to_vanish_on_even(L, M, p, inner), p))
+    return reps
+
+
+def dense_members(space, n):
+    return [[_gram(X, n) for X in space.even], [_gram(X, n) for X in space.odd]]
+
+
+def test_end_spaces_match_dense_oracles(catalog_entry):
+    L, kappa = catalog_entry.algebra, catalog_entry.form
+    n = L.dim
+    der, inner = derivation_space(L)
+    right = generating_set(L, range(n))
+    want_der = [dense_end_space(L, p, *_derivation_identity(L, p, right)) for p in (0, 1)]
+    want_inner = dense_inner(L)
+    spaces = ((der, want_der), (inner, want_inner), (centroid(L), dense_centroid(L)))
+    for space, want in spaces:
+        assert dense_members(space, n) == want
+        for X in space.even + space.odd:
+            assert list(X) == sorted(X) and all(type(x) is Fraction and x for x in X.values())
+            kappa_map = _entries(_gram(X, n).transpose() @ kappa.gram)
+            assert list(_kappa_map(X, kappa.gram).items()) == list(kappa_map.items())
+    # every derivation, corrected towards vanishing on the even part
+    for X, p in der.members():
+        got = _correct_to_vanish_on_even(L, X, p, inner)
+        assert list(got) == sorted(got)
+        assert _gram(got, n) == dense_correct_to_vanish_on_even(L, _gram(X, n), p, want_inner)
+    if not form_report(L, kappa)["nondegenerate"]:  # q(n): star is not defined
+        with pytest.raises(CohomologyError, match="kappa is degenerate"):
+            h2_representatives(L, kappa, vanish_on_even=True)
+        return
+    for space, want in spaces:
+        for sign in (1, -1):
+            assert dense_members(split_by_star(L, kappa, space, sign), n) == dense_split_by_star(L, kappa, want, sign)
+    reps = h2_representatives(L, kappa, vanish_on_even=True)
+    want = dense_h2_representatives(L, dense_split_by_star(L, kappa, want_der, -1), want_inner)
+    assert [(_gram(D, n), p) for D, p in reps] == want
 
 
 # -- 2-cochains: sparse maps against the dense grams -----------------------------
@@ -536,12 +685,12 @@ def cor1_rows(monkeypatch, A, entry, drop_eta):
 
     def eta_rec(cur, kappa, f_rows, D, dp):
         c = eta(cur, kappa, f_rows, D, dp)
-        out.append((c, dense_eta_grams(cur, kappa, f_rows, D)))
+        out.append((c, dense_eta_grams(cur, kappa, f_rows, _gram(D, cur.K.dim))))
         return c
 
     def xi_rec(cur, kappa, F_list, S):
         c = xi(cur, kappa, F_list, S)
-        out.append((c, dense_xi_grams(cur, kappa, F_list, S)))
+        out.append((c, dense_xi_grams(cur, kappa, F_list, _gram(S, cur.K.dim))))
         return c
 
     def to_gram_rec(pb, vec):
@@ -565,7 +714,7 @@ def inner_eta_rows(A, entry):
     out = []
     for i in range(entry.algebra.dim):
         D = entry.algebra.ad_matrix(i)
-        out.append((eta_cocycle(cur, entry.form, f_rows, D, 0), dense_eta_grams(cur, entry.form, f_rows, D)))
+        out.append((eta_cocycle(cur, entry.form, f_rows, _entries(D), 0), dense_eta_grams(cur, entry.form, f_rows, D)))
     return out
 
 

@@ -369,8 +369,8 @@ def test_group_checks_match_term_checks_on_endomorphisms(catalog_entry):
     rng = random.Random(43)
     index = _bracket_index(L)
     der, _ = derivation_space(L)
-    members = [(_entries(M), p) for M, p in der.members()][:6]
-    members += [(_entries(M), p) for M, p in centroid(L).members()]
+    members = list(der.members())[:6]
+    members += list(centroid(L).members())
     members += [(_entries(L.ad_matrix(i)), L.parities[i]) for i in rng.sample(range(n), 3)]
     members += [(G, p) for F, p in members for G in mutants(F, n, rng, 2)]
     der_verdicts, cent_verdicts = set(), set()

@@ -6,7 +6,7 @@ import pytest
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa
-from superlie.linalg import Matrix, Subspace
+from superlie.linalg import Matrix, Subspace, _entries
 from superlie.cohomology import hochschild_space
 from superlie.unirad import (
     UniradError,
@@ -187,7 +187,7 @@ def test_seed_square_identity_with_hochschild(su2):
     cur = current_lsa(A, su2.algebra)
     hoch = hochschild_space(A)
     gext = extend_current(
-        cur, su2.form, (), [(F, Matrix.identity(3)) for F in hoch]
+        cur, su2.form, (), [(F, _entries(Matrix.identity(3))) for F in hoch]
     )
     for v in square_zero_seeds(gext):
         assert not any(gext.algebra.bracket(v, v))
@@ -349,9 +349,12 @@ def test_universal_extension_solves_hochschild_space_once(monkeypatch):
         calls.append(A.dim)
         return real_hoch(A, *args, **kwargs)
 
+    def doubled(S):
+        return {key: Fraction(2) * x for key, x in S.items()}
+
     def doubled_split(*args):
         space = real_split(*args)
-        return EndSpace([T for S in space.even for T in (S, S.scale(Fraction(2)))], space.odd)
+        return EndSpace([T for S in space.even for T in (S, doubled(S))], space.odd)
 
     monkeypatch.setattr(unirad, "hochschild_space", counted_hoch)
     monkeypatch.setattr(unirad, "split_by_star", doubled_split)
@@ -359,7 +362,7 @@ def test_universal_extension_solves_hochschild_space_once(monkeypatch):
     assert calls == [4]
     hoch = real_hoch(grassmann(2))
     S_list = [S for _F, S in gext.xi_data[:: len(hoch)]]
-    assert len(S_list) == 2 and S_list[1] == S_list[0].scale(Fraction(2))
+    assert len(S_list) == 2 and S_list[1] == doubled(S_list[0])
     assert [(F.entries, S) for F, S in gext.xi_data] == [(F.entries, S) for S in S_list for F in hoch]
     assert gext.value_dim == len(gext.eta_data) + 2 * len(hoch)
 
