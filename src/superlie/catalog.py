@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import Cocycle2, centroid, h2_dim, is_coboundary, is_derivation, kappa_T
-from .linalg import Matrix, Subspace, _dense, _entries, basis_coordinates, definiteness
+from .cohomology import Cocycle2, _kappa_map, centroid, h2_dim, is_coboundary, is_derivation
+from .linalg import Matrix, SparseMatrix, Subspace, _dense, _gram, basis_coordinates, definiteness, supertrace_pairing
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
@@ -75,54 +75,45 @@ class CatalogEntry:
 
 
 # -- matrix helpers -----------------------------------------------------------
+#
+# A basis matrix is written as its entry map {(r, c): (re, im)} over Q(i)
+# and read into a SparseMatrix; no tower Scalar is formed.
 
-_I = Scalar.i()
-_ONE = Scalar.from_rational(1)
-
-
-def _zrows(n):
-    return [[Scalar() for _ in range(n)] for _ in range(n)]
-
-
-def _mat(rows):
-    return Matrix(rows)
+_ONE, _I, _MINUS_ONE, _MINUS_I = (1, 0), (0, 1), (-1, 0), (0, -1)
+_mat = SparseMatrix.gaussian
 
 
-def _su_block_matrices(n: int, offset: int, total: int):
-    """Basis of su(n) placed at a diagonal offset inside a total x total matrix."""
+def _gmul(u, v):
+    """The product of two Gaussian numbers (re, im)."""
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _su_block_entries(n: int, offset: int):
+    """Basis of su(n) placed at a diagonal offset, as entry maps."""
     mats = []
     names = []
     for r in range(n):
         for s in range(r + 1, n):
-            R = _zrows(total)
-            R[offset + r][offset + s] = _ONE
-            R[offset + s][offset + r] = -_ONE
-            mats.append(_mat(R))
+            a, b = offset + r, offset + s
+            mats.append({(a, b): _ONE, (b, a): _MINUS_ONE})
             names.append(f"e{r + 1}{s + 1}")
-            R = _zrows(total)
-            R[offset + r][offset + s] = _I
-            R[offset + s][offset + r] = _I
-            mats.append(_mat(R))
+            mats.append({(a, b): _I, (b, a): _I})
             names.append(f"f{r + 1}{s + 1}")
     for r in range(n - 1):
-        R = _zrows(total)
-        R[offset + r][offset + r] = _I
-        R[offset + r + 1][offset + r + 1] = -_I
-        mats.append(_mat(R))
+        a = offset + r
+        mats.append({(a, a): _I, (a + 1, a + 1): _MINUS_I})
         names.append(f"h{r + 1}")
     return mats, names
 
 
-def _u_block_matrices(n: int, offset: int, total: int):
-    """Basis of u(n) at a diagonal offset (su(n) pattern plus i E_rr's)."""
-    mats, names = _su_block_matrices(n, offset, total)
+def _u_block_entries(n: int):
+    """Basis of u(n) (su(n) pattern plus i E_rr's), as entry maps."""
+    mats, names = _su_block_entries(n, 0)
     # replace the traceless diagonal by the full iE_rr family
     mats = [M for M, nm in zip(mats, names) if not nm.startswith("h")]
     names = [nm for nm in names if not nm.startswith("h")]
     for r in range(n):
-        R = _zrows(total)
-        R[offset + r][offset + r] = _I
-        mats.append(_mat(R))
+        mats.append({(r, r): _I})
         names.append(f"d{r + 1}")
     return mats, names
 
@@ -133,31 +124,28 @@ def _u_block_matrices(n: int, offset: int, total: int):
 def _su_pq_data(p: int, q: int):
     """Basis of su(p|q) (p = q allowed here; the public family forbids it)."""
     total = p + q
-    mats: list[Matrix] = []
+    mats: list[SparseMatrix] = []
     names: list[str] = []
     parities: list[int] = []
     comp_ranges = {}
 
-    ms, nms = _su_block_matrices(p, 0, total)
+    ms, nms = _su_block_entries(p, 0)
     comp_ranges["su_p"] = (0, len(ms))
-    mats += ms
+    mats += [_mat(total, E) for E in ms]
     names += [f"u.{nm}" for nm in nms]
     parities += [0] * len(ms)
 
-    ms, nms = _su_block_matrices(q, p, total)
+    ms, nms = _su_block_entries(q, p)
     comp_ranges["su_q"] = (len(mats), len(mats) + len(ms))
-    mats += ms
+    mats += [_mat(total, E) for E in ms]
     names += [f"l.{nm}" for nm in nms]
     parities += [0] * len(ms)
 
     # central i * ((1/p) 1_p + (1/q) 1_q)
-    R = _zrows(total)
-    for r in range(p):
-        R[r][r] = _I * Fraction(1, p)
-    for r in range(q):
-        R[p + r][p + r] = _I * Fraction(1, q)
+    R = {(r, r): (0, Fraction(1, p)) for r in range(p)}
+    R.update({(p + r, p + r): (0, Fraction(1, q)) for r in range(q)})
     comp_ranges["center"] = (len(mats), len(mats) + 1)
-    mats.append(_mat(R))
+    mats.append(_mat(total, R))
     names.append("z")
     parities.append(0)
 
@@ -165,18 +153,12 @@ def _su_pq_data(p: int, q: int):
     odd_slot = {}
     for r in range(p):
         for s in range(q):
-            R = _zrows(total)
-            R[r][p + s] = _ONE
-            R[p + s][r] = _I
             odd_slot[("x", r, s)] = len(mats)
-            mats.append(_mat(R))
+            mats.append(_mat(total, {(r, p + s): _ONE, (p + s, r): _I}))
             names.append(f"o.x{r + 1}{s + 1}")
             parities.append(1)
-            R = _zrows(total)
-            R[r][p + s] = _I
-            R[p + s][r] = _ONE
             odd_slot[("y", r, s)] = len(mats)
-            mats.append(_mat(R))
+            mats.append(_mat(total, {(r, p + s): _I, (p + s, r): _ONE}))
             names.append(f"o.y{r + 1}{s + 1}")
             parities.append(1)
     comp_ranges["odd"] = (odd_start, len(mats))
@@ -191,8 +173,8 @@ def _range_subspace(dim: int, rng: tuple[int, int]) -> Subspace:
 def build_su_n(n: int) -> CatalogEntry:
     if n < 2:
         raise CatalogError("su_n needs n >= 2")
-    mats, names = _su_block_matrices(n, 0, n)
-    algebra = from_matrix_basis(mats, [0] * len(mats), (n, 0), names=names)
+    ms, names = _su_block_entries(n, 0)
+    algebra = from_matrix_basis([_mat(n, E) for E in ms], [0] * len(ms), (n, 0), names=names)
     form = build_form(algebra, "killing")
     return CatalogEntry(
         "su_n", (n,), algebra, form,
@@ -231,10 +213,7 @@ def build_psu_pp(p: int) -> CatalogEntry:
         raise CatalogError("psu_pp needs p >= 2")
     pre = build_su_pq(p, p, _allow_equal=True)
     # outer derivation: ad diag(i 1_p, 0)
-    D = _zrows(2 * p)
-    for r in range(p):
-        D[r][r] = _I
-    entry, lift, coords = _descend("psu_pp", pre, _mat(D), 0)
+    entry, lift, coords = _descend("psu_pp", pre, _mat(2 * p, {(r, r): _I for r in range(p)}), 0)
     entry.components = {
         new: Subspace(entry.algebra.dim, [lift(r) for r in pre.components[old].rows])
         for new, old in (("k0_1", "su_p"), ("k0_2", "su_q"))
@@ -247,7 +226,7 @@ def build_psu_pp(p: int) -> CatalogEntry:
     return entry
 
 
-def _descend(family: str, pre: CatalogEntry, delta: Matrix, d_parity: int):
+def _descend(family: str, pre: CatalogEntry, delta: SparseMatrix, d_parity: int):
     """pre modulo its central line R i1: su(p|p) -> psu(p|p), q(n) -> pq(n).
 
     The form is pre's, read on the kept slots, and the outer derivation is
@@ -268,16 +247,19 @@ def _descend(family: str, pre: CatalogEntry, delta: Matrix, d_parity: int):
     mats = L.realization.mats
     coords = basis_coordinates(mats)
     # column a is the image of the kept slot keep[a]
-    images = [super_matrix_bracket(delta, mats[i], d_parity, L.parities[i]) for i in keep]
-    D = _entries(Matrix([lift(_coords_in(coords, M)) for M in images]).transpose())
+    D = {}
+    for a, i in enumerate(keep):
+        image = _coords_in(coords, super_matrix_bracket(delta, mats[i], d_parity, L.parities[i]))
+        for b, x in project(image).items():
+            D[(b, a)] = x
     entry = CatalogEntry(
         family, pre.params[:1], quo, form,
-        outer_derivation=(D, d_parity), prequotient=pre, projection=proj,
+        outer_derivation=(dict(sorted(D.items())), d_parity), prequotient=pre, projection=proj,
     )
     return entry, lift, coords
 
 
-def _coords_in(coords, M: Matrix) -> list:
+def _coords_in(coords, M: SparseMatrix) -> list:
     """Exact coordinates of M by a basis_coordinates function."""
     out = coords(M)
     if out is None:
@@ -287,19 +269,18 @@ def _coords_in(coords, M: Matrix) -> list:
 
 def _b_matrix_odd_vector(coords, p: int, shape: str) -> list:
     """Odd element of su(p|p) with B = diag(1,-1,0,..) or B = 1_p."""
-    total = 2 * p
-    R = _zrows(total)
     if shape == "diag1m1":
         diag = [1, -1] + [0] * (p - 2)
     elif shape == "identity":
         diag = [1] * p
     else:
         raise CatalogError(f"unknown special shape {shape!r}")
+    R = {}
     for r, val in enumerate(diag):
         if val:
-            R[r][p + r] = _ONE * val
-            R[p + r][r] = _I * val
-    return _coords_in(coords, _mat(R))
+            R[(r, p + r)] = (val, 0)
+            R[(p + r, r)] = (0, val)
+    return _coords_in(coords, _mat(2 * p, R))
 
 
 # -- c(n) -------------------------------------------------------------------------
@@ -310,17 +291,14 @@ def build_c_n(n: int) -> CatalogEntry:
         raise CatalogError("c_n needs n >= 2")
     m = n - 1
     total = 2 + 2 * m
-    mats: list[Matrix] = []
+    mats: list[SparseMatrix] = []
     names: list[str] = []
     parities: list[int] = []
     comp_ranges = {}
 
     # alpha = i in the (2|2m) block matrix
-    R = _zrows(total)
-    R[0][0] = _I
-    R[1][1] = -_I
     comp_ranges["R"] = (0, 1)
-    mats.append(_mat(R))
+    mats.append(_mat(total, {(0, 0): _I, (1, 1): _MINUS_I}))
     names.append("r")
     parities.append(0)
 
@@ -328,46 +306,25 @@ def build_c_n(n: int) -> CatalogEntry:
     # A in u(m): blocks (3,3) = A, (4,4) = -A^t
     for r in range(m):
         for s in range(r + 1, m):
-            R = _zrows(total)
-            R[2 + r][2 + s] = _ONE
-            R[2 + s][2 + r] = -_ONE
-            R[2 + m + r][2 + m + s] = _ONE
-            R[2 + m + s][2 + m + r] = -_ONE
-            mats.append(_mat(R))
+            a, b, c, d = 2 + r, 2 + s, 2 + m + r, 2 + m + s
+            mats.append(_mat(total, {(a, b): _ONE, (b, a): _MINUS_ONE, (c, d): _ONE, (d, c): _MINUS_ONE}))
             names.append(f"a.e{r + 1}{s + 1}")
             parities.append(0)
-            R = _zrows(total)
-            R[2 + r][2 + s] = _I
-            R[2 + s][2 + r] = _I
-            R[2 + m + r][2 + m + s] = -_I
-            R[2 + m + s][2 + m + r] = -_I
-            mats.append(_mat(R))
+            mats.append(_mat(total, {(a, b): _I, (b, a): _I, (c, d): _MINUS_I, (d, c): _MINUS_I}))
             names.append(f"a.f{r + 1}{s + 1}")
             parities.append(0)
     for r in range(m):
-        R = _zrows(total)
-        R[2 + r][2 + r] = _I
-        R[2 + m + r][2 + m + r] = -_I
-        mats.append(_mat(R))
+        mats.append(_mat(total, {(2 + r, 2 + r): _I, (2 + m + r, 2 + m + r): _MINUS_I}))
         names.append(f"a.d{r + 1}")
         parities.append(0)
     # B symmetric: blocks (3,4) = B, (4,3) = -B*
     for r in range(m):
         for s in range(r, m):
-            R = _zrows(total)
-            R[2 + r][2 + m + s] = _ONE
-            R[2 + s][2 + m + r] = _ONE
-            R[2 + m + r][2 + s] = -_ONE
-            R[2 + m + s][2 + r] = -_ONE
-            mats.append(_mat(R))
+            a, b, c, d = 2 + r, 2 + s, 2 + m + r, 2 + m + s
+            mats.append(_mat(total, {(a, d): _ONE, (b, c): _ONE, (c, b): _MINUS_ONE, (d, a): _MINUS_ONE}))
             names.append(f"b.e{r + 1}{s + 1}")
             parities.append(0)
-            R = _zrows(total)
-            R[2 + r][2 + m + s] = _I
-            R[2 + s][2 + m + r] = _I
-            R[2 + m + r][2 + s] = _I
-            R[2 + m + s][2 + r] = _I
-            mats.append(_mat(R))
+            mats.append(_mat(total, {(a, d): _I, (b, c): _I, (c, b): _I, (d, a): _I}))
             names.append(f"b.f{r + 1}{s + 1}")
             parities.append(0)
     comp_ranges["sp"] = (sp_start, len(mats))
@@ -375,26 +332,17 @@ def build_c_n(n: int) -> CatalogEntry:
     odd_start = len(mats)
     # M row vector: (1,3) = M, (2,4) = -i conj(M), (3,1) = -i conj(M)^t, (4,2) = -M^t
     for r in range(m):
-        for scale, tag in ((_ONE, "re"), ((_I), "im")):
-            R = _zrows(total)
-            conj = scale.conjugate()
-            R[0][2 + r] = scale
-            R[1][2 + m + r] = -_I * conj
-            R[2 + r][0] = -_I * conj
-            R[2 + m + r][1] = -scale
-            mats.append(_mat(R))
+        for scale, tag in ((_ONE, "re"), (_I, "im")):
+            t, minus = _gmul(_MINUS_I, (scale[0], -scale[1])), _gmul(_MINUS_ONE, scale)
+            mats.append(_mat(total, {(0, 2 + r): scale, (1, 2 + m + r): t, (2 + r, 0): t, (2 + m + r, 1): minus}))
             names.append(f"m.{tag}{r + 1}")
             parities.append(1)
     # N row vector: (1,4) = N, (2,3) = i conj(N), (3,2) = N^t, (4,1) = -i conj(N)^t
     for r in range(m):
-        for scale, tag in ((_ONE, "re"), ((_I), "im")):
-            R = _zrows(total)
-            conj = scale.conjugate()
-            R[0][2 + m + r] = scale
-            R[1][2 + r] = _I * conj
-            R[2 + r][1] = scale
-            R[2 + m + r][0] = -_I * conj
-            mats.append(_mat(R))
+        for scale, tag in ((_ONE, "re"), (_I, "im")):
+            t = _gmul(_I, (scale[0], -scale[1]))
+            minus = _gmul(_MINUS_ONE, t)
+            mats.append(_mat(total, {(0, 2 + m + r): scale, (1, 2 + r): t, (2 + r, 1): scale, (2 + m + r, 0): minus}))
             names.append(f"n.{tag}{r + 1}")
             parities.append(1)
     comp_ranges["odd"] = (odd_start, len(mats))
@@ -413,74 +361,50 @@ def build_c_n(n: int) -> CatalogEntry:
 
 def _q_n_data(n: int):
     total = 2 * n
-    mats: list[Matrix] = []
+    mats: list[SparseMatrix] = []
     names: list[str] = []
     parities: list[int] = []
 
-    def a_matrix(block: Matrix) -> Matrix:
-        R = _zrows(total)
-        for r in range(n):
-            for c in range(n):
-                v = block.rows[r][c]
-                if v:
-                    R[r][c] = v
-                    R[n + r][n + c] = v
-        return _mat(R)
-
-    def b_matrix(block: Matrix) -> Matrix:
-        one_minus_i = _ONE - _I
-        R = _zrows(total)
-        for r in range(n):
-            for c in range(n):
-                v = block.rows[r][c]
-                if v:
-                    R[r][n + c] = one_minus_i * v
-                    R[n + r][c] = one_minus_i * v
-        return _mat(R)
-
-    # a-part: all of u(n)
-    ublk, unames = _u_block_matrices(n, 0, n)
+    # a-part: all of u(n), as diag(A, A)
+    ublk, unames = _u_block_entries(n)
     a_range = (0, len(ublk))
-    for M, nm in zip(ublk, unames):
-        mats.append(a_matrix(M))
+    for E, nm in zip(ublk, unames):
+        R = dict(E)
+        R.update({(n + r, n + c): v for (r, c), v in E.items()})
+        mats.append(_mat(total, R))
         names.append(f"a.{nm}")
         parities.append(0)
-    # b-part: su(n) (traceless u(n))
-    sblk, snames = _su_block_matrices(n, 0, n)
+    # b-part: su(n) (traceless u(n)), as the off-diagonal blocks (1 - i) B
+    sblk, snames = _su_block_entries(n, 0)
     b_range = (len(mats), len(mats) + len(sblk))
     b_index = {}
-    for M, nm in zip(sblk, snames):
+    for E, nm in zip(sblk, snames):
+        R = {}
+        for (r, c), v in E.items():
+            R[(r, n + c)] = R[(n + r, c)] = _gmul((1, -1), v)
         b_index[nm] = len(mats)
-        mats.append(b_matrix(M))
+        mats.append(_mat(total, R))
         names.append(f"b.{nm}")
         parities.append(1)
     return mats, names, parities, a_range, b_range, b_index
 
 
 def _pq_form_gram(L: LieSuperalgebra, n: int) -> Matrix:
-    """kappa(X, Y) = tr(a b') + tr(a' b) read off the block realization."""
-    real = L.realization
-    half = Fraction(1, 2)
-
-    def parts(M: Matrix):
-        a = [[M.rows[r][c] for c in range(n)] for r in range(n)]
-        # upper-right block = (1 - i) b, so b = block * (1 + i)/2
-        fac = (Scalar.from_rational(1) + Scalar.i()) * half
-        b = [[M.rows[r][n + c] * fac for c in range(n)] for r in range(n)]
-        return Matrix(a), Matrix(b)
-
-    dim = L.dim
-    blocks = [parts(real.mats[i]) for i in range(dim)]
-    G = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        ai, bi = blocks[i]
-        for j in range(dim):
-            aj, bj = blocks[j]
-            val = (ai @ bj).trace() + (aj @ bi).trace()
-            if isinstance(val, Scalar):
-                val = val.as_fraction()
-            G[i][j] = Fraction(val)
-    return Matrix(G)
+    """kappa(X, Y) = tr(a b') + tr(a' b) read off the block realization,
+    where X has the upper-left block a and the upper-right block (1 - i) b."""
+    blocks = []
+    for M in L.realization.mats:
+        entries, den = M.parts.get(1, ({}, 1))
+        a = {(r, c): (Fraction(x, den), Fraction(y, den)) for (r, c), (x, y) in entries.items() if r < n and c < n}
+        # b = block (1 + i)/2
+        b = {(r, c - n): (Fraction(x - y, 2 * den), Fraction(x + y, 2 * den))
+             for (r, c), (x, y) in entries.items() if r < n <= c}
+        blocks.append((_mat(n, a), _mat(n, b)))
+    ones = [1] * n
+    return Matrix([
+        [supertrace_pairing(ai, bj, ones) + supertrace_pairing(aj, bi, ones) for aj, bj in blocks]
+        for ai, bi in blocks
+    ])
 
 
 def build_q_n(n: int) -> CatalogEntry:
@@ -508,11 +432,9 @@ def build_pq_n(n: int) -> CatalogEntry:
         raise CatalogError("pq_n needs n > 2")
     pre = build_q_n(n)
     # odd outer derivation: super-ad of Delta = [[0, 1],[i 1, 0]]
-    Delta = _zrows(2 * n)
-    for r in range(n):
-        Delta[r][n + r] = _ONE
-        Delta[n + r][r] = _I
-    entry, lift, _coords = _descend("pq_n", pre, _mat(Delta), 1)
+    Delta = {(r, n + r): _ONE for r in range(n)}
+    Delta.update({(n + r, r): _I for r in range(n)})
+    entry, lift, _coords = _descend("pq_n", pre, _mat(2 * n, Delta), 1)
     entry.components = {
         part: Subspace(entry.algebra.dim, [lift(r) for r in pre.components[part].rows])
         for part in ("a_part", "b_part")
@@ -667,16 +589,15 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         D, dp = entry.outer_derivation
         out["D_is_derivation"] = is_derivation(L, D, dp)
         out["D_vanishes_on_even"] = all(L.parities[b] for _a, b in D)
-        kd = kappa_T(L, entry.form, D)
-        kd_map = _entries(kd.gram)
+        kd_map = _kappa_map(D, entry.form.gram)
         out["D_kappa_skew"] = _symmetry_witness(L.parities, -1, kd_map) is None
         omega = Cocycle2(L, [kd_map], validate=True)
         out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
         if entry.family == "pq_n":
             odd = Subspace(L.dim, ({i: Fraction(1)} for i in L.odd_indices))
-            sym = BilinearForm([kd.gram])
-            verdict = _restricted_definiteness(sym, odd)
-            neg = BilinearForm([kd.gram.scale(Fraction(-1))])
+            kd = _gram(kd_map, L.dim)
+            verdict = _restricted_definiteness(BilinearForm([kd]), odd)
+            neg = BilinearForm([kd.scale(Fraction(-1))])
             verdict_neg = _restricted_definiteness(neg, odd)
             out["kappa_D_definite_on_odd"] = (
                 verdict == "positive_definite" or verdict_neg == "positive_definite"

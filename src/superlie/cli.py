@@ -10,6 +10,7 @@ checks pass, 1 a mathematical check failed (defect certificate in the JSON),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -28,10 +29,10 @@ from .current import current_lsa
 from .lsa import LsaError
 from .serial import (
     SchemaError,
+    algebra_text,
     algebra_to_json,
     dumps_canonical,
     load_algebra,
-    save_algebra,
 )
 from .unirad import (
     UniradError,
@@ -87,13 +88,17 @@ def _parse_grassmann(text: str) -> int:
     return int(parts[1])
 
 
-def _emit(report, out_path: str | None):
-    """Write the report to out_path, then to stdout: a bad path is a usage
-    error with nothing on stdout."""
+def _write_out(out, text: str):
+    """Replace the contents of the --out file, which main opened for appending."""
+    out.truncate(0)
+    out.write(text)
+
+
+def _emit(report, out):
+    """Write the report to the open --out file, if any, then to stdout."""
     payload = dumps_canonical(report)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
+    if out is not None:
+        _write_out(out, payload)
     sys.stdout.write(payload)
 
 
@@ -136,8 +141,8 @@ def cmd_catalog_build(args) -> int:
         if failed:
             code = EXIT_CHECK_FAILED
     # --out writes a bare algebra file consumable by `superlie validate`
-    if args.out:
-        save_algebra(entry.algebra, args.out)
+    if args.out is not None:
+        _write_out(args.out, algebra_text(entry.algebra))
     _emit(report, None)
     return code
 
@@ -152,8 +157,8 @@ def cmd_current(args) -> int:
         "odd_dim": len(cur.algebra.odd_indices),
         "algebra": algebra_to_json(cur.algebra),
     }
-    if args.out:
-        save_algebra(cur.algebra, args.out)
+    if args.out is not None:
+        _write_out(args.out, algebra_text(cur.algebra))
     _emit(report, None)
     return EXIT_OK
 
@@ -428,7 +433,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # --out is opened before any work runs, so a path that cannot be
+        # written is refused at once; the command writes into it at the end
+        with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
+            args.out = out
+            return args.func(args)
     except (UsageError, SchemaError, CatalogError, AssocError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

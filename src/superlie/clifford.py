@@ -14,9 +14,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .assoc import _koszul_sign
-from .linalg import Matrix, Subspace, _identity_rows, solve_linear, sparse_kernel, symmetric_diagonalize
+from .linalg import (
+    Matrix,
+    SparseMatrix,
+    Subspace,
+    _canonical,
+    _identity_rows,
+    solve_linear,
+    sparse_kernel,
+    symmetric_diagonalize,
+)
 from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram, super_matrix_bracket
-from .scalars import Field, Scalar, zeta8
+from .scalars import Field, Scalar, squarefree_split, zeta8
 
 _I = Scalar.i()
 _ONE = Scalar.from_rational(1)
@@ -158,45 +167,33 @@ def clifford_algebra(mu_diag: Sequence[Fraction]) -> CliffordAlgebra:
 # -- gamma representations ----------------------------------------------------------
 
 
-def _pauli():
-    X = Matrix([[Scalar(), _ONE], [_ONE, Scalar()]])
-    Y = Matrix([[Scalar(), -_I], [_I, Scalar()]])
-    Z = Matrix([[_ONE, Scalar()], [Scalar(), -_ONE]])
-    return X, Y, Z
+# i^t for t mod 4, as Gaussian integers (re, im)
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _kron(A: Matrix, B: Matrix) -> Matrix:
-    out = []
-    for ra in A.rows:
-        for rb in B.rows:
-            out.append([a * b for a in ra for b in rb])
-    return Matrix(out)
+def _unit_gammas(n: int) -> list[SparseMatrix]:
+    """Standard Gamma_i with entries in {0, +-1, +-i}, as monomial maps.
 
-
-def _unit_gammas(n: int) -> tuple[list[Matrix], Matrix]:
-    """Standard Gamma_i with entries in {0, +-1, +-i}; also the chirality."""
-    X, Y, Z = _pauli()
+    On k = n // 2 qubits, qubit j at bit k - j, Gamma_{2j-1} = Z..Z X 1..1
+    and Gamma_{2j} = Z..Z Y 1..1; odd n appends the chirality Z..Z.  The
+    Pauli string (a, b) is i^{|a b|} X^a Z^b, with |x| the number of bits
+    set (Y = i XZ), so column c holds its one nonzero i^{|a b|} (-1)^{|b c|}
+    in row c ^ a.
+    """
     k = n // 2
-
-    def tensor_chain(factors):
-        M = factors[0]
-        for f in factors[1:]:
-            M = _kron(M, f)
-        return M
-
-    gammas = []
+    strings = []
     for j in range(1, k + 1):
-        for base in (X, Y):
-            factors = [Z] * (j - 1) + [base] + [_id2()] * (k - j)
-            gammas.append(tensor_chain(factors))
-    chirality = tensor_chain([Z] * k) if k else Matrix([[_ONE]])
-    if n % 2 == 1:
-        gammas.append(chirality)
-    return gammas, chirality
-
-
-def _id2() -> Matrix:
-    return Matrix([[_ONE, Scalar()], [Scalar(), _ONE]])
+        bit = 1 << (k - j)
+        zs = ((1 << k) - 1) ^ ((bit << 1) - 1)  # the Z's on qubits 1..j-1
+        strings += [(bit, zs), (bit, zs | bit)]
+    strings += [(0, (1 << k) - 1)] * (n % 2)
+    size = 1 << k
+    return [
+        SparseMatrix((size, size), {1: ({
+            (c ^ a, c): _I_POWERS[(bin(a & b).count("1") + 2 * bin(b & c).count("1")) % 4] for c in range(size)
+        }, 1)})
+        for a, b in strings
+    ]
 
 
 def _combination(size: int, terms) -> Matrix:
@@ -211,21 +208,29 @@ def _combination(size: int, terms) -> Matrix:
 
 
 class CliffordRep:
-    """Selfadjoint gamma matrices over the tower with their grading mask."""
+    """Selfadjoint gamma matrices over the tower with their grading mask.
 
-    __slots__ = ("mu_diag", "matrices", "space_dim", "grading")
+    The gammas are held as SparseMatrix values; matrices gives them as
+    dense Matrix values of Scalars.  The constructor takes either kind.
+    """
+
+    __slots__ = ("mu_diag", "gammas", "space_dim", "grading")
 
     def __init__(self, mu_diag, matrices, grading, validate: bool = True):
         self.mu_diag = tuple(Fraction(d) for d in mu_diag)
-        self.matrices = list(matrices)
-        self.space_dim = matrices[0].nrows
+        self.gammas = [M if isinstance(M, SparseMatrix) else SparseMatrix.from_dense(M) for M in matrices]
+        self.space_dim = self.gammas[0].shape[0]
         self.grading = tuple(grading)
         if validate:
             self.validate()
 
     @property
+    def matrices(self) -> list[Matrix]:
+        return [G.to_dense() for G in self.gammas]
+
+    @property
     def n(self) -> int:
-        return len(self.matrices)
+        return len(self.gammas)
 
     @property
     def graded(self) -> bool:
@@ -235,35 +240,26 @@ class CliffordRep:
         n = self.n
         size = self.space_dim
         for i in range(n):
-            gi = self.matrices[i]
+            gi = self.gammas[i]
             if gi.conj_transpose() != gi:
                 raise CliffordError(f"gamma_{i + 1} is not symmetric for the inner product")
             for j in range(i, n):
                 # gamma_i gamma_j + gamma_j gamma_i = 2 mu_i delta_ij
-                anti = super_matrix_bracket(gi, self.matrices[j], 1, 1).rows
                 two_mu = 2 * self.mu_diag[i] if i == j else 0
-                if any(anti[a][b] != (two_mu if a == b else 0) for a in range(size) for b in range(size)):
+                target = SparseMatrix.gaussian(size, {(a, a): (two_mu, 0) for a in range(size)})
+                if super_matrix_bracket(gi, self.gammas[j], 1, 1) != target:
                     raise CliffordError(f"anticommutation fails at ({i + 1},{j + 1})")
-            if self.graded:
-                for a in range(size):
-                    for b in range(size):
-                        if gi.rows[a][b] and self.grading[a] == self.grading[b]:
-                            raise CliffordError(f"gamma_{i + 1} is not odd for the grading")
+            if self.graded and any(self.grading[a] == self.grading[b] for a, b in gi.support):
+                raise CliffordError(f"gamma_{i + 1} is not odd for the grading")
 
     def field(self):
         """Smallest tower field containing every matrix entry."""
-        rads = set()
-        has_i = False
-        for M in self.matrices:
-            for row in M.rows:
-                for x in row:
-                    if isinstance(x, Scalar):
-                        rads |= x.radicands()
-                        has_i = has_i or any(e for (_, e) in x.terms())
+        rads = {m for G in self.gammas for m in G.parts if m > 1}
+        has_i = any(im for G in self.gammas for entries, _den in G.parts.values() for _re, im in entries.values())
         return Field(sorted(rads), has_i)
 
     def apply_vector(self, coords: Sequence) -> Matrix:
-        return _combination(self.space_dim, ((c, self.matrices[i]) for i, c in enumerate(coords) if c))
+        return _combination(self.space_dim, ((c, M) for c, M in zip(coords, self.matrices) if c))
 
     def __repr__(self):
         return f"CliffordRep(n={self.n}, dim {self.space_dim})"
@@ -272,9 +268,9 @@ class CliffordRep:
 def gamma_rep(mu_diag: Sequence[Fraction]) -> CliffordRep:
     """Irreducible selfadjoint representation of size 2^floor(n/2).
 
-    gamma_i = sqrt(d_i) * Gamma_i with unit gammas from the tensor-product
-    construction; odd n appends the chirality normalized to square +1.  For
-    even n the coordinate grading splits by the chirality sign and a parity
+    gamma_i = sqrt(d_i) * Gamma_i with the unit gammas of _unit_gammas;
+    odd n appends the chirality normalized to square +1.  For even n the
+    coordinate grading splits by the chirality sign (-1)^{|r|} and a parity
     reversed twin exists; for odd n the grading is trivial.
     """
     mu = [Fraction(d) for d in mu_diag]
@@ -283,15 +279,14 @@ def gamma_rep(mu_diag: Sequence[Fraction]) -> CliffordRep:
     if any(d <= 0 for d in mu):
         raise CliffordError("mu must have positive diagonal entries")
     n = len(mu)
-    unit, chirality = _unit_gammas(n)
     mats = []
-    for d, G in zip(mu, unit):
-        root = Scalar.sqrt_rational(d)
-        mats.append(Matrix([[root * x for x in row] for row in G.rows]))
-    if n % 2 == 0 and n > 0:
-        grading = [0 if chirality.rows[i][i] == _ONE else 1 for i in range(2 ** (n // 2))]
-    else:
-        grading = [0] * (2 ** (n // 2))
+    for d, G in zip(mu, _unit_gammas(n)):
+        # sqrt(p/q) = c sqrt(m) / q with pq = c^2 m, m squarefree
+        c, m = squarefree_split(d.numerator * d.denominator)
+        ((entries, _one),) = G.parts.values()
+        scaled = {key: (c * re, c * im) for key, (re, im) in entries.items()}
+        mats.append(SparseMatrix(G.shape, {m: _canonical(scaled, d.denominator)}))
+    grading = [bin(r).count("1") % 2 if n % 2 == 0 else 0 for r in range(2 ** (n // 2))]
     return CliffordRep(mu, mats, grading)
 
 
@@ -299,7 +294,7 @@ def parity_reversed(rep: CliffordRep) -> CliffordRep:
     """The twin with even and odd coordinates exchanged (even n only)."""
     if not rep.graded:
         raise CliffordError("odd generator count: the representation has no parity twin")
-    return CliffordRep(rep.mu_diag, rep.matrices, [1 - g for g in rep.grading])
+    return CliffordRep(rep.mu_diag, rep.gammas, [1 - g for g in rep.grading])
 
 
 def _split_complex_commutant(rep: CliffordRep, block: str) -> int:
@@ -311,7 +306,6 @@ def _split_complex_commutant(rep: CliffordRep, block: str) -> int:
     scaling sqrt(d_i) drops out of the equations.
     """
     size = rep.space_dim
-    unit, _ = _unit_gammas(rep.n)
     # cols[r][c] = (t, False) with X[r][c] = x[2t] + i x[2t + 1]
     cols: list[list] = [[None] * size for _ in range(size)]
     count = 0
@@ -321,24 +315,28 @@ def _split_complex_commutant(rep: CliffordRep, block: str) -> int:
             if block == "all" or same == (block == "diag"):
                 cols[r][c] = (count, False)
                 count += 1
-    # the nonzeros of each monomial unit gamma, by row and by column
-    by_row = [[[(k, v) for k, v in enumerate(row) if v] for row in G.rows] for G in unit]
-    by_col = [[[(k, v) for k, v in enumerate(col) if v] for col in zip(*G.rows)] for G in unit]
-
-    def groups(g: int, r: int, c: int):
-        """(X G - G X)[r][c] = sum_k X[r][k] G[k][c] - G[r][k] X[k][c]."""
-        return ((1, by_col[g][c], r, False), (-1, by_row[g][r], c, True))
-
-    triples = ((g, r, c) for g in range(len(unit)) for r in range(size) for c in range(size))
     rows = []
-    for row in _identity_rows(groups, triples, cols):
-        # v (x_re + i x_im) = (a x_re - b x_im) + i (b x_re + a x_im), v = a + i b
-        re, im = {}, {}
-        for t, v in row.items():
-            a, b = v.coeff(1, 0), v.coeff(1, 1)
-            re[2 * t], re[2 * t + 1] = a, -b
-            im[2 * t], im[2 * t + 1] = b, a
-        rows += [{k: x for k, x in part.items() if x} for part in (re, im)]
+    for G in _unit_gammas(rep.n):
+        # a unit gamma is a phase u + i v times a signed permutation: the
+        # identity runs on the int signs, and the phase returns at the split
+        ((entries, _one),) = G.parts.values()
+        u, v = next(iter(entries.values()))
+        by_row, by_col = [()] * size, [()] * size
+        for (k, c), (re, im) in entries.items():
+            sign = re * u + im * v
+            by_row[k], by_col[c] = ((c, sign),), ((k, sign),)
+
+        def groups(r: int, c: int):
+            """(X G - G X)[r][c] = sum_k X[r][k] G[k][c] - G[r][k] X[k][c]."""
+            return ((1, by_col[c], r, False), (-1, by_row[r], c, True))
+
+        for row in _identity_rows(groups, ((r, c) for r in range(size) for c in range(size)), cols):
+            # (u + i v) w (x_re + i x_im) = (u w x_re - v w x_im) + i (v w x_re + u w x_im)
+            re, im = {}, {}
+            for t, w in row.items():
+                re[2 * t], re[2 * t + 1] = u * w, -v * w
+                im[2 * t], im[2 * t + 1] = v * w, u * w
+            rows += [{k: x for k, x in part.items() if x} for part in (re, im)]
     ker = sparse_kernel(rows, 2 * count)
     if len(ker) % 2:
         raise CliffordError("commutant computation lost the complex structure")
@@ -540,15 +538,15 @@ def lambda_admissible_rep(N: CliffordLieSuperalgebra, lam: Sequence) -> LambdaRe
 def _verify_lambda_rep(rep: LambdaRep):
     L = rep.N.algebra
     n = L.dim
-    chis = rep.chis
+    maps = [SparseMatrix.from_dense(X) for X in rep.chis]
     for i in range(n):
         for j in range(i, n):
-            lhs = rep.chi(L.bracket_basis(i, j))
-            if lhs != super_matrix_bracket(chis[i], chis[j], L.parities[i], L.parities[j]):
+            lhs = SparseMatrix.from_dense(rep.chi(L.bracket_basis(i, j)))
+            if lhs != super_matrix_bracket(maps[i], maps[j], L.parities[i], L.parities[j]):
                 raise CliffordError(f"homomorphism contract fails at ({i},{j})")
     # unitarity: <chi(X)u, v> = <u, -i^{|X|} chi(X) v> for <u, v> = sum u conj(v)
     for i in range(n):
-        A = chis[i]
+        A = rep.chis[i]
         factor = -(_I if L.parities[i] else _ONE)
         B = Matrix([[factor * x for x in row] for row in A.rows])
         # condition: A^T = conj(B), i.e. conj_transpose(A) = B

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assoc import AssocSuperalgebra
-from .linalg import Matrix, Subspace, _table_product
+from .linalg import Matrix, _table_product
 from .lsa import Coordvec, LieSuperalgebra, LsaError
 
 
@@ -38,11 +38,6 @@ class Current:
         if self.A.z_degrees is None:
             raise LsaError("the A factor carries no Z-grading")
         return self.A.z_degrees[index // self.K.dim]
-
-    def degree_block(self, keep) -> Subspace:
-        """Span of slots whose A-degree satisfies the predicate."""
-        one = Fraction(1)
-        return Subspace(self.dim, ({idx: one} for idx in range(self.dim) if keep(self.a_degree(idx))))
 
 
 def current_lsa(A: AssocSuperalgebra, K: LieSuperalgebra) -> Current:

@@ -11,10 +11,16 @@ homogeneous systems go through the sparse integer eliminator
 shortest first and drops those its unit pivot rows {c: 1} already span;
 each kernel vector is back-solved over only the pivot rows it reaches.
 
-Matrix products visit nonzero entries only (`_sparse_products`, Gustavson's
-row-wise product) and give the values and entry types of a dense sum.
-Coordinate vectors multiply through a structure table {(i, j): {k: c}} in
-`_table_product` alone, on sparse vectors.
+Matrix realizations and gammas are `SparseMatrix` values: a short sum
+sum_m sqrt(m) U_m, each U_m a map {(r, c): (re, im)} of Gaussian integers
+over one denominator.  Their products (`_gaussian_products`), the
+supertrace pairing and `basis_coordinates` run on those integers alone, so
+the tower `Scalar` appears only where a dense `Matrix` is read in or
+printed.  Dense `Matrix` products visit nonzero entries only
+(`_sparse_products`, Gustavson's row-wise product) and give the values and
+entry types of a dense sum.  Coordinate vectors multiply through a
+structure table {(i, j): {k: c}} in `_table_product` alone, on sparse
+vectors.
 
 A linear identity on a bilinear map or an endomorphism X is written once,
 one index triple at a time, as term groups (s, entries, r, left): a sign, a
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .scalars import Scalar
@@ -169,10 +175,6 @@ class Subspace:
         self._echelon = echelon
         self._dense_rows = None
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -189,9 +191,6 @@ class Subspace:
 
     def reduce(self, vec) -> dict:
         return self._echelon.reduce(vec)
-
-    def reduce_vector(self, vec) -> Vector:
-        return _dense(self.reduce(vec), self.ambient_dim)
 
     def contains_vector(self, vec) -> bool:
         return self._echelon.contains(vec)
@@ -372,14 +371,6 @@ class Matrix:
     def conj_transpose(self) -> "Matrix":
         return Matrix([[_conj(x) for x in col] for col in zip(*self.rows)])
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
-
-    def apply(self, vec: Sequence) -> Vector:
-        return [
-            sum((a * x for a, x in zip(r, vec) if a and x), Fraction(0)) for r in self.rows
-        ]
-
     def column(self, j: int) -> Vector:
         return [r[j] for r in self.rows]
 
@@ -402,6 +393,144 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
+
+
+def _canonical(entries: dict, den: int) -> tuple[dict, int] | None:
+    """(entries, den) with zeros dropped and the common content stripped:
+    one form per value, so equal parts compare equal; None when all vanish."""
+    entries = {k: v for k, v in entries.items() if v[0] or v[1]}
+    if not entries:
+        return None
+    g = gcd(den, *(x for v in entries.values() for x in v))
+    if g == 1:
+        return entries, den
+    return {k: (re // g, im // g) for k, (re, im) in entries.items()}, den // g
+
+
+def _integral_part(entries: dict) -> tuple[dict, int] | None:
+    """_canonical of {(r, c): (re, im)} with rational re and im."""
+    den = lcm(*(Fraction(x).denominator for v in entries.values() for x in v))
+    return _canonical({k: (int(re * den), int(im * den)) for k, (re, im) in entries.items()}, den)
+
+
+class SparseMatrix:
+    """An exact matrix as a short sum sum_m sqrt(m) U_m over squarefree m.
+
+    parts[m] = (entries, den) holds U_m as a map {(r, c): (re, im)} of
+    nonzero Gaussian integers over one positive denominator, in the form of
+    _canonical: every tower matrix has one such sum, since the sqrt(m) are
+    linearly independent over Q(i).  A matrix over Q(i) is the part m = 1,
+    a scaled unit gamma sqrt(m) U the one part m.  Products run over the
+    nonzeros in integer pairs (Gustavson's row-wise scheme) and never touch
+    a tower Scalar; from_dense and to_dense convert at the edges.
+    """
+
+    __slots__ = ("shape", "parts")
+
+    def __init__(self, shape: tuple[int, int], parts: dict):
+        self.shape = shape
+        self.parts = parts
+
+    @classmethod
+    def gaussian(cls, n: int, entries: dict) -> "SparseMatrix":
+        """The n x n matrix over Q(i) with the rational entries {(r, c): (re, im)}."""
+        part = _integral_part(entries)
+        return cls((n, n), {1: part} if part else {})
+
+    @classmethod
+    def from_dense(cls, M: Matrix) -> "SparseMatrix":
+        """The matrix of a Matrix with Fraction, int or Scalar entries."""
+        raw: dict = {}  # m -> {(r, c): [re, im]}
+        for r, row in enumerate(M.rows):
+            for c, x in enumerate(row):
+                terms = x.terms().items() if isinstance(x, Scalar) else (((1, 0), x),) if x else ()
+                for (m, e), coef in terms:
+                    raw.setdefault(m, {}).setdefault((r, c), [0, 0])[e] = coef
+        parts = {m: _integral_part(raw[m]) for m in sorted(raw)}
+        return cls(M.shape, {m: part for m, part in parts.items() if part})
+
+    def to_dense(self) -> Matrix:
+        """The entries as tower Scalars, Scalar() off the support."""
+        terms: dict = {}
+        for m, (entries, den) in self.parts.items():
+            for key, (re, im) in entries.items():
+                terms.setdefault(key, {}).update({(m, 0): Fraction(re, den), (m, 1): Fraction(im, den)})
+        nrows, ncols = self.shape
+        return Matrix([[Scalar(terms.get((r, c))) for c in range(ncols)] for r in range(nrows)])
+
+    @property
+    def support(self) -> set:
+        return {key for entries, _den in self.parts.values() for key in entries}
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return self.shape == other.shape and self.parts == other.parts
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.shape[1] != other.shape[0]:
+            raise ValueError("shape mismatch in matrix product")
+        return _gaussian_products([(1, self, other)], (self.shape[0], other.shape[1]))
+
+    def conj_transpose(self) -> "SparseMatrix":
+        """The conjugate transpose; each sqrt(m) is real."""
+        parts = {m: ({(c, r): (re, -im) for (r, c), (re, im) in entries.items()}, den)
+                 for m, (entries, den) in self.parts.items()}
+        return SparseMatrix(self.shape[::-1], parts)
+
+
+def _part_pairs(terms):
+    """(s, m, g, (E, d), (F, e)) for each pair of parts sqrt(m1) E/d of X and
+    sqrt(m2) F/e of Y over the terms (s, X, Y): their product is
+    g sqrt(m) EF/(de) with g = gcd(m1, m2) and m = m1 m2 / g^2."""
+    for s, X, Y in terms:
+        for m1, E in X.parts.items():
+            for m2, F in Y.parts.items():
+                g = gcd(m1, m2)
+                yield s, (m1 // g) * (m2 // g), g, E, F
+
+
+def _gaussian_products(terms, shape: tuple[int, int]) -> SparseMatrix:
+    """The sum of s * X @ Y over the terms (s, X, Y), s = +1 or -1.
+
+    Each pair of parts (_part_pairs) multiplies row by row, a nonzero E[r][k]
+    meeting the nonzeros of F's row k only, in Gaussian integer pairs over
+    the lcm of the denominators.
+    """
+    pairs = list(_part_pairs(terms))
+    den = lcm(*(d * e for *_, (_E, d), (_F, e) in pairs))
+    acc: dict = {}  # m -> {(r, c): (re, im)}
+    for s, m, g, (E, d), (F, e) in pairs:
+        rows: dict = {}
+        for (k, c), v in F.items():
+            rows.setdefault(k, []).append((c, v))
+        out = acc.setdefault(m, {})
+        f = s * g * (den // (d * e))
+        for (r, k), (a, b) in E.items():
+            for c, (x, y) in rows.get(k, ()):
+                re, im = f * (a * x - b * y), f * (a * y + b * x)
+                old = out.get((r, c))
+                out[(r, c)] = (old[0] + re, old[1] + im) if old else (re, im)
+    parts = {m: _canonical(acc[m], den) for m in sorted(acc)}
+    return SparseMatrix(shape, {m: part for m, part in parts.items() if part})
+
+
+def supertrace_pairing(X: SparseMatrix, Y: SparseMatrix, signs: Sequence[int]) -> Fraction:
+    """sum_r signs[r] (XY)[r][r] = sum signs[r] X[r][k] Y[k][r] over the
+    nonzeros of X; ValueError unless the value is rational."""
+    acc: dict = {}  # m -> [re, im]
+    for _s, m, g, (E, d), (F, e) in _part_pairs([(1, X, Y)]):
+        tot = acc.setdefault(m, [Fraction(0), Fraction(0)])
+        for (r, k), (a, b) in E.items():
+            y = F.get((k, r))
+            if y:
+                f = Fraction(signs[r] * g, d * e)
+                tot[0] += f * (a * y[0] - b * y[1])
+                tot[1] += f * (a * y[1] + b * y[0])
+    re, im = acc.pop(1, (Fraction(0), 0))
+    if im or any(map(any, acc.values())):
+        raise ValueError("supertrace pairing is not a rational scalar")
+    return re
 
 
 def _sparse_products(terms, nrows: int, ncols: int) -> list[list]:
@@ -481,57 +610,41 @@ def _kernel(red: dict[int, dict], ncols: int) -> list[Vector]:
     return out
 
 
-def _flatten_keys(mats: Sequence[Matrix]) -> list[tuple[int, int, tuple[int, int]]]:
-    keys = set()
-    for M in mats:
-        for r in range(M.nrows):
-            for c in range(M.ncols):
-                x = M.rows[r][c]
-                if isinstance(x, Scalar):
-                    for key in x.terms():
-                        keys.add((r, c, key))
-                elif x:
-                    keys.add((r, c, (1, 0)))
-    return sorted(keys)
+def basis_coordinates(mats: Sequence[SparseMatrix]):
+    """Rational coordinates in a linearly independent family of sparse matrices.
 
-
-def _flatten(M: Matrix, idx: dict) -> dict | None:
-    """Sparse rational coordinates of M over the keyed columns; None off those keys."""
-    out = {}
-    for r, row in enumerate(M.rows):
-        for c, x in enumerate(row):
-            if isinstance(x, Scalar):
-                for key, coef in x.terms().items():
-                    pos = idx.get((r, c, key))
-                    if pos is None:
-                        return None
-                    out[pos] = coef
-            elif x:
-                pos = idx.get((r, c, (1, 0)))
-                if pos is None:
-                    return None
-                out[pos] = Fraction(x)
-    return out
-
-
-def basis_coordinates(mats: Sequence[Matrix]):
-    """Coordinates in a linearly independent family of exact matrices.
-
-    The family is written over the (row, column, tower monomial) keys of its
-    entries and reduced to echelon form once.  Returns a function mapping a
-    matrix to its coordinate list, or to None when the matrix lies outside
+    The family is written over the (row, column, radicand, re/im) keys of
+    its entries and reduced to echelon form once.  Returns a function mapping
+    a SparseMatrix to its coordinate list, or to None when it lies outside
     the span.  Raises ValueError when the family is linearly dependent.
     """
-    idx = {k: t for t, k in enumerate(_flatten_keys(mats))}
+    idx: dict = {}
+
+    def flat(M: SparseMatrix, grow: bool) -> dict | None:
+        out = {}
+        for m, (entries, den) in M.parts.items():
+            for (r, c), pair in entries.items():
+                for part, x in enumerate(pair):
+                    if x:
+                        key = (r, c, m, part)
+                        pos = idx.get(key)
+                        if pos is None:
+                            if not grow:
+                                return None
+                            pos = idx[key] = len(idx)
+                        out[pos] = Fraction(x, den)
+        return out
+
+    flats = [flat(M, True) for M in mats]
     nb = len(mats)
     width = len(idx)
     one = Fraction(1)
-    echelon = EchelonBuilder(width + nb, ({**_flatten(M, idx), width + i: one} for i, M in enumerate(mats)))
+    echelon = EchelonBuilder(width + nb, ({**v, width + i: one} for i, v in enumerate(flats)))
     if any(p >= width for p in echelon.rows):
         raise ValueError("matrices are linearly dependent")
 
-    def coords(M: Matrix) -> Vector | None:
-        v = _flatten(M, idx)
+    def coords(M: SparseMatrix) -> Vector | None:
+        v = flat(M, False)
         if v is None:
             return None
         v = echelon.reduce(v)
@@ -624,26 +737,6 @@ def definiteness_with_witness(G: Matrix):
 def definiteness(G: Matrix) -> str:
     """The verdict of definiteness_with_witness."""
     return definiteness_with_witness(G)[0]
-
-
-def det(M: Matrix):
-    """Determinant by fraction-free (Bareiss) elimination with row swaps."""
-    a = [list(r) for r in M.rows]
-    n = len(a)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
 
 
 # -- sparse integer elimination ------------------------------------------

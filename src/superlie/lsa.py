@@ -20,23 +20,24 @@ from typing import Iterable, Sequence
 from .linalg import (
     EchelonBuilder,
     Matrix,
+    SparseMatrix,
     Subspace,
     _as_sparse,
     _axpy,
     _dense,
     _entries,
     _first_violation,
+    _gaussian_products,
     _integral_table,
     _preimages,
-    _sparse_products,
     _table_product,
     basis_coordinates,
     is_graded,
     quotient_table,
     sparse_kernel,
+    supertrace_pairing,
 )
 from .linalg import kernel as dense_kernel
-from .scalars import Scalar
 
 Coordvec = dict[int, Fraction]
 
@@ -55,11 +56,12 @@ class ValidationError(LsaError):
 
 
 class MatrixRealization:
-    """Matrix model attached to an abstract algebra (for supertrace forms)."""
+    """Matrix model attached to an abstract algebra (for supertrace forms):
+    one SparseMatrix per basis element."""
 
     __slots__ = ("mats", "block_sizes")
 
-    def __init__(self, mats: Sequence[Matrix], block_sizes: tuple[int, int]):
+    def __init__(self, mats: Sequence[SparseMatrix], block_sizes: tuple[int, int]):
         self.mats = list(mats)
         self.block_sizes = block_sizes
 
@@ -174,9 +176,6 @@ class LieSuperalgebra:
                             f"graded Jacobi fails on ({self.names[i]},{self.names[j]},{self.names[k]})",
                         )
 
-    def export_structure_constants(self) -> dict[tuple[int, int], Coordvec]:
-        return {key: dict(val) for key, val in self.brackets.items() if val}
-
     def __repr__(self):
         ne = len(self.even_indices)
         no = len(self.odd_indices)
@@ -216,15 +215,15 @@ def make_lsa(
 # -- matrix-basis ingestion ------------------------------------------------
 
 
-def super_matrix_bracket(X: Matrix, Y: Matrix, px: int, py: int) -> Matrix:
+def super_matrix_bracket(X: SparseMatrix, Y: SparseMatrix, px: int, py: int) -> SparseMatrix:
     """XY - (-1)^{|X||Y|} YX of two square matrices, in one sparse accumulation."""
-    if X.shape != Y.shape or X.nrows != X.ncols:
+    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ValueError("super bracket needs square matrices of one size")
     sign = 1 if (px and py) else -1
-    return Matrix(_sparse_products([(1, X, Y), (sign, Y, X)], X.nrows, X.ncols))
+    return _gaussian_products([(1, X, Y), (sign, Y, X)], X.shape)
 
 
-def _check_homogeneous(mats: Sequence[Matrix], parities: Sequence[int], block_sizes: tuple[int, int], names):
+def _check_homogeneous(mats: Sequence[SparseMatrix], parities: Sequence[int], block_sizes: tuple[int, int], names):
     """Each matrix is (p+q) x (p+q) with its nonzero entries in the blocks of
     its declared parity: the diagonal blocks if even, the off-diagonal if odd."""
     p, q = block_sizes
@@ -233,14 +232,15 @@ def _check_homogeneous(mats: Sequence[Matrix], parities: Sequence[int], block_si
     for M, par, name in zip(mats, parities, names):
         if M.shape != (size, size):
             raise LsaError(f"matrix {name} is not {size}x{size}, as block sizes {block_sizes} ask")
-        for r, c in _entries(M):
-            if mpar[r] ^ mpar[c] != par:
-                kind = "odd" if par else "even"
-                raise LsaError(f"matrix {name} is declared {kind} but has a nonzero entry at ({r},{c})")
+        bad = [(r, c) for r, c in M.support if mpar[r] ^ mpar[c] != par]
+        if bad:
+            kind = "odd" if par else "even"
+            r, c = min(bad)
+            raise LsaError(f"matrix {name} is declared {kind} but has a nonzero entry at ({r},{c})")
 
 
 def from_matrix_basis(
-    mats: Sequence[Matrix],
+    mats: Sequence[Matrix | SparseMatrix],
     parities: Sequence[int],
     block_sizes: tuple[int, int],
     names: Sequence[str] | None = None,
@@ -248,13 +248,15 @@ def from_matrix_basis(
     """Abstract algebra from a real matrix basis closed under the super bracket.
 
     Structure constants are the exact rational coordinates of the matrix
-    brackets in the given basis; the realization is kept on the result.
-    Checked: each matrix is block-homogeneous of its declared parity, the
-    basis is linearly independent and every bracket has coordinates in it.
-    Then the table is that of a sub-superalgebra of gl(p|q), where graded
-    Jacobi and super antisymmetry hold, so no sweep runs: the pairs i > j
-    are filled by antisymmetry, which is exact for homogeneous matrices.
+    brackets in the given basis, dense Matrix values read into SparseMatrix;
+    the realization is kept on the result.  Checked: each matrix is
+    block-homogeneous of its declared parity, the basis is linearly
+    independent and every bracket has coordinates in it.  Then the table is
+    that of a sub-superalgebra of gl(p|q), where graded Jacobi and super
+    antisymmetry hold, so no sweep runs: the pairs i > j are filled by
+    antisymmetry, which is exact for homogeneous matrices.
     """
+    mats = [M if isinstance(M, SparseMatrix) else SparseMatrix.from_dense(M) for M in mats]
     nb = len(mats)
     if names is None:
         names = [f"E{i + 1}" for i in range(nb)]
@@ -278,7 +280,7 @@ def from_matrix_basis(
                     table[(i, j)] = {t: sign * c for t, c in upper.items()}
                 continue
             B = super_matrix_bracket(mats[i], mats[j], parities[i], parities[j])
-            if not B.is_zero():
+            if B.parts:
                 coords = coords_of(B)
                 if coords is None:
                     raise LsaError(f"bracket ({names[i]},{names[j]}) leaves the span of the basis")
@@ -381,23 +383,9 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
     elif kind == "supertrace":
         if L.realization is None:
             raise LsaError("supertrace form needs a matrix realization")
-        par = L.realization.matrix_parities
+        signs = [-1 if p else 1 for p in L.realization.matrix_parities]
         mats = L.realization.mats
-        # str(XY) = sum (-1)^{p_r} X[r][k] Y[k][r] over the nonzeros of X
-        entries = [_entries(X).items() for X in mats]
-        rows = []
-        for i in range(n):
-            row = []
-            for Y in mats:
-                val = Fraction(0)
-                for (r, k), x in entries[i]:
-                    y = Y.rows[k][r]
-                    if y:
-                        val = val - x * y if par[r] else val + x * y
-                if isinstance(val, Scalar):
-                    val = val.as_fraction()
-                row.append(Fraction(val))
-            rows.append(row)
+        rows = [[supertrace_pairing(X, Y, signs) for Y in mats] for X in mats]
         B = BilinearForm([Matrix(rows)])
     else:
         raise LsaError(f"unknown form kind {kind!r}")

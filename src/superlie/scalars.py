@@ -422,18 +422,6 @@ class Field:
                     frontier.append(m)
         return frozenset(closed)
 
-    def degree_over_q(self) -> int:
-        return len(self._closure()) * (2 if self.includes_i else 1)
-
-    def contains_scalar(self, s: Scalar) -> bool:
-        closed = self._closure()
-        for (r, e), _ in s.terms().items():
-            if e and not self.includes_i:
-                return False
-            if r not in closed:
-                return False
-        return True
-
     def contains(self, other: "Field") -> bool:
         if other.includes_i and not self.includes_i:
             return False

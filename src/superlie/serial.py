@@ -22,9 +22,12 @@ class SchemaError(ValueError):
 
 
 def scalar_to_str(x) -> str:
+    """format_scalar's string; an int or Fraction formats as "p" or "p/q" directly."""
     if isinstance(x, Scalar):
         return format_scalar(x)
-    return format_scalar(Scalar.from_rational(x))
+    if not x:
+        return "0"  # one shared string for the many zeros of a dense report
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def str_to_scalar(s: str):
@@ -44,10 +47,6 @@ def vector_from_json(items) -> list:
 
 def matrix_to_json(M: Matrix) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in M.rows]
-
-
-def matrix_from_json(rows) -> Matrix:
-    return Matrix([[str_to_scalar(x) for x in row] for row in rows])
 
 
 def algebra_to_json(L: LieSuperalgebra) -> dict:
@@ -115,10 +114,14 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
     return make_lsa(names, parities, table)
 
 
+def algebra_text(L: LieSuperalgebra) -> str:
+    """The text of the algebra file of L."""
+    return json.dumps(algebra_to_json(L), sort_keys=True, indent=2) + "\n"
+
+
 def save_algebra(L: LieSuperalgebra, path: str):
     with open(path, "w") as fh:
-        json.dump(algebra_to_json(L), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(algebra_text(L))
 
 
 def load_algebra(path: str) -> LieSuperalgebra:

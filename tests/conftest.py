@@ -4,7 +4,7 @@ import pytest
 
 from superlie.assoc import AssocSuperalgebra
 from superlie.cohomology import Cocycle2, _derivation_identity
-from superlie.linalg import Matrix
+from superlie.linalg import Matrix, _dense
 from superlie.lsa import LieSuperalgebra, from_matrix_basis, make_lsa
 from superlie.scalars import Scalar
 
@@ -51,6 +51,22 @@ def derivation_sweep(L, parity):
     terms, _ = _derivation_identity(L, parity, ())
     n = L.dim
     return terms, [(i, j, m) for i in range(n) for j in range(i, n) for m in range(n)]
+
+
+def apply(M, vec):
+    """M v for a dense Matrix M and a dense vector v."""
+    return [sum((a * x for a, x in zip(r, vec) if a and x), Fraction(0)) for r in M.rows]
+
+
+def reduce_vector(S, vec):
+    """vec minus its part along the Subspace S, as a dense list."""
+    return _dense(S.reduce(vec), S.ambient_dim)
+
+
+def contains_scalar(field, s):
+    """Whether every tower monomial of the Scalar s lies in the Field."""
+    closed = field._closure()
+    return all((not e or field.includes_i) and r in closed for (r, e) in s.terms())
 
 
 def sc(q=0, i=0):

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from conftest import abelian, derivation_sweep, odd_heisenberg, su2_cyclic
+from conftest import abelian, apply, derivation_sweep, odd_heisenberg, su2_cyclic
 from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon
 from test_lsa import scaled_form
 from test_sparse_oracles import dense_gram_of_vector
@@ -57,6 +57,7 @@ from superlie.current import current_lsa
 from superlie.linalg import (
     Matrix,
     SparseEliminator,
+    SparseMatrix,
     Subspace,
     _entries,
     _first_violation,
@@ -1158,7 +1159,7 @@ def dense_derivation_witness(L, D, parity):
     n = L.dim
     for i in range(n):
         for j in range(i, n):
-            lhs = D.apply(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            lhs = apply(D, L.bracket(L.basis_vector(i), L.basis_vector(j)))
             s = Fraction(-1) if (parity and L.parities[i]) else Fraction(1)
             rhs = L.bracket(D.column(i), L.basis_vector(j))
             t2 = L.bracket(L.basis_vector(i), D.column(j))
@@ -1173,7 +1174,7 @@ def dense_centroid_witness(L, S):
     n = L.dim
     for i in range(n):
         for j in range(n):
-            lhs = S.apply(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+            lhs = apply(S, L.bracket(L.basis_vector(i), L.basis_vector(j)))
             rhs = L.bracket(S.column(i), L.basis_vector(j))
             if lhs != rhs:
                 return (i, j, first_difference(lhs, rhs))
@@ -1383,8 +1384,8 @@ def per_element_split_by_star(L, kappa, space, sign):
         if not basis:
             continue
         basis = [_gram(X, L.dim) for X in basis]
-        coords = basis_coordinates(basis)
-        action = [coords(star(L, kappa, M)) for M in basis]
+        coords = basis_coordinates([SparseMatrix.from_dense(M) for M in basis])
+        action = [coords(SparseMatrix.from_dense(star(L, kappa, M))) for M in basis]
         assert None not in action
         nb = len(basis)
         rows = [[action[c][r] - Fraction(sign) * Fraction(r == c) for c in range(nb)] for r in range(nb)]
@@ -1424,7 +1425,10 @@ def test_split_by_star_matches_per_element_star(identity_entry):
                 assert list(X) == sorted(X) and all(type(x) is Fraction and x for x in X.values())
     # a matrix unit whose star is no multiple of it spans no star-stable space
     units = [Matrix([[Fraction((i, j) == (0, b)) for j in range(L.dim)] for i in range(L.dim)]) for b in range(L.dim)]
-    E = next(E for E in units if basis_coordinates([E])(star(L, kappa, E)) is None)
+    E = next(
+        E for E in units
+        if basis_coordinates([SparseMatrix.from_dense(E)])(SparseMatrix.from_dense(star(L, kappa, E))) is None
+    )
     with pytest.raises(CohomologyError, match="not star-stable"):
         split_by_star(L, kappa, EndSpace([_entries(E)]), 1)
 

@@ -7,14 +7,21 @@ import pytest
 from conftest import odd_heisenberg, su2_cyclic
 from superlie.catalog import build_catalog
 from superlie.cli import main
-from superlie.scalars import Scalar
+from superlie.linalg import Matrix
+from superlie.scalars import Scalar, format_scalar
 from superlie.serial import (
     SchemaError,
     algebra_from_json,
     algebra_to_json,
-    matrix_from_json,
     matrix_to_json,
+    scalar_to_str,
+    str_to_scalar,
 )
+
+
+def matrix_from_json(rows):
+    """The Matrix of a matrix_to_json list of scalar string rows."""
+    return Matrix([[str_to_scalar(x) for x in row] for row in rows])
 
 
 def test_algebra_roundtrip_bit_exact():
@@ -43,6 +50,14 @@ def test_matrix_roundtrip_with_tower_scalars():
         rows.append(row)
     M = Matrix(rows)
     assert matrix_from_json(matrix_to_json(M)) == M
+
+
+def test_rationals_format_as_their_tower_scalars():
+    values = [0, 1, -1, 7, -12, 10**20 + 1] + [
+        Fraction(sign * num, den) for sign in (1, -1) for num in range(0, 13) for den in range(1, 13)
+    ]
+    for x in values:
+        assert scalar_to_str(x) == format_scalar(Scalar.from_rational(x))
 
 
 def test_schema_error_names_path():
@@ -300,3 +315,33 @@ def test_star_import_resolves_every_public_name():
     exec("from superlie import *", namespace)
     assert len(set(superlie.__all__)) == len(superlie.__all__)
     assert [name for name in superlie.__all__ if name not in namespace] == []
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_cli_out_is_opened_before_any_work(monkeypatch, capsys, tmp_path, where):
+    import superlie.cli
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify_cor1 ran before --out was opened")
+
+    monkeypatch.setattr(superlie.cli, "verify_cor1", refuse)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    argv = ["cohomology", "verify-cor1", "--A", "grassmann:4", "--k", "catalog:su_n:2", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert ("Is a directory" if where == "directory" else "No such file or directory") in lines[0]
+
+
+def test_cli_out_gets_the_report(capsys, tmp_path):
+    out = tmp_path / "h2.json"
+    out.write_text("an older and longer report\n" * 100)
+    assert main(["cohomology", "h2", "--k", "catalog:su_n:2", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert out.read_text() == report
+    # a run that fails after --out was opened leaves the file as it was
+    assert main(["cohomology", "h2", "--k", "catalog:su_n:2", "--max-dim", "0", "--out", str(out)]) == 2
+    assert main(["cohomology", "h2", "--k", "catalog:nofam:2", "--out", str(out)]) == 2
+    assert out.read_text() == report

@@ -53,6 +53,7 @@ from superlie.current import current_lsa
 from superlie.linalg import (
     EchelonBuilder,
     Matrix,
+    SparseMatrix,
     _dense,
     _entries,
     _first_violation,
@@ -64,6 +65,7 @@ from superlie.linalg import (
     basis_coordinates,
     solve_linear,
     sparse_kernel,
+    supertrace_pairing,
 )
 from superlie.linalg import kernel as dense_kernel
 from superlie.lsa import (
@@ -114,10 +116,11 @@ def dense_supertrace(M, parities):
 
 def dense_supertrace_gram(L):
     par = L.realization.matrix_parities
+    mats = [M.to_dense() for M in L.realization.mats]
     rows = []
-    for X in L.realization.mats:
+    for X in mats:
         row = []
-        for Y in L.realization.mats:
+        for Y in mats:
             val = dense_supertrace(dense_matmul(X, Y), par)
             if isinstance(val, Scalar):
                 val = val.as_fraction()
@@ -223,6 +226,18 @@ def assert_same_entries(got, want):
         assert r == s
 
 
+def assert_same_map(got, want):
+    """A SparseMatrix against a dense oracle: the same canonical map and the
+    same value in every entry (a SparseMatrix has no entry types)."""
+    assert got.shape == want.shape
+    assert got == SparseMatrix.from_dense(want)
+    assert got.to_dense() == want
+
+
+def sparse(M):
+    return SparseMatrix.from_dense(M)
+
+
 # -- products ------------------------------------------------------------------
 
 
@@ -247,11 +262,13 @@ def test_products_match_dense_on_catalog_realizations(realizations):
     assert len(realizations) == 10  # pq(3) is a quotient of q(3)
     for L in realizations.values():
         mats, par = L.realization.mats, L.parities
+        dense = [M.to_dense() for M in mats]
         for i, j in product(range(L.dim), repeat=2):
-            X, Y = mats[i], mats[j]
+            X, Y = dense[i], dense[j]
             assert_same_entries(X @ Y, dense_matmul(X, Y))
-            assert_same_entries(
-                super_matrix_bracket(X, Y, par[i], par[j]), dense_super_bracket(X, Y, par[i], par[j])
+            assert_same_map(mats[i] @ mats[j], dense_matmul(X, Y))
+            assert_same_map(
+                super_matrix_bracket(mats[i], mats[j], par[i], par[j]), dense_super_bracket(X, Y, par[i], par[j])
             )
         assert_same_entries(build_form(L, "supertrace").gram, dense_supertrace_gram(L))
 
@@ -260,12 +277,13 @@ def all_pairs_table(L):
     """Structure constants of L's matrix basis from the dense super bracket
     of every ordered pair, in row-major order."""
     mats, par = L.realization.mats, L.parities
+    dense = [M.to_dense() for M in mats]
     coords_of = basis_coordinates(mats)
     table = {}
     for i, j in product(range(L.dim), repeat=2):
-        B = dense_super_bracket(mats[i], mats[j], par[i], par[j])
+        B = dense_super_bracket(dense[i], dense[j], par[i], par[j])
         if not B.is_zero():
-            table[(i, j)] = {t: c for t, c in enumerate(coords_of(B)) if c}
+            table[(i, j)] = {t: c for t, c in enumerate(coords_of(sparse(B))) if c}
     return table
 
 
@@ -282,11 +300,12 @@ def test_matrix_builds_match_all_pairs_table(realizations):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_products_match_dense_on_clifford_gammas(n):
-    gammas = gamma_rep([Fraction(m) for m in range(1, n + 1)]).matrices
-    for X, Y in product(gammas, repeat=2):
+    rep = gamma_rep([Fraction(m) for m in range(1, n + 1)])
+    for (X, S), (Y, T) in product(zip(rep.matrices, rep.gammas), repeat=2):
         assert_same_entries(X @ Y, dense_matmul(X, Y))
+        assert_same_map(S @ T, dense_matmul(X, Y))
         for px, py in ((0, 0), (0, 1), (1, 1)):
-            assert_same_entries(super_matrix_bracket(X, Y, px, py), dense_super_bracket(X, Y, px, py))
+            assert_same_map(super_matrix_bracket(S, T, px, py), dense_super_bracket(X, Y, px, py))
 
 
 def random_sparse(rng, m, n, tower=False):
@@ -310,18 +329,59 @@ def test_products_match_dense_on_random_sparse_matrices():
         m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         X, Y = random_sparse(rng, m, k, tower), random_sparse(rng, k, n, tower)
         assert_same_entries(X @ Y, dense_matmul(X, Y))
+        assert_same_map(sparse(X) @ sparse(Y), dense_matmul(X, Y))
         S, T = random_sparse(rng, m, m, tower), random_sparse(rng, m, m, tower)
         for px, py in ((0, 0), (1, 0), (1, 1)):
-            assert_same_entries(super_matrix_bracket(S, T, px, py), dense_super_bracket(S, T, px, py))
+            assert_same_map(super_matrix_bracket(sparse(S), sparse(T), px, py), dense_super_bracket(S, T, px, py))
     # empty shapes: a matrix with no rows has no columns either
     for X, Y in ((Matrix([]), Matrix([])), (Matrix([[], [], []]), Matrix([]))):
         assert_same_entries(X @ Y, dense_matmul(X, Y))
-    assert_same_entries(super_matrix_bracket(Matrix([]), Matrix([]), 1, 1), Matrix([]))
+        assert_same_map(sparse(X) @ sparse(Y), dense_matmul(X, Y))
+    assert_same_map(super_matrix_bracket(sparse(Matrix([])), sparse(Matrix([])), 1, 1), Matrix([]))
     X, Y = random_sparse(rng, 2, 3), random_sparse(rng, 2, 3)
     with pytest.raises(ValueError, match="shape mismatch"):
         X @ Y
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sparse(X) @ sparse(Y)
     with pytest.raises(ValueError, match="square"):
-        super_matrix_bracket(X, Y, 0, 0)
+        super_matrix_bracket(sparse(X), sparse(Y), 0, 0)
+
+
+def random_tower(rng, n, radicands):
+    """n x n, entries mostly zero, each a sum of (a + b i) sqrt(m) over a few
+    of the radicands, with small rational a and b."""
+
+    def entry():
+        if rng.random() < 0.5:
+            return Scalar()
+        terms = {}
+        for m in rng.sample(radicands, rng.randint(1, len(radicands))):
+            for e in (0, 1):
+                terms[(m, e)] = Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+        return Scalar(terms)
+
+    return Matrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_sparse_bracket_matches_dense_on_gaussian_and_mixed_radicands():
+    rng = random.Random(17)
+    for trial in range(200):
+        radicands = [1] if trial % 2 == 0 else [1, 2, 3, 6]
+        n = rng.randint(1, 5)
+        S, T = random_tower(rng, n, radicands), random_tower(rng, n, radicands)
+        assert sparse(S).to_dense() == S
+        assert sparse(S).conj_transpose() == sparse(S.conj_transpose())
+        assert_same_map(sparse(S) @ sparse(T), dense_matmul(S, T))
+        for px, py in ((0, 0), (1, 0), (1, 1)):
+            assert_same_map(super_matrix_bracket(sparse(S), sparse(T), px, py), dense_super_bracket(S, T, px, py))
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        P = dense_matmul(S, T)
+        want = sum((signs[r] * P.rows[r][r] for r in range(n)), Scalar())
+        if want.is_rational():
+            assert supertrace_pairing(sparse(S), sparse(T), signs) == want.as_fraction()
+        else:
+            with pytest.raises(ValueError, match="not a rational scalar"):
+                supertrace_pairing(sparse(S), sparse(T), signs)
 
 
 # -- table products ----------------------------------------------------------------

@@ -180,7 +180,7 @@ def commutant_rows(rep, block):
     """The real and imaginary rows of the Clifford commutant system, built
     from per-term generators: (rows, ncols)."""
     size = rep.space_dim
-    unit, _ = _unit_gammas(rep.n)
+    unit = [G.to_dense() for G in _unit_gammas(rep.n)]
     columns = {}
     for r in range(size):
         for c in range(size):
