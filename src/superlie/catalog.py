@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import Cocycle2, _kappa_map, centroid, h2_dim, is_coboundary, is_derivation
-from .linalg import Matrix, SparseMatrix, Subspace, _dense, _gram, basis_coordinates, definiteness, supertrace_pairing
+from .linalg import Matrix, SparseMatrix, Subspace, _dense, basis_coordinates, definiteness, supertrace_pairing
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
@@ -241,8 +241,10 @@ def _descend(family: str, pre: CatalogEntry, delta: SparseMatrix, d_parity: int)
     def lift(vec) -> list:
         return _dense(project(vec), quo.dim)
 
-    G = pre.form.gram.rows
-    form = BilinearForm([Matrix([[G[i][j] for j in keep] for i in keep])])
+    pos = {i: a for a, i in enumerate(keep)}
+    form = BilinearForm(quo.dim, [
+        {(pos[i], pos[j]): x for (i, j), x in pre.form.entries.items() if i in pos and j in pos}
+    ])
     form.declared_parity = form_parity(quo, form)
     mats = L.realization.mats
     coords = basis_coordinates(mats)
@@ -389,9 +391,10 @@ def _q_n_data(n: int):
     return mats, names, parities, a_range, b_range, b_index
 
 
-def _pq_form_gram(L: LieSuperalgebra, n: int) -> Matrix:
-    """kappa(X, Y) = tr(a b') + tr(a' b) read off the block realization,
-    where X has the upper-left block a and the upper-right block (1 - i) b."""
+def _pq_form_gram(L: LieSuperalgebra, n: int) -> dict:
+    """The sparse map of kappa(X, Y) = tr(a b') + tr(a' b) read off the block
+    realization, where X has the upper-left block a and the upper-right
+    block (1 - i) b."""
     blocks = []
     for M in L.realization.mats:
         entries, den = M.parts.get(1, ({}, 1))
@@ -401,10 +404,11 @@ def _pq_form_gram(L: LieSuperalgebra, n: int) -> Matrix:
              for (r, c), (x, y) in entries.items() if r < n <= c}
         blocks.append((_mat(n, a), _mat(n, b)))
     ones = [1] * n
-    return Matrix([
-        [supertrace_pairing(ai, bj, ones) + supertrace_pairing(aj, bi, ones) for aj, bj in blocks]
-        for ai, bi in blocks
-    ])
+    pairs = (
+        (i, j, supertrace_pairing(ai, bj, ones) + supertrace_pairing(aj, bi, ones))
+        for i, (ai, bi) in enumerate(blocks) for j, (aj, bj) in enumerate(blocks)
+    )
+    return {(i, j): x for i, j, x in pairs if x}
 
 
 def build_q_n(n: int) -> CatalogEntry:
@@ -412,7 +416,7 @@ def build_q_n(n: int) -> CatalogEntry:
         raise CatalogError("q_n needs n >= 2")
     mats, names, parities, a_range, b_range, _bi = _q_n_data(n)
     algebra = from_matrix_basis(mats, parities, (n, n), names=names)
-    form = BilinearForm([_pq_form_gram(algebra, n)])
+    form = BilinearForm(algebra.dim, [_pq_form_gram(algebra, n)])
     form.declared_parity = form_parity(algebra, form)
     components = {
         "a_part": _range_subspace(algebra.dim, a_range),
@@ -529,14 +533,10 @@ def special_elements(entry: CatalogEntry) -> dict:
 # -- machine-checked facts --------------------------------------------------------
 
 
-def _restricted_definiteness(form: BilinearForm, sub: Subspace) -> str:
+def _restricted_definiteness(form: BilinearForm, sub: Subspace, sign: int = 1) -> str:
+    """The definiteness verdict of sign * form on the echelon basis of sub."""
     basis = sub.basis_matrix()
-    k = len(basis)
-    G = [[None] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            G[a][b] = form.eval(basis[a], basis[b])[0]
-    return definiteness(Matrix(G))
+    return definiteness(Matrix([[sign * form.eval(x, y)[0] for y in basis] for x in basis]))
 
 
 def verify_catalog_facts(entry: CatalogEntry) -> dict:
@@ -577,11 +577,8 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         sub = entry.components.get(comp_name)
         if sub is None or sub.dim == 0:
             continue
-        if comp_name == neg_name:
-            expected, form = "negative", BilinearForm([entry.form.gram.scale(Fraction(-1))])
-        else:
-            expected, form = "positive", entry.form
-        got = _restricted_definiteness(form, sub) == "positive_definite"
+        expected, sign = ("negative", -1) if comp_name == neg_name else ("positive", 1)
+        got = _restricted_definiteness(entry.form, sub, sign) == "positive_definite"
         out[f"form_{expected}_definite_on_{comp_name}"] = got
 
     # outer derivation: vanishes on the even part and kappa_D is not a coboundary
@@ -589,16 +586,15 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         D, dp = entry.outer_derivation
         out["D_is_derivation"] = is_derivation(L, D, dp)
         out["D_vanishes_on_even"] = all(L.parities[b] for _a, b in D)
-        kd_map = _kappa_map(D, entry.form.gram)
+        kd_map = _kappa_map(D, entry.form.entries)
         out["D_kappa_skew"] = _symmetry_witness(L.parities, -1, kd_map) is None
         omega = Cocycle2(L, [kd_map], validate=True)
         out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
         if entry.family == "pq_n":
             odd = Subspace(L.dim, ({i: Fraction(1)} for i in L.odd_indices))
-            kd = _gram(kd_map, L.dim)
-            verdict = _restricted_definiteness(BilinearForm([kd]), odd)
-            neg = BilinearForm([kd.scale(Fraction(-1))])
-            verdict_neg = _restricted_definiteness(neg, odd)
+            kd = BilinearForm(L.dim, [kd_map])
+            verdict = _restricted_definiteness(kd, odd)
+            verdict_neg = _restricted_definiteness(kd, odd, -1)
             out["kappa_D_definite_on_odd"] = (
                 verdict == "positive_definite" or verdict_neg == "positive_definite"
             )

@@ -4,7 +4,7 @@ Subcommands: validate, catalog build, current, cohomology z2|h2|verify-cor1,
 urad verify|faithful|pointed, clifford gamma|rep, report all.  Output is
 deterministic JSON (sorted keys, canonical scalars).  Exit codes: 0 all
 checks pass, 1 a mathematical check failed (defect certificate in the JSON),
-2 usage or schema error.
+2 usage or schema error, or an input beyond a cap.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .clifford import (
     lambda_admissible_rep,
     seeded_clifford_lie,
 )
-from .cohomology import DEFAULT_DIM_CAP, CohomologyError, b2_space, verify_cor1, z2_space
+from .cohomology import DEFAULT_DIM_CAP, CohomologyError, DimensionCapError, b2_space, verify_cor1, z2_space
 from .current import current_lsa
 from .lsa import LsaError
 from .serial import (
@@ -270,7 +270,7 @@ def cmd_clifford(args) -> int:
             "quotient_dim": rep.mu.quotient_dim,
             "space_dim": rep.space_dim,
             "grading": list(rep.grading),
-            "chi": rep.chis,
+            "chi": [X.to_dense() for X in rep.chis],
         }
         _emit(report, args.out)
         return EXIT_OK
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
         with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
             args.out = out
             return args.func(args)
-    except (UsageError, SchemaError, CatalogError, AssocError) as exc:
+    except (UsageError, SchemaError, CatalogError, AssocError, DimensionCapError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (LsaError, CohomologyError, UniradError) as exc:

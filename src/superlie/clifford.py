@@ -5,6 +5,9 @@ antiautomorphism and spinor norm; exact gamma representations of size
 2^floor(n/2) over the field tower; Clifford--Lie superalgebras with the
 half-bracket form, its radical, and representations where the even part
 acts by i*lambda with verified homomorphism and unitarity contracts.
+Gammas and the chis of a representation are linalg.SparseMatrix values,
+so the contracts run on sparse maps; a dense Matrix is built for the
+positivity check, which diagonalizes, and for printing.
 """
 
 from __future__ import annotations
@@ -25,10 +28,7 @@ from .linalg import (
     symmetric_diagonalize,
 )
 from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram, super_matrix_bracket
-from .scalars import Field, Scalar, squarefree_split, zeta8
-
-_I = Scalar.i()
-_ONE = Scalar.from_rational(1)
+from .scalars import Scalar, squarefree_split, zeta8
 
 PRODUCT_TABLE_CAP = 12
 
@@ -196,17 +196,6 @@ def _unit_gammas(n: int) -> list[SparseMatrix]:
     ]
 
 
-def _combination(size: int, terms) -> Matrix:
-    """sum c * M over the pairs (c, M), entries starting at Scalar()."""
-    out = [[Scalar() for _ in range(size)] for _ in range(size)]
-    for c, M in terms:
-        for a, row in enumerate(M.rows):
-            for b, v in enumerate(row):
-                if v:
-                    out[a][b] = out[a][b] + c * v
-    return Matrix(out)
-
-
 class CliffordRep:
     """Selfadjoint gamma matrices over the tower with their grading mask.
 
@@ -252,14 +241,9 @@ class CliffordRep:
             if self.graded and any(self.grading[a] == self.grading[b] for a, b in gi.support):
                 raise CliffordError(f"gamma_{i + 1} is not odd for the grading")
 
-    def field(self):
-        """Smallest tower field containing every matrix entry."""
-        rads = {m for G in self.gammas for m in G.parts if m > 1}
-        has_i = any(im for G in self.gammas for entries, _den in G.parts.values() for _re, im in entries.values())
-        return Field(sorted(rads), has_i)
-
-    def apply_vector(self, coords: Sequence) -> Matrix:
-        return _combination(self.space_dim, ((c, M) for c, M in zip(coords, self.matrices) if c))
+    def apply_vector(self, coords: Sequence) -> SparseMatrix:
+        """sum c_k gamma_k for rational coordinates c."""
+        return SparseMatrix.combination(self.gammas[0].shape, ((c, G) for c, G in zip(coords, self.gammas) if c))
 
     def __repr__(self):
         return f"CliffordRep(n={self.n}, dim {self.space_dim})"
@@ -470,7 +454,8 @@ def mu_lambda(N: CliffordLieSuperalgebra, lam: Sequence) -> MuLambdaResult:
 
 
 class LambdaRep:
-    """chi: n -> matrices with even part acting by the scalar i * lambda."""
+    """chi: n -> matrices with even part acting by the scalar i * lambda;
+    chis holds chi of each basis element as a SparseMatrix."""
 
     __slots__ = ("N", "lam", "mu", "rep", "space_dim", "grading", "chis")
 
@@ -483,41 +468,31 @@ class LambdaRep:
         self.grading = rep.grading if rep is not None else (0,)
         self.chis = [self.chi_basis(i) for i in range(N.algebra.dim)]
 
-    def chi_basis(self, i: int) -> Matrix:
+    def chi_basis(self, i: int) -> SparseMatrix:
+        """i lambda_i 1 for even i; zeta8 gamma(xbar) for odd i, with zeta8 =
+        sqrt(2) (1 + i)/2 the one part of radicand 2."""
         L = self.N.algebra
         size = self.space_dim
         if L.parities[i] == 0:
-            c = _I * self.lam[i]
-            return Matrix(
-                [[c if a == b else Scalar() for b in range(size)] for a in range(size)]
-            )
-        odd = L.odd_indices
-        pos = odd.index(i)
-        coords = self._quotient_coords([Fraction(t == pos) for t in range(len(odd))])
+            return SparseMatrix.gaussian(size, {(a, a): (0, self.lam[i]) for a in range(size)})
         if self.rep is None:
-            return Matrix([[Scalar()]])
-        base = self.rep.apply_vector(coords)
-        z8 = zeta8()
-        return Matrix([[z8 * x for x in row] for row in base.rows])
+            return SparseMatrix((1, 1), {})
+        z8 = SparseMatrix((size, size), {2: ({(a, a): (1, 1) for a in range(size)}, 2)})
+        return z8 @ self.rep.apply_vector(self._quotient_coords(L.odd_indices.index(i)))
 
-    def chi(self, vec: Coordvec) -> Matrix:
+    def chi(self, vec: Coordvec) -> SparseMatrix:
         """chi of a sparse vector {basis index: coefficient}."""
-        return _combination(self.space_dim, ((c, self.chis[k]) for k, c in vec.items()))
+        shape = (self.space_dim, self.space_dim)
+        return SparseMatrix.combination(shape, ((c, self.chis[k]) for k, c in vec.items()))
 
-    def _quotient_coords(self, odd_coords: Sequence) -> list:
-        """Coordinates of the image in the diagonalized quotient basis."""
-        out = []
-        G = self.mu.gram
-        for b_vec, d in zip(self.mu.diag_basis, self.mu.diag_values):
-            # mu(x, b) / d, exact since the diagonal basis is mu-orthogonal
-            val = Fraction(0)
-            for a, xa in enumerate(odd_coords):
-                if xa:
-                    for bidx, bb in enumerate(b_vec):
-                        if bb and G.rows[a][bidx]:
-                            val += xa * bb * G.rows[a][bidx]
-            out.append(val / d)
-        return out
+    def _quotient_coords(self, pos: int) -> list:
+        """Coordinates of the odd basis element pos in the diagonalized
+        quotient basis: mu(x, b) / d, exact since that basis is mu-orthogonal."""
+        row = self.mu.gram.rows[pos]
+        return [
+            sum((x * bb for x, bb in zip(row, b_vec) if x and bb), Fraction(0)) / d
+            for b_vec, d in zip(self.mu.diag_basis, self.mu.diag_values)
+        ]
 
 
 def lambda_admissible_rep(N: CliffordLieSuperalgebra, lam: Sequence) -> LambdaRep:
@@ -537,30 +512,27 @@ def lambda_admissible_rep(N: CliffordLieSuperalgebra, lam: Sequence) -> LambdaRe
 
 def _verify_lambda_rep(rep: LambdaRep):
     L = rep.N.algebra
-    n = L.dim
-    maps = [SparseMatrix.from_dense(X) for X in rep.chis]
-    for i in range(n):
-        for j in range(i, n):
-            lhs = SparseMatrix.from_dense(rep.chi(L.bracket_basis(i, j)))
-            if lhs != super_matrix_bracket(maps[i], maps[j], L.parities[i], L.parities[j]):
+    chis = rep.chis
+    for i in range(L.dim):
+        for j in range(i, L.dim):
+            lhs = rep.chi(L.bracket_basis(i, j))
+            if lhs != super_matrix_bracket(chis[i], chis[j], L.parities[i], L.parities[j]):
                 raise CliffordError(f"homomorphism contract fails at ({i},{j})")
-    # unitarity: <chi(X)u, v> = <u, -i^{|X|} chi(X) v> for <u, v> = sum u conj(v)
-    for i in range(n):
-        A = rep.chis[i]
-        factor = -(_I if L.parities[i] else _ONE)
-        B = Matrix([[factor * x for x in row] for row in A.rows])
-        # condition: A^T = conj(B), i.e. conj_transpose(A) = B
-        if A.transpose() != Matrix([[x.conjugate() for x in row] for row in B.rows]):
+    # unitarity: <chi(X)u, v> = <u, -i^{|X|} chi(X) v> for <u, v> = sum u conj(v),
+    # i.e. conj_transpose(chi(X)) = -i^{|X|} chi(X)
+    for i, A in enumerate(chis):
+        factor = (0, -1) if L.parities[i] else -1
+        if A.conj_transpose() != SparseMatrix.combination(A.shape, [(factor, A)]):
             raise CliffordError(f"unitarity contract fails at basis {i}")
     # radical elements act by zero
     odd = L.odd_indices
     for r in rep.mu.radical.sparse_rows:
-        if not rep.chi({odd[t]: c for t, c in r.items()}).is_zero():
+        if rep.chi({odd[t]: c for t, c in r.items()}).parts:
             raise CliffordError("a radical element fails to act by zero")
     # -i chi([x,x]) is PSD for every odd basis x
     for i in odd:
-        H = Matrix([[(-_I) * x for x in row] for row in rep.chi(L.bracket_basis(i, i)).rows])
-        if not hermitian_psd(H):
+        X = rep.chi(L.bracket_basis(i, i))
+        if not hermitian_psd(SparseMatrix.combination(X.shape, [((0, -1), X)]).to_dense()):
             raise CliffordError(f"-i chi([x,x]) fails positivity at odd basis {i}")
 
 

@@ -5,11 +5,11 @@ verifier for the structure theorem on 2-cocycles of current algebras.
 All solvers run on exact sparse integer eliminations; cocycle spaces
 decompose by the parity of basis pairs, so kernels come out
 parity-homogeneous without extra work.
-Endomorphisms and 2-cochains are sparse maps {(a, b): X[a][b]} with keys in
-row-major order; only star and lemma_basic_report, the lemma's dense route,
-take an endomorphism as a Matrix.  The star condition T* = sign T is read
-as graded (skew)symmetry of kappa_T, the identity lsa._symmetry_groups that
-also checks every cocycle.
+Endomorphisms, 2-cochains and forms are sparse maps {(a, b): X[a][b]} with
+keys in row-major order; only star and lemma_basic_report, the lemma's dense
+route, take an endomorphism as a Matrix.  The star condition T* = sign T is
+read as graded (skew)symmetry of kappa_T, the identity lsa._symmetry_groups
+that also checks every cocycle.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .lsa import (
     Coordvec,
     LieSuperalgebra,
     _invariance_groups,
+    _radical,
     _symmetry_groups,
     _symmetry_witness,
     form_parity,
@@ -55,6 +56,10 @@ DEFAULT_DIM_CAP = 48
 
 class CohomologyError(ValueError):
     pass
+
+
+class DimensionCapError(CohomologyError):
+    """An algebra beyond the 2-cocycle solver cap: a refused input, not a failed check."""
 
 
 # -- endomorphism subspaces --------------------------------------------------
@@ -234,14 +239,16 @@ def star(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> Matrix:
     return G.transpose().inverse() @ Matrix(signed)
 
 
-def _kappa_map(T: dict, G: Matrix) -> dict:
-    """kappa_T as a sparse map {(i, j): kappa(T e_i, e_j)} = sum_a T[a, i] G[a][j],
-    row-major, with G the gram of kappa and T a sparse map."""
-    nonzero = [[(j, g) for j, g in enumerate(row) if g] for row in G.rows]
+def _kappa_map(T: dict, kappa: dict) -> dict:
+    """kappa_T as a sparse map {(i, j): kappa(T e_i, e_j)} = sum_a T[a, i] kappa[a, j],
+    row-major, for the sparse maps T and kappa (a scalar form's entries)."""
+    rows: dict = {}  # a -> [(j, kappa[a, j])], j ascending
+    for (a, j), g in kappa.items():
+        rows.setdefault(a, []).append((j, g))
     acc: dict = {}
     zero = Fraction(0)
     for (a, i), t in T.items():
-        for j, g in nonzero[a]:
+        for j, g in rows.get(a, ()):
             acc[(i, j)] = acc.get((i, j), zero) + t * g
     return {key: acc[key] for key in sorted(acc) if acc[key]}
 
@@ -258,10 +265,9 @@ def split_by_star(
     if sign not in (1, -1):
         raise CohomologyError("sign must be +1 or -1")
     out_even, out_odd = [], []
-    G = kappa.gram
-    n = L.dim
+    G = kappa.entries
     # an empty space stars nothing, so kappa is not tested for it
-    if space.dim and G.rank() < n:
+    if space.dim and _radical(kappa).dim:
         raise CohomologyError("kappa is degenerate, so star is not defined")
     for parity, basis in ((0, space.even), (1, space.odd)):
         if not basis:
@@ -286,7 +292,7 @@ def split_by_star(
 
 def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: dict) -> BilinearForm:
     """The bilinear form (x, y) -> kappa(Tx, y) of the sparse map T."""
-    B = BilinearForm([_gram(_kappa_map(T, kappa.gram), L.dim)])
+    B = BilinearForm(L.dim, [_kappa_map(T, kappa.entries)])
     B.declared_parity = form_parity(L, B)
     return B
 
@@ -304,7 +310,7 @@ def _derivation_invariant(
     form_report(L, kappa).  None unless _invariance_testable."""
     if not _invariance_testable(kappa, rep):
         return None
-    G = kappa.gram
+    G = kappa.entries
     return all(_symmetry_witness(L.parities, -1, _kappa_map(D, G)) is None for D, _dp in der.members())
 
 
@@ -322,7 +328,7 @@ def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_par
     kt = kappa_T(L, kappa, X)
     rep = form_report(L, kt)
     Tstar = star(L, kappa, T)
-    cocycle_ok = _cocycle_witness(L, _entries(kt.gram)) is None
+    cocycle_ok = _cocycle_witness(L, kt.entries) is None
     return {
         "kappa_T_supersymmetric": rep["supersymmetric"],
         "T_star_eq_T": Tstar == T,
@@ -569,7 +575,7 @@ def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> Iterator[dict
 def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
     """Pair coordinates of L; refuses L beyond the 2-cocycle solver cap."""
     if L.dim > max_dim:
-        raise CohomologyError(f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}")
+        raise DimensionCapError(f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}")
     return PairBasis(L)
 
 
@@ -807,7 +813,7 @@ def eta_cocycle(
         raise CohomologyError(
             f"eta needs D to be a derivation: derivation rule fails at {_at(K.names, w)}"
         )
-    kd = _kappa_map(D, kappa.gram)  # kd[i, j] = kappa(D e_i, e_j)
+    kd = _kappa_map(D, kappa.entries)  # kd[i, j] = kappa(D e_i, e_j)
     if _symmetry_witness(K.parities, -1, kd) is not None:
         raise CohomologyError("eta needs D kappa-skew (D in der_-)")
     maps = []
@@ -841,7 +847,7 @@ def xi_cocycle(
         raise CohomologyError(
             f"xi needs S in the centroid: centroid rule fails at {_at(K.names, w)}"
         )
-    ks = _kappa_map(S, kappa.gram)
+    ks = _kappa_map(S, kappa.entries)
     if _symmetry_witness(K.parities, 1, ks) is not None:
         raise CohomologyError("xi needs S kappa-symmetric (S in cent_+)")
     for F in F_list:

@@ -11,12 +11,14 @@ homogeneous systems go through the sparse integer eliminator
 shortest first and drops those its unit pivot rows {c: 1} already span;
 each kernel vector is back-solved over only the pivot rows it reaches.
 
-Matrix realizations and gammas are `SparseMatrix` values: a short sum
-sum_m sqrt(m) U_m, each U_m a map {(r, c): (re, im)} of Gaussian integers
-over one denominator.  Their products (`_gaussian_products`), the
-supertrace pairing and `basis_coordinates` run on those integers alone, so
-the tower `Scalar` appears only where a dense `Matrix` is read in or
-printed.  Dense `Matrix` products visit nonzero entries only
+Matrix realizations, gammas and the chis of a Clifford representation are
+`SparseMatrix` values: a short sum sum_m sqrt(m) U_m, each U_m a map
+{(r, c): (re, im)} of Gaussian integers over one denominator.  Their
+products (`_gaussian_products`), the supertrace pairing and
+`basis_coordinates` run on those integers alone and their rational or
+Gaussian combinations (`SparseMatrix.combination`) on rationals, so the
+tower `Scalar` appears only where a dense `Matrix` is read in, diagonalized
+or printed.  Dense `Matrix` products visit nonzero entries only
 (`_sparse_products`, Gustavson's row-wise product) and give the values and
 entry types of a dense sum.  Coordinate vectors multiply through a
 structure table {(i, j): {k: c}} in `_table_product` alone, on sparse
@@ -30,8 +32,10 @@ readers take the groups: `_identity_rows` builds the constraint rows of a
 solver from an n x n list of columns, and `_group_sums` evaluates them on a
 given map; `_first_violation` checks the map with it, visiting only the
 triples the support of X reaches (`_preimages`).  Both read X as a sparse
-map {(a, b): x} of its nonzero entries: a 2-cochain is held that way from
-the start, and a `Matrix` is read through `_entries`.
+map {(a, b): x} of its nonzero entries, the form in which 2-cochains,
+endomorphisms and bilinear forms are held from the start; `_entries` reads
+a `Matrix` given as input into one, and `_gram` builds the dense matrix
+back for printing.
 """
 
 from __future__ import annotations
@@ -388,9 +392,6 @@ class Matrix:
         zero = Fraction(0)
         return Matrix([[red[i].get(n + j, zero) for j in range(n)] for i in range(n)])
 
-    def rank(self) -> int:
-        return EchelonBuilder(self.ncols, self.rows).dim
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
@@ -471,6 +472,22 @@ class SparseMatrix:
         if self.shape[1] != other.shape[0]:
             raise ValueError("shape mismatch in matrix product")
         return _gaussian_products([(1, self, other)], (self.shape[0], other.shape[1]))
+
+    @classmethod
+    def combination(cls, shape: tuple[int, int], terms) -> "SparseMatrix":
+        """sum c M over the pairs (c, M), each c rational or a Gaussian
+        rational (re, im), summed in rationals per radicand."""
+        acc: dict = {}  # m -> {(r, c): (re, im)}
+        for coef, M in terms:
+            u, v = coef if isinstance(coef, tuple) else (coef, 0)
+            for m, (entries, den) in M.parts.items():
+                out = acc.setdefault(m, {})
+                for key, (a, b) in entries.items():
+                    re, im = Fraction(u * a - v * b, den), Fraction(u * b + v * a, den)
+                    old = out.get(key)
+                    out[key] = (old[0] + re, old[1] + im) if old else (re, im)
+        parts = {m: _integral_part(acc[m]) for m in sorted(acc)}
+        return cls(shape, {m: part for m, part in parts.items() if part})
 
     def conj_transpose(self) -> "SparseMatrix":
         """The conjugate transpose; each sqrt(m) is real."""

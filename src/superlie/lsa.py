@@ -6,7 +6,10 @@ generation.  make_lsa (files, user tables) runs the full sweep;
 from_matrix_basis, current_lsa, central_extension and quotient_lsa are valid
 by construction, build with validate=False and check only what they add (a
 matrix basis is checked for block-homogeneity, independence and closure; a
-quotient checks that its ideal is graded and closed under brackets).
+quotient checks that its ideal is graded and closed under brackets).  A
+bilinear form holds one sparse map {(a, b): B(e_a, e_b)} per value
+component, which its flags, its radical and the cocycle families read; its
+dense grams are built only to print or to diagonalize.
 Everything is immutable after construction and purely functional, so
 operations are safe to run concurrently.
 """
@@ -28,6 +31,7 @@ from .linalg import (
     _entries,
     _first_violation,
     _gaussian_products,
+    _gram,
     _integral_table,
     _preimages,
     _table_product,
@@ -292,43 +296,48 @@ def from_matrix_basis(
 
 
 class BilinearForm:
-    """Exact bilinear form on an algebra, scalar- or vector-valued."""
+    """Exact bilinear form on an algebra of dimension dim, scalar- or
+    vector-valued: one sparse map {(a, b): B_c(e_a, e_b)} per value
+    component c, nonzero entries with keys row-major, as Cocycle2 holds its
+    components.  gram and grams build the dense matrices anew on each read."""
 
-    __slots__ = ("grams", "value_parities", "declared_parity")
+    __slots__ = ("dim", "components", "value_parities", "declared_parity")
 
-    def __init__(self, grams: Sequence[Matrix], value_parities: Sequence[int] | None = None):
-        self.grams = tuple(grams)
-        self.value_parities = tuple(value_parities) if value_parities is not None else (0,) * len(self.grams)
+    def __init__(self, dim: int, components: Sequence[dict], value_parities: Sequence[int] | None = None):
+        self.dim = dim
+        self.components = tuple(components)
+        self.value_parities = tuple(value_parities) if value_parities is not None else (0,) * len(self.components)
         self.declared_parity = None  # set by form_report / build_form
 
     @property
     def value_dim(self) -> int:
-        return len(self.grams)
+        return len(self.components)
+
+    @property
+    def entries(self) -> dict:
+        """The sparse map of a scalar form."""
+        if len(self.components) != 1:
+            raise LsaError("scalar gram requested from a vector-valued form")
+        return self.components[0]
 
     @property
     def gram(self) -> Matrix:
-        if len(self.grams) != 1:
-            raise LsaError("scalar gram requested from a vector-valued form")
-        return self.grams[0]
+        return _gram(self.entries, self.dim)
+
+    @property
+    def grams(self) -> tuple[Matrix, ...]:
+        return tuple(_gram(F, self.dim) for F in self.components)
 
     def eval(self, u: Sequence, v: Sequence) -> list:
         out = []
-        for G in self.grams:
+        for F in self.components:
             total = Fraction(0)
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                row = G.rows[i]
-                for j, b in enumerate(v):
-                    if b and row[j]:
-                        total = total + a * row[j] * b
+            for (i, j), x in F.items():
+                a, b = u[i], v[j]
+                if a and b:
+                    total = total + a * x * b
             out.append(total)
         return out
-
-    def stacked_gram_rows(self) -> list[list]:
-        """Rows of the map x -> B(x, .), all value components side by side."""
-        n = self.grams[0].nrows
-        return [[G.rows[i][j] for G in self.grams for j in range(n)] for i in range(n)]
 
 
 def odd_square_gram(L: LieSuperalgebra, lam: Sequence) -> Matrix:
@@ -340,22 +349,14 @@ def odd_square_gram(L: LieSuperalgebra, lam: Sequence) -> Matrix:
 
 
 def form_parity(L: LieSuperalgebra, B: BilinearForm) -> str:
-    even_ok = True
-    odd_ok = True
-    for G, vp in zip(B.grams, B.value_parities):
-        for i, j in _entries(G):
-            pair = (L.parities[i] + L.parities[j]) % 2
-            if pair != vp % 2:
-                even_ok = False
-            if pair != (vp + 1) % 2:
-                odd_ok = False
-    if even_ok and odd_ok:
-        return "even"  # zero form, vacuously homogeneous
-    if even_ok:
+    """"even" or "odd" when every entry pairs basis elements whose parities
+    add up to its value parity, or to its value parity + 1; a zero form is
+    even.  "mixed" otherwise."""
+    par = L.parities
+    shifts = {(par[i] + par[j] + vp) % 2 for F, vp in zip(B.components, B.value_parities) for i, j in F}
+    if shifts <= {0}:
         return "even"
-    if odd_ok:
-        return "odd"
-    return "mixed"
+    return "odd" if shifts == {1} else "mixed"
 
 
 def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> BilinearForm:
@@ -364,31 +365,32 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
     if kind == "custom":
         if gram is None:
             raise LsaError("custom form needs a gram matrix")
-        B = BilinearForm([gram])
+        F = _entries(gram)
     elif kind == "killing":
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        F = {}
         for i in range(n):
             for j in range(i, n):
+                # str(ad e_i ad e_j) = sum_k (-1)^{|k|} sum_m [e_i, e_m]_k [e_j, e_k]_m
                 tot = Fraction(0)
                 for k in range(n):
-                    cjk = L.bracket_basis(j, k)
-                    for m, c in cjk.items():
-                        cim = L.bracket_basis(i, m)
-                        coef = cim.get(k)
+                    for m, c in L.bracket_basis(j, k).items():
+                        coef = L.bracket_basis(i, m).get(k)
                         if coef:
                             tot += (-c * coef) if L.parities[k] else (c * coef)
-                rows[i][j] = tot
-                rows[j][i] = tot if not (L.parities[i] and L.parities[j]) else -tot
-        B = BilinearForm([Matrix(rows)])
+                if tot:
+                    F[(i, j)] = tot
+                    F[(j, i)] = tot if not (L.parities[i] and L.parities[j]) else -tot
+        F = dict(sorted(F.items()))
     elif kind == "supertrace":
         if L.realization is None:
             raise LsaError("supertrace form needs a matrix realization")
         signs = [-1 if p else 1 for p in L.realization.matrix_parities]
         mats = L.realization.mats
-        rows = [[supertrace_pairing(X, Y, signs) for Y in mats] for X in mats]
-        B = BilinearForm([Matrix(rows)])
+        pairs = ((i, j, supertrace_pairing(X, Y, signs)) for i, X in enumerate(mats) for j, Y in enumerate(mats))
+        F = {(i, j): x for i, j, x in pairs if x}
     else:
         raise LsaError(f"unknown form kind {kind!r}")
+    B = BilinearForm(n, [F])
     B.declared_parity = form_parity(L, B)
     return B
 
@@ -431,19 +433,25 @@ def _symmetry_witness(parities: Sequence[int], sign: int, F: dict) -> tuple | No
     return _first_violation(partial(_symmetry_groups, parities, sign), pairs, F)
 
 
+def _radical(B: BilinearForm) -> Subspace:
+    """{x : B(x, .) = 0}: the kernel of one sparse row {a: F[a, b]} over x
+    per value component F and column b."""
+    rows: dict = {}
+    for c, F in enumerate(B.components):
+        for (a, b), x in F.items():
+            rows.setdefault((c, b), {})[a] = x
+    return Subspace(B.dim, dense_kernel(rows.values(), B.dim))
+
+
 def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     """Exact flags: supersymmetric, skew, invariant, parity, nondegenerate,
     radical."""
-    n = L.dim
-    maps = [_entries(G) for G in B.grams]
+    maps = B.components
     supersym = all(_symmetry_witness(L.parities, 1, F) is None for F in maps)
     skew = all(_symmetry_witness(L.parities, -1, F) is None for F in maps)
     pre = _preimages(L.brackets, sorted_pairs=False)
     invariant = all(_invariance_witness(L, F, pre) is None for F in maps)
-    stacked = B.stacked_gram_rows()
-    # radical = {x : B(x, .) = 0}: kernel of the stacked rows viewed as a map on x
-    rad_vectors = dense_kernel(list(map(list, zip(*stacked))), n)
-    radical = Subspace(n, rad_vectors)
+    radical = _radical(B)
     return {
         "supersymmetric": supersym,
         "skew": skew,

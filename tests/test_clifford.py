@@ -11,6 +11,7 @@ from superlie.clifford import (
     CliffordRep,
     _split_complex_commutant,
     _unit_gammas,
+    _verify_lambda_rep,
     clifford_algebra,
     clifford_lie,
     commutant_dimension,
@@ -23,8 +24,9 @@ from superlie.clifford import (
     phase_adjust,
     seeded_clifford_lie,
 )
-from superlie.linalg import Matrix, sparse_kernel, symmetric_diagonalize
-from superlie.scalars import Scalar, zeta8
+from superlie.linalg import Matrix, SparseMatrix, sparse_kernel, symmetric_diagonalize
+from superlie.scalars import Field, Scalar, zeta8
+from superlie.serial import matrix_to_json
 
 
 def frac(x):
@@ -159,13 +161,20 @@ def test_gamma_rep_dimensions_and_relations():
         assert rep.space_dim == 2 ** (n // 2)
 
 
+def rep_field(rep):
+    """Smallest tower field containing every entry of the gammas of rep."""
+    rads = {m for G in rep.gammas for m in G.parts if m > 1}
+    has_i = any(im for G in rep.gammas for entries, _den in G.parts.values() for _re, im in entries.values())
+    return Field(sorted(rads), has_i)
+
+
 def test_gamma_rep_scaled():
     rep = gamma_rep([frac(2), frac(3)])
     g1 = rep.matrices[0]
     sq = g1 @ g1
     assert sq.rows[0][0] == Scalar.from_rational(2)
     # the field is extended exactly by the needed square roots
-    f = rep.field()
+    f = rep_field(rep)
     assert f.includes_i
     assert contains_scalar(f, Scalar.sqrt_rational(6))
     assert not contains_scalar(f, Scalar.sqrt_rational(5))
@@ -235,16 +244,16 @@ def test_one_dim_odd_rep_is_zeta8_root():
     N = clifford_lie(1, 1, [Matrix([[frac(2)]])])
     rep = lambda_admissible_rep(N, [frac(1), frac(0)])
     # chi(x) = zeta8 * sqrt(mu(x,x)) with mu(x,x) = 1
-    assert rep.chi_basis(1).rows[0][0] == zeta8()
+    assert rep.chi_basis(1).to_dense().rows[0][0] == zeta8()
     sq = rep.chi_basis(1) @ rep.chi_basis(1)
-    assert sq.rows[0][0] == Scalar.i()  # = i lambda([x,x]) / 2 * ... exactly i here
+    assert sq.to_dense().rows[0][0] == Scalar.i()  # = i lambda([x,x]) / 2 * ... exactly i here
 
 
 def test_zero_lambda_rep():
     N = clifford_lie(1, 1, [Matrix([[frac(2)]])])
     rep = lambda_admissible_rep(N, [frac(0), frac(0)])
     assert rep.mu.quotient_dim == 0
-    assert not any(any(r) for r in rep.chi_basis(1).rows)
+    assert not any(any(r) for r in rep.chi_basis(1).to_dense().rows)
 
 
 def test_seeded_reps_all_contracts():
@@ -253,6 +262,56 @@ def test_seeded_reps_all_contracts():
         N, lam = seeded_clifford_lie(seed)
         rep = lambda_admissible_rep(N, lam)
         assert rep.space_dim == 2 ** (rep.mu.quotient_dim // 2)
+
+
+def dense_chi(rep, i):
+    """Oracle: the dense chi of basis i, summed in tower Scalars: i lambda_i 1
+    if even, zeta8 sum_k c_k gamma_k if odd."""
+    L = rep.N.algebra
+    size = rep.space_dim
+    if L.parities[i] == 0:
+        c = Scalar.i() * rep.lam[i]
+        return Matrix([[c if a == b else Scalar() for b in range(size)] for a in range(size)])
+    if rep.rep is None:
+        return Matrix([[Scalar()]])
+    # quotient coordinates mu(x, b) / d in the mu-orthogonal basis
+    G = rep.mu.gram.rows[L.odd_indices.index(i)]
+    coords = [sum((g * x for g, x in zip(G, b)), Fraction(0)) / d for b, d in zip(rep.mu.diag_basis, rep.mu.diag_values)]
+    out = [[Scalar() for _ in range(size)] for _ in range(size)]
+    for c, M in zip(coords, rep.rep.matrices):
+        for a, row in enumerate(M.rows):
+            for b, v in enumerate(row):
+                if c and v:
+                    out[a][b] = out[a][b] + c * v
+    z8 = zeta8()
+    return Matrix([[z8 * x for x in row] for row in out])
+
+
+def one_sign_mutant(M):
+    """M with the sign of its first entry flipped."""
+    m, (entries, den) = next(iter(M.parts.items()))
+    key, (re, im) = next(iter(entries.items()))
+    return SparseMatrix(M.shape, {**M.parts, m: ({**entries, key: (-re, -im)}, den)})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_chis_match_dense_chis(seed):
+    N, lam = seeded_clifford_lie(seed)
+    rep = lambda_admissible_rep(N, lam)
+    for i, X in enumerate(rep.chis):
+        want = dense_chi(rep, i)
+        assert X.to_dense() == want
+        assert matrix_to_json(X.to_dense()) == matrix_to_json(want)
+    # a one-sign mutant of any nonzero chi breaks a contract
+    nonzero = [i for i, X in enumerate(rep.chis) if X.parts]
+    assert nonzero and any(N.algebra.parities[i] for i in nonzero)
+    for i in nonzero:
+        X = rep.chis[i]
+        rep.chis[i] = one_sign_mutant(X)
+        with pytest.raises(CliffordError):
+            _verify_lambda_rep(rep)
+        rep.chis[i] = X
+    _verify_lambda_rep(rep)
 
 
 def test_clifford_lie_rejects_noncentral():

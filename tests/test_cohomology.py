@@ -5,13 +5,14 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import abelian, apply, derivation_sweep, odd_heisenberg, su2_cyclic
 from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon
-from test_lsa import scaled_form
-from test_sparse_oracles import dense_gram_of_vector
+from test_lsa import dense_invariant, scaled_form
+from test_sparse_oracles import CATALOG_BUILDS, assert_same_entries, dense_gram_of_vector, dense_supertrace_gram
 from test_term_groups import cocycle_terms, hochschild_terms, pair_coeff, skew_terms, term_rows
 from superlie.assoc import grassmann
 from superlie.cohomology import (
@@ -55,6 +56,7 @@ from superlie.cohomology import (
 )
 from superlie.current import current_lsa
 from superlie.linalg import (
+    EchelonBuilder,
     Matrix,
     SparseEliminator,
     SparseMatrix,
@@ -65,10 +67,11 @@ from superlie.linalg import (
     _identity_rows,
     _to_int_row,
     basis_coordinates,
+    definiteness,
     sparse_kernel,
 )
 from superlie.linalg import kernel as dense_kernel
-from superlie.catalog import build_catalog
+from superlie.catalog import DEFINITE_COMPONENTS, _restricted_definiteness, build_catalog
 from superlie.cli import main
 from superlie.lsa import (
     BilinearForm,
@@ -78,10 +81,12 @@ from superlie.lsa import (
     _symmetry_groups,
     _symmetry_witness,
     build_form,
+    form_parity,
     form_report,
     make_lsa,
     structure_report,
 )
+from superlie.scalars import Scalar
 from superlie.serial import vector_to_json
 
 
@@ -116,7 +121,7 @@ def test_su2_centroid_scalar(su2k):
     L, _ = su2k
     c = centroid(L)
     assert c.dim == 1
-    assert _gram(c.even[0], 3).rank() == 3  # multiple of the identity
+    assert EchelonBuilder(3, _gram(c.even[0], 3).rows).dim == 3  # multiple of the identity
 
 
 def test_abelian_centroid_full():
@@ -860,7 +865,7 @@ def test_verify_cor1_rejects_form_that_is_not_derivation_invariant():
     for spec in (("su_n", 2), ("su_pq", 2, 1)):
         entry = build_catalog(*spec)
         L = entry.algebra
-        B = BilinearForm([Matrix(scaled_form(entry))])
+        B = build_form(L, "custom", gram=Matrix(scaled_form(entry)))
         rep = form_report(L, B)
         assert rep["nondegenerate"] and rep["parity"] in ("even", "odd")
         with pytest.raises(CohomologyError) as err:
@@ -1115,12 +1120,12 @@ def test_kappa_parity_is_resolved_not_defaulted(su2k):
     L, kappa = su2k
     cur = current_lsa(grassmann(1), L)
     F = hochschild_space(grassmann(1))
-    undeclared = BilinearForm([kappa.gram])
+    undeclared = BilinearForm(L.dim, [kappa.entries])
     assert undeclared.declared_parity is None
     got = xi_cocycle(cur, undeclared, F, _entries(Matrix.identity(3)))
     want = xi_cocycle(cur, kappa, F, _entries(Matrix.identity(3)))
     assert got.grams == want.grams and got.value_parities == want.value_parities
-    mixed = BilinearForm([kappa.gram])
+    mixed = BilinearForm(L.dim, [kappa.entries])
     mixed.declared_parity = "mixed"
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
         xi_cocycle(cur, mixed, F, _entries(Matrix.identity(3)))
@@ -1473,3 +1478,124 @@ def test_eta_and_xi_name_failing_triple(identity_entry):
     names = ", ".join(K.names[i] for i in want)
     with pytest.raises(CohomologyError, match=re.escape(f"centroid rule fails at ({names})")):
         xi_cocycle(cur, kappa, hochschild_space(A), _entries(S))
+
+
+# -- forms: sparse maps against dense grams from the definitions ------------------
+
+
+def dense_killing_gram(L):
+    """Oracle: the Killing form by its definition, str(ad e_i ad e_j), from
+    the dense ad matrices."""
+    ads = [L.ad_matrix(i) for i in range(L.dim)]
+    signs = [-1 if p else 1 for p in L.parities]
+
+    def supertrace(P):
+        return sum((s * P.rows[k][k] for k, s in enumerate(signs)), Fraction(0))
+
+    return Matrix([[supertrace(X @ Y) for Y in ads] for X in ads])
+
+
+def dense_pq_gram(L, n):
+    """Oracle: kappa(X, Y) = tr(a b') + tr(a' b) on q(n)'s dense realization,
+    a the upper-left block and b = (1 + i)/2 times the upper-right block."""
+    half = Scalar({(1, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    blocks = []
+    for M in L.realization.mats:
+        rows = M.to_dense().rows
+        blocks.append((Matrix([r[:n] for r in rows[:n]]), Matrix([[half * x for x in r[n:]] for r in rows[:n]])))
+
+    def tr(M):
+        return sum((M.rows[k][k] for k in range(n)), Scalar())
+
+    return Matrix([[(tr(a @ b2) + tr(a2 @ b)).as_fraction() for a2, b2 in blocks] for a, b in blocks])
+
+
+def dense_family_gram(entry):
+    """Oracle: the dense gram of a catalog form from its definition, the
+    Killing form (su_n), q(n)'s block pairing (q_n) or the supertrace form,
+    read on the kept slots of the prequotient for psu_pp and pq_n."""
+    if entry.prequotient is not None:
+        pre = entry.prequotient
+        G = dense_family_gram(pre)
+        pivots = Subspace(pre.algebra.dim, [pre.specials["i_one"]]).pivots
+        keep = [i for i in range(pre.algebra.dim) if i not in pivots]
+        return Matrix([[G.rows[i][j] for j in keep] for i in keep])
+    if entry.family == "su_n":
+        return dense_killing_gram(entry.algebra)
+    if entry.family == "q_n":
+        return dense_pq_gram(entry.algebra, entry.params[0])
+    return dense_supertrace_gram(entry.algebra)
+
+
+def dense_form_parity(parities, G):
+    """Oracle: the parity of the pairs a dense gram pairs, "even" when none."""
+    shifts = {(parities[i] + parities[j]) % 2 for i, row in enumerate(G.rows) for j, x in enumerate(row) if x}
+    return "even" if shifts <= {0} else "odd" if shifts == {1} else "mixed"
+
+
+def dense_restricted(G, sub, sign):
+    """Oracle: sign * B G B^T for the echelon basis B of sub."""
+    B = Matrix(sub.basis_matrix())
+    return (B @ G @ B.transpose()).scale(sign)
+
+
+def assert_map_matches_gram(L, B, G):
+    """B's one sparse map and its declared parity against the dense gram G."""
+    F = B.entries
+    assert list(F) == sorted(F) and all(type(x) is Fraction and x for x in F.values())
+    assert_same_entries(_gram(F, L.dim), G)
+    assert B.declared_parity == dense_form_parity(L.parities, G)
+
+
+def assert_form_matches_gram(L, B, G):
+    """B's one sparse map against the dense gram G, and every form_report
+    flag and the radical against the dense checks of G."""
+    n = L.dim
+    assert_map_matches_gram(L, B, G)
+    rep = form_report(L, B)
+    assert rep["supersymmetric"] == graded_symmetric(G, L.parities, 1)
+    assert rep["skew"] == graded_symmetric(G, L.parities, -1)
+    assert rep["invariant"] == dense_invariant(L, SimpleNamespace(grams=(G,)))
+    assert rep["parity"] == dense_form_parity(L.parities, G)
+    radical = Subspace(n, dense_kernel(G.transpose().rows, n))  # x^T G = 0
+    assert rep["radical"] == radical and rep["nondegenerate"] == (radical.dim == 0)
+
+
+@pytest.mark.parametrize("spec", CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))
+def test_form_maps_match_dense_oracles(spec):
+    entry = build_catalog(*spec)
+    L, kappa = entry.algebra, entry.form
+    n = L.dim
+    G = dense_family_gram(entry)
+    # a rank-one form e_0* (x) e_{n-1}*, whose left and right radicals differ
+    corner = Matrix.zero(n, n)
+    corner.rows[0][n - 1] = Fraction(1)
+    forms = [(kappa, G), (build_form(L, "killing"), dense_killing_gram(L)), (build_form(L, "custom", gram=corner), corner)]
+    if L.realization is not None:
+        forms.append((build_form(L, "supertrace"), dense_supertrace_gram(L)))
+    for B, want in forms:
+        assert_form_matches_gram(L, B, want)
+    # an odd value parity swaps the parity of the form
+    swapped = {"even": "odd", "odd": "even"}[dense_form_parity(L.parities, G)]
+    assert form_parity(L, BilinearForm(n, [kappa.entries], [1])) == swapped
+    # kappa_T of the inner derivations against T^T G, and all the flags of
+    # the first one and of the outer derivation's
+    maps = [_entries(L.ad_matrix(i)) for i in range(n)]
+    for t, T in enumerate(maps):
+        check = assert_form_matches_gram if t == 0 else assert_map_matches_gram
+        check(L, kappa_T(L, kappa, T), _gram(T, n).transpose() @ G)
+    if entry.outer_derivation:
+        D = entry.outer_derivation[0]
+        assert_form_matches_gram(L, kappa_T(L, kappa, D), _gram(D, n).transpose() @ G)
+    # the definiteness verdicts of the fact sheet
+    neg, pos = DEFINITE_COMPONENTS.get(entry.family, (None, ()))
+    for name, sign in [(neg, -1)] + [(p, 1) for p in pos]:
+        sub = entry.components.get(name)
+        if sub is not None and sub.dim:
+            assert _restricted_definiteness(kappa, sub, sign) == definiteness(dense_restricted(G, sub, sign))
+    if entry.family == "pq_n":
+        KD = _gram(entry.outer_derivation[0], n).transpose() @ G
+        odd = Subspace(n, ({i: Fraction(1)} for i in L.odd_indices))
+        for sign in (1, -1):
+            got = _restricted_definiteness(kappa_T(L, kappa, entry.outer_derivation[0]), odd, sign)
+            assert got == definiteness(dense_restricted(KD, odd, sign))

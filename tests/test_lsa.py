@@ -321,8 +321,8 @@ def test_form_invariance_matches_dense_sweep(spec):
             rows = [list(r) for r in G.rows]
             rows[rng.randrange(L.dim)][rng.randrange(L.dim)] += Fraction(rng.choice([-2, -1, 1, 3]))
             grams.append(Matrix(rows))
-    forms = [BilinearForm([G]) for G in grams]
-    forms += [BilinearForm([grams[0], G]) for G in grams[1:]]  # vector-valued
+    forms = [build_form(L, "custom", gram=G) for G in grams]
+    forms += [BilinearForm(L.dim, [_entries(grams[0]), _entries(G)]) for G in grams[1:]]  # vector-valued
     verdicts = set()
     for B in forms:
         want = dense_invariant(L, B)
@@ -529,14 +529,13 @@ def star_verdict(L, B):
 )
 def test_derivation_invariant_matches_star_verdict(spec):
     from superlie.catalog import build_catalog
-    from superlie.lsa import BilinearForm
 
     entry = build_catalog(*spec)
     L = entry.algebra
     G = scaled_form(entry)
     der, _ = derivation_space(L)
     verdicts = []
-    for B in (entry.form, BilinearForm([Matrix(G)])):
+    for B in (entry.form, build_form(L, "custom", gram=Matrix(G))):
         rep = form_report(L, B)
         homogeneous = rep["parity"] in ("even", "odd")
         want = star_verdict(L, B) if rep["nondegenerate"] and homogeneous else None

@@ -220,66 +220,69 @@ def test_cli_catalog_deterministic(capsys):
 
 DIRECTORY = "<a directory>"
 
+# usage errors: each exits 2 with one error line and an empty stdout (the
+# CLI transcript corpus replays them too, tests/cli_transcripts)
+MALFORMED_ARGV = [
+    ["current", "--A", "grassmann:x", "--k", "su_n:2"],
+    ["current", "--A", "grassmann:0", "--k", "su_n:2"],
+    ["current", "--A", "grassmann:1", "--k", "su_n:abc"],
+    ["cohomology", "h2", "--k", "catalog:su_n:2,x"],
+    ["urad", "verify", "--k", "su_n:2", "--s", "0"],
+    ["urad", "faithful", "--k", "su_n:2", "--s", "-1"],
+    ["urad", "faithful", "--k", "catalog:su_pq:2,1", "--s", "1"],
+    ["urad", "verify", "--k", "catalog:su_n:2", "--s", "3", "--value-dim", "-2"],
+    ["current", "--A", "grassmann:1", "--k", "su_n:2,3"],
+    ["current", "--A", "grassmann:1", "--k", "su_n:"],
+    ["catalog", "build", "su_n", "--p", "2", "--q", "3"],
+    ["catalog", "build", "su_pq", "--p", "2"],
+    ["clifford", "gamma", "--mu", "1,-1"],
+    ["clifford", "gamma", "--mu", "abc"],
+    ["clifford", "gamma", "--mu", "1/0"],
+    # report all: the params file holds the last argument (see below)
+    ["report", "all", "--params", '{"cor1": [{"s": 1}]}'],
+    ["report", "all", "--params", '{"cor1": {"s": 1, "k": ["su_n", 2]}}'],
+    ["report", "all", "--params", '{"cor1": [{"s": 1, "k": ["su_x", 2]}]}'],
+    ["report", "all", "--params", '{"urad": [{"s": 3, "k": ["su_n", "2"]}]}'],
+    ["report", "all", "--params", '{"kernel": [{"s": 0, "k": ["su_n", 2]}]}'],
+    ["report", "all", "--params", '{"catalog": [["su_n", 2, 3]]}'],
+    ["report", "all", "--params", '{"catalog": "su_n"}'],
+    ["report", "all", "--params", '[["su_n", 2]]'],
+    # validate: the algebra file holds the last argument, the JSON path
+    # the error must name the one before it
+    ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": 0, "j": 1, "value": ["x", "0"]}]}'],
+    ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": 0, "j": 1, "value": ["1/0", "0"]}]}'],
+    ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": 0, "j": 1, "value": [1, "0"]}]}'],
+    ["validate", "$.brackets[0]", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": "0", "j": 1, "value": ["1", "0"]}]}'],
+    ["validate", "$.parities[0]", '{"names": ["a", "b"], "parities": ["x", 0], "brackets": []}'],
+    ["validate", "$.brackets[0]", '{"names": ["a", "b"], "parities": [0, 0], "brackets": [5]}'],
+    ["validate", "$.names", '{"names": "ab", "parities": [0, 0], "brackets": []}'],
+    ["current", "--A", "grassmann:1", "--k", "catalog:nofam:2"],
+    ["cohomology", "h2", "--k", "catalog:su_n:2", "--max-dim", "0"],
+    ["cohomology", "z2", "--k", "catalog:su_n:2", "--max-dim", "-1"],
+    ["cohomology", "verify-cor1", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--max-dim", "0"],
+    # refused by the Grassmann cap before anything is allocated
+    ["urad", "verify", "--k", "catalog:su_n:2", "--s", "30"],
+    ["current", "--A", "grassmann:30", "--k", "su_n:2"],
+    # report all names the JSON path of an s above the cap
+    ["report", "all", "--params", '{"cor1": [{"s": 30, "k": ["su_n", 2]}]}'],
+    # a directory where an input file is expected (see below)
+    ["validate", DIRECTORY],
+    ["report", "all", "--params", DIRECTORY],
+    # --out naming a directory: refused before the report reaches stdout
+    ["catalog", "build", "su_n", "--n", "2", "--out", DIRECTORY],
+    ["catalog", "build", "q_n", "--n", "3", "--facts", "--out", DIRECTORY],
+    ["current", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--out", DIRECTORY],
+    ["cohomology", "z2", "--k", "catalog:su_n:2", "--out", DIRECTORY],
+    # refused by the 2-cocycle dimension cap (dim 192 > 48) before any solve
+    ["cohomology", "h2", "--A", "grassmann:6", "--k", "catalog:su_n:2"],
+]
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["current", "--A", "grassmann:x", "--k", "su_n:2"],
-        ["current", "--A", "grassmann:0", "--k", "su_n:2"],
-        ["current", "--A", "grassmann:1", "--k", "su_n:abc"],
-        ["cohomology", "h2", "--k", "catalog:su_n:2,x"],
-        ["urad", "verify", "--k", "su_n:2", "--s", "0"],
-        ["urad", "faithful", "--k", "su_n:2", "--s", "-1"],
-        ["urad", "faithful", "--k", "catalog:su_pq:2,1", "--s", "1"],
-        ["urad", "verify", "--k", "catalog:su_n:2", "--s", "3", "--value-dim", "-2"],
-        ["current", "--A", "grassmann:1", "--k", "su_n:2,3"],
-        ["current", "--A", "grassmann:1", "--k", "su_n:"],
-        ["catalog", "build", "su_n", "--p", "2", "--q", "3"],
-        ["catalog", "build", "su_pq", "--p", "2"],
-        ["clifford", "gamma", "--mu", "1,-1"],
-        ["clifford", "gamma", "--mu", "abc"],
-        ["clifford", "gamma", "--mu", "1/0"],
-        # report all: the params file holds the last argument (see below)
-        ["report", "all", "--params", '{"cor1": [{"s": 1}]}'],
-        ["report", "all", "--params", '{"cor1": {"s": 1, "k": ["su_n", 2]}}'],
-        ["report", "all", "--params", '{"cor1": [{"s": 1, "k": ["su_x", 2]}]}'],
-        ["report", "all", "--params", '{"urad": [{"s": 3, "k": ["su_n", "2"]}]}'],
-        ["report", "all", "--params", '{"kernel": [{"s": 0, "k": ["su_n", 2]}]}'],
-        ["report", "all", "--params", '{"catalog": [["su_n", 2, 3]]}'],
-        ["report", "all", "--params", '{"catalog": "su_n"}'],
-        ["report", "all", "--params", '[["su_n", 2]]'],
-        # validate: the algebra file holds the last argument, the JSON path
-        # the error must name the one before it
-        ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
-                     '"brackets": [{"i": 0, "j": 1, "value": ["x", "0"]}]}'],
-        ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
-                     '"brackets": [{"i": 0, "j": 1, "value": ["1/0", "0"]}]}'],
-        ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
-                     '"brackets": [{"i": 0, "j": 1, "value": [1, "0"]}]}'],
-        ["validate", "$.brackets[0]", '{"names": ["a", "b"], "parities": [0, 0], '
-                     '"brackets": [{"i": "0", "j": 1, "value": ["1", "0"]}]}'],
-        ["validate", "$.parities[0]", '{"names": ["a", "b"], "parities": ["x", 0], "brackets": []}'],
-        ["validate", "$.brackets[0]", '{"names": ["a", "b"], "parities": [0, 0], "brackets": [5]}'],
-        ["validate", "$.names", '{"names": "ab", "parities": [0, 0], "brackets": []}'],
-        ["current", "--A", "grassmann:1", "--k", "catalog:nofam:2"],
-        ["cohomology", "h2", "--k", "catalog:su_n:2", "--max-dim", "0"],
-        ["cohomology", "z2", "--k", "catalog:su_n:2", "--max-dim", "-1"],
-        ["cohomology", "verify-cor1", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--max-dim", "0"],
-        # refused by the Grassmann cap before anything is allocated
-        ["urad", "verify", "--k", "catalog:su_n:2", "--s", "30"],
-        ["current", "--A", "grassmann:30", "--k", "su_n:2"],
-        # report all names the JSON path of an s above the cap
-        ["report", "all", "--params", '{"cor1": [{"s": 30, "k": ["su_n", 2]}]}'],
-        # a directory where an input file is expected (see below)
-        ["validate", DIRECTORY],
-        ["report", "all", "--params", DIRECTORY],
-        # --out naming a directory: refused before the report reaches stdout
-        ["catalog", "build", "su_n", "--n", "2", "--out", DIRECTORY],
-        ["catalog", "build", "q_n", "--n", "3", "--facts", "--out", DIRECTORY],
-        ["current", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--out", DIRECTORY],
-        ["cohomology", "z2", "--k", "catalog:su_n:2", "--out", DIRECTORY],
-    ],
-)
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV)
 def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
     json_path = None
     directory = argv[-1] == DIRECTORY

@@ -506,7 +506,7 @@ def test_invariance_check_matches_full_sweep(catalog_entry):
     for G in grams:
         want = _first_violation(terms, product(range(L.dim), repeat=3), _entries(G))
         assert _invariance_witness(L, _entries(G), pre) == want
-        assert form_report(L, BilinearForm([G]))["invariant"] == (want is None)
+        assert form_report(L, build_form(L, "custom", gram=G))["invariant"] == (want is None)
         verdicts.add(want is None)
     assert verdicts == {True, False}
 
@@ -708,7 +708,7 @@ def test_end_spaces_match_dense_oracles(catalog_entry):
         for X in space.even + space.odd:
             assert list(X) == sorted(X) and all(type(x) is Fraction and x for x in X.values())
             kappa_map = _entries(_gram(X, n).transpose() @ kappa.gram)
-            assert list(_kappa_map(X, kappa.gram).items()) == list(kappa_map.items())
+            assert list(_kappa_map(X, kappa.entries).items()) == list(kappa_map.items())
     # every derivation, corrected towards vanishing on the even part
     for X, p in der.members():
         got = _correct_to_vanish_on_even(L, X, p, inner)
