@@ -24,7 +24,8 @@ from .clifford import (
     lambda_admissible_rep,
     seeded_clifford_lie,
 )
-from .cohomology import DEFAULT_DIM_CAP, CohomologyError, DimensionCapError, b2_space, verify_cor1, z2_space
+from .cohomology import DEFAULT_DIM_CAP, CohomologyError, DimensionCapError, b2_space, check_dim_cap
+from .cohomology import verify_cor1, z2_space
 from .current import current_lsa
 from .lsa import LsaError
 from .serial import (
@@ -86,6 +87,15 @@ def _parse_grassmann(text: str) -> int:
     if len(parts) != 2 or parts[0] != "grassmann" or not parts[1].isdigit() or int(parts[1]) < 1:
         raise UsageError(f"expected grassmann:s with s >= 1, got {text!r}")
     return int(parts[1])
+
+
+def _capped_grassmann(text: str, K, max_dim: int):
+    """grassmann(s) for --A, refused before it is built when 2^s dim K passes
+    the solver cap (grassmann itself refuses s past GRASSMANN_CAP)."""
+    s = _parse_grassmann(text)
+    if s <= GRASSMANN_CAP:
+        check_dim_cap(2**s * K.dim, max_dim)
+    return grassmann(s)
 
 
 def _write_out(out, text: str):
@@ -169,7 +179,7 @@ def cmd_cohomology(args) -> int:
     entry, K = _load_k(args.k)
     if args.action in ("z2", "h2"):
         if args.A:
-            cur = current_lsa(grassmann(_parse_grassmann(args.A)), K)
+            cur = current_lsa(_capped_grassmann(args.A, K, args.max_dim), K)
             L = cur.algebra
         else:
             L = K
@@ -189,10 +199,8 @@ def cmd_cohomology(args) -> int:
         raise UsageError("verify-cor1 needs a catalog algebra (it carries kappa)")
     if not args.A:
         raise UsageError("verify-cor1 needs --A grassmann:s")
-    s = _parse_grassmann(args.A)
-    report = verify_cor1(
-        grassmann(s), K, entry.form, drop_eta=args.drop_eta, max_dim=args.max_dim
-    )
+    A = _capped_grassmann(args.A, K, args.max_dim)
+    report = verify_cor1(A, K, entry.form, drop_eta=args.drop_eta, max_dim=args.max_dim)
     _emit(report, args.out)
     return EXIT_OK if report["defect"] == 0 else EXIT_CHECK_FAILED
 

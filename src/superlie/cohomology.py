@@ -62,6 +62,12 @@ class DimensionCapError(CohomologyError):
     """An algebra beyond the 2-cocycle solver cap: a refused input, not a failed check."""
 
 
+def check_dim_cap(dim: int, max_dim: int) -> None:
+    """Refuse a dimension beyond the 2-cocycle solver cap, before anything is built."""
+    if dim > max_dim:
+        raise DimensionCapError(f"dim {dim} exceeds the configured 2-cocycle solver cap {max_dim}")
+
+
 # -- endomorphism subspaces --------------------------------------------------
 
 
@@ -574,8 +580,7 @@ def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> Iterator[dict
 
 def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
     """Pair coordinates of L; refuses L beyond the 2-cocycle solver cap."""
-    if L.dim > max_dim:
-        raise DimensionCapError(f"dim {L.dim} exceeds the configured 2-cocycle solver cap {max_dim}")
+    check_dim_cap(L.dim, max_dim)
     return PairBasis(L)
 
 
@@ -944,6 +949,7 @@ def verify_cor1(
     when the identity holds; a positive defect comes with a certificate
     cocycle outside the span.
     """
+    check_dim_cap(A.dim * K.dim, max_dim)
     rep = form_report(K, kappa)
     # derivation invariance is tested only for a nondegenerate homogeneous
     # scalar kappa; any other kappa fails it without a derivation solve
@@ -967,7 +973,7 @@ def verify_cor1(
         raise CohomologyError("theorem assumptions fail: " + "; ".join(problems))
 
     cur = current_lsa(A, K)
-    pb = _capped_pair_basis(cur.algebra, max_dim)
+    pb = PairBasis(cur.algebra)
     z2 = _cocycle_kernel(cur.algebra, pb)
     dim_z2 = len(z2)
     span = _coboundary_span(cur.algebra, pb)

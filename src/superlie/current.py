@@ -47,6 +47,10 @@ def current_lsa(A: AssocSuperalgebra, K: LieSuperalgebra) -> Current:
     associativity) and K a validated LieSuperalgebra, so the sign-twisted
     bracket has the right parities, is super-antisymmetric and satisfies the
     graded Jacobi identity.
+
+    The sign is folded into each coefficient of ab once; a folded +-1 (every
+    Grassmann product) takes [x, y]_k as it is.  The slots r nk + k are
+    distinct and nonzero terms multiply to nonzero ones, so nothing sums.
     """
     nk = K.dim
     dim = A.dim * nk
@@ -64,19 +68,15 @@ def current_lsa(A: AssocSuperalgebra, K: LieSuperalgebra) -> Current:
                 continue
             for i in range(nk):
                 sign = -1 if K.parities[i] and A.parities[q] else 1
+                folded = [(r * nk, sign * ma) for r, ma in prod.items()]
                 for j in range(nk):
                     cij = K.bracket_basis(i, j)
-                    if not cij:
-                        continue
-                    entry: Coordvec = {}
-                    for r, ma in prod.items():
-                        for k, cb in cij.items():
-                            slot = r * nk + k
-                            val = sign * ma * cb
-                            entry[slot] = entry.get(slot, Fraction(0)) + val
-                    entry = {s: c for s, c in entry.items() if c}
-                    if entry:
-                        table[(p * nk + i, q * nk + j)] = entry
+                    if cij:
+                        table[(p * nk + i, q * nk + j)] = {
+                            base + k: cb if m == 1 else -cb if m == -1 else m * cb
+                            for base, m in folded
+                            for k, cb in cij.items()
+                        }
     return Current(A, K, LieSuperalgebra(names, parities, table, validate=False))
 
 

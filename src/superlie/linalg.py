@@ -31,7 +31,8 @@ r, standing for s * sum c * X[k][r] if left, else s * sum c * X[r][k].  Two
 readers take the groups: `_identity_rows` builds the constraint rows of a
 solver from an n x n list of columns, and `_group_sums` evaluates them on a
 given map; `_first_violation` checks the map with it, visiting only the
-triples the support of X reaches (`_preimages`).  Both read X as a sparse
+triples the support of X reaches (`_preimages`), and sums ints on X times
+the lcm of its denominators (`_integral_map`).  Both read X as a sparse
 map {(a, b): x} of its nonzero entries, the form in which 2-cochains,
 endomorphisms and bilinear forms are held from the start; `_entries` reads
 a `Matrix` given as input into one, and `_gram` builds the dense matrix
@@ -771,7 +772,8 @@ def _row_primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _to_int_row(row: dict) -> dict[int, int]:
-    """Clear denominators of a sparse Fraction/int row; strip content.
+    """Clear denominators of a sparse Fraction/int row (_integral_map); drop
+    zeros and strip content.
 
     A row of nonzero ints, as the identity systems emit, goes straight to
     _row_primitive and may come back as the same dict.
@@ -781,20 +783,16 @@ def _to_int_row(row: dict) -> dict[int, int]:
             break
     else:
         return _row_primitive(row)
-    lcm = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            if d != 1:
-                lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1:  # already integral: no Fraction products
-        return _row_primitive({c: v.numerator for c, v in row.items() if v})
-    out = {}
-    for c, v in row.items():
-        iv = int(v * lcm) if isinstance(v, Fraction) else v * lcm
-        if iv:
-            out[c] = iv
-    return _row_primitive(out)
+    return _row_primitive({c: v for c, v in _integral_map(row).items() if v})
+
+
+def _lcm_denominator(values) -> int:
+    d = 1
+    for c in values:
+        q = c.denominator
+        if q != 1:
+            d = d // gcd(d, q) * q
+    return d
 
 
 def _integral_table(table: dict) -> dict:
@@ -808,16 +806,17 @@ def _integral_table(table: dict) -> dict:
     rational table: the same primitive integer row, and a check sum that is
     zero exactly when the rational one is.
     """
-    d = 1
-    for vec in table.values():
-        for c in vec.values():
-            q = c.denominator
-            if q != 1:
-                d = d // gcd(d, q) * q
+    d = _lcm_denominator(c for vec in table.values() for c in vec.values())
     return {
         key: tuple((k, c.numerator * (d // c.denominator)) for k, c in vec.items())
         for key, vec in table.items()
     }
+
+
+def _integral_map(F: dict) -> dict:
+    """F times the lcm D of its value denominators, as ints: what checks sum."""
+    d = _lcm_denominator(F.values())
+    return {key: x.numerator * (d // x.denominator) for key, x in F.items()}
 
 
 def _identity_rows(groups, triples, cols: list) -> Iterator[dict]:
@@ -886,7 +885,7 @@ def _group_sums(groups, triples, F: dict) -> Iterator[tuple]:
         rows.setdefault(a, {})[b] = x
         cols.setdefault(b, {})[a] = x
     for triple in triples:
-        tot = Fraction(0)
+        tot = 0
         for s, entries, r, left in groups(*triple):
             line = (cols if left else rows).get(r)
             if line:
@@ -894,15 +893,15 @@ def _group_sums(groups, triples, F: dict) -> Iterator[tuple]:
                 for k, c in entries:
                     g = get(k)
                     if g:
-                        # c is an int: Fraction * int takes the forward path
                         tot += g * c if s > 0 else g * -c
         yield triple, tot
 
 
 def _first_violation(groups, triples, F: dict) -> tuple | None:
     """First of the triples whose term groups do not sum to zero on the
-    sparse map F."""
-    return next((triple for triple, tot in _group_sums(groups, triples, F) if tot), None)
+    sparse map F, summed in ints on _integral_map(F): each sum is D > 0 times
+    the rational one, so the verdict and the witness are those of F."""
+    return next((triple for triple, tot in _group_sums(groups, triples, _integral_map(F)) if tot), None)
 
 
 class SparseEliminator:

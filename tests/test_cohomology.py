@@ -18,6 +18,7 @@ from superlie.assoc import grassmann
 from superlie.cohomology import (
     CohomologyError,
     Cocycle2,
+    DimensionCapError,
     EndSpace,
     HochschildMap,
     PairBasis,
@@ -843,6 +844,19 @@ def test_verify_cor1_lambda1_su2(su2k):
     assert report["defect"] == 0
     assert report["n_eta_generators"] == 0  # H^2(su(2)) = 0
     assert report["h2"] == len(hochschild_space(grassmann(1)))
+
+
+def test_verify_cor1_refuses_the_cap_before_any_work(monkeypatch, su2k):
+    import superlie.cohomology
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify_cor1 worked before the dimension cap")
+
+    for name in ("form_report", "current_lsa"):
+        monkeypatch.setattr(superlie.cohomology, name, refuse)
+    L, kappa = su2k
+    with pytest.raises(DimensionCapError, match="^dim 12 exceeds the configured 2-cocycle solver cap 11$"):
+        verify_cor1(grassmann(2), L, kappa, max_dim=11)
 
 
 def test_verify_cor1_rejects_degenerate_form(su2k):

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import apply, su2_cyclic
-from superlie.assoc import grassmann
+from superlie.assoc import AssocSuperalgebra, grassmann
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa, eps_projection
+from superlie.linalg import Matrix, solve_linear
 from superlie.lsa import structure_report
 
 
@@ -86,3 +87,55 @@ def test_current_lsa_passes_full_validation(spec, s):
     # current_lsa builds without a sweep; the full sweep is the oracle
     cur = current_lsa(grassmann(s), build_catalog(*spec).algebra)
     cur.algebra.validate()
+
+
+def rebased(B, basis):
+    """B in a new homogeneous basis (coordinate lists over B's basis, the unit
+    first), its table read off the products in B."""
+    M = Matrix([list(row) for row in zip(*basis)])
+    table = {}
+    for p, u in enumerate(basis):
+        for q, w in enumerate(basis):
+            coords = solve_linear(M, B.product(u, w)).particular
+            if any(coords):
+                table[(p, q)] = {r: c for r, c in enumerate(coords) if c}
+    parities = [B.parities[next(k for k, c in enumerate(v) if c)] for v in basis]
+    return AssocSuperalgebra([f"b{p}" for p in range(len(basis))], parities, table, unit=0)
+
+
+def truncated_polynomials():
+    """R[t]/(t^3) in the basis 1, 2t, t + t^2: (2t)^2 = 4(t + t^2) - 2(2t)."""
+    monomials = {(i, j): {i + j: Fraction(1)} for i in range(3) for j in range(3) if i + j < 3}
+    B = AssocSuperalgebra(["1", "t", "t^2"], [0, 0, 0], monomials, unit=0)
+    return rebased(B, [[1, 0, 0], [0, 2, 0], [0, 1, 1]])
+
+
+def scaled_grassmann2():
+    """Lambda2 in the basis 1, 2 e1, e1 + e2, 3 e1 e2: odd products -+2/3 (3 e1 e2)."""
+    return rebased(grassmann(2), [[1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 1, 0], [0, 0, 0, 3]])
+
+
+@pytest.mark.parametrize("spec", [("su_n", 2), ("su_pq", 2, 1)])
+@pytest.mark.parametrize("make_A", [truncated_polynomials, scaled_grassmann2])
+def test_current_lsa_off_the_unit_path(make_A, spec):
+    # products with coefficients other than +-1, with more than one term in R[t]/(t^3)
+    A = make_A()
+    assert any(abs(c) != 1 for vec in A.table.values() for c in vec.values())
+    assert any(len(vec) > 1 for vec in A.table.values()) == (make_A is truncated_polynomials)
+    K = build_catalog(*spec).algebra
+    cur = current_lsa(A, K)
+    cur.algebra.validate()
+    for p in range(A.dim):
+        for q in range(A.dim):
+            ab = A.product({p: 1}, {q: 1})
+            for i in range(K.dim):
+                for j in range(K.dim):
+                    xy = K.bracket({i: 1}, {j: 1})
+                    sign = -1 if K.parities[i] and A.parities[q] else 1
+                    want = {
+                        cur.slot(r, k): sign * ab[r] * xy[k]
+                        for r in range(A.dim) for k in range(K.dim) if ab[r] and xy[k]
+                    }
+                    got = cur.algebra.bracket_basis(cur.slot(p, i), cur.slot(q, j))
+                    assert got == want
+                    assert all(type(c) is Fraction for c in got.values())

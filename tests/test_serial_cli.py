@@ -338,6 +338,20 @@ def test_cli_out_is_opened_before_any_work(monkeypatch, capsys, tmp_path, where)
     assert ("Is a directory" if where == "directory" else "No such file or directory") in lines[0]
 
 
+@pytest.mark.parametrize("action", ["z2", "h2", "verify-cor1"])
+def test_cli_dimension_cap_refuses_before_building(monkeypatch, capsys, action):
+    import superlie.cli
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("grassmann ran before the dimension cap")
+
+    monkeypatch.setattr(superlie.cli, "grassmann", refuse)
+    assert main(["cohomology", action, "--A", "grassmann:10", "--k", "catalog:su_n:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: dim 3072 exceeds the configured 2-cocycle solver cap 48"]
+
+
 def test_cli_out_gets_the_report(capsys, tmp_path):
     out = tmp_path / "h2.json"
     out.write_text("an older and longer report\n" * 100)

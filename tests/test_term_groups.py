@@ -232,6 +232,45 @@ def mutants(F, n, rng, count):
     return out
 
 
+def mixed_denominators(maps):
+    """The combinations F/2 + G/3 - 5H/6 of consecutive maps: valid where F,
+    G and H are, with entries over the denominators 2, 3 and 6, so that
+    their sums cancel across denominators."""
+    out = []
+    for F, G, H in zip(maps, maps[1:], maps[2:]):
+        M = {}
+        for W, c in ((F, Fraction(1, 2)), (G, Fraction(1, 3)), (H, Fraction(-5, 6))):
+            for key, x in W.items():
+                M[key] = M.get(key, 0) + c * x
+        out.append({key: x for key, x in M.items() if x})
+    return out
+
+
+def cancelling_maps(terms, triples, count):
+    """(triple, map) at the first count triples where a sum can cancel across
+    denominators: the map lives on the entries of the triple's terms, which
+    are 1/2, 1/3 and -5/6 there, or 1/2 and -1/2 on two entries whose
+    coefficients differ in size (equal ones would force equal entries)."""
+    out = []
+    for triple in triples:
+        coef = {}
+        for c, a, b in terms(*triple):
+            coef[(a, b)] = coef.get((a, b), 0) + c
+        coef = {key: c for key, c in coef.items() if c}
+        if len(coef) > 2 or len({abs(c) for c in coef.values()}) == 2:
+            parts = (1, 2), (1, 3), (-5, 6)
+            if len(coef) == 2:
+                parts = (1, 2), (-1, 2)
+            out.append((triple, {key: Fraction(*t) / c for (key, c), t in zip(coef.items(), parts)}))
+            if len(out) == count:
+                break
+    return out
+
+
+def numerators(F):
+    return {key: x.numerator for key, x in F.items()}
+
+
 def sorted_triples(n):
     return [(x, y, z) for x in range(n) for y in range(x, n) for z in range(y, n)]
 
@@ -418,3 +457,42 @@ def test_group_checks_match_term_checks_on_hochschild_maps(s):
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     skew = partial(_symmetry_groups, A.parities, -1), partial(skew_terms, A.parities)
     assert assert_same_witnesses(*skew, pairs, maps) == {True, False}
+
+
+def assert_same_witnesses_across_denominators(groups, terms, triples, maps, n, rng):
+    """The group check agrees with the Fraction oracle on the mixed
+    combinations of the maps, on each cancelling map with its triple checked
+    first, and on one-entry mutants of both.  Returns how many of them a sum
+    of numerators alone would give another verdict or witness."""
+    cases = [(triples, F) for F in mixed_denominators(maps)]
+    cases += [([triple, *triples], F) for triple, F in cancelling_maps(terms, triples, 4)]
+    cases += [(order, G) for order, F in cases for G in mutants(F, n, rng, 1)]
+    differ = 0
+    for order, F in cases:
+        want = term_violation(terms, order, F)
+        assert _first_violation(groups, order, F) == want
+        differ += term_violation(terms, order, numerators(F)) != want
+    return differ
+
+
+def test_group_checks_sum_across_denominators(catalog_entry):
+    # cocycles, forms and endomorphisms whose sums cancel only across denominators
+    L = catalog_entry.algebra
+    n = L.dim
+    rng = random.Random(47)
+    check = partial(assert_same_witnesses_across_denominators, n=n, rng=rng)
+    cocycles = [F for omega in z2_space(L) for F in omega.components]
+    cocycles = rng.sample(cocycles, min(len(cocycles), 6))
+    differ = check(partial(_cocycle_groups, L), partial(cocycle_terms, L), sorted_triples(n), cocycles)
+    forms = [_entries(catalog_entry.form.gram), _entries(build_form(L, "killing").gram)] + sym_invariant_forms(L)
+    triples = list(product(range(n), repeat=3))
+    differ += check(partial(_invariance_groups, L), partial(invariance_terms, L), triples, forms)
+    index = _bracket_index(L)
+    ders = [F for F, p in derivation_space(L)[0].members() if p == 0][:6]
+    groups, triples = _derivation_identity(L, 0, range(n))
+    triples = [(i, j, m) for i, j, m in triples if i <= j]
+    differ += check(groups, partial(derivation_terms, L, index, 0), triples, ders)
+    groups, triples = _centroid_identity(L, range(n))
+    scalars = [{(a, a): Fraction(c) for a in range(n)} for c in (1, 2)]
+    differ += check(groups, partial(centroid_terms, L, index[0]), list(triples), ders[:3] + scalars)
+    assert differ
