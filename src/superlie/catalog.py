@@ -10,19 +10,21 @@ facts per family; every failure is named.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .cohomology import Cocycle2, _kappa_map, centroid, h2_dim, is_coboundary, is_derivation
-from .linalg import Matrix, SparseMatrix, Subspace, _dense, basis_coordinates, definiteness, supertrace_pairing
+from .linalg import Matrix, SparseMatrix, Subspace, _dense, _table_product, basis_coordinates
+from .linalg import definiteness, supertrace_pairing
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
     _quotient,
+    _saturate,
     _symmetry_witness,
     build_form,
     form_parity,
     form_report,
     from_matrix_basis,
-    generated_submodule,
     structure_report,
     super_matrix_bracket,
 )
@@ -605,19 +607,11 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
     # irreducibility replay: each odd basis vector generates all of k_1
     odd_idx = L.odd_indices
     if odd_idx:
-        pos = {k: t for t, k in enumerate(odd_idx)}
-        actions = []
-        for i in L.even_indices:
-            A = L.ad_matrix(i)
-            rows = [[A.rows[a][b] for b in odd_idx] for a in odd_idx]
-            actions.append(Matrix(rows))
-        ok = True
-        for v in range(len(odd_idx)):
-            vec = [Fraction(t == v) for t in range(len(odd_idx))]
-            if generated_submodule(actions, vec).dim != len(odd_idx):
-                ok = False
-                break
-        out["odd_part_generated_by_every_vector"] = ok
+        one = Fraction(1)
+        ads = [partial(_table_product, L.brackets, {i: one}) for i in L.even_indices]
+        out["odd_part_generated_by_every_vector"] = all(
+            _saturate(L.dim, [{v: one}], ads).dim == len(odd_idx) for v in odd_idx
+        )
 
     # existence of even x, y with 0 != kappa(x,x) = -kappa(y,y), kappa(x,y) = 0
     if entry.family in ("su_pq", "psu_pp", "c_n"):

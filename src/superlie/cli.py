@@ -206,6 +206,10 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_urad(args) -> int:
+    if args.height < 1:
+        raise UsageError(f"urad needs --height >= 1, got {args.height}")
+    if args.tries < 0:
+        raise UsageError(f"urad needs --tries >= 0, got {args.tries}")
     entry, K = _load_k(args.k)
     if args.action == "pointed":
         status, cert = find_certificate(

@@ -23,7 +23,7 @@ from .linalg import (
     Subspace,
     _canonical,
     _identity_rows,
-    solve_linear,
+    coordinates,
     sparse_kernel,
     symmetric_diagonalize,
 )
@@ -121,24 +121,23 @@ class CliffordAlgebra:
         return s
 
     def inverse(self, u: Sequence) -> list:
-        """Exact inverse via a linear solve on the left-multiplication matrix."""
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            col = self.product(u, self._basis(j))
-            for i in range(self.dim):
-                rows[i][j] = col[i]
-        res = solve_linear(Matrix(rows), self.unit())
-        if res.particular is None:
-            raise CliffordError("element is not invertible")
-        inv = res.particular
+        """The coordinates of 1 in the columns u e_S, which are independent
+        exactly when u is invertible; one monomial of u reaches each e_T."""
+        nz = [(self.masks[i], a) for i, a in enumerate(u) if a]
+        cols = []
+        for mb in self.masks:
+            col = {}
+            for ma, a in nz:
+                coef, mask = self.product_masks(ma, mb)
+                col[self.index[mask]] = a * coef
+            cols.append(col)
+        try:
+            inv = coordinates(cols, self.dim)({self.index[0]: Fraction(1)})
+        except ValueError:
+            raise CliffordError("element is not invertible") from None
         if self.product(inv, u) != self.unit():
             raise CliffordError("element has no two-sided inverse")
         return inv
-
-    def _basis(self, i: int) -> list:
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
 
     def alpha(self, g: Sequence, c: Sequence) -> list:
         """Twisted conjugation alpha_g(c) = Pi(g) c g^{-1}."""

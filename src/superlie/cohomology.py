@@ -33,6 +33,7 @@ from .linalg import (
     _gram,
     _group_sums,
     _identity_rows,
+    _particular,
     _preimages,
     sparse_kernel,
 )
@@ -706,13 +707,13 @@ def _correct_to_vanish_on_even(L: LieSuperalgebra, D: dict, parity: int, inner: 
         for (k, j), x in A.items():
             if not L.parities[j]:
                 eqs.setdefault((k, j), {})[c] = x
-    red = EchelonBuilder(m + 1, eqs.values()).rows
-    if m in red:  # inconsistent
+    x = _particular(eqs.values(), m)
+    if x is None:  # inconsistent
         return D
     out = dict(D)
-    for c in sorted(red):
-        if red[c].get(m):
-            _axpy(out, ads[c], -red[c][m])
+    for c, coef in enumerate(x):
+        if coef:
+            _axpy(out, ads[c], -coef)
     return dict(sorted(out.items()))
 
 

@@ -3,8 +3,12 @@
 One engine reduces every span: `EchelonBuilder`, an incremental reduced row
 echelon form kept as sparse rows.  It takes dense or sparse vectors over any
 exact field element supporting +, -, *, /, bool and ==, which covers both
-Fraction and Scalar.  `Subspace`, `kernel`, `solve_linear`,
-`Matrix.inverse`/`rank` and `basis_coordinates` all reduce with it.  Large
+Fraction and Scalar.  Three reads of it answer every exact question:
+`reduce` tests membership (`Subspace`, `kernel`, the saturations),
+`coordinates` gives the unique coefficients in an independent family
+(`basis_coordinates`, `Matrix.inverse`, Clifford inverses, the pointedness
+functionals) and `_particular` a solution of the augmented rows [A | b]
+(`solve_linear`, the even-part correction of H2 representatives).  Large
 homogeneous systems go through the sparse integer eliminator
 `sparse_kernel`, which strips row contents instead of carrying fractions
 (Bareiss-style swell control); it reads its rows as a stream, feeds them
@@ -209,25 +213,16 @@ class Subspace:
         return Subspace(self.ambient_dim, self.sparse_rows + other.sparse_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel trick: combos of self's rows that land in other."""
+        """Zassenhaus: the rows [u | u] and [w | 0] reduced to one echelon;
+        those with a pivot right of the middle are [0 | x], x spanning the
+        intersection."""
         self._check_ambient(other)
-        mine, theirs = self.sparse_rows, other.sparse_rows
-        # one sparse row per coordinate of [self.rows^T | -other.rows^T]
-        stacked: list[dict] = [{} for _ in range(self.ambient_dim)]
-        for i, r in enumerate(mine):
-            for c, x in r.items():
-                stacked[c][i] = x
-        for i, r in enumerate(theirs, len(mine)):
-            for c, x in r.items():
-                stacked[c][i] = -x
-        vecs = []
-        for kv in kernel(stacked, len(mine) + len(theirs)):
-            v: dict = {}
-            for x, r in zip(kv, mine):
-                if x:
-                    _axpy(v, r, -x)
-            vecs.append(v)
-        return Subspace(self.ambient_dim, vecs)
+        n = self.ambient_dim
+        echelon = EchelonBuilder(2 * n, (
+            *({**u, **{n + c: x for c, x in u.items()}} for u in self.sparse_rows),
+            *other.sparse_rows,
+        ))
+        return Subspace(n, ({c - n: x for c, x in r.items()} for p, r in echelon.rows.items() if p >= n))
 
     def quotient_basis(self, sub: "Subspace") -> list[Vector]:
         """Basis of a complement of sub inside self; requires sub <= self."""
@@ -386,12 +381,12 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a nonsquare matrix")
-        one = Fraction(1)
-        red = EchelonBuilder(2 * n, ({**_as_sparse(r), n + i: one} for i, r in enumerate(self.rows))).rows
-        if any(i not in red for i in range(n)):
-            raise ValueError("matrix is singular")
-        zero = Fraction(0)
-        return Matrix([[red[i].get(n + j, zero) for j in range(n)] for i in range(n)])
+        try:
+            coords = coordinates([_as_sparse(r) for r in self.rows], n)
+        except ValueError:
+            raise ValueError("matrix is singular") from None
+        # row j of the inverse holds the coordinates of e_j in the rows
+        return Matrix([coords({j: Fraction(1)}) for j in range(n)])
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -411,7 +406,7 @@ def _canonical(entries: dict, den: int) -> tuple[dict, int] | None:
 
 def _integral_part(entries: dict) -> tuple[dict, int] | None:
     """_canonical of {(r, c): (re, im)} with rational re and im."""
-    den = lcm(*(Fraction(x).denominator for v in entries.values() for x in v))
+    den = _lcm_denominator(x for v in entries.values() for x in v)
     return _canonical({k: (int(re * den), int(im * den)) for k, (re, im) in entries.items()}, den)
 
 
@@ -596,24 +591,23 @@ def solve_linear(A: Matrix, b: Sequence) -> SolveResult:
     if A.nrows != len(bcol):
         raise ValueError("A.rows must match len(b)")
     n = A.ncols
-    # the rows of the reduced [A | b] with a pivot left of b reduce A itself
-    red = EchelonBuilder(n + 1, (list(r) + [bv] for r, bv in zip(A.rows, bcol))).rows
-    particular = None
-    if n not in red:  # consistent
-        zero = Fraction(0)
-        particular = [zero] * n
-        for p, r in red.items():
-            particular[p] = r.get(n, zero)
-    return SolveResult(particular, Subspace(n, _kernel(red, n)))
+    particular = _particular((list(r) + [bv] for r, bv in zip(A.rows, bcol)), n)
+    return SolveResult(particular, Subspace(n, kernel(A.rows, n)))
+
+
+def _particular(rows: Iterable, n: int) -> Vector | None:
+    """The solution of the augmented rows [A | b], b in column n, with every
+    free unknown zero; None when the system is inconsistent."""
+    red = EchelonBuilder(n + 1, rows).rows
+    if n in red:
+        return None
+    zero = Fraction(0)
+    return [red[p].get(n, zero) if p in red else zero for p in range(n)]
 
 
 def kernel(rows: Iterable, ncols: int) -> list[Vector]:
     """Kernel basis of an exact matrix given by dense or sparse rows."""
-    return _kernel(EchelonBuilder(ncols, rows).rows, ncols)
-
-
-def _kernel(red: dict[int, dict], ncols: int) -> list[Vector]:
-    """One kernel vector per free column among the first ncols, from reduced rows."""
+    red = EchelonBuilder(ncols, rows).rows
     out = []
     for f in range(ncols):
         if f in red:
@@ -628,14 +622,30 @@ def _kernel(red: dict[int, dict], ncols: int) -> list[Vector]:
     return out
 
 
-def basis_coordinates(mats: Sequence[SparseMatrix]):
-    """Rational coordinates in a linearly independent family of sparse matrices.
+def coordinates(vectors: Sequence[dict], ambient: int):
+    """Coordinates in a linearly independent family of sparse vectors: a
+    function mapping a sparse vector w to the list c with w = sum c_t v_t, or
+    to None off the span.  w reduces to [0 | -c] against the one echelon of
+    the rows [v_t | e_t]; a pivot right of the v raises ValueError."""
+    nb = len(vectors)
+    one = Fraction(1)
+    echelon = EchelonBuilder(ambient + nb, ({**v, ambient + t: one} for t, v in enumerate(vectors)))
+    if any(p >= ambient for p in echelon.rows):
+        raise ValueError("vectors are linearly dependent")
+    zero = Fraction(0)
 
-    The family is written over the (row, column, radicand, re/im) keys of
-    its entries and reduced to echelon form once.  Returns a function mapping
-    a SparseMatrix to its coordinate list, or to None when it lies outside
-    the span.  Raises ValueError when the family is linearly dependent.
-    """
+    def coords(vec: dict) -> Vector | None:
+        v = echelon.reduce(vec)
+        if any(c < ambient for c in v):
+            return None
+        return [-v[ambient + t] if ambient + t in v else zero for t in range(nb)]
+
+    return coords
+
+
+def basis_coordinates(mats: Sequence[SparseMatrix]):
+    """Rational coordinates in an independent family of sparse matrices, by
+    coordinates over the (row, column, radicand, re/im) keys of their entries."""
     idx: dict = {}
 
     def flat(M: SparseMatrix, grow: bool) -> dict | None:
@@ -654,22 +664,11 @@ def basis_coordinates(mats: Sequence[SparseMatrix]):
         return out
 
     flats = [flat(M, True) for M in mats]
-    nb = len(mats)
-    width = len(idx)
-    one = Fraction(1)
-    echelon = EchelonBuilder(width + nb, ({**v, width + i: one} for i, v in enumerate(flats)))
-    if any(p >= width for p in echelon.rows):
-        raise ValueError("matrices are linearly dependent")
+    in_span = coordinates(flats, len(idx))
 
     def coords(M: SparseMatrix) -> Vector | None:
         v = flat(M, False)
-        if v is None:
-            return None
-        v = echelon.reduce(v)
-        if any(c < width for c in v):
-            return None
-        zero = Fraction(0)
-        return [-v[width + t] if width + t in v else zero for t in range(nb)]
+        return None if v is None else in_span(v)
 
     return coords
 

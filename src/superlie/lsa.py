@@ -89,7 +89,7 @@ class LieSuperalgebra:
         self.names = tuple(names)
         self.parities = tuple(int(p) % 2 for p in parities)
         self._dim = len(self.names)
-        self.brackets = _complete_brackets(brackets, self.parities, self._dim)
+        self.brackets = brackets
         self.realization = realization
         self._z2_kernel = None  # filled by cohomology._cocycle_kernel
         self._int_view = None  # filled by _int_table
@@ -210,10 +210,12 @@ def make_lsa(
     structure_constants: dict[tuple[int, int], Coordvec],
     realization: MatrixRealization | None = None,
 ) -> LieSuperalgebra:
-    """Construct and exhaustively validate a Lie superalgebra."""
+    """Construct and exhaustively validate a Lie superalgebra; the one entry
+    that completes a table given from outside (_complete_brackets)."""
     if len(names) != len(parities):
         raise LsaError("names and parities must have matching lengths")
-    return LieSuperalgebra(names, parities, structure_constants, realization)
+    table = _complete_brackets(structure_constants, [int(p) % 2 for p in parities], len(names))
+    return LieSuperalgebra(names, parities, table, realization)
 
 
 # -- matrix-basis ingestion ------------------------------------------------

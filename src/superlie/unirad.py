@@ -28,14 +28,13 @@ from .cohomology import (
 )
 from .current import Current, current_lsa
 from .linalg import (
-    Matrix,
     Subspace,
     _as_sparse,
     _axpy,
     _dense,
     _table_product,
+    coordinates,
     definiteness_with_witness,
-    kernel,
 )
 from .lsa import (
     BilinearForm,
@@ -89,38 +88,32 @@ def pointedness_certificate(L: LieSuperalgebra, lam: Sequence) -> PointednessCer
 def even_center_projections(L: LieSuperalgebra) -> list[list]:
     """Functionals projecting onto center coordinates of the even part.
 
-    Uses the reductive decomposition L_0 = Z(L_0) + [L_0, L_0] when exact.
+    Uses the reductive decomposition L_0 = Z(L_0) + [L_0, L_0] when exact,
+    both parts read from the structure report of the even subalgebra:
+    lambda_t(e_k) is the coordinate of e_k on the t-th center row.
     """
     ev = L.even_indices
     ne = len(ev)
     if ne == 0:
         return []
     pos = {k: t for t, k in enumerate(ev)}
-    # center of the even part: [x, e_j] = 0 for all even j, x even
-    rows = []
-    for j in ev:
-        for k in ev:
-            rows.append([L.bracket_basis(i, j).get(k, Fraction(0)) for i in ev])
-    center = Subspace(ne, kernel(rows, ne))
-    derived = Subspace(
-        ne,
-        [
-            [L.bracket_basis(i, j).get(k, Fraction(0)) for k in ev]
-            for i in ev
-            for j in ev
-        ],
-    )
+    table = {
+        (pos[i], pos[j]): {pos[k]: c for k, c in val.items()}
+        for (i, j), val in L.brackets.items()
+        if i in pos and j in pos
+    }
+    srep = structure_report(LieSuperalgebra([L.names[k] for k in ev], [0] * ne, table, validate=False))
+    center, derived = srep["center"], srep["derived_subalgebra"]
     if center.dim == 0 or center.dim + derived.dim != ne or center.intersect(derived).dim:
         return []
-    basis = center.basis_matrix() + derived.basis_matrix()
-    M = Matrix(list(map(list, zip(*basis))))
-    Minv = M.inverse()
+    coords = coordinates(center.sparse_rows + derived.sparse_rows, ne)
+    one = Fraction(1)
+    cols = [coords({k: one}) for k in range(ne)]
     out = []
     for t in range(center.dim):
-        lam_even = Minv.rows[t]
         lam = [Fraction(0)] * L.dim
-        for k, v in zip(ev, lam_even):
-            lam[k] = v
+        for k, col in zip(ev, cols):
+            lam[k] = col[t]
         out.append(lam)
     return out
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from superlie.assoc import AssocSuperalgebra
+from superlie.catalog import build_catalog
 from superlie.cohomology import Cocycle2, _derivation_identity
 from superlie.linalg import Matrix, _dense
-from superlie.lsa import LieSuperalgebra, from_matrix_basis, make_lsa
+from superlie.lsa import LieSuperalgebra, _complete_brackets, from_matrix_basis, make_lsa
 from superlie.scalars import Scalar
 
 
@@ -22,6 +23,20 @@ def _with_full_sweep(cls, validate_pos):
     return __init__
 
 
+def _with_complete_table(init):
+    """LieSuperalgebra.__init__ that also asserts the table it stores is
+    complete: Fraction values, no zeros and both orientations of a pair, so
+    that make_lsa's _complete_brackets would leave it as it is, item for
+    item."""
+
+    def __init__(self, names, parities, brackets, *args, **kwargs):
+        init(self, names, parities, brackets, *args, **kwargs)
+        assert list(_complete_brackets(brackets, self.parities, self.dim).items()) == list(self.brackets.items())
+        assert all(c.__class__ is Fraction for val in self.brackets.values() for c in val.values())
+
+    return __init__
+
+
 _cocycle_init = Cocycle2.__init__
 
 # Installed on import, before any test module is collected, so that every
@@ -31,8 +46,9 @@ _cocycle_init = Cocycle2.__init__
 # quotients (parity, unit, supercommutativity, associativity, grading).  So
 # does every cocycle built with validate=False (super-skewness and the
 # cocycle identity): the z2_space basis, the omega extend_current assembles
-# and the verify_cor1 certificate.
-LieSuperalgebra.__init__ = _with_full_sweep(LieSuperalgebra, 4)
+# and the verify_cor1 certificate.  Every Lie superalgebra also asserts that
+# the table it was handed is complete, since only make_lsa completes one.
+LieSuperalgebra.__init__ = _with_complete_table(_with_full_sweep(LieSuperalgebra, 4))
 AssocSuperalgebra.__init__ = _with_full_sweep(AssocSuperalgebra, 5)
 Cocycle2.__init__ = _with_full_sweep(Cocycle2, 3)
 
@@ -107,6 +123,22 @@ def odd_line():
 def odd_heisenberg():
     """Even z, odd y with [y,y] = z (a Clifford-Lie superalgebra)."""
     return make_lsa(["z", "y"], [0, 1], {(1, 1): {0: Fraction(1)}})
+
+
+# one build per family and size, read by the tests that compare routes on the
+# whole catalog
+CATALOG_BUILDS = (
+    ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
+    ("psu_pp", 2), ("psu_pp", 3), ("c_n", 2), ("c_n", 3), ("q_n", 3), ("pq_n", 3),
+)
+
+
+@pytest.fixture(scope="session", params=CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))
+def catalog_entry(request):
+    """One shared CatalogEntry per CATALOG_BUILDS spec, built once per
+    session: read it, never modify it.  A test that counts the work of a
+    build makes its own."""
+    return build_catalog(*request.param)
 
 
 @pytest.fixture(scope="session")

@@ -98,6 +98,27 @@ def test_norm_rejects_non_group_elements():
         C.norm(mixed)
 
 
+def test_inverse_inverts_and_refuses_zero_divisors():
+    C = clifford_algebra([frac(1), frac(2), frac(3)])
+    rng = random.Random(8)
+    inverted = 0
+    for _ in range(10):
+        u = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(C.dim)]
+        try:
+            inv = C.inverse(u)
+        except CliffordError:
+            continue
+        inverted += 1
+        assert C.product(u, inv) == C.unit() == C.product(inv, u)
+    assert inverted
+    # (1 + e1)(1 - e1) = 1 - mu_1 = 0
+    zero_divisor = C.unit()
+    zero_divisor[C.index[0b001]] = frac(1)
+    for u in (zero_divisor, [frac(0)] * C.dim):
+        with pytest.raises(CliffordError, match="element is not invertible"):
+            C.inverse(u)
+
+
 def det(M):
     """Determinant by fraction-free (Bareiss) elimination with row swaps."""
     a = [list(r) for r in M.rows]

@@ -9,10 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import abelian, apply, derivation_sweep, odd_heisenberg, su2_cyclic
+from conftest import CATALOG_BUILDS, abelian, apply, derivation_sweep, odd_heisenberg, su2_cyclic
 from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon
 from test_lsa import dense_invariant, scaled_form
-from test_sparse_oracles import CATALOG_BUILDS, assert_same_entries, dense_gram_of_vector, dense_supertrace_gram
+from test_sparse_oracles import assert_same_entries, dense_gram_of_vector, dense_supertrace_gram
 from test_term_groups import cocycle_terms, hochschild_terms, pair_coeff, skew_terms, term_rows
 from superlie.assoc import grassmann
 from superlie.cohomology import (

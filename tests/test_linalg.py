@@ -19,6 +19,7 @@ from superlie.linalg import (
     _row_primitive,
     _to_int_row,
     basis_coordinates,
+    coordinates,
     definiteness,
     definiteness_with_witness,
     is_hermitian,
@@ -177,6 +178,14 @@ def tower(rng):
     return x + Scalar.i() * rng.randint(-1, 1)
 
 
+def rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def random_vector(rng, n, entry):
+    return {c: x for c in range(n) if (x := entry(rng))}
+
+
 def test_echelon_mixed_inputs_match_dense_oracle():
     """Dense, sparse and mixed spanning sets, rational and tower entries, in
     shuffled orders, all reduce to the dense oracle's rows and pivots."""
@@ -221,6 +230,12 @@ def test_subspace_ops_examples():
     assert Subspace(2, [e_vec(2, 0)]).contains(Subspace(2, [e_vec(2, 0, 1)])) is False
 
 
+def assert_is_intersection(U, W):
+    inter = U.intersect(W)
+    assert U.contains(inter) and W.contains(inter)
+    assert inter.dim == U.dim + W.dim - U.sum(W).dim
+
+
 def test_modular_law_random():
     rng = random.Random(10)
     for _ in range(25):
@@ -232,6 +247,15 @@ def test_modular_law_random():
         assert s.dim + i.dim == U.dim + V.dim
         assert s.contains(U) and s.contains(V)
         assert U.contains(i) and V.contains(i)
+    # over Q and the tower, with a shared part so that U and W often meet
+    for trial in range(40):
+        entry = tower if trial % 2 else rational
+        n = rng.randint(1, 7)
+        common = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))]
+        U = Subspace(n, common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))])
+        W = Subspace(n, common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))])
+        assert_is_intersection(U, W)
+        assert_is_intersection(W, U)
 
 
 def test_quotient_basis():
@@ -768,6 +792,46 @@ def test_basis_coordinates():
     assert coords(SparseMatrix.from_dense(tower_matrix())) is None
     with pytest.raises(ValueError, match="dependent"):
         basis_coordinates(sparse(basis + [combine([1, -1, 2, 0], basis)]))
+
+
+def combination(coefs, vectors):
+    """sum c_t v_t as a sparse vector, zeros dropped."""
+    out = {}
+    for c, v in zip(coefs, vectors):
+        for col, x in v.items():
+            out[col] = out.get(col, Fraction(0)) + c * x
+    return {col: x for col, x in out.items() if x}
+
+
+def test_coordinates_recombine_to_the_target():
+    """Over Q and over the tower: the coefficients of a vector of the span
+    recombine to it, a vector off the span has none, and a dependent family
+    is refused."""
+    rng = random.Random(31)
+    for trial in range(40):
+        entry = tower if trial % 2 else rational
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        vecs = [random_vector(rng, n, entry) for _ in range(k)]
+        span = Subspace(n, vecs)
+        if span.dim < k:
+            with pytest.raises(ValueError, match="dependent"):
+                coordinates(vecs, n)
+            continue
+        coords = coordinates(vecs, n)
+        for _ in range(4):
+            coefs = [entry(rng) for _ in vecs]
+            got = coords(combination(coefs, vecs))
+            assert got == coefs
+            assert combination(got, vecs) == combination(coefs, vecs)
+        if k < n:
+            w = random_vector(rng, n, entry)
+            while span.contains_vector(w):
+                w = random_vector(rng, n, entry)
+            assert coords(w) is None
+        dependent = vecs + [combination([entry(rng) for _ in vecs], vecs)]
+        with pytest.raises(ValueError, match="dependent"):
+            coordinates(dependent, n)
 
 
 def test_matrix_inverse():

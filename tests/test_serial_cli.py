@@ -279,6 +279,9 @@ MALFORMED_ARGV = [
     ["cohomology", "z2", "--k", "catalog:su_n:2", "--out", DIRECTORY],
     # refused by the 2-cocycle dimension cap (dim 192 > 48) before any solve
     ["cohomology", "h2", "--A", "grassmann:6", "--k", "catalog:su_n:2"],
+    # the random certificate search draws denominators from 1..height
+    ["urad", "pointed", "--k", "catalog:psu_pp:2", "--height", "0"],
+    ["urad", "pointed", "--k", "catalog:su_n:2", "--tries", "-3"],
 ]
 
 

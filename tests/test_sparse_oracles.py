@@ -23,7 +23,7 @@ from itertools import product
 
 import pytest
 
-from conftest import abelian, derivation_sweep, su2_cyclic
+from conftest import CATALOG_BUILDS, abelian, derivation_sweep, su2_cyclic
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
 from superlie.clifford import gamma_rep
@@ -81,12 +81,6 @@ from superlie.lsa import (
 )
 from superlie.scalars import Scalar
 from superlie.unirad import isotropic_even_list, square_zero_seeds, universal_extension
-
-CATALOG_BUILDS = (
-    ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
-    ("psu_pp", 2), ("psu_pp", 3), ("c_n", 2), ("c_n", 3), ("q_n", 3), ("pq_n", 3),
-)
-
 
 # -- the dense code ------------------------------------------------------------
 
@@ -488,11 +482,6 @@ def one_entry_mutant(M, rng):
     a, b = rng.randrange(M.nrows), rng.randrange(M.ncols)
     rows[a][b] += Fraction(rng.choice([-2, -1, 1, 3]))
     return Matrix(rows)
-
-
-@pytest.fixture(scope="module", params=CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))
-def catalog_entry(request):
-    return build_catalog(*request.param)
 
 
 def test_invariance_check_matches_full_sweep(catalog_entry):

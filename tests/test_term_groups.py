@@ -46,11 +46,6 @@ from superlie.current import current_lsa
 from superlie.linalg import _entries, _first_violation, _identity_rows, _preimages, sparse_kernel
 from superlie.lsa import _invariance_groups, _invariance_witness, _symmetry_groups, build_form
 
-CATALOG_BUILDS = (
-    ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
-    ("psu_pp", 2), ("psu_pp", 3), ("c_n", 2), ("c_n", 3), ("q_n", 3), ("pq_n", 3),
-)
-
 H2_SCALE_SYSTEMS = {
     "L3 x su(2|1)": (("su_pq", 2, 1), 3),
     "L3 x su(3)": (("su_n", 3), 3),
@@ -273,11 +268,6 @@ def numerators(F):
 
 def sorted_triples(n):
     return [(x, y, z) for x in range(n) for y in range(x, n) for z in range(y, n)]
-
-
-@pytest.fixture(scope="module", params=CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))
-def catalog_entry(request):
-    return build_catalog(*request.param)
 
 
 # -- rows --------------------------------------------------------------------------

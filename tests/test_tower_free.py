@@ -7,15 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CATALOG_BUILDS
 from superlie.catalog import build_catalog
 from superlie.clifford import commutant_dimension, gamma_rep
 from superlie.lsa import build_form
 from superlie.scalars import Scalar
-
-CATALOG_BUILDS = (
-    ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
-    ("psu_pp", 2), ("psu_pp", 3), ("c_n", 2), ("c_n", 3), ("q_n", 3), ("pq_n", 3),
-)
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from test_linalg import assert_is_intersection
 from superlie.assoc import grassmann
+from superlie.scalars import Scalar
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa
 from superlie.linalg import Matrix, Subspace, _entries
@@ -148,6 +150,28 @@ def test_kernel_theorem_tower_seed_route():
     )
     rep = verify_kernel_theorem(entry, 1)
     assert rep["contains_lambda_plus_k"]
+
+
+def test_intersect_at_the_unirad_call_sites(monkeypatch):
+    """The intersections the urad and kernel replays and the pointedness
+    functionals take, one of them over the tower (su(3|1)'s sqrt(3) seeds),
+    against dim U + dim W - dim(U + W)."""
+    pairs = []
+    intersect = Subspace.intersect
+
+    def recording(U, W):
+        pairs.append((U, W))
+        return intersect(U, W)
+
+    monkeypatch.setattr(Subspace, "intersect", recording)
+    verify_urad_theorem(build_catalog("su_n", 2), 3)
+    verify_kernel_theorem(build_catalog("su_pq", 3, 1), 1)
+    even_center_projections(build_catalog("su_pq", 2, 1).algebra)
+    monkeypatch.undo()
+    assert len(pairs) == 3
+    assert any(isinstance(x, Scalar) for U, W in pairs for S in (U, W) for r in S.sparse_rows for x in r.values())
+    for U, W in pairs:
+        assert_is_intersection(U, W)
 
 
 def test_invalid_certificate_returns_witness(psu22):
