@@ -13,7 +13,6 @@ from .clifford import (
     CliffordAlgebra,
     CliffordLieSuperalgebra,
     CliffordRep,
-    clifford_algebra,
     clifford_lie,
     gamma_rep,
     lambda_admissible_rep,
@@ -38,21 +37,20 @@ from .cohomology import (
     z2_space,
 )
 from .current import Current, current_lsa, eps_projection
-from .linalg import Matrix, Subspace, definiteness, solve_linear
+from .linalg import Matrix, Subspace, definiteness
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
     build_form,
     form_report,
     from_matrix_basis,
-    generated_submodule,
     ideal_closure,
     make_lsa,
     quotient_lsa,
     structure_report,
 )
 from .scalars import Field, Scalar, extend_field, format_scalar, parse_scalar
-from .serial import algebra_from_json, algebra_to_json, load_algebra, save_algebra
+from .serial import algebra_from_json, algebra_to_json, load_algebra
 from .unirad import (
     PointednessCertificate,
     faithfulness_boundary,
@@ -67,18 +65,17 @@ from .unirad import (
 __all__ = [
     "AssocSuperalgebra", "augmentation", "graded_part", "grassmann", "quotient_assoc",
     "CatalogEntry", "build_catalog", "special_elements", "verify_catalog_facts",
-    "CliffordAlgebra", "CliffordLieSuperalgebra", "CliffordRep", "clifford_algebra",
-    "clifford_lie", "gamma_rep", "lambda_admissible_rep", "mu_lambda", "phase_adjust",
+    "CliffordAlgebra", "CliffordLieSuperalgebra", "CliffordRep", "clifford_lie",
+    "gamma_rep", "lambda_admissible_rep", "mu_lambda", "phase_adjust",
     "Cocycle2", "HochschildMap", "b2_space", "central_extension", "centroid",
     "derivation_space", "eta_cocycle", "h2_dim", "hochschild_space", "kappa_T",
     "split_by_star", "star", "verify_cor1", "xi_cocycle", "z2_space",
     "Current", "current_lsa", "eps_projection",
-    "Matrix", "Subspace", "definiteness", "solve_linear",
+    "Matrix", "Subspace", "definiteness",
     "BilinearForm", "LieSuperalgebra", "build_form", "form_report",
-    "from_matrix_basis", "generated_submodule", "ideal_closure", "make_lsa",
-    "quotient_lsa", "structure_report",
+    "from_matrix_basis", "ideal_closure", "make_lsa", "quotient_lsa", "structure_report",
     "Field", "Scalar", "extend_field", "format_scalar", "parse_scalar",
-    "algebra_from_json", "algebra_to_json", "load_algebra", "save_algebra",
+    "algebra_from_json", "algebra_to_json", "load_algebra",
     "PointednessCertificate", "faithfulness_boundary", "find_certificate",
     "pointedness_certificate", "square_zero_seeds", "urad_lower",
     "verify_kernel_theorem", "verify_urad_theorem",

@@ -537,7 +537,7 @@ def special_elements(entry: CatalogEntry) -> dict:
 
 def _restricted_definiteness(form: BilinearForm, sub: Subspace, sign: int = 1) -> str:
     """The definiteness verdict of sign * form on the echelon basis of sub."""
-    basis = sub.basis_matrix()
+    basis = sub.rows
     return definiteness(Matrix([[sign * form.eval(x, y)[0] for y in basis] for x in basis]))
 
 

@@ -31,6 +31,11 @@ from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram, super_mat
 from .scalars import Scalar, squarefree_split, zeta8
 
 PRODUCT_TABLE_CAP = 12
+# gammas are 2^floor(n/2) square; `clifford gamma --mu` with 14, 16 and 18
+# generators took 1.8 s, 8.3 s and 39 s and printed 3.0, 13.7 and 61.5 MB
+# (one run each, 2 vCPUs, CPython 3.11), about 4.5x per two generators, so
+# gamma_rep refuses more than 16
+GAMMA_CAP = 16
 
 
 class CliffordError(ValueError):
@@ -159,10 +164,6 @@ class CliffordAlgebra:
         return f"CliffordAlgebra(n={self.n})"
 
 
-def clifford_algebra(mu_diag: Sequence[Fraction]) -> CliffordAlgebra:
-    return CliffordAlgebra(mu_diag)
-
-
 # -- gamma representations ----------------------------------------------------------
 
 
@@ -259,6 +260,8 @@ def gamma_rep(mu_diag: Sequence[Fraction]) -> CliffordRep:
     mu = [Fraction(d) for d in mu_diag]
     if not mu:
         raise CliffordError("gamma_rep needs at least one generator")
+    if len(mu) > GAMMA_CAP:
+        raise CliffordError(f"gamma representations capped at {GAMMA_CAP} generators")
     if any(d <= 0 for d in mu):
         raise CliffordError("mu must have positive diagonal entries")
     n = len(mu)

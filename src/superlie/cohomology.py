@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 from .assoc import AssocSuperalgebra
 from .current import Current, current_lsa
 from .linalg import (
-    EchelonBuilder,
     Matrix,
     SparseEliminator,
     Subspace,
@@ -682,12 +681,10 @@ def _h2_representatives(
     L: LieSuperalgebra, der_minus: EndSpace, inner: EndSpace, vanish_on_even: bool
 ) -> list[tuple[dict, int]]:
     # the (a, b) keys order the columns row-major, as a flattened matrix would
-    builder = EchelonBuilder(L.dim * L.dim)
-    for M, _p in inner.members():
-        builder.add(M)
+    span = Subspace(L.dim * L.dim, (M for M, _p in inner.members()))
     reps = []
     for M, p in der_minus.members():
-        if builder.add(M):
+        if span.add(M):
             if vanish_on_even:
                 M = _correct_to_vanish_on_even(L, M, p, inner)
             reps.append((M, p))

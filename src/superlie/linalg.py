@@ -1,19 +1,20 @@
 """Exact linear algebra over the rational field and the scalar tower.
 
-One engine reduces every span: `EchelonBuilder`, an incremental reduced row
-echelon form kept as sparse rows.  It takes dense or sparse vectors over any
-exact field element supporting +, -, *, /, bool and ==, which covers both
-Fraction and Scalar.  Three reads of it answer every exact question:
-`reduce` tests membership (`Subspace`, `kernel`, the saturations),
-`coordinates` gives the unique coefficients in an independent family
-(`basis_coordinates`, `Matrix.inverse`, Clifford inverses, the pointedness
-functionals) and `_particular` a solution of the augmented rows [A | b]
-(`solve_linear`, the even-part correction of H2 representatives).  Large
-homogeneous systems go through the sparse integer eliminator
-`sparse_kernel`, which strips row contents instead of carrying fractions
-(Bareiss-style swell control); it reads its rows as a stream, feeds them
-shortest first and drops those its unit pivot rows {c: 1} already span;
-each kernel vector is back-solved over only the pivot rows it reaches.
+One type reduces every span: `Subspace`, a reduced row echelon form kept
+as sparse rows keyed by pivot, which its builder grows one vector at a time
+(`add`).  It takes dense or sparse vectors over any exact field element
+supporting +, -, *, /, bool and ==, which covers both Fraction and Scalar.
+Three reads of it answer every exact question: `reduce` tests membership
+(`contains_vector`, `kernel`, the saturations), `coordinates` gives the unique
+coefficients in an independent family (`basis_coordinates`,
+`Matrix.inverse`, Clifford inverses, the pointedness functionals) and
+`_particular` a solution of the augmented rows [A | b] (the even-part
+correction of H2 representatives).  Large homogeneous systems go through
+the sparse integer eliminator `sparse_kernel`, which strips row contents
+instead of carrying fractions (Bareiss-style swell control); it reads its
+rows as a stream, feeds them shortest first and drops those its unit pivot
+rows {c: 1} already span; each kernel vector is back-solved over only the
+pivot rows it reaches.
 
 Matrix realizations, gammas and the chis of a Clifford representation are
 `SparseMatrix` values: a short sum sum_m sqrt(m) U_m, each U_m a map
@@ -116,26 +117,56 @@ def _dense(v: dict, n: int) -> Vector:
     return out
 
 
-class EchelonBuilder:
-    """Incremental reduced row echelon form of dense or sparse vectors.
+class Subspace:
+    """Subspace of Q^n (or tower^n) kept in reduced echelon form (canonical).
 
-    rows maps each pivot column to its row {column: value}, which is 1 at the
-    pivot and zero (absent) at every other pivot.  The reduced echelon form
-    is unique: any spanning set, in any order, gives the same rows.
+    Spanned by dense lists or sparse {column: value} dicts.  The reduced rows
+    are kept sparse in a dict keyed by pivot, each row 1 at its pivot and
+    zero (absent) at every other pivot; any spanning set, in any order, gives
+    the same rows.  `add` grows the span one vector at a time and is called
+    only by the function that builds the space, so a returned space does not
+    change.  The rows are sorted by pivot, and the dense rows built, only
+    when `pivots`, `sparse_rows` or `rows` are read.
     """
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient_dim", "_rows", "_sorted", "_dense_rows")
 
-    def __init__(self, ambient: int, vectors: Iterable = ()):
-        self.ambient = ambient
-        self.rows: dict[int, dict] = {}
+    def __init__(self, ambient_dim: int, vectors: Iterable = ()):
+        self.ambient_dim = ambient_dim
+        self._rows: dict[int, dict] = {}
+        self._sorted = True
+        self._dense_rows = None
         for vec in vectors:
             self.add(vec)
+
+    def _echelon(self) -> dict[int, dict]:
+        if not self._sorted:
+            self._rows = dict(sorted(self._rows.items()))
+            self._sorted = True
+        return self._rows
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return list(self._echelon())
+
+    @property
+    def sparse_rows(self) -> list[dict]:
+        return list(self._echelon().values())
+
+    @property
+    def rows(self) -> list[Vector]:
+        if self._dense_rows is None:
+            self._dense_rows = [_dense(r, self.ambient_dim) for r in self._echelon().values()]
+        return self._dense_rows
 
     def reduce(self, vec) -> dict:
         """vec minus its part along the rows, as a new sparse vector."""
         v = _as_sparse(vec)
-        rows = self.rows
+        rows = self._rows
         # the rows are zero at each other's pivots, so one pass clears v
         for p in [c for c in v if c in rows]:
             _axpy(v, rows[p], v[p])
@@ -149,60 +180,16 @@ class EchelonBuilder:
         lead = min(v)
         inv = v[lead]
         v = {c: x / inv for c, x in v.items()}
-        for r in self.rows.values():
+        for r in self._rows.values():
             if lead in r:
                 _axpy(r, v, r[lead])
-        self.rows[lead] = v
+        self._rows[lead] = v
+        self._sorted = False
+        self._dense_rows = None
         return v
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def subspace(self) -> "Subspace":
-        return Subspace(self.ambient, self.rows.values())
-
-
-class Subspace:
-    """Subspace of Q^n (or tower^n) kept in reduced echelon form (canonical).
-
-    Spanned by dense lists or sparse {column: value} dicts.  Only the sparse
-    rows are stored; the dense rows are built on first use, and every fill
-    gives the same rows.
-    """
-
-    __slots__ = ("ambient_dim", "pivots", "_echelon", "_dense_rows")
-
-    def __init__(self, ambient_dim: int, vectors: Iterable = ()):
-        echelon = EchelonBuilder(ambient_dim, vectors)
-        echelon.rows = dict(sorted(echelon.rows.items()))
-        self.ambient_dim = ambient_dim
-        self.pivots = list(echelon.rows)
-        self._echelon = echelon
-        self._dense_rows = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def sparse_rows(self) -> list[dict]:
-        return list(self._echelon.rows.values())
-
-    @property
-    def rows(self) -> list[Vector]:
-        if self._dense_rows is None:
-            self._dense_rows = [_dense(r, self.ambient_dim) for r in self._echelon.rows.values()]
-        return self._dense_rows
-
-    def reduce(self, vec) -> dict:
-        return self._echelon.reduce(vec)
-
     def contains_vector(self, vec) -> bool:
-        return self._echelon.contains(vec)
+        return not self.reduce(vec)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -218,22 +205,11 @@ class Subspace:
         intersection."""
         self._check_ambient(other)
         n = self.ambient_dim
-        echelon = EchelonBuilder(2 * n, (
+        echelon = Subspace(2 * n, (
             *({**u, **{n + c: x for c, x in u.items()}} for u in self.sparse_rows),
             *other.sparse_rows,
-        ))
-        return Subspace(n, ({c - n: x for c, x in r.items()} for p, r in echelon.rows.items() if p >= n))
-
-    def quotient_basis(self, sub: "Subspace") -> list[Vector]:
-        """Basis of a complement of sub inside self; requires sub <= self."""
-        self._check_ambient(sub)
-        if not self.contains(sub):
-            raise ValueError("quotient_basis: second space is not contained in the first")
-        builder = EchelonBuilder(self.ambient_dim, sub.sparse_rows)
-        return [list(r) for r, s in zip(self.rows, self.sparse_rows) if builder.add(s)]
-
-    def basis_matrix(self) -> list[Vector]:
-        return [list(r) for r in self.rows]
+        ))._rows
+        return Subspace(n, ({c - n: x for c, x in r.items()} for p, r in echelon.items() if p >= n))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -577,28 +553,10 @@ def _sparse_products(terms, nrows: int, ncols: int) -> list[list]:
     return out
 
 
-class SolveResult:
-    __slots__ = ("particular", "kernel")
-
-    def __init__(self, particular, kernel: Subspace):
-        self.particular = particular
-        self.kernel = kernel
-
-
-def solve_linear(A: Matrix, b: Sequence) -> SolveResult:
-    """Exact solution set of A x = b: a particular solution (or None) + kernel."""
-    bcol = list(b)
-    if A.nrows != len(bcol):
-        raise ValueError("A.rows must match len(b)")
-    n = A.ncols
-    particular = _particular((list(r) + [bv] for r, bv in zip(A.rows, bcol)), n)
-    return SolveResult(particular, Subspace(n, kernel(A.rows, n)))
-
-
 def _particular(rows: Iterable, n: int) -> Vector | None:
     """The solution of the augmented rows [A | b], b in column n, with every
     free unknown zero; None when the system is inconsistent."""
-    red = EchelonBuilder(n + 1, rows).rows
+    red = Subspace(n + 1, rows)._rows
     if n in red:
         return None
     zero = Fraction(0)
@@ -607,7 +565,7 @@ def _particular(rows: Iterable, n: int) -> Vector | None:
 
 def kernel(rows: Iterable, ncols: int) -> list[Vector]:
     """Kernel basis of an exact matrix given by dense or sparse rows."""
-    red = EchelonBuilder(ncols, rows).rows
+    red = Subspace(ncols, rows)._rows
     out = []
     for f in range(ncols):
         if f in red:
@@ -629,8 +587,8 @@ def coordinates(vectors: Sequence[dict], ambient: int):
     the rows [v_t | e_t]; a pivot right of the v raises ValueError."""
     nb = len(vectors)
     one = Fraction(1)
-    echelon = EchelonBuilder(ambient + nb, ({**v, ambient + t: one} for t, v in enumerate(vectors)))
-    if any(p >= ambient for p in echelon.rows):
+    echelon = Subspace(ambient + nb, ({**v, ambient + t: one} for t, v in enumerate(vectors)))
+    if any(p >= ambient for p in echelon._rows):
         raise ValueError("vectors are linearly dependent")
     zero = Fraction(0)
 

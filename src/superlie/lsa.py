@@ -1,15 +1,15 @@
 """Finite dimensional real Lie superalgebras by exact structure constants.
 
 Validation (super antisymmetry, parity, graded Jacobi), matrix-basis
-ingestion, invariant forms, ideal saturation, graded quotients and module
-generation.  make_lsa (files, user tables) runs the full sweep;
-from_matrix_basis, current_lsa, central_extension and quotient_lsa are valid
-by construction, build with validate=False and check only what they add (a
-matrix basis is checked for block-homogeneity, independence and closure; a
-quotient checks that its ideal is graded and closed under brackets).  A
-bilinear form holds one sparse map {(a, b): B(e_a, e_b)} per value
-component, which its flags, its radical and the cocycle families read; its
-dense grams are built only to print or to diagonalize.
+ingestion, invariant forms, ideal saturation and graded quotients.
+make_lsa (files, user tables) runs the full sweep; from_matrix_basis,
+current_lsa, central_extension and quotient_lsa are valid by construction,
+build with validate=False and check only what they add (a matrix basis is
+checked for block-homogeneity, independence and closure; a quotient checks
+that its ideal is graded and closed under brackets).  A bilinear form holds
+one sparse map {(a, b): B(e_a, e_b)} per value component, which its flags,
+its radical and the cocycle families read; its dense grams are built only
+to print or to diagonalize.
 Everything is immutable after construction and purely functional, so
 operations are safe to run concurrently.
 """
@@ -21,7 +21,6 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .linalg import (
-    EchelonBuilder,
     Matrix,
     SparseMatrix,
     Subspace,
@@ -122,14 +121,6 @@ class LieSuperalgebra:
         """[u, v] as a dense list, for dense or sparse u and v."""
         return _dense(_table_product(self.brackets, _as_sparse(u), _as_sparse(v)), self._dim)
 
-    def ad_matrix(self, i: int) -> Matrix:
-        n = self._dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k, c in self.bracket_basis(i, j).items():
-                rows[k][j] = c
-        return Matrix(rows)
-
     def basis_vector(self, i: int) -> list:
         v = [Fraction(0)] * self._dim
         v[i] = Fraction(1)
@@ -157,11 +148,6 @@ class LieSuperalgebra:
                     raise ValidationError(
                         "antisymmetry violation", (j, i),
                         f"[{self.names[j]},{self.names[i]}] is not -(-1)^|x||y| [{self.names[i]},{self.names[j]}]",
-                    )
-                if i == j and par[i] == 0 and any(val.values()):
-                    raise ValidationError(
-                        "antisymmetry violation", (i, i),
-                        f"[{self.names[i]},{self.names[i]}] must vanish for an even element",
                     )
         # graded Jacobi on sorted triples (antisymmetry covers permutations)
         table = self.brackets
@@ -470,17 +456,17 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
 def _saturate(n: int, seeds: Iterable, maps: Sequence) -> Subspace:
     """Smallest subspace of Q^n containing the seeds and mapped into itself by
     each of the maps, which take and return sparse vectors."""
-    builder = EchelonBuilder(n)
-    fresh = [dict(r) for r in map(builder.add, seeds) if r]
+    space = Subspace(n)
+    fresh = [dict(r) for r in map(space.add, seeds) if r]
     while fresh:
         next_fresh = []
         for v in fresh:
             for f in maps:
                 w = f(v)
-                if w and builder.add(w):
+                if w and space.add(w):
                     next_fresh.append(w)
         fresh = next_fresh
-    return builder.subspace()
+    return space
 
 
 def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
@@ -562,21 +548,3 @@ def structure_report(L: LieSuperalgebra) -> dict:
         "center": center,
         "is_perfect": derived.dim == n,
     }
-
-
-def _apply_columns(columns: Sequence[dict], w: Coordvec) -> Coordvec:
-    """M w = sum_c w_c M[:, c], from the sparse columns of M."""
-    out: Coordvec = {}
-    for c, x in w.items():
-        _axpy(out, columns[c], -x)
-    return out
-
-
-def generated_submodule(action: Sequence[Matrix], v: Sequence) -> Subspace:
-    """Smallest subspace containing v invariant under all action matrices."""
-    n = len(v)
-    maps = [
-        partial(_apply_columns, [{r: row[c] for r, row in enumerate(M.rows) if row[c]} for c in range(n)])
-        for M in action
-    ]
-    return _saturate(n, [v], maps)

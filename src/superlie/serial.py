@@ -119,11 +119,6 @@ def algebra_text(L: LieSuperalgebra) -> str:
     return json.dumps(algebra_to_json(L), sort_keys=True, indent=2) + "\n"
 
 
-def save_algebra(L: LieSuperalgebra, path: str):
-    with open(path, "w") as fh:
-        fh.write(algebra_text(L))
-
-
 def load_algebra(path: str) -> LieSuperalgebra:
     with open(path) as fh:
         try:

@@ -421,9 +421,9 @@ def isotropic_even_list(entry: CatalogEntry) -> list[list]:
     for pn in pos_names:
         sub = entry.components.get(pn)
         if sub is not None:
-            pos_rows.extend(sub.basis_matrix())
+            pos_rows.extend(sub.rows)
     out = []
-    for x in neg.basis_matrix():
+    for x in neg.rows:
         for y in pos_rows:
             if kappa.eval(x, y)[0] != 0:
                 raise UniradError("component pair is not kappa-orthogonal")

@@ -74,6 +74,16 @@ def apply(M, vec):
     return [sum((a * x for a, x in zip(r, vec) if a and x), Fraction(0)) for r in M.rows]
 
 
+def ad(L, i):
+    """The dense Matrix of ad e_i: column j holds [e_i, e_j]."""
+    n = L.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k, c in L.bracket_basis(i, j).items():
+            rows[k][j] = c
+    return Matrix(rows)
+
+
 def reduce_vector(S, vec):
     """vec minus its part along the Subspace S, as a dense list."""
     return _dense(S.reduce(vec), S.ambient_dim)

@@ -7,12 +7,13 @@ import pytest
 from conftest import apply, contains_scalar
 from superlie.assoc import _merge_sign
 from superlie.clifford import (
+    GAMMA_CAP,
+    CliffordAlgebra,
     CliffordError,
     CliffordRep,
     _split_complex_commutant,
     _unit_gammas,
     _verify_lambda_rep,
-    clifford_algebra,
     clifford_lie,
     commutant_dimension,
     gamma_rep,
@@ -37,14 +38,14 @@ def frac(x):
 
 
 def test_rank_one_algebra():
-    C = clifford_algebra([frac(1)])
+    C = CliffordAlgebra([frac(1)])
     assert C.dim == 2
     e1 = C.vector([frac(1)])
     assert C.product(e1, e1) == C.unit()
 
 
 def test_generators_anticommute():
-    C = clifford_algebra([frac(2), frac(3)])
+    C = CliffordAlgebra([frac(2), frac(3)])
     e1 = C.vector([frac(1), frac(0)])
     e2 = C.vector([frac(0), frac(1)])
     lhs = C.product(e1, e2)
@@ -68,7 +69,7 @@ def word_sort_sign(a, b):
 
 def test_subset_monomial_signs_match_word_sort():
     mu = [frac(2), frac(3), frac(5), frac(7)]
-    C = clifford_algebra(mu)
+    C = CliffordAlgebra(mu)
     for a in range(16):
         for b in range(16):
             sign = word_sort_sign(a, b)
@@ -82,7 +83,7 @@ def test_subset_monomial_signs_match_word_sort():
 
 
 def test_norm_equals_mu_on_vectors():
-    C = clifford_algebra([frac(2), frac(3), frac(5)])
+    C = CliffordAlgebra([frac(2), frac(3), frac(5)])
     rng = random.Random(7)
     for _ in range(25):
         v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
@@ -91,7 +92,7 @@ def test_norm_equals_mu_on_vectors():
 
 
 def test_norm_rejects_non_group_elements():
-    C = clifford_algebra([frac(1), frac(1)])
+    C = CliffordAlgebra([frac(1), frac(1)])
     mixed = C.unit()
     mixed[C.index[0b01]] = frac(1)  # 1 + e1 has non-scalar x^T x
     with pytest.raises(CliffordError):
@@ -99,7 +100,7 @@ def test_norm_rejects_non_group_elements():
 
 
 def test_inverse_inverts_and_refuses_zero_divisors():
-    C = clifford_algebra([frac(1), frac(2), frac(3)])
+    C = CliffordAlgebra([frac(1), frac(2), frac(3)])
     rng = random.Random(8)
     inverted = 0
     for _ in range(10):
@@ -140,7 +141,7 @@ def det(M):
 
 
 def test_alpha_of_unit_vector_is_reflection():
-    C = clifford_algebra([frac(1), frac(1), frac(1)])
+    C = CliffordAlgebra([frac(1), frac(1), frac(1)])
     for k in range(3):
         v = C.vector([frac(i == k) for i in range(3)])
         M = C.alpha_on_v(v)
@@ -152,7 +153,7 @@ def test_alpha_of_unit_vector_is_reflection():
 
 def test_alpha_product_lands_in_so():
     # product of two unit vectors acts with determinant +1 (Spin side)
-    C = clifford_algebra([frac(1), frac(1), frac(1)])
+    C = CliffordAlgebra([frac(1), frac(1), frac(1)])
     e1 = C.vector([frac(1), frac(0), frac(0)])
     e2 = C.vector([frac(0), frac(1), frac(0)])
     g = C.product(e1, e2)
@@ -161,7 +162,7 @@ def test_alpha_product_lands_in_so():
 
 
 def test_parity_and_transpose():
-    C = clifford_algebra([frac(1), frac(1)])
+    C = CliffordAlgebra([frac(1), frac(1)])
     e12 = [frac(0)] * 4
     e12[C.index[0b11]] = frac(1)
     assert C.parity_op(e12) == e12  # even monomial
@@ -170,7 +171,21 @@ def test_parity_and_transpose():
 
 def test_table_cap():
     with pytest.raises(CliffordError):
-        clifford_algebra([frac(1)] * 13)
+        CliffordAlgebra([frac(1)] * 13)
+
+
+def test_gamma_cap_refuses_before_building(monkeypatch):
+    import superlie.clifford
+
+    def refuse(n):
+        raise AssertionError(f"built {n} unit gammas")
+
+    monkeypatch.setattr(superlie.clifford, "_unit_gammas", refuse)
+    with pytest.raises(CliffordError, match=f"capped at {GAMMA_CAP} generators"):
+        gamma_rep([frac(1)] * (GAMMA_CAP + 1))
+    # the cap itself is let through to the build
+    with pytest.raises(AssertionError, match=f"built {GAMMA_CAP} unit gammas"):
+        gamma_rep([frac(1)] * GAMMA_CAP)
 
 
 # -- gamma representations -----------------------------------------------------

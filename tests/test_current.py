@@ -6,7 +6,7 @@ from conftest import apply, su2_cyclic
 from superlie.assoc import AssocSuperalgebra, grassmann
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa, eps_projection
-from superlie.linalg import Matrix, solve_linear
+from superlie.linalg import Matrix, _particular
 from superlie.lsa import structure_report
 
 
@@ -96,7 +96,7 @@ def rebased(B, basis):
     table = {}
     for p, u in enumerate(basis):
         for q, w in enumerate(basis):
-            coords = solve_linear(M, B.product(u, w)).particular
+            coords = _particular((r + [b] for r, b in zip(M.rows, B.product(u, w))), M.ncols)
             if any(coords):
                 table[(p, q)] = {r: c for r, c in enumerate(coords) if c}
     parities = [B.parities[next(k for k, c in enumerate(v) if c)] for v in basis]

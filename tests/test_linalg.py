@@ -16,6 +16,7 @@ from superlie.linalg import (
     SparseMatrix,
     Subspace,
     _axpy,
+    _particular,
     _row_primitive,
     _to_int_row,
     basis_coordinates,
@@ -25,7 +26,6 @@ from superlie.linalg import (
     is_hermitian,
     kernel,
     sign_of,
-    solve_linear,
     sparse_kernel,
     symmetric_diagonalize,
 )
@@ -110,32 +110,39 @@ def dense_echelon(vectors):
     return oracle.rows, oracle.pivots
 
 
+def solve(A, b):
+    """(x, K) for A x = b: the particular solution _particular reads from
+    the augmented rows [A | b] (None when inconsistent) and the kernel."""
+    x = _particular((r + [bv] for r, bv in zip(A.rows, b)), A.ncols)
+    return x, Subspace(A.ncols, kernel(A.rows, A.ncols))
+
+
 def test_solve_identity():
     A = Matrix.identity(3)
-    res = solve_linear(A, [Fraction(1), Fraction(2), Fraction(3)])
-    assert res.particular == [1, 2, 3]
-    assert res.kernel.dim == 0
+    x, K = solve(A, [Fraction(1), Fraction(2), Fraction(3)])
+    assert x == [1, 2, 3]
+    assert K.dim == 0
 
 
 def test_solve_zero_matrix():
     A = Matrix.zero(2, 2)
-    res = solve_linear(A, [Fraction(0), Fraction(0)])
-    assert res.particular == [0, 0]
-    assert res.kernel.dim == 2
+    x, K = solve(A, [Fraction(0), Fraction(0)])
+    assert x == [0, 0]
+    assert K.dim == 2
 
 
 def test_solve_inconsistent():
     A = frac_matrix([[1, 0], [1, 0]])
-    res = solve_linear(A, [Fraction(1), Fraction(2)])
-    assert res.particular is None
-    assert res.kernel.dim == 1
+    x, K = solve(A, [Fraction(1), Fraction(2)])
+    assert x is None
+    assert K.dim == 1
 
 
 def test_rank_nullity_random_20x30():
     rng = random.Random(7)
     A = rand_matrix(rng, 20, 30)
-    res = solve_linear(A, [Fraction(0)] * 20)
-    assert bareiss_rank(A.rows) + res.kernel.dim == 30
+    _x, K = solve(A, [Fraction(0)] * 20)
+    assert bareiss_rank(A.rows) + K.dim == 30
 
 
 def test_solutions_actually_solve():
@@ -144,10 +151,10 @@ def test_solutions_actually_solve():
         A = rand_matrix(rng, 5, 7)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(7)]
         b = apply(A, x)
-        res = solve_linear(A, b)
-        assert res.particular is not None
-        assert apply(A, res.particular) == b
-        for kv in res.kernel.rows:
+        sol, K = solve(A, b)
+        assert sol is not None
+        assert apply(A, sol) == b
+        for kv in K.rows:
             assert apply(A, kv) == [Fraction(0)] * 5
 
 
@@ -215,6 +222,50 @@ def test_echelon_mixed_inputs_match_dense_oracle():
                     assert red and not any(p in red for p in S.pivots)
 
 
+def test_add_one_at_a_time_matches_one_call():
+    """A Subspace grown with add, one vector at a time in shuffled orders,
+    is the one a single call builds (same pivots, sparse rows and dense
+    rows).  add returns None exactly for the vectors the dense oracle
+    already spans, else the new row, 1 at its pivot.  Every other order
+    reads the dense rows after each add, which must follow the oracle."""
+    rng = random.Random(25)
+    for trial in range(40):
+        entry = tower if trial % 2 else rational
+        n = rng.randint(1, 7)
+        vectors = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 6))]
+        if len(vectors) > 1:  # one vector of the span, so that some add returns None
+            a, b = rng.sample(vectors, 2)
+            vectors.append({c: x for c in range(n) if (x := 2 * a.get(c, 0) - b.get(c, 0))})
+        want = Subspace(n, vectors)
+        for k in range(4):
+            order = list(vectors)
+            rng.shuffle(order)
+            S, oracle = Subspace(n), DenseEchelon()
+            for v in order:
+                row = S.add(v)
+                assert (row is None) == (not oracle.add([v.get(c, Fraction(0)) for c in range(n)]))
+                if row is not None:
+                    assert row[min(row)] == 1
+                if k % 2:
+                    assert S.rows == oracle.rows and S.pivots == oracle.pivots
+            assert S.pivots == want.pivots
+            assert S.sparse_rows == want.sparse_rows
+            assert S.rows == want.rows
+            assert S == want and S.dim == want.dim
+
+
+def test_rows_read_before_add_are_rebuilt():
+    S = Subspace(3, [e_vec(3, 1)])
+    assert S.rows == [e_vec(3, 1)]
+    assert S.add(e_vec(3, 0, 1)) == {0: 1}
+    assert S.rows == [e_vec(3, 0), e_vec(3, 1)]
+    assert S.add(e_vec(3, 0)) is None
+    assert S.rows == [e_vec(3, 0), e_vec(3, 1)]
+    row = S.add([Fraction(0), Fraction(2), Fraction(4)])
+    assert row == {2: 1}
+    assert S.rows == [e_vec(3, 0), e_vec(3, 1), e_vec(3, 2)] and S.pivots == [0, 1, 2]
+
+
 def e_vec(n, *idx):
     v = [Fraction(0)] * n
     for i in idx:
@@ -256,16 +307,6 @@ def test_modular_law_random():
         W = Subspace(n, common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))])
         assert_is_intersection(U, W)
         assert_is_intersection(W, U)
-
-
-def test_quotient_basis():
-    U = Subspace(3, [e_vec(3, 0), e_vec(3, 1)])
-    V = Subspace(3, [e_vec(3, 0)])
-    comp = U.quotient_basis(V)
-    assert len(comp) == 1
-    W = Subspace(3, [e_vec(3, 2)])
-    with pytest.raises(ValueError):
-        U.quotient_basis(W)
 
 
 def test_definiteness_examples():

@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from conftest import abelian, apply, odd_heisenberg, odd_line, sc, smatrix
+from conftest import abelian, ad, apply, odd_heisenberg, odd_line, sc, smatrix
 from test_linalg import DenseEchelon
 from superlie.cohomology import _derivation_invariant, derivation_space, star
-from superlie.linalg import Matrix, Subspace, _dense, _entries, _gram
+from superlie.linalg import Matrix, Subspace, _dense, _entries, _gram, _table_product
 from superlie.lsa import (
     LsaError,
     ValidationError,
+    _saturate,
     build_form,
     form_report,
     from_matrix_basis,
-    generated_submodule,
     generating_set,
     ideal_closure,
     make_lsa,
@@ -36,6 +37,15 @@ def test_antisymmetry_error_pinpointed():
         )
     assert err.value.kind == "antisymmetry violation"
     assert err.value.indices == (1, 0)
+
+
+def test_even_square_is_an_antisymmetry_violation():
+    # [x, x] = -[x, x] for even x: the mirror test refuses a nonzero square
+    with pytest.raises(ValidationError) as err:
+        make_lsa(["x", "y"], [0, 0], {(0, 0): {1: 1}})
+    assert err.value.kind == "antisymmetry violation"
+    assert err.value.indices == (0, 0)
+    assert str(err.value) == "antisymmetry violation at (0, 0): [x,x] is not -(-1)^|x||y| [x,x]"
 
 
 def test_jacobi_error_pinpointed():
@@ -273,11 +283,15 @@ def test_structure_report_abelian():
     assert not rep["is_perfect"]
 
 
+def ad_maps(L):
+    """The sparse maps ad e_i, as _saturate takes them."""
+    return [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
+
+
 def test_generated_submodule(su2):
-    ads = [su2.ad_matrix(i) for i in range(3)]
-    assert generated_submodule(ads, su2.basis_vector(0)).dim == 3
-    assert generated_submodule([Matrix.zero(3, 3)], su2.basis_vector(0)).dim == 1
-    assert generated_submodule(ads, [Fraction(0)] * 3).dim == 0
+    assert _saturate(3, [su2.basis_vector(0)], ad_maps(su2)).dim == 3
+    assert _saturate(3, [su2.basis_vector(0)], [lambda v: {}]).dim == 1
+    assert _saturate(3, [[Fraction(0)] * 3], ad_maps(su2)).dim == 0
 
 
 def test_ad_is_derivation(su2):
@@ -285,10 +299,10 @@ def test_ad_is_derivation(su2):
     from superlie.catalog import build_catalog
 
     for i in range(3):
-        assert is_derivation(su2, _entries(su2.ad_matrix(i)), su2.parities[i])
+        assert is_derivation(su2, _entries(ad(su2, i)), su2.parities[i])
     K = build_catalog("su_pq", 2, 1).algebra
     for i in range(K.dim):
-        assert is_derivation(K, _entries(K.ad_matrix(i)), K.parities[i])
+        assert is_derivation(K, _entries(ad(K, i)), K.parities[i])
 
 
 def dense_invariant(L, B):
@@ -481,13 +495,13 @@ def test_saturations_and_quotient_match_dense_versions(case):
     assert closure.pivots == oracle.pivots and closure.rows == oracle.rows
     assert 0 < closure.dim < L.dim
 
-    # under every ad e_i, the submodule a seed generates is its ideal closure
-    ads = [L.ad_matrix(i) for i in range(L.dim)]
+    # the saturation of one seed under the sparse ad maps is the submodule
+    # the dense ad matrices generate
+    ads = [ad(L, i) for i in range(L.dim)]
     for seed, dense_seed in zip(seeds[:3], dense_seeds):
-        sub = generated_submodule(ads, dense_seed)
+        sub = _saturate(L.dim, [seed], ad_maps(L))
         want = dense_generated_submodule(ads, dense_seed)
         assert sub.pivots == want.pivots and sub.rows == want.rows
-        assert sub == ideal_closure(L, [seed])
 
     quo, proj = quotient_lsa(L, closure)
     want_quo, want_proj = dense_quotient_lsa(L, oracle)

@@ -282,6 +282,8 @@ MALFORMED_ARGV = [
     # the random certificate search draws denominators from 1..height
     ["urad", "pointed", "--k", "catalog:psu_pp:2", "--height", "0"],
     ["urad", "pointed", "--k", "catalog:su_n:2", "--tries", "-3"],
+    # one generator past the gamma cap (16): refused before any gamma is built
+    ["clifford", "gamma", "--mu", ",".join(["1"] * 17)],
 ]
 
 
@@ -312,6 +314,20 @@ def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
         assert f" at {json_path}" in lines[0]
     if "catalog:nofam:2" in argv:
         assert "unknown catalog family 'nofam'" in lines[0] and "su_n" in lines[0]
+
+
+def test_cli_gamma_cap_refuses_before_building(monkeypatch, capsys):
+    import superlie.clifford
+
+    def refuse(n):
+        raise AssertionError("a gamma was built past the cap")
+
+    monkeypatch.setattr(superlie.clifford, "_unit_gammas", refuse)
+    assert main(["clifford", "gamma", "--mu", ",".join(["1"] * (superlie.clifford.GAMMA_CAP + 1))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"error: gamma representations capped at {superlie.clifford.GAMMA_CAP} generators"]
 
 
 def test_star_import_resolves_every_public_name():

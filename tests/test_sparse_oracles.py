@@ -23,7 +23,8 @@ from itertools import product
 
 import pytest
 
-from conftest import CATALOG_BUILDS, abelian, derivation_sweep, su2_cyclic
+from conftest import CATALOG_BUILDS, abelian, ad, derivation_sweep, su2_cyclic
+from test_linalg import DenseEchelon
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
 from superlie.clifford import gamma_rep
@@ -51,7 +52,6 @@ from superlie.cohomology import (
 )
 from superlie.current import current_lsa
 from superlie.linalg import (
-    EchelonBuilder,
     Matrix,
     SparseMatrix,
     _dense,
@@ -63,7 +63,6 @@ from superlie.linalg import (
     _preimages,
     _table_product,
     basis_coordinates,
-    solve_linear,
     sparse_kernel,
     supertrace_pairing,
 )
@@ -507,7 +506,7 @@ def test_derivation_and_centroid_checks_match_full_sweep(catalog_entry):
     members = list(der.members())
     members = rng.sample(members, min(len(members), 6)) + list(centroid(L).members())
     members = [(_gram(X, L.dim), p) for X, p in members]
-    members += [(L.ad_matrix(i), L.parities[i]) for i in rng.sample(range(L.dim), 3)]
+    members += [(ad(L, i), L.parities[i]) for i in rng.sample(range(L.dim), 3)]
     der_verdicts, cent_verdicts = set(), set()
     for M, p in members:
         for X in (M, one_entry_mutant(M, rng)):
@@ -605,7 +604,7 @@ def dense_end_space(L, d_parity, groups, triples):
 
 def dense_inner(L):
     """[even, odd] bases of the nonzero ad e_i."""
-    ads = [L.ad_matrix(i) for i in range(L.dim)]
+    ads = [ad(L, i) for i in range(L.dim)]
     return [[A for A, q in zip(ads, L.parities) if q == p and not A.is_zero()] for p in (0, 1)]
 
 
@@ -654,11 +653,16 @@ def dense_correct_to_vanish_on_even(L, D, parity, inner):
         for k in range(L.dim):
             rows.append([A.rows[k][j] for A in ads])
             rhs.append(-D.rows[k][j])
-    res = solve_linear(Matrix(rows), rhs)
-    if res.particular is None:
+    # the solution with every free unknown zero, read off the reduced rows
+    m = len(ads)
+    echelon = DenseEchelon([r + [b] for r, b in zip(rows, rhs)])
+    if m in echelon.pivots:  # inconsistent
         return D
+    x = [Fraction(0)] * m
+    for r, p in zip(echelon.rows, echelon.pivots):
+        x[p] = r[m]
     out = [list(r) for r in D.rows]
-    for c, coef in enumerate(res.particular):
+    for c, coef in enumerate(x):
         if coef:
             for i in range(L.dim):
                 for j in range(L.dim):
@@ -669,9 +673,7 @@ def dense_correct_to_vanish_on_even(L, D, parity, inner):
 def dense_h2_representatives(L, der_minus, inner):
     """The retired _h2_representatives with vanish_on_even: the flattened
     matrices in one echelon, inner first."""
-    builder = EchelonBuilder(L.dim * L.dim)
-    for M in inner[0] + inner[1]:
-        builder.add([x for r in M.rows for x in r])
+    builder = DenseEchelon([x for r in M.rows for x in r] for M in inner[0] + inner[1])
     reps = []
     for p in (0, 1):
         for M in der_minus[p]:
@@ -762,7 +764,7 @@ def inner_eta_rows(A, entry):
     f_rows = [[Fraction(p == t) for p in range(A.dim)] for t in range(A.dim)]
     out = []
     for i in range(entry.algebra.dim):
-        D = entry.algebra.ad_matrix(i)
+        D = ad(entry.algebra, i)
         out.append((eta_cocycle(cur, entry.form, f_rows, _entries(D), 0), dense_eta_grams(cur, entry.form, f_rows, D)))
     return out
 

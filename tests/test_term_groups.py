@@ -15,6 +15,7 @@ from functools import partial
 from itertools import chain, product
 
 import pytest
+from conftest import ad
 
 import superlie.clifford
 from superlie.assoc import grassmann
@@ -400,7 +401,7 @@ def test_group_checks_match_term_checks_on_endomorphisms(catalog_entry):
     der, _ = derivation_space(L)
     members = list(der.members())[:6]
     members += list(centroid(L).members())
-    members += [(_entries(L.ad_matrix(i)), L.parities[i]) for i in rng.sample(range(n), 3)]
+    members += [(_entries(ad(L, i)), L.parities[i]) for i in rng.sample(range(n), 3)]
     members += [(G, p) for F, p in members for G in mutants(F, n, rng, 2)]
     der_verdicts, cent_verdicts = set(), set()
     for F, p in members:
