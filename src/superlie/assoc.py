@@ -2,7 +2,7 @@
 
 Grassmann algebras on s odd generators (bitset monomials, inversion-count
 signs), their Z-grading, the augmentation map, and graded quotients such as
-Lambda_s / Lambda^(>=3).  The constructor runs the full sweep (parity, unit,
+Lambda_s / Lambda^(>=3).  The constructor runs the full check (parity, unit,
 supercommutativity, associativity, grading); quotient_assoc checks only its
 ideal and builds the quotient with validate=False.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .identities import _pair_witness, _triple_witness
 from .linalg import (
     Subspace,
     _as_sparse,
@@ -84,38 +85,26 @@ class AssocSuperalgebra:
                 raise AssocError("degree list does not match dimension")
             for i in range(n):
                 if self.z_degrees[i] % 2 != self.parities[i]:
-                    raise AssocError(
-                        f"inconsistent grading at basis {i}: parity != degree mod 2"
-                    )
+                    raise AssocError(f"inconsistent grading at basis {i}: parity != degree mod 2")
         for (i, j), val in self.table.items():
             for k, c in val.items():
                 if c and (self.parities[i] + self.parities[j]) % 2 != self.parities[k]:
                     raise AssocError(f"product ({i},{j}) violates parity at {k}")
-                if c and self.z_degrees is not None:
-                    if self.z_degrees[i] + self.z_degrees[j] != self.z_degrees[k]:
-                        raise AssocError(f"product ({i},{j}) violates the Z-grading at {k}")
+                if c and self.z_degrees is not None and self.z_degrees[i] + self.z_degrees[j] != self.z_degrees[k]:
+                    raise AssocError(f"product ({i},{j}) violates the Z-grading at {k}")
         for i in range(n):
-            if self.product_basis(self.unit, i) != {i: Fraction(1)}:
+            if not self.product_basis(self.unit, i) == self.product_basis(i, self.unit) == {i: Fraction(1)}:
                 raise AssocError(f"unit fails to act as identity on basis {i}")
-            if self.product_basis(i, self.unit) != {i: Fraction(1)}:
-                raise AssocError(f"unit fails to act as identity on basis {i}")
-        for i in range(n):
-            for j in range(n):
-                pij = self.product_basis(i, j)
-                sign = -1 if self.parities[i] and self.parities[j] else 1
-                pji = self.product_basis(j, i)
-                if pij != {k: sign * c for k, c in pji.items()}:
-                    raise AssocError(f"supercommutativity fails at pair ({i},{j})")
-        table = self.table
-        units = [{m: Fraction(1)} for m in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                pij = self.product_basis(i, j)
-                for k in range(j, n):
-                    left = _table_product(table, pij, units[k])
-                    right = _table_product(table, units[i], self.product_basis(j, k))
-                    if left != right:
-                        raise AssocError(f"associativity fails at triple ({i},{j},{k})")
+        # supercommutativity: the value components are graded-symmetric;
+        # associativity a(ij) = (ai)j: each left multiplication commutes with
+        # the right ones, the unit's (the identity) as the loop above shows
+        table = self._int_table()
+        w = _pair_witness(table, self.parities, 1)
+        if w is not None:
+            raise AssocError(f"supercommutativity fails at pair ({w[0]},{w[1]})")
+        w = _triple_witness(table, self.parities, False, (a for a in range(n) if a != self.unit))
+        if w is not None:
+            raise AssocError(f"associativity fails at triple ({w[0]},{w[1]},{w[2]})")
 
     def __repr__(self):
         return f"AssocSuperalgebra(dim {self._dim})"
@@ -139,11 +128,10 @@ def _merge_sign(a: int, b: int) -> int:
     return 0 if a & b else _koszul_sign(a, b)
 
 
-# The validating constructor sweeps all triples of the 2^s monomials, about
-# seven times the work per generator: 0.09 s at s = 6, 3.9 s at s = 8 and
-# 197 s (58 MB peak) at s = 10 with CPython 3.11 on a 2-vCPU machine, so
-# s = 11 would take some 25 minutes.  Larger s is refused before allocating;
-# at s = 30 the monomial list alone raised MemoryError.
+# The validating constructor checks associativity on the triples each left
+# multiplication reaches, some 5^s of them: 0.09 s at s = 8 and 1.3 s (108 MB
+# peak) at s = 10 with CPython 3.11 on a 2-vCPU machine.  Larger s is refused
+# before allocating; at s = 30 the monomial list alone raised MemoryError.
 GRASSMANN_CAP = 10
 
 

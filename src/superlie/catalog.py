@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import partial
 
 from .cohomology import Cocycle2, _kappa_map, centroid, h2_dim, is_coboundary, is_derivation
+from .identities import _symmetry_witness
 from .linalg import Matrix, SparseMatrix, Subspace, _dense, _table_product, basis_coordinates
 from .linalg import definiteness, supertrace_pairing
 from .lsa import (
@@ -20,7 +21,6 @@ from .lsa import (
     LieSuperalgebra,
     _quotient,
     _saturate,
-    _symmetry_witness,
     build_form,
     form_parity,
     form_report,

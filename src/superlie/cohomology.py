@@ -8,7 +8,7 @@ parity-homogeneous without extra work.
 Endomorphisms, 2-cochains and forms are sparse maps {(a, b): X[a][b]} with
 keys in row-major order; only star and lemma_basic_report, the lemma's dense
 route, take an endomorphism as a Matrix.  The star condition T* = sign T is
-read as graded (skew)symmetry of kappa_T, the identity lsa._symmetry_groups
+read as graded (skew)symmetry of kappa_T, the identity identities._symmetry_groups
 that also checks every cocycle.
 """
 
@@ -22,9 +22,18 @@ from typing import Iterator, Sequence
 
 from .assoc import AssocSuperalgebra
 from .current import Current, current_lsa
+from .identities import (
+    _bracket_index,
+    _centroid_groups,
+    _derivation_groups,
+    _preimages,
+    _reached_triples,
+    _symmetry_groups,
+    _symmetry_witness,
+    _triple_index,
+)
 from .linalg import (
     Matrix,
-    SparseEliminator,
     Subspace,
     _axpy,
     _entries,
@@ -33,7 +42,6 @@ from .linalg import (
     _group_sums,
     _identity_rows,
     _particular,
-    _preimages,
     sparse_kernel,
 )
 from .linalg import kernel as dense_kernel
@@ -43,8 +51,6 @@ from .lsa import (
     LieSuperalgebra,
     _invariance_groups,
     _radical,
-    _symmetry_groups,
-    _symmetry_witness,
     form_parity,
     form_report,
     generating_set,
@@ -116,90 +122,32 @@ def _solve_end_space(L: LieSuperalgebra, d_parity: int, groups, triples) -> list
     return [{unknowns[t]: c for t, c in sorted(kv.items())} for kv in ker]
 
 
-def _bracket_index(L: LieSuperalgebra) -> tuple[dict, dict]:
-    """(j, m) -> [(l, c)] with c the e_m coefficient of [e_l, e_j], and
-    (i, m) -> [(l, c)] with c that of [e_i, e_l]; l ascending in both, c
-    from L's integral table."""
-    left: dict[tuple[int, int], list] = {}
-    right: dict[tuple[int, int], list] = {}
-    for (a, b), vec in sorted(L._int_table().items()):
-        for m, c in vec:
-            left.setdefault((b, m), []).append((a, c))
-            right.setdefault((a, m), []).append((b, c))
-    return left, right
-
-
-def _centroid_groups(L: LieSuperalgebra, index: tuple, i: int, j: int, m: int):
-    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; X[a][b] is the e_a coefficient of S e_b.
-
-    index is _bracket_index(L); both read L's integral table.
-    """
-    return ((1, L._int_table().get((i, j), ()), m, False), (-1, index[0].get((j, m), ()), i, True))
-
-
-def _derivation_groups(L: LieSuperalgebra, index: tuple, parity: int, i: int, j: int, m: int):
-    """D[e_i, e_j] - [D e_i, e_j] - (-1)^{|D||i|} [e_i, D e_j] = 0 at e_m."""
-    odd = parity and L.parities[i]
-    third = (1 if odd else -1, index[1].get((i, m), ()), j, True)
-    return _centroid_groups(L, index, i, j, m) + (third,)
-
-
 def _derivation_identity(L: LieSuperalgebra, parity: int, right: Sequence[int]):
     """(groups, triples) of the derivation rule on the ordered (i, j, m) with
     j in right, lexicographic."""
-    n = L.dim
-    groups = partial(_derivation_groups, L, _bracket_index(L), parity)
+    n, table = L.dim, L._int_table()
+    groups = partial(_derivation_groups, table, _bracket_index(table), L.parities, parity)
     return groups, [(i, j, m) for i in range(n) for j in right for m in range(n)]
 
 
 def _centroid_identity(L: LieSuperalgebra, right: Sequence[int]):
     """(groups, triples) of the centroid rule on the ordered (i, j, m) with j
     in right, lexicographic; right = range(L.dim) gives the full sweep."""
-    n = L.dim
-    groups = partial(_centroid_groups, L, _bracket_index(L))
+    n, table = L.dim, L._int_table()
+    groups = partial(_centroid_groups, table, _bracket_index(table))
     return groups, [(i, j, m) for i in range(n) for j in right for m in range(n)]
-
-
-def _reached_triples(L: LieSuperalgebra, X: dict, derivation: bool) -> list[tuple]:
-    """The sorted triples (i, j, m) on which a nonzero X[a, b] of the sparse
-    map X has a term.
-
-    Centroid rule (all ordered triples) and derivation rule (i <= j) alike:
-    (i, j, a) for a bracket preimage (i, j) of b, and (b, j, m) for e_m in
-    [e_a, e_j]; the derivation rule adds (i, b, m) for e_m in [e_i, e_a].
-    Every term of any other triple meets a zero entry of X, so the first
-    violated triple among these is that of the full sweep.
-    """
-    pre = _preimages(L.brackets, sorted_pairs=derivation)
-    first: dict[int, list] = {}
-    second: dict[int, list] = {}
-    for (u, v), vec in L.brackets.items():
-        first.setdefault(u, []).append((v, vec))
-        second.setdefault(v, []).append((u, vec))
-    out = set()
-    for a, b in X:
-        for i, j in pre.get(b, ()):
-            out.add((i, j, a))
-        for j, vec in first.get(a, ()):
-            if not derivation or b <= j:
-                out.update((b, j, m) for m in vec)
-        if derivation:
-            for i, vec in second.get(a, ()):
-                if i <= b:
-                    out.update((i, b, m) for m in vec)
-    return sorted(out)
 
 
 def _derivation_witness(L: LieSuperalgebra, D: dict, parity: int) -> tuple | None:
     """First violated triple of the full sweep over (i, j, m) with i <= j;
     D is the sparse map of the endomorphism's entries."""
     groups, _ = _derivation_identity(L, parity, ())
-    return _first_violation(groups, _reached_triples(L, D, True), D)
+    return _first_violation(groups, _reached_triples(_triple_index(L._int_table()), D, True, True), D)
 
 
 def _centroid_witness(L: LieSuperalgebra, S: dict) -> tuple | None:
     groups, _ = _centroid_identity(L, ())
-    return _first_violation(groups, _reached_triples(L, S, False), S)
+    return _first_violation(groups, _reached_triples(_triple_index(L._int_table()), S, False, False), S)
 
 
 def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
@@ -456,7 +404,7 @@ def _cocycle_witness(L: LieSuperalgebra, F: dict, pre: dict | None = None) -> tu
     a preimage of b; pre is the index of sorted preimage pairs.
     """
     if pre is None:
-        pre = _preimages(L.brackets, sorted_pairs=True)
+        pre = _preimages(L._int_table(), sorted_pairs=True)
     candidates = set()
     for a, b in F:
         for u, v in pre.get(a, ()):
@@ -472,7 +420,7 @@ def _hochschild_witness(A: AssocSuperalgebra, F: dict) -> tuple | None:
     A term F(e_p, e_q) with F[p, q] != 0 sits on (u, v, q) for a product
     preimage (u, v) of p, or on (p, u, v) and (u, p, v) for one of q.
     """
-    pre = _preimages(A.table, sorted_pairs=False)
+    pre = _preimages(A._int_table(), sorted_pairs=False)
     candidates = set()
     for p, q in F:
         for u, v in pre.get(p, ()):
@@ -525,7 +473,7 @@ class Cocycle2:
 
     def validate(self):
         L = self.carrier
-        pre = _preimages(L.brackets, sorted_pairs=True)
+        pre = _preimages(L._int_table(), sorted_pairs=True)
         for F in self.components:
             w = _symmetry_witness(L.parities, -1, F)
             if w is not None:
@@ -598,14 +546,6 @@ def _cocycle_kernel(L: LieSuperalgebra, pb: PairBasis) -> tuple[dict[int, Fracti
     return L._z2_kernel
 
 
-def _coboundary_span(L: LieSuperalgebra, pb: PairBasis) -> SparseEliminator:
-    """An eliminator seeded with the coboundaries f -> f([.,.]), f in L*."""
-    span = SparseEliminator(pb.count)
-    for vec in coboundary_vectors(L, pb):
-        span.add_row(vec)
-    return span
-
-
 def _kernel_parity(parities: set[int]) -> int:
     if len(parities) != 1:
         raise CohomologyError("kernel vector is not parity-homogeneous")
@@ -647,13 +587,8 @@ def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
 
 def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
     """Solve the B^2 membership system componentwise."""
-    pb = PairBasis(L)
-    span = _coboundary_span(L, pb)
-    for F in omega.components:
-        target = pb.vector_of_gram(F)
-        if target and not span.in_row_space(target):
-            return False
-    return True
+    pb, span = PairBasis(L), b2_space(L)
+    return all(span.contains_vector(pb.vector_of_gram(F)) for F in omega.components)
 
 
 def sym_invariant_forms(L: LieSuperalgebra) -> list[dict]:
@@ -974,8 +909,8 @@ def verify_cor1(
     pb = PairBasis(cur.algebra)
     z2 = _cocycle_kernel(cur.algebra, pb)
     dim_z2 = len(z2)
-    span = _coboundary_span(cur.algebra, pb)
-    dim_b2 = span.rank
+    span = b2_space(cur.algebra)
+    dim_b2 = span.dim
 
     # _derivation_invariant proved D* = -D on all of der, so der_- = der
     d_reps = _h2_representatives(K, der, inner, vanish_on_even=False)
@@ -989,19 +924,19 @@ def verify_cor1(
         for D, dp in d_reps:
             c = eta_cocycle(cur, kappa, dual_f, D, dp)
             for F in c.components:
-                span.add_row(pb.vector_of_gram(F))
+                span.add(pb.vector_of_gram(F))
                 n_eta += 1
     for S in s_reps:
         c = xi_cocycle(cur, kappa, hoch, S)
         for F in c.components:
-            span.add_row(pb.vector_of_gram(F))
+            span.add(pb.vector_of_gram(F))
             n_xi += 1
-    span_dim = span.rank
+    span_dim = span.dim
     defect = dim_z2 - span_dim
     certificate = None
     if defect > 0:
         for vec in z2:
-            if not span.in_row_space(vec):
+            if not span.contains_vector(vec):
                 certificate = Cocycle2(cur.algebra, [pb.gram_of_vector(vec)], validate=False)
                 break
     return {

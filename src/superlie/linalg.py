@@ -36,7 +36,7 @@ r, standing for s * sum c * X[k][r] if left, else s * sum c * X[r][k].  Two
 readers take the groups: `_identity_rows` builds the constraint rows of a
 solver from an n x n list of columns, and `_group_sums` evaluates them on a
 given map; `_first_violation` checks the map with it, visiting only the
-triples the support of X reaches (`_preimages`), and sums ints on X times
+triples the support of X reaches (`identities._preimages`), and sums ints on X times
 the lcm of its denominators (`_integral_map`).  Both read X as a sparse
 map {(a, b): x} of its nonzero entries, the form in which 2-cochains,
 endomorphisms and bilinear forms are held from the start; `_entries` reads
@@ -75,10 +75,8 @@ def _table_product(table: dict, u: dict, v: dict) -> dict:
     the order of u, then v, then the table entry; entries that cancel are
     dropped.  The inputs are read, never copied.
 
-    The validation sweeps make one call per term of every basis triple, with
-    a basis vector on one side and often an empty vector on the other, so an
-    empty side returns at once and a Fraction 1 is not multiplied in: 1 * b
-    is b in value and type for Fraction and Scalar b.
+    The saturations pass a basis vector on one side, so a Fraction 1 is not
+    multiplied in: 1 * b is b in value and type for Fraction and Scalar b.
     """
     out: dict = {}
     if not (u and v):
@@ -821,18 +819,6 @@ def _gram(F: dict, n: int) -> Matrix:
     return M
 
 
-def _preimages(table: dict, sorted_pairs: bool) -> dict[int, list[tuple[int, int]]]:
-    """k -> the pairs (u, v) whose table entry has a nonzero e_k coefficient."""
-    pre: dict[int, list[tuple[int, int]]] = {}
-    for (u, v), vec in table.items():
-        if sorted_pairs and u > v:
-            continue
-        for k, c in vec.items():
-            if c:
-                pre.setdefault(k, []).append((u, v))
-    return pre
-
-
 def _group_sums(groups, triples, F: dict) -> Iterator[tuple]:
     """(triple, the sum of its term groups on the sparse map F) for each of
     the triples in order, read one row or column of F per group."""
@@ -874,10 +860,6 @@ class SparseEliminator:
         self.piv_cols: list[int] = []
         self.col_to_idx: dict[int, int] = {}
         self.unit_cols: set[int] = set()  # pivot columns whose pivot row is {c: 1}
-
-    @property
-    def rank(self) -> int:
-        return len(self.piv_cols)
 
     def add_row(self, row: dict) -> bool:
         """Reduce a row against current pivots; True if rank grew."""
@@ -951,9 +933,6 @@ class SparseEliminator:
             if not r:
                 return r
         return r
-
-    def in_row_space(self, row: dict) -> bool:
-        return not self._reduce(_to_int_row(row))
 
     def kernel_basis(self) -> list[dict[int, Fraction]]:
         """Exact kernel of all added rows, back-solved in reverse pivot order.

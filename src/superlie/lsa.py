@@ -2,7 +2,7 @@
 
 Validation (super antisymmetry, parity, graded Jacobi), matrix-basis
 ingestion, invariant forms, ideal saturation and graded quotients.
-make_lsa (files, user tables) runs the full sweep; from_matrix_basis,
+make_lsa (files, user tables) runs the full check; from_matrix_basis,
 current_lsa, central_extension and quotient_lsa are valid by construction,
 build with validate=False and check only what they add (a matrix basis is
 checked for block-homogeneity, independence and closure; a quotient checks
@@ -20,19 +20,18 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
+from .identities import _pair_witness, _preimages, _symmetry_witness, _triple_witness
 from .linalg import (
     Matrix,
     SparseMatrix,
     Subspace,
     _as_sparse,
-    _axpy,
     _dense,
     _entries,
     _first_violation,
     _gaussian_products,
     _gram,
     _integral_table,
-    _preimages,
     _table_product,
     basis_coordinates,
     is_graded,
@@ -127,44 +126,24 @@ class LieSuperalgebra:
         return v
 
     def validate(self):
-        n = self._dim
         par = self.parities
         # parity of bracket values
         for (i, j), val in self.brackets.items():
-            target = (par[i] + par[j]) % 2
-            for k, c in val.items():
-                if c and par[k] != target:
-                    raise ValidationError(
-                        "parity violation", (i, j),
-                        f"[{self.names[i]},{self.names[j]}] has a component of wrong parity at {self.names[k]}",
-                    )
-        # super antisymmetry on all pairs (diagonal included)
-        for i in range(n):
-            for j in range(i, n):
-                val = self.bracket_basis(i, j)
-                sign = -1 if par[i] and par[j] else 1
-                mirrored = {k: -sign * c for k, c in self.bracket_basis(j, i).items() if c}
-                if {k: c for k, c in val.items() if c} != mirrored:
-                    raise ValidationError(
-                        "antisymmetry violation", (j, i),
-                        f"[{self.names[j]},{self.names[i]}] is not -(-1)^|x||y| [{self.names[i]},{self.names[j]}]",
-                    )
-        # graded Jacobi on sorted triples (antisymmetry covers permutations)
-        table = self.brackets
-        units = [{m: Fraction(1)} for m in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                bij = self.bracket_basis(i, j)
-                sgn = -1 if par[i] and par[j] else 1
-                for k in range(j, n):
-                    lhs = _table_product(table, units[i], self.bracket_basis(j, k))
-                    rhs = _table_product(table, bij, units[k])
-                    _axpy(rhs, _table_product(table, units[j], self.bracket_basis(i, k)), -sgn)
-                    if lhs != rhs:
-                        raise ValidationError(
-                            "Jacobi violation", (i, j, k),
-                            f"graded Jacobi fails on ({self.names[i]},{self.names[j]},{self.names[k]})",
-                        )
+            wrong = [k for k, c in val.items() if c and par[k] != par[i] ^ par[j]]
+            if wrong:
+                x, y, z = self.names[i], self.names[j], self.names[wrong[0]]
+                raise ValidationError("parity violation", (i, j), f"[{x},{y}] has a component of wrong parity at {z}")
+        # super antisymmetry: the value components are graded-skew; graded
+        # Jacobi: each ad e_x is a derivation of parity |x|
+        table = self._int_table()
+        w = _pair_witness(table, par, -1)
+        if w is not None:
+            x, y = (self.names[t] for t in w)
+            raise ValidationError("antisymmetry violation", w[::-1], f"[{y},{x}] is not -(-1)^|x||y| [{x},{y}]")
+        w = _triple_witness(table, par, True, range(self._dim))
+        if w is not None:
+            x, y, z = (self.names[t] for t in w)
+            raise ValidationError("Jacobi violation", w, f"graded Jacobi fails on ({x},{y},{z})")
 
     def __repr__(self):
         ne = len(self.even_indices)
@@ -407,20 +386,6 @@ def _invariance_witness(L: LieSuperalgebra, F: dict, pre: dict) -> tuple | None:
     return _first_violation(partial(_invariance_groups, L), sorted(candidates), F)
 
 
-def _symmetry_groups(parities: Sequence[int], sign: int, a: int, b: int):
-    """F(a, b) - sign * (-1)^{|a||b|} F(b, a) = 0 on the pair (a, b):
-    graded symmetry for sign 1, graded skewness for sign -1."""
-    mirror = sign if parities[a] and parities[b] else -sign
-    return ((1, ((b, 1),), a, False), (mirror, ((a, 1),), b, False))
-
-
-def _symmetry_witness(parities: Sequence[int], sign: int, F: dict) -> tuple | None:
-    """First pair (a, b), a <= b, at which the sparse map F breaks
-    _symmetry_groups; every other pair has only zero terms."""
-    pairs = sorted({(a, b) if a <= b else (b, a) for a, b in F})
-    return _first_violation(partial(_symmetry_groups, parities, sign), pairs, F)
-
-
 def _radical(B: BilinearForm) -> Subspace:
     """{x : B(x, .) = 0}: the kernel of one sparse row {a: F[a, b]} over x
     per value component F and column b."""
@@ -437,7 +402,7 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     maps = B.components
     supersym = all(_symmetry_witness(L.parities, 1, F) is None for F in maps)
     skew = all(_symmetry_witness(L.parities, -1, F) is None for F in maps)
-    pre = _preimages(L.brackets, sorted_pairs=False)
+    pre = _preimages(L._int_table(), sorted_pairs=False)
     invariant = all(_invariance_witness(L, F, pre) is None for F in maps)
     radical = _radical(B)
     return {

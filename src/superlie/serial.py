@@ -110,6 +110,11 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
             raise SchemaError(f"malformed scalar at $.brackets[{t}].value: {exc}") from None
         if len(vec) != n:
             raise SchemaError(f"bracket value has wrong length at $.brackets[{t}].value")
+        for s, c in zip(value, vec):
+            if isinstance(c, Scalar):
+                raise SchemaError(f"non-rational structure constant {s!r} at $.brackets[{t}].value")
+        if (i, j) in table:
+            raise SchemaError(f"duplicate bracket entry for ({i},{j}) at $.brackets[{t}]")
         table[(i, j)] = {k: c for k, c in enumerate(vec) if c}
     return make_lsa(names, parities, table)
 

@@ -69,6 +69,22 @@ def test_schema_error_names_path():
     assert "$.brackets[0]" in str(err.value)
 
 
+def test_schema_error_on_irrational_or_repeated_brackets():
+    names = {"names": ["a", "b", "z"], "parities": [0, 0, 0]}
+    for text in ("sqrt(2)", "1*i", "1/2+sqrt(3)"):
+        entry = {"i": 0, "j": 1, "value": ["0", "0", text]}
+        with pytest.raises(SchemaError, match=r"non-rational structure constant .* at \$\.brackets\[0\]\.value$"):
+            algebra_from_json({**names, "brackets": [entry]})
+    z, two_z = ({"i": 0, "j": 1, "value": ["0", "0", c]} for c in ("1", "2"))
+    with pytest.raises(SchemaError, match=r"^duplicate bracket entry for \(0,1\) at \$\.brackets\[1\]$"):
+        algebra_from_json({**names, "brackets": [z, two_z]})
+    # the mirrored pair is another entry: its consistency is the antisymmetry check's
+    mirrored = {"i": 1, "j": 0, "value": ["0", "0", "-1"]}
+    assert algebra_from_json({**names, "brackets": [z, mirrored]}).brackets == {
+        (0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(-1)},
+    }
+
+
 def test_cli_validate_roundtrip(tmp_path, capsys):
     path = tmp_path / "alg.json"
     code = main(["catalog", "build", "su_pq", "--p", "2", "--q", "1", "--out", str(path)])
@@ -284,6 +300,14 @@ MALFORMED_ARGV = [
     ["urad", "pointed", "--k", "catalog:su_n:2", "--tries", "-3"],
     # one generator past the gamma cap (16): refused before any gamma is built
     ["clifford", "gamma", "--mu", ",".join(["1"] * 17)],
+    # structure constants are rational, and each pair is given once
+    ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": 0, "j": 1, "value": ["sqrt(2)", "0"]}]}'],
+    ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": 0, "j": 1, "value": ["0", "1*i"]}]}'],
+    ["validate", "$.brackets[1]", '{"names": ["a", "b", "z"], "parities": [0, 0, 0], '
+                 '"brackets": [{"i": 0, "j": 1, "value": ["0", "0", "1"]}, '
+                 '{"i": 0, "j": 1, "value": ["0", "0", "2"]}]}'],
 ]
 
 

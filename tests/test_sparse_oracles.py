@@ -51,6 +51,7 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
+from superlie.identities import _preimages, _symmetry_groups
 from superlie.linalg import (
     Matrix,
     SparseMatrix,
@@ -60,7 +61,6 @@ from superlie.linalg import (
     _gram,
     _group_sums,
     _identity_rows,
-    _preimages,
     _table_product,
     basis_coordinates,
     sparse_kernel,
@@ -71,7 +71,6 @@ from superlie.lsa import (
     BilinearForm,
     _invariance_groups,
     _invariance_witness,
-    _symmetry_groups,
     build_form,
     form_report,
     generating_set,
@@ -486,7 +485,7 @@ def one_entry_mutant(M, rng):
 def test_invariance_check_matches_full_sweep(catalog_entry):
     L = catalog_entry.algebra
     rng = random.Random(13)
-    pre = _preimages(L.brackets, sorted_pairs=False)
+    pre = _preimages(L._int_table(), sorted_pairs=False)
     terms = partial(_invariance_groups, L)
     grams = [catalog_entry.form.gram, build_form(L, "killing").gram]
     grams += [one_entry_mutant(G, rng) for G in grams for _ in range(3)]

@@ -23,7 +23,6 @@ from superlie.catalog import build_catalog
 from superlie.clifford import CliffordRep, _split_complex_commutant, _unit_gammas, gamma_rep
 from superlie.cohomology import (
     PairBasis,
-    _bracket_index,
     _centroid_identity,
     _centroid_witness,
     _cocycle_constraint_rows,
@@ -44,8 +43,9 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
-from superlie.linalg import _entries, _first_violation, _identity_rows, _preimages, sparse_kernel
-from superlie.lsa import _invariance_groups, _invariance_witness, _symmetry_groups, build_form
+from superlie.identities import _bracket_index, _preimages, _symmetry_groups
+from superlie.linalg import _entries, _first_violation, _identity_rows, sparse_kernel
+from superlie.lsa import _invariance_groups, _invariance_witness, build_form
 
 H2_SCALE_SYSTEMS = {
     "L3 x su(2|1)": (("su_pq", 2, 1), 3),
@@ -93,7 +93,7 @@ def skew_terms(parities, a, b):
 
 
 def centroid_terms(L, left, i, j, m):
-    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; left is _bracket_index(L)[0]."""
+    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; left is _bracket_index(L._int_table())[0]."""
     for k, c in L._int_table().get((i, j), ()):
         yield c, m, k
     for l, c in left.get((j, m), ()):
@@ -293,7 +293,7 @@ def test_group_rows_match_term_rows_on_the_catalog(catalog_entry):
     triples = list(product(range(n), repeat=3))
     want = term_rows(partial(invariance_terms, L), triples, pair_columns(pb))
     assert row_items(_identity_rows(partial(_invariance_groups, L), triples, pb.columns())) == row_items(want)
-    index = _bracket_index(L)
+    index = _bracket_index(L._int_table())
     for p in (0, 1):
         cols = _end_columns(L, p)
         groups, triples = _derivation_identity(L, p, range(n))
@@ -377,7 +377,7 @@ def test_group_checks_match_term_checks_on_the_catalog(catalog_entry):
     triples = sorted_triples(n)
     verdicts = assert_same_witnesses(partial(_cocycle_groups, L), partial(cocycle_terms, L), triples, maps)
     assert verdicts == {True, False}
-    pre = _preimages(L.brackets, sorted_pairs=True)
+    pre = _preimages(L._int_table(), sorted_pairs=True)
     for F in maps:
         assert _cocycle_witness(L, F, pre) == term_violation(partial(cocycle_terms, L), triples, F)
     sym = forms + sym_invariant_forms(L)
@@ -385,7 +385,7 @@ def test_group_checks_match_term_checks_on_the_catalog(catalog_entry):
     triples = list(product(range(n), repeat=3))
     verdicts = assert_same_witnesses(partial(_invariance_groups, L), partial(invariance_terms, L), triples, sym)
     assert verdicts == {True, False}
-    pre = _preimages(L.brackets, sorted_pairs=False)
+    pre = _preimages(L._int_table(), sorted_pairs=False)
     for F in sym:
         assert _invariance_witness(L, F, pre) == term_violation(partial(invariance_terms, L), triples, F)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
@@ -397,7 +397,7 @@ def test_group_checks_match_term_checks_on_endomorphisms(catalog_entry):
     L = catalog_entry.algebra
     n = L.dim
     rng = random.Random(43)
-    index = _bracket_index(L)
+    index = _bracket_index(L._int_table())
     der, _ = derivation_space(L)
     members = list(der.members())[:6]
     members += list(centroid(L).members())
@@ -478,7 +478,7 @@ def test_group_checks_sum_across_denominators(catalog_entry):
     forms = [_entries(catalog_entry.form.gram), _entries(build_form(L, "killing").gram)] + sym_invariant_forms(L)
     triples = list(product(range(n), repeat=3))
     differ += check(partial(_invariance_groups, L), partial(invariance_terms, L), triples, forms)
-    index = _bracket_index(L)
+    index = _bracket_index(L._int_table())
     ders = [F for F, p in derivation_space(L)[0].members() if p == 0][:6]
     groups, triples = _derivation_identity(L, 0, range(n))
     triples = [(i, j, m) for i, j, m in triples if i <= j]
