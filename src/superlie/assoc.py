@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .identities import _pair_witness, _triple_witness
+from .identities import TableIndex, _pair_witness, _triple_witness
 from .linalg import (
     Subspace,
     _as_sparse,
@@ -52,7 +52,7 @@ class AssocSuperalgebra:
         }
         self.unit = unit
         self.z_degrees = tuple(z_degrees) if z_degrees is not None else None
-        self._int_view = None  # filled by _int_table
+        self._int_view = None  # filled by _table_index
         if validate:
             self.validate()
 
@@ -63,11 +63,12 @@ class AssocSuperalgebra:
     def product_basis(self, i: int, j: int) -> Coordvec:
         return self.table.get((i, j), {})
 
-    def _int_table(self) -> dict:
-        """The products as int pairs, scaled by the lcm of their denominators
-        (linalg._integral_table); built on first use and kept."""
+    def _table_index(self) -> TableIndex:
+        """The index of the products as int pairs, scaled by the lcm of their
+        denominators (linalg._integral_table), without the side lookups;
+        built on first use and kept."""
         if self._int_view is None:
-            self._int_view = _integral_table(self.table)
+            self._int_view = TableIndex(_integral_table(self.table))
         return self._int_view
 
     def product(self, u: Sequence, v: Sequence) -> list:
@@ -98,7 +99,7 @@ class AssocSuperalgebra:
         # supercommutativity: the value components are graded-symmetric;
         # associativity a(ij) = (ai)j: each left multiplication commutes with
         # the right ones, the unit's (the identity) as the loop above shows
-        table = self._int_table()
+        table = self._table_index().table
         w = _pair_witness(table, self.parities, 1)
         if w is not None:
             raise AssocError(f"supercommutativity fails at pair ({w[0]},{w[1]})")

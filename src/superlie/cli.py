@@ -49,6 +49,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+# The largest dim 2^s dim K that `current` builds and prints.  CPython 3.11,
+# 2 vCPUs: dim 256 (grassmann:5, su_n:3) prints 26 MB at a 196 MB peak, dim
+# 384 (grassmann:7, su_n:2) 38 MB at 280 MB, dim 768 (grassmann:8) 1.6 GB.
+CURRENT_DIM_CAP = 256
+
+
 class UsageError(ValueError):
     pass
 
@@ -89,12 +95,13 @@ def _parse_grassmann(text: str) -> int:
     return int(parts[1])
 
 
-def _capped_grassmann(text: str, K, max_dim: int):
+def _capped_grassmann(text: str, K, max_dim: int, *cap: str):
     """grassmann(s) for --A, refused before it is built when 2^s dim K passes
-    the solver cap (grassmann itself refuses s past GRASSMANN_CAP)."""
+    max_dim, the solver cap unless cap names another (grassmann itself
+    refuses s past GRASSMANN_CAP)."""
     s = _parse_grassmann(text)
     if s <= GRASSMANN_CAP:
-        check_dim_cap(2**s * K.dim, max_dim)
+        check_dim_cap(2**s * K.dim, max_dim, *cap)
     return grassmann(s)
 
 
@@ -158,9 +165,8 @@ def cmd_catalog_build(args) -> int:
 
 
 def cmd_current(args) -> int:
-    s = _parse_grassmann(args.A)
     _entry, K = _load_k(args.k)
-    cur = current_lsa(grassmann(s), K)
+    cur = current_lsa(_capped_grassmann(args.A, K, CURRENT_DIM_CAP, "current algebra"), K)
     report = {
         "dim": cur.dim,
         "even_dim": len(cur.algebra.even_indices),

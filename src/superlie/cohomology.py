@@ -14,7 +14,6 @@ that also checks every cocycle.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
@@ -23,21 +22,24 @@ from typing import Iterator, Sequence
 from .assoc import AssocSuperalgebra
 from .current import Current, current_lsa
 from .identities import (
-    _bracket_index,
     _centroid_groups,
+    _centroid_witness,
+    _cocycle_groups,
+    _cocycle_witness,
     _derivation_groups,
-    _preimages,
-    _reached_triples,
+    _derivation_witness,
+    _hochschild_witness,
+    _invariance_groups,
     _symmetry_groups,
     _symmetry_witness,
-    _triple_index,
+    _table_triples,
+    _with_sides,
 )
 from .linalg import (
     Matrix,
     Subspace,
     _axpy,
     _entries,
-    _first_violation,
     _gram,
     _group_sums,
     _identity_rows,
@@ -49,7 +51,6 @@ from .lsa import (
     BilinearForm,
     Coordvec,
     LieSuperalgebra,
-    _invariance_groups,
     _radical,
     form_parity,
     form_report,
@@ -68,10 +69,10 @@ class DimensionCapError(CohomologyError):
     """An algebra beyond the 2-cocycle solver cap: a refused input, not a failed check."""
 
 
-def check_dim_cap(dim: int, max_dim: int) -> None:
-    """Refuse a dimension beyond the 2-cocycle solver cap, before anything is built."""
+def check_dim_cap(dim: int, max_dim: int, cap: str = "configured 2-cocycle solver") -> None:
+    """Refuse a dimension beyond a cap (the solver's) before anything is built."""
     if dim > max_dim:
-        raise DimensionCapError(f"dim {dim} exceeds the configured 2-cocycle solver cap {max_dim}")
+        raise DimensionCapError(f"dim {dim} exceeds the {cap} cap {max_dim}")
 
 
 # -- endomorphism subspaces --------------------------------------------------
@@ -125,29 +126,15 @@ def _solve_end_space(L: LieSuperalgebra, d_parity: int, groups, triples) -> list
 def _derivation_identity(L: LieSuperalgebra, parity: int, right: Sequence[int]):
     """(groups, triples) of the derivation rule on the ordered (i, j, m) with
     j in right, lexicographic."""
-    n, table = L.dim, L._int_table()
-    groups = partial(_derivation_groups, table, _bracket_index(table), L.parities, parity)
-    return groups, [(i, j, m) for i in range(n) for j in right for m in range(n)]
+    groups = partial(_derivation_groups, _with_sides(L), L.parities, parity)
+    return groups, [(i, j, m) for i in range(L.dim) for j in right for m in range(L.dim)]
 
 
 def _centroid_identity(L: LieSuperalgebra, right: Sequence[int]):
     """(groups, triples) of the centroid rule on the ordered (i, j, m) with j
     in right, lexicographic; right = range(L.dim) gives the full sweep."""
-    n, table = L.dim, L._int_table()
-    groups = partial(_centroid_groups, table, _bracket_index(table))
-    return groups, [(i, j, m) for i in range(n) for j in right for m in range(n)]
-
-
-def _derivation_witness(L: LieSuperalgebra, D: dict, parity: int) -> tuple | None:
-    """First violated triple of the full sweep over (i, j, m) with i <= j;
-    D is the sparse map of the endomorphism's entries."""
-    groups, _ = _derivation_identity(L, parity, ())
-    return _first_violation(groups, _reached_triples(_triple_index(L._int_table()), D, True, True), D)
-
-
-def _centroid_witness(L: LieSuperalgebra, S: dict) -> tuple | None:
-    groups, _ = _centroid_identity(L, ())
-    return _first_violation(groups, _reached_triples(_triple_index(L._int_table()), S, False, False), S)
+    groups = partial(_centroid_groups, _with_sides(L))
+    return groups, [(i, j, m) for i in range(L.dim) for j in right for m in range(L.dim)]
 
 
 def derivation_space(L: LieSuperalgebra) -> tuple[EndSpace, EndSpace]:
@@ -356,81 +343,6 @@ class PairBasis:
         return {index[p]: Fraction(F[p]) for p in sorted(F) if p in index}
 
 
-# -- identities: one group function each, for solving and for checking -------
-#
-# An identity gives its term groups (s, entries, r, left) on one triple: the
-# sum over (k, c) in entries of s * c * X[k][r] if left, else of
-# s * c * X[r][k], with entries a row of the algebra's integral table
-# (linalg._integral_table) taken as-is, so every constraint row is an int
-# row.  The solvers turn the groups into rows over every triple
-# (linalg._identity_rows); the cocycle and Hochschild solvers skip the
-# triples on which no bracket or product gives a term.  The checks evaluate
-# the same groups on a given sparse map {(a, b): x}
-# (linalg._first_violation), each visiting only the triples the map's
-# support reaches: every term of any other triple meets a zero entry, so the
-# verdict and the lexicographically first violated triple (the witness) are
-# those of a dense sweep.
-
-
-def _cocycle_groups(L: LieSuperalgebra, x: int, y: int, z: int):
-    """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0:
-    the invariance groups and the Koszul third group."""
-    get = L._int_table().get
-    odd = L.parities[x] and L.parities[y]
-    return (
-        (1, get((x, y), ()), z, True),
-        (-1, get((y, z), ()), x, False),
-        (-1 if odd else 1, get((x, z), ()), y, False),
-    )
-
-
-def _hochschild_groups(A: AssocSuperalgebra, a: int, b: int, c: int):
-    """F(ab, c) - F(a, bc) - (-1)^{|a||b|} F(b, ac) = 0, with int
-    coefficients from A's integral table."""
-    get = A._int_table().get
-    odd = A.parities[a] and A.parities[b]
-    return (
-        (1, get((a, b), ()), c, True),
-        (-1, get((b, c), ()), a, False),
-        (1 if odd else -1, get((a, c), ()), b, False),
-    )
-
-
-def _cocycle_witness(L: LieSuperalgebra, F: dict, pre: dict | None = None) -> tuple | None:
-    """First sorted triple (x, y, z) at which F breaks the cocycle identity.
-
-    Skewness is not assumed.  A term omega(e_a, e_b) with F[a, b] != 0 sits
-    on the sorted triple of b and a bracket preimage (u, v) of a, or of a and
-    a preimage of b; pre is the index of sorted preimage pairs.
-    """
-    if pre is None:
-        pre = _preimages(L._int_table(), sorted_pairs=True)
-    candidates = set()
-    for a, b in F:
-        for u, v in pre.get(a, ()):
-            candidates.add(tuple(sorted((u, v, b))))
-        for u, v in pre.get(b, ()):
-            candidates.add(tuple(sorted((u, v, a))))
-    return _first_violation(partial(_cocycle_groups, L), sorted(candidates), F)
-
-
-def _hochschild_witness(A: AssocSuperalgebra, F: dict) -> tuple | None:
-    """First triple (a, b, c) at which F breaks the cyclic Leibniz identity.
-
-    A term F(e_p, e_q) with F[p, q] != 0 sits on (u, v, q) for a product
-    preimage (u, v) of p, or on (p, u, v) and (u, p, v) for one of q.
-    """
-    pre = _preimages(A._int_table(), sorted_pairs=False)
-    candidates = set()
-    for p, q in F:
-        for u, v in pre.get(p, ()):
-            candidates.add((u, v, q))
-        for u, v in pre.get(q, ()):
-            candidates.add((p, u, v))
-            candidates.add((u, p, v))
-    return _first_violation(partial(_hochschild_groups, A), sorted(candidates), F)
-
-
 def _at(names: Sequence[str], witness: tuple) -> str:
     return "(" + ", ".join(names[i] for i in witness) + ")"
 
@@ -473,48 +385,16 @@ class Cocycle2:
 
     def validate(self):
         L = self.carrier
-        pre = _preimages(L._int_table(), sorted_pairs=True)
         for F in self.components:
             w = _symmetry_witness(L.parities, -1, F)
             if w is not None:
                 raise CohomologyError(f"cocycle is not super-skew at {_at(L.names, w)}")
-            w = _cocycle_witness(L, F, pre)
+            w = _cocycle_witness(L, F)
             if w is not None:
                 raise CohomologyError(f"cocycle identity fails at {_at(L.names, w)}")
 
     def __repr__(self):
         return f"Cocycle2(dim {self.carrier.dim}, values {self.value_dim})"
-
-
-def _table_triples(table: dict, n: int, ascending: bool):
-    """The triples (x, y, z) with a table entry on (x, y), (y, z) or (x, z),
-    in lexicographic order, one leading index x at a time; ascending keeps
-    only those with x <= y <= z.
-
-    An identity whose terms read only these three entries, as the cocycle
-    and cyclic Leibniz identities do, has no term on any other triple and
-    gives no row there.
-    """
-    after: list[list[int]] = [[] for _ in range(n)]  # u -> v with an entry on (u, v)
-    for u, v in table:
-        if u <= v or not ascending:
-            after[u].append(v)
-    for vs in after:
-        vs.sort()
-    for x in range(n):
-        ax = after[x]
-        hit = set(ax)
-        for y in range(x if ascending else 0, n):
-            lo = y if ascending else 0
-            if y in hit:
-                for z in range(lo, n):
-                    yield x, y, z
-                continue
-            zs = ax[bisect_left(ax, lo):]
-            if after[y]:
-                zs = sorted(set(zs).union(after[y]))
-            for z in zs:
-                yield x, y, z
 
 
 def _cocycle_triples(L: LieSuperalgebra):
@@ -523,7 +403,7 @@ def _cocycle_triples(L: LieSuperalgebra):
 
 
 def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> Iterator[dict[int, int]]:
-    return _identity_rows(partial(_cocycle_groups, L), _cocycle_triples(L), pb.columns())
+    return _identity_rows(partial(_cocycle_groups, L._table_index(), L.parities, 1), _cocycle_triples(L), pb.columns())
 
 
 def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
@@ -596,7 +476,7 @@ def sym_invariant_forms(L: LieSuperalgebra) -> list[dict]:
     as sparse maps."""
     pb = PairBasis(L, skew=False)
     triples = product(range(L.dim), repeat=3)
-    rows = _identity_rows(partial(_invariance_groups, L), triples, pb.columns())
+    rows = _identity_rows(partial(_invariance_groups, L._table_index()), triples, pb.columns())
     return [pb.gram_of_vector(vec) for vec in sparse_kernel(rows, pb.count)]
 
 
@@ -693,9 +573,10 @@ def _hochschild_rows(A: AssocSuperalgebra) -> Iterator[dict[int, int]]:
     n = A.dim
     cols = [[(a * n + b, False) for b in range(n)] for a in range(n)]
     pairs = ((a, b) for a in range(n) for b in range(a, n))
+    cyclic = partial(_cocycle_groups, A._table_index(), A.parities, -1)
     return chain(
         _identity_rows(partial(_symmetry_groups, A.parities, -1), pairs, cols),
-        _identity_rows(partial(_hochschild_groups, A), _table_triples(A.table, n, False), cols),
+        _identity_rows(cyclic, _table_triples(A.table, n, False), cols),
     )
 
 

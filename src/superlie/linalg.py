@@ -35,9 +35,10 @@ sequence of (k, c) taken as-is from a structure table row, and a fixed index
 r, standing for s * sum c * X[k][r] if left, else s * sum c * X[r][k].  Two
 readers take the groups: `_identity_rows` builds the constraint rows of a
 solver from an n x n list of columns, and `_group_sums` evaluates them on a
-given map; `_first_violation` checks the map with it, visiting only the
-triples the support of X reaches (`identities._preimages`), and sums ints on X times
-the lcm of its denominators (`_integral_map`).  Both read X as a sparse
+given map; `_first_violation` checks the map with it on the triples the
+support of X reaches (`identities._reached`, one reach rule for every
+identity), and sums ints on X times the lcm of its denominators
+(`_integral_map`).  Both read X as a sparse
 map {(a, b): x} of its nonzero entries, the form in which 2-cochains,
 endomorphisms and bilinear forms are held from the start; `_entries` reads
 a `Matrix` given as input into one, and `_gram` builds the dense matrix

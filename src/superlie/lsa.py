@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
-from .identities import _pair_witness, _preimages, _symmetry_witness, _triple_witness
+from .identities import TableIndex, _invariance_witness, _pair_witness, _symmetry_witness, _triple_witness
 from .linalg import (
     Matrix,
     SparseMatrix,
@@ -28,7 +28,6 @@ from .linalg import (
     _as_sparse,
     _dense,
     _entries,
-    _first_violation,
     _gaussian_products,
     _gram,
     _integral_table,
@@ -90,7 +89,7 @@ class LieSuperalgebra:
         self.brackets = brackets
         self.realization = realization
         self._z2_kernel = None  # filled by cohomology._cocycle_kernel
-        self._int_view = None  # filled by _int_table
+        self._int_view = None  # filled by _table_index
         if validate:
             self.validate()
 
@@ -109,11 +108,12 @@ class LieSuperalgebra:
     def bracket_basis(self, i: int, j: int) -> Coordvec:
         return self.brackets.get((i, j), {})
 
-    def _int_table(self) -> dict:
-        """The brackets as int pairs, scaled by the lcm of their denominators
-        (linalg._integral_table); built on first use and kept."""
+    def _table_index(self) -> TableIndex:
+        """The index of the brackets as int pairs, scaled by the lcm of their
+        denominators (linalg._integral_table), without the side lookups;
+        built on first use and kept."""
         if self._int_view is None:
-            self._int_view = _integral_table(self.brackets)
+            self._int_view = TableIndex(_integral_table(self.brackets))
         return self._int_view
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
@@ -135,7 +135,7 @@ class LieSuperalgebra:
                 raise ValidationError("parity violation", (i, j), f"[{x},{y}] has a component of wrong parity at {z}")
         # super antisymmetry: the value components are graded-skew; graded
         # Jacobi: each ad e_x is a derivation of parity |x|
-        table = self._int_table()
+        table = self._table_index().table
         w = _pair_witness(table, par, -1)
         if w is not None:
             x, y = (self.names[t] for t in w)
@@ -362,30 +362,6 @@ def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> Bil
     return B
 
 
-def _invariance_groups(L: LieSuperalgebra, x: int, y: int, z: int):
-    """omega([x,y],z) - omega(x,[y,z]) = 0, as term groups (s, entries, r,
-    left) over omega(e_a, e_b) (linalg._identity_rows), with the int entries
-    of L's integral table."""
-    get = L._int_table().get
-    return ((1, get((x, y), ()), z, True), (-1, get((y, z), ()), x, False))
-
-
-def _invariance_witness(L: LieSuperalgebra, F: dict, pre: dict) -> tuple | None:
-    """First triple (x, y, z) at which the sparse map F breaks invariance.
-
-    A term omega(e_a, e_b) with F[a, b] != 0 sits on (u, v, b) for a bracket
-    preimage (u, v) of a, or on (a, u, v) for one of b; pre is the index of
-    all preimage pairs.  Every other triple has only zero terms.
-    """
-    candidates = set()
-    for a, b in F:
-        for u, v in pre.get(a, ()):
-            candidates.add((u, v, b))
-        for u, v in pre.get(b, ()):
-            candidates.add((a, u, v))
-    return _first_violation(partial(_invariance_groups, L), sorted(candidates), F)
-
-
 def _radical(B: BilinearForm) -> Subspace:
     """{x : B(x, .) = 0}: the kernel of one sparse row {a: F[a, b]} over x
     per value component F and column b."""
@@ -402,8 +378,7 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
     maps = B.components
     supersym = all(_symmetry_witness(L.parities, 1, F) is None for F in maps)
     skew = all(_symmetry_witness(L.parities, -1, F) is None for F in maps)
-    pre = _preimages(L._int_table(), sorted_pairs=False)
-    invariant = all(_invariance_witness(L, F, pre) is None for F in maps)
+    invariant = all(_invariance_witness(L, F) is None for F in maps)
     radical = _radical(B)
     return {
         "supersymmetric": supersym,

@@ -81,6 +81,10 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
     brackets = data["brackets"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise SchemaError("expected a list of name strings at $.names")
+    first: dict = {}
+    for t, name in enumerate(names):
+        if first.setdefault(name, t) != t:
+            raise SchemaError(f"duplicate basis name {name!r} at $.names[{t}]")
     if not isinstance(parities, list):
         raise SchemaError("expected a list of parities at $.parities")
     for t, p in enumerate(parities):

@@ -23,17 +23,12 @@ from superlie.cohomology import (
     HochschildMap,
     PairBasis,
     _centroid_identity,
-    _centroid_witness,
     _cocycle_constraint_rows,
     _cocycle_triples,
-    _cocycle_witness,
-    _derivation_witness,
     _end_columns,
     _hochschild_rows,
-    _hochschild_witness,
     _kernel_parity,
     _solve_end_space,
-    _table_triples,
     b2_space,
     central_extension,
     centroid,
@@ -56,7 +51,16 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
-from superlie.identities import _symmetry_groups, _symmetry_witness
+from superlie.identities import (
+    _centroid_witness,
+    _cocycle_witness,
+    _derivation_witness,
+    _hochschild_witness,
+    _invariance_groups,
+    _symmetry_groups,
+    _symmetry_witness,
+    _table_triples,
+)
 from superlie.linalg import (
     Matrix,
     SparseEliminator,
@@ -78,7 +82,6 @@ from superlie.lsa import (
     BilinearForm,
     LsaError,
     ValidationError,
-    _invariance_groups,
     build_form,
     form_parity,
     form_report,
@@ -1386,7 +1389,7 @@ def test_identity_rows_match_accumulation(identity_entry):
         assert [_gram(X, L.dim) for X in cent_basis] == end_kernel(L, unknowns, want)
     pb = PairBasis(L, skew=False)
     want = accumulated_invariance_rows(L, pb)
-    got = list(_identity_rows(partial(_invariance_groups, L), product(range(L.dim), repeat=3), pb.columns()))
+    got = list(_identity_rows(partial(_invariance_groups, L._table_index()), product(range(L.dim), repeat=3), pb.columns()))
     assert row_items(got) == row_items(scaled_rows(want, d))
     assert all(type(v) is int for row in got for v in row.values())
     assert sym_invariant_forms(L) == [pb.gram_of_vector(v) for v in sparse_kernel(want, pb.count)]

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import odd_heisenberg, su2_cyclic
-from superlie.catalog import build_catalog
+from conftest import CATALOG_BUILDS, odd_heisenberg, su2_cyclic
+from superlie.catalog import CATALOG_DIM_CAP, CatalogError, build_catalog, expected_dimension
 from superlie.cli import main
 from superlie.linalg import Matrix
 from superlie.scalars import Scalar, format_scalar
@@ -308,6 +308,12 @@ MALFORMED_ARGV = [
     ["validate", "$.brackets[1]", '{"names": ["a", "b", "z"], "parities": [0, 0, 0], '
                  '"brackets": [{"i": 0, "j": 1, "value": ["0", "0", "1"]}, '
                  '{"i": 0, "j": 1, "value": ["0", "0", "2"]}]}'],
+    # refused before anything is built: by the catalog cap (c_n 20 is dim
+    # 818) and by the current algebra cap (grassmann:7 with su(2) is dim 384)
+    ["catalog", "build", "c_n", "--n", "20"],
+    ["current", "--A", "grassmann:7", "--k", "catalog:su_n:2"],
+    # each basis name is given once
+    ["validate", "$.names[1]", '{"names": ["x", "x"], "parities": [0, 0], "brackets": []}'],
 ]
 
 
@@ -352,6 +358,44 @@ def test_cli_gamma_cap_refuses_before_building(monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert lines == [f"error: gamma representations capped at {superlie.clifford.GAMMA_CAP} generators"]
+
+
+def test_catalog_cap_refuses_before_building(monkeypatch, capsys, tmp_path):
+    import superlie.catalog
+
+    assert max(expected_dimension(*spec) for spec in CATALOG_BUILDS) <= CATALOG_DIM_CAP
+    built = []
+    monkeypatch.setitem(superlie.catalog._BUILDERS, "c_n", (built.append, ("n",)))
+    build_catalog("c_n", 11)  # dim 251
+    assert built == [11]
+    with pytest.raises(CatalogError, match=f"c_n 12 has dim 298, above the catalog cap {CATALOG_DIM_CAP}"):
+        build_catalog("c_n", 12)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"catalog": [["c_n", 20]]}))
+    for argv in (["cohomology", "z2", "--k", "catalog:c_n:20"], ["report", "all", "--params", str(sweep)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: c_n 20 has dim 818, above the catalog cap 256" + (" at $.catalog[0]" if "report" in argv else "")
+        ]
+    assert built == [11]
+
+
+def test_current_cap_refuses_before_building(monkeypatch, capsys):
+    import superlie.cli
+
+    built = []
+    monkeypatch.setattr(superlie.cli, "grassmann", lambda s: built.append(s))
+    monkeypatch.setattr(superlie.cli, "current_lsa", lambda A, K: None)
+    su3 = build_catalog("su_n", 3).algebra
+    superlie.cli._capped_grassmann("grassmann:5", su3, superlie.cli.CURRENT_DIM_CAP, "current algebra")
+    assert built == [5]  # dim 256
+    assert main(["current", "--A", "grassmann:6", "--k", "catalog:su_n:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: dim 512 exceeds the current algebra cap 256"]
+    assert built == [5]
 
 
 def test_star_import_resolves_every_public_name():

@@ -51,7 +51,7 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
-from superlie.identities import _preimages, _symmetry_groups
+from superlie.identities import _invariance_groups, _invariance_witness, _symmetry_groups
 from superlie.linalg import (
     Matrix,
     SparseMatrix,
@@ -69,8 +69,6 @@ from superlie.linalg import (
 from superlie.linalg import kernel as dense_kernel
 from superlie.lsa import (
     BilinearForm,
-    _invariance_groups,
-    _invariance_witness,
     build_form,
     form_report,
     generating_set,
@@ -485,14 +483,13 @@ def one_entry_mutant(M, rng):
 def test_invariance_check_matches_full_sweep(catalog_entry):
     L = catalog_entry.algebra
     rng = random.Random(13)
-    pre = _preimages(L._int_table(), sorted_pairs=False)
-    terms = partial(_invariance_groups, L)
+    terms = partial(_invariance_groups, L._table_index())
     grams = [catalog_entry.form.gram, build_form(L, "killing").gram]
     grams += [one_entry_mutant(G, rng) for G in grams for _ in range(3)]
     verdicts = set()
     for G in grams:
         want = _first_violation(terms, product(range(L.dim), repeat=3), _entries(G))
-        assert _invariance_witness(L, _entries(G), pre) == want
+        assert _invariance_witness(L, _entries(G)) == want
         assert form_report(L, build_form(L, "custom", gram=G))["invariant"] == (want is None)
         verdicts.add(want is None)
     assert verdicts == {True, False}

@@ -24,18 +24,11 @@ from superlie.clifford import CliffordRep, _split_complex_commutant, _unit_gamma
 from superlie.cohomology import (
     PairBasis,
     _centroid_identity,
-    _centroid_witness,
     _cocycle_constraint_rows,
-    _cocycle_groups,
     _cocycle_triples,
-    _cocycle_witness,
     _derivation_identity,
-    _derivation_witness,
     _end_columns,
-    _hochschild_groups,
     _hochschild_rows,
-    _hochschild_witness,
-    _table_triples,
     centroid,
     derivation_space,
     hochschild_space,
@@ -43,9 +36,27 @@ from superlie.cohomology import (
     z2_space,
 )
 from superlie.current import current_lsa
-from superlie.identities import _bracket_index, _preimages, _symmetry_groups
+from superlie.identities import (
+    _CENTROID_REACH,
+    _COCYCLE_REACH,
+    _DERIVATION_REACH,
+    _INVARIANCE_REACH,
+    _centroid_groups,
+    _centroid_witness,
+    _cocycle_groups,
+    _cocycle_witness,
+    _derivation_groups,
+    _derivation_witness,
+    _hochschild_witness,
+    _invariance_groups,
+    _invariance_witness,
+    _reached,
+    _symmetry_groups,
+    _table_triples,
+    _with_sides,
+)
 from superlie.linalg import _entries, _first_violation, _identity_rows, sparse_kernel
-from superlie.lsa import _invariance_groups, _invariance_witness, build_form
+from superlie.lsa import build_form
 
 H2_SCALE_SYSTEMS = {
     "L3 x su(2|1)": (("su_pq", 2, 1), 3),
@@ -59,7 +70,7 @@ H2_SCALE_SYSTEMS = {
 
 def invariance_terms(L, x, y, z):
     """omega([x,y],z) - omega(x,[y,z]) = 0, as terms (c, a, b) of omega(e_a, e_b)."""
-    get = L._int_table().get
+    get = L._table_index().get
     for k, c in get((x, y), ()):
         yield c, k, z
     for k, c in get((y, z), ()):
@@ -70,13 +81,13 @@ def cocycle_terms(L, x, y, z):
     """omega([x,y],z) - omega(x,[y,z]) + (-1)^{|x||y|} omega(y,[x,z]) = 0."""
     yield from invariance_terms(L, x, y, z)
     odd = L.parities[x] and L.parities[y]
-    for k, c in L._int_table().get((x, z), ()):
+    for k, c in L._table_index().get((x, z), ()):
         yield (-c if odd else c), y, k
 
 
 def hochschild_terms(A, a, b, c):
     """F(ab, c) - F(a, bc) - (-1)^{|a||b|} F(b, ac) = 0."""
-    get = A._int_table().get
+    get = A._table_index().get
     for k, m in get((a, b), ()):
         yield m, k, c
     for k, m in get((b, c), ()):
@@ -93,19 +104,18 @@ def skew_terms(parities, a, b):
 
 
 def centroid_terms(L, left, i, j, m):
-    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; left is _bracket_index(L._int_table())[0]."""
-    for k, c in L._int_table().get((i, j), ()):
+    """S[e_i, e_j] - [S e_i, e_j] = 0 at e_m; left is _with_sides(L).left."""
+    for k, c in L._table_index().get((i, j), ()):
         yield c, m, k
-    for l, c in left.get((j, m), ()):
+    for l, c in left((j, m), ()):
         yield -c, l, i
 
 
 def derivation_terms(L, index, parity, i, j, m):
     """D[e_i, e_j] - [D e_i, e_j] - (-1)^{|D||i|} [e_i, D e_j] = 0 at e_m."""
-    left, right = index
-    yield from centroid_terms(L, left, i, j, m)
+    yield from centroid_terms(L, index.left, i, j, m)
     odd = parity and L.parities[i]
-    for l, c in right.get((i, m), ()):
+    for l, c in index.right((i, m), ()):
         yield (c if odd else -c), l, j
 
 
@@ -292,15 +302,15 @@ def test_group_rows_match_term_rows_on_the_catalog(catalog_entry):
     pb = PairBasis(L, skew=False)
     triples = list(product(range(n), repeat=3))
     want = term_rows(partial(invariance_terms, L), triples, pair_columns(pb))
-    assert row_items(_identity_rows(partial(_invariance_groups, L), triples, pb.columns())) == row_items(want)
-    index = _bracket_index(L._int_table())
+    assert row_items(_identity_rows(partial(_invariance_groups, L._table_index()), triples, pb.columns())) == row_items(want)
+    index = _with_sides(L)
     for p in (0, 1):
         cols = _end_columns(L, p)
         groups, triples = _derivation_identity(L, p, range(n))
         want = term_rows(partial(derivation_terms, L, index, p), triples, end_columns(L, p))
         assert row_items(_identity_rows(groups, triples, cols)) == row_items(want)
         groups, triples = _centroid_identity(L, range(n))
-        want = term_rows(partial(centroid_terms, L, index[0]), triples, end_columns(L, p))
+        want = term_rows(partial(centroid_terms, L, index.left), triples, end_columns(L, p))
         assert row_items(_identity_rows(groups, triples, cols)) == row_items(want)
     pairs = list(product(range(n), repeat=2))
     cols = [[(a * n + b, False) for b in range(n)] for a in range(n)]
@@ -375,19 +385,17 @@ def test_group_checks_match_term_checks_on_the_catalog(catalog_entry):
     maps = cocycles + forms
     maps += [G for F in maps for G in mutants(F, n, rng, 2)]
     triples = sorted_triples(n)
-    verdicts = assert_same_witnesses(partial(_cocycle_groups, L), partial(cocycle_terms, L), triples, maps)
+    verdicts = assert_same_witnesses(partial(_cocycle_groups, L._table_index(), L.parities, 1), partial(cocycle_terms, L), triples, maps)
     assert verdicts == {True, False}
-    pre = _preimages(L._int_table(), sorted_pairs=True)
     for F in maps:
-        assert _cocycle_witness(L, F, pre) == term_violation(partial(cocycle_terms, L), triples, F)
+        assert _cocycle_witness(L, F) == term_violation(partial(cocycle_terms, L), triples, F)
     sym = forms + sym_invariant_forms(L)
     sym += [G for F in sym for G in mutants(F, n, rng, 2)]
     triples = list(product(range(n), repeat=3))
-    verdicts = assert_same_witnesses(partial(_invariance_groups, L), partial(invariance_terms, L), triples, sym)
+    verdicts = assert_same_witnesses(partial(_invariance_groups, L._table_index()), partial(invariance_terms, L), triples, sym)
     assert verdicts == {True, False}
-    pre = _preimages(L._int_table(), sorted_pairs=False)
     for F in sym:
-        assert _invariance_witness(L, F, pre) == term_violation(partial(invariance_terms, L), triples, F)
+        assert _invariance_witness(L, F) == term_violation(partial(invariance_terms, L), triples, F)
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
     skew = partial(_symmetry_groups, L.parities, -1), partial(skew_terms, L.parities)
     assert assert_same_witnesses(*skew, pairs, maps) == {True, False}
@@ -397,7 +405,7 @@ def test_group_checks_match_term_checks_on_endomorphisms(catalog_entry):
     L = catalog_entry.algebra
     n = L.dim
     rng = random.Random(43)
-    index = _bracket_index(L._int_table())
+    index = _with_sides(L)
     der, _ = derivation_space(L)
     members = list(der.members())[:6]
     members += list(centroid(L).members())
@@ -412,7 +420,7 @@ def test_group_checks_match_term_checks_on_endomorphisms(catalog_entry):
         assert _derivation_witness(L, F, p) == want
         der_verdicts.add(want is None)
         groups, triples = _centroid_identity(L, range(n))
-        want = term_violation(partial(centroid_terms, L, index[0]), triples, F)
+        want = term_violation(partial(centroid_terms, L, index.left), triples, F)
         assert _first_violation(groups, triples, F) == want
         assert _centroid_witness(L, F) == want
         cent_verdicts.add(want is None)
@@ -427,7 +435,7 @@ def test_group_checks_match_term_checks_on_current_cocycles(s):
     maps = rng.sample(cocycles, 4)
     maps += [G for F in maps for G in mutants(F, L.dim, rng, 2)]
     triples = sorted_triples(L.dim)
-    verdicts = assert_same_witnesses(partial(_cocycle_groups, L), partial(cocycle_terms, L), triples, maps)
+    verdicts = assert_same_witnesses(partial(_cocycle_groups, L._table_index(), L.parities, 1), partial(cocycle_terms, L), triples, maps)
     assert verdicts == {True, False}
     for F in maps:
         assert _cocycle_witness(L, F) == term_violation(partial(cocycle_terms, L), triples, F)
@@ -441,7 +449,7 @@ def test_group_checks_match_term_checks_on_hochschild_maps(s):
     maps = [H.entries for H in hochschild_space(A)]
     maps += [G for F in maps for G in mutants(F, n, rng, 2)]
     triples = list(product(range(n), repeat=3))
-    groups, terms = partial(_hochschild_groups, A), partial(hochschild_terms, A)
+    groups, terms = partial(_cocycle_groups, A._table_index(), A.parities, -1), partial(hochschild_terms, A)
     assert assert_same_witnesses(groups, terms, triples, maps) == {True, False}
     for F in maps:
         assert _hochschild_witness(A, F) == term_violation(terms, triples, F)
@@ -474,16 +482,69 @@ def test_group_checks_sum_across_denominators(catalog_entry):
     check = partial(assert_same_witnesses_across_denominators, n=n, rng=rng)
     cocycles = [F for omega in z2_space(L) for F in omega.components]
     cocycles = rng.sample(cocycles, min(len(cocycles), 6))
-    differ = check(partial(_cocycle_groups, L), partial(cocycle_terms, L), sorted_triples(n), cocycles)
+    differ = check(partial(_cocycle_groups, L._table_index(), L.parities, 1), partial(cocycle_terms, L), sorted_triples(n), cocycles)
     forms = [_entries(catalog_entry.form.gram), _entries(build_form(L, "killing").gram)] + sym_invariant_forms(L)
     triples = list(product(range(n), repeat=3))
-    differ += check(partial(_invariance_groups, L), partial(invariance_terms, L), triples, forms)
-    index = _bracket_index(L._int_table())
+    differ += check(partial(_invariance_groups, L._table_index()), partial(invariance_terms, L), triples, forms)
+    index = _with_sides(L)
     ders = [F for F, p in derivation_space(L)[0].members() if p == 0][:6]
     groups, triples = _derivation_identity(L, 0, range(n))
     triples = [(i, j, m) for i, j, m in triples if i <= j]
     differ += check(groups, partial(derivation_terms, L, index, 0), triples, ders)
     groups, triples = _centroid_identity(L, range(n))
     scalars = [{(a, a): Fraction(c) for a in range(n)} for c in (1, 2)]
-    differ += check(groups, partial(centroid_terms, L, index[0]), list(triples), ders[:3] + scalars)
+    differ += check(groups, partial(centroid_terms, L, index.left), list(triples), ders[:3] + scalars)
     assert differ
+
+
+# -- reach ---------------------------------------------------------------------------
+
+
+def triple_identities(X):
+    """(name, groups, reach rows) of every triple identity on the table of X."""
+    index, par = _with_sides(X), X.parities
+    return [
+        ("centroid", partial(_centroid_groups, index), _CENTROID_REACH),
+        ("even derivation", partial(_derivation_groups, index, par, 0), _DERIVATION_REACH),
+        ("odd derivation", partial(_derivation_groups, index, par, 1), _DERIVATION_REACH),
+        ("invariance", partial(_invariance_groups, index), _INVARIANCE_REACH),
+        ("cocycle", partial(_cocycle_groups, index, par, 1), _COCYCLE_REACH),
+        ("cyclic Leibniz", partial(_cocycle_groups, index, par, -1), _COCYCLE_REACH),
+    ]
+
+
+def read_entries(groups, triple):
+    """The entries (a, b) of X that the groups read on the triple."""
+    return {(k, r) if left else (r, k) for _s, entries, r, left in groups(*triple) for k, _c in entries}
+
+
+def assert_reach_matches_groups(X, rng):
+    """On every triple t, each group reads the row lookup(t_p, t_q) at t_r,
+    on the side its reach row (lookup, p, q, r, left) names; and _reached
+    lists exactly the triples whose groups read an entry of a sparse map."""
+    n = X.dim
+    index = _with_sides(X)
+    triples = list(product(range(n), repeat=3))
+    for name, groups, reach in triple_identities(X):
+        for t in triples:
+            got = [(entries, r, left) for _s, entries, r, left in groups(*t)]
+            want = [(index.lookups[lookup].get((t[p], t[q]), ()), t[r], left) for lookup, p, q, r, left in reach]
+            assert got == want, (name, t)
+        for size in (1, 3, n):
+            F = {(rng.randrange(n), rng.randrange(n)): Fraction(1) for _ in range(size)}
+            want = [t for t in triples if not read_entries(groups, t).isdisjoint(F)]
+            assert _reached(index, reach, F) == want, (name, F)
+
+
+def test_reach_matches_groups_on_the_catalog(catalog_entry):
+    assert_reach_matches_groups(catalog_entry.algebra, random.Random(53))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_reach_matches_groups_on_grassmann_algebras(s):
+    assert_reach_matches_groups(grassmann(s), random.Random(s))
+
+
+def test_reach_matches_groups_on_a_current_algebra():
+    L = current_lsa(grassmann(2), build_catalog("su_n", 2).algebra).algebra
+    assert_reach_matches_groups(L, random.Random(59))
