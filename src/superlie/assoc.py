@@ -17,6 +17,7 @@ from .linalg import (
     Subspace,
     _as_sparse,
     _dense,
+    _first_escape,
     _integral_table,
     _table_product,
     is_graded,
@@ -184,8 +185,7 @@ def graded_part(A: AssocSuperalgebra, selector) -> Subspace:
         keep = lambda d: d >= 2 and d % 2 == 0
     else:
         raise AssocError(f"unknown degree selector {selector!r}")
-    one = Fraction(1)
-    return Subspace(A.dim, ({i: one} for i, d in enumerate(A.z_degrees) if keep(d)))
+    return Subspace(A.dim, ({i: 1} for i, d in enumerate(A.z_degrees) if keep(d)))
 
 
 def quotient_assoc(A: AssocSuperalgebra, ideal: Subspace) -> tuple[AssocSuperalgebra, list]:
@@ -200,13 +200,10 @@ def quotient_assoc(A: AssocSuperalgebra, ideal: Subspace) -> tuple[AssocSuperalg
     n = A.dim
     if ideal.ambient_dim != n:
         raise AssocError("ideal lives in the wrong ambient space")
-    for i in range(n):
-        unit = {i: Fraction(1)}
-        for row in ideal.sparse_rows:
-            if not ideal.contains_vector(_table_product(A.table, unit, row)):
-                raise AssocError(
-                    f"not an ideal: product of basis {i} with an ideal element escapes"
-                )
+    table = A._int_view.table if A._int_view is not None else _integral_table(A.table)
+    i = _first_escape(ideal, table, range(n))
+    if i is not None:
+        raise AssocError(f"not an ideal: product of basis {i} with an ideal element escapes")
     if not is_graded(ideal, A.z_degrees if A.z_degrees is not None else A.parities):
         raise AssocError("ideal is not graded")
     if A.unit in ideal.pivots:

@@ -10,15 +10,16 @@ facts per family; every failure is named.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
-from .cohomology import Cocycle2, _kappa_map, centroid, h2_dim, is_coboundary, is_derivation
+from .cohomology import DEFAULT_DIM_CAP, Cocycle2, _kappa_map, centroid, check_dim_cap, h2_dim, is_coboundary
+from .cohomology import is_derivation
 from .identities import _symmetry_witness
-from .linalg import Matrix, SparseMatrix, Subspace, _dense, _table_product, basis_coordinates
+from .linalg import Matrix, SparseMatrix, Subspace, _dense, basis_coordinates
 from .linalg import definiteness, supertrace_pairing
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
+    _integral_brackets,
     _quotient,
     _saturate,
     build_form,
@@ -174,8 +175,7 @@ def _su_pq_data(p: int, q: int):
 
 
 def _range_subspace(dim: int, rng: tuple[int, int]) -> Subspace:
-    one = Fraction(1)
-    return Subspace(dim, ({i: one} for i in range(*rng)))
+    return Subspace(dim, ({i: 1} for i in range(*rng)))
 
 
 def build_su_n(n: int) -> CatalogEntry:
@@ -553,8 +553,13 @@ def _restricted_definiteness(form: BilinearForm, sub: Subspace, sign: int = 1) -
 
 
 def verify_catalog_facts(entry: CatalogEntry) -> dict:
-    """Machine-check the family fact sheet; returns {fact_name: bool | value}."""
+    """Machine-check the family fact sheet; returns {fact_name: bool | value}.
+    A sheet with h2 solves at the solver's default cap, so it refuses a
+    larger algebra (DimensionCapError) before any work."""
     L = entry.algebra
+    has_h2 = entry.family in ("su_n", "su_pq", "psu_pp", "c_n", "pq_n")
+    if has_h2:
+        check_dim_cap(L.dim, DEFAULT_DIM_CAP, "catalog fact sheet's")
     out: dict[str, object] = {}
     rep = form_report(L, entry.form)
     out["dim_matches_closed_form"] = L.dim == expected_dimension(entry.family, *entry.params)
@@ -572,7 +577,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
     cent = centroid(L)
     out["centroid_is_scalar"] = cent.dim == 1 and not cent.odd
 
-    if entry.family in ("su_n", "su_pq", "psu_pp", "c_n", "pq_n"):
+    if has_h2:
         out["h2_dim"] = h2_dim(L)
         expected_h2 = 1 if entry.family in ("psu_pp", "pq_n") else 0
         out["h2_matches"] = out["h2_dim"] == expected_h2
@@ -604,7 +609,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         omega = Cocycle2(L, [kd_map], validate=True)
         out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
         if entry.family == "pq_n":
-            odd = Subspace(L.dim, ({i: Fraction(1)} for i in L.odd_indices))
+            odd = Subspace(L.dim, ({i: 1} for i in L.odd_indices))
             kd = BilinearForm(L.dim, [kd_map])
             verdict = _restricted_definiteness(kd, odd)
             verdict_neg = _restricted_definiteness(kd, odd, -1)
@@ -618,10 +623,9 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
     # irreducibility replay: each odd basis vector generates all of k_1
     odd_idx = L.odd_indices
     if odd_idx:
-        one = Fraction(1)
-        ads = [partial(_table_product, L.brackets, {i: one}) for i in L.even_indices]
+        table = _integral_brackets(L)
         out["odd_part_generated_by_every_vector"] = all(
-            _saturate(L.dim, [{v: one}], ads).dim == len(odd_idx) for v in odd_idx
+            _saturate(L.dim, [{v: 1}], table, L.even_indices).dim == len(odd_idx) for v in odd_idx
         )
 
     # existence of even x, y with 0 != kappa(x,x) = -kappa(y,y), kappa(x,y) = 0

@@ -14,7 +14,7 @@ violated triple, the witness a dense sweep names.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
@@ -51,14 +51,18 @@ class TableIndex:
 
     def inverse(self, which: int) -> dict:
         """k -> the keys (u, v) of the lookup's rows that hold k, as the two
-        columns (u, ...) and (v, ...)."""
+        columns (u, ...) and (v, ...) and the length of their first run: the
+        keys with u <= v sorted, then the others sorted."""
         inv = self._inverses.get(which)
         if inv is None:
             keys: dict = {}
             for key, row in self.lookups[which].items():
                 for k, _c in row:
                     keys.setdefault(k, []).append(key)
-            inv = self._inverses[which] = {k: tuple(zip(*ks)) for k, ks in keys.items()}
+            inv = self._inverses[which] = {}
+            for k, ks in keys.items():
+                first = sorted(key for key in ks if key[0] <= key[1])
+                inv[k] = (*zip(*first, *sorted(key for key in ks if key[0] > key[1])), len(first))
         return inv
 
 
@@ -69,18 +73,29 @@ def _with_sides(X) -> TableIndex:
     return TableIndex(X._table_index().table, sides=True)
 
 
-def _reached(index: TableIndex, reach: Sequence[tuple], X: dict, keep=None) -> list[tuple]:
-    """The sorted triples, those keep accepts, on which a group of the reach
-    rows (lookup, p, q, r, left) reads an entry of the sparse map X."""
+def _reached(index: TableIndex, reach: Sequence[tuple], X: dict, ordered: int = 0, low: int = 0) -> list[tuple]:
+    """The sorted triples on which a group of the reach rows (lookup, p, q,
+    r, left) reads an entry of the sparse map X, in a sweep's domain low <=
+    t_0 <= ... <= t_{ordered-1} (ordered 0: every triple).  An inverse row
+    holds its keys (t_p, t_q) in two sorted runs, t_p <= t_q first: a domain
+    ordering t_p <= t_q reads the first run alone, and the bounds it puts on
+    t_p (low, and t_r on the side it orders) cut each run by bisection."""
+    keep = (lambda t: low <= t[0] <= t[1] <= t[2]) if ordered == 3 else (lambda t: low <= t[0] <= t[1])
+    keep = keep if ordered > 1 else None
     out = set()
     for lookup, p, q, r, left in reach:
         inverse = index.inverse(lookup)
         place = itemgetter(*((p, q, r).index(t) for t in range(3)))  # (t_p, t_q, t_r) -> t
         for a, b in X:
             fixed, k = (b, a) if left else (a, b)
-            keys = inverse.get(k)
-            if keys:
-                out.update(filter(keep, zip(*place((*keys, repeat(fixed))))))
+            us, vs, split = inverse.get(k, ((), (), 0))
+            if p >= ordered:  # t_p unbounded: every key
+                out.update(filter(keep, zip(*place((us, vs, repeat(fixed))))))
+                continue
+            for lo, hi in ((0, split),) if p < q < ordered else ((0, split), (split, len(us))):
+                lo = bisect_left(us, max(low, fixed) if r < p else low, lo, hi)
+                hi = bisect_right(us, fixed, lo, hi) if p < r < ordered else hi
+                out.update(filter(keep, zip(*place((us[lo:hi], vs[lo:hi], repeat(fixed))))))
     return sorted(out)
 
 
@@ -137,7 +152,7 @@ def _derivation_witness(L, D: dict, parity: int) -> tuple | None:
     """First violated triple of the full sweep over (i, j, m) with i <= j;
     D is the sparse map of the endomorphism's entries."""
     index = _with_sides(L)
-    triples = _reached(index, _DERIVATION_REACH, D, lambda t: t[0] <= t[1])
+    triples = _reached(index, _DERIVATION_REACH, D, 2)
     return _first_violation(partial(_derivation_groups, index, L.parities, parity), triples, D)
 
 
@@ -157,12 +172,12 @@ def _triple_witness(table: dict, parities: Sequence[int], derivation: bool, left
     reach = _DERIVATION_REACH if derivation else _CENTROID_REACH
     centroid = partial(_centroid_groups, index)
     for a in lefts:
-        keys = left_of.get(a)  # the (j, m) with e_m in e_a e_j, as columns
+        keys = left_of.get(a)  # the (j, m) with e_m in e_a e_j, as columns and a run length
         if not keys:
             continue
         X = {(m, b): c for b in set(keys[0]) for m, c in get((a, b))}
         groups = partial(_derivation_groups, index, parities, parities[a]) if derivation else centroid
-        w = _first_violation(groups, _reached(index, reach, X, lambda t, a=a: a <= t[0] <= t[1]), X)
+        w = _first_violation(groups, _reached(index, reach, X, 2, a), X)
         if w is not None:
             return (a, w[0], w[1])
     return None
@@ -203,7 +218,7 @@ def _cocycle_witness(L, F: dict) -> tuple | None:
     """First sorted triple (x, y, z) at which F breaks the cocycle identity;
     skewness is not assumed."""
     index = L._table_index()
-    triples = _reached(index, _COCYCLE_REACH, F, lambda t: t[0] <= t[1] <= t[2])
+    triples = _reached(index, _COCYCLE_REACH, F, 3)
     return _first_violation(partial(_cocycle_groups, index, L.parities, 1), triples, F)
 
 

@@ -1,17 +1,21 @@
 """Exact linear algebra over the rational field and the scalar tower.
 
-One type reduces every span: `Subspace`, a reduced row echelon form kept
-as sparse rows keyed by pivot, which its builder grows one vector at a time
-(`add`).  It takes dense or sparse vectors over any exact field element
-supporting +, -, *, /, bool and ==, which covers both Fraction and Scalar.
-Three reads of it answer every exact question: `reduce` tests membership
-(`contains_vector`, `kernel`, the saturations), `coordinates` gives the unique
+One type reduces every span: `Subspace`, a reduced row echelon form of
+primitive int rows keyed by pivot, positive there and zero at every other
+pivot, reduced by cross-multiplication with no division (canonical), which
+its builder grows one vector at a time (`add`).  A tower span is restricted
+to Q: over the Q-basis B = {sqrt(m) i^e} of the field its vectors generate
+(`scalars.Field._closure`) the keys are (column, radicand, i-power), each
+b v is kept, and the K-rows are the rows whose pivot sits on b = 1, so
+dim_K = dim_Q / |B|.  Three reads answer every exact question: `reduce`
+tests membership (`contains_vector`, `kernel`, the saturations, which map
+int rows through an integral table), `coordinates` gives the unique
 coefficients in an independent family (`basis_coordinates`,
 `Matrix.inverse`, Clifford inverses, the pointedness functionals) and
 `_particular` a solution of the augmented rows [A | b] (the even-part
-correction of H2 representatives).  Large homogeneous systems go through
-the sparse integer eliminator `sparse_kernel`, which strips row contents
-instead of carrying fractions (Bareiss-style swell control); it reads its
+correction of H2 representatives); a Fraction is made only for an entry
+they return.  Large homogeneous systems go through the sparse integer
+eliminator `sparse_kernel`, which picks small pivots instead; it reads its
 rows as a stream, feeds them shortest first and drops those its unit pivot
 rows {c: 1} already span; each kernel vector is back-solved over only the
 pivot rows it reaches.
@@ -38,11 +42,10 @@ solver from an n x n list of columns, and `_group_sums` evaluates them on a
 given map; `_first_violation` checks the map with it on the triples the
 support of X reaches (`identities._reached`, one reach rule for every
 identity), and sums ints on X times the lcm of its denominators
-(`_integral_map`).  Both read X as a sparse
-map {(a, b): x} of its nonzero entries, the form in which 2-cochains,
-endomorphisms and bilinear forms are held from the start; `_entries` reads
-a `Matrix` given as input into one, and `_gram` builds the dense matrix
-back for printing.
+(`_integral_map`).  Both read X as a sparse map {(a, b): x} of its nonzero
+entries, the form in which 2-cochains, endomorphisms and bilinear forms are
+held from the start; `_entries` reads a `Matrix` given as input into one,
+and `_gram` builds the dense matrix back for printing.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .scalars import Scalar
+from .scalars import Field, Scalar
 
 Vector = list
 
@@ -75,9 +78,6 @@ def _table_product(table: dict, u: dict, v: dict) -> dict:
     superalgebra or the product of an associative one.  Terms are taken in
     the order of u, then v, then the table entry; entries that cancel are
     dropped.  The inputs are read, never copied.
-
-    The saturations pass a basis vector on one side, so a Fraction 1 is not
-    multiplied in: 1 * b is b in value and type for Fraction and Scalar b.
     """
     out: dict = {}
     if not (u and v):
@@ -87,20 +87,18 @@ def _table_product(table: dict, u: dict, v: dict) -> dict:
         for j, b in v.items():
             t = get((i, j))
             if t:
-                if a.__class__ is Fraction and a == 1:
-                    c = -b
-                elif b.__class__ is Fraction and b == 1:
-                    c = -a
-                else:
-                    c = -a * b
-                _axpy(out, t, c)
+                _axpy(out, t, -a * b)
     return out
+
+
+def _items(vec):
+    """The (column, value) pairs of a dense list or sparse dict."""
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
 
 
 def _as_sparse(vec) -> dict:
     """A new {column: value} copy of a dense list or sparse dict, zeros dropped."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {c: x for c, x in items if x}
+    return {c: x for c, x in _items(vec) if x}
 
 
 def _conj(x):
@@ -117,86 +115,154 @@ def _dense(v: dict, n: int) -> Vector:
 
 
 class Subspace:
-    """Subspace of Q^n (or tower^n) kept in reduced echelon form (canonical).
+    """A subspace of K^n in reduced echelon form, K = Q or a tower field: see
+    the module docstring.  `add` is called only by the function that builds
+    the space, so a returned space does not change; `pivots`, `sparse_rows`
+    and `rows` build the K-rows, 1 at their pivot, on each read."""
 
-    Spanned by dense lists or sparse {column: value} dicts.  The reduced rows
-    are kept sparse in a dict keyed by pivot, each row 1 at its pivot and
-    zero (absent) at every other pivot; any spanning set, in any order, gives
-    the same rows.  `add` grows the span one vector at a time and is called
-    only by the function that builds the space, so a returned space does not
-    change.  The rows are sorted by pivot, and the dense rows built, only
-    when `pivots`, `sparse_rows` or `rows` are read.
-    """
-
-    __slots__ = ("ambient_dim", "_rows", "_sorted", "_dense_rows")
+    __slots__ = ("ambient_dim", "_rows", "_sorted", "_units")
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, dict] = {}
+        self._rows: dict = {}  # pivot key -> primitive int row, positive there
         self._sorted = True
-        self._dense_rows = None
+        self._units: tuple | None = None  # B as sorted (radicand, i-power) pairs; None over Q
         for vec in vectors:
-            self.add(vec)
+            self._take(vec)
 
-    def _echelon(self) -> dict[int, dict]:
+    def _k_rows(self) -> dict:
+        """The int rows whose pivot sits on b = 1, by pivot key, sorted."""
         if not self._sorted:
-            self._rows = dict(sorted(self._rows.items()))
-            self._sorted = True
-        return self._rows
+            self._rows, self._sorted = dict(sorted(self._rows.items())), True
+        return self._rows if self._units is None else {p: r for p, r in self._rows.items() if p[1:] == (1, 0)}
+
+    def _vectors(self) -> list[dict]:
+        """The K-rows unnormalized: over Q the int rows themselves."""
+        return [r if self._units is None else self._scaled(r, 1) for r in self._k_rows().values()]
+
+    def _scaled(self, row: dict, den: int) -> dict:
+        """The vector row / den of an int row over the keys."""
+        if self._units is None:
+            return {c: Fraction(x, den) for c, x in row.items()}
+        terms: dict = {}
+        for (c, m, e), x in row.items():
+            terms.setdefault(c, {})[(m, e)] = Fraction(x, den)
+        return {c: Scalar(t) for c, t in terms.items()}
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._rows) // (len(self._units) if self._units else 1)
 
     @property
-    def pivots(self) -> list[int]:
-        return list(self._echelon())
+    def pivots(self) -> list:
+        return [p if self._units is None else p[0] for p in self._k_rows()]
 
     @property
     def sparse_rows(self) -> list[dict]:
-        return list(self._echelon().values())
+        return [self._scaled(r, r[p]) for p, r in self._k_rows().items()]
 
     @property
     def rows(self) -> list[Vector]:
-        if self._dense_rows is None:
-            self._dense_rows = [_dense(r, self.ambient_dim) for r in self._echelon().values()]
-        return self._dense_rows
+        return [_dense(r, self.ambient_dim) for r in self.sparse_rows]
 
-    def reduce(self, vec) -> dict:
-        """vec minus its part along the rows, as a new sparse vector."""
-        v = _as_sparse(vec)
-        rows = self._rows
-        # the rows are zero at each other's pivots, so one pass clears v
-        for p in [c for c in v if c in rows]:
-            _axpy(v, rows[p], v[p])
-        return v
+    def _key_row(self, vec, grow: bool = False) -> tuple["Subspace", dict, int]:
+        """(space, row, D) with vec = row / D, an int row over the keys of
+        space: self, unless vec has monomials outside B; then self (grow) or
+        a copy, with B grown to take them."""
+        row, d, units = _flatten(vec)
+        if units is None:
+            return self, row if self._units is None else {(c, 1, 0): x for c, x in row.items()}, d
+        space = self
+        if not units.issubset(self._units or ()):
+            if not grow:
+                space = Subspace(self.ambient_dim)
+                space._rows, space._units = self._rows, self._units
+            space._grow(units)
+        return space, row, d
 
-    def add(self, vec) -> dict | None:
-        """Insert a vector; its reduced row if it enlarged the span, else None."""
-        v = self.reduce(vec)
+    def _grow(self, units: set) -> None:
+        """Take B to the Q-basis of the field that B and the monomials
+        generate (Field._closure), and the K-rows again over it."""
+        vectors, units = self._vectors(), units.union(self._units or ())
+        field = Field({m for m, _e in units}, any(e for _m, e in units))
+        self._units = tuple((m, e) for m in sorted(field._closure()) for e in range(1 + field.includes_i))
+        self._rows = {}
+        for v in vectors:
+            self._add(self._key_row(v)[1])
+
+    def _reduce(self, v: dict) -> tuple[dict, int]:
+        """(w, m) with w = m (v minus its part along the rows), m > 0, in one
+        pass: the rows are zero at each other's pivots.  v is not changed."""
+        rows, m = self._rows, 1
+        for p in [k for k in v if k in rows]:
+            r = rows[p]
+            g = gcd(r[p], v[p])
+            v, m = _cross(v, r, r[p] // g, v[p] // g), m * (r[p] // g)
+        return v, m
+
+    def _insert(self, v: dict) -> dict | None:
+        """Insert an int row over the keys; its reduced row if the Q-span grew."""
+        v = self._reduce(v)[0]
         if not v:
             return None
         lead = min(v)
-        inv = v[lead]
-        v = {c: x / inv for c, x in v.items()}
-        for r in self._rows.values():
-            if lead in r:
-                _axpy(r, v, r[lead])
-        self._rows[lead] = v
-        self._sorted = False
-        self._dense_rows = None
+        v = _row_primitive(v if v[lead] > 0 else {k: -x for k, x in v.items()})
+        for p, r in self._rows.items():
+            if r.get(lead):
+                g = gcd(v[lead], r[lead])
+                self._rows[p] = _row_primitive(_cross(r, v, v[lead] // g, r[lead] // g))
+        self._rows[lead], self._sorted = v, False
         return v
 
+    def _add(self, row: dict) -> dict | None:
+        """Insert b * row for each b in B; the reduced row if the span grew."""
+        v = self._insert(row)
+        for b in self._units[1:] if v is not None and self._units else ():
+            self._insert(self._key_row({c: x * Scalar({b: 1}) for c, x in self._scaled(v, 1).items()})[1])
+        return v
+
+    def _take(self, vec) -> dict | None:
+        """_add of a vector, B grown first to take its monomials."""
+        return self._add(self._key_row(vec, grow=True)[1])
+
+    def _image(self, table: dict, g: int, v: dict) -> dict:
+        """e_g v for an int row over the keys, read from an integral table
+        (_integral_table), which acts on the column of each key."""
+        tower, out = self._units is not None, {}
+        for key, x in v.items():
+            for k, y in table.get((g, key[0] if tower else key), ()):
+                k = (k, *key[1:]) if tower else k
+                z = out.get(k, 0) + x * y
+                if z:
+                    out[k] = z
+                else:
+                    del out[k]
+        return out
+
+    def reduce(self, vec, den: int = 1) -> dict:
+        """vec / den minus its part along the rows, as a new sparse vector."""
+        space, row, d = self._key_row(vec)
+        w, m = space._reduce(row)
+        return space._scaled(w, d * m * den)
+
+    def add(self, vec) -> dict | None:
+        """Insert a vector; its K-row, 1 at its pivot, if the span grew."""
+        v = self._take(vec)
+        if v is not None:
+            p = min(v) if self._units is None else (min(v)[0], 1, 0)
+            return self._scaled(self._rows[p], self._rows[p][p])
+
     def contains_vector(self, vec) -> bool:
-        return not self.reduce(vec)
+        space, row, _d = self._key_row(vec)
+        return not space._reduce(row)[0]
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.sparse_rows)
+        return all(map(self.contains_vector, other._vectors()))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, self.sparse_rows + other.sparse_rows)
+        return Subspace(self.ambient_dim, self._vectors() + other._vectors())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the rows [u | u] and [w | 0] reduced to one echelon;
@@ -204,11 +270,9 @@ class Subspace:
         intersection."""
         self._check_ambient(other)
         n = self.ambient_dim
-        echelon = Subspace(2 * n, (
-            *({**u, **{n + c: x for c, x in u.items()}} for u in self.sparse_rows),
-            *other.sparse_rows,
-        ))._rows
-        return Subspace(n, ({c - n: x for c, x in r.items()} for p, r in echelon.items() if p >= n))
+        doubled = ({**u, **{n + c: x for c, x in u.items()}} for u in self._vectors())
+        echelon = Subspace(2 * n, (*doubled, *other._vectors()))
+        return Subspace(n, ({c - n: x for c, x in r.items()} for r in echelon._vectors() if min(r) >= n))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -217,14 +281,38 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self.sparse_rows == other.sparse_rows
-        )
+        same = self._rows == other._rows if self._units == other._units else self.sparse_rows == other.sparse_rows
+        return self.ambient_dim == other.ambient_dim and same
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
+
+
+def _cross(v: dict, r: dict, a: int, b: int) -> dict:
+    """a v - b r as a new int row, as _axpy leaves the keys."""
+    out = {k: x * a for k, x in v.items()} if a != 1 else dict(v)
+    _axpy(out, r, b)
+    return out
+
+
+def _flatten(vec) -> tuple[dict, int, set | None]:
+    """(row, D, units) with vec = row / D, row a new sparse int row: keyed by
+    column for a rational vec (units None), else by (column, radicand,
+    i-power), one key per monomial sqrt(m) i^e of an entry, units the set of
+    the (m, e) met."""
+    flat = {}
+    for c, x in _items(vec):
+        if x.__class__ is Scalar:
+            if not x.is_rational():
+                break
+            x = x.as_fraction()
+        if x:
+            flat[c] = x
+    else:
+        return *_integral_map(flat), None
+    terms = ((c, x.terms() if x.__class__ is Scalar else {(1, 0): x}) for c, x in _items(vec) if x)
+    flat = {(c, *key): q for c, t in terms for key, q in t.items()}
+    return *_integral_map(flat), {key[1:] for key in flat}
 
 
 # -- quotients -----------------------------------------------------------
@@ -233,7 +321,7 @@ class Subspace:
 def is_graded(space: Subspace, labels: Sequence) -> bool:
     """Whether the space is the sum of its parts on each label (a parity or a
     Z-degree per basis slot): each echelon row's parts must lie in it."""
-    for row in space.sparse_rows:
+    for row in space._vectors():
         parts: dict = {}
         for c, x in row.items():
             parts.setdefault(labels[c], {})[c] = x
@@ -262,12 +350,19 @@ def quotient_table(table: dict, ideal: Subspace):
     carried = {}
     for a, i in enumerate(keep):
         for b, j in enumerate(keep):
-            img = project(table.get((i, j), {}))
+            img = project(table[i, j]) if (i, j) in table else None
             if img:
                 carried[(a, b)] = img
-    one = Fraction(1)
-    rows = [_dense(project({i: one}), len(keep)) for i in range(ideal.ambient_dim)]
+    rows = [_dense(project({i: 1}), len(keep)) for i in range(ideal.ambient_dim)]
     return keep, carried, rows, project
+
+
+def _first_escape(space: Subspace, table: dict, gens: Iterable[int]) -> int | None:
+    """The first g of gens whose product e_g, read from an integral table,
+    maps a row of the space out of it; None if the space is closed under
+    each (an ideal, for gens every basis index)."""
+    rows = list(space._rows.values())
+    return next((g for g in gens if any(space._reduce(space._image(table, g, r))[0] for r in rows)), None)
 
 
 # -- matrices ------------------------------------------------------------
@@ -555,23 +650,25 @@ def _sparse_products(terms, nrows: int, ncols: int) -> list[list]:
 def _particular(rows: Iterable, n: int) -> Vector | None:
     """The solution of the augmented rows [A | b], b in column n, with every
     free unknown zero; None when the system is inconsistent."""
-    red = Subspace(n + 1, rows)._rows
-    if n in red:
+    red = Subspace(n + 1, rows)
+    echelon = dict(zip(red.pivots, red.sparse_rows))
+    if n in echelon:
         return None
     zero = Fraction(0)
-    return [red[p].get(n, zero) if p in red else zero for p in range(n)]
+    return [echelon[p].get(n, zero) if p in echelon else zero for p in range(n)]
 
 
 def kernel(rows: Iterable, ncols: int) -> list[Vector]:
     """Kernel basis of an exact matrix given by dense or sparse rows."""
-    red = Subspace(ncols, rows)._rows
+    red = Subspace(ncols, rows)
+    echelon = dict(zip(red.pivots, red.sparse_rows))
     out = []
     for f in range(ncols):
-        if f in red:
+        if f in echelon:
             continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for p, r in red.items():
+        for p, r in echelon.items():
             x = r.get(f)
             if x:
                 v[p] = -x
@@ -579,34 +676,39 @@ def kernel(rows: Iterable, ncols: int) -> list[Vector]:
     return out
 
 
-def coordinates(vectors: Sequence[dict], ambient: int):
-    """Coordinates in a linearly independent family of sparse vectors: a
-    function mapping a sparse vector w to the list c with w = sum c_t v_t, or
-    to None off the span.  w reduces to [0 | -c] against the one echelon of
-    the rows [v_t | e_t]; a pivot right of the v raises ValueError."""
+def coordinates(vectors: Sequence[dict], ambient: int, dens: Sequence[int] | None = None):
+    """Coordinates in a linearly independent family of sparse vectors v_t /
+    dens[t] (dens 1 by default): a function mapping a sparse vector w / d,
+    d = 1 by default, to the list c with w / d = sum c_t v_t / dens[t], or
+    to None off the span.  w reduces to [0 | -d c] against the one echelon
+    of the rows [v_t | dens[t] e_t]; a pivot right of the v raises
+    ValueError."""
     nb = len(vectors)
-    one = Fraction(1)
-    echelon = Subspace(ambient + nb, ({**v, ambient + t: one} for t, v in enumerate(vectors)))
-    if any(p >= ambient for p in echelon._rows):
+    dens = dens or [1] * nb
+    echelon = Subspace(ambient + nb, ({**v, ambient + t: d} for t, (v, d) in enumerate(zip(vectors, dens))))
+    if any(p >= ambient for p in echelon.pivots):
         raise ValueError("vectors are linearly dependent")
     zero = Fraction(0)
 
-    def coords(vec: dict) -> Vector | None:
-        v = echelon.reduce(vec)
+    def coords(vec: dict, den: int = 1) -> Vector | None:
+        v = echelon.reduce(vec, -den)
         if any(c < ambient for c in v):
             return None
-        return [-v[ambient + t] if ambient + t in v else zero for t in range(nb)]
+        return [v.get(ambient + t, zero) for t in range(nb)]
 
     return coords
 
 
 def basis_coordinates(mats: Sequence[SparseMatrix]):
     """Rational coordinates in an independent family of sparse matrices, by
-    coordinates over the (row, column, radicand, re/im) keys of their entries."""
+    coordinates over the (row, column, radicand, re/im) keys of their
+    entries, each matrix flattened to ints over the lcm of its parts'
+    denominators."""
     idx: dict = {}
 
-    def flat(M: SparseMatrix, grow: bool) -> dict | None:
+    def flat(M: SparseMatrix, grow: bool) -> tuple[dict, int] | None:
         out = {}
+        d = lcm(*(den for _entries, den in M.parts.values()))
         for m, (entries, den) in M.parts.items():
             for (r, c), pair in entries.items():
                 for part, x in enumerate(pair):
@@ -617,15 +719,15 @@ def basis_coordinates(mats: Sequence[SparseMatrix]):
                             if not grow:
                                 return None
                             pos = idx[key] = len(idx)
-                        out[pos] = Fraction(x, den)
-        return out
+                        out[pos] = x * (d // den)
+        return out, d
 
     flats = [flat(M, True) for M in mats]
-    in_span = coordinates(flats, len(idx))
+    in_span = coordinates([v for v, _d in flats], len(idx), [d for _v, d in flats])
 
     def coords(M: SparseMatrix) -> Vector | None:
         v = flat(M, False)
-        return None if v is None else in_span(v)
+        return None if v is None else in_span(*v)
 
     return coords
 
@@ -739,7 +841,7 @@ def _to_int_row(row: dict) -> dict[int, int]:
             break
     else:
         return _row_primitive(row)
-    return _row_primitive({c: v for c, v in _integral_map(row).items() if v})
+    return _row_primitive({c: v for c, v in _integral_map(row)[0].items() if v})
 
 
 def _lcm_denominator(values) -> int:
@@ -769,10 +871,11 @@ def _integral_table(table: dict) -> dict:
     }
 
 
-def _integral_map(F: dict) -> dict:
-    """F times the lcm D of its value denominators, as ints: what checks sum."""
+def _integral_map(F: dict) -> tuple[dict, int]:
+    """(F times the lcm D of its value denominators, as ints: what checks
+    sum; D)."""
     d = _lcm_denominator(F.values())
-    return {key: x.numerator * (d // x.denominator) for key, x in F.items()}
+    return {key: x.numerator * (d // x.denominator) for key, x in F.items()}, d
 
 
 def _identity_rows(groups, triples, cols: list) -> Iterator[dict]:
@@ -845,7 +948,7 @@ def _first_violation(groups, triples, F: dict) -> tuple | None:
     """First of the triples whose term groups do not sum to zero on the
     sparse map F, summed in ints on _integral_map(F): each sum is D > 0 times
     the rational one, so the verdict and the witness are those of F."""
-    return next((triple for triple, tot in _group_sums(groups, triples, _integral_map(F)) if tot), None)
+    return next((triple for triple, tot in _group_sums(groups, triples, _integral_map(F)[0]) if tot), None)
 
 
 class SparseEliminator:

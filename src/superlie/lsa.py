@@ -17,7 +17,6 @@ operations are safe to run concurrently.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Sequence
 
 from .identities import TableIndex, _invariance_witness, _pair_witness, _symmetry_witness, _triple_witness
@@ -28,6 +27,7 @@ from .linalg import (
     _as_sparse,
     _dense,
     _entries,
+    _first_escape,
     _gaussian_products,
     _gram,
     _integral_table,
@@ -393,17 +393,24 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
 # -- ideals, quotients, reports ---------------------------------------------
 
 
-def _saturate(n: int, seeds: Iterable, maps: Sequence) -> Subspace:
-    """Smallest subspace of Q^n containing the seeds and mapped into itself by
-    each of the maps, which take and return sparse vectors."""
+def _integral_brackets(L: LieSuperalgebra) -> dict:
+    """L's integral table: that of its kept index if built, else one for
+    the caller alone, which L does not keep."""
+    return L._int_view.table if L._int_view is not None else _integral_table(L.brackets)
+
+
+def _saturate(n: int, seeds: Iterable, table: dict, gens: Sequence[int]) -> Subspace:
+    """Smallest subspace of K^n containing the seeds and mapped into itself
+    by each product e_g, g in gens, read from an integral table (a span does
+    not change when a vector is scaled, so the images stay int rows)."""
     space = Subspace(n)
-    fresh = [dict(r) for r in map(space.add, seeds) if r]
+    fresh = [r for r in map(space._take, seeds) if r]
     while fresh:
         next_fresh = []
         for v in fresh:
-            for f in maps:
-                w = f(v)
-                if w and space.add(w):
+            for g in gens:
+                w = space._image(table, g, v)
+                if w and space._add(w):
                     next_fresh.append(w)
         fresh = next_fresh
     return space
@@ -418,17 +425,17 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
     if the candidates run out first, LsaError names a basis element outside.
     """
     n = L.dim
+    table = _integral_brackets(L)
     gens: list[int] = []
     closure = Subspace(n)
     for j in candidates:
         if closure.dim == n:
             break
-        if not closure.contains_vector({j: Fraction(1)}):
+        if not closure.contains_vector({j: 1}):
             gens.append(j)
-            maps = [partial(_table_product, L.brackets, {g: Fraction(1)}) for g in gens]
-            closure = _saturate(n, ({g: Fraction(1)} for g in gens), maps)
+            closure = _saturate(n, ({g: 1} for g in gens), table, gens)
     if closure.dim < n:
-        outside = next(j for j in range(n) if not closure.contains_vector({j: Fraction(1)}))
+        outside = next(j for j in range(n) if not closure.contains_vector({j: 1}))
         raise LsaError(
             f"{{{', '.join(L.names[g] for g in gens)}}} generates a subalgebra of dimension "
             f"{closure.dim} < {n}: {L.names[outside]} lies outside it"
@@ -438,8 +445,7 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
 
 def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and closed under all brackets."""
-    maps = [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
-    return _saturate(L.dim, seeds, maps)
+    return _saturate(L.dim, seeds, _integral_brackets(L), range(L.dim))
 
 
 def _quotient(L: LieSuperalgebra, ideal: Subspace):
@@ -450,13 +456,9 @@ def _quotient(L: LieSuperalgebra, ideal: Subspace):
         raise LsaError("ideal lives in the wrong ambient space")
     if not is_graded(ideal, L.parities):
         raise LsaError("ideal is not parity-graded")
-    for i in range(n):
-        unit = {i: Fraction(1)}
-        for row in ideal.sparse_rows:
-            if not ideal.contains_vector(_table_product(L.brackets, unit, row)):
-                raise LsaError(
-                    f"not an ideal: [{L.names[i]}, ideal] escapes (witness bracket with basis {i})"
-                )
+    i = _first_escape(ideal, _integral_brackets(L), range(n))
+    if i is not None:
+        raise LsaError(f"not an ideal: [{L.names[i]}, ideal] escapes (witness bracket with basis {i})")
     keep, table, rows, project = quotient_table(L.brackets, ideal)
     # a valid algebra modulo a graded ideal is valid: no sweep
     quo = LieSuperalgebra([L.names[i] for i in keep], [L.parities[i] for i in keep], table, validate=False)

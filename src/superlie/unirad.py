@@ -32,6 +32,8 @@ from .linalg import (
     _as_sparse,
     _axpy,
     _dense,
+    _first_escape,
+    _integral_table,
     _table_product,
     coordinates,
     definiteness_with_witness,
@@ -186,9 +188,8 @@ class CurrentExtension:
 
     def degree_block_embedded(self, keep) -> Subspace:
         """Span of the current slots whose A-degree satisfies the predicate."""
-        one = Fraction(1)
         slots = (idx for idx in range(self.base_dim) if keep(self.cur.a_degree(idx)))
-        return Subspace(self.algebra.dim, ({idx: one} for idx in slots))
+        return Subspace(self.algebra.dim, ({idx: 1} for idx in slots))
 
 
 def extend_current(
@@ -391,11 +392,7 @@ def verify_urad_theorem(
         and n_sub.dim + k_sub.dim == quo.dim
         and k_sub.intersect(n_sub).dim == 0
     )
-    n_ideal_ok = all(
-        n_sub.contains_vector(_table_product(quo.brackets, {i: Fraction(1)}, r))
-        for r in n_rows
-        for i in range(quo.dim)
-    )
+    n_ideal_ok = _first_escape(n_sub, _integral_table(quo.brackets), range(quo.dim)) is None
     report.update(
         {
             "quotient_dim": quo.dim,
@@ -452,12 +449,10 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
     seeds = square_zero_seeds(gext, isotropic_even=iso)
     closure = urad_lower(L, seeds)
 
-    one = Fraction(1)
-
     def block(pred_deg, pred_parity):
         factors = enumerate(map(cur.factors, range(gext.base_dim)))
         return Subspace(L.dim, (
-            {idx: one} for idx, (p, i) in factors if pred_deg(A.z_degrees[p]) and pred_parity(K.parities[i])
+            {idx: 1} for idx, (p, i) in factors if pred_deg(A.z_degrees[p]) and pred_parity(K.parities[i])
         ))
 
     stages = [
@@ -484,8 +479,8 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
     # Step 2 sanity: the lower bound meets 1 (x) k + M only inside M
     m_slots = list(range(gext.base_dim, L.dim))
     one_k_slots = [cur.slot(A.unit, i) for i in range(K.dim)]
-    one_k_m = Subspace(L.dim, ({i: one} for i in one_k_slots + m_slots))
-    m_space = Subspace(L.dim, ({i: one} for i in m_slots))
+    one_k_m = Subspace(L.dim, ({i: 1} for i in one_k_slots + m_slots))
+    m_space = Subspace(L.dim, ({i: 1} for i in m_slots))
     report["meets_one_k_only_in_m"] = m_space.contains(closure.intersect(one_k_m))
 
     srep = structure_report(L)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
 
 import superlie.linalg
-from conftest import apply, reduce_vector
+from conftest import CATALOG_BUILDS, apply, reduce_vector
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.cohomology import PairBasis, _cocycle_constraint_rows
@@ -15,9 +16,12 @@ from superlie.linalg import (
     SparseEliminator,
     SparseMatrix,
     Subspace,
+    _as_sparse,
     _axpy,
+    _dense,
     _particular,
     _row_primitive,
+    _table_product,
     _to_int_row,
     basis_coordinates,
     coordinates,
@@ -933,3 +937,218 @@ def test_axpy_skips_zero_terms():
     v = {0: Fraction(2), 2: Fraction(1)}
     _axpy(v, {0: Fraction(1), 1: Fraction(3), 2: Fraction(1)}, Fraction(2))
     assert list(v.items()) == [(2, Fraction(-1)), (1, Fraction(-6))]
+
+
+# -- oracle: the Fraction reduced echelon form, generic over exact fields -------
+
+
+class FractionSubspace:
+    """A reduced echelon form kept as one row per pivot, 1 there, reduced
+    by in-place Fraction (or Scalar) steps: the oracle of Subspace's
+    primitive int rows and restriction of scalars."""
+
+    def __init__(self, ambient_dim, vectors=()):
+        self.ambient_dim = ambient_dim
+        self._rows = {}
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    @property
+    def sparse_rows(self):
+        return [self._rows[p] for p in self.pivots]
+
+    @property
+    def rows(self):
+        return [_dense(r, self.ambient_dim) for r in self.sparse_rows]
+
+    def reduce(self, vec):
+        v = _as_sparse(vec)
+        for p in [c for c in v if c in self._rows]:
+            _axpy(v, self._rows[p], v[p])
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return None
+        inv = v[min(v)]
+        v = {c: x / inv for c, x in v.items()}
+        for r in self._rows.values():
+            if min(v) in r:
+                _axpy(r, v, r[min(v)])
+        self._rows[min(v)] = v
+        return v
+
+    def intersect(self, other):
+        n = self.ambient_dim
+        doubled = ({**u, **{n + c: x for c, x in u.items()}} for u in self.sparse_rows)
+        echelon = FractionSubspace(2 * n, (*doubled, *other.sparse_rows))._rows
+        return FractionSubspace(n, ({c - n: x for c, x in r.items()} for p, r in echelon.items() if p >= n))
+
+
+def fraction_kernel(rows, ncols):
+    red = FractionSubspace(ncols, rows)._rows
+    out = []
+    for f in range(ncols):
+        if f not in red:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for p, r in red.items():
+                if r.get(f):
+                    v[p] = -r[f]
+            out.append(v)
+    return out
+
+
+def fraction_particular(rows, n):
+    red = FractionSubspace(n + 1, rows)._rows
+    return None if n in red else [red[p].get(n, Fraction(0)) if p in red else Fraction(0) for p in range(n)]
+
+
+def fraction_coordinates(vectors, ambient, w):
+    nb = len(vectors)
+    echelon = FractionSubspace(ambient + nb, ({**v, ambient + t: Fraction(1)} for t, v in enumerate(vectors)))
+    v = echelon.reduce(w)
+    return None if any(c < ambient for c in v) else [-v.get(ambient + t, Fraction(0)) for t in range(nb)]
+
+
+def fraction_saturate(n, seeds, maps):
+    space = FractionSubspace(n)
+    fresh = [dict(r) for r in map(space.add, seeds) if r]
+    while fresh:
+        next_fresh = []
+        for v in fresh:
+            for f in maps:
+                w = f(v)
+                if w and space.add(w):
+                    next_fresh.append(w)
+        fresh = next_fresh
+    return space
+
+
+def fraction_generating_set(L, candidates):
+    gens, closure = [], FractionSubspace(L.dim)
+    for j in candidates:
+        if len(closure._rows) < L.dim and closure.reduce({j: Fraction(1)}):
+            gens.append(j)
+            maps = [partial(_table_product, L.brackets, {g: Fraction(1)}) for g in gens]
+            closure = fraction_saturate(L.dim, ({g: Fraction(1)} for g in gens), maps)
+    return gens
+
+
+def assert_same_rows(got, want, ordered):
+    """Equal values, and for rational spans equal key orders too."""
+    assert got.pivots == want.pivots and got.sparse_rows == want.sparse_rows and got.rows == want.rows
+    if ordered:
+        assert [list(r) for r in got.sparse_rows] == [list(r) for r in want.sparse_rows]
+
+
+def test_int_rows_match_the_fraction_oracle():
+    """Every read and solve of the int rows against the Fraction echelon,
+    on random rational and tower spans: add results, pivots, sparse and
+    dense rows, reduce residuals (with their key order over Q), membership,
+    ==, intersect, coordinates, _particular and kernel."""
+    rng = random.Random(43)
+    for trial in range(80):
+        ordered = trial % 2 == 0
+        entry = rational if ordered else tower
+        n = rng.randint(1, 7)
+        vectors = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 6))]
+        if len(vectors) > 1:
+            a, b = rng.sample(vectors, 2)
+            vectors.append({c: x for c in range(n) if (x := 3 * a.get(c, 0) - b.get(c, 0))})
+        S, O = Subspace(n), FractionSubspace(n)
+        for v in vectors:
+            got, want = S.add(v), O.add(v)
+            assert got == want
+            if ordered and got is not None:
+                assert list(got) == list(want)
+        assert_same_rows(S, O, ordered)
+        assert S.dim == len(O._rows)
+        probes = [random_vector(rng, n, entry) for _ in range(4)] + vectors
+        for w in probes:
+            got, want = S.reduce(w), O.reduce(w)
+            assert got == want and S.contains_vector(w) == (not want)
+            if ordered:
+                assert list(got.items()) == list(want.items())
+        assert S == Subspace(n, reversed(vectors)) == Subspace(n, O.sparse_rows)
+        part = Subspace(n, vectors[:-1])
+        assert (S == part) == (O.pivots == FractionSubspace(n, vectors[:-1]).pivots)
+        others = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))] + vectors[:1]
+        got, want = S.intersect(Subspace(n, others)), O.intersect(FractionSubspace(n, others))
+        assert got.pivots == want.pivots and got.sparse_rows == want.sparse_rows
+        # solves: a kernel, an augmented system, coordinates in the rows
+        rows = [_dense(v, n) for v in vectors]
+        assert kernel(rows, n) == fraction_kernel(rows, n)
+        augmented = [r + [entry(rng)] for r in rows]
+        assert _particular(augmented, n) == fraction_particular(augmented, n)
+        basis = O.sparse_rows
+        if basis:
+            coords = coordinates(basis, n)
+            for w in probes:
+                assert coords(w) == fraction_coordinates(basis, n, w)
+
+
+def saturation_cases():
+    """(name, algebra, seeds): the catalog builds, Lambda_2 (x) su(2) and
+    su(3|1)'s sqrt(3) seeds."""
+    rng = random.Random(47)
+    for spec in CATALOG_BUILDS:
+        L = build_catalog(*spec).algebra
+        yield "_".join(map(str, spec)), L, [random_vector(rng, L.dim, rational) for _ in range(2)]
+        yield "_".join(map(str, spec)) + " basis", L, [{rng.randrange(L.dim): Fraction(1)}]
+    L = current_lsa(grassmann(2), build_catalog("su_n", 2).algebra).algebra
+    yield "lambda2 su2", L, [{rng.randrange(L.dim): Fraction(1)} for _ in range(2)]
+    from test_lsa import _kernel_case
+
+    L, seeds = _kernel_case("su_pq", 3, 1)
+    assert any(isinstance(c, Scalar) and not c.is_rational() for v in seeds for c in v.values())
+    yield "su31 sqrt3 seeds", L, seeds
+
+
+def test_saturations_match_the_fraction_oracle():
+    from superlie.lsa import generating_set, ideal_closure
+
+    names = []
+    for name, L, seeds in saturation_cases():
+        names.append(name)
+        maps = [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
+        ordered = not any(isinstance(c, Scalar) for v in seeds for c in v.values())
+        assert_same_rows(ideal_closure(L, seeds), fraction_saturate(L.dim, seeds, maps), ordered)
+        for candidates in (range(L.dim), range(L.dim - 1, -1, -1)):
+            assert generating_set(L, candidates) == fraction_generating_set(L, candidates)
+    assert len(names) == 2 * len(CATALOG_BUILDS) + 2
+    with pytest.raises(ValueError, match="generates a subalgebra of dimension 1 < 3"):
+        generating_set(build_catalog("su_n", 2).algebra, [0])
+
+
+def test_rational_spans_build_no_fraction(monkeypatch):
+    """contains_vector, ==, dim, ideal_closure and generating_set on a
+    rational algebra run on int rows alone: a counting stand-in for the
+    Fraction name of superlie.linalg and superlie.lsa is never called."""
+    import superlie.lsa
+    from superlie.lsa import generating_set, ideal_closure
+
+    L = current_lsa(grassmann(2), build_catalog("su_n", 2).algebra).algebra
+    rng = random.Random(53)
+    seeds = [random_vector(rng, L.dim, rational) for _ in range(2)]
+    probes = [random_vector(rng, L.dim, rational) for _ in range(5)]
+    S, T = Subspace(L.dim, seeds), Subspace(L.dim, seeds[::-1])
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return Fraction(*args, **kwargs)
+
+    for module in (superlie.linalg, superlie.lsa):
+        monkeypatch.setattr(module, "Fraction", counting)
+    assert [S.contains_vector(v) for v in probes + seeds][-2:] == [True, True]
+    assert S == T and S.dim == 2
+    closure = ideal_closure(L, seeds)
+    assert generating_set(L, range(L.dim)) and closure.dim > 2
+    assert made == []
+    assert closure.sparse_rows and made  # a normalized read builds them

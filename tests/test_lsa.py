@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from conftest import abelian, ad, apply, odd_heisenberg, odd_line, sc, smatrix
 from test_linalg import DenseEchelon
 from superlie.cohomology import _derivation_invariant, derivation_space, star
-from superlie.linalg import Matrix, Subspace, _dense, _entries, _gram, _table_product
+from superlie.linalg import Matrix, Subspace, _dense, _entries, _gram, _integral_table
 from superlie.lsa import (
     LsaError,
     ValidationError,
@@ -284,14 +283,14 @@ def test_structure_report_abelian():
 
 
 def ad_maps(L):
-    """The sparse maps ad e_i, as _saturate takes them."""
-    return [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
+    """The maps ad e_i as _saturate takes them: the integral table and every index."""
+    return _integral_table(L.brackets), range(L.dim)
 
 
 def test_generated_submodule(su2):
-    assert _saturate(3, [su2.basis_vector(0)], ad_maps(su2)).dim == 3
-    assert _saturate(3, [su2.basis_vector(0)], [lambda v: {}]).dim == 1
-    assert _saturate(3, [[Fraction(0)] * 3], ad_maps(su2)).dim == 0
+    assert _saturate(3, [su2.basis_vector(0)], *ad_maps(su2)).dim == 3
+    assert _saturate(3, [su2.basis_vector(0)], {}, range(3)).dim == 1
+    assert _saturate(3, [[Fraction(0)] * 3], *ad_maps(su2)).dim == 0
 
 
 def test_ad_is_derivation(su2):
@@ -499,7 +498,7 @@ def test_saturations_and_quotient_match_dense_versions(case):
     # the dense ad matrices generate
     ads = [ad(L, i) for i in range(L.dim)]
     for seed, dense_seed in zip(seeds[:3], dense_seeds):
-        sub = _saturate(L.dim, [seed], ad_maps(L))
+        sub = _saturate(L.dim, [seed], *ad_maps(L))
         want = dense_generated_submodule(ads, dense_seed)
         assert sub.pivots == want.pivots and sub.rows == want.rows
 

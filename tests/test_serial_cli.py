@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import CATALOG_BUILDS, odd_heisenberg, su2_cyclic
-from superlie.catalog import CATALOG_DIM_CAP, CatalogError, build_catalog, expected_dimension
+from superlie.catalog import CATALOG_DIM_CAP, CatalogError, build_catalog, expected_dimension, verify_catalog_facts
+from superlie.cohomology import DimensionCapError
 from superlie.cli import main
 from superlie.linalg import Matrix
 from superlie.scalars import Scalar, format_scalar
@@ -314,6 +315,9 @@ MALFORMED_ARGV = [
     ["current", "--A", "grassmann:7", "--k", "catalog:su_n:2"],
     # each basis name is given once
     ["validate", "$.names[1]", '{"names": ["x", "x"], "parities": [0, 0], "brackets": []}'],
+    # the fact sheet's h2 solves at the solver's default cap: su(8) (dim 63)
+    # is built, then refused before any fact is checked
+    ["catalog", "build", "su_n", "--n", "8", "--facts"],
 ]
 
 
@@ -380,6 +384,24 @@ def test_catalog_cap_refuses_before_building(monkeypatch, capsys, tmp_path):
             "error: c_n 20 has dim 818, above the catalog cap 256" + (" at $.catalog[0]" if "report" in argv else "")
         ]
     assert built == [11]
+
+
+def test_fact_sheet_cap_refuses_before_any_work(monkeypatch, capsys):
+    import superlie.catalog
+
+    checked = []
+    monkeypatch.setattr(superlie.catalog, "form_report", lambda L, form: checked.append(L.dim))
+    with pytest.raises(DimensionCapError, match="dim 63 exceeds the catalog fact sheet's cap 48"):
+        verify_catalog_facts(build_catalog("su_n", 8))
+    assert checked == []
+    assert main(["catalog", "build", "su_n", "--n", "8", "--facts"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: dim 63 exceeds the catalog fact sheet's cap 48"]
+    assert checked == []
+    # su(7), dim 48, is at the cap
+    monkeypatch.undo()
+    assert verify_catalog_facts(build_catalog("su_n", 7))["h2_dim"] == 0
 
 
 def test_current_cap_refuses_before_building(monkeypatch, capsys):
