@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .identities import TableIndex, _pair_witness, _triple_witness
+from .identities import TableIndex, _integral_view, _pair_witness, _triple_witness
 from .linalg import (
     Subspace,
     _as_sparse,
@@ -200,8 +200,7 @@ def quotient_assoc(A: AssocSuperalgebra, ideal: Subspace) -> tuple[AssocSuperalg
     n = A.dim
     if ideal.ambient_dim != n:
         raise AssocError("ideal lives in the wrong ambient space")
-    table = A._int_view.table if A._int_view is not None else _integral_table(A.table)
-    i = _first_escape(ideal, table, range(n))
+    i = _first_escape(ideal, _integral_view(A, A.table), range(n))
     if i is not None:
         raise AssocError(f"not an ideal: product of basis {i} with an ideal element escapes")
     if not is_graded(ideal, A.z_degrees if A.z_degrees is not None else A.parities):

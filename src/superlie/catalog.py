@@ -13,13 +13,12 @@ from fractions import Fraction
 
 from .cohomology import DEFAULT_DIM_CAP, Cocycle2, _kappa_map, centroid, check_dim_cap, h2_dim, is_coboundary
 from .cohomology import is_derivation
-from .identities import _symmetry_witness
+from .identities import _integral_view, _symmetry_witness
 from .linalg import Matrix, SparseMatrix, Subspace, _dense, basis_coordinates
 from .linalg import definiteness, supertrace_pairing
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
-    _integral_brackets,
     _quotient,
     _saturate,
     build_form,
@@ -623,7 +622,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
     # irreducibility replay: each odd basis vector generates all of k_1
     odd_idx = L.odd_indices
     if odd_idx:
-        table = _integral_brackets(L)
+        table = _integral_view(L, L.brackets)
         out["odd_part_generated_by_every_vector"] = all(
             _saturate(L.dim, [{v: 1}], table, L.even_indices).dim == len(odd_idx) for v in odd_idx
         )

@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .linalg import _first_violation
+from .linalg import _first_violation, _integral_table
 
 TABLE, LEFT, RIGHT = 0, 1, 2  # the lookups of a TableIndex
 
@@ -73,15 +73,22 @@ def _with_sides(X) -> TableIndex:
     return TableIndex(X._table_index().table, sides=True)
 
 
+def _integral_view(X, table: dict) -> dict:
+    """The integral table of the algebra X with structure table `table`:
+    that of the index X keeps if built, else one for the caller alone."""
+    return X._int_view.table if X._int_view is not None else _integral_table(table)
+
+
 def _reached(index: TableIndex, reach: Sequence[tuple], X: dict, ordered: int = 0, low: int = 0) -> list[tuple]:
     """The sorted triples on which a group of the reach rows (lookup, p, q,
     r, left) reads an entry of the sparse map X, in a sweep's domain low <=
-    t_0 <= ... <= t_{ordered-1} (ordered 0: every triple).  An inverse row
-    holds its keys (t_p, t_q) in two sorted runs, t_p <= t_q first: a domain
-    ordering t_p <= t_q reads the first run alone, and the bounds it puts on
-    t_p (low, and t_r on the side it orders) cut each run by bisection."""
-    keep = (lambda t: low <= t[0] <= t[1] <= t[2]) if ordered == 3 else (lambda t: low <= t[0] <= t[1])
-    keep = keep if ordered > 1 else None
+    t_0 <= ... <= t_{ordered-1}, ordered 0 to 3 (0: every triple).  An
+    inverse row holds its keys (t_p, t_q) in two sorted runs, t_p <= t_q
+    first: a domain ordering t_p <= t_q reads the first run alone, and the
+    bounds it puts on t_p (low, and t_r on the side it orders) cut each run
+    by bisection."""
+    keep = (None, lambda t: low <= t[0], lambda t: low <= t[0] <= t[1], lambda t: low <= t[0] <= t[1] <= t[2])
+    keep = keep[ordered]
     out = set()
     for lookup, p, q, r, left in reach:
         inverse = index.inverse(lookup)

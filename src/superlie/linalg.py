@@ -5,9 +5,10 @@ primitive int rows keyed by pivot, positive there and zero at every other
 pivot, reduced by cross-multiplication with no division (canonical), which
 its builder grows one vector at a time (`add`).  A tower span is restricted
 to Q: over the Q-basis B = {sqrt(m) i^e} of the field its vectors generate
-(`scalars.Field._closure`) the keys are (column, radicand, i-power), each
-b v is kept, and the K-rows are the rows whose pivot sits on b = 1, so
-dim_K = dim_Q / |B|.  Three reads answer every exact question: `reduce`
+(`scalars.Field._closure`), as sorted (radicand, i-power) pairs b, the keys
+are (column, b), each b v is kept, and the K-rows are the rows whose pivot
+sits on b = B[0] = 1, so dim_K = dim_Q / |B|.  Over Q, B = (1,) and the
+keys are the columns.  Three reads answer every exact question: `reduce`
 tests membership (`contains_vector`, `kernel`, the saturations, which map
 int rows through an integral table), `coordinates` gives the unique
 coefficients in an independent family (`basis_coordinates`,
@@ -126,40 +127,41 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self._rows: dict = {}  # pivot key -> primitive int row, positive there
         self._sorted = True
-        self._units: tuple | None = None  # B as sorted (radicand, i-power) pairs; None over Q
+        self._units: tuple = ((1, 0),)  # B as sorted (radicand, i-power) pairs
         for vec in vectors:
             self._take(vec)
 
     def _k_rows(self) -> dict:
-        """The int rows whose pivot sits on b = 1, by pivot key, sorted."""
+        """The int rows whose pivot sits on b = 1, by pivot column, sorted."""
         if not self._sorted:
             self._rows, self._sorted = dict(sorted(self._rows.items())), True
-        return self._rows if self._units is None else {p: r for p, r in self._rows.items() if p[1:] == (1, 0)}
+        return self._rows if len(self._units) == 1 else {c: r for (c, b), r in self._rows.items() if b == (1, 0)}
 
     def _vectors(self) -> list[dict]:
         """The K-rows unnormalized: over Q the int rows themselves."""
-        return [r if self._units is None else self._scaled(r, 1) for r in self._k_rows().values()]
+        rows = self._k_rows().values()
+        return list(rows) if len(self._units) == 1 else [self._scaled(r, 1) for r in rows]
 
     def _scaled(self, row: dict, den: int) -> dict:
         """The vector row / den of an int row over the keys."""
-        if self._units is None:
+        if len(self._units) == 1:
             return {c: Fraction(x, den) for c, x in row.items()}
         terms: dict = {}
-        for (c, m, e), x in row.items():
-            terms.setdefault(c, {})[(m, e)] = Fraction(x, den)
+        for (c, b), x in row.items():
+            terms.setdefault(c, {})[b] = Fraction(x, den)
         return {c: Scalar(t) for c, t in terms.items()}
 
     @property
     def dim(self) -> int:
-        return len(self._rows) // (len(self._units) if self._units else 1)
+        return len(self._rows) // len(self._units)
 
     @property
     def pivots(self) -> list:
-        return [p if self._units is None else p[0] for p in self._k_rows()]
+        return list(self._k_rows())
 
     @property
     def sparse_rows(self) -> list[dict]:
-        return [self._scaled(r, r[p]) for p, r in self._k_rows().items()]
+        return [self._scaled(r, r[min(r)]) for r in self._k_rows().values()]
 
     @property
     def rows(self) -> list[Vector]:
@@ -171,9 +173,9 @@ class Subspace:
         a copy, with B grown to take them."""
         row, d, units = _flatten(vec)
         if units is None:
-            return self, row if self._units is None else {(c, 1, 0): x for c, x in row.items()}, d
+            return self, row if len(self._units) == 1 else {(c, (1, 0)): x for c, x in row.items()}, d
         space = self
-        if not units.issubset(self._units or ()):
+        if not units.issubset(self._units):
             if not grow:
                 space = Subspace(self.ambient_dim)
                 space._rows, space._units = self._rows, self._units
@@ -183,7 +185,7 @@ class Subspace:
     def _grow(self, units: set) -> None:
         """Take B to the Q-basis of the field that B and the monomials
         generate (Field._closure), and the K-rows again over it."""
-        vectors, units = self._vectors(), units.union(self._units or ())
+        vectors, units = self._vectors(), units.union(self._units)
         field = Field({m for m, _e in units}, any(e for _m, e in units))
         self._units = tuple((m, e) for m in sorted(field._closure()) for e in range(1 + field.includes_i))
         self._rows = {}
@@ -217,7 +219,7 @@ class Subspace:
     def _add(self, row: dict) -> dict | None:
         """Insert b * row for each b in B; the reduced row if the span grew."""
         v = self._insert(row)
-        for b in self._units[1:] if v is not None and self._units else ():
+        for b in self._units[1:] if v is not None else ():
             self._insert(self._key_row({c: x * Scalar({b: 1}) for c, x in self._scaled(v, 1).items()})[1])
         return v
 
@@ -228,10 +230,10 @@ class Subspace:
     def _image(self, table: dict, g: int, v: dict) -> dict:
         """e_g v for an int row over the keys, read from an integral table
         (_integral_table), which acts on the column of each key."""
-        tower, out = self._units is not None, {}
+        tower, out = len(self._units) > 1, {}
         for key, x in v.items():
             for k, y in table.get((g, key[0] if tower else key), ()):
-                k = (k, *key[1:]) if tower else k
+                k = (k, key[1]) if tower else k
                 z = out.get(k, 0) + x * y
                 if z:
                     out[k] = z
@@ -249,7 +251,7 @@ class Subspace:
         """Insert a vector; its K-row, 1 at its pivot, if the span grew."""
         v = self._take(vec)
         if v is not None:
-            p = min(v) if self._units is None else (min(v)[0], 1, 0)
+            p = min(v) if len(self._units) == 1 else (min(v)[0], (1, 0))
             return self._scaled(self._rows[p], self._rows[p][p])
 
     def contains_vector(self, vec) -> bool:
@@ -297,9 +299,9 @@ def _cross(v: dict, r: dict, a: int, b: int) -> dict:
 
 def _flatten(vec) -> tuple[dict, int, set | None]:
     """(row, D, units) with vec = row / D, row a new sparse int row: keyed by
-    column for a rational vec (units None), else by (column, radicand,
-    i-power), one key per monomial sqrt(m) i^e of an entry, units the set of
-    the (m, e) met."""
+    column for a rational vec (units None), else by (column, (radicand,
+    i-power)), one key per monomial sqrt(m) i^e of an entry, units the set
+    of the (m, e) met."""
     flat = {}
     for c, x in _items(vec):
         if x.__class__ is Scalar:
@@ -311,8 +313,8 @@ def _flatten(vec) -> tuple[dict, int, set | None]:
     else:
         return *_integral_map(flat), None
     terms = ((c, x.terms() if x.__class__ is Scalar else {(1, 0): x}) for c, x in _items(vec) if x)
-    flat = {(c, *key): q for c, t in terms for key, q in t.items()}
-    return *_integral_map(flat), {key[1:] for key in flat}
+    flat = {(c, b): q for c, t in terms for b, q in t.items()}
+    return *_integral_map(flat), {b for _c, b in flat}
 
 
 # -- quotients -----------------------------------------------------------

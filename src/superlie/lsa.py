@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .identities import TableIndex, _invariance_witness, _pair_witness, _symmetry_witness, _triple_witness
+from .identities import TableIndex, _integral_view, _invariance_witness, _pair_witness, _symmetry_witness
+from .identities import _triple_witness
 from .linalg import (
     Matrix,
     SparseMatrix,
@@ -393,18 +394,14 @@ def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:
 # -- ideals, quotients, reports ---------------------------------------------
 
 
-def _integral_brackets(L: LieSuperalgebra) -> dict:
-    """L's integral table: that of its kept index if built, else one for
-    the caller alone, which L does not keep."""
-    return L._int_view.table if L._int_view is not None else _integral_table(L.brackets)
-
-
 def _saturate(n: int, seeds: Iterable, table: dict, gens: Sequence[int]) -> Subspace:
     """Smallest subspace of K^n containing the seeds and mapped into itself
     by each product e_g, g in gens, read from an integral table (a span does
-    not change when a vector is scaled, so the images stay int rows)."""
-    space = Subspace(n)
-    fresh = [r for r in map(space._take, seeds) if r]
+    not change when a vector is scaled, so the images stay int rows).  The
+    seeds are taken first: a rational map brings no new monomial, so the
+    keys of the rows it maps stay fixed."""
+    space = Subspace(n, seeds)
+    fresh = list(space._k_rows().values())
     while fresh:
         next_fresh = []
         for v in fresh:
@@ -425,7 +422,7 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
     if the candidates run out first, LsaError names a basis element outside.
     """
     n = L.dim
-    table = _integral_brackets(L)
+    table = _integral_view(L, L.brackets)
     gens: list[int] = []
     closure = Subspace(n)
     for j in candidates:
@@ -445,7 +442,7 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
 
 def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:
     """Smallest subspace containing the seeds and closed under all brackets."""
-    return _saturate(L.dim, seeds, _integral_brackets(L), range(L.dim))
+    return _saturate(L.dim, seeds, _integral_view(L, L.brackets), range(L.dim))
 
 
 def _quotient(L: LieSuperalgebra, ideal: Subspace):
@@ -456,7 +453,7 @@ def _quotient(L: LieSuperalgebra, ideal: Subspace):
         raise LsaError("ideal lives in the wrong ambient space")
     if not is_graded(ideal, L.parities):
         raise LsaError("ideal is not parity-graded")
-    i = _first_escape(ideal, _integral_brackets(L), range(n))
+    i = _first_escape(ideal, _integral_view(L, L.brackets), range(n))
     if i is not None:
         raise LsaError(f"not an ideal: [{L.names[i]}, ideal] escapes (witness bracket with basis {i})")
     keep, table, rows, project = quotient_table(L.brackets, ideal)

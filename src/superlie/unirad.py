@@ -27,13 +27,13 @@ from .cohomology import (
     xi_cocycle,
 )
 from .current import Current, current_lsa
+from .identities import _integral_view
 from .linalg import (
     Subspace,
     _as_sparse,
     _axpy,
     _dense,
     _first_escape,
-    _integral_table,
     _table_product,
     coordinates,
     definiteness_with_witness,
@@ -392,7 +392,7 @@ def verify_urad_theorem(
         and n_sub.dim + k_sub.dim == quo.dim
         and k_sub.intersect(n_sub).dim == 0
     )
-    n_ideal_ok = _first_escape(n_sub, _integral_table(quo.brackets), range(quo.dim)) is None
+    n_ideal_ok = _first_escape(n_sub, _integral_view(quo, quo.brackets), range(quo.dim)) is None
     report.update(
         {
             "quotient_dim": quo.dim,

@@ -1093,9 +1093,24 @@ def test_int_rows_match_the_fraction_oracle():
                 assert coords(w) == fraction_coordinates(basis, n, w)
 
 
+def test_spans_over_pair_columns_match_the_fraction_oracle():
+    """Columns may be any sortable keys, as the (a, b) entries of the maps
+    _h2_representatives spans: rational and tower spans over pair columns
+    read as the Fraction echelon does."""
+    rng = random.Random(61)
+    for trial in range(20):
+        entry = rational if trial % 2 else tower
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        vectors = [{k: x for k in pairs if (x := entry(rng))} for _ in range(rng.randint(1, 4))]
+        S, O = Subspace(9, vectors), FractionSubspace(9, vectors)
+        assert S.pivots == O.pivots and S.sparse_rows == O.sparse_rows and S.dim == len(O._rows)
+        for w in [{k: x for k in pairs if (x := entry(rng))} for _ in range(3)] + vectors:
+            assert S.reduce(w) == O.reduce(w) and S.contains_vector(w) == (not O.reduce(w))
+
+
 def saturation_cases():
     """(name, algebra, seeds): the catalog builds, Lambda_2 (x) su(2) and
-    su(3|1)'s sqrt(3) seeds."""
+    su(3|1)'s sqrt(3) seeds, at s = 3 after its rational degree-3 seeds."""
     rng = random.Random(47)
     for spec in CATALOG_BUILDS:
         L = build_catalog(*spec).algebra
@@ -1108,6 +1123,10 @@ def saturation_cases():
     L, seeds = _kernel_case("su_pq", 3, 1)
     assert any(isinstance(c, Scalar) and not c.is_rational() for v in seeds for c in v.values())
     yield "su31 sqrt3 seeds", L, seeds
+    L, seeds = _kernel_case("su_pq", 3, 1, s=3)
+    tower = [any(isinstance(c, Scalar) and not c.is_rational() for c in v.values()) for v in seeds]
+    assert not tower[0] and tower[-1]
+    yield "su31 s=3 rational then sqrt3 seeds", L, seeds
 
 
 def test_saturations_match_the_fraction_oracle():
@@ -1121,9 +1140,21 @@ def test_saturations_match_the_fraction_oracle():
         assert_same_rows(ideal_closure(L, seeds), fraction_saturate(L.dim, seeds, maps), ordered)
         for candidates in (range(L.dim), range(L.dim - 1, -1, -1)):
             assert generating_set(L, candidates) == fraction_generating_set(L, candidates)
-    assert len(names) == 2 * len(CATALOG_BUILDS) + 2
+    assert len(names) == 2 * len(CATALOG_BUILDS) + 3
     with pytest.raises(ValueError, match="generates a subalgebra of dimension 1 < 3"):
         generating_set(build_catalog("su_n", 2).algebra, [0])
+
+
+def test_saturation_maps_its_rows_over_the_grown_basis():
+    """A rational seed taken before a sqrt(3) seed is mapped over the keys
+    of the grown B: e_4 e_5 = e_1 and e_4 e_2 = e_3, so the saturation of
+    e_5 and sqrt(3) e_0 is spanned by e_0, e_1 and e_5, without e_3."""
+    from superlie.lsa import _saturate
+
+    table = {(4, 5): ((1, 1),), (4, 2): ((3, 1),)}
+    space = _saturate(6, [{5: Fraction(1)}, {0: Scalar.sqrt_rational(3)}], table, [4])
+    assert space.pivots == [0, 1, 5]
+    assert not space.contains_vector({3: Fraction(1)})
 
 
 def test_rational_spans_build_no_fraction(monkeypatch):

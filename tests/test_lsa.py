@@ -469,12 +469,12 @@ def _urad_current_case(s):
     return gext.algebra, square_zero_seeds(gext)
 
 
-def _kernel_case(*spec):
+def _kernel_case(*spec, s=1):
     from superlie.catalog import build_catalog
     from superlie.unirad import isotropic_even_list, square_zero_seeds, universal_extension
 
     entry = build_catalog(*spec)
-    gext = universal_extension(entry, 1)
+    gext = universal_extension(entry, s)
     return gext.algebra, square_zero_seeds(gext, isotropic_even=isotropic_even_list(entry))
 
 

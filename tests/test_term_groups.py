@@ -548,3 +548,18 @@ def test_reach_matches_groups_on_grassmann_algebras(s):
 def test_reach_matches_groups_on_a_current_algebra():
     L = current_lsa(grassmann(2), build_catalog("su_n", 2).algebra).algebra
     assert_reach_matches_groups(L, random.Random(59))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_reached_in_a_domain_is_the_filtered_reach(s):
+    """_reached in the domain low <= t_0 <= ... <= t_{ordered-1} lists the
+    triples of the full reach that lie in it, for every ordered 0 to 3."""
+    X, rng = grassmann(s), random.Random(59 + s)
+    n, index = X.dim, _with_sides(X)
+    for name, _groups, reach in triple_identities(X):
+        for size in (1, 3, n):
+            F = {(rng.randrange(n), rng.randrange(n)): Fraction(1) for _ in range(size)}
+            full = _reached(index, reach, F)
+            for ordered, low in product(range(4), (0, 1, n // 2)):
+                want = [t for t in full if ordered == 0 or (low <= t[0] and list(t[:ordered]) == sorted(t[:ordered]))]
+                assert _reached(index, reach, F, ordered, low) == want, (name, F, ordered, low)

@@ -152,6 +152,14 @@ def test_kernel_theorem_tower_seed_route():
     assert rep["contains_lambda_plus_k"]
 
 
+def test_kernel_theorem_rational_seeds_before_tower_seeds():
+    # at s = 3 su(3|1)'s rational degree-3 seeds come before its sqrt(3)
+    # isotropic seeds: the saturation grows B after it holds rational rows
+    rep = verify_kernel_theorem(build_catalog("su_pq", 3, 1), 3)
+    assert rep["closure_dim"] == 122 and rep["missing"] is None
+    assert rep["contains_lambda_plus_k"] and rep["meets_one_k_only_in_m"] and all(rep["stages"].values())
+
+
 def test_intersect_at_the_unirad_call_sites(monkeypatch):
     """The intersections the urad and kernel replays and the pointedness
     functionals take, one of them over the tower (su(3|1)'s sqrt(3) seeds),
