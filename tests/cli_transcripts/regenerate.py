@@ -84,6 +84,12 @@ COMMANDS = [
     "urad verify --k catalog:su_n:2 --s 3",
     "urad verify --k catalog:su_n:2 --s 4 --value-dim 2 --seed 3",
     "urad verify --k catalog:q_n:3 --s 1",
+    # kernel replays with irrational isotropic seeds: sqrt(3) for su(3|1) and
+    # su(3|2), sqrt(2) for c(3)
+    "urad verify --k catalog:su_pq:3,1 --s 1",
+    "urad verify --k catalog:su_pq:3,1 --s 3",
+    "urad verify --k catalog:su_pq:3,2 --s 1",
+    "urad verify --k catalog:c_n:3 --s 2",
     "urad faithful --k catalog:su_n:2 --s 2",
     "urad faithful --k catalog:su_n:2 --s 3",
     "urad pointed --k catalog:su_pq:2,1",
