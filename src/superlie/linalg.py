@@ -1,25 +1,20 @@
 """Exact linear algebra over the rational field and the scalar tower.
 
-One type reduces every span: `Subspace`, a reduced row echelon form of
-primitive int rows keyed by pivot, positive there and zero at every other
+One type reduces every span: `Subspace`, a reduced row echelon form over Q
+of primitive int rows keyed by pivot, positive there and zero at every other
 pivot, reduced by cross-multiplication with no division (canonical), which
-its builder grows one vector at a time (`add`).  A tower span is restricted
-to Q: over the Q-basis B = {sqrt(m) i^e} of the field its vectors generate
-(`scalars.Field._closure`), as sorted (radicand, i-power) pairs b, the keys
-are (column, b), each b v is kept, and the K-rows are the rows whose pivot
-sits on b = B[0] = 1, so dim_K = dim_Q / |B|.  Over Q, B = (1,) and the
-keys are the columns.  Three reads answer every exact question: `reduce`
-tests membership (`contains_vector`, `kernel`, the saturations, which map
-int rows through an integral table), `coordinates` gives the unique
-coefficients in an independent family (`basis_coordinates`,
-`Matrix.inverse`, Clifford inverses, the pointedness functionals) and
-`_particular` a solution of the augmented rows [A | b] (the even-part
-correction of H2 representatives); a Fraction is made only for an entry
-they return.  Large homogeneous systems go through the sparse integer
-eliminator `sparse_kernel`, which picks small pivots instead; it reads its
-rows as a stream, feeds them shortest first and drops those its unit pivot
-rows {c: 1} already span; each kernel vector is back-solved over only the
-pivot rows it reaches.
+its builder grows one vector at a time (`add`); an entry off Q raises.
+Three reads answer every exact question: `reduce` tests membership
+(`contains_vector`, `kernel`, the saturations, which map int rows through an
+integral table), `coordinates` gives the unique coefficients in an
+independent family (`basis_coordinates`, `Matrix.inverse`, Clifford
+inverses, the pointedness functionals) and `_particular` a solution of the
+augmented rows [A | b] (the even-part correction of H2 representatives); a
+Fraction is made only for an entry they return.  Large homogeneous systems
+go through the sparse integer eliminator `sparse_kernel`, which picks small
+pivots instead; it reads its rows as a stream, feeds them shortest first and
+drops those its unit pivot rows {c: 1} already span; each kernel vector is
+back-solved over only the pivot rows it reaches.
 
 Matrix realizations, gammas and the chis of a Clifford representation are
 `SparseMatrix` values: a short sum sum_m sqrt(m) U_m, each U_m a map
@@ -56,7 +51,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .scalars import Field, Scalar
+from .scalars import Scalar
 
 Vector = list
 
@@ -116,81 +111,38 @@ def _dense(v: dict, n: int) -> Vector:
 
 
 class Subspace:
-    """A subspace of K^n in reduced echelon form, K = Q or a tower field: see
-    the module docstring.  `add` is called only by the function that builds
-    the space, so a returned space does not change; `pivots`, `sparse_rows`
-    and `rows` build the K-rows, 1 at their pivot, on each read."""
+    """A subspace of Q^n in reduced echelon form: see the module docstring.
+    `add` is called only by the function that builds the space, so a
+    returned space does not change; `pivots`, `sparse_rows` and `rows` build
+    the rows, 1 at their pivot, on each read."""
 
-    __slots__ = ("ambient_dim", "_rows", "_sorted", "_units")
+    __slots__ = ("ambient_dim", "_rows")
 
     def __init__(self, ambient_dim: int, vectors: Iterable = ()):
         self.ambient_dim = ambient_dim
-        self._rows: dict = {}  # pivot key -> primitive int row, positive there
-        self._sorted = True
-        self._units: tuple = ((1, 0),)  # B as sorted (radicand, i-power) pairs
+        self._rows: dict = {}  # pivot -> primitive int row, positive there
         for vec in vectors:
-            self._take(vec)
+            self._insert(_flatten(vec)[0])
 
-    def _k_rows(self) -> dict:
-        """The int rows whose pivot sits on b = 1, by pivot column, sorted."""
-        if not self._sorted:
-            self._rows, self._sorted = dict(sorted(self._rows.items())), True
-        return self._rows if len(self._units) == 1 else {c: r for (c, b), r in self._rows.items() if b == (1, 0)}
-
-    def _vectors(self) -> list[dict]:
-        """The K-rows unnormalized: over Q the int rows themselves."""
-        rows = self._k_rows().values()
-        return list(rows) if len(self._units) == 1 else [self._scaled(r, 1) for r in rows]
-
-    def _scaled(self, row: dict, den: int) -> dict:
-        """The vector row / den of an int row over the keys."""
-        if len(self._units) == 1:
-            return {c: Fraction(x, den) for c, x in row.items()}
-        terms: dict = {}
-        for (c, b), x in row.items():
-            terms.setdefault(c, {})[b] = Fraction(x, den)
-        return {c: Scalar(t) for c, t in terms.items()}
+    def _echelon(self) -> dict:
+        """The int rows by pivot, sorted."""
+        return dict(sorted(self._rows.items()))
 
     @property
     def dim(self) -> int:
-        return len(self._rows) // len(self._units)
+        return len(self._rows)
 
     @property
     def pivots(self) -> list:
-        return list(self._k_rows())
+        return list(self._echelon())
 
     @property
     def sparse_rows(self) -> list[dict]:
-        return [self._scaled(r, r[min(r)]) for r in self._k_rows().values()]
+        return [_scaled(r, r[p]) for p, r in self._echelon().items()]
 
     @property
     def rows(self) -> list[Vector]:
         return [_dense(r, self.ambient_dim) for r in self.sparse_rows]
-
-    def _key_row(self, vec, grow: bool = False) -> tuple["Subspace", dict, int]:
-        """(space, row, D) with vec = row / D, an int row over the keys of
-        space: self, unless vec has monomials outside B; then self (grow) or
-        a copy, with B grown to take them."""
-        row, d, units = _flatten(vec)
-        if units is None:
-            return self, row if len(self._units) == 1 else {(c, (1, 0)): x for c, x in row.items()}, d
-        space = self
-        if not units.issubset(self._units):
-            if not grow:
-                space = Subspace(self.ambient_dim)
-                space._rows, space._units = self._rows, self._units
-            space._grow(units)
-        return space, row, d
-
-    def _grow(self, units: set) -> None:
-        """Take B to the Q-basis of the field that B and the monomials
-        generate (Field._closure), and the K-rows again over it."""
-        vectors, units = self._vectors(), units.union(self._units)
-        field = Field({m for m, _e in units}, any(e for _m, e in units))
-        self._units = tuple((m, e) for m in sorted(field._closure()) for e in range(1 + field.includes_i))
-        self._rows = {}
-        for v in vectors:
-            self._add(self._key_row(v)[1])
 
     def _reduce(self, v: dict) -> tuple[dict, int]:
         """(w, m) with w = m (v minus its part along the rows), m > 0, in one
@@ -203,7 +155,7 @@ class Subspace:
         return v, m
 
     def _insert(self, v: dict) -> dict | None:
-        """Insert an int row over the keys; its reduced row if the Q-span grew."""
+        """Insert an int row; its reduced row if the span grew."""
         v = self._reduce(v)[0]
         if not v:
             return None
@@ -213,58 +165,31 @@ class Subspace:
             if r.get(lead):
                 g = gcd(v[lead], r[lead])
                 self._rows[p] = _row_primitive(_cross(r, v, v[lead] // g, r[lead] // g))
-        self._rows[lead], self._sorted = v, False
+        self._rows[lead] = v
         return v
-
-    def _add(self, row: dict) -> dict | None:
-        """Insert b * row for each b in B; the reduced row if the span grew."""
-        v = self._insert(row)
-        for b in self._units[1:] if v is not None else ():
-            self._insert(self._key_row({c: x * Scalar({b: 1}) for c, x in self._scaled(v, 1).items()})[1])
-        return v
-
-    def _take(self, vec) -> dict | None:
-        """_add of a vector, B grown first to take its monomials."""
-        return self._add(self._key_row(vec, grow=True)[1])
-
-    def _image(self, table: dict, g: int, v: dict) -> dict:
-        """e_g v for an int row over the keys, read from an integral table
-        (_integral_table), which acts on the column of each key."""
-        tower, out = len(self._units) > 1, {}
-        for key, x in v.items():
-            for k, y in table.get((g, key[0] if tower else key), ()):
-                k = (k, key[1]) if tower else k
-                z = out.get(k, 0) + x * y
-                if z:
-                    out[k] = z
-                else:
-                    del out[k]
-        return out
 
     def reduce(self, vec, den: int = 1) -> dict:
         """vec / den minus its part along the rows, as a new sparse vector."""
-        space, row, d = self._key_row(vec)
-        w, m = space._reduce(row)
-        return space._scaled(w, d * m * den)
+        row, d = _flatten(vec)
+        w, m = self._reduce(row)
+        return _scaled(w, d * m * den)
 
     def add(self, vec) -> dict | None:
-        """Insert a vector; its K-row, 1 at its pivot, if the span grew."""
-        v = self._take(vec)
+        """Insert a vector; its row, 1 at its pivot, if the span grew."""
+        v = self._insert(_flatten(vec)[0])
         if v is not None:
-            p = min(v) if len(self._units) == 1 else (min(v)[0], (1, 0))
-            return self._scaled(self._rows[p], self._rows[p][p])
+            return _scaled(v, v[min(v)])
 
     def contains_vector(self, vec) -> bool:
-        space, row, _d = self._key_row(vec)
-        return not space._reduce(row)[0]
+        return not self._reduce(_flatten(vec)[0])[0]
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(map(self.contains_vector, other._vectors()))
+        return not any(self._reduce(r)[0] for r in other._echelon().values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, self._vectors() + other._vectors())
+        return Subspace(self.ambient_dim, (*self._echelon().values(), *other._echelon().values()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the rows [u | u] and [w | 0] reduced to one echelon;
@@ -272,9 +197,9 @@ class Subspace:
         intersection."""
         self._check_ambient(other)
         n = self.ambient_dim
-        doubled = ({**u, **{n + c: x for c, x in u.items()}} for u in self._vectors())
-        echelon = Subspace(2 * n, (*doubled, *other._vectors()))
-        return Subspace(n, ({c - n: x for c, x in r.items()} for r in echelon._vectors() if min(r) >= n))
+        doubled = ({**u, **{n + c: x for c, x in u.items()}} for u in self._echelon().values())
+        echelon = Subspace(2 * n, (*doubled, *other._echelon().values()))
+        return Subspace(n, ({c - n: x for c, x in r.items()} for p, r in echelon._echelon().items() if p >= n))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -283,8 +208,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        same = self._rows == other._rows if self._units == other._units else self.sparse_rows == other.sparse_rows
-        return self.ambient_dim == other.ambient_dim and same
+        return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -297,24 +221,36 @@ def _cross(v: dict, r: dict, a: int, b: int) -> dict:
     return out
 
 
-def _flatten(vec) -> tuple[dict, int, set | None]:
-    """(row, D, units) with vec = row / D, row a new sparse int row: keyed by
-    column for a rational vec (units None), else by (column, (radicand,
-    i-power)), one key per monomial sqrt(m) i^e of an entry, units the set
-    of the (m, e) met."""
+def _scaled(row: dict, den: int) -> dict:
+    """The vector row / den of an int row."""
+    return {c: Fraction(x, den) for c, x in row.items()}
+
+
+def _image(table: dict, g: int, v: dict) -> dict:
+    """e_g v for an int row, read from an integral table (_integral_table)."""
+    out: dict = {}
+    for c, x in v.items():
+        for k, y in table.get((g, c), ()):
+            z = out.get(k, 0) + x * y
+            if z:
+                out[k] = z
+            else:
+                del out[k]
+    return out
+
+
+def _flatten(vec) -> tuple[dict, int]:
+    """(row, D) with vec = row / D, row a new sparse int row; ValueError
+    naming the column of an entry off Q."""
     flat = {}
     for c, x in _items(vec):
         if x.__class__ is Scalar:
             if not x.is_rational():
-                break
+                raise ValueError(f"a Subspace is over Q: the entry {x} at column {c} is not rational")
             x = x.as_fraction()
         if x:
             flat[c] = x
-    else:
-        return *_integral_map(flat), None
-    terms = ((c, x.terms() if x.__class__ is Scalar else {(1, 0): x}) for c, x in _items(vec) if x)
-    flat = {(c, b): q for c, t in terms for b, q in t.items()}
-    return *_integral_map(flat), {b for _c, b in flat}
+    return _integral_map(flat)
 
 
 # -- quotients -----------------------------------------------------------
@@ -323,7 +259,7 @@ def _flatten(vec) -> tuple[dict, int, set | None]:
 def is_graded(space: Subspace, labels: Sequence) -> bool:
     """Whether the space is the sum of its parts on each label (a parity or a
     Z-degree per basis slot): each echelon row's parts must lie in it."""
-    for row in space._vectors():
+    for row in space._echelon().values():
         parts: dict = {}
         for c, x in row.items():
             parts.setdefault(labels[c], {})[c] = x
@@ -349,12 +285,13 @@ def quotient_table(table: dict, ideal: Subspace):
         v = ideal.reduce(vec)
         return {pos[k]: v[k] for k in sorted(v)}
 
+    d = _lcm_denominator(c for vec in table.values() for c in vec.values())
     carried = {}
     for a, i in enumerate(keep):
         for b, j in enumerate(keep):
-            img = project(table[i, j]) if (i, j) in table else None
-            if img:
-                carried[(a, b)] = img
+            w, m = ideal._reduce({k: c.numerator * (d // c.denominator) for k, c in table.get((i, j), {}).items()})
+            if w:
+                carried[(a, b)] = {pos[k]: Fraction(w[k], d * m) for k in sorted(w)}
     rows = [_dense(project({i: 1}), len(keep)) for i in range(ideal.ambient_dim)]
     return keep, carried, rows, project
 
@@ -363,8 +300,7 @@ def _first_escape(space: Subspace, table: dict, gens: Iterable[int]) -> int | No
     """The first g of gens whose product e_g, read from an integral table,
     maps a row of the space out of it; None if the space is closed under
     each (an ideal, for gens every basis index)."""
-    rows = list(space._rows.values())
-    return next((g for g in gens if any(space._reduce(space._image(table, g, r))[0] for r in rows)), None)
+    return next((g for g in gens if any(space._reduce(_image(table, g, r))[0] for r in space._rows.values())), None)
 
 
 # -- matrices ------------------------------------------------------------
@@ -602,20 +538,23 @@ def _gaussian_products(terms, shape: tuple[int, int]) -> SparseMatrix:
 
 def supertrace_pairing(X: SparseMatrix, Y: SparseMatrix, signs: Sequence[int]) -> Fraction:
     """sum_r signs[r] (XY)[r][r] = sum signs[r] X[r][k] Y[k][r] over the
-    nonzeros of X; ValueError unless the value is rational."""
+    nonzeros of X, summed in ints over the lcm of the denominators of the
+    part pairs; ValueError unless the value is rational."""
+    pairs = list(_part_pairs([(1, X, Y)]))
+    den = lcm(*(d * e for *_, (_E, d), (_F, e) in pairs))
     acc: dict = {}  # m -> [re, im]
-    for _s, m, g, (E, d), (F, e) in _part_pairs([(1, X, Y)]):
-        tot = acc.setdefault(m, [Fraction(0), Fraction(0)])
+    for _s, m, g, (E, d), (F, e) in pairs:
+        tot = acc.setdefault(m, [0, 0])
+        f = g * (den // (d * e))
         for (r, k), (a, b) in E.items():
             y = F.get((k, r))
             if y:
-                f = Fraction(signs[r] * g, d * e)
-                tot[0] += f * (a * y[0] - b * y[1])
-                tot[1] += f * (a * y[1] + b * y[0])
-    re, im = acc.pop(1, (Fraction(0), 0))
+                tot[0] += signs[r] * f * (a * y[0] - b * y[1])
+                tot[1] += signs[r] * f * (a * y[1] + b * y[0])
+    re, im = acc.pop(1, (0, 0))
     if im or any(map(any, acc.values())):
         raise ValueError("supertrace pairing is not a rational scalar")
-    return re
+    return Fraction(re, den)
 
 
 def _sparse_products(terms, nrows: int, ncols: int) -> list[list]:

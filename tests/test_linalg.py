@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -19,6 +20,7 @@ from superlie.linalg import (
     _as_sparse,
     _axpy,
     _dense,
+    _items,
     _particular,
     _row_primitive,
     _table_product,
@@ -33,6 +35,7 @@ from superlie.linalg import (
     sparse_kernel,
     symmetric_diagonalize,
 )
+from superlie.lsa import _rational_parts
 from superlie.scalars import Scalar
 
 
@@ -197,9 +200,21 @@ def random_vector(rng, n, entry):
     return {c: x for c in range(n) if (x := entry(rng))}
 
 
+def assert_refused(n, vectors):
+    """Subspace(n, vectors) raises ValueError naming the column of the first
+    entry off Q, if there is one: a Subspace is over Q."""
+    off = next((c for v in vectors for c, x in _items(v) if isinstance(x, Scalar) and not x.is_rational()), None)
+    if off is None:
+        Subspace(n, vectors)
+        return
+    with pytest.raises(ValueError, match=re.escape(f"at column {off} is not rational")):
+        Subspace(n, vectors)
+
+
 def test_echelon_mixed_inputs_match_dense_oracle():
-    """Dense, sparse and mixed spanning sets, rational and tower entries, in
-    shuffled orders, all reduce to the dense oracle's rows and pivots."""
+    """Dense, sparse and mixed spanning sets of rational entries, in shuffled
+    orders, all reduce to the dense oracle's rows and pivots; with tower
+    entries they are refused (assert_refused)."""
     rng = random.Random(21)
     for trial in range(30):
         n = rng.randint(1, 7)
@@ -213,6 +228,10 @@ def test_echelon_mixed_inputs_match_dense_oracle():
             order = list(vectors)
             rng.shuffle(order)
             for spanning in (vectors, order):
+                w = [entry(rng) for _ in range(n)]
+                if trial % 2:
+                    assert_refused(n, spanning)
+                    continue
                 S = Subspace(n, spanning)
                 assert S.pivots == pivots
                 assert S.rows == rows
@@ -220,7 +239,6 @@ def test_echelon_mixed_inputs_match_dense_oracle():
                 for v in dense:
                     assert S.contains_vector(v) and not any(reduce_vector(S, v))
                 # a vector off the span keeps a nonzero part, zero at every pivot
-                w = [entry(rng) for _ in range(n)]
                 if not S.contains_vector(w):
                     red = S.reduce(w)
                     assert red and not any(p in red for p in S.pivots)
@@ -231,7 +249,8 @@ def test_add_one_at_a_time_matches_one_call():
     is the one a single call builds (same pivots, sparse rows and dense
     rows).  add returns None exactly for the vectors the dense oracle
     already spans, else the new row, 1 at its pivot.  Every other order
-    reads the dense rows after each add, which must follow the oracle."""
+    reads the dense rows after each add, which must follow the oracle.
+    Tower vectors are refused."""
     rng = random.Random(25)
     for trial in range(40):
         entry = tower if trial % 2 else rational
@@ -240,10 +259,14 @@ def test_add_one_at_a_time_matches_one_call():
         if len(vectors) > 1:  # one vector of the span, so that some add returns None
             a, b = rng.sample(vectors, 2)
             vectors.append({c: x for c in range(n) if (x := 2 * a.get(c, 0) - b.get(c, 0))})
-        want = Subspace(n, vectors)
-        for k in range(4):
-            order = list(vectors)
+        orders = [list(vectors) for _k in range(4)]
+        for order in orders:
             rng.shuffle(order)
+        if entry is tower:
+            assert_refused(n, vectors)
+            continue
+        want = Subspace(n, vectors)
+        for k, order in enumerate(orders):
             S, oracle = Subspace(n), DenseEchelon()
             for v in order:
                 row = S.add(v)
@@ -302,13 +325,18 @@ def test_modular_law_random():
         assert s.dim + i.dim == U.dim + V.dim
         assert s.contains(U) and s.contains(V)
         assert U.contains(i) and V.contains(i)
-    # over Q and the tower, with a shared part so that U and W often meet
+    # with a shared part so that U and W often meet; tower spans are refused
     for trial in range(40):
         entry = tower if trial % 2 else rational
         n = rng.randint(1, 7)
         common = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))]
-        U = Subspace(n, common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))])
-        W = Subspace(n, common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))])
+        u = common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))]
+        w = common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))]
+        if entry is tower:
+            assert_refused(n, u)
+            assert_refused(n, w)
+            continue
+        U, W = Subspace(n, u), Subspace(n, w)
         assert_is_intersection(U, W)
         assert_is_intersection(W, U)
 
@@ -848,16 +876,39 @@ def combination(coefs, vectors):
     return {col: x for col, x in out.items() if x}
 
 
+def tower_coordinates_trial(rng, n, vecs):
+    """A tower trial of test_coordinates_recombine_to_the_target: the family
+    is refused.  Its draws are made as when coordinates took tower families,
+    the span read on the Fraction oracle, so the rational trials keep their
+    inputs."""
+    off = [c for v in vecs for c, x in v.items() if isinstance(x, Scalar) and not x.is_rational()]
+    if off:
+        with pytest.raises(ValueError, match=re.escape(f"at column {off[0]} is not rational")):
+            coordinates(vecs, n)
+    span = FractionSubspace(n, vecs)
+    if len(span._rows) < len(vecs):
+        return
+    for _ in range(4):
+        [tower(rng) for _ in vecs]
+    if len(vecs) < n:
+        while not span.reduce(random_vector(rng, n, tower)):
+            pass
+    [tower(rng) for _ in vecs]
+
+
 def test_coordinates_recombine_to_the_target():
-    """Over Q and over the tower: the coefficients of a vector of the span
-    recombine to it, a vector off the span has none, and a dependent family
-    is refused."""
+    """Over Q: the coefficients of a vector of the span recombine to it, a
+    vector off the span has none, and a dependent family is refused; a
+    tower family is refused for its entries (tower_coordinates_trial)."""
     rng = random.Random(31)
     for trial in range(40):
         entry = tower if trial % 2 else rational
         n = rng.randint(1, 7)
         k = rng.randint(0, n)
         vecs = [random_vector(rng, n, entry) for _ in range(k)]
+        if entry is tower:
+            tower_coordinates_trial(rng, n, vecs)
+            continue
         span = Subspace(n, vecs)
         if span.dim < k:
             with pytest.raises(ValueError, match="dependent"):
@@ -945,7 +996,8 @@ def test_axpy_skips_zero_terms():
 class FractionSubspace:
     """A reduced echelon form kept as one row per pivot, 1 there, reduced
     by in-place Fraction (or Scalar) steps: the oracle of Subspace's
-    primitive int rows and restriction of scalars."""
+    primitive int rows, and over the tower of the rational parts the
+    kernel replay's seeds descend to."""
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
@@ -1049,42 +1101,43 @@ def assert_same_rows(got, want, ordered):
 
 def test_int_rows_match_the_fraction_oracle():
     """Every read and solve of the int rows against the Fraction echelon,
-    on random rational and tower spans: add results, pivots, sparse and
-    dense rows, reduce residuals (with their key order over Q), membership,
-    ==, intersect, coordinates, _particular and kernel."""
+    on random rational spans: add results, pivots, sparse and dense rows,
+    reduce residuals with their key order, membership, ==, intersect,
+    coordinates, _particular and kernel.  Tower spans are refused."""
     rng = random.Random(43)
     for trial in range(80):
-        ordered = trial % 2 == 0
-        entry = rational if ordered else tower
+        entry = rational if trial % 2 == 0 else tower
         n = rng.randint(1, 7)
         vectors = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 6))]
         if len(vectors) > 1:
             a, b = rng.sample(vectors, 2)
             vectors.append({c: x for c in range(n) if (x := 3 * a.get(c, 0) - b.get(c, 0))})
+        probes = [random_vector(rng, n, entry) for _ in range(4)] + vectors
+        others = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))] + vectors[:1]
+        rows = [_dense(v, n) for v in vectors]
+        augmented = [r + [entry(rng)] for r in rows]
+        if entry is tower:
+            assert_refused(n, vectors)
+            continue
         S, O = Subspace(n), FractionSubspace(n)
         for v in vectors:
             got, want = S.add(v), O.add(v)
             assert got == want
-            if ordered and got is not None:
+            if got is not None:
                 assert list(got) == list(want)
-        assert_same_rows(S, O, ordered)
+        assert_same_rows(S, O, True)
         assert S.dim == len(O._rows)
-        probes = [random_vector(rng, n, entry) for _ in range(4)] + vectors
         for w in probes:
             got, want = S.reduce(w), O.reduce(w)
             assert got == want and S.contains_vector(w) == (not want)
-            if ordered:
-                assert list(got.items()) == list(want.items())
+            assert list(got.items()) == list(want.items())
         assert S == Subspace(n, reversed(vectors)) == Subspace(n, O.sparse_rows)
         part = Subspace(n, vectors[:-1])
         assert (S == part) == (O.pivots == FractionSubspace(n, vectors[:-1]).pivots)
-        others = [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))] + vectors[:1]
         got, want = S.intersect(Subspace(n, others)), O.intersect(FractionSubspace(n, others))
         assert got.pivots == want.pivots and got.sparse_rows == want.sparse_rows
         # solves: a kernel, an augmented system, coordinates in the rows
-        rows = [_dense(v, n) for v in vectors]
         assert kernel(rows, n) == fraction_kernel(rows, n)
-        augmented = [r + [entry(rng)] for r in rows]
         assert _particular(augmented, n) == fraction_particular(augmented, n)
         basis = O.sparse_rows
         if basis:
@@ -1095,22 +1148,27 @@ def test_int_rows_match_the_fraction_oracle():
 
 def test_spans_over_pair_columns_match_the_fraction_oracle():
     """Columns may be any sortable keys, as the (a, b) entries of the maps
-    _h2_representatives spans: rational and tower spans over pair columns
-    read as the Fraction echelon does."""
+    _h2_representatives spans: rational spans over pair columns read as the
+    Fraction echelon does, and tower spans are refused."""
     rng = random.Random(61)
     for trial in range(20):
         entry = rational if trial % 2 else tower
         pairs = [(a, b) for a in range(3) for b in range(3)]
         vectors = [{k: x for k in pairs if (x := entry(rng))} for _ in range(rng.randint(1, 4))]
+        probes = [{k: x for k in pairs if (x := entry(rng))} for _ in range(3)] + vectors
+        if entry is tower:
+            assert_refused(9, vectors)
+            continue
         S, O = Subspace(9, vectors), FractionSubspace(9, vectors)
         assert S.pivots == O.pivots and S.sparse_rows == O.sparse_rows and S.dim == len(O._rows)
-        for w in [{k: x for k in pairs if (x := entry(rng))} for _ in range(3)] + vectors:
+        for w in probes:
             assert S.reduce(w) == O.reduce(w) and S.contains_vector(w) == (not O.reduce(w))
 
 
 def saturation_cases():
     """(name, algebra, seeds): the catalog builds, Lambda_2 (x) su(2) and
-    su(3|1)'s sqrt(3) seeds, at s = 3 after its rational degree-3 seeds."""
+    the rational parts of su(3|1)'s sqrt(3) seeds, at s = 3 after its
+    rational degree-3 seeds."""
     rng = random.Random(47)
     for spec in CATALOG_BUILDS:
         L = build_catalog(*spec).algebra
@@ -1122,11 +1180,11 @@ def saturation_cases():
 
     L, seeds = _kernel_case("su_pq", 3, 1)
     assert any(isinstance(c, Scalar) and not c.is_rational() for v in seeds for c in v.values())
-    yield "su31 sqrt3 seeds", L, seeds
+    yield "su31 sqrt3 seeds", L, _rational_parts(seeds)
     L, seeds = _kernel_case("su_pq", 3, 1, s=3)
     tower = [any(isinstance(c, Scalar) and not c.is_rational() for c in v.values()) for v in seeds]
     assert not tower[0] and tower[-1]
-    yield "su31 s=3 rational then sqrt3 seeds", L, seeds
+    yield "su31 s=3 rational then sqrt3 seeds", L, _rational_parts(seeds)
 
 
 def test_saturations_match_the_fraction_oracle():
@@ -1145,16 +1203,54 @@ def test_saturations_match_the_fraction_oracle():
         generating_set(build_catalog("su_n", 2).algebra, [0])
 
 
-def test_saturation_maps_its_rows_over_the_grown_basis():
-    """A rational seed taken before a sqrt(3) seed is mapped over the keys
-    of the grown B: e_4 e_5 = e_1 and e_4 e_2 = e_3, so the saturation of
-    e_5 and sqrt(3) e_0 is spanned by e_0, e_1 and e_5, without e_3."""
+def test_saturation_of_a_rational_seed_then_a_sqrt3_seed():
+    """A rational seed before a sqrt(3) seed: e_4 e_5 = e_1 and e_4 e_2 =
+    e_3, so the saturation of e_5 and the rational part e_0 of sqrt(3) e_0
+    (its own conjugate up to sign) is spanned by e_0, e_1 and e_5, without
+    e_3."""
     from superlie.lsa import _saturate
 
     table = {(4, 5): ((1, 1),), (4, 2): ((3, 1),)}
-    space = _saturate(6, [{5: Fraction(1)}, {0: Scalar.sqrt_rational(3)}], table, [4])
+    parts = _rational_parts([{5: Fraction(1)}, {0: Scalar.sqrt_rational(3)}])
+    assert parts == [{5: 1}, {0: 1}]
+    space = _saturate(6, parts, table, [4])
     assert space.pivots == [0, 1, 5]
     assert not space.contains_vector({3: Fraction(1)})
+
+
+@pytest.mark.parametrize("spec, s", [
+    (("su_pq", 3, 1), 1), (("su_pq", 3, 1), 2), (("su_pq", 3, 1), 3),
+    (("su_pq", 3, 2), 1), (("c_n", 3), 1), (("c_n", 3), 2),
+], ids=["su31 s=1", "su31 s=2", "su31 s=3", "su32 s=1", "c3 s=1", "c3 s=2"])
+def test_rational_parts_span_what_the_tower_seeds_span(spec, s):
+    """The kernel replay's seeds, with sqrt(3) or sqrt(2) isotropic parts:
+    the Fraction-or-Scalar echelon of the tower seeds has the reduced rows
+    Subspace has on their rational parts, and so has its saturation, against
+    ideal_closure, which descends the seeds itself."""
+    from superlie.lsa import ideal_closure
+    from test_lsa import _kernel_case
+
+    L, seeds = _kernel_case(*spec, s=s)
+    assert any(isinstance(c, Scalar) and not c.is_rational() for v in seeds for c in v.values())
+    parts = _rational_parts(seeds)
+    assert all(not isinstance(c, Scalar) for v in parts for c in v.values())
+    assert_same_rows(Subspace(L.dim, parts), FractionSubspace(L.dim, seeds), False)
+    maps = [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
+    assert_same_rows(ideal_closure(L, seeds), fraction_saturate(L.dim, seeds, maps), False)
+
+
+def test_subspace_refuses_an_entry_off_q():
+    """A tower entry, real or not, is refused by every way into a Subspace,
+    naming its column; a rational Scalar is read as its Fraction."""
+    S = Subspace(3, [{0: Fraction(1)}])
+    for x in (Scalar.sqrt_rational(2), Scalar.i(), 1 + Scalar.sqrt_rational(3)):
+        message = re.escape(f"the entry {x} at column 2 is not rational")
+        for call in (lambda: Subspace(3, [{1: Fraction(1), 2: x}]), lambda: S.add([0, 1, x]),
+                     lambda: S.reduce({2: x}), lambda: S.contains_vector({1: 1, 2: x}),
+                     lambda: coordinates([{2: x}], 3)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert S.add({1: Scalar.from_rational(Fraction(1, 2))}) == {1: 1} and S.dim == 2
 
 
 def test_rational_spans_build_no_fraction(monkeypatch):

@@ -139,8 +139,8 @@ def test_semidefinite_certificate_yields_isotropic_witness():
 
 
 def test_kernel_theorem_tower_seed_route():
-    # su(3|1) needs sqrt(3)-scaled isotropic seeds; the saturation runs over
-    # the scalar tower and still certifies the containment
+    # su(3|1) needs sqrt(3)-scaled isotropic seeds; the ideal closure
+    # saturates their rational parts and still certifies the containment
     from superlie.scalars import Scalar
 
     entry = build_catalog("su_pq", 3, 1)
@@ -154,7 +154,7 @@ def test_kernel_theorem_tower_seed_route():
 
 def test_kernel_theorem_rational_seeds_before_tower_seeds():
     # at s = 3 su(3|1)'s rational degree-3 seeds come before its sqrt(3)
-    # isotropic seeds: the saturation grows B after it holds rational rows
+    # isotropic seeds, whose sqrt(3) parts the closure needs as well
     rep = verify_kernel_theorem(build_catalog("su_pq", 3, 1), 3)
     assert rep["closure_dim"] == 122 and rep["missing"] is None
     assert rep["contains_lambda_plus_k"] and rep["meets_one_k_only_in_m"] and all(rep["stages"].values())
@@ -162,8 +162,8 @@ def test_kernel_theorem_rational_seeds_before_tower_seeds():
 
 def test_intersect_at_the_unirad_call_sites(monkeypatch):
     """The intersections the urad and kernel replays and the pointedness
-    functionals take, one of them over the tower (su(3|1)'s sqrt(3) seeds),
-    against dim U + dim W - dim(U + W)."""
+    functionals take, against dim U + dim W - dim(U + W).  The kernel
+    replay's closure of su(3|1)'s sqrt(3) seeds is a rational span."""
     pairs = []
     intersect = Subspace.intersect
 
@@ -177,7 +177,7 @@ def test_intersect_at_the_unirad_call_sites(monkeypatch):
     even_center_projections(build_catalog("su_pq", 2, 1).algebra)
     monkeypatch.undo()
     assert len(pairs) == 3
-    assert any(isinstance(x, Scalar) for U, W in pairs for S in (U, W) for r in S.sparse_rows for x in r.values())
+    assert all(type(x) is Fraction for U, W in pairs for S in (U, W) for r in S.sparse_rows for x in r.values())
     for U, W in pairs:
         assert_is_intersection(U, W)
 
@@ -196,6 +196,26 @@ def test_invalid_certificate_returns_witness(psu22):
         x[odd[t]] = c
     val = sum(c * lam[m] for m, c in enumerate(L.bracket(x, x)))
     assert val <= 0 and any(x)
+
+
+def test_kernel_seeds_without_their_conjugates_are_refused():
+    """Dropping the sqrt(3) x - y half of su(3|1)'s first isotropic pair
+    leaves a seed set that sqrt(3) -> -sqrt(3) does not keep: its rational
+    parts would span more than the seeds, so the closure refuses it, naming
+    the seed and the prime.  A seed with an i part is refused too."""
+    from superlie.lsa import LsaError
+
+    entry = build_catalog("su_pq", 3, 1)
+    gext = universal_extension(entry, 1)
+    iso = isotropic_even_list(entry)
+    assert any(isinstance(c, Scalar) and not c.is_rational() for c in iso[1])
+    seeds = square_zero_seeds(gext, isotropic_even=iso[:1] + iso[2:])
+    with pytest.raises(LsaError, match=r"seed 0: sqrt\(3\) -> -sqrt\(3\) takes it to no seed up to sign"):
+        urad_lower(gext.algebra, seeds)
+    seeds = square_zero_seeds(gext, isotropic_even=iso)
+    assert urad_lower(gext.algebra, seeds).dim == 16
+    with pytest.raises(LsaError, match="seed 0 has an imaginary part"):
+        urad_lower(gext.algebra, [{k: x * Scalar.i() for k, x in v.items()} for v in seeds])
 
 
 # -- seeds and saturation ----------------------------------------------------------
