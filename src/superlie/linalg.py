@@ -185,7 +185,7 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return not any(self._reduce(r)[0] for r in other._echelon().values())
+        return not any(self._reduce(r)[0] for r in other._rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -259,7 +259,7 @@ def _flatten(vec) -> tuple[dict, int]:
 def is_graded(space: Subspace, labels: Sequence) -> bool:
     """Whether the space is the sum of its parts on each label (a parity or a
     Z-degree per basis slot): each echelon row's parts must lie in it."""
-    for row in space._echelon().values():
+    for row in space._rows.values():
         parts: dict = {}
         for c, x in row.items():
             parts.setdefault(labels[c], {})[c] = x
@@ -285,7 +285,7 @@ def quotient_table(table: dict, ideal: Subspace):
         v = ideal.reduce(vec)
         return {pos[k]: v[k] for k in sorted(v)}
 
-    d = _lcm_denominator(c for vec in table.values() for c in vec.values())
+    d = _lcm_denominator(c for i in keep for j in keep for c in table.get((i, j), {}).values())
     carried = {}
     for a, i in enumerate(keep):
         for b, j in enumerate(keep):
