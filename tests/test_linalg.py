@@ -200,10 +200,15 @@ def random_vector(rng, n, entry):
     return {c: x for c in range(n) if (x := entry(rng))}
 
 
+def off_q_column(vectors):
+    """The column of the first entry off Q in the vectors; None if none is."""
+    return next((c for v in vectors for c, x in _items(v) if isinstance(x, Scalar) and not x.is_rational()), None)
+
+
 def assert_refused(n, vectors):
     """Subspace(n, vectors) raises ValueError naming the column of the first
     entry off Q, if there is one: a Subspace is over Q."""
-    off = next((c for v in vectors for c, x in _items(v) if isinstance(x, Scalar) and not x.is_rational()), None)
+    off = off_q_column(vectors)
     if off is None:
         Subspace(n, vectors)
         return
@@ -881,9 +886,9 @@ def tower_coordinates_trial(rng, n, vecs):
     is refused.  Its draws are made as when coordinates took tower families,
     the span read on the Fraction oracle, so the rational trials keep their
     inputs."""
-    off = [c for v in vecs for c, x in v.items() if isinstance(x, Scalar) and not x.is_rational()]
-    if off:
-        with pytest.raises(ValueError, match=re.escape(f"at column {off[0]} is not rational")):
+    off = off_q_column(vecs)
+    if off is not None:
+        with pytest.raises(ValueError, match=re.escape(f"at column {off} is not rational")):
             coordinates(vecs, n)
     span = FractionSubspace(n, vecs)
     if len(span._rows) < len(vecs):
