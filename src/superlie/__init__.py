@@ -49,7 +49,7 @@ from .lsa import (
     quotient_lsa,
     structure_report,
 )
-from .scalars import Field, Scalar, extend_field, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar, parse_scalar
 from .serial import algebra_from_json, algebra_to_json, load_algebra
 from .unirad import (
     PointednessCertificate,
@@ -74,7 +74,7 @@ __all__ = [
     "Matrix", "Subspace", "definiteness",
     "BilinearForm", "LieSuperalgebra", "build_form", "form_report",
     "from_matrix_basis", "ideal_closure", "make_lsa", "quotient_lsa", "structure_report",
-    "Field", "Scalar", "extend_field", "format_scalar", "parse_scalar",
+    "Scalar", "format_scalar", "parse_scalar",
     "algebra_from_json", "algebra_to_json", "load_algebra",
     "PointednessCertificate", "faithfulness_boundary", "find_certificate",
     "pointedness_certificate", "square_zero_seeds", "urad_lower",

@@ -54,6 +54,12 @@ EXIT_USAGE = 2
 # 384 (grassmann:7, su_n:2) 38 MB at 280 MB, dim 768 (grassmann:8) 1.6 GB.
 CURRENT_DIM_CAP = 256
 
+# The largest `urad verify --value-dim`.  CPython 3.11, 2 vCPUs, su_n:2, one
+# run each: value-dim 64 took 0.01 s at s = 1, 0.32 s at s = 4 and 5.3 s at
+# s = 6 (89 MB peak); 256 took 1.6 s at s = 4 and 41 s at s = 6 (326 MB).
+VALUE_DIM_CAP = 64
+
+SECTIONS = ("catalog", "cor1", "urad", "kernel")  # of a report all sweep
 
 class UsageError(ValueError):
     pass
@@ -238,6 +244,8 @@ def cmd_urad(args) -> int:
     if args.action == "verify":
         if args.value_dim < 0:
             raise UsageError(f"urad verify needs --value-dim >= 0, got {args.value_dim}")
+        if args.value_dim > VALUE_DIM_CAP:
+            raise UsageError(f"urad verify caps --value-dim at {VALUE_DIM_CAP}, got {args.value_dim}")
         if entry.algebra.odd_indices:
             report = verify_kernel_theorem(entry, args.s)
             ok = report["contains_lambda_plus_k"]
@@ -300,11 +308,25 @@ def _check_k(k, path: str):
         raise SchemaError(f"expected [family, integer parameters...] with a known family at {path}")
 
 
-def _check_sweep(sweep) -> None:
-    """Raise SchemaError naming the JSON path of the first malformed part."""
+def _sweep_key(section: str, spec, seed: int) -> str:
+    """The result key of a well-formed spec: section, s, catalog reference
+    and, for urad, the Hochschild choice and seed (the spec's, else --seed)."""
+    k = spec if section == "catalog" else spec["k"]
+    ref = f"{k[0]}:{','.join(map(str, k[1:]))}"
+    if section == "catalog":
+        return f"catalog:{ref}"
+    key = f"{section}:lambda{spec['s']}:{ref}"
+    if section == "urad":
+        key += f":{spec.get('hochschild', 'random')}:seed{spec.get('seed', seed)}"
+    return key
+
+
+def _check_sweep(sweep, seed: int) -> None:
+    """Raise SchemaError naming the JSON path of the first malformed part,
+    or the paths of two specs with one result key."""
     if not isinstance(sweep, dict):
         raise SchemaError("expected a JSON object at $")
-    for key in ("catalog", "cor1", "urad", "kernel"):
+    for key in SECTIONS:
         specs = sweep.get(key, [])
         if not isinstance(specs, list):
             raise SchemaError(f"expected a list at $.{key}")
@@ -328,6 +350,13 @@ def _check_sweep(sweep) -> None:
                     raise SchemaError(f"expected \"random\" or \"zero\" at {path}.hochschild")
                 if type(spec.get("seed", 0)) is not int:
                     raise SchemaError(f"expected an integer at {path}.seed")
+    first = {}  # result key -> JSON path
+    for section in SECTIONS:
+        for t, spec in enumerate(sweep.get(section, [])):
+            key, path = _sweep_key(section, spec, seed), f"$.{section}[{t}]"
+            if key in first:
+                raise SchemaError(f"duplicate result key {key!r} at {path}, first at {first[key]}")
+            first[key] = path
 
 
 def _sweep_entry(k: list, path: str):
@@ -343,7 +372,7 @@ def cmd_report_all(args) -> int:
             sweep = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"malformed JSON in {args.params}: {exc}")
-    _check_sweep(sweep)
+    _check_sweep(sweep, args.seed)
     results = {}
     all_pass = True
     for t, spec in enumerate(sweep.get("catalog", [])):
@@ -351,7 +380,7 @@ def cmd_report_all(args) -> int:
         facts = verify_catalog_facts(entry)
         ok = not any(v is False for v in facts.values())
         all_pass = all_pass and ok
-        results[f"catalog:{spec[0]}:{','.join(map(str, spec[1:]))}"] = {
+        results[_sweep_key("catalog", spec, args.seed)] = {
             "pass": ok,
             "facts": facts,
         }
@@ -360,7 +389,7 @@ def cmd_report_all(args) -> int:
         rep = verify_cor1(grassmann(spec["s"]), entry.algebra, entry.form)
         ok = rep["defect"] == 0
         all_pass = all_pass and ok
-        results[f"cor1:lambda{spec['s']}:{spec['k'][0]}"] = rep
+        results[_sweep_key("cor1", spec, args.seed)] = rep
     for t, spec in enumerate(sweep.get("urad", [])):
         entry = _sweep_entry(spec["k"], f"$.urad[{t}].k")
         rep = verify_urad_theorem(
@@ -369,13 +398,13 @@ def cmd_report_all(args) -> int:
         )
         ok = rep["closure_contains_I"]
         all_pass = all_pass and ok
-        results[f"urad:lambda{spec['s']}:{spec['k'][0]}"] = rep
+        results[_sweep_key("urad", spec, args.seed)] = rep
     for t, spec in enumerate(sweep.get("kernel", [])):
         entry = _sweep_entry(spec["k"], f"$.kernel[{t}].k")
         rep = verify_kernel_theorem(entry, spec["s"])
         ok = rep["contains_lambda_plus_k"]
         all_pass = all_pass and ok
-        results[f"kernel:lambda{spec['s']}:{spec['k'][0]}"] = rep
+        results[_sweep_key("kernel", spec, args.seed)] = rep
     report = {"all_pass": all_pass, "results": results}
     _emit(report, args.out)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED

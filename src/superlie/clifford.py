@@ -6,8 +6,10 @@ antiautomorphism and spinor norm; exact gamma representations of size
 half-bracket form, its radical, and representations where the even part
 acts by i*lambda with verified homomorphism and unitarity contracts.
 Gammas and the chis of a representation are linalg.SparseMatrix values,
-so the contracts run on sparse maps; a dense Matrix is built for the
-positivity check, which diagonalizes, and for printing.
+so the contracts run on sparse maps; a dense Matrix is built for printing
+and for the positivity checks, whose forms (mu_lambda and -i chi([x,x]) =
+lambda([x,x]) 1) are rational and symmetric, so that
+linalg.symmetric_diagonalize reads them over Q.
 """
 
 from __future__ import annotations
@@ -531,19 +533,18 @@ def _verify_lambda_rep(rep: LambdaRep):
     for r in rep.mu.radical.sparse_rows:
         if rep.chi({odd[t]: c for t, c in r.items()}).parts:
             raise CliffordError("a radical element fails to act by zero")
-    # -i chi([x,x]) is PSD for every odd basis x
+    # -i chi([x,x]) = lambda([x,x]) 1 is PSD for every odd basis x, as the
+    # contracts above imply (-i chi([x,x]) = 2 B^2 for the Hermitian B =
+    # zeta8^-1 chi(x)); it is checked all the same
     for i in odd:
         X = rep.chi(L.bracket_basis(i, i))
-        if not hermitian_psd(SparseMatrix.combination(X.shape, [((0, -1), X)]).to_dense()):
+        H = SparseMatrix.combination(X.shape, [((0, -1), X)]).to_dense()
+        try:
+            witness = symmetric_diagonalize(H)[2]
+        except ValueError:
+            raise CliffordError(f"-i chi([x,x]) is not a rational symmetric matrix at odd basis {i}") from None
+        if witness is not None:
             raise CliffordError(f"-i chi([x,x]) fails positivity at odd basis {i}")
-
-
-def hermitian_psd(H: Matrix) -> bool:
-    """Exact PSD test for a Hermitian matrix over the tower."""
-    if H.conj_transpose() != H:
-        raise CliffordError("hermitian_psd expects a Hermitian matrix")
-    _pairs, _radical, witness = symmetric_diagonalize(H)
-    return witness is None
 
 
 def phase_adjust(T: Matrix, grading: Sequence[int]) -> Matrix:

@@ -4,6 +4,8 @@ One type reduces every span: `Subspace`, a reduced row echelon form over Q
 of primitive int rows keyed by pivot, positive there and zero at every other
 pivot, reduced by cross-multiplication with no division (canonical), which
 its builder grows one vector at a time (`add`); an entry off Q raises.
+Forms are over Q too: `symmetric_diagonalize`, the congruence elimination
+behind every positivity verdict, reads its entries as `Subspace` does.
 Three reads answer every exact question: `reduce` tests membership
 (`contains_vector`, `kernel`, the saturations, which map int rows through an
 integral table), `coordinates` gives the unique coefficients in an
@@ -95,11 +97,6 @@ def _items(vec):
 def _as_sparse(vec) -> dict:
     """A new {column: value} copy of a dense list or sparse dict, zeros dropped."""
     return {c: x for c, x in _items(vec) if x}
-
-
-def _conj(x):
-    """Complex conjugate of a Scalar; other exact entries are real."""
-    return x.conjugate() if isinstance(x, Scalar) else x
 
 
 def _dense(v: dict, n: int) -> Vector:
@@ -375,9 +372,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(list(map(list, zip(*self.rows)))) if self.rows else Matrix([])
-
-    def conj_transpose(self) -> "Matrix":
-        return Matrix([[_conj(x) for x in col] for col in zip(*self.rows)])
 
     def column(self, j: int) -> Vector:
         return [r[j] for r in self.rows]
@@ -676,36 +670,28 @@ def basis_coordinates(mats: Sequence[SparseMatrix]):
 # -- definiteness ---------------------------------------------------------
 
 
-def sign_of(x) -> int:
-    if isinstance(x, Scalar):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
-def is_hermitian(G: Matrix) -> bool:
-    """G equals its conjugate transpose; for real entries, G is symmetric."""
-    n = G.nrows
-    return G.ncols == n and all(
-        G.rows[i][j] == _conj(G.rows[j][i]) for i in range(n) for j in range(i, n)
-    )
-
-
 def symmetric_diagonalize(G: Matrix):
-    """Pivoted congruence diagonalization of a Hermitian exact matrix.
+    """Pivoted congruence diagonalization of a rational symmetric matrix G.
 
-    The form is h(u, v) = sum conj(u_a) G[a][b] v_b, which is the symmetric
-    form u^T G v on real input.  Returns (pairs, radical, witness): pairs is
-    a list of (vector, value) with h(b_i, b_j) = value_i * delta_ij and
-    value_i > 0, radical spans the kernel directions found, and witness is a
-    nonzero vector with h(x, x) <= 0 exactly when G is not positive
-    semidefinite (pairs/radical then cover only the part processed so far).
-    A pivot d with row entries c clears row j by conj(c)/d times the pivot
-    row and basis vector j by c/d times the pivot vector.
+    A rational Scalar entry is read as its Fraction; an entry off Q, naming
+    its row and column, or an asymmetric G raises ValueError.  Returns
+    (pairs, radical, witness): pairs is a list of (b, value) with b_i^T G b_j
+    = value_i delta_ij and value_i > 0, radical spans the kernel directions
+    found, and witness is a nonzero x with x^T G x <= 0 exactly when G is not
+    positive semidefinite (pairs/radical then cover only the part processed
+    so far).  A pivot d with row entries c clears row j and basis vector j by
+    c/d times the pivot row and vector.
     """
-    if not is_hermitian(G):
-        raise ValueError("symmetric_diagonalize expects a symmetric matrix")
     n = G.nrows
     g = [list(r) for r in G.rows]
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            if x.__class__ is Scalar:
+                if not x.is_rational():
+                    raise ValueError(f"a form is over Q: the entry {x} at row {i}, column {j} is not rational")
+                row[j] = x.as_fraction()
+    if G.ncols != n or any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("symmetric_diagonalize expects a symmetric matrix")
     basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]  # in original coords
     active = list(range(n))
     pairs = []
@@ -716,12 +702,11 @@ def symmetric_diagonalize(G: Matrix):
             if off is None:
                 return pairs, [basis[i] for i in active], None
             i, j = off
-            c = g[i][j]
-            # h(b_i - a b_j) = -2 Re(a g_ij) < 0 for a = sign(g_ij), or conj(g_ij)
-            a = _conj(c) if isinstance(c, Scalar) and not c.is_real() else sign_of(c)
+            # (b_i - a b_j)^T G (b_i - a b_j) = -2 a g_ij < 0 for a = sign(g_ij)
+            a = 1 if g[i][j] > 0 else -1
             return pairs, [], [x - a * y for x, y in zip(basis[i], basis[j])]
         d = g[piv][piv]
-        if sign_of(d) < 0:
+        if d < 0:
             return pairs, [], list(basis[piv])
         active.remove(piv)
         pairs.append((list(basis[piv]), d))
@@ -729,18 +714,17 @@ def symmetric_diagonalize(G: Matrix):
         for j, c in prow:
             t = c / d
             basis[j] = [x - t * y for x, y in zip(basis[j], basis[piv])]
-            t = _conj(t)  # conj(c)/d, as d is real
             for k, x in prow:
                 g[j][k] = g[j][k] - t * x
     return pairs, [], None
 
 
 def definiteness_with_witness(G: Matrix):
-    """Classify a Hermitian exact matrix by pivoted congruence elimination.
+    """Classify a rational symmetric matrix by `symmetric_diagonalize`.
 
     Returns (verdict, data): verdict in {"positive_definite",
     "positive_semidefinite", "indefinite_or_negative"}; data is a witness
-    vector x with h(x, x) <= 0 for the indefinite verdict, or the radical
+    vector x with x^T G x <= 0 for the indefinite verdict, or the radical
     basis for the semidefinite one.
     """
     pairs, radical, witness = symmetric_diagonalize(G)

@@ -4,6 +4,8 @@ A scalar is a Q-linear combination of monomials sqrt(r) * i^e, with r a
 squarefree positive integer and e in {0, 1}.  The family is closed under
 products because sqrt(r) * sqrt(r') = g * sqrt(m) with g = gcd(r, r') and
 m = r r' / g^2 squarefree.  All arithmetic is exact; equality is decidable.
+Scalars carry no order: the spans and forms that need one are over Q, and
+linalg reads a rational Scalar there as its Fraction (`as_fraction`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Union
+from typing import Union
 
 Key = tuple[int, int]  # (squarefree radicand, power of i)
 
@@ -55,10 +57,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
         if e % 2:
             m *= p
     return c, m
-
-
-def is_squarefree(n: int) -> bool:
-    return n >= 1 and squarefree_split(n)[0] == 1
 
 
 def _mul_keys(k1: Key, k2: Key) -> tuple[Key, Fraction]:
@@ -125,9 +123,6 @@ class Scalar:
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self}")
         return self._terms.get((1, 0), Fraction(0))
-
-    def is_real(self) -> bool:
-        return all(e == 0 for (_, e) in self._terms)
 
     def real(self) -> "Scalar":
         return Scalar({k: c for k, c in self._terms.items() if k[1] == 0})
@@ -259,12 +254,6 @@ class Scalar:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
-    def sign(self) -> int:
-        """Exact sign of a real scalar; raises on a nonreal input."""
-        if not self.is_real():
-            raise ValueError("sign of a nonreal scalar")
-        return _sign_real_terms({r: c for (r, _), c in self._terms.items()})
-
     # -- formatting -----------------------------------------------------
 
     def __str__(self) -> str:
@@ -272,46 +261,6 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({format_scalar(self)!r})"
-
-
-def _sign_real_terms(terms: dict[int, Fraction]) -> int:
-    terms = {r: c for r, c in terms.items() if c}
-    if not terms:
-        return 0
-    primes = sorted({p for r in terms for p, _ in factorize(r)})
-    if not primes:
-        q = terms[1]
-        return (q > 0) - (q < 0)
-    p = primes[-1]
-    a = {r: c for r, c in terms.items() if r % p != 0}
-    b = {r // p: c for r, c in terms.items() if r % p == 0}
-    sa = _sign_real_terms(a)
-    sb = _sign_real_terms(b)
-    if sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    if sa == sb:
-        return sa
-    # mixed signs: compare a^2 against p * b^2, both live in the p-free subfield
-    a2 = _square_terms(a)
-    b2 = _square_terms(b)
-    diff = dict(a2)
-    for r, c in b2.items():
-        diff[r] = diff.get(r, Fraction(0)) - p * c
-    s = _sign_real_terms(diff)
-    return sa * s
-
-
-def _square_terms(terms: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    items = list(terms.items())
-    for i, (r1, c1) in enumerate(items):
-        for r2, c2 in items:
-            g = gcd(r1, r2)
-            r = (r1 // g) * (r2 // g)
-            out[r] = out.get(r, Fraction(0)) + c1 * c2 * g
-    return {r: c for r, c in out.items() if c}
 
 
 def zeta8() -> Scalar:
@@ -376,87 +325,3 @@ def parse_scalar(text: str) -> Scalar:
         add = Scalar({key: sign * coef * c})
         total = total + add
     return total
-
-
-# -- field tower metadata ----------------------------------------------
-
-
-class FieldError(ValueError):
-    pass
-
-
-class Field:
-    """The subfield of the tower generated by i (optional) and sqrt(d) generators.
-
-    Purely descriptive: scalars are self-contained, a Field records which
-    radicands are available and answers containment questions.
-    """
-
-    __slots__ = ("adjoined", "includes_i")
-
-    def __init__(self, adjoined: Iterable[int] = (), includes_i: bool = False):
-        gens = []
-        for d in adjoined:
-            if d == 1:
-                continue
-            if not is_squarefree(d) or d < 2:
-                c, m = squarefree_split(d)
-                raise FieldError(
-                    f"{d} is not squarefree (= {c}^2 * {m}); adjoin {m} instead"
-                )
-            gens.append(d)
-        self.adjoined = tuple(sorted(set(gens)))
-        self.includes_i = bool(includes_i)
-
-    # multiplicative closure of the generators inside squarefree radicands
-    def _closure(self) -> frozenset[int]:
-        closed = {1}
-        frontier = [1]
-        while frontier:
-            r = frontier.pop()
-            for d in self.adjoined:
-                g = gcd(r, d)
-                m = (r // g) * (d // g)
-                if m not in closed:
-                    closed.add(m)
-                    frontier.append(m)
-        return frozenset(closed)
-
-    def contains(self, other: "Field") -> bool:
-        if other.includes_i and not self.includes_i:
-            return False
-        closed = self._closure()
-        return all(d in closed for d in other.adjoined)
-
-    def __eq__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        return (
-            self.includes_i == other.includes_i
-            and self._closure() == other._closure()
-        )
-
-    def __hash__(self):
-        return hash((self.includes_i, self._closure()))
-
-    def __repr__(self):
-        base = "Q(i)" if self.includes_i else "Q"
-        if not self.adjoined:
-            return base
-        roots = ",".join(f"sqrt({d})" for d in self.adjoined)
-        return f"{base}[{roots}]"
-
-
-QQ = Field()
-QI = Field(includes_i=True)
-
-
-def extend_field(base: Field, d: int) -> Field:
-    """Adjoin sqrt(d) for squarefree d >= 2; idempotent if already present."""
-    if d < 2 or not is_squarefree(d):
-        c, m = squarefree_split(max(d, 1)) if d >= 1 else (0, 0)
-        raise FieldError(
-            f"cannot adjoin sqrt({d}): need a squarefree integer >= 2"
-            + (f" (hint: {d} = {c}^2 * {m}, adjoin {m})" if d >= 2 else "")
-        )
-    return Field(base.adjoined + (d,), base.includes_i)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -89,10 +90,18 @@ def reduce_vector(S, vec):
     return _dense(S.reduce(vec), S.ambient_dim)
 
 
-def contains_scalar(field, s):
-    """Whether every tower monomial of the Scalar s lies in the Field."""
-    closed = field._closure()
-    return all((not e or field.includes_i) and r in closed for (r, e) in s.terms())
+def contains_scalar(radicands, has_i, s):
+    """Whether every tower monomial of the Scalar s lies in the field that the
+    square roots of radicands, and i if has_i, generate over Q."""
+    closed = {1}
+    for d in radicands:  # the squarefree products of the radicands
+        closed |= {r * d // gcd(r, d) ** 2 for r in closed}
+    return all((not e or has_i) and r in closed for (r, e) in s.terms())
+
+
+def conj_transpose(M):
+    """The conjugate transpose of a dense Matrix."""
+    return Matrix([[x.conjugate() for x in col] for col in zip(*M.rows)])
 
 
 def sc(q=0, i=0):

@@ -1,8 +1,8 @@
 """Acceptance criteria, one pass/fail line per criterion.
 
 Every assertion is exact: integer equalities, exact subspace identities and
-positive definiteness over the rationals or the scalar tower.  Tolerances
-are zero throughout.  Run with -s to see the per-criterion lines.
+positive definiteness over the rationals.  Tolerances are zero throughout.
+Run with -s to see the per-criterion lines.
 """
 
 import random

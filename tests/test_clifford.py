@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import apply, contains_scalar
+from conftest import apply, conj_transpose, contains_scalar
 from superlie.assoc import _merge_sign
 from superlie.clifford import (
     GAMMA_CAP,
@@ -17,7 +17,6 @@ from superlie.clifford import (
     clifford_lie,
     commutant_dimension,
     gamma_rep,
-    hermitian_psd,
     lambda_admissible_rep,
     mu_lambda,
     parity_reversed,
@@ -26,7 +25,7 @@ from superlie.clifford import (
     seeded_clifford_lie,
 )
 from superlie.linalg import Matrix, SparseMatrix, sparse_kernel, symmetric_diagonalize
-from superlie.scalars import Field, Scalar, zeta8
+from superlie.scalars import Scalar, zeta8
 from superlie.serial import matrix_to_json
 
 
@@ -198,10 +197,11 @@ def test_gamma_rep_dimensions_and_relations():
 
 
 def rep_field(rep):
-    """Smallest tower field containing every entry of the gammas of rep."""
+    """(radicands, has_i) of the smallest tower field containing every entry
+    of the gammas of rep."""
     rads = {m for G in rep.gammas for m in G.parts if m > 1}
     has_i = any(im for G in rep.gammas for entries, _den in G.parts.values() for _re, im in entries.values())
-    return Field(sorted(rads), has_i)
+    return rads, has_i
 
 
 def test_gamma_rep_scaled():
@@ -210,10 +210,10 @@ def test_gamma_rep_scaled():
     sq = g1 @ g1
     assert sq.rows[0][0] == Scalar.from_rational(2)
     # the field is extended exactly by the needed square roots
-    f = rep_field(rep)
-    assert f.includes_i
-    assert contains_scalar(f, Scalar.sqrt_rational(6))
-    assert not contains_scalar(f, Scalar.sqrt_rational(5))
+    rads, has_i = rep_field(rep)
+    assert has_i
+    assert contains_scalar(rads, has_i, Scalar.sqrt_rational(6))
+    assert not contains_scalar(rads, has_i, Scalar.sqrt_rational(5))
 
 
 def test_n1_rep_is_scalar_one():
@@ -403,22 +403,12 @@ def test_phase_adjust_exchanges_symmetry_conventions():
             assert lhs == rhs
 
 
-def test_hermitian_psd():
-    i = Scalar.i()
-    one = Scalar.from_rational(1)
-    H = Matrix([[one * 2, i], [-i, one * 2]])  # eigenvalues 1 and 3
-    assert hermitian_psd(H)
-    H2 = Matrix([[one, i * 2], [-i * 2, one]])  # indefinite
-    assert not hermitian_psd(H2)
-    with pytest.raises(CliffordError):
-        hermitian_psd(Matrix([[Scalar(), i], [i, Scalar()]]))
-
-
 # -- the retired Clifford engines, kept as oracles ------------------------------------
 
 
 def dense_hermitian_psd(H):
-    """The private elimination hermitian_psd ran before the shared engine."""
+    """The private elimination the Clifford positivity check ran before the
+    shared engine, here on rational input."""
     n = H.nrows
     h = [[x if isinstance(x, Scalar) else Scalar.from_rational(x) for x in row] for row in H.rows]
     active = list(range(n))
@@ -427,7 +417,7 @@ def dense_hermitian_psd(H):
         for i in active:
             d = h[i][i]
             if d:
-                if d.sign() < 0:
+                if d.as_fraction() < 0:
                     return False
                 piv = i
                 break
@@ -506,7 +496,7 @@ def two_product_failure(rep):
     anticommutator formed as two products and a dense sum."""
     size = rep.space_dim
     for i, gi in enumerate(rep.matrices):
-        if gi.conj_transpose() != gi:
+        if conj_transpose(gi) != gi:
             return f"gamma_{i + 1} is not symmetric for the inner product"
         for j in range(i, rep.n):
             gj = rep.matrices[j]
@@ -553,16 +543,22 @@ def form(H, u, v):
 
 
 def test_hermitian_engine_matches_retired_elimination():
+    """The engine agrees with the retired elimination on the rational draws
+    and refuses a draw with an entry off Q."""
     rng = random.Random(29)
     verdicts = set()
     for _ in range(400):
         H = random_gaussian_hermitian(rng, rng.randint(1, 5))
+        if not all(x.is_rational() for row in H.rows for x in row):
+            with pytest.raises(ValueError, match="a form is over Q"):
+                symmetric_diagonalize(H)
+            continue
         pairs, radical, witness = symmetric_diagonalize(H)
         psd = dense_hermitian_psd(H)
-        assert hermitian_psd(H) == psd == (witness is None)
+        assert psd == (witness is None)
         verdicts.add(psd)
         if witness is not None:
-            assert any(witness) and form(H, witness, witness).sign() <= 0
+            assert any(witness) and form(H, witness, witness).as_fraction() <= 0
             continue
         for t, (b, d) in enumerate(pairs):
             for u, (c, _e) in enumerate(pairs):

@@ -29,9 +29,7 @@ from superlie.linalg import (
     coordinates,
     definiteness,
     definiteness_with_witness,
-    is_hermitian,
     kernel,
-    sign_of,
     sparse_kernel,
     symmetric_diagonalize,
 )
@@ -354,13 +352,23 @@ def test_definiteness_examples():
         definiteness(frac_matrix([[0, 1], [0, 0]]))
 
 
-def test_is_hermitian_over_the_tower():
-    i, one = Scalar.i(), Scalar.from_rational(1)
-    assert is_hermitian(Matrix([[one, i], [-i, Fraction(2)]]))
-    assert not is_hermitian(Matrix([[one, i], [i, one]]))
-    assert not is_hermitian(Matrix([[i, Scalar()], [Scalar(), one]]))  # diagonal not real
-    with pytest.raises(ValueError):
-        symmetric_diagonalize(Matrix([[one, i], [i, one]]))
+def test_symmetric_diagonalize_refuses_entries_off_q():
+    i, one, sqrt2 = Scalar.i(), Scalar.from_rational(1), Scalar.sqrt_rational(2)
+    for G, where in (
+        (Matrix([[one, i], [-i, Fraction(2)]]), "1*i at row 0, column 1"),
+        (Matrix([[Fraction(2), Fraction(1)], [Fraction(1), sqrt2]]), "1*sqrt(2) at row 1, column 1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"a form is over Q: the entry {where}")):
+            symmetric_diagonalize(G)
+    with pytest.raises(ValueError, match="expects a symmetric matrix"):
+        symmetric_diagonalize(frac_matrix([[1, 2], [3, 1]]))
+    # a rational Scalar is read as its Fraction: the same pairs, radical and
+    # witness, entry types included
+    rng = random.Random(31)
+    for _ in range(40):
+        G = random_symmetric(rng, rng.randint(1, 4))
+        lifted = Matrix([[Scalar.from_rational(x) for x in r] for r in G.rows])
+        assert repr(symmetric_diagonalize(lifted)) == repr(symmetric_diagonalize(G))
 
 
 def test_definiteness_witness():
@@ -428,7 +436,7 @@ def minor_oracle(G):
 
 
 def real_symmetric_diagonalize(G):
-    """The real-only congruence elimination the Hermitian engine replaced."""
+    """A separate real congruence elimination, the oracle of symmetric_diagonalize."""
     n = G.nrows
     g = [list(r) for r in G.rows]
     basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]
@@ -448,10 +456,10 @@ def real_symmetric_diagonalize(G):
             if off is None:
                 return pairs, [basis[i] for i in active], None
             i, j = off
-            if sign_of(g[i][j]) > 0:
+            if g[i][j] > 0:
                 return pairs, [], [a - b for a, b in zip(basis[i], basis[j])]
             return pairs, [], [a + b for a, b in zip(basis[i], basis[j])]
-        if sign_of(g[piv][piv]) < 0:
+        if g[piv][piv] < 0:
             return pairs, [], list(basis[piv])
         active.remove(piv)
         d = g[piv][piv]
@@ -508,8 +516,8 @@ def test_definiteness_against_minor_oracle():
 
 
 def test_symmetric_diagonalize_matches_real_elimination():
-    """On real symmetric input the Hermitian engine returns the pairs,
-    radical and witness of the real elimination, entry types included."""
+    """The engine returns the pairs, radical and witness of the real
+    elimination, entry types included."""
     rng = random.Random(23)
     verdicts = set()
     for _ in range(300):

@@ -196,6 +196,34 @@ def test_cli_report_all(tmp_path, capsys):
     assert out["all_pass"]
 
 
+def test_cli_report_all_keys_carry_the_params(tmp_path, capsys):
+    # specs that differ only in the catalog parameters or the urad seed and
+    # Hochschild choice each keep their result
+    sweep = {
+        "cor1": [{"s": 1, "k": ["su_n", 2]}, {"s": 1, "k": ["su_n", 3]}],
+        "urad": [{"s": 1, "k": ["su_n", 2], "seed": 1}, {"s": 1, "k": ["su_n", 2], "hochschild": "zero"}],
+        "kernel": [{"s": 1, "k": ["su_pq", 2, 1]}, {"s": 1, "k": ["su_pq", 3, 1]}],
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    assert main(["report", "all", "--params", str(path)]) == 0
+    assert list(json.loads(capsys.readouterr().out)["results"]) == [
+        "cor1:lambda1:su_n:2", "cor1:lambda1:su_n:3",
+        "kernel:lambda1:su_pq:2,1", "kernel:lambda1:su_pq:3,1",
+        "urad:lambda1:su_n:2:random:seed1", "urad:lambda1:su_n:2:zero:seed0",
+    ]  # sorted, as every JSON object prints
+    # a spec whose key repeats an earlier one is refused before anything
+    # runs, naming both JSON paths; the urad seed defaults to --seed
+    sweep["urad"].append({"s": 1, "k": ["su_n", 2], "hochschild": "zero", "seed": 4})
+    path.write_text(json.dumps(sweep))
+    assert main(["report", "all", "--params", str(path), "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: duplicate result key 'urad:lambda1:su_n:2:zero:seed4' at $.urad[2], first at $.urad[1]"
+    ]
+
+
 def test_cli_usage_errors(capsys):
     assert main(["cohomology", "verify-cor1", "--k", "catalog:su_n:2"]) == 2
     assert main(["current", "--A", "poly:2", "--k", "catalog:su_n:2"]) == 2
@@ -318,6 +346,10 @@ MALFORMED_ARGV = [
     # the fact sheet's h2 solves at the solver's default cap: su(8) (dim 63)
     # is built, then refused before any fact is checked
     ["catalog", "build", "su_n", "--n", "8", "--facts"],
+    # one past the value-dim cap (64), refused before the algebra is built
+    ["urad", "verify", "--k", "catalog:su_n:2", "--s", "1", "--value-dim", "65"],
+    # two specs with one result key
+    ["report", "all", "--params", '{"kernel": [{"s": 1, "k": ["su_pq", 2, 1]}, {"s": 1, "k": ["su_pq", 2, 1]}]}'],
 ]
 
 
