@@ -28,7 +28,6 @@ from .lsa import (
     structure_report,
     super_matrix_bracket,
 )
-from .scalars import Scalar
 
 FAMILIES = ("su_n", "su_pq", "psu_pp", "c_n", "q_n", "pq_n")
 
@@ -627,22 +626,23 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
             _saturate(L.dim, [{v: 1}], table, L.even_indices).dim == len(odd_idx) for v in odd_idx
         )
 
-    # existence of even x, y with 0 != kappa(x,x) = -kappa(y,y), kappa(x,y) = 0
+    # existence of even x, y and r > 0 with 0 != kappa(x,x) = -r kappa(y,y), kappa(x,y) = 0
     if entry.family in ("su_pq", "psu_pp", "c_n"):
         pair = _isotropic_component_pair(entry)
         out["isotropic_pair_exists"] = pair is not None
         if pair is not None:
-            x, y = pair
+            x, y, r = pair
             kxx = entry.form.eval(x, x)[0]
             kyy = entry.form.eval(y, y)[0]
             kxy = entry.form.eval(x, y)[0]
-            out["isotropic_pair_exact"] = bool(kxx and kxx == -kyy and not kxy)
+            out["isotropic_pair_exact"] = bool(kxx and kxx + r * kyy == 0 and not kxy)
     return out
 
 
 def _isotropic_component_pair(entry: CatalogEntry):
-    """Even x in the negative component and y in a positive one with
-    kappa(x,x) = -kappa(y,y) != 0 and kappa(x,y) = 0 (rescaled exactly)."""
+    """Even x in the negative component, y in a positive one and rational
+    r > 0 with kappa(x,x) + r kappa(y,y) = 0 != kappa(x,x) and kappa(x,y) = 0,
+    so that x +- sqrt(r) y are isotropic: (x, y, r), or None."""
     neg_name, pos_names = DEFINITE_COMPONENTS[entry.family]
     neg = entry.components[neg_name]
     pos = next((entry.components[name] for name in pos_names if entry.components[name].dim), None)
@@ -650,22 +650,18 @@ def _isotropic_component_pair(entry: CatalogEntry):
         return None
     x = list(neg.rows[0])
     y = list(pos.rows[0])
-    t = _balancing_factor(entry.form, x, y)
-    if t is None:
+    r = _balancing_factor(entry.form, x, y)
+    if r is None:
         return None
-    return x, [t * c for c in y]
+    return x, y, r
 
 
 def _balancing_factor(form: BilinearForm, x, y):
-    """t with kappa(t y, t y) = -kappa(x, x) != 0, for rational kappa(x, x)
-    and kappa(y, y) of opposite signs; None otherwise.  t is a Fraction when
-    the root is rational, else a tower Scalar."""
+    """r = -kappa(x, x) / kappa(y, y) when both are nonzero and r > 0, so
+    that kappa(x, x) + r kappa(y, y) = 0; None otherwise."""
     kxx = form.eval(x, x)[0]
     kyy = form.eval(y, y)[0]
-    if not kxx or not kyy or isinstance(kxx, Scalar) or isinstance(kyy, Scalar):
+    if not kxx or not kyy:
         return None
-    ratio = Fraction(-kxx, kyy)
-    if ratio <= 0:
-        return None
-    t = Scalar.sqrt_rational(ratio)
-    return t.as_fraction() if t.is_rational() else t
+    r = Fraction(-kxx, kyy)
+    return r if r > 0 else None

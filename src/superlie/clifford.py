@@ -201,15 +201,15 @@ def _unit_gammas(n: int) -> list[SparseMatrix]:
 class CliffordRep:
     """Selfadjoint gamma matrices over the tower with their grading mask.
 
-    The gammas are held as SparseMatrix values; matrices gives them as
-    dense Matrix values of Scalars.  The constructor takes either kind.
+    The gammas are given and held as SparseMatrix values; matrices gives
+    them as dense Matrix values of Scalars.
     """
 
     __slots__ = ("mu_diag", "gammas", "space_dim", "grading")
 
-    def __init__(self, mu_diag, matrices, grading, validate: bool = True):
+    def __init__(self, mu_diag, gammas, grading, validate: bool = True):
         self.mu_diag = tuple(Fraction(d) for d in mu_diag)
-        self.gammas = [M if isinstance(M, SparseMatrix) else SparseMatrix.from_dense(M) for M in matrices]
+        self.gammas = list(gammas)
         self.space_dim = self.gammas[0].shape[0]
         self.grading = tuple(grading)
         if validate:

@@ -25,11 +25,10 @@ products (`_gaussian_products`), the supertrace pairing and
 `basis_coordinates` run on those integers alone and their rational or
 Gaussian combinations (`SparseMatrix.combination`) on rationals, so the
 tower `Scalar` appears only where a dense `Matrix` is read in, diagonalized
-or printed.  Dense `Matrix` products visit nonzero entries only
-(`_sparse_products`, Gustavson's row-wise product) and give the values and
-entry types of a dense sum.  Coordinate vectors multiply through a
-structure table {(i, j): {k: c}} in `_table_product` alone, on sparse
-vectors.
+or printed.  A dense `Matrix` product sums the nonzero products over k
+from Fraction(0), as a dense loop does.  Coordinate vectors multiply
+through a structure table {(i, j): {k: c}} in `_table_product` alone, on
+sparse vectors.
 
 A linear identity on a bilinear map or an endomorphism X is written once,
 one index triple at a time, as term groups (s, entries, r, left): a sign, a
@@ -354,7 +353,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        return Matrix(_sparse_products([(1, self, other)], self.nrows, other.ncols))
+        cols = list(zip(*other.rows))
+        return Matrix([[sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in cols] for r in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -549,37 +549,6 @@ def supertrace_pairing(X: SparseMatrix, Y: SparseMatrix, signs: Sequence[int]) -
     if im or any(map(any, acc.values())):
         raise ValueError("supertrace pairing is not a rational scalar")
     return Fraction(re, den)
-
-
-def _sparse_products(terms, nrows: int, ncols: int) -> list[list]:
-    """Dense rows of the sum of s * X @ Y over the terms (s, X, Y), s = +1 or -1.
-
-    Row by row (Gustavson): each nonzero X[i][k] meets the nonzeros of Y's
-    row k only.  An entry starts at Fraction(0) and takes its products in
-    order, term by term and k ascending, as a dense sum over k would; an
-    entry no product reaches is Fraction(0).
-    """
-    zero = Fraction(0)
-    # the nonzeros of each row of Y, listed once per call
-    terms = [(s, X.rows, [[(j, y) for j, y in enumerate(r) if y] for r in Y.rows]) for s, X, Y in terms]
-    out = []
-    for i in range(nrows):
-        acc: dict = {}
-        for s, xrows, ynz in terms:
-            for k, a in enumerate(xrows[i]):
-                if not a:
-                    continue
-                for j, b in ynz[k]:
-                    t = a * b
-                    if j in acc:
-                        acc[j] = acc[j] + t if s > 0 else acc[j] - t
-                    else:
-                        acc[j] = zero + t if s > 0 else zero - t
-        row = [zero] * ncols
-        for j, x in acc.items():
-            row[j] = x
-        out.append(row)
-    return out
 
 
 def _particular(rows: Iterable, n: int) -> Vector | None:

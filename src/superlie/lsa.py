@@ -41,7 +41,6 @@ from .linalg import (
     supertrace_pairing,
 )
 from .linalg import kernel as dense_kernel
-from .scalars import Scalar, factorize
 
 Coordvec = dict[int, Fraction]
 
@@ -440,40 +439,10 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
     return gens
 
 
-def _rational_parts(seeds: Iterable[Sequence]) -> list[dict]:
-    """The rational parts v_m of the seeds v = sum_m sqrt(m) v_m (m
-    squarefree), by seed and ascending m.  LsaError names the first seed
-    with an i part, or the first that a conjugation sigma_p (sqrt(p) ->
-    -sqrt(p), p a prime of a radicand) takes to no seed up to sign, and p.
-
-    The v_m generate the ideal the seeds generate: the sigma_p generate the
-    Galois group G of K = Q(sqrt(p) : p those primes) over Q, sigma(sqrt(m))
-    = chi_m(sigma) sqrt(m) for characters chi_m of G, distinct for distinct
-    m, so by their orthogonality sqrt(m) v_m = |G|^-1 sum_sigma chi_m(sigma)
-    sigma(v) is a combination of seeds, and v = sum sqrt(m) v_m.  Both span
-    one space over K, and as the brackets are rational the ideal it
-    generates is K (x) the ideal over Q that the v_m generate.
-    """
-    def flat(v: dict) -> dict:  # {(column, (radicand, i-power)): rational}
-        return {(c, b): q for c, x in v.items() for b, q in (x.terms() if type(x) is Scalar else {(1, 0): x}).items()}
-
-    seeds = [_as_sparse(v) for v in seeds]
-    flats = [flat(v) for v in seeds]
-    known = {frozenset(f.items()) for f in flats}
-    primes = sorted({p for f in flats for _c, (m, _e) in f for p, _k in factorize(m)})
-    for i, (v, f) in enumerate(zip(seeds, flats)):
-        if any(e for _c, (_m, e) in f):
-            raise LsaError(f"seed {i} has an imaginary part")
-        for p in primes:
-            conj = flat({c: x.radical_conjugate(p) if type(x) is Scalar else x for c, x in v.items()})
-            if not known & {frozenset(conj.items()), frozenset((k, -q) for k, q in conj.items())}:
-                raise LsaError(f"seed {i}: sqrt({p}) -> -sqrt({p}) takes it to no seed up to sign")
-    return [{c: q for (c, (n, _e)), q in f.items() if n == m} for f in flats for m in sorted({n for _c, (n, _e) in f})]
-
-
 def ideal_closure(L: LieSuperalgebra, seeds: Iterable[Sequence]) -> Subspace:
-    """Smallest subspace containing the seeds' rational parts (_rational_parts) and closed under brackets."""
-    return _saturate(L.dim, _rational_parts(seeds), _integral_view(L, L.brackets), range(L.dim))
+    """Smallest subspace containing the rational seeds and closed under
+    brackets (Subspace refuses an entry off Q)."""
+    return _saturate(L.dim, seeds, _integral_view(L, L.brackets), range(L.dim))
 
 
 def _quotient(L: LieSuperalgebra, ideal: Subspace):

@@ -5,7 +5,9 @@ squarefree positive integer and e in {0, 1}.  The family is closed under
 products because sqrt(r) * sqrt(r') = g * sqrt(m) with g = gcd(r, r') and
 m = r r' / g^2 squarefree.  All arithmetic is exact; equality is decidable.
 Scalars carry no order: the spans and forms that need one are over Q, and
-linalg reads a rational Scalar there as its Fraction (`as_fraction`).
+linalg reads a rational Scalar there as its Fraction (`as_fraction`).  No
+verdict computes with a tower Scalar: one is parsed, printed, and used as
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -191,10 +193,6 @@ class Scalar:
         """Complex conjugation i -> -i; fixes the real subfield."""
         return Scalar({k: (-c if k[1] else c) for k, c in self._terms.items()})
 
-    def radical_conjugate(self, p: int) -> "Scalar":
-        """Galois conjugation negating every monomial whose radicand p divides."""
-        return Scalar({k: (-c if k[0] % p == 0 else c) for k, c in self._terms.items()})
-
     def inverse(self) -> "Scalar":
         if not self._terms:
             raise ZeroDivisionError("inverse of zero scalar")
@@ -202,7 +200,8 @@ class Scalar:
         cur = self
         primes = sorted({p for r in self.radicands() for p, _ in factorize(r)})
         for p in primes:
-            conj = cur.radical_conjugate(p)
+            # the Galois conjugate sqrt(p) -> -sqrt(p)
+            conj = Scalar({k: (-c if k[0] % p == 0 else c) for k, c in cur._terms.items()})
             num = num * conj
             cur = cur * conj
         conj = cur.conjugate()

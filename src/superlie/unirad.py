@@ -250,54 +250,53 @@ def universal_extension(entry: CatalogEntry, s: int) -> CurrentExtension:
 
 
 def square_zero_seeds(
-    gext: CurrentExtension, isotropic_even: Sequence[Sequence] | None = None
-) -> list[dict]:
-    """Odd elements with [X, X]_omega = 0, re-verified exactly before emission.
+    gext: CurrentExtension, isotropic_even: Sequence[tuple] | None = None
+) -> list[tuple]:
+    """Seed pairs (X, Y, r) for urad_lower, each standing for the odd
+    elements sqrt(r) X +- Y; built only, as urad_lower checks their squares.
 
-    Patterns: (a) odd-degree >= 3 monomials tensor even k-vectors; (b)
-    odd-degree monomials tensor isotropic even elements.  The seeds are
-    sparse vectors {slot: coefficient}.
+    Patterns: (a) (p (x) e_i, {}, 1) for odd-degree >= 3 monomials p and even
+    basis elements e_i of k; (b) (p (x) x, p (x) y, r) for odd-degree
+    monomials p and the isotropic even pairs (x, y, r).  X and Y are sparse
+    vectors {slot: coefficient}.
     """
     cur = gext.cur
     A, K = cur.A, cur.K
-    table = gext.algebra.brackets
-    seeds = []
     odd_monomials = [p for p in range(A.dim) if A.z_degrees[p] % 2 == 1]
-    for p in odd_monomials:
-        if A.z_degrees[p] < 3:
-            continue
-        for i in range(K.dim):
-            if K.parities[i] == 1:
-                continue
-            vec = {cur.slot(p, i): Fraction(1)}
-            if _table_product(table, vec, vec):
-                raise UniradError(
-                    f"top-degree seed {A.names[p]} (x) {K.names[i]} fails the square check"
-                )
-            seeds.append(vec)
-    for x in isotropic_even or ():
+    top = [p for p in odd_monomials if A.z_degrees[p] >= 3]
+    seeds = [({cur.slot(p, i): Fraction(1)}, {}, 1) for p in top for i in K.even_indices]
+    for x, y, r in isotropic_even or ():
         for p in odd_monomials:
-            vec = {cur.slot(p, i): c for i, c in enumerate(x) if c}
-            if _table_product(table, vec, vec):
-                raise UniradError(
-                    f"isotropic seed at monomial {A.names[p]} fails the square check"
-                )
-            seeds.append(vec)
+            X, Y = ({cur.slot(p, i): c for i, c in _as_sparse(v).items()} for v in (x, y))
+            seeds.append((X, Y, r))
     return seeds
 
 
-def urad_lower(L: LieSuperalgebra, seeds: Sequence[Sequence]) -> Subspace:
-    """Ideal closure of verified square-zero odd seeds, a subspace of urad.
+def urad_lower(L: LieSuperalgebra, seeds: Sequence[tuple]) -> Subspace:
+    """Ideal closure of square-zero odd seeds, a subspace of urad.
 
-    The seeds may be dense lists or sparse dicts.
+    A seed is a pair (X, Y, r) of odd X and Y, dense lists or sparse dicts,
+    and a rational r > 0; it stands for the two odd elements sqrt(r) X +- Y,
+    and (v, {}, 1) is v itself.  As [X, Y] = [Y, X] for odd elements, both
+    square to zero exactly when r [X, X] + [Y, Y] = 0 and [X, Y] = 0, which
+    is checked here over Q.  The closure runs over the nonzero X and Y, which
+    span what the two seeds span.
     """
-    seeds = [_as_sparse(v) for v in seeds]
-    for t, v in enumerate(seeds):
-        if any(L.parities[i] == 0 for i in v):
-            raise UniradError(f"seed {t} is not an odd vector")
-        if _table_product(L.brackets, v, v):
-            raise UniradError(f"seed {t} is not square-zero")
-    return ideal_closure(L, seeds)
+    vectors = []
+    for t, (X, Y, r) in enumerate(seeds):
+        X, Y = _as_sparse(X), _as_sparse(Y)
+        if any(L.parities[i] == 0 for v in (X, Y) for i in v):
+            raise UniradError(f"seed {t} is not an odd pair")
+        if not r > 0:
+            raise UniradError(f"seed {t} has r = {r}, not r > 0")
+        square = _table_product(L.brackets, Y, Y)
+        _axpy(square, _table_product(L.brackets, X, X), -r)
+        if square:
+            raise UniradError(f"seed {t} is not square-zero: r[X, X] + [Y, Y] != 0")
+        if _table_product(L.brackets, X, Y):
+            raise UniradError(f"seed {t} is not square-zero: [X, Y] != 0")
+        vectors += [v for v in (X, Y) if v]
+    return ideal_closure(L, vectors)
 
 
 # -- theorem replays ----------------------------------------------------------------
@@ -404,12 +403,15 @@ def verify_urad_theorem(
     return report
 
 
-def isotropic_even_list(entry: CatalogEntry) -> list[list]:
-    """Even spanning vectors with kappa(x, x) = 0, built from component pairs."""
+def isotropic_even_list(entry: CatalogEntry) -> list[tuple]:
+    """Even pairs (x, y, r), standing for the kappa-isotropic sqrt(r) x +- y,
+    whose x and y span the even part: (e_i, {}, 1) for pq(n), whose form
+    vanishes on even x even; else x from the negative definite component, y
+    from a positive one and r = -kappa(y, y) / kappa(x, x) (urad_lower
+    checks the seeds they give)."""
     L, kappa = entry.algebra, entry.form
     if entry.family == "pq_n":
-        # the odd form vanishes on even x even: every even vector is isotropic
-        return [L.basis_vector(i) for i in L.even_indices]
+        return [(L.basis_vector(i), {}, 1) for i in L.even_indices]
     neg_name, pos_names = DEFINITE_COMPONENTS.get(entry.family, (None, ()))
     if not pos_names:
         raise UniradError(f"no isotropic recipe for family {entry.family}")
@@ -422,13 +424,10 @@ def isotropic_even_list(entry: CatalogEntry) -> list[list]:
     out = []
     for x in neg.rows:
         for y in pos_rows:
-            if kappa.eval(x, y)[0] != 0:
-                raise UniradError("component pair is not kappa-orthogonal")
-            t = _balancing_factor(kappa, y, x)
-            if t is None:
+            r = _balancing_factor(kappa, y, x)
+            if r is None:
                 raise UniradError("component pair has unusable signs")
-            out.append([t * a + b for a, b in zip(x, y)])
-            out.append([t * a - b for a, b in zip(x, y)])
+            out.append((x, y, r))
     return out
 
 

@@ -99,6 +99,29 @@ def contains_scalar(radicands, has_i, s):
     return all((not e or has_i) and r in closed for (r, e) in s.terms())
 
 
+def tower_seeds(pairs):
+    """The odd elements sqrt(r) X + Y and sqrt(r) X - Y that the seed pairs
+    (X, Y, r) of unirad stand for, as sparse vectors, and X alone for
+    (X, {}, 1); sqrt(r) is a Fraction when rational, else a tower Scalar."""
+    out = []
+    for X, Y, r in pairs:
+        if not Y and r == 1:
+            out.append(dict(X))
+            continue
+        t = Scalar.sqrt_rational(r)
+        t = t.as_fraction() if t.is_rational() else t
+        for sign in (1, -1):
+            v = {c: t * X.get(c, 0) + sign * Y.get(c, 0) for c in sorted(X.keys() | Y.keys())}
+            out.append({c: x for c, x in v.items() if x})
+    return out
+
+
+def pair_parts(pairs):
+    """The nonzero X and Y of the seed pairs, the rational vectors that
+    unirad.urad_lower saturates."""
+    return [v for X, Y, _r in pairs for v in (X, Y) if v]
+
+
 def conj_transpose(M):
     """The conjugate transpose of a dense Matrix."""
     return Matrix([[x.conjugate() for x in col] for col in zip(*M.rows)])

@@ -588,7 +588,7 @@ def test_commutant_matches_retired_accumulation(monkeypatch):
         # the same real and imaginary rows, in the same order: a dimension
         # alone cannot see a sign error in the split
         grading = [rng.randint(0, 1) for _ in rep.grading]
-        regraded = CliffordRep(rep.mu_diag, rep.matrices, grading, validate=False)
+        regraded = CliffordRep(rep.mu_diag, rep.gammas, grading, validate=False)
         for r in (rep, regraded):
             for block in ("diag", "off", "all"):
                 seen.clear()
@@ -607,7 +607,7 @@ def test_validate_matches_two_product_check():
         b = next(c for c, x in enumerate(g[0]) if x)
         assert b != 0
         g[0][b], g[b][0] = -g[0][b], -g[b][0]  # a Hermitian flip: only the anticommutator can fail
-        bad = CliffordRep(rep.mu_diag, mats, rep.grading, validate=False)
+        bad = CliffordRep(rep.mu_diag, [SparseMatrix.from_dense(M) for M in mats], rep.grading, validate=False)
         want = two_product_failure(bad)
         assert want is not None and want.startswith("anticommutation fails at")
         with pytest.raises(CliffordError, match=re.escape(want)):
@@ -615,6 +615,6 @@ def test_validate_matches_two_product_check():
     mats = [Matrix(M.rows) for M in rep.matrices]
     r, c = next((r, c) for r, row in enumerate(mats[1].rows) for c, x in enumerate(row) if x)
     mats[1].rows[r][c] = -mats[1].rows[r][c]  # one entry: no longer Hermitian
-    bad = CliffordRep(rep.mu_diag, mats, rep.grading, validate=False)
+    bad = CliffordRep(rep.mu_diag, [SparseMatrix.from_dense(M) for M in mats], rep.grading, validate=False)
     with pytest.raises(CliffordError, match=re.escape(two_product_failure(bad))):
         bad.validate()

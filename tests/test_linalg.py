@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import superlie.linalg
-from conftest import CATALOG_BUILDS, apply, reduce_vector
+from conftest import CATALOG_BUILDS, apply, pair_parts, reduce_vector, tower_seeds
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.cohomology import PairBasis, _cocycle_constraint_rows
@@ -33,7 +33,6 @@ from superlie.linalg import (
     sparse_kernel,
     symmetric_diagonalize,
 )
-from superlie.lsa import _rational_parts
 from superlie.scalars import Scalar
 
 
@@ -1009,8 +1008,8 @@ def test_axpy_skips_zero_terms():
 class FractionSubspace:
     """A reduced echelon form kept as one row per pivot, 1 there, reduced
     by in-place Fraction (or Scalar) steps: the oracle of Subspace's
-    primitive int rows, and over the tower of the rational parts the
-    kernel replay's seeds descend to."""
+    primitive int rows, and over the tower of the kernel replay's seeds
+    sqrt(r) X +- Y."""
 
     def __init__(self, ambient_dim, vectors=()):
         self.ambient_dim = ambient_dim
@@ -1178,10 +1177,15 @@ def test_spans_over_pair_columns_match_the_fraction_oracle():
             assert S.reduce(w) == O.reduce(w) and S.contains_vector(w) == (not O.reduce(w))
 
 
+def irrational(pairs):
+    """Whether each seed pair's sqrt(r) is irrational."""
+    return [not Scalar.sqrt_rational(r).is_rational() for _X, _Y, r in pairs]
+
+
 def saturation_cases():
     """(name, algebra, seeds): the catalog builds, Lambda_2 (x) su(2) and
-    the rational parts of su(3|1)'s sqrt(3) seeds, at s = 3 after its
-    rational degree-3 seeds."""
+    the parts X, Y of su(3|1)'s seed pairs sqrt(3)/3 X +- Y, at s = 3 after
+    its rational degree-3 seeds."""
     rng = random.Random(47)
     for spec in CATALOG_BUILDS:
         L = build_catalog(*spec).algebra
@@ -1191,13 +1195,13 @@ def saturation_cases():
     yield "lambda2 su2", L, [{rng.randrange(L.dim): Fraction(1)} for _ in range(2)]
     from test_lsa import _kernel_case
 
-    L, seeds = _kernel_case("su_pq", 3, 1)
-    assert any(isinstance(c, Scalar) and not c.is_rational() for v in seeds for c in v.values())
-    yield "su31 sqrt3 seeds", L, _rational_parts(seeds)
-    L, seeds = _kernel_case("su_pq", 3, 1, s=3)
-    tower = [any(isinstance(c, Scalar) and not c.is_rational() for c in v.values()) for v in seeds]
+    L, pairs = _kernel_case("su_pq", 3, 1)
+    assert any(irrational(pairs))
+    yield "su31 sqrt3 seeds", L, pair_parts(pairs)
+    L, pairs = _kernel_case("su_pq", 3, 1, s=3)
+    tower = irrational(pairs)
     assert not tower[0] and tower[-1]
-    yield "su31 s=3 rational then sqrt3 seeds", L, _rational_parts(seeds)
+    yield "su31 s=3 rational then sqrt3 seeds", L, pair_parts(pairs)
 
 
 def test_saturations_match_the_fraction_oracle():
@@ -1207,8 +1211,7 @@ def test_saturations_match_the_fraction_oracle():
     for name, L, seeds in saturation_cases():
         names.append(name)
         maps = [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
-        ordered = not any(isinstance(c, Scalar) for v in seeds for c in v.values())
-        assert_same_rows(ideal_closure(L, seeds), fraction_saturate(L.dim, seeds, maps), ordered)
+        assert_same_rows(ideal_closure(L, seeds), fraction_saturate(L.dim, seeds, maps), True)
         for candidates in (range(L.dim), range(L.dim - 1, -1, -1)):
             assert generating_set(L, candidates) == fraction_generating_set(L, candidates)
     assert len(names) == 2 * len(CATALOG_BUILDS) + 3
@@ -1216,40 +1219,26 @@ def test_saturations_match_the_fraction_oracle():
         generating_set(build_catalog("su_n", 2).algebra, [0])
 
 
-def test_saturation_of_a_rational_seed_then_a_sqrt3_seed():
-    """A rational seed before a sqrt(3) seed: e_4 e_5 = e_1 and e_4 e_2 =
-    e_3, so the saturation of e_5 and the rational part e_0 of sqrt(3) e_0
-    (its own conjugate up to sign) is spanned by e_0, e_1 and e_5, without
-    e_3."""
-    from superlie.lsa import _saturate
-
-    table = {(4, 5): ((1, 1),), (4, 2): ((3, 1),)}
-    parts = _rational_parts([{5: Fraction(1)}, {0: Scalar.sqrt_rational(3)}])
-    assert parts == [{5: 1}, {0: 1}]
-    space = _saturate(6, parts, table, [4])
-    assert space.pivots == [0, 1, 5]
-    assert not space.contains_vector({3: Fraction(1)})
-
-
 @pytest.mark.parametrize("spec, s", [
     (("su_pq", 3, 1), 1), (("su_pq", 3, 1), 2), (("su_pq", 3, 1), 3),
     (("su_pq", 3, 2), 1), (("c_n", 3), 1), (("c_n", 3), 2),
 ], ids=["su31 s=1", "su31 s=2", "su31 s=3", "su32 s=1", "c3 s=1", "c3 s=2"])
 def test_rational_parts_span_what_the_tower_seeds_span(spec, s):
-    """The kernel replay's seeds, with sqrt(3) or sqrt(2) isotropic parts:
-    the Fraction-or-Scalar echelon of the tower seeds has the reduced rows
-    Subspace has on their rational parts, and so has its saturation, against
-    ideal_closure, which descends the seeds itself."""
-    from superlie.lsa import ideal_closure
+    """The kernel replay's seed pairs (X, Y, r), with sqrt(3) or sqrt(2) in
+    sqrt(r): the Fraction-or-Scalar echelon of the tower seeds sqrt(r) X +- Y
+    has the reduced rows Subspace has on the rational parts X and Y, and so
+    has its saturation, against urad_lower, which saturates the parts."""
+    from superlie.unirad import urad_lower
     from test_lsa import _kernel_case
 
-    L, seeds = _kernel_case(*spec, s=s)
+    L, pairs = _kernel_case(*spec, s=s)
+    seeds = tower_seeds(pairs)
     assert any(isinstance(c, Scalar) and not c.is_rational() for v in seeds for c in v.values())
-    parts = _rational_parts(seeds)
+    parts = pair_parts(pairs)
     assert all(not isinstance(c, Scalar) for v in parts for c in v.values())
     assert_same_rows(Subspace(L.dim, parts), FractionSubspace(L.dim, seeds), False)
     maps = [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
-    assert_same_rows(ideal_closure(L, seeds), fraction_saturate(L.dim, seeds, maps), False)
+    assert_same_rows(urad_lower(L, pairs), fraction_saturate(L.dim, seeds, maps), False)
 
 
 def test_subspace_refuses_an_entry_off_q():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian, ad, apply, odd_heisenberg, odd_line, sc, smatrix
+from conftest import abelian, ad, apply, odd_heisenberg, odd_line, sc, smatrix, tower_seeds
 from test_linalg import DenseEchelon
 from superlie.cohomology import _derivation_invariant, derivation_space, star
 from superlie.linalg import Matrix, Subspace, _dense, _entries, _gram, _integral_table
@@ -487,12 +487,16 @@ URAD_CASES = {
 
 @pytest.mark.parametrize("case", URAD_CASES)
 def test_saturations_and_quotient_match_dense_versions(case):
-    L, seeds = URAD_CASES[case]()
+    from superlie.unirad import urad_lower
+
+    L, pairs = URAD_CASES[case]()
+    seeds = tower_seeds(pairs)  # rational here
     dense_seeds = [_dense(v, L.dim) for v in seeds]
     closure = ideal_closure(L, seeds)
     oracle = dense_ideal_closure(L, dense_seeds)
     assert closure.pivots == oracle.pivots and closure.rows == oracle.rows
     assert 0 < closure.dim < L.dim
+    assert urad_lower(L, pairs) == closure
 
     # the saturation of one seed under the sparse ad maps is the submodule
     # the dense ad matrices generate

@@ -23,7 +23,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CATALOG_BUILDS, abelian, ad, conj_transpose, derivation_sweep, su2_cyclic
+from conftest import CATALOG_BUILDS, abelian, ad, conj_transpose, derivation_sweep, su2_cyclic, tower_seeds
 from test_linalg import DenseEchelon
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
@@ -453,13 +453,15 @@ def test_table_product_and_adapters_match_dense_loops(case):
 
 @pytest.mark.parametrize("spec", [("su_pq", 2, 1), ("su_pq", 3, 1), ("psu_pp", 2), ("c_n", 3), ("pq_n", 3)])
 def test_table_product_matches_dense_loop_on_isotropic_seeds(spec):
-    """The square-zero seeds from isotropic even elements (with sqrt
-    coefficients on su(3|1) and c(3)) square to zero, and every bracket of
-    two seeds agrees with the dense loop."""
+    """The square-zero seeds sqrt(r) X +- Y of the seed pairs from isotropic
+    even elements (with sqrt coefficients on su(3|1) and c(3)) square to
+    zero, every bracket of two seeds agrees with the dense loop, and each
+    pair satisfies r [X, X] + [Y, Y] = 0 = [X, Y] over Q."""
     entry = build_catalog(*spec)
     gext = universal_extension(entry, 1)
     L = gext.algebra
-    seeds = square_zero_seeds(gext, isotropic_even=isotropic_even_list(entry))
+    pairs = square_zero_seeds(gext, isotropic_even=isotropic_even_list(entry))
+    seeds = tower_seeds(pairs)
     assert seeds
     towers = [v for v in seeds if any(isinstance(c, Scalar) and not c.is_rational() for c in v.values())]
     assert bool(towers) == (spec in (("su_pq", 3, 1), ("c_n", 3)))
@@ -468,6 +470,10 @@ def test_table_product_matches_dense_loop_on_isotropic_seeds(spec):
     for u in seeds:
         assert _table_product(L.brackets, u, u) == {}
         assert not any(dense_bracket(L, _dense(u, L.dim), _dense(u, L.dim)))
+    for X, Y, r in pairs:
+        X, Y = _dense(X, L.dim), _dense(Y, L.dim)
+        assert not any(r * a + b for a, b in zip(dense_bracket(L, X, X), dense_bracket(L, Y, Y)))
+        assert not any(dense_bracket(L, X, Y))
 
 
 # -- support-restricted checks ---------------------------------------------------

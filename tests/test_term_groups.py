@@ -352,7 +352,7 @@ def test_group_rows_match_term_rows_on_clifford_commutants(n, monkeypatch):
     monkeypatch.setattr(superlie.clifford, "sparse_kernel", recording)
     rep = gamma_rep([Fraction(m) for m in range(1, n + 1)])
     rng = random.Random(n)
-    regraded = CliffordRep(rep.mu_diag, rep.matrices, [rng.randint(0, 1) for _ in rep.grading], validate=False)
+    regraded = CliffordRep(rep.mu_diag, rep.gammas, [rng.randint(0, 1) for _ in rep.grading], validate=False)
     for r in (rep, regraded):
         for block in ("diag", "off", "all"):
             _split_complex_commutant(r, block)

@@ -8,7 +8,7 @@ from superlie.assoc import grassmann
 from superlie.scalars import Scalar
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa
-from superlie.linalg import Matrix, Subspace, _entries
+from superlie.linalg import Matrix, Subspace, _as_sparse, _dense, _entries, _table_product
 from superlie.cohomology import hochschild_space
 from superlie.unirad import (
     UniradError,
@@ -139,15 +139,13 @@ def test_semidefinite_certificate_yields_isotropic_witness():
 
 
 def test_kernel_theorem_tower_seed_route():
-    # su(3|1) needs sqrt(3)-scaled isotropic seeds; the ideal closure
-    # saturates their rational parts and still certifies the containment
-    from superlie.scalars import Scalar
-
+    # su(3|1) needs sqrt(3)-scaled isotropic seeds sqrt(r) x +- y; they are
+    # rational pairs (x, y, r), and the closure of their parts still
+    # certifies the containment
     entry = build_catalog("su_pq", 3, 1)
     iso = isotropic_even_list(entry)
-    assert any(
-        isinstance(c, Scalar) and not c.is_rational() for v in iso for c in v
-    )
+    assert any(not Scalar.sqrt_rational(r).is_rational() for _x, _y, r in iso)
+    assert all(type(c) is Fraction for x, y, r in iso for c in (*x, *y, r))
     rep = verify_kernel_theorem(entry, 1)
     assert rep["contains_lambda_plus_k"]
 
@@ -198,26 +196,6 @@ def test_invalid_certificate_returns_witness(psu22):
     assert val <= 0 and any(x)
 
 
-def test_kernel_seeds_without_their_conjugates_are_refused():
-    """Dropping the sqrt(3) x - y half of su(3|1)'s first isotropic pair
-    leaves a seed set that sqrt(3) -> -sqrt(3) does not keep: its rational
-    parts would span more than the seeds, so the closure refuses it, naming
-    the seed and the prime.  A seed with an i part is refused too."""
-    from superlie.lsa import LsaError
-
-    entry = build_catalog("su_pq", 3, 1)
-    gext = universal_extension(entry, 1)
-    iso = isotropic_even_list(entry)
-    assert any(isinstance(c, Scalar) and not c.is_rational() for c in iso[1])
-    seeds = square_zero_seeds(gext, isotropic_even=iso[:1] + iso[2:])
-    with pytest.raises(LsaError, match=r"seed 0: sqrt\(3\) -> -sqrt\(3\) takes it to no seed up to sign"):
-        urad_lower(gext.algebra, seeds)
-    seeds = square_zero_seeds(gext, isotropic_even=iso)
-    assert urad_lower(gext.algebra, seeds).dim == 16
-    with pytest.raises(LsaError, match="seed 0 has an imaginary part"):
-        urad_lower(gext.algebra, [{k: x * Scalar.i() for k, x in v.items()} for v in seeds])
-
-
 # -- seeds and saturation ----------------------------------------------------------
 
 
@@ -227,8 +205,9 @@ def test_square_zero_seeds_s3(su2):
     gext = extend_current(cur, su2.form, (), ())
     seeds = square_zero_seeds(gext)
     assert len(seeds) == 3  # e1^e2^e3 (x) su(2) basis
-    for v in seeds:
-        assert not any(cur.algebra.bracket(v, v))
+    for X, Y, r in seeds:
+        assert (Y, r) == ({}, 1)
+        assert not any(cur.algebra.bracket(X, X))
 
 
 def test_square_zero_seeds_s1_empty(su2):
@@ -247,8 +226,8 @@ def test_seed_square_identity_with_hochschild(su2):
     gext = extend_current(
         cur, su2.form, (), [(F, _entries(Matrix.identity(3))) for F in hoch]
     )
-    for v in square_zero_seeds(gext):
-        assert not any(gext.algebra.bracket(v, v))
+    for X, _Y, _r in square_zero_seeds(gext):
+        assert not any(gext.algebra.bracket(X, X))
 
 
 def test_urad_lower_examples(su2):
@@ -262,7 +241,7 @@ def test_urad_lower_examples(su2):
             for i in range(3):
                 v = [Fraction(0)] * G.dim
                 v[cur.slot(p, i)] = Fraction(1)
-                seeds.append(v)
+                seeds.append((v, {}, 1))
     closure = urad_lower(G, seeds)
     plus = degree_block(cur, lambda d: d >= 1)
     assert closure.contains(plus)
@@ -279,12 +258,12 @@ def test_urad_lower_monotone_idempotent(su2):
     G = cur.algebra
     v = [Fraction(0)] * G.dim
     v[cur.slot(A.names.index("e1^e2^e3"), 0)] = Fraction(1)
-    small = urad_lower(G, [v])
-    again = urad_lower(G, small.rows)
+    small = urad_lower(G, [(v, {}, 1)])
+    again = urad_lower(G, [(r, {}, 1) for r in small.rows])
     assert small.rows == again.rows
     w = [Fraction(0)] * G.dim
     w[cur.slot(A.names.index("e1"), 1)] = Fraction(1)
-    bigger = urad_lower(G, [v, w])
+    bigger = urad_lower(G, [(v, {}, 1), (w, {}, 1)])
     assert bigger.contains(small)
 
 
@@ -294,7 +273,34 @@ def test_urad_lower_rejects_bad_seeds(su2):
     even_vec = [Fraction(0)] * G.dim
     even_vec[cur.slot(0, 0)] = Fraction(1)
     with pytest.raises(UniradError):
-        urad_lower(G, [even_vec])
+        urad_lower(G, [(even_vec, {}, 1)])
+
+
+def test_urad_lower_refuses_bad_pairs(su2):
+    """Each refusal names the index of its seed: a pair of su(3|1) with r
+    off by one, a pair of square-zero X and Y with [X, Y] != 0 (in
+    Lambda_2 (x) su(2), e1 (x) a and e2 (x) b with [a, b] != 0), an even X
+    and an r that is not positive."""
+    entry = build_catalog("su_pq", 3, 1)
+    gext = universal_extension(entry, 1)
+    pairs = square_zero_seeds(gext, isotropic_even=isotropic_even_list(entry))
+    X, Y, r = pairs[1]
+    assert urad_lower(gext.algebra, pairs).dim == 16
+    for bad in ((X, Y, r + 1), (X, Y, 2 * r)):
+        with pytest.raises(UniradError, match=r"seed 2 is not square-zero: r\[X, X\] \+ \[Y, Y\] != 0"):
+            urad_lower(gext.algebra, pairs[:2] + [bad])
+    with pytest.raises(UniradError, match=r"seed 1 has r = 0, not r > 0"):
+        urad_lower(gext.algebra, [pairs[0], (X, Y, 0)])
+
+    cur = current_lsa(grassmann(2), su2.algebra)
+    G, e1, e2 = cur.algebra, grassmann(2).names.index("e1"), grassmann(2).names.index("e2")
+    X, Y = {cur.slot(e1, 0): Fraction(1)}, {cur.slot(e2, 1): Fraction(1)}
+    assert not _table_product(G.brackets, X, X) and not _table_product(G.brackets, Y, Y)
+    assert urad_lower(G, [(X, {}, 1), (Y, {}, 1)]).dim > 0
+    with pytest.raises(UniradError, match=r"seed 1 is not square-zero: \[X, Y\] != 0"):
+        urad_lower(G, [(X, {}, 1), (X, Y, 1)])
+    with pytest.raises(UniradError, match="seed 1 is not an odd pair"):
+        urad_lower(G, [(X, {}, 1), ({cur.slot(0, 0): Fraction(1)}, {}, 1)])
 
 
 # -- theorem replays -----------------------------------------------------------------
@@ -334,15 +340,21 @@ def test_urad_theorem_rejects_negative_value_dim(su2):
 
 
 def test_isotropic_lists(su21, psu22, pq3):
+    # each pair (x, y, r) stands for sqrt(r) x +- y, isotropic exactly when
+    # r kappa(x, x) + kappa(y, y) = 0 = kappa(x, y)
     for entry in (su21, psu22, pq3, build_catalog("c_n", 2)):
         L, kappa = entry.algebra, entry.form
-        vecs = isotropic_even_list(entry)
-        assert vecs
+        pairs = isotropic_even_list(entry)
+        assert pairs
+        vecs = []
+        for x, y, r in pairs:
+            x, y = (_dense(_as_sparse(v), L.dim) for v in (x, y))
+            assert r > 0
+            assert r * kappa.eval(x, x)[0] + kappa.eval(y, y)[0] == 0 and kappa.eval(x, y)[0] == 0
+            assert all(not c or L.parities[k] == 0 for v in (x, y) for k, c in enumerate(v))
+            vecs += [x, y]
         span = Subspace(L.dim, vecs)
-        for v in vecs:
-            assert kappa.eval(v, v)[0] == 0
-            assert all(not c or L.parities[k] == 0 for k, c in enumerate(v))
-        # the isotropic vectors span the whole even part
+        # the x and y span the whole even part
         evens = Subspace(L.dim, [L.basis_vector(i) for i in L.even_indices])
         assert span.contains(evens) and evens.contains(span)
 
