@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import abelian
 from test_linalg import assert_is_intersection
 from superlie.assoc import grassmann
 from superlie.scalars import Scalar
@@ -246,6 +247,8 @@ def test_urad_lower_examples(su2):
     plus = degree_block(cur, lambda d: d >= 1)
     assert closure.contains(plus)
     assert urad_lower(G, []).dim == 0
+    # a pair closes over both parts: sqrt(2) a0 +- a1 span an abelian odd plane
+    assert urad_lower(abelian(2, [1, 1]), [({0: Fraction(1)}, {1: Fraction(1)}, 2)]).dim == 2
     # closure is an ideal: bracketing with every basis vector stays inside
     for i in range(G.dim):
         for row in closure.rows:
