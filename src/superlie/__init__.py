@@ -3,8 +3,9 @@
 Current superalgebras over Grassmann factors, their 2-cocycles and central
 extensions, unitary-radical bounds with pointedness certificates, and
 Clifford-algebra models of scalar-character representations.  All
-computations run over the exact field tower Q(i, sqrt(d1), ...): equality
-is decidable and every reported identity is checked exactly.
+computations are exact: over Q, and on Gaussian integer parts
+sum_m sqrt(m) U_m for the matrices of the field tower Q(i, sqrt(d1), ...)
+that the Clifford models need; every reported identity is checked exactly.
 """
 
 from .assoc import AssocSuperalgebra, augmentation, graded_part, grassmann, quotient_assoc
@@ -49,7 +50,7 @@ from .lsa import (
     quotient_lsa,
     structure_report,
 )
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .serial import algebra_from_json, algebra_to_json, load_algebra
 from .unirad import (
     PointednessCertificate,
@@ -74,7 +75,7 @@ __all__ = [
     "Matrix", "Subspace", "definiteness",
     "BilinearForm", "LieSuperalgebra", "build_form", "form_report",
     "from_matrix_basis", "ideal_closure", "make_lsa", "quotient_lsa", "structure_report",
-    "Scalar", "format_scalar", "parse_scalar",
+    "format_scalar", "parse_scalar",
     "algebra_from_json", "algebra_to_json", "load_algebra",
     "PointednessCertificate", "faithfulness_boundary", "find_certificate",
     "pointedness_certificate", "square_zero_seeds", "urad_lower",

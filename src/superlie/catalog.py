@@ -84,7 +84,7 @@ class CatalogEntry:
 # -- matrix helpers -----------------------------------------------------------
 #
 # A basis matrix is written as its entry map {(r, c): (re, im)} over Q(i)
-# and read into a SparseMatrix; no tower Scalar is formed.
+# and read into a SparseMatrix.
 
 _ONE, _I, _MINUS_ONE, _MINUS_I = (1, 0), (0, 1), (-1, 0), (0, -1)
 _mat = SparseMatrix.gaussian

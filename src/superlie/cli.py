@@ -49,9 +49,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-# The largest dim 2^s dim K that `current` builds and prints.  CPython 3.11,
-# 2 vCPUs: dim 256 (grassmann:5, su_n:3) prints 26 MB at a 196 MB peak, dim
-# 384 (grassmann:7, su_n:2) 38 MB at 280 MB, dim 768 (grassmann:8) 1.6 GB.
+# The largest dim 2^s dim K that `current` builds and prints, and that `urad
+# verify|faithful` and the urad and kernel sections of `report all` replay.
+# CPython 3.11, 2 vCPUs: dim 256 (grassmann:5, su_n:3) prints 26 MB at a
+# 196 MB peak, dim 384 (grassmann:7, su_n:2) 38 MB at 280 MB, dim 768
+# (grassmann:8) 1.6 GB.  The replays allow s <= 6, as every catalog algebra
+# has dim >= 3; the largest, one run each: `urad verify` on su_n:2 at s = 6
+# (dim 192) 0.6 s at a 23 MB peak, 8.5 s at 89 MB with --value-dim 64; on
+# su_n:3 at s = 5 (dim 256) 0.5 s, 8.7 s at 93 MB with --value-dim 64; the
+# kernel replay of su_pq:2,1 at s = 5 (dim 256) 0.9 s at 34 MB; `urad
+# faithful` on su_n:2 at s = 6 0.3 s at 23 MB.
 CURRENT_DIM_CAP = 256
 
 # The largest `urad verify --value-dim`.  CPython 3.11, 2 vCPUs, su_n:2, one
@@ -241,6 +248,8 @@ def cmd_urad(args) -> int:
         raise UsageError(f"urad {args.action} needs a catalog algebra (it carries kappa)")
     if args.s < 1:
         raise UsageError(f"urad {args.action} needs --s >= 1, got {args.s}")
+    if args.s <= GRASSMANN_CAP:  # grassmann itself refuses a larger s
+        check_dim_cap(2**args.s * K.dim, CURRENT_DIM_CAP, "current algebra")
     if args.action == "verify":
         if args.value_dim < 0:
             raise UsageError(f"urad verify needs --value-dim >= 0, got {args.value_dim}")
@@ -283,7 +292,7 @@ def cmd_clifford(args) -> int:
             "graded": rep.graded,
             "grading": list(rep.grading),
             "commutant_dim": commutant_dimension(rep),
-            "matrices": rep.matrices,
+            "matrices": rep.gammas,
         }
         _emit(report, args.out)
         return EXIT_OK
@@ -296,7 +305,7 @@ def cmd_clifford(args) -> int:
             "quotient_dim": rep.mu.quotient_dim,
             "space_dim": rep.space_dim,
             "grading": list(rep.grading),
-            "chi": [X.to_dense() for X in rep.chis],
+            "chi": rep.chis,
         }
         _emit(report, args.out)
         return EXIT_OK
@@ -373,6 +382,17 @@ def cmd_report_all(args) -> int:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"malformed JSON in {args.params}: {exc}")
     _check_sweep(sweep, args.seed)
+    # the urad and kernel replays build the current algebra of each spec:
+    # refused past the cap before any section runs
+    entries = {}
+    for section in ("urad", "kernel"):
+        for t, spec in enumerate(sweep.get(section, [])):
+            path = f"$.{section}[{t}]"
+            entries[path] = _sweep_entry(spec["k"], f"{path}.k")
+            try:
+                check_dim_cap(2 ** spec["s"] * entries[path].algebra.dim, CURRENT_DIM_CAP, "current algebra")
+            except DimensionCapError as exc:
+                raise SchemaError(f"{exc} at {path}") from None
     results = {}
     all_pass = True
     for t, spec in enumerate(sweep.get("catalog", [])):
@@ -391,7 +411,7 @@ def cmd_report_all(args) -> int:
         all_pass = all_pass and ok
         results[_sweep_key("cor1", spec, args.seed)] = rep
     for t, spec in enumerate(sweep.get("urad", [])):
-        entry = _sweep_entry(spec["k"], f"$.urad[{t}].k")
+        entry = entries[f"$.urad[{t}]"]
         rep = verify_urad_theorem(
             entry, spec["s"], hochschild=spec.get("hochschild", "random"),
             seed=spec.get("seed", args.seed),
@@ -400,7 +420,7 @@ def cmd_report_all(args) -> int:
         all_pass = all_pass and ok
         results[_sweep_key("urad", spec, args.seed)] = rep
     for t, spec in enumerate(sweep.get("kernel", [])):
-        entry = _sweep_entry(spec["k"], f"$.kernel[{t}].k")
+        entry = entries[f"$.kernel[{t}]"]
         rep = verify_kernel_theorem(entry, spec["s"])
         ok = rep["contains_lambda_plus_k"]
         all_pass = all_pass and ok

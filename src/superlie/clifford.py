@@ -6,10 +6,10 @@ antiautomorphism and spinor norm; exact gamma representations of size
 half-bracket form, its radical, and representations where the even part
 acts by i*lambda with verified homomorphism and unitarity contracts.
 Gammas and the chis of a representation are linalg.SparseMatrix values,
-so the contracts run on sparse maps; a dense Matrix is built for printing
-and for the positivity checks, whose forms (mu_lambda and -i chi([x,x]) =
-lambda([x,x]) 1) are rational and symmetric, so that
-linalg.symmetric_diagonalize reads them over Q.
+the only place the program needs numbers off Q: sqrt(mu_i) scales a gamma
+and zeta_8 an odd chi.  The contracts run on their sparse parts, and the
+positivity checks read rational symmetric forms (mu_lambda, and -i chi([x,x])
+= lambda([x,x]) 1 read off its parts) with linalg.symmetric_diagonalize.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     _canonical,
+    _gram,
     _identity_rows,
     coordinates,
     sparse_kernel,
     symmetric_diagonalize,
 )
 from .lsa import Coordvec, LieSuperalgebra, make_lsa, odd_square_gram, super_matrix_bracket
-from .scalars import Scalar, squarefree_split, zeta8
+from .scalars import squarefree_split
 
 PRODUCT_TABLE_CAP = 12
 # gammas are 2^floor(n/2) square; `clifford gamma --mu` with 14, 16 and 18
@@ -199,11 +200,8 @@ def _unit_gammas(n: int) -> list[SparseMatrix]:
 
 
 class CliffordRep:
-    """Selfadjoint gamma matrices over the tower with their grading mask.
-
-    The gammas are given and held as SparseMatrix values; matrices gives
-    them as dense Matrix values of Scalars.
-    """
+    """Selfadjoint gamma matrices over the tower, held as SparseMatrix
+    values, with their grading mask."""
 
     __slots__ = ("mu_diag", "gammas", "space_dim", "grading")
 
@@ -214,10 +212,6 @@ class CliffordRep:
         self.grading = tuple(grading)
         if validate:
             self.validate()
-
-    @property
-    def matrices(self) -> list[Matrix]:
-        return [G.to_dense() for G in self.gammas]
 
     @property
     def n(self) -> int:
@@ -473,16 +467,14 @@ class LambdaRep:
         self.chis = [self.chi_basis(i) for i in range(N.algebra.dim)]
 
     def chi_basis(self, i: int) -> SparseMatrix:
-        """i lambda_i 1 for even i; zeta8 gamma(xbar) for odd i, with zeta8 =
-        sqrt(2) (1 + i)/2 the one part of radicand 2."""
+        """i lambda_i 1 for even i; zeta8 gamma(xbar) for odd i (_zeta8)."""
         L = self.N.algebra
         size = self.space_dim
         if L.parities[i] == 0:
             return SparseMatrix.gaussian(size, {(a, a): (0, self.lam[i]) for a in range(size)})
         if self.rep is None:
             return SparseMatrix((1, 1), {})
-        z8 = SparseMatrix((size, size), {2: ({(a, a): (1, 1) for a in range(size)}, 2)})
-        return z8 @ self.rep.apply_vector(self._quotient_coords(L.odd_indices.index(i)))
+        return _zeta8(size) @ self.rep.apply_vector(self._quotient_coords(L.odd_indices.index(i)))
 
     def chi(self, vec: Coordvec) -> SparseMatrix:
         """chi of a sparse vector {basis index: coefficient}."""
@@ -535,30 +527,33 @@ def _verify_lambda_rep(rep: LambdaRep):
             raise CliffordError("a radical element fails to act by zero")
     # -i chi([x,x]) = lambda([x,x]) 1 is PSD for every odd basis x, as the
     # contracts above imply (-i chi([x,x]) = 2 B^2 for the Hermitian B =
-    # zeta8^-1 chi(x)); it is checked all the same
+    # zeta8^-1 chi(x)); it is checked all the same.  -i (re + i im) = im - i re,
+    # so the gram is rational when chi([x,x]) is the part m = 1 alone with
+    # every re zero, and is then im / den
     for i in odd:
         X = rep.chi(L.bracket_basis(i, i))
-        H = SparseMatrix.combination(X.shape, [((0, -1), X)]).to_dense()
+        entries, den = X.parts.get(1, ({}, 1))
+        refusal = CliffordError(f"-i chi([x,x]) is not a rational symmetric matrix at odd basis {i}")
+        if X.parts.keys() - {1} or any(re for re, _im in entries.values()):
+            raise refusal
+        gram = _gram({k: Fraction(im, den) for k, (_re, im) in entries.items()}, X.shape[0])
         try:
-            witness = symmetric_diagonalize(H)[2]
+            witness = symmetric_diagonalize(gram)[2]
         except ValueError:
-            raise CliffordError(f"-i chi([x,x]) is not a rational symmetric matrix at odd basis {i}") from None
+            raise refusal from None
         if witness is not None:
             raise CliffordError(f"-i chi([x,x]) fails positivity at odd basis {i}")
 
 
-def phase_adjust(T: Matrix, grading: Sequence[int]) -> Matrix:
+def _zeta8(size: int) -> SparseMatrix:
+    """zeta_8 = sqrt(2) (1 + i)/2 times the size x size identity: the one
+    part of radicand 2."""
+    return SparseMatrix((size, size), {2: ({(a, a): (1, 1) for a in range(size)}, 2)})
+
+
+def phase_adjust(T: SparseMatrix, grading: Sequence[int]) -> SparseMatrix:
     """Multiply an odd operator by zeta_8, fix an even one; reject mixed ones."""
-    n = T.nrows
-    has_even = any(
-        T.rows[a][b] and grading[a] == grading[b] for a in range(n) for b in range(n)
-    )
-    has_odd = any(
-        T.rows[a][b] and grading[a] != grading[b] for a in range(n) for b in range(n)
-    )
-    if has_even and has_odd:
+    odd = {grading[a] != grading[b] for a, b in T.support}
+    if len(odd) > 1:
         raise CliffordError("phase_adjust needs a parity-homogeneous operator")
-    if not has_odd:
-        return T
-    z8 = zeta8()
-    return Matrix([[z8 * x if x else Scalar() for x in row] for row in T.rows])
+    return _zeta8(T.shape[0]) @ T if odd == {True} else T

@@ -1,11 +1,11 @@
-"""Exact linear algebra over the rational field and the scalar tower.
+"""Exact linear algebra over the rational field, and tower matrices.
 
 One type reduces every span: `Subspace`, a reduced row echelon form over Q
 of primitive int rows keyed by pivot, positive there and zero at every other
 pivot, reduced by cross-multiplication with no division (canonical), which
-its builder grows one vector at a time (`add`); an entry off Q raises.
-Forms are over Q too: `symmetric_diagonalize`, the congruence elimination
-behind every positivity verdict, reads its entries as `Subspace` does.
+its builder grows one vector at a time (`add`).  Forms are over Q too:
+`symmetric_diagonalize` is the congruence elimination behind every
+positivity verdict.
 Three reads answer every exact question: `reduce` tests membership
 (`contains_vector`, `kernel`, the saturations, which map int rows through an
 integral table), `coordinates` gives the unique coefficients in an
@@ -20,12 +20,12 @@ back-solved over only the pivot rows it reaches.
 
 Matrix realizations, gammas and the chis of a Clifford representation are
 `SparseMatrix` values: a short sum sum_m sqrt(m) U_m, each U_m a map
-{(r, c): (re, im)} of Gaussian integers over one denominator.  Their
-products (`_gaussian_products`), the supertrace pairing and
+{(r, c): (re, im)} of Gaussian integers over one denominator, the one form
+of a tower number in the program (serial prints an entry from its parts).
+Their products (`_gaussian_products`), the supertrace pairing and
 `basis_coordinates` run on those integers alone and their rational or
-Gaussian combinations (`SparseMatrix.combination`) on rationals, so the
-tower `Scalar` appears only where a dense `Matrix` is read in, diagonalized
-or printed.  A dense `Matrix` product sums the nonzero products over k
+Gaussian combinations (`SparseMatrix.combination`) on rationals.  A dense
+`Matrix` holds Fractions; its product sums the nonzero products over k
 from Fraction(0), as a dense loop does.  Coordinate vectors multiply
 through a structure table {(i, j): {k: c}} in `_table_product` alone, on
 sparse vectors.
@@ -51,8 +51,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
-
-from .scalars import Scalar
 
 Vector = list
 
@@ -118,7 +116,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self._rows: dict = {}  # pivot -> primitive int row, positive there
         for vec in vectors:
-            self._insert(_flatten(vec)[0])
+            self._insert(_integral_map(_as_sparse(vec))[0])
 
     def _echelon(self) -> dict:
         """The int rows by pivot, sorted."""
@@ -166,18 +164,18 @@ class Subspace:
 
     def reduce(self, vec, den: int = 1) -> dict:
         """vec / den minus its part along the rows, as a new sparse vector."""
-        row, d = _flatten(vec)
+        row, d = _integral_map(_as_sparse(vec))
         w, m = self._reduce(row)
         return _scaled(w, d * m * den)
 
     def add(self, vec) -> dict | None:
         """Insert a vector; its row, 1 at its pivot, if the span grew."""
-        v = self._insert(_flatten(vec)[0])
+        v = self._insert(_integral_map(_as_sparse(vec))[0])
         if v is not None:
             return _scaled(v, v[min(v)])
 
     def contains_vector(self, vec) -> bool:
-        return not self._reduce(_flatten(vec)[0])[0]
+        return not self._reduce(_integral_map(_as_sparse(vec))[0])[0]
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -235,20 +233,6 @@ def _image(table: dict, g: int, v: dict) -> dict:
     return out
 
 
-def _flatten(vec) -> tuple[dict, int]:
-    """(row, D) with vec = row / D, row a new sparse int row; ValueError
-    naming the column of an entry off Q."""
-    flat = {}
-    for c, x in _items(vec):
-        if x.__class__ is Scalar:
-            if not x.is_rational():
-                raise ValueError(f"a Subspace is over Q: the entry {x} at column {c} is not rational")
-            x = x.as_fraction()
-        if x:
-            flat[c] = x
-    return _integral_map(flat)
-
-
 # -- quotients -----------------------------------------------------------
 
 
@@ -303,7 +287,7 @@ def _first_escape(space: Subspace, table: dict, gens: Iterable[int]) -> int | No
 
 
 class Matrix:
-    """Thin exact matrix; entries Fraction or Scalar, immutable by convention."""
+    """Thin exact matrix of Fraction entries, immutable by convention."""
 
     __slots__ = ("rows",)
 
@@ -420,8 +404,7 @@ class SparseMatrix:
     _canonical: every tower matrix has one such sum, since the sqrt(m) are
     linearly independent over Q(i).  A matrix over Q(i) is the part m = 1,
     a scaled unit gamma sqrt(m) U the one part m.  Products run over the
-    nonzeros in integer pairs (Gustavson's row-wise scheme) and never touch
-    a tower Scalar; from_dense and to_dense convert at the edges.
+    nonzeros in integer pairs (Gustavson's row-wise scheme).
     """
 
     __slots__ = ("shape", "parts")
@@ -435,27 +418,6 @@ class SparseMatrix:
         """The n x n matrix over Q(i) with the rational entries {(r, c): (re, im)}."""
         part = _integral_part(entries)
         return cls((n, n), {1: part} if part else {})
-
-    @classmethod
-    def from_dense(cls, M: Matrix) -> "SparseMatrix":
-        """The matrix of a Matrix with Fraction, int or Scalar entries."""
-        raw: dict = {}  # m -> {(r, c): [re, im]}
-        for r, row in enumerate(M.rows):
-            for c, x in enumerate(row):
-                terms = x.terms().items() if isinstance(x, Scalar) else (((1, 0), x),) if x else ()
-                for (m, e), coef in terms:
-                    raw.setdefault(m, {}).setdefault((r, c), [0, 0])[e] = coef
-        parts = {m: _integral_part(raw[m]) for m in sorted(raw)}
-        return cls(M.shape, {m: part for m, part in parts.items() if part})
-
-    def to_dense(self) -> Matrix:
-        """The entries as tower Scalars, Scalar() off the support."""
-        terms: dict = {}
-        for m, (entries, den) in self.parts.items():
-            for key, (re, im) in entries.items():
-                terms.setdefault(key, {}).update({(m, 0): Fraction(re, den), (m, 1): Fraction(im, den)})
-        nrows, ncols = self.shape
-        return Matrix([[Scalar(terms.get((r, c))) for c in range(ncols)] for r in range(nrows)])
 
     @property
     def support(self) -> set:
@@ -642,8 +604,7 @@ def basis_coordinates(mats: Sequence[SparseMatrix]):
 def symmetric_diagonalize(G: Matrix):
     """Pivoted congruence diagonalization of a rational symmetric matrix G.
 
-    A rational Scalar entry is read as its Fraction; an entry off Q, naming
-    its row and column, or an asymmetric G raises ValueError.  Returns
+    An asymmetric G raises ValueError.  Returns
     (pairs, radical, witness): pairs is a list of (b, value) with b_i^T G b_j
     = value_i delta_ij and value_i > 0, radical spans the kernel directions
     found, and witness is a nonzero x with x^T G x <= 0 exactly when G is not
@@ -653,12 +614,6 @@ def symmetric_diagonalize(G: Matrix):
     """
     n = G.nrows
     g = [list(r) for r in G.rows]
-    for i, row in enumerate(g):
-        for j, x in enumerate(row):
-            if x.__class__ is Scalar:
-                if not x.is_rational():
-                    raise ValueError(f"a form is over Q: the entry {x} at row {i}, column {j} is not rational")
-                row[j] = x.as_fraction()
     if G.ncols != n or any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         raise ValueError("symmetric_diagonalize expects a symmetric matrix")
     basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]  # in original coords

@@ -213,7 +213,7 @@ def _check_homogeneous(mats: Sequence[SparseMatrix], parities: Sequence[int], bl
 
 
 def from_matrix_basis(
-    mats: Sequence[Matrix | SparseMatrix],
+    mats: Sequence[SparseMatrix],
     parities: Sequence[int],
     block_sizes: tuple[int, int],
     names: Sequence[str] | None = None,
@@ -221,15 +221,15 @@ def from_matrix_basis(
     """Abstract algebra from a real matrix basis closed under the super bracket.
 
     Structure constants are the exact rational coordinates of the matrix
-    brackets in the given basis, dense Matrix values read into SparseMatrix;
-    the realization is kept on the result.  Checked: each matrix is
-    block-homogeneous of its declared parity, the basis is linearly
-    independent and every bracket has coordinates in it.  Then the table is
+    brackets in the given basis of SparseMatrix values; the realization is
+    kept on the result.  Checked: each matrix is block-homogeneous of its
+    declared parity, the basis is linearly independent and every bracket has
+    coordinates in it.  Then the table is
     that of a sub-superalgebra of gl(p|q), where graded Jacobi and super
     antisymmetry hold, so no sweep runs: the pairs i > j are filled by
     antisymmetry, which is exact for homogeneous matrices.
     """
-    mats = [M if isinstance(M, SparseMatrix) else SparseMatrix.from_dense(M) for M in mats]
+    mats = list(mats)
     nb = len(mats)
     if names is None:
         names = [f"E{i + 1}" for i in range(nb)]

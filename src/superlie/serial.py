@@ -1,8 +1,10 @@
 """JSON serialization: algebras, matrices, forms and report sanitization.
 
-Scalars travel as canonical strings ("p/q", "p/q*i", "p/q*sqrt(d)" and sums);
-algebra files are {"names", "parities", "brackets"} with one entry per pair
-i <= j.  Round-trips are bit-exact.
+Numbers travel as canonical strings (scalars.format_scalar: "p/q", "p/q*i",
+"p/q*sqrt(d)" and sums): a Fraction directly, a tower matrix from the parts
+of its SparseMatrix.  Algebra files are {"names", "parities", "brackets"}
+with one entry per pair i <= j, and their structure constants are rational.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from fractions import Fraction
 from typing import Any
 
 from .cohomology import Cocycle2, HochschildMap
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, SparseMatrix, Subspace
 from .lsa import LieSuperalgebra, make_lsa
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 
 
 class SchemaError(ValueError):
@@ -22,31 +24,41 @@ class SchemaError(ValueError):
 
 
 def scalar_to_str(x) -> str:
-    """format_scalar's string; an int or Fraction formats as "p" or "p/q" directly."""
-    if isinstance(x, Scalar):
-        return format_scalar(x)
+    """The canonical string of an int or Fraction, "p" or "p/q"."""
     if not x:
         return "0"  # one shared string for the many zeros of a dense report
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def str_to_scalar(s: str):
-    x = parse_scalar(s)
-    if x.is_rational():
-        return x.as_fraction()
-    return x
+def str_to_scalar(s: str) -> Fraction | None:
+    """The Fraction of a canonical string; None for a tower number off Q."""
+    terms = parse_scalar(s)
+    if terms.keys() <= {(1, 0)}:
+        return terms.get((1, 0), Fraction(0))
+    return None
 
 
 def vector_to_json(v) -> list[str]:
     return [scalar_to_str(x) for x in v]
 
 
-def vector_from_json(items) -> list:
-    return [str_to_scalar(s) for s in items]
-
-
 def matrix_to_json(M: Matrix) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in M.rows]
+
+
+def _sparse_matrix_to_json(M: SparseMatrix) -> list[list[str]]:
+    """The rows of canonical strings of a tower matrix, read off its parts
+    sum_m sqrt(m) U_m: the entry U_m[r][c] = (re + i im) / den gives the
+    terms (m, 0): re / den and (m, 1): im / den."""
+    terms: dict = {}  # (r, c) -> {(m, e): coefficient}
+    for m, (entries, den) in M.parts.items():
+        for key, pair in entries.items():
+            entry = terms.setdefault(key, {})
+            for e, x in enumerate(pair):
+                if x:
+                    entry[(m, e)] = Fraction(x, den)
+    nrows, ncols = M.shape
+    return [[format_scalar(terms[(r, c)]) if (r, c) in terms else "0" for c in range(ncols)] for r in range(nrows)]
 
 
 def algebra_to_json(L: LieSuperalgebra) -> dict:
@@ -109,13 +121,13 @@ def algebra_from_json(data: dict) -> LieSuperalgebra:
         if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
             raise SchemaError(f"expected a list of scalar strings at $.brackets[{t}].value")
         try:
-            vec = vector_from_json(value)
+            vec = [str_to_scalar(s) for s in value]
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed scalar at $.brackets[{t}].value: {exc}") from None
         if len(vec) != n:
             raise SchemaError(f"bracket value has wrong length at $.brackets[{t}].value")
         for s, c in zip(value, vec):
-            if isinstance(c, Scalar):
+            if c is None:
                 raise SchemaError(f"non-rational structure constant {s!r} at $.brackets[{t}].value")
         if (i, j) in table:
             raise SchemaError(f"duplicate bracket entry for ({i},{j}) at $.brackets[{t}]")
@@ -141,10 +153,12 @@ def sanitize(obj: Any) -> Any:
     """Recursively convert exact objects into JSON-serializable values."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, (Fraction, Scalar)):
+    if isinstance(obj, Fraction):
         return scalar_to_str(obj)
     if isinstance(obj, Matrix):
         return matrix_to_json(obj)
+    if isinstance(obj, SparseMatrix):
+        return _sparse_matrix_to_json(obj)
     if isinstance(obj, Subspace):
         return {
             "ambient_dim": obj.ambient_dim,

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -8,7 +7,7 @@ from superlie.catalog import build_catalog
 from superlie.cohomology import Cocycle2, _derivation_identity
 from superlie.linalg import Matrix, _dense
 from superlie.lsa import LieSuperalgebra, _complete_brackets, from_matrix_basis, make_lsa
-from superlie.scalars import Scalar
+from tower import sc, smatrix
 
 
 def _with_full_sweep(cls, validate_pos):
@@ -90,50 +89,10 @@ def reduce_vector(S, vec):
     return _dense(S.reduce(vec), S.ambient_dim)
 
 
-def contains_scalar(radicands, has_i, s):
-    """Whether every tower monomial of the Scalar s lies in the field that the
-    square roots of radicands, and i if has_i, generate over Q."""
-    closed = {1}
-    for d in radicands:  # the squarefree products of the radicands
-        closed |= {r * d // gcd(r, d) ** 2 for r in closed}
-    return all((not e or has_i) and r in closed for (r, e) in s.terms())
-
-
-def tower_seeds(pairs):
-    """The odd elements sqrt(r) X + Y and sqrt(r) X - Y that the seed pairs
-    (X, Y, r) of unirad stand for, as sparse vectors, and X alone for
-    (X, {}, 1); sqrt(r) is a Fraction when rational, else a tower Scalar."""
-    out = []
-    for X, Y, r in pairs:
-        if not Y and r == 1:
-            out.append(dict(X))
-            continue
-        t = Scalar.sqrt_rational(r)
-        t = t.as_fraction() if t.is_rational() else t
-        for sign in (1, -1):
-            v = {c: t * X.get(c, 0) + sign * Y.get(c, 0) for c in sorted(X.keys() | Y.keys())}
-            out.append({c: x for c, x in v.items() if x})
-    return out
-
-
 def pair_parts(pairs):
     """The nonzero X and Y of the seed pairs, the rational vectors that
     unirad.urad_lower saturates."""
     return [v for X, Y, _r in pairs for v in (X, Y) if v]
-
-
-def conj_transpose(M):
-    """The conjugate transpose of a dense Matrix."""
-    return Matrix([[x.conjugate() for x in col] for col in zip(*M.rows)])
-
-
-def sc(q=0, i=0):
-    """Scalar q + i * (imaginary part)."""
-    return Scalar.from_rational(Fraction(q)) + Scalar.i() * Fraction(i)
-
-
-def smatrix(rows):
-    return Matrix([[x if isinstance(x, Scalar) else sc(x) for x in r] for r in rows])
 
 
 def su2_cyclic():

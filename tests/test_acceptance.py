@@ -227,7 +227,7 @@ def test_criterion_8_clifford_suite():
         parity_twin_intertwiners,
         seeded_clifford_lie,
     )
-    from superlie.scalars import Scalar
+    from tower import Scalar, to_dense
 
     t0 = time.time()
     for n in range(1, 7):
@@ -242,7 +242,7 @@ def test_criterion_8_clifford_suite():
             with pytest.raises(CliffordError):
                 parity_reversed(rep)
             # the appended product gamma squares to +1 exactly
-            g = rep.matrices[-1]
+            g = to_dense(rep.gammas[-1])
             sq = g @ g
             for a in range(rep.space_dim):
                 for b in range(rep.space_dim):

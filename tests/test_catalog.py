@@ -19,7 +19,7 @@ from superlie.cohomology import (
 )
 from superlie.linalg import Subspace, _entries, _gram, kernel
 from superlie.lsa import form_report
-from superlie.scalars import Scalar
+from tower import Scalar
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import apply, conj_transpose, contains_scalar
+from conftest import apply
 from superlie.assoc import _merge_sign
 from superlie.clifford import (
     GAMMA_CAP,
@@ -25,8 +25,8 @@ from superlie.clifford import (
     seeded_clifford_lie,
 )
 from superlie.linalg import Matrix, SparseMatrix, sparse_kernel, symmetric_diagonalize
-from superlie.scalars import Scalar, zeta8
-from superlie.serial import matrix_to_json
+from superlie.serial import sanitize
+from tower import Scalar, conj_transpose, contains_scalar, from_dense, to_dense, zeta8
 
 
 def frac(x):
@@ -206,7 +206,7 @@ def rep_field(rep):
 
 def test_gamma_rep_scaled():
     rep = gamma_rep([frac(2), frac(3)])
-    g1 = rep.matrices[0]
+    g1 = to_dense(rep.gammas[0])
     sq = g1 @ g1
     assert sq.rows[0][0] == Scalar.from_rational(2)
     # the field is extended exactly by the needed square roots
@@ -219,7 +219,7 @@ def test_gamma_rep_scaled():
 def test_n1_rep_is_scalar_one():
     rep = gamma_rep([frac(1)])
     assert rep.space_dim == 1
-    assert rep.matrices[0].rows[0][0] == Scalar.from_rational(1)
+    assert to_dense(rep.gammas[0]).rows[0][0] == Scalar.from_rational(1)
     with pytest.raises(CliffordError):
         parity_reversed(rep)
 
@@ -280,16 +280,16 @@ def test_one_dim_odd_rep_is_zeta8_root():
     N = clifford_lie(1, 1, [Matrix([[frac(2)]])])
     rep = lambda_admissible_rep(N, [frac(1), frac(0)])
     # chi(x) = zeta8 * sqrt(mu(x,x)) with mu(x,x) = 1
-    assert rep.chi_basis(1).to_dense().rows[0][0] == zeta8()
+    assert to_dense(rep.chi_basis(1)).rows[0][0] == zeta8()
     sq = rep.chi_basis(1) @ rep.chi_basis(1)
-    assert sq.to_dense().rows[0][0] == Scalar.i()  # = i lambda([x,x]) / 2 * ... exactly i here
+    assert to_dense(sq).rows[0][0] == Scalar.i()  # = i lambda([x,x]) / 2 * ... exactly i here
 
 
 def test_zero_lambda_rep():
     N = clifford_lie(1, 1, [Matrix([[frac(2)]])])
     rep = lambda_admissible_rep(N, [frac(0), frac(0)])
     assert rep.mu.quotient_dim == 0
-    assert not any(any(r) for r in rep.chi_basis(1).to_dense().rows)
+    assert not any(any(r) for r in to_dense(rep.chi_basis(1)).rows)
 
 
 def test_seeded_reps_all_contracts():
@@ -314,7 +314,7 @@ def dense_chi(rep, i):
     G = rep.mu.gram.rows[L.odd_indices.index(i)]
     coords = [sum((g * x for g, x in zip(G, b)), Fraction(0)) / d for b, d in zip(rep.mu.diag_basis, rep.mu.diag_values)]
     out = [[Scalar() for _ in range(size)] for _ in range(size)]
-    for c, M in zip(coords, rep.rep.matrices):
+    for c, M in zip(coords, map(to_dense, rep.rep.gammas)):
         for a, row in enumerate(M.rows):
             for b, v in enumerate(row):
                 if c and v:
@@ -336,8 +336,8 @@ def test_seeded_chis_match_dense_chis(seed):
     rep = lambda_admissible_rep(N, lam)
     for i, X in enumerate(rep.chis):
         want = dense_chi(rep, i)
-        assert X.to_dense() == want
-        assert matrix_to_json(X.to_dense()) == matrix_to_json(want)
+        assert to_dense(X) == want
+        assert sanitize(X) == [[str(x) for x in row] for row in want.rows]
     # a one-sign mutant of any nonzero chi breaks a contract
     nonzero = [i for i, X in enumerate(rep.chis) if X.parts]
     assert nonzero and any(N.algebra.parities[i] for i in nonzero)
@@ -348,6 +348,30 @@ def test_seeded_chis_match_dense_chis(seed):
             _verify_lambda_rep(rep)
         rep.chis[i] = X
     _verify_lambda_rep(rep)
+
+
+def test_lambda_rep_reads_its_gram_off_the_parts(monkeypatch):
+    """-i chi([x,x]) is im / den on the part m = 1 alone: a part off m = 1
+    or a real part is refused, a negative gram fails positivity.  The
+    contracts checked before are made to pass here."""
+    import superlie.clifford
+    from superlie.clifford import LambdaRep
+
+    rep = lambda_admissible_rep(clifford_lie(1, 1, [Matrix([[frac(2)]])]), [frac(1), frac(0)])
+    for parts, failure in (
+        ({1: ({(0, 0): (0, 2)}, 1)}, None),
+        ({2: ({(0, 0): (0, 1)}, 1)}, "is not a rational symmetric matrix"),
+        ({1: ({(0, 0): (1, 1)}, 1)}, "is not a rational symmetric matrix"),
+        ({1: ({(0, 0): (0, -1)}, 1)}, "fails positivity"),
+    ):
+        bad = SparseMatrix((1, 1), parts)
+        monkeypatch.setattr(superlie.clifford, "super_matrix_bracket", lambda *_args: bad)
+        monkeypatch.setattr(LambdaRep, "chi", lambda _self, _vec: bad)
+        if failure is None:
+            _verify_lambda_rep(rep)
+            continue
+        with pytest.raises(CliffordError, match=re.escape(f"-i chi([x,x]) {failure} at odd basis 1")):
+            _verify_lambda_rep(rep)
 
 
 def test_clifford_lie_rejects_noncentral():
@@ -364,30 +388,32 @@ def test_clifford_lie_rejects_noncentral():
 
 
 def test_phase_adjust_even_fixed():
-    T = Matrix([[Scalar.from_rational(3), Scalar()], [Scalar(), Scalar.from_rational(5)]])
-    assert phase_adjust(T, (0, 1)) == T
+    T = SparseMatrix.gaussian(2, {(0, 0): (3, 0), (1, 1): (5, 0)})
+    assert phase_adjust(T, (0, 1)) is T
+    assert phase_adjust(SparseMatrix((2, 2), {}), (0, 1)).parts == {}
 
 
 def test_phase_adjust_mixed_rejected():
-    T = Matrix([[Scalar.from_rational(1), Scalar.from_rational(1)], [Scalar(), Scalar()]])
+    T = SparseMatrix.gaussian(2, {(0, 0): (1, 0), (0, 1): (1, 0)})
     with pytest.raises(CliffordError):
         phase_adjust(T, (0, 1))
 
 
 def test_phase_adjust_round_trip():
-    rep = gamma_rep([frac(1), frac(1)])
-    g = rep.matrices[0]
-    adjusted = phase_adjust(g, rep.grading)
-    z8 = zeta8()
-    back = Matrix([[x / z8 for x in row] for row in adjusted.rows])
-    assert back == Matrix([[x if isinstance(x, Scalar) else Scalar.from_rational(x) for x in r] for r in g.rows])
+    """An odd gamma comes back from phase_adjust divided by zeta8 entry by
+    entry in the oracle, whatever radicands its parts carry."""
+    for mu in ([1, 1], [2, 3], [1, Fraction(1, 2), 5, 7]):
+        rep = gamma_rep([frac(m) for m in mu])
+        for G in rep.gammas:
+            adjusted = to_dense(phase_adjust(G, rep.grading))
+            assert Matrix([[x / zeta8() for x in row] for row in adjusted.rows]) == to_dense(G)
 
 
 def test_phase_adjust_exchanges_symmetry_conventions():
     # gamma symmetric for <.,.>; zeta8^{-1} gamma supersymmetric for the
     # super-hermitian form m(u, v) = i^{|u||v|} <u, v>
     rep = gamma_rep([frac(1), frac(1)])
-    g = rep.matrices[0]
+    g = to_dense(rep.gammas[0])
     z8 = zeta8()
     T = Matrix([[x / z8 for x in row] for row in g.rows])
     par = rep.grading
@@ -408,32 +434,24 @@ def test_phase_adjust_exchanges_symmetry_conventions():
 
 def dense_hermitian_psd(H):
     """The private elimination the Clifford positivity check ran before the
-    shared engine, here on rational input."""
-    n = H.nrows
-    h = [[x if isinstance(x, Scalar) else Scalar.from_rational(x) for x in row] for row in H.rows]
-    active = list(range(n))
+    shared engine, here on rational input, where conjugation is the
+    identity."""
+    h = [list(row) for row in H.rows]
+    active = list(range(H.nrows))
     while active:
-        piv = None
-        for i in active:
-            d = h[i][i]
-            if d:
-                if d.as_fraction() < 0:
-                    return False
-                piv = i
-                break
+        piv = next((i for i in active if h[i][i]), None)
         if piv is None:
             return all(not h[i][j] for i in active for j in active)
-        active.remove(piv)
         d = h[piv][piv]
+        if d < 0:
+            return False
+        active.remove(piv)
         for a in active:
             c = h[piv][a]
-            if not c:
-                continue
             for b in active:
-                h[a][b] = h[a][b] - c.conjugate() * h[piv][b] / d
+                h[a][b] -= c * h[piv][b] / d
         for b in active:
-            h[piv][b] = Scalar()
-            h[b][piv] = Scalar()
+            h[piv][b] = h[b][piv] = Fraction(0)
     return True
 
 
@@ -441,7 +459,7 @@ def dense_commutant_rows(rep, block):
     """The hand-accumulated commutant rows _split_complex_commutant replaced,
     with their number of real unknowns."""
     size = rep.space_dim
-    unit = [G.to_dense() for G in _unit_gammas(rep.n)]
+    unit = [to_dense(G) for G in _unit_gammas(rep.n)]
     allowed = []
     for r in range(size):
         for c in range(size):
@@ -495,11 +513,12 @@ def two_product_failure(rep):
     """First failing contract of CliffordRep.validate, with the
     anticommutator formed as two products and a dense sum."""
     size = rep.space_dim
-    for i, gi in enumerate(rep.matrices):
+    mats = [to_dense(G) for G in rep.gammas]
+    for i, gi in enumerate(mats):
         if conj_transpose(gi) != gi:
             return f"gamma_{i + 1} is not symmetric for the inner product"
         for j in range(i, rep.n):
-            gj = rep.matrices[j]
+            gj = mats[j]
             anti = gi @ gj + gj @ gi
             two_mu = Scalar.from_rational(2 * rep.mu_diag[i]) if i == j else Scalar()
             target = Matrix([[two_mu if a == b else Scalar() for b in range(size)] for a in range(size)])
@@ -534,31 +553,27 @@ def random_gaussian_hermitian(rng, n):
 
 
 def form(H, u, v):
-    """h(u, v) = sum conj(u_a) H[a][b] v_b, as a Scalar."""
+    """h(u, v) = sum u_a H[a][b] v_b on a rational H."""
     n = H.nrows
-    return sum(
-        (u[a].conjugate() * H.rows[a][b] * v[b] for a in range(n) for b in range(n) if u[a] and v[b]),
-        Scalar(),
-    )
+    return sum((u[a] * H.rows[a][b] * v[b] for a in range(n) for b in range(n) if u[a] and v[b]), Fraction(0))
 
 
 def test_hermitian_engine_matches_retired_elimination():
-    """The engine agrees with the retired elimination on the rational draws
-    and refuses a draw with an entry off Q."""
+    """The engine agrees with the retired elimination on the rational draws;
+    a draw with an entry off Q is skipped, since a form is over Q."""
     rng = random.Random(29)
     verdicts = set()
     for _ in range(400):
         H = random_gaussian_hermitian(rng, rng.randint(1, 5))
         if not all(x.is_rational() for row in H.rows for x in row):
-            with pytest.raises(ValueError, match="a form is over Q"):
-                symmetric_diagonalize(H)
             continue
+        H = Matrix([[x.as_fraction() for x in row] for row in H.rows])
         pairs, radical, witness = symmetric_diagonalize(H)
         psd = dense_hermitian_psd(H)
         assert psd == (witness is None)
         verdicts.add(psd)
         if witness is not None:
-            assert any(witness) and form(H, witness, witness).as_fraction() <= 0
+            assert any(witness) and form(H, witness, witness) <= 0
             continue
         for t, (b, d) in enumerate(pairs):
             for u, (c, _e) in enumerate(pairs):
@@ -602,19 +617,19 @@ def test_validate_matches_two_product_check():
         assert two_product_failure(rep) is None
     rep = gamma_rep([frac(1), frac(2), frac(3), frac(5)])
     for t in range(rep.n):
-        mats = [Matrix(M.rows) for M in rep.matrices]
+        mats = [to_dense(G) for G in rep.gammas]
         g = mats[t].rows
         b = next(c for c, x in enumerate(g[0]) if x)
         assert b != 0
         g[0][b], g[b][0] = -g[0][b], -g[b][0]  # a Hermitian flip: only the anticommutator can fail
-        bad = CliffordRep(rep.mu_diag, [SparseMatrix.from_dense(M) for M in mats], rep.grading, validate=False)
+        bad = CliffordRep(rep.mu_diag, [from_dense(M) for M in mats], rep.grading, validate=False)
         want = two_product_failure(bad)
         assert want is not None and want.startswith("anticommutation fails at")
         with pytest.raises(CliffordError, match=re.escape(want)):
             bad.validate()
-    mats = [Matrix(M.rows) for M in rep.matrices]
+    mats = [to_dense(G) for G in rep.gammas]
     r, c = next((r, c) for r, row in enumerate(mats[1].rows) for c, x in enumerate(row) if x)
     mats[1].rows[r][c] = -mats[1].rows[r][c]  # one entry: no longer Hermitian
-    bad = CliffordRep(rep.mu_diag, [SparseMatrix.from_dense(M) for M in mats], rep.grading, validate=False)
+    bad = CliffordRep(rep.mu_diag, [from_dense(M) for M in mats], rep.grading, validate=False)
     with pytest.raises(CliffordError, match=re.escape(two_product_failure(bad))):
         bad.validate()

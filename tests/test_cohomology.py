@@ -64,7 +64,6 @@ from superlie.identities import (
 from superlie.linalg import (
     Matrix,
     SparseEliminator,
-    SparseMatrix,
     Subspace,
     _entries,
     _first_violation,
@@ -88,7 +87,7 @@ from superlie.lsa import (
     make_lsa,
     structure_report,
 )
-from superlie.scalars import Scalar
+from tower import Scalar, from_dense, to_dense
 from superlie.serial import vector_to_json
 
 
@@ -1404,8 +1403,8 @@ def per_element_split_by_star(L, kappa, space, sign):
         if not basis:
             continue
         basis = [_gram(X, L.dim) for X in basis]
-        coords = basis_coordinates([SparseMatrix.from_dense(M) for M in basis])
-        action = [coords(SparseMatrix.from_dense(star(L, kappa, M))) for M in basis]
+        coords = basis_coordinates([from_dense(M) for M in basis])
+        action = [coords(from_dense(star(L, kappa, M))) for M in basis]
         assert None not in action
         nb = len(basis)
         rows = [[action[c][r] - Fraction(sign) * Fraction(r == c) for c in range(nb)] for r in range(nb)]
@@ -1447,7 +1446,7 @@ def test_split_by_star_matches_per_element_star(identity_entry):
     units = [Matrix([[Fraction((i, j) == (0, b)) for j in range(L.dim)] for i in range(L.dim)]) for b in range(L.dim)]
     E = next(
         E for E in units
-        if basis_coordinates([SparseMatrix.from_dense(E)])(SparseMatrix.from_dense(star(L, kappa, E))) is None
+        if basis_coordinates([from_dense(E)])(from_dense(star(L, kappa, E))) is None
     )
     with pytest.raises(CohomologyError, match="not star-stable"):
         split_by_star(L, kappa, EndSpace([_entries(E)]), 1)
@@ -1516,7 +1515,7 @@ def dense_pq_gram(L, n):
     half = Scalar({(1, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
     blocks = []
     for M in L.realization.mats:
-        rows = M.to_dense().rows
+        rows = to_dense(M).rows
         blocks.append((Matrix([r[:n] for r in rows[:n]]), Matrix([[half * x for x in r[n:]] for r in rows[:n]])))
 
     def tr(M):

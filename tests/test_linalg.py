@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -7,7 +6,7 @@ from math import gcd
 import pytest
 
 import superlie.linalg
-from conftest import CATALOG_BUILDS, apply, pair_parts, reduce_vector, tower_seeds
+from conftest import CATALOG_BUILDS, apply, pair_parts, reduce_vector
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.cohomology import PairBasis, _cocycle_constraint_rows
@@ -15,12 +14,10 @@ from superlie.current import current_lsa
 from superlie.linalg import (
     Matrix,
     SparseEliminator,
-    SparseMatrix,
     Subspace,
     _as_sparse,
     _axpy,
     _dense,
-    _items,
     _particular,
     _row_primitive,
     _table_product,
@@ -33,7 +30,7 @@ from superlie.linalg import (
     sparse_kernel,
     symmetric_diagonalize,
 )
-from superlie.scalars import Scalar
+from tower import Scalar, from_dense, tower_seeds
 
 
 def frac_matrix(rows):
@@ -181,7 +178,9 @@ def test_echelon_canonical():
 
 
 def tower(rng):
-    """A random element of Q(i, sqrt 2, sqrt 3), zero about a third of the time."""
+    """A random element of Q(i, sqrt 2, sqrt 3), zero about a third of the
+    time.  A Subspace is over Q, so the tower trials of the random tests
+    below only draw: their draws keep the rational trials' inputs."""
     if rng.random() < 0.35:
         return Fraction(0)
     x = Scalar.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
@@ -197,26 +196,9 @@ def random_vector(rng, n, entry):
     return {c: x for c in range(n) if (x := entry(rng))}
 
 
-def off_q_column(vectors):
-    """The column of the first entry off Q in the vectors; None if none is."""
-    return next((c for v in vectors for c, x in _items(v) if isinstance(x, Scalar) and not x.is_rational()), None)
-
-
-def assert_refused(n, vectors):
-    """Subspace(n, vectors) raises ValueError naming the column of the first
-    entry off Q, if there is one: a Subspace is over Q."""
-    off = off_q_column(vectors)
-    if off is None:
-        Subspace(n, vectors)
-        return
-    with pytest.raises(ValueError, match=re.escape(f"at column {off} is not rational")):
-        Subspace(n, vectors)
-
-
 def test_echelon_mixed_inputs_match_dense_oracle():
     """Dense, sparse and mixed spanning sets of rational entries, in shuffled
-    orders, all reduce to the dense oracle's rows and pivots; with tower
-    entries they are refused (assert_refused)."""
+    orders, all reduce to the dense oracle's rows and pivots."""
     rng = random.Random(21)
     for trial in range(30):
         n = rng.randint(1, 7)
@@ -232,7 +214,6 @@ def test_echelon_mixed_inputs_match_dense_oracle():
             for spanning in (vectors, order):
                 w = [entry(rng) for _ in range(n)]
                 if trial % 2:
-                    assert_refused(n, spanning)
                     continue
                 S = Subspace(n, spanning)
                 assert S.pivots == pivots
@@ -251,8 +232,7 @@ def test_add_one_at_a_time_matches_one_call():
     is the one a single call builds (same pivots, sparse rows and dense
     rows).  add returns None exactly for the vectors the dense oracle
     already spans, else the new row, 1 at its pivot.  Every other order
-    reads the dense rows after each add, which must follow the oracle.
-    Tower vectors are refused."""
+    reads the dense rows after each add, which must follow the oracle."""
     rng = random.Random(25)
     for trial in range(40):
         entry = tower if trial % 2 else rational
@@ -265,7 +245,6 @@ def test_add_one_at_a_time_matches_one_call():
         for order in orders:
             rng.shuffle(order)
         if entry is tower:
-            assert_refused(n, vectors)
             continue
         want = Subspace(n, vectors)
         for k, order in enumerate(orders):
@@ -327,7 +306,7 @@ def test_modular_law_random():
         assert s.dim + i.dim == U.dim + V.dim
         assert s.contains(U) and s.contains(V)
         assert U.contains(i) and V.contains(i)
-    # with a shared part so that U and W often meet; tower spans are refused
+    # with a shared part so that U and W often meet
     for trial in range(40):
         entry = tower if trial % 2 else rational
         n = rng.randint(1, 7)
@@ -335,8 +314,6 @@ def test_modular_law_random():
         u = common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))]
         w = common + [random_vector(rng, n, entry) for _ in range(rng.randint(0, 3))]
         if entry is tower:
-            assert_refused(n, u)
-            assert_refused(n, w)
             continue
         U, W = Subspace(n, u), Subspace(n, w)
         assert_is_intersection(U, W)
@@ -347,27 +324,9 @@ def test_definiteness_examples():
     assert definiteness(frac_matrix([[1, 0], [0, 2]])) == "positive_definite"
     assert definiteness(frac_matrix([[1, 0], [0, 0]])) == "positive_semidefinite"
     assert definiteness(frac_matrix([[1, 2], [2, 1]])) == "indefinite_or_negative"
-    with pytest.raises(ValueError):
-        definiteness(frac_matrix([[0, 1], [0, 0]]))
-
-
-def test_symmetric_diagonalize_refuses_entries_off_q():
-    i, one, sqrt2 = Scalar.i(), Scalar.from_rational(1), Scalar.sqrt_rational(2)
-    for G, where in (
-        (Matrix([[one, i], [-i, Fraction(2)]]), "1*i at row 0, column 1"),
-        (Matrix([[Fraction(2), Fraction(1)], [Fraction(1), sqrt2]]), "1*sqrt(2) at row 1, column 1"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(f"a form is over Q: the entry {where}")):
-            symmetric_diagonalize(G)
-    with pytest.raises(ValueError, match="expects a symmetric matrix"):
-        symmetric_diagonalize(frac_matrix([[1, 2], [3, 1]]))
-    # a rational Scalar is read as its Fraction: the same pairs, radical and
-    # witness, entry types included
-    rng = random.Random(31)
-    for _ in range(40):
-        G = random_symmetric(rng, rng.randint(1, 4))
-        lifted = Matrix([[Scalar.from_rational(x) for x in r] for r in G.rows])
-        assert repr(symmetric_diagonalize(lifted)) == repr(symmetric_diagonalize(G))
+    for G in ([[0, 1], [0, 0]], [[1, 2], [3, 1]]):
+        with pytest.raises(ValueError, match="expects a symmetric matrix"):
+            definiteness(frac_matrix(G))
 
 
 def test_definiteness_witness():
@@ -848,8 +807,6 @@ def test_sparse_kernel_raises_on_a_scalar_entry(rows):
 
 
 def test_basis_coordinates():
-    from superlie.scalars import Scalar
-
     rng = random.Random(6)
     i = Scalar.i()
 
@@ -863,18 +820,18 @@ def test_basis_coordinates():
         return out
 
     def sparse(mats):
-        return [SparseMatrix.from_dense(M) for M in mats]
+        return [from_dense(M) for M in mats]
 
     basis = [tower_matrix() for _ in range(4)]
     coords = basis_coordinates(sparse(basis))
     for _ in range(5):
         coefs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
-        assert coords(SparseMatrix.from_dense(combine(coefs, basis))) == coefs
+        assert coords(from_dense(combine(coefs, basis))) == coefs
     outside = combine([1, 1, 1, 1], basis)
     outside.rows[0][0] = outside.rows[0][0] + Scalar.sqrt_rational(2)  # a monomial no basis entry has
-    assert coords(SparseMatrix.from_dense(outside)) is None
+    assert coords(from_dense(outside)) is None
     # 4 of 18 real dimensions: a random matrix is outside
-    assert coords(SparseMatrix.from_dense(tower_matrix())) is None
+    assert coords(from_dense(tower_matrix())) is None
     with pytest.raises(ValueError, match="dependent"):
         basis_coordinates(sparse(basis + [combine([1, -1, 2, 0], basis)]))
 
@@ -889,14 +846,9 @@ def combination(coefs, vectors):
 
 
 def tower_coordinates_trial(rng, n, vecs):
-    """A tower trial of test_coordinates_recombine_to_the_target: the family
-    is refused.  Its draws are made as when coordinates took tower families,
-    the span read on the Fraction oracle, so the rational trials keep their
-    inputs."""
-    off = off_q_column(vecs)
-    if off is not None:
-        with pytest.raises(ValueError, match=re.escape(f"at column {off} is not rational")):
-            coordinates(vecs, n)
+    """The draws of a tower trial of test_coordinates_recombine_to_the_target,
+    made as when coordinates took tower families, the span read on the
+    Fraction oracle, so that the rational trials keep their inputs."""
     span = FractionSubspace(n, vecs)
     if len(span._rows) < len(vecs):
         return
@@ -910,8 +862,7 @@ def tower_coordinates_trial(rng, n, vecs):
 
 def test_coordinates_recombine_to_the_target():
     """Over Q: the coefficients of a vector of the span recombine to it, a
-    vector off the span has none, and a dependent family is refused; a
-    tower family is refused for its entries (tower_coordinates_trial)."""
+    vector off the span has none, and a dependent family is refused."""
     rng = random.Random(31)
     for trial in range(40):
         entry = tower if trial % 2 else rational
@@ -1115,7 +1066,7 @@ def test_int_rows_match_the_fraction_oracle():
     """Every read and solve of the int rows against the Fraction echelon,
     on random rational spans: add results, pivots, sparse and dense rows,
     reduce residuals with their key order, membership, ==, intersect,
-    coordinates, _particular and kernel.  Tower spans are refused."""
+    coordinates, _particular and kernel."""
     rng = random.Random(43)
     for trial in range(80):
         entry = rational if trial % 2 == 0 else tower
@@ -1129,7 +1080,6 @@ def test_int_rows_match_the_fraction_oracle():
         rows = [_dense(v, n) for v in vectors]
         augmented = [r + [entry(rng)] for r in rows]
         if entry is tower:
-            assert_refused(n, vectors)
             continue
         S, O = Subspace(n), FractionSubspace(n)
         for v in vectors:
@@ -1161,7 +1111,7 @@ def test_int_rows_match_the_fraction_oracle():
 def test_spans_over_pair_columns_match_the_fraction_oracle():
     """Columns may be any sortable keys, as the (a, b) entries of the maps
     _h2_representatives spans: rational spans over pair columns read as the
-    Fraction echelon does, and tower spans are refused."""
+    Fraction echelon does."""
     rng = random.Random(61)
     for trial in range(20):
         entry = rational if trial % 2 else tower
@@ -1169,7 +1119,6 @@ def test_spans_over_pair_columns_match_the_fraction_oracle():
         vectors = [{k: x for k in pairs if (x := entry(rng))} for _ in range(rng.randint(1, 4))]
         probes = [{k: x for k in pairs if (x := entry(rng))} for _ in range(3)] + vectors
         if entry is tower:
-            assert_refused(9, vectors)
             continue
         S, O = Subspace(9, vectors), FractionSubspace(9, vectors)
         assert S.pivots == O.pivots and S.sparse_rows == O.sparse_rows and S.dim == len(O._rows)
@@ -1239,20 +1188,6 @@ def test_rational_parts_span_what_the_tower_seeds_span(spec, s):
     assert_same_rows(Subspace(L.dim, parts), FractionSubspace(L.dim, seeds), False)
     maps = [partial(_table_product, L.brackets, {i: Fraction(1)}) for i in range(L.dim)]
     assert_same_rows(urad_lower(L, pairs), fraction_saturate(L.dim, seeds, maps), False)
-
-
-def test_subspace_refuses_an_entry_off_q():
-    """A tower entry, real or not, is refused by every way into a Subspace,
-    naming its column; a rational Scalar is read as its Fraction."""
-    S = Subspace(3, [{0: Fraction(1)}])
-    for x in (Scalar.sqrt_rational(2), Scalar.i(), 1 + Scalar.sqrt_rational(3)):
-        message = re.escape(f"the entry {x} at column 2 is not rational")
-        for call in (lambda: Subspace(3, [{1: Fraction(1), 2: x}]), lambda: S.add([0, 1, x]),
-                     lambda: S.reduce({2: x}), lambda: S.contains_vector({1: 1, 2: x}),
-                     lambda: coordinates([{2: x}], 3)):
-            with pytest.raises(ValueError, match=message):
-                call()
-    assert S.add({1: Scalar.from_rational(Fraction(1, 2))}) == {1: 1} and S.dim == 2
 
 
 def test_rational_spans_build_no_fraction(monkeypatch):

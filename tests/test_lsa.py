@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian, ad, apply, odd_heisenberg, odd_line, sc, smatrix, tower_seeds
+from conftest import abelian, ad, apply, odd_heisenberg, odd_line
 from test_linalg import DenseEchelon
+from tower import sc, smatrix, tower_seeds
 from superlie.cohomology import _derivation_invariant, derivation_space, star
-from superlie.linalg import Matrix, Subspace, _dense, _entries, _gram, _integral_table
+from superlie.linalg import Matrix, SparseMatrix, Subspace, _dense, _entries, _gram, _integral_table
 from superlie.lsa import (
     LsaError,
     ValidationError,
@@ -119,7 +120,7 @@ def test_from_matrix_basis_closure_error():
 def test_from_matrix_basis_dependence_error():
     is1 = smatrix([[0, sc(0, 1)], [sc(0, 1), 0]])
     with pytest.raises(LsaError) as err:
-        from_matrix_basis([is1, is1.scale(Fraction(2))], [0, 0], (2, 0))
+        from_matrix_basis([is1, SparseMatrix.combination(is1.shape, [(2, is1)])], [0, 0], (2, 0))
     assert "dependent" in str(err.value)
 
 

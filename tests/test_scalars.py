@@ -1,14 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
-from conftest import contains_scalar
-from superlie.scalars import (
-    Scalar,
-    format_scalar,
-    parse_scalar,
-    squarefree_split,
-    zeta8,
-)
+import pytest
+
+from superlie.scalars import format_scalar, parse_scalar, squarefree_split
+from superlie.serial import str_to_scalar
+from tower import Scalar, contains_scalar, zeta8
 
 
 def rand_scalar(rng, radicands=(1, 2, 3), height=6):
@@ -101,14 +99,62 @@ def test_serialization_roundtrip():
     rng = random.Random(4)
     for _ in range(100):
         a = rand_scalar(rng, radicands=(1, 2, 3, 6))
-        assert parse_scalar(format_scalar(a)) == a
+        assert parse_scalar(format_scalar(a.terms())) == a.terms()
 
 
 def test_serialization_examples():
-    assert format_scalar(Scalar.from_rational(Fraction(-3, 2))) == "-3/2"
-    assert format_scalar(Scalar.i()) == "1*i"
-    assert parse_scalar("1/2+1/2*i") * parse_scalar("1/2-1/2*i") == Fraction(1, 2)
-    assert parse_scalar("sqrt(8)") == Scalar.sqrt_rational(8)
-    assert parse_scalar("-i") == -Scalar.i()
-    assert format_scalar(Scalar()) == "0"
-    assert parse_scalar("0") == Scalar()
+    assert format_scalar({(1, 0): Fraction(-3, 2)}) == "-3/2"
+    assert format_scalar(Scalar.i().terms()) == "1*i"
+    assert Scalar(parse_scalar("1/2+1/2*i")) * Scalar(parse_scalar("1/2-1/2*i")) == Fraction(1, 2)
+    assert Scalar(parse_scalar("sqrt(8)")) == Scalar.sqrt_rational(8)
+    assert Scalar(parse_scalar("-i")) == -Scalar.i()
+    assert format_scalar({}) == "0"
+    assert parse_scalar("0") == {}
+
+
+Q = Fraction
+
+# (text, its terms map or the error it raises); the digits are ASCII only
+GRAMMAR = [
+    ("0", {}),
+    ("-3/2", {(1, 0): Q(-3, 2)}),
+    ("+2", {(1, 0): Q(2)}),
+    ("i", {(1, 1): Q(1)}),
+    ("-1*i", {(1, 1): Q(-1)}),
+    ("2i", {(1, 1): Q(2)}),
+    ("0*i", {}),
+    ("sqrt(2)", {(2, 0): Q(1)}),
+    ("2sqrt(3)i", {(3, 1): Q(2)}),
+    ("sqrt(8)", {(2, 0): Q(2)}),
+    ("sqrt(4)", {(1, 0): Q(2)}),
+    ("sqrt(2)-sqrt(2)", {}),
+    ("i-i", {}),
+    (" 1/2 - 3*sqrt(2)*i ", {(1, 0): Q(1, 2), (2, 1): Q(-3)}),
+    ("1+i+sqrt(6)-1/3*sqrt(6)*i", {(1, 0): Q(1), (1, 1): Q(1), (6, 0): Q(1), (6, 1): Q(-1, 3)}),
+    ("", ValueError("empty scalar string")),
+    ("x", ValueError("malformed scalar term: 'x'")),
+    ("١", ValueError("malformed scalar term: '١'")),  # Arabic-Indic one
+    ("sqrt(٢)", ValueError("malformed scalar term: 'sqrt(٢)'")),
+    ("1/٢", ValueError("malformed scalar term: '1/٢'")),
+    ("sqrt(0)", ValueError("malformed scalar term: 'sqrt(0)'")),
+    ("1-sqrt(00)*i", ValueError("malformed scalar term: 'sqrt(00)*i'")),
+    ("1.5", ValueError("malformed scalar term: '1.5'")),
+    ("1_0", ValueError("malformed scalar term: '1_0'")),
+    ("1/2/3", ValueError("malformed scalar term: '1/2/3'")),
+    ("1++2", ValueError("malformed scalar string: '1++2'")),
+    ("1/0", ZeroDivisionError("Fraction(1, 0)")),
+]
+
+
+@pytest.mark.parametrize("text, want", GRAMMAR, ids=[repr(t) for t, _ in GRAMMAR])
+def test_scalar_grammar_table(text, want):
+    """Each accepted form parses to its terms map, and str_to_scalar reads
+    the rational ones as their Fraction; each refused form raises its
+    message."""
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            parse_scalar(text)
+        return
+    assert parse_scalar(text) == want
+    assert parse_scalar(format_scalar(want)) == want
+    assert str_to_scalar(text) == (want.get((1, 0), 0) if want.keys() <= {(1, 0)} else None)

@@ -1,6 +1,10 @@
+import ast
+import importlib
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,21 +12,10 @@ from conftest import CATALOG_BUILDS, odd_heisenberg, su2_cyclic
 from superlie.catalog import CATALOG_DIM_CAP, CatalogError, build_catalog, expected_dimension, verify_catalog_facts
 from superlie.cohomology import DimensionCapError
 from superlie.cli import main
-from superlie.linalg import Matrix
-from superlie.scalars import Scalar, format_scalar
-from superlie.serial import (
-    SchemaError,
-    algebra_from_json,
-    algebra_to_json,
-    matrix_to_json,
-    scalar_to_str,
-    str_to_scalar,
-)
-
-
-def matrix_from_json(rows):
-    """The Matrix of a matrix_to_json list of scalar string rows."""
-    return Matrix([[str_to_scalar(x) for x in row] for row in rows])
+from superlie.linalg import SparseMatrix, _integral_part
+from superlie.scalars import format_scalar, parse_scalar
+from superlie.serial import SchemaError, algebra_from_json, algebra_to_json, sanitize, scalar_to_str
+from tower import Scalar, to_dense
 
 
 def test_algebra_roundtrip_bit_exact():
@@ -36,21 +29,31 @@ def test_algebra_roundtrip_bit_exact():
         assert json.dumps(algebra_to_json(again), sort_keys=True) == text
 
 
-def test_matrix_roundtrip_with_tower_scalars():
-    from superlie.linalg import Matrix
+def random_tower_matrix(rng, shape):
+    """sum_m sqrt(m) U_m over radicands 1, 2, 3 and 6, each part Gaussian,
+    pure imaginary or real at random, and most entries zero."""
+    parts = {}
+    for m in sorted(rng.sample((1, 2, 3, 6), rng.randint(0, 4))):
+        kind = rng.choice(((1, 1), (0, 1), (1, 0)))  # Gaussian, pure imaginary, real
+        keys = [(r, c) for r in range(shape[0]) for c in range(shape[1]) if rng.random() < 0.4]
+        entries = {key: tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * k for k in kind) for key in keys}
+        if (part := _integral_part(entries)) is not None:
+            parts[m] = part
+    return SparseMatrix(shape, parts)
 
+
+def test_matrix_roundtrip_with_tower_scalars():
+    """sanitize prints a SparseMatrix from its parts with the string that
+    format_scalar gives each entry of the oracle's dense Matrix, "0" off
+    the support, and each string parses back to that entry."""
     rng = random.Random(3)
-    rows = []
-    for _ in range(3):
-        row = []
-        for _ in range(3):
-            s = Scalar.from_rational(Fraction(rng.randint(-3, 3), 2))
-            s = s + Scalar.sqrt_rational(2) * rng.randint(-2, 2)
-            s = s + Scalar.i() * Fraction(rng.randint(-2, 2), 3)
-            row.append(s)
-        rows.append(row)
-    M = Matrix(rows)
-    assert matrix_from_json(matrix_to_json(M)) == M
+    for _ in range(60):
+        M = random_tower_matrix(rng, (rng.randint(1, 4), rng.randint(1, 4)))
+        dense = to_dense(M)
+        rows = sanitize(M)
+        assert rows == [[format_scalar(x.terms()) for x in row] for row in dense.rows]
+        assert [[Scalar(parse_scalar(s)) for s in row] for row in rows] == dense.rows
+    assert sanitize(SparseMatrix((2, 1), {})) == [["0"], ["0"]]
 
 
 def test_rationals_format_as_their_tower_scalars():
@@ -58,7 +61,7 @@ def test_rationals_format_as_their_tower_scalars():
         Fraction(sign * num, den) for sign in (1, -1) for num in range(0, 13) for den in range(1, 13)
     ]
     for x in values:
-        assert scalar_to_str(x) == format_scalar(Scalar.from_rational(x))
+        assert scalar_to_str(x) == format_scalar(Scalar.from_rational(x).terms())
 
 
 def test_schema_error_names_path():
@@ -350,6 +353,9 @@ MALFORMED_ARGV = [
     ["urad", "verify", "--k", "catalog:su_n:2", "--s", "1", "--value-dim", "65"],
     # two specs with one result key
     ["report", "all", "--params", '{"kernel": [{"s": 1, "k": ["su_pq", 2, 1]}, {"s": 1, "k": ["su_pq", 2, 1]}]}'],
+    # the replay's current algebra past its cap (dim 3072 > 256), refused
+    # before it is built
+    ["urad", "verify", "--k", "catalog:su_n:2", "--s", "10"],
 ]
 
 
@@ -450,6 +456,44 @@ def test_current_cap_refuses_before_building(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: dim 512 exceeds the current algebra cap 256"]
     assert built == [5]
+
+
+def test_urad_cap_refuses_before_building(monkeypatch, capsys, tmp_path):
+    """urad verify and faithful, and the urad and kernel items of report
+    all, refuse 2^s dim k above the current algebra cap before any replay
+    or section runs."""
+    import superlie.cli
+
+    ran = []
+    for name in ("verify_urad_theorem", "verify_kernel_theorem", "faithfulness_boundary", "verify_catalog_facts"):
+        monkeypatch.setattr(superlie.cli, name, lambda *args, _name=name: ran.append(_name) or {})
+    assert main(["urad", "faithful", "--k", "catalog:su_n:2", "--s", "6"]) == 0  # dim 192
+    capsys.readouterr()
+    sweep = tmp_path / "sweep.json"
+    for argv, items, path in (
+        (["urad", "verify", "--k", "catalog:su_n:2", "--s", "7"], {}, ""),
+        (["urad", "faithful", "--k", "catalog:su_n:2", "--s", "7"], {}, ""),
+        (["report", "all", "--params", str(sweep)], {"urad": [{"s": 7, "k": ["su_n", 2]}]}, " at $.urad[0]"),
+        (["report", "all", "--params", str(sweep)], {"kernel": [{"s": 1, "k": ["su_pq", 2, 1]},
+                                                                {"s": 4, "k": ["su_pq", 3, 2]}]}, " at $.kernel[1]"),
+    ):
+        sweep.write_text(json.dumps({"catalog": [["su_n", 2]], "urad": [{"s": 1, "k": ["su_n", 2]}], **items}))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: dim 384 exceeds the current algebra cap 256{path}\n")
+    assert ran == ["faithfulness_boundary"]
+
+
+def test_every_traced_module_imports_from_src():
+    """perfbench/tracer.py wraps the functions of the superlie modules named
+    in its MODULES, so `perfbench/run.py --trace 1` needs each importable
+    from this checkout's src: a module removed or renamed fails here."""
+    root = Path(__file__).resolve().parents[1]
+    source = (root / "perfbench" / "tracer.py").read_text()
+    names = ast.literal_eval(re.search(r"^MODULES = (\([^)]*\))", source, re.M).group(1))
+    assert "scalars" in names
+    for name in names:
+        module = importlib.import_module(f"superlie.{name}")
+        assert Path(module.__file__).resolve().is_relative_to(root / "src" / "superlie")
 
 
 def test_star_import_resolves_every_public_name():

@@ -23,7 +23,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CATALOG_BUILDS, abelian, ad, conj_transpose, derivation_sweep, su2_cyclic, tower_seeds
+from conftest import CATALOG_BUILDS, abelian, ad, derivation_sweep, su2_cyclic
 from test_linalg import DenseEchelon
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
@@ -75,7 +75,7 @@ from superlie.lsa import (
     make_lsa,
     super_matrix_bracket,
 )
-from superlie.scalars import Scalar
+from tower import Scalar, conj_transpose, from_dense, to_dense, tower_seeds
 from superlie.unirad import isotropic_even_list, square_zero_seeds, universal_extension
 
 # -- the dense code ------------------------------------------------------------
@@ -106,7 +106,7 @@ def dense_supertrace(M, parities):
 
 def dense_supertrace_gram(L):
     par = L.realization.matrix_parities
-    mats = [M.to_dense() for M in L.realization.mats]
+    mats = [to_dense(M) for M in L.realization.mats]
     rows = []
     for X in mats:
         row = []
@@ -220,12 +220,12 @@ def assert_same_map(got, want):
     """A SparseMatrix against a dense oracle: the same canonical map and the
     same value in every entry (a SparseMatrix has no entry types)."""
     assert got.shape == want.shape
-    assert got == SparseMatrix.from_dense(want)
-    assert got.to_dense() == want
+    assert got == from_dense(want)
+    assert to_dense(got) == want
 
 
 def sparse(M):
-    return SparseMatrix.from_dense(M)
+    return from_dense(M)
 
 
 # -- products ------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_products_match_dense_on_catalog_realizations(realizations):
     assert len(realizations) == 10  # pq(3) is a quotient of q(3)
     for L in realizations.values():
         mats, par = L.realization.mats, L.parities
-        dense = [M.to_dense() for M in mats]
+        dense = [to_dense(M) for M in mats]
         for i, j in product(range(L.dim), repeat=2):
             X, Y = dense[i], dense[j]
             assert_same_entries(X @ Y, dense_matmul(X, Y))
@@ -267,7 +267,7 @@ def all_pairs_table(L):
     """Structure constants of L's matrix basis from the dense super bracket
     of every ordered pair, in row-major order."""
     mats, par = L.realization.mats, L.parities
-    dense = [M.to_dense() for M in mats]
+    dense = [to_dense(M) for M in mats]
     coords_of = basis_coordinates(mats)
     table = {}
     for i, j in product(range(L.dim), repeat=2):
@@ -291,7 +291,7 @@ def test_matrix_builds_match_all_pairs_table(realizations):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_products_match_dense_on_clifford_gammas(n):
     rep = gamma_rep([Fraction(m) for m in range(1, n + 1)])
-    for (X, S), (Y, T) in product(zip(rep.matrices, rep.gammas), repeat=2):
+    for (X, S), (Y, T) in product(((to_dense(G), G) for G in rep.gammas), repeat=2):
         assert_same_entries(X @ Y, dense_matmul(X, Y))
         assert_same_map(S @ T, dense_matmul(X, Y))
         for px, py in ((0, 0), (0, 1), (1, 1)):
@@ -359,7 +359,7 @@ def test_sparse_bracket_matches_dense_on_gaussian_and_mixed_radicands():
         radicands = [1] if trial % 2 == 0 else [1, 2, 3, 6]
         n = rng.randint(1, 5)
         S, T = random_tower(rng, n, radicands), random_tower(rng, n, radicands)
-        assert sparse(S).to_dense() == S
+        assert to_dense(sparse(S)) == S
         assert sparse(S).conj_transpose() == sparse(conj_transpose(S))
         assert_same_map(sparse(S) @ sparse(T), dense_matmul(S, T))
         for px, py in ((0, 0), (1, 0), (1, 1)):

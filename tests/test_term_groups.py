@@ -57,6 +57,7 @@ from superlie.identities import (
 )
 from superlie.linalg import _entries, _first_violation, _identity_rows, sparse_kernel
 from superlie.lsa import build_form
+from tower import to_dense
 
 H2_SCALE_SYSTEMS = {
     "L3 x su(2|1)": (("su_pq", 2, 1), 3),
@@ -186,7 +187,7 @@ def commutant_rows(rep, block):
     """The real and imaginary rows of the Clifford commutant system, built
     from per-term generators: (rows, ncols)."""
     size = rep.space_dim
-    unit = [G.to_dense() for G in _unit_gammas(rep.n)]
+    unit = [to_dense(G) for G in _unit_gammas(rep.n)]
     columns = {}
     for r in range(size):
         for c in range(size):

@@ -6,7 +6,7 @@ import pytest
 from conftest import abelian
 from test_linalg import assert_is_intersection
 from superlie.assoc import grassmann
-from superlie.scalars import Scalar
+from tower import Scalar
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa
 from superlie.linalg import Matrix, Subspace, _as_sparse, _dense, _entries, _table_product
