@@ -604,7 +604,8 @@ def basis_coordinates(mats: Sequence[SparseMatrix]):
 def symmetric_diagonalize(G: Matrix):
     """Pivoted congruence diagonalization of a rational symmetric matrix G.
 
-    An asymmetric G raises ValueError.  Returns
+    An entry that is neither an int nor a Fraction, naming its row and
+    column, or an asymmetric G raises ValueError.  Returns
     (pairs, radical, witness): pairs is a list of (b, value) with b_i^T G b_j
     = value_i delta_ij and value_i > 0, radical spans the kernel directions
     found, and witness is a nonzero x with x^T G x <= 0 exactly when G is not
@@ -614,6 +615,10 @@ def symmetric_diagonalize(G: Matrix):
     """
     n = G.nrows
     g = [list(r) for r in G.rows]
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            if not isinstance(x, (Fraction, int)):
+                raise ValueError(f"a form is over Q: the entry {x} at row {i}, column {j} is not rational")
     if G.ncols != n or any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
         raise ValueError("symmetric_diagonalize expects a symmetric matrix")
     basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]  # in original coords

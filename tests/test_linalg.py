@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -318,6 +319,23 @@ def test_modular_law_random():
         U, W = Subspace(n, u), Subspace(n, w)
         assert_is_intersection(U, W)
         assert_is_intersection(W, U)
+
+
+def test_symmetric_diagonalize_refuses_entries_off_q():
+    """A form is over Q: an entry that is not an int or a Fraction is
+    refused, naming its row and column; a tower number is refused even when
+    it is rational, and so is a float."""
+    i, one, sqrt2 = Scalar.i(), Scalar.from_rational(1), Scalar.sqrt_rational(2)
+    for G, where in (
+        (Matrix([[Fraction(1), i], [-i, Fraction(2)]]), "1*i at row 0, column 1"),
+        (Matrix([[Fraction(2), Fraction(1)], [Fraction(1), sqrt2]]), "1*sqrt(2) at row 1, column 1"),
+        (Matrix([[one, Fraction(0)], [Fraction(0), Fraction(1)]]), "1 at row 0, column 0"),
+        (Matrix([[Fraction(1), 0.5], [0.5, Fraction(1)]]), "0.5 at row 0, column 1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"a form is over Q: the entry {where} is not rational")):
+            symmetric_diagonalize(G)
+    with pytest.raises(ValueError, match="expects a symmetric matrix"):
+        symmetric_diagonalize(frac_matrix([[1, 2], [3, 1]]))
 
 
 def test_definiteness_examples():
