@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cohomology import DEFAULT_DIM_CAP, Cocycle2, _kappa_map, centroid, check_dim_cap, h2_dim, is_coboundary
 from .cohomology import is_derivation
 from .identities import _integral_view, _symmetry_witness
-from .linalg import Matrix, SparseMatrix, Subspace, _dense, basis_coordinates
+from .linalg import SparseMatrix, Subspace, _dense, basis_coordinates
 from .linalg import definiteness, supertrace_pairing
 from .lsa import (
     BilinearForm,
@@ -547,7 +547,8 @@ def special_elements(entry: CatalogEntry) -> dict:
 def _restricted_definiteness(form: BilinearForm, sub: Subspace, sign: int = 1) -> str:
     """The definiteness verdict of sign * form on the echelon basis of sub."""
     basis = sub.rows
-    return definiteness(Matrix([[sign * form.eval(x, y)[0] for y in basis] for x in basis]))
+    values = (((a, b), sign * form.eval(x, y)[0]) for a, x in enumerate(basis) for b, y in enumerate(basis))
+    return definiteness({key: v for key, v in values if v}, len(basis))
 
 
 def verify_catalog_facts(entry: CatalogEntry) -> dict:

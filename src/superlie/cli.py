@@ -231,17 +231,15 @@ def cmd_urad(args) -> int:
         raise UsageError(f"urad needs --tries >= 0, got {args.tries}")
     entry, K = _load_k(args.k)
     if args.action == "pointed":
-        status, cert = find_certificate(
-            K, seed=args.seed, tries=args.tries, height=args.height
-        )
-        report = {"verdict": status}
-        if cert is not None:
-            report["certificate"] = {"lambda": cert.lam, "gram": cert.gram}
-        if entry is not None:
-            witness = nonpointedness_witness(entry)
-            if witness is not None:
-                report["verdict"] = "non-pointed"
-                report["witness"] = witness
+        # a witness decides the verdict: no certificate can exist beside it
+        witness = nonpointedness_witness(entry) if entry is not None else None
+        if witness is not None:
+            report = {"verdict": "non-pointed", "witness": witness}
+        else:
+            status, cert = find_certificate(K, seed=args.seed, tries=args.tries, height=args.height)
+            report = {"verdict": status}
+            if cert is not None:
+                report["certificate"] = {"lambda": cert.lam, "gram": cert.gram}
         _emit(report, args.out)
         return EXIT_OK
     if entry is None:

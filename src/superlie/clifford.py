@@ -20,11 +20,9 @@ from typing import Sequence
 
 from .assoc import _koszul_sign
 from .linalg import (
-    Matrix,
     SparseMatrix,
     Subspace,
     _canonical,
-    _gram,
     _identity_rows,
     coordinates,
     sparse_kernel,
@@ -151,17 +149,16 @@ class CliffordAlgebra:
         """Twisted conjugation alpha_g(c) = Pi(g) c g^{-1}."""
         return self.product(self.product(self.parity_op(g), c), self.inverse(g))
 
-    def alpha_on_v(self, g: Sequence) -> Matrix:
-        """Matrix of alpha_g restricted to V; error if V is not stabilized."""
-        cols = []
+    def alpha_on_v(self, g: Sequence) -> dict:
+        """Sparse map of alpha_g restricted to V; error if V is not stabilized."""
+        out = {}
         for i in range(self.n):
             img = self.alpha(g, self.vector([Fraction(t == i) for t in range(self.n)]))
-            coords = [img[self.index[1 << t]] for t in range(self.n)]
             for pos, x in enumerate(img):
                 if x and bin(self.masks[pos]).count("1") != 1:
                     raise CliffordError("alpha_g does not stabilize V")
-            cols.append(coords)
-        return Matrix(list(map(list, zip(*cols))))
+            out.update(((t, i), x) for t in range(self.n) if (x := img[self.index[1 << t]]))
+        return dict(sorted(out.items()))
 
     def __repr__(self):
         return f"CliffordAlgebra(n={self.n})"
@@ -264,7 +261,10 @@ def gamma_rep(mu_diag: Sequence[Fraction]) -> CliffordRep:
     mats = []
     for d, G in zip(mu, _unit_gammas(n)):
         # sqrt(p/q) = c sqrt(m) / q with pq = c^2 m, m squarefree
-        c, m = squarefree_split(d.numerator * d.denominator)
+        try:
+            c, m = squarefree_split(d.numerator * d.denominator)
+        except ValueError as exc:
+            raise CliffordError(f"mu entry {d}: {exc}") from None
         ((entries, _one),) = G.parts.values()
         scaled = {key: (c * re, c * im) for key, (re, im) in entries.items()}
         mats.append(SparseMatrix(G.shape, {m: _canonical(scaled, d.denominator)}))
@@ -369,24 +369,23 @@ class CliffordLieSuperalgebra:
         return f"CliffordLieSuperalgebra({len(a.even_indices)}|{len(a.odd_indices)})"
 
 
-def clifford_lie(n0: int, n1: int, sym_grams: Sequence[Matrix]) -> CliffordLieSuperalgebra:
-    """Build n0-central superalgebra with [odd_a, odd_b] = sum_c G_c[a][b] z_c."""
+def clifford_lie(n0: int, n1: int, sym_grams: Sequence[dict]) -> CliffordLieSuperalgebra:
+    """Build n0-central superalgebra with [odd_a, odd_b] = sum_c G_c[a, b] z_c
+    for symmetric sparse maps G_c on n1 x n1; a key off n1 x n1 is refused."""
     if len(sym_grams) != n0:
         raise CliffordError("need one symmetric gram per even coordinate")
     names = [f"z{c + 1}" for c in range(n0)] + [f"q{a + 1}" for a in range(n1)]
     parities = [0] * n0 + [1] * n1
-    table: dict[tuple[int, int], Coordvec] = {}
-    for a in range(n1):
-        for b in range(n1):
-            entry = {}
-            for c, G in enumerate(sym_grams):
-                v = G.rows[a][b]
-                if v:
-                    entry[c] = Fraction(v)
-                if G.rows[a][b] != G.rows[b][a]:
-                    raise CliffordError("odd bracket forms must be symmetric")
-            if entry:
-                table[(n0 + a, n0 + b)] = entry
+    entries: dict[tuple[int, int], Coordvec] = {}
+    for c, G in enumerate(sym_grams):
+        for (a, b), v in G.items():
+            if not (0 <= a < n1 and 0 <= b < n1):
+                raise CliffordError(f"odd bracket form {c + 1} has the key {(a, b)} outside {n1} x {n1}")
+            if G.get((b, a), 0) != v:
+                raise CliffordError("odd bracket forms must be symmetric")
+            if v:
+                entries.setdefault((a, b), {})[c] = Fraction(v)
+    table = {(n0 + a, n0 + b): entries[(a, b)] for a, b in sorted(entries)}
     return CliffordLieSuperalgebra(make_lsa(names, parities, table))
 
 
@@ -400,7 +399,7 @@ def seeded_clifford_lie(seed: int, n0: int = 2, n1: int = 4) -> tuple[CliffordLi
     rng = random.Random(seed)
     ranks = rng.randint(1, n1)
     B = [[Fraction(rng.randint(-2, 2)) for _ in range(n1)] for _ in range(ranks)]
-    G1 = [[Fraction(0)] * n1 for _ in range(n1)]
+    G1: dict = {}
     for row in B:
         d = Fraction(rng.randint(1, 3))
         for a in range(n1):
@@ -408,14 +407,14 @@ def seeded_clifford_lie(seed: int, n0: int = 2, n1: int = 4) -> tuple[CliffordLi
                 continue
             for b in range(n1):
                 if row[b]:
-                    G1[a][b] += d * row[a] * row[b]
-    grams = [Matrix(G1)]
+                    G1[(a, b)] = G1.get((a, b), 0) + d * row[a] * row[b]
+    grams = [{key: x for key, x in G1.items() if x}]
     for _ in range(n0 - 1):
-        S = [[Fraction(0)] * n1 for _ in range(n1)]
+        S = {}
         for a in range(n1):
             for b in range(a, n1):
-                S[a][b] = S[b][a] = Fraction(rng.randint(-2, 2))
-        grams.append(Matrix(S))
+                S[(a, b)] = S[(b, a)] = Fraction(rng.randint(-2, 2))
+        grams.append({key: x for key, x in S.items() if x})
     N = clifford_lie(n0, n1, grams)
     lam = [Fraction(0)] * N.algebra.dim
     lam[0] = Fraction(2)
@@ -440,15 +439,16 @@ def mu_lambda(N: CliffordLieSuperalgebra, lam: Sequence) -> MuLambdaResult:
     witness, certifying lambda is outside the dual cone); the quotient by
     the radical is diagonalized by exact congruence for gamma_rep use.
     """
-    gram = odd_square_gram(N.algebra, lam).scale(Fraction(1, 2))
-    pairs, radical, witness = symmetric_diagonalize(gram)
+    n = len(N.odd_indices)
+    gram = {key: x / 2 for key, x in odd_square_gram(N.algebra, lam).items()}
+    pairs, radical, witness = symmetric_diagonalize(gram, n)
     if witness is not None:
         err = CliffordError(
             "lambda([x,x]) < 0 for an odd direction: lambda is not in the dual cone"
         )
         err.witness = witness
         raise err
-    return MuLambdaResult(gram, Subspace(gram.nrows, radical), [p[0] for p in pairs], [p[1] for p in pairs])
+    return MuLambdaResult(gram, Subspace(n, radical), [p[0] for p in pairs], [p[1] for p in pairs])
 
 
 class LambdaRep:
@@ -484,9 +484,9 @@ class LambdaRep:
     def _quotient_coords(self, pos: int) -> list:
         """Coordinates of the odd basis element pos in the diagonalized
         quotient basis: mu(x, b) / d, exact since that basis is mu-orthogonal."""
-        row = self.mu.gram.rows[pos]
+        row = {b: x for (a, b), x in self.mu.gram.items() if a == pos}
         return [
-            sum((x * bb for x, bb in zip(row, b_vec) if x and bb), Fraction(0)) / d
+            sum((x * b_vec[b] for b, x in row.items() if b_vec[b]), Fraction(0)) / d
             for b_vec, d in zip(self.mu.diag_basis, self.mu.diag_values)
         ]
 
@@ -536,9 +536,9 @@ def _verify_lambda_rep(rep: LambdaRep):
         refusal = CliffordError(f"-i chi([x,x]) is not a rational symmetric matrix at odd basis {i}")
         if X.parts.keys() - {1} or any(re for re, _im in entries.values()):
             raise refusal
-        gram = _gram({k: Fraction(im, den) for k, (_re, im) in entries.items()}, X.shape[0])
+        gram = {k: Fraction(im, den) for k, (_re, im) in entries.items()}
         try:
-            witness = symmetric_diagonalize(gram)[2]
+            witness = symmetric_diagonalize(gram, X.shape[0])[2]
         except ValueError:
             raise refusal from None
         if witness is not None:

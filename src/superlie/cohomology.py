@@ -6,10 +6,10 @@ All solvers run on exact sparse integer eliminations; cocycle spaces
 decompose by the parity of basis pairs, so kernels come out
 parity-homogeneous without extra work.
 Endomorphisms, 2-cochains and forms are sparse maps {(a, b): X[a][b]} with
-keys in row-major order; only star and lemma_basic_report, the lemma's dense
-route, take an endomorphism as a Matrix.  The star condition T* = sign T is
-read as graded (skew)symmetry of kappa_T, the identity identities._symmetry_groups
-that also checks every cocycle.
+keys in row-major order, star and lemma_basic_report (the lemma's route
+through T* itself) included; a Matrix is built only for a report to print.
+The star condition T* = sign T is read as graded (skew)symmetry of kappa_T,
+the identity identities._symmetry_groups that also checks every cocycle.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from .linalg import (
     Matrix,
     Subspace,
     _axpy,
-    _entries,
     _gram,
     _group_sums,
     _identity_rows,
     _particular,
+    coordinates,
     sparse_kernel,
 )
 from .linalg import kernel as dense_kernel
@@ -168,16 +168,23 @@ def centroid(L: LieSuperalgebra) -> EndSpace:
 # -- the star involution ------------------------------------------------------
 
 
-def star(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix) -> Matrix:
+def star(L: LieSuperalgebra, kappa: BilinearForm, T: dict) -> dict:
     """The unique T* with kappa(Tx, y) = (-1)^{|x||y|} kappa(T*y, x); the
-    library reads T* = sign T off kappa_T, lemma_basic_report off this."""
-    G = kappa.gram
-    lhs = T.transpose() @ G
-    signed = [
-        [(-x if (L.parities[i] and L.parities[j]) else x) for j, x in enumerate(row)]
-        for i, row in enumerate(lhs.rows)
-    ]
-    return G.transpose().inverse() @ Matrix(signed)
+    library reads T* = sign T off kappa_T, lemma_basic_report off this.
+    T* = (G^T)^-1 S(T^T G) for the gram G: T^T G is kappa_T, S negates its
+    odd-odd entries, and column j of T* holds the coordinates of column j of
+    S(T^T G) in the rows of G (CohomologyError when they are dependent)."""
+    G = kappa.entries
+    try:
+        coords = coordinates([{b: x for (r, b), x in G.items() if r == a} for a in range(L.dim)], L.dim)
+    except ValueError:
+        raise CohomologyError("kappa is degenerate, so star is not defined") from None
+    par = L.parities
+    cols: dict = {}  # j -> {i: S(T^T G)[i][j]}
+    for (i, j), x in _kappa_map(T, G).items():
+        cols.setdefault(j, {})[i] = -x if par[i] and par[j] else x
+    out = {(a, j): x for j, col in cols.items() for a, x in enumerate(coords(col)) if x}
+    return dict(sorted(out.items()))
 
 
 def _kappa_map(T: dict, kappa: dict) -> dict:
@@ -263,10 +270,9 @@ def in_centroid(L: LieSuperalgebra, S: dict) -> bool:
     return _centroid_witness(L, S) is None
 
 
-def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_parity: int) -> dict:
+def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: dict, t_parity: int) -> dict:
     """The three equivalences tying kappa_T properties to star/centroid/derivation."""
-    X = _entries(T)
-    kt = kappa_T(L, kappa, X)
+    kt = kappa_T(L, kappa, T)
     rep = form_report(L, kt)
     Tstar = star(L, kappa, T)
     cocycle_ok = _cocycle_witness(L, kt.entries) is None
@@ -274,11 +280,11 @@ def lemma_basic_report(L: LieSuperalgebra, kappa: BilinearForm, T: Matrix, t_par
         "kappa_T_supersymmetric": rep["supersymmetric"],
         "T_star_eq_T": Tstar == T,
         "kappa_T_skew": rep["skew"],
-        "T_star_eq_minus_T": (Tstar + T).is_zero(),
+        "T_star_eq_minus_T": Tstar == {key: -x for key, x in T.items()},
         "kappa_T_invariant": rep["invariant"],
-        "T_in_centroid": in_centroid(L, X),
+        "T_in_centroid": in_centroid(L, T),
         "kappa_T_cocycle": cocycle_ok,
-        "T_is_derivation": is_derivation(L, X, t_parity),
+        "T_is_derivation": is_derivation(L, T, t_parity),
     }
 
 

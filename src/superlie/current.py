@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .assoc import AssocSuperalgebra
-from .linalg import Matrix, _table_product
+from .linalg import _table_product
 from .lsa import Coordvec, LieSuperalgebra, LsaError
 
 
@@ -80,16 +80,13 @@ def current_lsa(A: AssocSuperalgebra, K: LieSuperalgebra) -> Current:
     return Current(A, K, LieSuperalgebra(names, parities, table, validate=False))
 
 
-def eps_projection(cur: Current) -> Matrix:
-    """The augmentation projection a (x) x -> eps(a) x, as a (dim k) x (dim G) map.
+def eps_projection(cur: Current) -> dict:
+    """The augmentation projection a (x) x -> eps(a) x, as a sparse (dim k) x (dim G) map.
 
     Verified to be a Lie superalgebra homomorphism with kernel Lambda^+ (x) k.
     """
     K, A = cur.K, cur.A
-    rows = [[Fraction(0)] * cur.dim for _ in range(K.dim)]
-    for i in range(K.dim):
-        rows[i][cur.slot(A.unit, i)] = Fraction(1)
-    P = Matrix(rows)
+    P = {(i, cur.slot(A.unit, i)): Fraction(1) for i in range(K.dim)}
     # homomorphism check on all basis pairs, with P applied to sparse vectors
     pos = {cur.slot(A.unit, i): i for i in range(K.dim)}
 

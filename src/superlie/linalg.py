@@ -9,7 +9,7 @@ positivity verdict.
 Three reads answer every exact question: `reduce` tests membership
 (`contains_vector`, `kernel`, the saturations, which map int rows through an
 integral table), `coordinates` gives the unique coefficients in an
-independent family (`basis_coordinates`, `Matrix.inverse`, Clifford
+independent family (`basis_coordinates`, the star involution, Clifford
 inverses, the pointedness functionals) and `_particular` a solution of the
 augmented rows [A | b] (the even-part correction of H2 representatives); a
 Fraction is made only for an entry they return.  Large homogeneous systems
@@ -24,11 +24,9 @@ Matrix realizations, gammas and the chis of a Clifford representation are
 of a tower number in the program (serial prints an entry from its parts).
 Their products (`_gaussian_products`), the supertrace pairing and
 `basis_coordinates` run on those integers alone and their rational or
-Gaussian combinations (`SparseMatrix.combination`) on rationals.  A dense
-`Matrix` holds Fractions; its product sums the nonzero products over k
-from Fraction(0), as a dense loop does.  Coordinate vectors multiply
-through a structure table {(i, j): {k: c}} in `_table_product` alone, on
-sparse vectors.
+Gaussian combinations (`SparseMatrix.combination`) on rationals.  Coordinate
+vectors multiply through a structure table {(i, j): {k: c}} in
+`_table_product` alone, on sparse vectors.
 
 A linear identity on a bilinear map or an endomorphism X is written once,
 one index triple at a time, as term groups (s, entries, r, left): a sign, a
@@ -40,9 +38,10 @@ given map; `_first_violation` checks the map with it on the triples the
 support of X reaches (`identities._reached`, one reach rule for every
 identity), and sums ints on X times the lcm of its denominators
 (`_integral_map`).  Both read X as a sparse map {(a, b): x} of its nonzero
-entries, the form in which 2-cochains, endomorphisms and bilinear forms are
-held from the start; `_entries` reads a `Matrix` given as input into one,
-and `_gram` builds the dense matrix back for printing.
+entries, the one form of a matrix over Q in the program: 2-cochains,
+endomorphisms, bilinear forms and the grams `symmetric_diagonalize` reads
+are held so from the start, and `_gram` builds a dense `Matrix` of rows
+only for a report to print.
 """
 
 from __future__ import annotations
@@ -287,7 +286,8 @@ def _first_escape(space: Subspace, table: dict, gens: Iterable[int]) -> int | No
 
 
 class Matrix:
-    """Thin exact matrix of Fraction entries, immutable by convention."""
+    """The dense rows of a matrix over Q, built by `_gram` only for a report
+    to print; the program computes on the sparse map {(a, b): x}."""
 
     __slots__ = ("rows",)
 
@@ -299,83 +299,11 @@ class Matrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zero(cls, m: int, n: int) -> "Matrix":
         return cls([[Fraction(0)] * n for _ in range(m)])
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix([[a * c for a in r] for r in self.rows])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other.rows))
-        return Matrix([[sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in cols] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self @ other
-        return self.scale(other)
-
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for r, s in zip(self.rows, other.rows) for a, b in zip(r, s)
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(map(list, zip(*self.rows)))) if self.rows else Matrix([])
-
-    def column(self, j: int) -> Vector:
-        return [r[j] for r in self.rows]
-
-    def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
-
-    def inverse(self) -> "Matrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a nonsquare matrix")
-        try:
-            coords = coordinates([_as_sparse(r) for r in self.rows], n)
-        except ValueError:
-            raise ValueError("matrix is singular") from None
-        # row j of the inverse holds the coordinates of e_j in the rows
-        return Matrix([coords({j: Fraction(1)}) for j in range(n)])
-
     def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols})"
+        return f"Matrix({len(self.rows)}x{len(self.rows[0]) if self.rows else 0})"
 
 
 def _canonical(entries: dict, den: int) -> tuple[dict, int] | None:
@@ -601,62 +529,68 @@ def basis_coordinates(mats: Sequence[SparseMatrix]):
 # -- definiteness ---------------------------------------------------------
 
 
-def symmetric_diagonalize(G: Matrix):
-    """Pivoted congruence diagonalization of a rational symmetric matrix G.
+def symmetric_diagonalize(F: dict, n: int):
+    """Pivoted congruence diagonalization of the rational symmetric n x n
+    matrix G given as the sparse map F = {(a, b): G[a][b]}.
 
-    An entry that is neither an int nor a Fraction, naming its row and
-    column, or an asymmetric G raises ValueError.  Returns
-    (pairs, radical, witness): pairs is a list of (b, value) with b_i^T G b_j
-    = value_i delta_ij and value_i > 0, radical spans the kernel directions
-    found, and witness is a nonzero x with x^T G x <= 0 exactly when G is not
-    positive semidefinite (pairs/radical then cover only the part processed
-    so far).  A pivot d with row entries c clears row j and basis vector j by
-    c/d times the pivot row and vector.
+    A key off n x n, an entry that is neither an int nor a Fraction (naming
+    its row and column), or an asymmetric F raises ValueError.  Returns
+    (pairs, radical, witness) of dense vectors: pairs is a list of (b, value)
+    with b_i^T G b_j = value_i delta_ij and value_i > 0, radical spans the
+    kernel directions found, and witness is a nonzero x with x^T G x <= 0
+    exactly when G is not positive semidefinite (pairs/radical then cover
+    only the part processed so far).  A pivot d with row entries c clears
+    row j and basis vector j, both sparse, by c/d times the pivot's.
     """
-    n = G.nrows
-    g = [list(r) for r in G.rows]
-    for i, row in enumerate(g):
-        for j, x in enumerate(row):
-            if not isinstance(x, (Fraction, int)):
-                raise ValueError(f"a form is over Q: the entry {x} at row {i}, column {j} is not rational")
-    if G.ncols != n or any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+    g: dict = {}  # a -> {b: G[a][b]}, nonzeros only
+    for (i, j), x in sorted(F.items()):
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"the key {(i, j)} is outside {n} x {n}")
+        if not isinstance(x, (Fraction, int)):
+            raise ValueError(f"a form is over Q: the entry {x} at row {i}, column {j} is not rational")
+        if x:
+            g.setdefault(i, {})[j] = x
+    if any(F.get((j, i), 0) != x for (i, j), x in F.items()):
         raise ValueError("symmetric_diagonalize expects a symmetric matrix")
-    basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]  # in original coords
+    basis = [{i: Fraction(1)} for i in range(n)]  # in original coords
     active = list(range(n))
     pairs = []
     while active:
-        piv = next((i for i in active if g[i][i]), None)
+        piv = next((i for i in active if i in g.get(i, ())), None)
         if piv is None:
-            off = next(((i, j) for i in active for j in active if j > i and g[i][j]), None)
+            # every active diagonal is zero: the first nonempty row i holds
+            # only columns j > i, so (i, min) is the first pair i < j
+            off = next(((i, min(g[i])) for i in active if g.get(i)), None)
             if off is None:
-                return pairs, [basis[i] for i in active], None
+                return pairs, [_dense(basis[i], n) for i in active], None
             i, j = off
             # (b_i - a b_j)^T G (b_i - a b_j) = -2 a g_ij < 0 for a = sign(g_ij)
             a = 1 if g[i][j] > 0 else -1
-            return pairs, [], [x - a * y for x, y in zip(basis[i], basis[j])]
+            return pairs, [], [x - a * y for x, y in zip(_dense(basis[i], n), _dense(basis[j], n))]
         d = g[piv][piv]
         if d < 0:
-            return pairs, [], list(basis[piv])
+            return pairs, [], _dense(basis[piv], n)
         active.remove(piv)
-        pairs.append((list(basis[piv]), d))
-        prow = [(k, g[piv][k]) for k in active if g[piv][k]]
-        for j, c in prow:
-            t = c / d
-            basis[j] = [x - t * y for x, y in zip(basis[j], basis[piv])]
-            for k, x in prow:
-                g[j][k] = g[j][k] - t * x
+        pairs.append((_dense(basis[piv], n), d))
+        prow = {k: x for k, x in sorted(g.pop(piv).items()) if k != piv}
+        for j, c in prow.items():
+            t = Fraction(c, d)
+            _axpy(basis[j], basis[piv], t)
+            del g[j][piv]
+            _axpy(g[j], prow, t)
     return pairs, [], None
 
 
-def definiteness_with_witness(G: Matrix):
-    """Classify a rational symmetric matrix by `symmetric_diagonalize`.
+def definiteness_with_witness(F: dict, n: int):
+    """Classify the rational symmetric n x n matrix of the sparse map F by
+    `symmetric_diagonalize`.
 
     Returns (verdict, data): verdict in {"positive_definite",
     "positive_semidefinite", "indefinite_or_negative"}; data is a witness
     vector x with x^T G x <= 0 for the indefinite verdict, or the radical
     basis for the semidefinite one.
     """
-    pairs, radical, witness = symmetric_diagonalize(G)
+    pairs, radical, witness = symmetric_diagonalize(F, n)
     if witness is not None:
         return "indefinite_or_negative", witness
     if radical:
@@ -664,9 +598,9 @@ def definiteness_with_witness(G: Matrix):
     return "positive_definite", []
 
 
-def definiteness(G: Matrix) -> str:
+def definiteness(F: dict, n: int) -> str:
     """The verdict of definiteness_with_witness."""
-    return definiteness_with_witness(G)[0]
+    return definiteness_with_witness(F, n)[0]
 
 
 # -- sparse integer elimination ------------------------------------------
@@ -762,11 +696,6 @@ def _identity_rows(groups, triples, cols: list) -> Iterator[dict]:
             row = {col: v for col, v in row.items() if v}
         if row:
             yield row
-
-
-def _entries(M: Matrix) -> dict[tuple[int, int], object]:
-    """The nonzero entries {(a, b): M[a][b]} of a matrix, row-major."""
-    return {(a, b): x for a, row in enumerate(M.rows) for b, x in enumerate(row) if x}
 
 
 def _gram(F: dict, n: int) -> Matrix:

@@ -8,8 +8,8 @@ build with validate=False and check only what they add (a matrix basis is
 checked for block-homogeneity, independence and closure; a quotient checks
 that its ideal is graded and closed under brackets).  A bilinear form holds
 one sparse map {(a, b): B(e_a, e_b)} per value component, which its flags,
-its radical and the cocycle families read; its dense grams are built only
-to print or to diagonalize.
+its radical, the cocycle families and the definiteness verdicts read; its
+dense gram is built only to print.
 Everything is immutable after construction and purely functional, so
 operations are safe to run concurrently.
 """
@@ -27,7 +27,6 @@ from .linalg import (
     Subspace,
     _as_sparse,
     _dense,
-    _entries,
     _first_escape,
     _gaussian_products,
     _gram,
@@ -268,7 +267,8 @@ class BilinearForm:
     """Exact bilinear form on an algebra of dimension dim, scalar- or
     vector-valued: one sparse map {(a, b): B_c(e_a, e_b)} per value
     component c, nonzero entries with keys row-major, as Cocycle2 holds its
-    components.  gram and grams build the dense matrices anew on each read."""
+    components.  gram builds the dense matrix of a scalar form anew on each
+    read, for printing."""
 
     __slots__ = ("dim", "components", "value_parities", "declared_parity")
 
@@ -293,10 +293,6 @@ class BilinearForm:
     def gram(self) -> Matrix:
         return _gram(self.entries, self.dim)
 
-    @property
-    def grams(self) -> tuple[Matrix, ...]:
-        return tuple(_gram(F, self.dim) for F in self.components)
-
     def eval(self, u: Sequence, v: Sequence) -> list:
         out = []
         for F in self.components:
@@ -309,12 +305,13 @@ class BilinearForm:
         return out
 
 
-def odd_square_gram(L: LieSuperalgebra, lam: Sequence) -> Matrix:
-    """Gram of lam([e_a, e_b]) over the pairs of odd basis elements."""
+def odd_square_gram(L: LieSuperalgebra, lam: Sequence) -> dict:
+    """The gram of lam([e_a, e_b]) over the pairs of odd basis elements, as a
+    sparse map {(s, t): x} on their positions s, t in L.odd_indices."""
     odd = L.odd_indices
-    return Matrix(
-        [[sum((c * lam[m] for m, c in L.bracket_basis(a, b).items()), Fraction(0)) for b in odd] for a in odd]
-    )
+    sums = (((s, t), sum((c * lam[m] for m, c in L.bracket_basis(a, b).items()), Fraction(0)))
+            for s, a in enumerate(odd) for t, b in enumerate(odd))
+    return {key: x for key, x in sums if x}
 
 
 def form_parity(L: LieSuperalgebra, B: BilinearForm) -> str:
@@ -328,14 +325,11 @@ def form_parity(L: LieSuperalgebra, B: BilinearForm) -> str:
     return "odd" if shifts == {1} else "mixed"
 
 
-def build_form(L: LieSuperalgebra, kind: str, gram: Matrix | None = None) -> BilinearForm:
-    """Supertrace form (needs the matrix realization), Killing form, or custom."""
+def build_form(L: LieSuperalgebra, kind: str) -> BilinearForm:
+    """The supertrace form (needs the matrix realization) or the Killing form;
+    any other form is a BilinearForm(L.dim, [F]) of its sparse map F."""
     n = L.dim
-    if kind == "custom":
-        if gram is None:
-            raise LsaError("custom form needs a gram matrix")
-        F = _entries(gram)
-    elif kind == "killing":
+    if kind == "killing":
         F = {}
         for i in range(n):
             for j in range(i, n):

@@ -20,12 +20,18 @@ from functools import lru_cache
 
 Key = tuple[int, int]  # (squarefree radicand, power of i)
 
+# trial division tries no factor above this bound, so it ends within about
+# 0.1 s; a cofactor above its square with no factor up to it is refused
+FACTOR_BOUND = 10**6
+
 
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 by trial division (desk-scale inputs)."""
+    """Prime factorization of n >= 1 by trial division up to FACTOR_BOUND;
+    ValueError when that leaves a cofactor it cannot tell prime."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
+    given = n
     out = []
     for p in (2, 3):
         e = 0
@@ -36,6 +42,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             out.append((p, e))
     f = 5
     while f * f <= n:
+        if f > FACTOR_BOUND:
+            raise ValueError(f"cannot factor {given}: no factor up to {FACTOR_BOUND} divides its cofactor {n}")
         for p in (f, f + 2):
             e = 0
             while n % p == 0:

@@ -34,6 +34,7 @@ from .linalg import (
     _axpy,
     _dense,
     _first_escape,
+    _gram,
     _table_product,
     coordinates,
     definiteness_with_witness,
@@ -77,10 +78,11 @@ def pointedness_certificate(L: LieSuperalgebra, lam: Sequence) -> PointednessCer
     for i in odd:
         if lam[i]:
             raise UniradError("lambda must vanish on odd coordinates")
-    gram = odd_square_gram(L, lam)
+    F = odd_square_gram(L, lam)
+    gram = _gram(F, len(odd))
     if not odd:
         return PointednessCertificate(list(lam), gram, True, None, odd)
-    verdict, data = definiteness_with_witness(gram)
+    verdict, data = definiteness_with_witness(F, len(odd))
     if verdict == "positive_definite":
         return PointednessCertificate(list(lam), gram, True, None, odd)
     witness = data if verdict == "indefinite_or_negative" else (data[0] if data else None)

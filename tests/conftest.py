@@ -5,8 +5,9 @@ import pytest
 from superlie.assoc import AssocSuperalgebra
 from superlie.catalog import build_catalog
 from superlie.cohomology import Cocycle2, _derivation_identity
-from superlie.linalg import Matrix, _dense
+from superlie.linalg import _dense
 from superlie.lsa import LieSuperalgebra, _complete_brackets, from_matrix_basis, make_lsa
+from dense import dense
 from tower import sc, smatrix
 
 
@@ -70,18 +71,13 @@ def derivation_sweep(L, parity):
 
 
 def apply(M, vec):
-    """M v for a dense Matrix M and a dense vector v."""
-    return [sum((a * x for a, x in zip(r, vec) if a and x), Fraction(0)) for r in M.rows]
+    """M v for dense rows M and a dense vector v."""
+    return [sum((a * x for a, x in zip(r, vec) if a and x), Fraction(0)) for r in M]
 
 
 def ad(L, i):
-    """The dense Matrix of ad e_i: column j holds [e_i, e_j]."""
-    n = L.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for k, c in L.bracket_basis(i, j).items():
-            rows[k][j] = c
-    return Matrix(rows)
+    """The dense rows of ad e_i: column j holds [e_i, e_j]."""
+    return dense({(k, j): c for j in range(L.dim) for k, c in L.bracket_basis(i, j).items()}, L.dim)
 
 
 def reduce_vector(S, vec):

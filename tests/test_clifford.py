@@ -24,8 +24,10 @@ from superlie.clifford import (
     phase_adjust,
     seeded_clifford_lie,
 )
-from superlie.linalg import Matrix, SparseMatrix, sparse_kernel, symmetric_diagonalize
+from superlie.linalg import SparseMatrix, sparse_kernel, symmetric_diagonalize
 from superlie.serial import sanitize
+from dense import combine, dense, entries, matmul
+from test_linalg import det_expand
 from tower import Scalar, conj_transpose, contains_scalar, from_dense, to_dense, zeta8
 
 
@@ -119,35 +121,15 @@ def test_inverse_inverts_and_refuses_zero_divisors():
             C.inverse(u)
 
 
-def det(M):
-    """Determinant by fraction-free (Bareiss) elimination with row swaps."""
-    a = [list(r) for r in M.rows]
-    n = len(a)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
-
-
 def test_alpha_of_unit_vector_is_reflection():
     C = CliffordAlgebra([frac(1), frac(1), frac(1)])
     for k in range(3):
         v = C.vector([frac(i == k) for i in range(3)])
-        M = C.alpha_on_v(v)
-        assert det(M) == -1
+        M = dense(C.alpha_on_v(v), 3)
+        assert det_expand(M) == -1
         for j in range(3):
             expect = frac(-1 if j == k else 1)
-            assert M.rows[j][j] == expect
+            assert M[j][j] == expect
 
 
 def test_alpha_product_lands_in_so():
@@ -157,7 +139,7 @@ def test_alpha_product_lands_in_so():
     e2 = C.vector([frac(0), frac(1), frac(0)])
     g = C.product(e1, e2)
     assert C.norm(g) == 1
-    assert det(C.alpha_on_v(g)) == 1
+    assert det_expand(dense(C.alpha_on_v(g), 3)) == 1
 
 
 def test_parity_and_transpose():
@@ -207,8 +189,8 @@ def rep_field(rep):
 def test_gamma_rep_scaled():
     rep = gamma_rep([frac(2), frac(3)])
     g1 = to_dense(rep.gammas[0])
-    sq = g1 @ g1
-    assert sq.rows[0][0] == Scalar.from_rational(2)
+    sq = matmul(g1, g1)
+    assert sq[0][0] == Scalar.from_rational(2)
     # the field is extended exactly by the needed square roots
     rads, has_i = rep_field(rep)
     assert has_i
@@ -219,7 +201,7 @@ def test_gamma_rep_scaled():
 def test_n1_rep_is_scalar_one():
     rep = gamma_rep([frac(1)])
     assert rep.space_dim == 1
-    assert to_dense(rep.gammas[0]).rows[0][0] == Scalar.from_rational(1)
+    assert to_dense(rep.gammas[0])[0][0] == Scalar.from_rational(1)
     with pytest.raises(CliffordError):
         parity_reversed(rep)
 
@@ -250,46 +232,46 @@ def test_odd_n_has_no_twin():
 
 def test_mu_lambda_basic():
     # n0 = R z, n1 = R x, [x,x] = z, lambda(z) = 2 gives mu = 1
-    N = clifford_lie(1, 1, [Matrix([[frac(1)]])])
+    N = clifford_lie(1, 1, [{(0, 0): frac(1)}])
     res = mu_lambda(N, [frac(2), frac(0)])
-    assert res.gram.rows[0][0] == 1
+    assert res.gram == {(0, 0): 1}
     assert res.radical.dim == 0 and res.quotient_dim == 1
 
 
 def test_mu_lambda_zero():
-    N = clifford_lie(1, 1, [Matrix([[frac(1)]])])
+    N = clifford_lie(1, 1, [{(0, 0): frac(1)}])
     res = mu_lambda(N, [frac(0), frac(0)])
     assert res.radical.dim == 1 and res.quotient_dim == 0
 
 
 def test_mu_lambda_negative_rejected():
-    N = clifford_lie(1, 1, [Matrix([[frac(1)]])])
+    N = clifford_lie(1, 1, [{(0, 0): frac(1)}])
     with pytest.raises(CliffordError) as err:
         mu_lambda(N, [frac(-1), frac(0)])
     assert hasattr(err.value, "witness")
 
 
 def test_heisenberg_rep():
-    G = Matrix([[frac(2), frac(0)], [frac(0), frac(2)]])
+    G = {(0, 0): frac(2), (1, 1): frac(2)}
     N = clifford_lie(1, 2, [G])
     rep = lambda_admissible_rep(N, [frac(1), frac(0), frac(0)])
     assert rep.space_dim == 2
 
 
 def test_one_dim_odd_rep_is_zeta8_root():
-    N = clifford_lie(1, 1, [Matrix([[frac(2)]])])
+    N = clifford_lie(1, 1, [{(0, 0): frac(2)}])
     rep = lambda_admissible_rep(N, [frac(1), frac(0)])
     # chi(x) = zeta8 * sqrt(mu(x,x)) with mu(x,x) = 1
-    assert to_dense(rep.chi_basis(1)).rows[0][0] == zeta8()
+    assert to_dense(rep.chi_basis(1))[0][0] == zeta8()
     sq = rep.chi_basis(1) @ rep.chi_basis(1)
-    assert to_dense(sq).rows[0][0] == Scalar.i()  # = i lambda([x,x]) / 2 * ... exactly i here
+    assert to_dense(sq)[0][0] == Scalar.i()  # = i lambda([x,x]) / 2 * ... exactly i here
 
 
 def test_zero_lambda_rep():
-    N = clifford_lie(1, 1, [Matrix([[frac(2)]])])
+    N = clifford_lie(1, 1, [{(0, 0): frac(2)}])
     rep = lambda_admissible_rep(N, [frac(0), frac(0)])
     assert rep.mu.quotient_dim == 0
-    assert not any(any(r) for r in to_dense(rep.chi_basis(1)).rows)
+    assert not any(any(r) for r in to_dense(rep.chi_basis(1)))
 
 
 def test_seeded_reps_all_contracts():
@@ -307,20 +289,20 @@ def dense_chi(rep, i):
     size = rep.space_dim
     if L.parities[i] == 0:
         c = Scalar.i() * rep.lam[i]
-        return Matrix([[c if a == b else Scalar() for b in range(size)] for a in range(size)])
+        return [[c if a == b else Scalar() for b in range(size)] for a in range(size)]
     if rep.rep is None:
-        return Matrix([[Scalar()]])
+        return [[Scalar()]]
     # quotient coordinates mu(x, b) / d in the mu-orthogonal basis
-    G = rep.mu.gram.rows[L.odd_indices.index(i)]
+    G = dense(rep.mu.gram, len(L.odd_indices))[L.odd_indices.index(i)]
     coords = [sum((g * x for g, x in zip(G, b)), Fraction(0)) / d for b, d in zip(rep.mu.diag_basis, rep.mu.diag_values)]
     out = [[Scalar() for _ in range(size)] for _ in range(size)]
     for c, M in zip(coords, map(to_dense, rep.rep.gammas)):
-        for a, row in enumerate(M.rows):
+        for a, row in enumerate(M):
             for b, v in enumerate(row):
                 if c and v:
                     out[a][b] = out[a][b] + c * v
     z8 = zeta8()
-    return Matrix([[z8 * x for x in row] for row in out])
+    return [[z8 * x for x in row] for row in out]
 
 
 def one_sign_mutant(M):
@@ -337,7 +319,7 @@ def test_seeded_chis_match_dense_chis(seed):
     for i, X in enumerate(rep.chis):
         want = dense_chi(rep, i)
         assert to_dense(X) == want
-        assert sanitize(X) == [[str(x) for x in row] for row in want.rows]
+        assert sanitize(X) == [[str(x) for x in row] for row in want]
     # a one-sign mutant of any nonzero chi breaks a contract
     nonzero = [i for i, X in enumerate(rep.chis) if X.parts]
     assert nonzero and any(N.algebra.parities[i] for i in nonzero)
@@ -357,7 +339,7 @@ def test_lambda_rep_reads_its_gram_off_the_parts(monkeypatch):
     import superlie.clifford
     from superlie.clifford import LambdaRep
 
-    rep = lambda_admissible_rep(clifford_lie(1, 1, [Matrix([[frac(2)]])]), [frac(1), frac(0)])
+    rep = lambda_admissible_rep(clifford_lie(1, 1, [{(0, 0): frac(2)}]), [frac(1), frac(0)])
     for parts, failure in (
         ({1: ({(0, 0): (0, 2)}, 1)}, None),
         ({2: ({(0, 0): (0, 1)}, 1)}, "is not a rational symmetric matrix"),
@@ -384,6 +366,18 @@ def test_clifford_lie_rejects_noncentral():
         CliffordLieSuperalgebra(L)
 
 
+def test_clifford_lie_refuses_keys_off_its_odd_part_and_asymmetric_maps():
+    for n1, G, message in (
+        (1, {(0, 1): frac(1), (1, 0): frac(1)}, "has the key (0, 1) outside 1 x 1"),
+        (2, {(2, 2): frac(1)}, "has the key (2, 2) outside 2 x 2"),
+        (2, {(-1, 0): frac(1), (0, -1): frac(1)}, "has the key (-1, 0) outside 2 x 2"),
+        (2, {(0, 1): frac(1)}, "must be symmetric"),
+        (2, {(0, 1): frac(1), (1, 0): frac(2)}, "must be symmetric"),
+    ):
+        with pytest.raises(CliffordError, match=re.escape(message)):
+            clifford_lie(1, n1, [G])
+
+
 # -- phase adjustment ----------------------------------------------------------------
 
 
@@ -406,7 +400,7 @@ def test_phase_adjust_round_trip():
         rep = gamma_rep([frac(m) for m in mu])
         for G in rep.gammas:
             adjusted = to_dense(phase_adjust(G, rep.grading))
-            assert Matrix([[x / zeta8() for x in row] for row in adjusted.rows]) == to_dense(G)
+            assert [[x / zeta8() for x in row] for row in adjusted] == to_dense(G)
 
 
 def test_phase_adjust_exchanges_symmetry_conventions():
@@ -415,7 +409,7 @@ def test_phase_adjust_exchanges_symmetry_conventions():
     rep = gamma_rep([frac(1), frac(1)])
     g = to_dense(rep.gammas[0])
     z8 = zeta8()
-    T = Matrix([[x / z8 for x in row] for row in g.rows])
+    T = [[x / z8 for x in row] for row in g]
     par = rep.grading
     # check (T u, v) = (-1)^{|T||u|} (u, T v) on basis vectors, where
     # m(e_a, e_b) = i^{|a||b|} delta_ab, m is conjugate-linear in the second
@@ -423,9 +417,9 @@ def test_phase_adjust_exchanges_symmetry_conventions():
     size = 2
     for a in range(size):
         for b in range(size):
-            lhs = T.rows[b][a] * (Scalar.i() if par[b] else Scalar.from_rational(1))
+            lhs = T[b][a] * (Scalar.i() if par[b] else Scalar.from_rational(1))
             sign = Fraction(-1) if par[a] else Fraction(1)
-            rhs = sign * T.rows[a][b].conjugate() * (Scalar.i() if par[a] else Scalar.from_rational(1))
+            rhs = sign * T[a][b].conjugate() * (Scalar.i() if par[a] else Scalar.from_rational(1))
             assert lhs == rhs
 
 
@@ -436,8 +430,8 @@ def dense_hermitian_psd(H):
     """The private elimination the Clifford positivity check ran before the
     shared engine, here on rational input, where conjugation is the
     identity."""
-    h = [list(row) for row in H.rows]
-    active = list(range(H.nrows))
+    h = [list(row) for row in H]
+    active = list(range(len(H)))
     while active:
         piv = next((i for i in active if h[i][i]), None)
         if piv is None:
@@ -476,7 +470,7 @@ def dense_commutant_rows(rep, block):
             for c in range(size):
                 row_re, row_im = {}, {}
                 for k in range(size):
-                    v = G.rows[k][c]
+                    v = G[k][c]
                     if v and (r, k) in pos:
                         re, im = v.coeff(1, 0), v.coeff(1, 1)
                         base = pos[(r, k)]
@@ -486,7 +480,7 @@ def dense_commutant_rows(rep, block):
                         if im:
                             row_re[base + 1] = row_re.get(base + 1, Fraction(0)) - im
                             row_im[base] = row_im.get(base, Fraction(0)) + im
-                    w = G.rows[r][k]
+                    w = G[r][k]
                     if w and (k, c) in pos:
                         re, im = w.coeff(1, 0), w.coeff(1, 1)
                         base = pos[(k, c)]
@@ -519,9 +513,9 @@ def two_product_failure(rep):
             return f"gamma_{i + 1} is not symmetric for the inner product"
         for j in range(i, rep.n):
             gj = mats[j]
-            anti = gi @ gj + gj @ gi
+            anti = combine(matmul(gi, gj), matmul(gj, gi))
             two_mu = Scalar.from_rational(2 * rep.mu_diag[i]) if i == j else Scalar()
-            target = Matrix([[two_mu if a == b else Scalar() for b in range(size)] for a in range(size)])
+            target = [[two_mu if a == b else Scalar() for b in range(size)] for a in range(size)]
             if anti != target:
                 return f"anticommutation fails at ({i + 1},{j + 1})"
     return None
@@ -540,22 +534,20 @@ def random_gaussian_hermitian(rng, n):
             for b in range(a + 1, n):
                 H[a][b] = gauss()
                 H[b][a] = H[a][b].conjugate()
-        return Matrix(H)
+        return H
     rank = rng.randint(0, n)
     B = [[gauss() for _ in range(n)] for _ in range(rank)]
     D = [rng.choice((1, 2, 3, 1, -1)) for _ in range(rank)]
-    return Matrix(
-        [
-            [sum((D[t] * B[t][a].conjugate() * B[t][b] for t in range(rank)), Scalar()) for b in range(n)]
-            for a in range(n)
-        ]
-    )
+    return [
+        [sum((D[t] * B[t][a].conjugate() * B[t][b] for t in range(rank)), Scalar()) for b in range(n)]
+        for a in range(n)
+    ]
 
 
 def form(H, u, v):
     """h(u, v) = sum u_a H[a][b] v_b on a rational H."""
-    n = H.nrows
-    return sum((u[a] * H.rows[a][b] * v[b] for a in range(n) for b in range(n) if u[a] and v[b]), Fraction(0))
+    n = len(H)
+    return sum((u[a] * H[a][b] * v[b] for a in range(n) for b in range(n) if u[a] and v[b]), Fraction(0))
 
 
 def test_hermitian_engine_matches_retired_elimination():
@@ -565,10 +557,10 @@ def test_hermitian_engine_matches_retired_elimination():
     verdicts = set()
     for _ in range(400):
         H = random_gaussian_hermitian(rng, rng.randint(1, 5))
-        if not all(x.is_rational() for row in H.rows for x in row):
+        if not all(x.is_rational() for row in H for x in row):
             continue
-        H = Matrix([[x.as_fraction() for x in row] for row in H.rows])
-        pairs, radical, witness = symmetric_diagonalize(H)
+        H = [[x.as_fraction() for x in row] for row in H]
+        pairs, radical, witness = symmetric_diagonalize(entries(H), len(H))
         psd = dense_hermitian_psd(H)
         assert psd == (witness is None)
         verdicts.add(psd)
@@ -580,7 +572,7 @@ def test_hermitian_engine_matches_retired_elimination():
                 assert form(H, b, c) == (d if t == u else 0)
         for r in radical:
             assert not any(apply(H, r))
-        assert len(pairs) + len(radical) == H.nrows
+        assert len(pairs) + len(radical) == len(H)
     assert verdicts == {True, False}
 
 
@@ -618,7 +610,7 @@ def test_validate_matches_two_product_check():
     rep = gamma_rep([frac(1), frac(2), frac(3), frac(5)])
     for t in range(rep.n):
         mats = [to_dense(G) for G in rep.gammas]
-        g = mats[t].rows
+        g = mats[t]
         b = next(c for c, x in enumerate(g[0]) if x)
         assert b != 0
         g[0][b], g[b][0] = -g[0][b], -g[b][0]  # a Hermitian flip: only the anticommutator can fail
@@ -628,8 +620,8 @@ def test_validate_matches_two_product_check():
         with pytest.raises(CliffordError, match=re.escape(want)):
             bad.validate()
     mats = [to_dense(G) for G in rep.gammas]
-    r, c = next((r, c) for r, row in enumerate(mats[1].rows) for c, x in enumerate(row) if x)
-    mats[1].rows[r][c] = -mats[1].rows[r][c]  # one entry: no longer Hermitian
+    r, c = next((r, c) for r, row in enumerate(mats[1]) for c, x in enumerate(row) if x)
+    mats[1][r][c] = -mats[1][r][c]  # one entry: no longer Hermitian
     bad = CliffordRep(rep.mu_diag, [from_dense(M) for M in mats], rep.grading, validate=False)
     with pytest.raises(CliffordError, match=re.escape(two_product_failure(bad))):
         bad.validate()

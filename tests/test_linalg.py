@@ -13,7 +13,6 @@ from superlie.catalog import build_catalog
 from superlie.cohomology import PairBasis, _cocycle_constraint_rows
 from superlie.current import current_lsa
 from superlie.linalg import (
-    Matrix,
     SparseEliminator,
     Subspace,
     _as_sparse,
@@ -31,11 +30,13 @@ from superlie.linalg import (
     sparse_kernel,
     symmetric_diagonalize,
 )
+from dense import combine, entries, identity, scale, shape, zeros
 from tower import Scalar, from_dense, tower_seeds
 
 
 def frac_matrix(rows):
-    return Matrix([[Fraction(x) for x in r] for r in rows])
+    return [[Fraction(x) for x in r] for r in rows]
+
 
 
 def rand_matrix(rng, m, n, height=5):
@@ -112,22 +113,33 @@ def dense_echelon(vectors):
     return oracle.rows, oracle.pivots
 
 
+def inverse(A):
+    """The inverse of a square matrix over Q, the right half of the reduced
+    echelon form [1 | A^-1] of [A | 1]; ValueError when A is singular."""
+    n = len(A)
+    rows, pivots = dense_echelon([list(r) + [Fraction(i == j) for j in range(n)] for i, r in enumerate(A)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [r[n:] for r in rows]
+
+
 def solve(A, b):
     """(x, K) for A x = b: the particular solution _particular reads from
     the augmented rows [A | b] (None when inconsistent) and the kernel."""
-    x = _particular((r + [bv] for r, bv in zip(A.rows, b)), A.ncols)
-    return x, Subspace(A.ncols, kernel(A.rows, A.ncols))
+    ncols = shape(A)[1]
+    x = _particular((r + [bv] for r, bv in zip(A, b)), ncols)
+    return x, Subspace(ncols, kernel(A, ncols))
 
 
 def test_solve_identity():
-    A = Matrix.identity(3)
+    A = identity(3)
     x, K = solve(A, [Fraction(1), Fraction(2), Fraction(3)])
     assert x == [1, 2, 3]
     assert K.dim == 0
 
 
 def test_solve_zero_matrix():
-    A = Matrix.zero(2, 2)
+    A = zeros(2, 2)
     x, K = solve(A, [Fraction(0), Fraction(0)])
     assert x == [0, 0]
     assert K.dim == 2
@@ -144,7 +156,7 @@ def test_rank_nullity_random_20x30():
     rng = random.Random(7)
     A = rand_matrix(rng, 20, 30)
     _x, K = solve(A, [Fraction(0)] * 20)
-    assert bareiss_rank(A.rows) + K.dim == 30
+    assert bareiss_rank(A) + K.dim == 30
 
 
 def test_solutions_actually_solve():
@@ -327,31 +339,35 @@ def test_symmetric_diagonalize_refuses_entries_off_q():
     it is rational, and so is a float."""
     i, one, sqrt2 = Scalar.i(), Scalar.from_rational(1), Scalar.sqrt_rational(2)
     for G, where in (
-        (Matrix([[Fraction(1), i], [-i, Fraction(2)]]), "1*i at row 0, column 1"),
-        (Matrix([[Fraction(2), Fraction(1)], [Fraction(1), sqrt2]]), "1*sqrt(2) at row 1, column 1"),
-        (Matrix([[one, Fraction(0)], [Fraction(0), Fraction(1)]]), "1 at row 0, column 0"),
-        (Matrix([[Fraction(1), 0.5], [0.5, Fraction(1)]]), "0.5 at row 0, column 1"),
+        ([[Fraction(1), i], [-i, Fraction(2)]], "1*i at row 0, column 1"),
+        ([[Fraction(2), Fraction(1)], [Fraction(1), sqrt2]], "1*sqrt(2) at row 1, column 1"),
+        ([[one, Fraction(0)], [Fraction(0), Fraction(1)]], "1 at row 0, column 0"),
+        ([[Fraction(1), 0.5], [0.5, Fraction(1)]], "0.5 at row 0, column 1"),
     ):
         with pytest.raises(ValueError, match=re.escape(f"a form is over Q: the entry {where} is not rational")):
-            symmetric_diagonalize(G)
+            symmetric_diagonalize(entries(G), len(G))
     with pytest.raises(ValueError, match="expects a symmetric matrix"):
-        symmetric_diagonalize(frac_matrix([[1, 2], [3, 1]]))
+        symmetric_diagonalize(entries(frac_matrix([[1, 2], [3, 1]])), 2)
+    # a key off n x n is refused, not read past
+    for key in ((0, 2), (2, 2), (-1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"the key {key} is outside 2 x 2")):
+            symmetric_diagonalize({key: Fraction(1)}, 2)
 
 
 def test_definiteness_examples():
-    assert definiteness(frac_matrix([[1, 0], [0, 2]])) == "positive_definite"
-    assert definiteness(frac_matrix([[1, 0], [0, 0]])) == "positive_semidefinite"
-    assert definiteness(frac_matrix([[1, 2], [2, 1]])) == "indefinite_or_negative"
+    assert definiteness(entries(frac_matrix([[1, 0], [0, 2]])), 2) == "positive_definite"
+    assert definiteness(entries(frac_matrix([[1, 0], [0, 0]])), 2) == "positive_semidefinite"
+    assert definiteness(entries(frac_matrix([[1, 2], [2, 1]])), 2) == "indefinite_or_negative"
     for G in ([[0, 1], [0, 0]], [[1, 2], [3, 1]]):
         with pytest.raises(ValueError, match="expects a symmetric matrix"):
-            definiteness(frac_matrix(G))
+            definiteness(entries(frac_matrix(G)), 2)
 
 
 def test_definiteness_witness():
-    verdict, witness = definiteness_with_witness(frac_matrix([[1, 2], [2, 1]]))
-    assert verdict == "indefinite_or_negative"
     G = frac_matrix([[1, 2], [2, 1]])
-    q = sum(witness[i] * G[i, j] * witness[j] for i in range(2) for j in range(2))
+    verdict, witness = definiteness_with_witness(entries(G), len(G))
+    assert verdict == "indefinite_or_negative"
+    q = sum(witness[i] * G[i][j] * witness[j] for i in range(2) for j in range(2))
     assert q <= 0 and any(witness)
 
 
@@ -378,14 +394,14 @@ def det_expand(rows):
 def leading_principal_minors(G):
     """All leading principal minors, via fraction-free (Bareiss) elimination;
     once a leading pivot vanishes, by cofactor expansion."""
-    n = G.nrows
-    a = [list(r) for r in G.rows]
+    n = len(G)
+    a = [list(r) for r in G]
     minors = []
     prev = Fraction(1)
     singular_at = None
     for k in range(n):
         if singular_at is not None or not a[k][k]:
-            minors.append(det_expand([row[: k + 1] for row in G.rows[: k + 1]]))
+            minors.append(det_expand([row[: k + 1] for row in G[: k + 1]]))
             singular_at = k if singular_at is None else singular_at
             continue
         for i in range(k + 1, n):
@@ -401,20 +417,20 @@ def minor_oracle(G):
     """Sylvester's criterion, else the exponential principal-minor enumeration."""
     import itertools
 
-    n = G.nrows
+    n = len(G)
     if all(m > 0 for m in leading_principal_minors(G)):
         return "positive_definite"
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
-            if det_expand([[G[i, j] for j in subset] for i in subset]) < 0:
+            if det_expand([[G[i][j] for j in subset] for i in subset]) < 0:
                 return "indefinite_or_negative"
     return "positive_semidefinite"
 
 
 def real_symmetric_diagonalize(G):
     """A separate real congruence elimination, the oracle of symmetric_diagonalize."""
-    n = G.nrows
-    g = [list(r) for r in G.rows]
+    n = len(G)
+    g = [list(r) for r in G]
     basis = [[Fraction(i == j) for j in range(n)] for i in range(n)]
     active = list(range(n))
     pairs = []
@@ -469,26 +485,25 @@ def random_symmetric(rng, n):
             [sum((D[t] * B[t][a] * B[t][b] for t in range(rank)), Fraction(0)) for b in range(n)]
             for a in range(n)
         ]
-        return Matrix(entries)
+        return entries
     entries = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         if kind == 2:
             entries[i][i] = Fraction(0)
         for j in range(i):
             entries[i][j] = entries[j][i]
-    return Matrix(entries)
+    return entries
 
 
 def test_definiteness_against_minor_oracle():
     rng = random.Random(11)
     for _ in range(120):
         n = rng.randint(1, 5)
-        entries = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        G = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i):
-                entries[i][j] = entries[j][i]
-        G = Matrix(entries)
-        assert definiteness(G) == minor_oracle(G)
+                G[i][j] = G[j][i]
+        assert definiteness(entries(G), len(G)) == minor_oracle(G)
 
 
 def test_symmetric_diagonalize_matches_real_elimination():
@@ -498,9 +513,9 @@ def test_symmetric_diagonalize_matches_real_elimination():
     verdicts = set()
     for _ in range(300):
         G = random_symmetric(rng, rng.randint(1, 6))
-        got = symmetric_diagonalize(G)
+        got = symmetric_diagonalize(entries(G), len(G))
         assert repr(got) == repr(real_symmetric_diagonalize(G))
-        verdict = definiteness(G)
+        verdict = definiteness(entries(G), len(G))
         assert verdict == minor_oracle(G)
         verdicts.add(verdict)
     assert verdicts == {"positive_definite", "positive_semidefinite", "indefinite_or_negative"}
@@ -829,12 +844,12 @@ def test_basis_coordinates():
     i = Scalar.i()
 
     def tower_matrix():
-        return Matrix([[rng.randint(-2, 2) + i * rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+        return [[rng.randint(-2, 2) + i * rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
 
-    def combine(coefs, mats):
-        out = Matrix.zero(3, 3)
+    def combination(coefs, mats):
+        out = zeros(3, 3)
         for c, M in zip(coefs, mats):
-            out = out + M.scale(c)
+            out = combine(out, scale(M, c))
         return out
 
     def sparse(mats):
@@ -844,14 +859,14 @@ def test_basis_coordinates():
     coords = basis_coordinates(sparse(basis))
     for _ in range(5):
         coefs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
-        assert coords(from_dense(combine(coefs, basis))) == coefs
-    outside = combine([1, 1, 1, 1], basis)
-    outside.rows[0][0] = outside.rows[0][0] + Scalar.sqrt_rational(2)  # a monomial no basis entry has
+        assert coords(from_dense(combination(coefs, basis))) == coefs
+    outside = combination([1, 1, 1, 1], basis)
+    outside[0][0] = outside[0][0] + Scalar.sqrt_rational(2)  # a monomial no basis entry has
     assert coords(from_dense(outside)) is None
     # 4 of 18 real dimensions: a random matrix is outside
     assert coords(from_dense(tower_matrix())) is None
     with pytest.raises(ValueError, match="dependent"):
-        basis_coordinates(sparse(basis + [combine([1, -1, 2, 0], basis)]))
+        basis_coordinates(sparse(basis + [combination([1, -1, 2, 0], basis)]))
 
 
 def combination(coefs, vectors):
@@ -909,17 +924,6 @@ def test_coordinates_recombine_to_the_target():
         dependent = vecs + [combination([entry(rng) for _ in vecs], vecs)]
         with pytest.raises(ValueError, match="dependent"):
             coordinates(dependent, n)
-
-
-def test_matrix_inverse():
-    rng = random.Random(13)
-    for _ in range(10):
-        A = rand_matrix(rng, 4, 4)
-        try:
-            inv = A.inverse()
-        except ValueError:
-            continue
-        assert A @ inv == Matrix.identity(4)
 
 
 def general_int_row(row):

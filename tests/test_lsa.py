@@ -7,8 +7,10 @@ from conftest import abelian, ad, apply, odd_heisenberg, odd_line
 from test_linalg import DenseEchelon
 from tower import sc, smatrix, tower_seeds
 from superlie.cohomology import _derivation_invariant, derivation_space, star
-from superlie.linalg import Matrix, SparseMatrix, Subspace, _dense, _entries, _gram, _integral_table
+from dense import dense, entries, identity, transpose
+from superlie.linalg import SparseMatrix, Subspace, _dense, _integral_table
 from superlie.lsa import (
+    BilinearForm,
     LsaError,
     ValidationError,
     _saturate,
@@ -161,7 +163,7 @@ def test_generating_set_greedy_and_refuses_proper_subalgebra(su2):
 def test_killing_form_su2_matrix(su2_matrix):
     # oracle: compute ad matrices (3x3) by hand from the +-2 pattern and trace
     kappa = build_form(su2_matrix, "killing")
-    assert kappa.gram == Matrix([[Fraction(-8) if i == j else Fraction(0) for j in range(3)] for i in range(3)])
+    assert kappa.gram.rows == [[Fraction(-8) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
 
 
 def test_killing_form_report(su2):
@@ -199,11 +201,11 @@ def test_supertrace_form_needs_realization(su2):
 def test_supertrace_form_pauli(su2_matrix):
     kappa = build_form(su2_matrix, "supertrace")
     # str((i s_j)(i s_k)) = -tr(s_j s_k) = -2 delta_jk
-    assert kappa.gram == Matrix([[Fraction(-2) if i == j else Fraction(0) for j in range(3)] for i in range(3)])
+    assert kappa.gram.rows == [[Fraction(-2) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
 
 
 def test_zero_form_report(su2):
-    zero = build_form(su2, "custom", gram=Matrix.zero(3, 3))
+    zero = BilinearForm(3, [{}])
     rep = form_report(su2, zero)
     assert rep["supersymmetric"] and rep["invariant"] and not rep["nondegenerate"]
     assert rep["radical"].dim == 3
@@ -261,7 +263,7 @@ def test_quotient_heisenberg_center():
     assert quo.dim == 2
     assert structure_report(quo)["derived_subalgebra"].dim == 0
     # projection is a homomorphism on all basis pairs
-    P = Matrix(list(map(list, zip(*proj))))
+    P = transpose(proj)
     for i in range(3):
         for j in range(3):
             lhs = apply(P, L.bracket(L.basis_vector(i), L.basis_vector(j)))
@@ -299,23 +301,24 @@ def test_ad_is_derivation(su2):
     from superlie.catalog import build_catalog
 
     for i in range(3):
-        assert is_derivation(su2, _entries(ad(su2, i)), su2.parities[i])
+        assert is_derivation(su2, entries(ad(su2, i)), su2.parities[i])
     K = build_catalog("su_pq", 2, 1).algebra
     for i in range(K.dim):
-        assert is_derivation(K, _entries(ad(K, i)), K.parities[i])
+        assert is_derivation(K, entries(ad(K, i)), K.parities[i])
 
 
-def dense_invariant(L, B):
-    """Oracle: B([e_i,e_j],e_k) = B(e_i,[e_j,e_k]) on every ordered triple and component."""
+def dense_invariant(L, grams):
+    """Oracle: B([e_i,e_j],e_k) = B(e_i,[e_j,e_k]) on every ordered triple and
+    component of a form with the dense grams."""
     n = L.dim
     for i in range(n):
         for j in range(n):
             cij = L.bracket_basis(i, j)
             for k in range(n):
                 cjk = L.bracket_basis(j, k)
-                for G in B.grams:
-                    lhs = sum((c * G.rows[m][k] for m, c in cij.items()), Fraction(0))
-                    rhs = sum((c * G.rows[i][m] for m, c in cjk.items()), Fraction(0))
+                for G in grams:
+                    lhs = sum((c * G[m][k] for m, c in cij.items()), Fraction(0))
+                    rhs = sum((c * G[i][m] for m, c in cjk.items()), Fraction(0))
                     if lhs != rhs:
                         return False
     return True
@@ -324,22 +327,21 @@ def dense_invariant(L, B):
 @pytest.mark.parametrize("spec", [("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2), ("su_n", 3)])
 def test_form_invariance_matches_dense_sweep(spec):
     from superlie.catalog import build_catalog
-    from superlie.lsa import BilinearForm
 
     entry = build_catalog(*spec)
     L = entry.algebra
     rng = random.Random(3)
-    grams = [entry.form.gram, build_form(L, "killing").gram]
+    grams = [entry.form.gram.rows, build_form(L, "killing").gram.rows]
     for G in list(grams):
         for _ in range(3):
-            rows = [list(r) for r in G.rows]
+            rows = [list(r) for r in G]
             rows[rng.randrange(L.dim)][rng.randrange(L.dim)] += Fraction(rng.choice([-2, -1, 1, 3]))
-            grams.append(Matrix(rows))
-    forms = [build_form(L, "custom", gram=G) for G in grams]
-    forms += [BilinearForm(L.dim, [_entries(grams[0]), _entries(G)]) for G in grams[1:]]  # vector-valued
+            grams.append(rows)
+    forms = [BilinearForm(L.dim, [entries(G)]) for G in grams]
+    forms += [BilinearForm(L.dim, [entries(grams[0]), entries(G)]) for G in grams[1:]]  # vector-valued
     verdicts = set()
     for B in forms:
-        want = dense_invariant(L, B)
+        want = dense_invariant(L, [dense(F, L.dim) for F in B.components])
         assert form_report(L, B)["invariant"] == want
         verdicts.add(want)
     assert verdicts == {True, False}
@@ -370,9 +372,9 @@ def _report_cases():
 
     for spec in [("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2), ("q_n", 3)]:
         yield build_catalog(*spec).algebra
-    heis = Matrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
-    yield central_extension(abelian(2), Cocycle2(abelian(2), [_entries(heis)])).algebra
-    yield central_extension(abelian(3), Cocycle2(abelian(3), [_entries(Matrix.zero(3, 3))])).algebra
+    heis = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
+    yield central_extension(abelian(2), Cocycle2(abelian(2), [heis])).algebra
+    yield central_extension(abelian(3), Cocycle2(abelian(3), [{}])).algebra
     yield odd_heisenberg()
     yield odd_line()
     yield abelian(4, [0, 1, 0, 1])
@@ -466,7 +468,7 @@ def _urad_current_case(s):
     su2 = build_catalog("su_n", 2)
     A = grassmann(s)
     F_list = _random_even_hochschild(A, 1, 0)
-    gext = extend_current(current_lsa(A, su2.algebra), su2.form, (), [(F, _entries(Matrix.identity(3))) for F in F_list])
+    gext = extend_current(current_lsa(A, su2.algebra), su2.form, (), [(F, entries(identity(3))) for F in F_list])
     return gext.algebra, square_zero_seeds(gext)
 
 
@@ -537,8 +539,7 @@ def scaled_form(entry):
 def star_verdict(L, B):
     """Derivation invariance by the star map: D* + D = 0 for every derivation."""
     der, _ = derivation_space(L)
-    dense = [_gram(X, L.dim) for X, _dp in der.members()]
-    return all((star(L, B, D) + D).is_zero() for D in dense)
+    return all(star(L, B, D) == {key: -x for key, x in D.items()} for D, _dp in der.members())
 
 
 @pytest.mark.parametrize(
@@ -553,7 +554,7 @@ def test_derivation_invariant_matches_star_verdict(spec):
     G = scaled_form(entry)
     der, _ = derivation_space(L)
     verdicts = []
-    for B in (entry.form, build_form(L, "custom", gram=Matrix(G))):
+    for B in (entry.form, BilinearForm(L.dim, [entries(G)])):
         rep = form_report(L, B)
         homogeneous = rep["parity"] in ("even", "odd")
         want = star_verdict(L, B) if rep["nondegenerate"] and homogeneous else None

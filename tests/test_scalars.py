@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superlie.scalars import format_scalar, parse_scalar, squarefree_split
+from superlie.scalars import FACTOR_BOUND, factorize, format_scalar, parse_scalar, squarefree_split
 from superlie.serial import str_to_scalar
 from tower import Scalar, contains_scalar, zeta8
 
@@ -65,6 +65,16 @@ def test_sqrt_rational():
     t = Scalar.sqrt_rational(Fraction(1, 2))
     assert t * t == Fraction(1, 2)
     assert t.terms() == {(2, 0): Fraction(1, 2)}  # the positive root sqrt(2)/2
+
+
+def test_factorize_stops_at_its_bound():
+    """Trial division tries no factor above FACTOR_BOUND = 10^6: within it a
+    factorization is complete, past it the cofactor is refused."""
+    assert factorize(1000000007) == ((1000000007, 1),)  # prime, below the bound squared
+    assert factorize(999983**2) == ((999983, 2),) and factorize(10**400) == ((2, 400), (5, 400))
+    for n in (2**61 - 1, 1000003**2, 3 * (2**61 - 1)):  # 1000003 is the least prime past it
+        with pytest.raises(ValueError, match=f"cannot factor {n}: no factor up to {FACTOR_BOUND}"):
+            factorize(n)
 
 
 def test_squarefree_split():

@@ -44,15 +44,15 @@ def random_tower_matrix(rng, shape):
 
 def test_matrix_roundtrip_with_tower_scalars():
     """sanitize prints a SparseMatrix from its parts with the string that
-    format_scalar gives each entry of the oracle's dense Matrix, "0" off
+    format_scalar gives each entry of the oracle's dense rows, "0" off
     the support, and each string parses back to that entry."""
     rng = random.Random(3)
     for _ in range(60):
         M = random_tower_matrix(rng, (rng.randint(1, 4), rng.randint(1, 4)))
         dense = to_dense(M)
         rows = sanitize(M)
-        assert rows == [[format_scalar(x.terms()) for x in row] for row in dense.rows]
-        assert [[Scalar(parse_scalar(s)) for s in row] for row in rows] == dense.rows
+        assert rows == [[format_scalar(x.terms()) for x in row] for row in dense]
+        assert [[Scalar(parse_scalar(s)) for s in row] for row in rows] == dense
     assert sanitize(SparseMatrix((2, 1), {})) == [["0"], ["0"]]
 
 
@@ -356,6 +356,10 @@ MALFORMED_ARGV = [
     # the replay's current algebra past its cap (dim 3072 > 256), refused
     # before it is built
     ["urad", "verify", "--k", "catalog:su_n:2", "--s", "10"],
+    # a radicand and a mu past trial division's bound (2^61 - 1 is prime)
+    ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": 0, "j": 1, "value": ["sqrt(2305843009213693951)", "0"]}]}'],
+    ["clifford", "gamma", "--mu", "2305843009213693951"],
 ]
 
 
@@ -386,6 +390,20 @@ def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
         assert f" at {json_path}" in lines[0]
     if "catalog:nofam:2" in argv:
         assert "unknown catalog family 'nofam'" in lines[0] and "su_n" in lines[0]
+
+
+def test_urad_pointed_decides_by_the_witness_without_a_search(monkeypatch, capsys):
+    # no certificate can exist beside a witness, so no search runs
+    import superlie.cli
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("searched for a certificate beside a witness")
+
+    monkeypatch.setattr(superlie.cli, "find_certificate", fail)
+    for k in ("catalog:psu_pp:2", "catalog:pq_n:3"):
+        assert main(["urad", "pointed", "--k", k, "--tries", "100000000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"verdict", "witness"} and out["verdict"] == "non-pointed" and out["witness"]
 
 
 def test_cli_gamma_cap_refuses_before_building(monkeypatch, capsys):

@@ -55,7 +55,8 @@ from superlie.identities import (
     _table_triples,
     _with_sides,
 )
-from superlie.linalg import _entries, _first_violation, _identity_rows, sparse_kernel
+from dense import entries
+from superlie.linalg import _first_violation, _identity_rows, sparse_kernel
 from superlie.lsa import build_form
 from tower import to_dense
 
@@ -194,8 +195,8 @@ def commutant_rows(rep, block):
             same = rep.grading[r] == rep.grading[c]
             if block == "all" or same == (block == "diag"):
                 columns[(r, c)] = (len(columns), False)
-    by_row = [[[(k, v) for k, v in enumerate(row) if v] for row in G.rows] for G in unit]
-    by_col = [[[(k, v) for k, v in enumerate(col) if v] for col in zip(*G.rows)] for G in unit]
+    by_row = [[[(k, v) for k, v in enumerate(row) if v] for row in G] for G in unit]
+    by_col = [[[(k, v) for k, v in enumerate(col) if v] for col in zip(*G)] for G in unit]
 
     def terms(g, r, c):
         for k, v in by_col[g][c]:
@@ -382,7 +383,7 @@ def test_group_checks_match_term_checks_on_the_catalog(catalog_entry):
     rng = random.Random(41)
     cocycles = [F for omega in z2_space(L) for F in omega.components]
     cocycles = rng.sample(cocycles, min(len(cocycles), 6))
-    forms = [_entries(catalog_entry.form.gram), _entries(build_form(L, "killing").gram)]
+    forms = [catalog_entry.form.entries, build_form(L, "killing").entries]
     maps = cocycles + forms
     maps += [G for F in maps for G in mutants(F, n, rng, 2)]
     triples = sorted_triples(n)
@@ -410,7 +411,7 @@ def test_group_checks_match_term_checks_on_endomorphisms(catalog_entry):
     der, _ = derivation_space(L)
     members = list(der.members())[:6]
     members += list(centroid(L).members())
-    members += [(_entries(ad(L, i)), L.parities[i]) for i in rng.sample(range(n), 3)]
+    members += [(entries(ad(L, i)), L.parities[i]) for i in rng.sample(range(n), 3)]
     members += [(G, p) for F, p in members for G in mutants(F, n, rng, 2)]
     der_verdicts, cent_verdicts = set(), set()
     for F, p in members:
@@ -484,7 +485,7 @@ def test_group_checks_sum_across_denominators(catalog_entry):
     cocycles = [F for omega in z2_space(L) for F in omega.components]
     cocycles = rng.sample(cocycles, min(len(cocycles), 6))
     differ = check(partial(_cocycle_groups, L._table_index(), L.parities, 1), partial(cocycle_terms, L), sorted_triples(n), cocycles)
-    forms = [_entries(catalog_entry.form.gram), _entries(build_form(L, "killing").gram)] + sym_invariant_forms(L)
+    forms = [catalog_entry.form.entries, build_form(L, "killing").entries] + sym_invariant_forms(L)
     triples = list(product(range(n), repeat=3))
     differ += check(partial(_invariance_groups, L._table_index()), partial(invariance_terms, L), triples, forms)
     index = _with_sides(L)

@@ -4,7 +4,7 @@
 {(squarefree radicand, i-power): Fraction} as superlie.scalars reads and
 prints it, so that the SparseMatrix parts the program computes on can be
 checked against entry-by-entry tower arithmetic: `to_dense` reads a
-SparseMatrix into a dense Matrix of Scalars and `from_dense` reads one back.
+SparseMatrix into dense rows of Scalars and `from_dense` reads them back.
 The helpers below build tower inputs for the tests.
 """
 
@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from superlie.linalg import Matrix, SparseMatrix, _integral_part
+from superlie.linalg import SparseMatrix, _integral_part
+from dense import shape
 from superlie.scalars import factorize, format_scalar, squarefree_split
 
 Key = tuple[int, int]  # (squarefree radicand, power of i)
@@ -144,25 +145,25 @@ def zeta8() -> Scalar:
     return Scalar({(2, 0): h, (2, 1): h})
 
 
-def to_dense(M: SparseMatrix) -> Matrix:
-    """The entries of a SparseMatrix as Scalars, Scalar() off the support."""
+def to_dense(M: SparseMatrix) -> list:
+    """The rows of a SparseMatrix as Scalars, Scalar() off the support."""
     terms: dict = {}
     for m, (entries, den) in M.parts.items():
         for key, (re, im) in entries.items():
             terms.setdefault(key, {}).update({(m, 0): Fraction(re, den), (m, 1): Fraction(im, den)})
     nrows, ncols = M.shape
-    return Matrix([[Scalar(terms.get((r, c))) for c in range(ncols)] for r in range(nrows)])
+    return [[Scalar(terms.get((r, c))) for c in range(ncols)] for r in range(nrows)]
 
 
-def from_dense(M: Matrix) -> SparseMatrix:
-    """The SparseMatrix of a dense Matrix of Fraction, int or Scalar entries."""
+def from_dense(M: list) -> SparseMatrix:
+    """The SparseMatrix of dense rows of Fraction, int or Scalar entries."""
     raw: dict = {}  # m -> {(r, c): [re, im]}
-    for r, row in enumerate(M.rows):
+    for r, row in enumerate(M):
         for c, x in enumerate(row):
             for (m, e), coef in (x.terms() if isinstance(x, Scalar) else {(1, 0): x} if x else {}).items():
                 raw.setdefault(m, {}).setdefault((r, c), [0, 0])[e] = coef
     parts = {m: _integral_part(raw[m]) for m in sorted(raw)}
-    return SparseMatrix(M.shape, {m: part for m, part in parts.items() if part})
+    return SparseMatrix(shape(M), {m: part for m, part in parts.items() if part})
 
 
 def contains_scalar(radicands, has_i, s: Scalar) -> bool:
@@ -191,9 +192,9 @@ def tower_seeds(pairs):
     return out
 
 
-def conj_transpose(M: Matrix) -> Matrix:
-    """The conjugate transpose of a dense Matrix of Scalars."""
-    return Matrix([[x.conjugate() for x in col] for col in zip(*M.rows)])
+def conj_transpose(M: list) -> list:
+    """The conjugate transpose of dense rows of Scalars."""
+    return [[x.conjugate() for x in col] for col in zip(*M)]
 
 
 def sc(q=0, i=0) -> Scalar:
@@ -203,4 +204,4 @@ def sc(q=0, i=0) -> Scalar:
 
 def smatrix(rows) -> SparseMatrix:
     """The SparseMatrix of rows of ints, Fractions and Scalars."""
-    return from_dense(Matrix(rows))
+    return from_dense(rows)
