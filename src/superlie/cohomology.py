@@ -58,7 +58,7 @@ from .lsa import (
     structure_report,
 )
 
-DEFAULT_DIM_CAP = 48
+DEFAULT_DIM_CAP = 192
 
 
 class CohomologyError(ValueError):
@@ -403,13 +403,27 @@ class Cocycle2:
         return f"Cocycle2(dim {self.carrier.dim}, values {self.value_dim})"
 
 
-def _cocycle_triples(L: LieSuperalgebra):
-    """The sorted triples x <= y <= z on which _cocycle_groups has a term."""
-    return _table_triples(L.brackets, L.dim, True)
+def _cocycle_triples(L: LieSuperalgebra, gens: Sequence[int]):
+    """The sorted triples x <= y <= z on which _cocycle_groups has a term
+    and that hold an index of gens, in the lexicographic order of the full
+    sweep gens = range(L.dim).
+
+    For a generating set gens this is the whole cocycle identity: omega is
+    a cocycle iff the bracket [x, y] + omega(x, y) c of L + C c, c central
+    of omega's parity, obeys graded Jacobi, that is iff each ad' z is a
+    derivation of it.  The supercommutator of two such ad' is ad' of their
+    bracket (c is central), so the z that pass form a subalgebra, all of L
+    once it holds the generators.  d omega of a super-skew omega is
+    super-alternating, so the row of a sorted triple is +-1 times the row of
+    any permutation of it: a triple is needed when any of its indices is in
+    gens, whichever place it holds.
+    """
+    return _table_triples(L.brackets, L.dim, True, gens)
 
 
-def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis) -> Iterator[dict[int, int]]:
-    return _identity_rows(partial(_cocycle_groups, L._table_index(), L.parities, 1), _cocycle_triples(L), pb.columns())
+def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis, gens: Sequence[int]) -> Iterator[dict[int, int]]:
+    groups = partial(_cocycle_groups, L._table_index(), L.parities, 1)
+    return _identity_rows(groups, _cocycle_triples(L, gens), pb.columns())
 
 
 def _capped_pair_basis(L: LieSuperalgebra, max_dim: int) -> PairBasis:
@@ -422,13 +436,20 @@ def _cocycle_kernel(L: LieSuperalgebra, pb: PairBasis) -> tuple[dict[int, Fracti
     """Kernel vectors of L's cocycle system in the pair coordinates
     pb = PairBasis(L).
 
-    Solved on first use and kept on L: sparse_kernel reads the rows as they
-    are assembled, feeds them shortest first and frees them before the
+    Solved on first use and kept on L, on the rows of the triples that meet
+    a generating set of L (_cocycle_triples).  They cut out the same kernel
+    as the full sweep, and the basis read off it depends only on the free
+    columns, which the oracle tests find to be the full sweep's too.  The
+    order in which a vector's entries are solved follows the pivots, so
+    each vector is kept in column order.  sparse_kernel reads the rows as
+    they are assembled, feeds them shortest first and frees them before the
     back-solve.  Every fill gives the same vectors, so a race between two
     fills is harmless.
     """
     if L._z2_kernel is None:
-        L._z2_kernel = tuple(sparse_kernel(_cocycle_constraint_rows(L, pb), pb.count))
+        gens = generating_set(L, range(L.dim))
+        kernel = sparse_kernel(_cocycle_constraint_rows(L, pb, gens), pb.count)
+        L._z2_kernel = tuple({t: v[t] for t in sorted(v)} for v in kernel)
     return L._z2_kernel
 
 
@@ -697,10 +718,6 @@ class CentralExtension:
         self.cocycle = cocycle
         self.algebra = algebra
         self.m_names = tuple(m_names)
-
-    @property
-    def value_dim(self) -> int:
-        return len(self.m_names)
 
 
 def central_extension(

@@ -235,14 +235,16 @@ def _hochschild_witness(A, F: dict) -> tuple | None:
     return _first_violation(partial(_cocycle_groups, index, A.parities, -1), _reached(index, _COCYCLE_REACH, F), F)
 
 
-def _table_triples(table: dict, n: int, ascending: bool):
+def _table_triples(table: dict, n: int, ascending: bool, gens: Iterable[int] | None = None):
     """The triples (x, y, z) with a table entry on (x, y), (y, z) or (x, z),
     in lexicographic order, one leading index x at a time; ascending keeps
     only those with x <= y <= z.
 
     An identity whose terms read only these three entries, as the cocycle
     and cyclic Leibniz identities do, has no term on any other triple and
-    gives no row there.
+    gives no row there.  gens, when given, keeps only the triples that hold
+    one of its indices, made without visiting the rest: an x or a y in gens
+    keeps every z as above, and otherwise only the z in gens are tried.
     """
     after: list[list[int]] = [[] for _ in range(n)]  # u -> v with an entry on (u, v)
     for u, v in table:
@@ -250,11 +252,21 @@ def _table_triples(table: dict, n: int, ascending: bool):
             after[u].append(v)
     for vs in after:
         vs.sort()
+    hits = [set(vs) for vs in after]
+    keep = set(range(n) if gens is None else gens)
+    gs = sorted(keep)
     for x in range(n):
         ax = after[x]
-        hit = set(ax)
+        hit = hits[x]
+        lead = x in keep
         for y in range(x if ascending else 0, n):
             lo = y if ascending else 0
+            if not lead and y not in keep:
+                hy = hits[y]
+                for z in gs[bisect_left(gs, lo):]:
+                    if y in hit or z in hit or z in hy:
+                        yield x, y, z
+                continue
             if y in hit:
                 for z in range(lo, n):
                     yield x, y, z

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from superlie.assoc import AssocSuperalgebra
+from superlie.assoc import AssocSuperalgebra, grassmann
 from superlie.catalog import build_catalog
 from superlie.cohomology import Cocycle2, _derivation_identity
+from superlie.current import current_lsa
 from superlie.linalg import _dense
 from superlie.lsa import LieSuperalgebra, _complete_brackets, from_matrix_basis, make_lsa
 from dense import dense
@@ -128,6 +129,25 @@ CATALOG_BUILDS = (
     ("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("su_pq", 3, 1), ("su_pq", 3, 2),
     ("psu_pp", 2), ("psu_pp", 3), ("c_n", 2), ("c_n", 3), ("q_n", 3), ("pq_n", 3),
 )
+
+
+# the algebras on which the cocycle solver and its rows are compared with
+# their oracles
+SOLVER_CASES = {
+    "su(2)": lambda: build_catalog("su_n", 2).algebra,
+    "psu(2|2)": lambda: build_catalog("psu_pp", 2).algebra,
+    "L2 x su(2|1)": lambda: current_lsa(grassmann(2), build_catalog("su_pq", 2, 1).algebra).algebra,
+    "L3 x su(2)": lambda: current_lsa(grassmann(3), build_catalog("su_n", 2).algebra).algebra,
+}
+
+ROW_CASES = {
+    **SOLVER_CASES,
+    "su(2|1)": lambda: build_catalog("su_pq", 2, 1).algebra,
+    "pq(3)": lambda: build_catalog("pq_n", 3).algebra,
+    "abelian": lambda: abelian(4, [0, 1, 0, 1]),
+    "heisenberg": lambda: make_lsa(["p", "q", "c"], [0, 0, 0], {(0, 1): {2: Fraction(1)}}),
+    "odd heisenberg": odd_heisenberg,
+}
 
 
 @pytest.fixture(scope="session", params=CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from conftest import CATALOG_BUILDS, abelian, ad, apply, derivation_sweep, odd_heisenberg, su2_cyclic
+from conftest import CATALOG_BUILDS, ROW_CASES, SOLVER_CASES, abelian, ad, apply, derivation_sweep, su2_cyclic
 from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon, inverse
 from test_lsa import dense_invariant, scaled_form
 from test_sparse_oracles import assert_same_entries, dense_gram_of_vector, dense_supertrace_gram, end_kernel
@@ -251,7 +251,7 @@ def test_sorted_triples_match_all_ordered_triples():
     cur = current_lsa(grassmann(1), su2_cyclic())
     L = cur.algebra
     pb = PairBasis(L)
-    sorted_rows = list(_cocycle_constraint_rows(L, pb))
+    sorted_rows = list(_cocycle_constraint_rows(L, pb, range(L.dim)))
     all_rows = []
     n = L.dim
     for x in range(n):
@@ -285,14 +285,6 @@ def test_sorted_triples_match_all_ordered_triples():
         assert all(
             sum(r.get(c, Fraction(0)) * v for c, v in vec.items()) == 0 for r in sorted_rows
         )
-
-
-SOLVER_CASES = {
-    "su(2)": lambda: build_catalog("su_n", 2).algebra,
-    "psu(2|2)": lambda: build_catalog("psu_pp", 2).algebra,
-    "L2 x su(2|1)": lambda: current_lsa(grassmann(2), build_catalog("su_pq", 2, 1).algebra).algebra,
-    "L3 x su(2)": lambda: current_lsa(grassmann(3), build_catalog("su_n", 2).algebra).algebra,
-}
 
 
 @pytest.mark.parametrize("case", SOLVER_CASES)
@@ -337,16 +329,6 @@ def accumulated_cocycle_rows(L, pb):
     return rows
 
 
-ROW_CASES = {
-    **SOLVER_CASES,
-    "su(2|1)": lambda: build_catalog("su_pq", 2, 1).algebra,
-    "pq(3)": lambda: build_catalog("pq_n", 3).algebra,
-    "abelian": lambda: abelian(4, [0, 1, 0, 1]),
-    "heisenberg": lambda: make_lsa(["p", "q", "c"], [0, 0, 0], {(0, 1): {2: Fraction(1)}}),
-    "odd heisenberg": odd_heisenberg,
-}
-
-
 @pytest.mark.parametrize("case", ROW_CASES)
 def test_cocycle_rows_match_accumulation(case):
     # the solver visits only the triples with terms and reads the integral
@@ -354,7 +336,7 @@ def test_cocycle_rows_match_accumulation(case):
     # order are those of the full sweep over L.brackets
     L = ROW_CASES[case]()
     pb = PairBasis(L)
-    rows = list(_cocycle_constraint_rows(L, pb))
+    rows = list(_cocycle_constraint_rows(L, pb, range(L.dim)))
     want = accumulated_cocycle_rows(L, pb)
     assert row_items(_to_int_row(r) for r in rows) == row_items(_to_int_row(r) for r in want)
     assert row_items(rows) == row_items(scaled_rows(want, denominator_lcm(L.brackets)))
@@ -367,7 +349,7 @@ def test_cocycle_rows_match_accumulation(case):
         for z in range(y, n)
         if any(c for c, _a, _b in cocycle_terms(L, x, y, z))
     ]
-    assert list(_cocycle_triples(L)) == with_terms
+    assert list(_cocycle_triples(L, range(n))) == with_terms
     assert (with_terms == []) == (case == "abelian")
 
 
@@ -387,9 +369,9 @@ def test_cocycle_system_solved_once_per_algebra_beyond_the_cap(case, monkeypatch
     assembled = []
     assemble = superlie.cohomology._cocycle_constraint_rows
 
-    def counting(L, pb):
+    def counting(L, pb, gens):
         assembled.append(L.dim)
-        return assemble(L, pb)
+        return assemble(L, pb, gens)
 
     monkeypatch.setattr(superlie.cohomology, "_cocycle_constraint_rows", counting)
     first = current_lsa(grassmann(s), K).algebra
@@ -401,7 +383,7 @@ def test_cocycle_system_solved_once_per_algebra_beyond_the_cap(case, monkeypatch
     # the cap is refused before the filled slot is read
     for solve in (z2_space, h2_dim):
         with pytest.raises(CohomologyError, match="exceeds the configured 2-cocycle solver cap"):
-            solve(first)
+            solve(first, max_dim=first.dim - 1)
     fresh = current_lsa(grassmann(s), K).algebra
     again = z2_space(fresh, max_dim=96)
     assert h2_dim(fresh, max_dim=96) == h2
@@ -415,7 +397,7 @@ def test_heap_reduce_matches_rescanning_on_h2_scale_systems(case):
     spec, s, (dim_z2, _dim_b2, _h2) = H2_SCALE_CASES[case]
     L = current_lsa(grassmann(s), build_catalog(*spec).algebra).algebra
     pb = PairBasis(L)
-    rows = sorted(_cocycle_constraint_rows(L, pb), key=len)
+    rows = sorted(_cocycle_constraint_rows(L, pb, range(L.dim)), key=len)
     combo = dict(rows[-1])
     for r in rows[-40:-1]:
         for col, v in r.items():
@@ -432,7 +414,7 @@ def test_streamed_cocycle_solve_matches_sorted_feed(case):
     spec, s, (dim_z2, _dim_b2, _h2) = H2_SCALE_CASES[case]
     L = current_lsa(grassmann(s), build_catalog(*spec).algebra).algebra
     pb = PairBasis(L)
-    elim = assert_same_as_sorted_feed(list(_cocycle_constraint_rows(L, pb)), pb.count)
+    elim = assert_same_as_sorted_feed(list(_cocycle_constraint_rows(L, pb, range(L.dim))), pb.count)
     assert pb.count - len(elim.piv_cols) == dim_z2
     assert elim.drained > 0
 

@@ -47,7 +47,7 @@ def test_h2_lambda6_su2_at_dim192():
 
 def test_refusal_beyond_cap():
     su21 = build_catalog("su_pq", 2, 1)
-    cur = current_lsa(grassmann(3), su21.algebra)
+    cur = current_lsa(grassmann(5), su21.algebra)  # dim 256, above DEFAULT_DIM_CAP = 192
     with pytest.raises(CohomologyError):
         z2_space(cur.algebra)
 

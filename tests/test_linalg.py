@@ -609,7 +609,7 @@ def test_kernel_basis_matches_full_sweep_on_cocycle_rows(s):
     L = current_lsa(grassmann(s), build_catalog("su_n", 2).algebra).algebra
     pb = PairBasis(L)
     elim = SparseEliminator(pb.count)
-    for r in sorted(_cocycle_constraint_rows(L, pb), key=len):
+    for r in sorted(_cocycle_constraint_rows(L, pb, range(L.dim)), key=len):
         elim.add_row(r)
     assert 0 < len(elim.piv_cols) < pb.count
     assert_same_kernel(elim)

@@ -325,8 +325,8 @@ MALFORMED_ARGV = [
     ["catalog", "build", "q_n", "--n", "3", "--facts", "--out", DIRECTORY],
     ["current", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--out", DIRECTORY],
     ["cohomology", "z2", "--k", "catalog:su_n:2", "--out", DIRECTORY],
-    # refused by the 2-cocycle dimension cap (dim 192 > 48) before any solve
-    ["cohomology", "h2", "--A", "grassmann:6", "--k", "catalog:su_n:2"],
+    # refused by the 2-cocycle dimension cap (dim 384 > 192) before any solve
+    ["cohomology", "h2", "--A", "grassmann:7", "--k", "catalog:su_n:2"],
     # the random certificate search draws denominators from 1..height
     ["urad", "pointed", "--k", "catalog:psu_pp:2", "--height", "0"],
     ["urad", "pointed", "--k", "catalog:su_n:2", "--tries", "-3"],
@@ -346,9 +346,9 @@ MALFORMED_ARGV = [
     ["current", "--A", "grassmann:7", "--k", "catalog:su_n:2"],
     # each basis name is given once
     ["validate", "$.names[1]", '{"names": ["x", "x"], "parities": [0, 0], "brackets": []}'],
-    # the fact sheet's h2 solves at the solver's default cap: su(8) (dim 63)
-    # is built, then refused before any fact is checked
-    ["catalog", "build", "su_n", "--n", "8", "--facts"],
+    # the fact sheet's h2 solves at the solver's default cap: psu(7|7) (dim
+    # 194) is built, then refused before any fact is checked
+    ["catalog", "build", "psu_pp", "--p", "7", "--facts"],
     # one past the value-dim cap (64), refused before the algebra is built
     ["urad", "verify", "--k", "catalog:su_n:2", "--s", "1", "--value-dim", "65"],
     # two specs with one result key
@@ -447,15 +447,15 @@ def test_fact_sheet_cap_refuses_before_any_work(monkeypatch, capsys):
 
     checked = []
     monkeypatch.setattr(superlie.catalog, "form_report", lambda L, form: checked.append(L.dim))
-    with pytest.raises(DimensionCapError, match="dim 63 exceeds the catalog fact sheet's cap 48"):
-        verify_catalog_facts(build_catalog("su_n", 8))
+    with pytest.raises(DimensionCapError, match="dim 194 exceeds the catalog fact sheet's cap 192"):
+        verify_catalog_facts(build_catalog("psu_pp", 7))
     assert checked == []
-    assert main(["catalog", "build", "su_n", "--n", "8", "--facts"]) == 2
+    assert main(["catalog", "build", "psu_pp", "--p", "7", "--facts"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: dim 63 exceeds the catalog fact sheet's cap 48"]
+    assert captured.err.splitlines() == ["error: dim 194 exceeds the catalog fact sheet's cap 192"]
     assert checked == []
-    # su(7), dim 48, is at the cap
+    # su(7), dim 48, is below the cap
     monkeypatch.undo()
     assert verify_catalog_facts(build_catalog("su_n", 7))["h2_dim"] == 0
 
@@ -552,7 +552,7 @@ def test_cli_dimension_cap_refuses_before_building(monkeypatch, capsys, action):
     assert main(["cohomology", action, "--A", "grassmann:10", "--k", "catalog:su_n:2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: dim 3072 exceeds the configured 2-cocycle solver cap 48"]
+    assert captured.err.splitlines() == ["error: dim 3072 exceeds the configured 2-cocycle solver cap 192"]
 
 
 def test_cli_out_gets_the_report(capsys, tmp_path):

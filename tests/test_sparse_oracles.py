@@ -23,8 +23,9 @@ from itertools import product
 
 import pytest
 
-from conftest import CATALOG_BUILDS, abelian, ad, derivation_sweep, su2_cyclic
+from conftest import CATALOG_BUILDS, ROW_CASES, abelian, ad, derivation_sweep, su2_cyclic
 from test_linalg import DenseEchelon
+from test_term_groups import H2_SCALE_SYSTEMS
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
 from superlie.clifford import gamma_rep
@@ -34,6 +35,9 @@ from superlie.cohomology import (
     PairBasis,
     _centroid_identity,
     _centroid_witness,
+    _cocycle_constraint_rows,
+    _cocycle_kernel,
+    _cocycle_triples,
     _correct_to_vanish_on_even,
     _derivation_identity,
     _derivation_witness,
@@ -564,6 +568,66 @@ def test_derivations_match_full_sweep_solve_on_su_pp(realizations):
 def test_derivations_match_full_sweep_solve_abelian_and_current():
     assert_derivations_match_full_solve(abelian(2))  # every map is a derivation
     assert_derivations_match_full_solve(current_lsa(grassmann(2), su2_cyclic()).algebra)
+
+
+# -- the cocycles over a generating set ---------------------------------------------
+
+
+def current(s, spec):
+    return lambda: current_lsa(grassmann(s), build_catalog(*spec).algebra).algebra
+
+
+COCYCLE_CASES = {
+    **ROW_CASES,
+    **{f"L{s} x su(2)": current(s, ("su_n", 2)) for s in (1, 2, 3)},
+    **{f"L{s} x su(2|1)": current(s, ("su_pq", 2, 1)) for s in (1, 2)},
+    "L1 x psu(2|2)": current(1, ("psu_pp", 2)),
+    "L1 x pq(3)": current(1, ("pq_n", 3)),
+    **{case: current(s, spec) for case, (spec, s) in H2_SCALE_SYSTEMS.items()},
+}
+
+
+def assert_cocycle_kernel_matches_full_solve(L):
+    pb = PairBasis(L)
+    full = sparse_kernel(_cocycle_constraint_rows(L, pb, range(L.dim)), pb.count)
+    # the full solve's entries come in the order they were solved, which
+    # follows its pivots; the kept vectors are in column order
+    assert [list(v.items()) for v in _cocycle_kernel(L, pb)] == [sorted(v.items()) for v in full]
+
+
+def test_cocycle_kernel_matches_full_triple_solve(catalog_entry):
+    assert_cocycle_kernel_matches_full_solve(catalog_entry.algebra)
+
+
+@pytest.mark.parametrize("case", COCYCLE_CASES)
+def test_cocycle_kernel_matches_full_triple_solve_beyond_the_catalog(case):
+    assert_cocycle_kernel_matches_full_solve(COCYCLE_CASES[case]())
+
+
+@pytest.mark.parametrize("case", COCYCLE_CASES)
+def test_cocycle_triples_are_the_full_sweep_filtered(case):
+    L = COCYCLE_CASES[case]()
+    n = L.dim
+    full = list(_cocycle_triples(L, range(n)))
+    gens = generating_set(L, range(n))
+    rng = random.Random(n)
+    subsets = [gens, gens[1:], gens[:-1], rng.sample(range(n), n // 3), [], range(n)]
+    for keep in subsets:
+        assert list(_cocycle_triples(L, keep)) == [t for t in full if set(t) & set(keep)]
+
+
+def test_cocycle_rows_need_a_generating_set():
+    # every 2-cochain of su(2) is a coboundary, so no row set can cut its
+    # kernel; su(3) and L1 x su(2) show one generator that is needed
+    L = su2_cyclic()
+    pb = PairBasis(L)
+    assert len(sparse_kernel(_cocycle_constraint_rows(L, pb, [0]), pb.count)) == pb.count == 3
+    for L, drop in ((build_catalog("su_n", 3).algebra, -1), (current(1, ("su_n", 2))(), 0)):
+        pb = PairBasis(L)
+        gens = generating_set(L, range(L.dim))
+        kernel = sparse_kernel(_cocycle_constraint_rows(L, pb, gens), pb.count)
+        fewer = [g for g in gens if g != gens[drop]]
+        assert len(sparse_kernel(_cocycle_constraint_rows(L, pb, fewer), pb.count)) > len(kernel)
 
 
 # -- endomorphisms: sparse maps against the dense matrices --------------------------

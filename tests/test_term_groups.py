@@ -299,8 +299,8 @@ def test_group_rows_match_term_rows_on_the_catalog(catalog_entry):
     L = catalog_entry.algebra
     n = L.dim
     pb = PairBasis(L)
-    want = term_rows(partial(cocycle_terms, L), _cocycle_triples(L), pair_columns(pb))
-    assert row_items(_cocycle_constraint_rows(L, pb)) == row_items(want)
+    want = term_rows(partial(cocycle_terms, L), _cocycle_triples(L, range(n)), pair_columns(pb))
+    assert row_items(_cocycle_constraint_rows(L, pb, range(n))) == row_items(want)
     pb = PairBasis(L, skew=False)
     triples = list(product(range(n), repeat=3))
     want = term_rows(partial(invariance_terms, L), triples, pair_columns(pb))
@@ -325,8 +325,8 @@ def test_group_rows_match_term_rows_on_h2_scale_systems(case):
     spec, s = H2_SCALE_SYSTEMS[case]
     L = current_lsa(grassmann(s), build_catalog(*spec).algebra).algebra
     pb = PairBasis(L)
-    want = term_rows(partial(cocycle_terms, L), _cocycle_triples(L), pair_columns(pb))
-    got = _cocycle_constraint_rows(L, pb)
+    want = term_rows(partial(cocycle_terms, L), _cocycle_triples(L, range(L.dim)), pair_columns(pb))
+    got = _cocycle_constraint_rows(L, pb, range(L.dim))
     assert row_items(got) == row_items(want)
 
 
