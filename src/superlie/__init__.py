@@ -21,14 +21,14 @@ from .clifford import (
     phase_adjust,
 )
 from .cohomology import (
-    Cocycle2,
-    HochschildMap,
     b2_space,
     central_extension,
     centroid,
+    cocycle2,
     derivation_space,
     eta_cocycle,
     h2_dim,
+    hochschild_map,
     hochschild_space,
     kappa_T,
     split_by_star,
@@ -68,8 +68,8 @@ __all__ = [
     "CatalogEntry", "build_catalog", "special_elements", "verify_catalog_facts",
     "CliffordAlgebra", "CliffordLieSuperalgebra", "CliffordRep", "clifford_lie",
     "gamma_rep", "lambda_admissible_rep", "mu_lambda", "phase_adjust",
-    "Cocycle2", "HochschildMap", "b2_space", "central_extension", "centroid",
-    "derivation_space", "eta_cocycle", "h2_dim", "hochschild_space", "kappa_T",
+    "b2_space", "central_extension", "centroid", "cocycle2", "derivation_space",
+    "eta_cocycle", "h2_dim", "hochschild_map", "hochschild_space", "kappa_T",
     "split_by_star", "star", "verify_cor1", "xi_cocycle", "z2_space",
     "Current", "current_lsa", "eps_projection",
     "Matrix", "Subspace", "definiteness",

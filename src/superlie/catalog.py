@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cohomology import DEFAULT_DIM_CAP, Cocycle2, _kappa_map, centroid, check_dim_cap, h2_dim, is_coboundary
+from .cohomology import DEFAULT_DIM_CAP, _kappa_map, centroid, check_dim_cap, cocycle2, h2_dim, is_coboundary
 from .cohomology import is_derivation
 from .identities import _integral_view, _symmetry_witness
 from .linalg import SparseMatrix, Subspace, _dense, basis_coordinates
@@ -22,7 +22,6 @@ from .lsa import (
     _quotient,
     _saturate,
     build_form,
-    form_parity,
     form_report,
     from_matrix_basis,
     structure_report,
@@ -251,7 +250,6 @@ def _descend(family: str, pre: CatalogEntry, delta: SparseMatrix, d_parity: int)
     form = BilinearForm(quo.dim, [
         {(pos[i], pos[j]): x for (i, j), x in pre.form.entries.items() if i in pos and j in pos}
     ])
-    form.declared_parity = form_parity(quo, form)
     mats = L.realization.mats
     coords = basis_coordinates(mats)
     # column a is the image of the kept slot keep[a]
@@ -423,7 +421,6 @@ def build_q_n(n: int) -> CatalogEntry:
     mats, names, parities, a_range, b_range, _bi = _q_n_data(n)
     algebra = from_matrix_basis(mats, parities, (n, n), names=names)
     form = BilinearForm(algebra.dim, [_pq_form_gram(algebra, n)])
-    form.declared_parity = form_parity(algebra, form)
     components = {
         "a_part": _range_subspace(algebra.dim, a_range),
         "b_part": _range_subspace(algebra.dim, b_range),
@@ -605,7 +602,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         out["D_vanishes_on_even"] = all(L.parities[b] for _a, b in D)
         kd_map = _kappa_map(D, entry.form.entries)
         out["D_kappa_skew"] = _symmetry_witness(L.parities, -1, kd_map) is None
-        omega = Cocycle2(L, [kd_map], validate=True)
+        omega = cocycle2(L, [kd_map])
         out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
         if entry.family == "pq_n":
             odd = Subspace(L.dim, ({i: 1} for i in L.odd_indices))

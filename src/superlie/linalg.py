@@ -7,16 +7,17 @@ its builder grows one vector at a time (`add`).  Forms are over Q too:
 `symmetric_diagonalize` is the congruence elimination behind every
 positivity verdict.
 Three reads answer every exact question: `reduce` tests membership
-(`contains_vector`, `kernel`, the saturations, which map int rows through an
-integral table), `coordinates` gives the unique coefficients in an
-independent family (`basis_coordinates`, the star involution, Clifford
-inverses, the pointedness functionals) and `_particular` a solution of the
-augmented rows [A | b] (the even-part correction of H2 representatives); a
-Fraction is made only for an entry they return.  Large homogeneous systems
-go through the sparse integer eliminator `sparse_kernel`, which picks small
-pivots instead; it reads its rows as a stream, feeds them shortest first and
-drops those its unit pivot rows {c: 1} already span; each kernel vector is
-back-solved over only the pivot rows it reaches.
+(`contains_vector`, the saturations, which map int rows through an integral
+table), `coordinates` gives the unique coefficients in an independent family
+(`basis_coordinates`, the star involution, Clifford inverses, the
+pointedness functionals) and `_particular` a solution of the augmented rows
+[A | b] (the even-part correction of H2 representatives); a Fraction is made
+only for an entry they return.  Every homogeneous system, from a form's
+radical and the star eigenspaces to the cocycle and Hochschild systems, goes
+through the one kernel routine, the sparse integer eliminator
+`sparse_kernel`, which picks small pivots; it reads its rows as a stream,
+feeds them shortest first and drops those its unit pivot rows {c: 1} already
+span; each kernel vector is back-solved over only the pivot rows it reaches.
 
 Matrix realizations, gammas and the chis of a Clifford representation are
 `SparseMatrix` values: a short sum sum_m sqrt(m) U_m, each U_m a map
@@ -450,24 +451,6 @@ def _particular(rows: Iterable, n: int) -> Vector | None:
         return None
     zero = Fraction(0)
     return [echelon[p].get(n, zero) if p in echelon else zero for p in range(n)]
-
-
-def kernel(rows: Iterable, ncols: int) -> list[Vector]:
-    """Kernel basis of an exact matrix given by dense or sparse rows."""
-    red = Subspace(ncols, rows)
-    echelon = dict(zip(red.pivots, red.sparse_rows))
-    out = []
-    for f in range(ncols):
-        if f in echelon:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for p, r in echelon.items():
-            x = r.get(f)
-            if x:
-                v[p] = -x
-        out.append(v)
-    return out
 
 
 def coordinates(vectors: Sequence[dict], ambient: int, dens: Sequence[int] | None = None):

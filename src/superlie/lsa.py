@@ -1,15 +1,17 @@
 """Finite dimensional real Lie superalgebras by exact structure constants.
 
 Validation (super antisymmetry, parity, graded Jacobi), matrix-basis
-ingestion, invariant forms, ideal saturation and graded quotients.
+ingestion, bilinear maps, ideal saturation and graded quotients.
 make_lsa (files, user tables) runs the full check; from_matrix_basis,
 current_lsa, central_extension and quotient_lsa are valid by construction,
 build with validate=False and check only what they add (a matrix basis is
 checked for block-homogeneity, independence and closure; a quotient checks
-that its ideal is graded and closed under brackets).  A bilinear form holds
-one sparse map {(a, b): B(e_a, e_b)} per value component, which its flags,
-its radical, the cocycle families and the definiteness verdicts read; its
-dense gram is built only to print.
+that its ideal is graded and closed under brackets).  BilinearForm is the
+one bilinear-map type (forms, kappa_T, 2-cocycles and Hochschild maps, the
+last two checked by cohomology.cocycle2 and hochschild_map): one sparse map
+{(a, b): B(e_a, e_b)} per value component, which its flags, its radical,
+the cocycle families and the definiteness verdicts read, and the parity of
+each; a dense gram is built only to print.
 Everything is immutable after construction and purely functional, so
 operations are safe to run concurrently.
 """
@@ -39,7 +41,6 @@ from .linalg import (
     sparse_kernel,
     supertrace_pairing,
 )
-from .linalg import kernel as dense_kernel
 
 Coordvec = dict[int, Fraction]
 
@@ -264,19 +265,19 @@ def from_matrix_basis(
 
 
 class BilinearForm:
-    """Exact bilinear form on an algebra of dimension dim, scalar- or
+    """Exact bilinear map on a space of dimension dim, scalar- or
     vector-valued: one sparse map {(a, b): B_c(e_a, e_b)} per value
-    component c, nonzero entries with keys row-major, as Cocycle2 holds its
-    components.  gram builds the dense matrix of a scalar form anew on each
-    read, for printing."""
+    component c, nonzero entries with keys row-major, and the parity of each
+    value component (0 by default; form_parity reads them together).  gram
+    (of a scalar map) and grams build dense matrices anew on each read, for
+    printing."""
 
-    __slots__ = ("dim", "components", "value_parities", "declared_parity")
+    __slots__ = ("dim", "components", "value_parities")
 
     def __init__(self, dim: int, components: Sequence[dict], value_parities: Sequence[int] | None = None):
         self.dim = dim
         self.components = tuple(components)
         self.value_parities = tuple(value_parities) if value_parities is not None else (0,) * len(self.components)
-        self.declared_parity = None  # set by form_report / build_form
 
     @property
     def value_dim(self) -> int:
@@ -292,6 +293,10 @@ class BilinearForm:
     @property
     def gram(self) -> Matrix:
         return _gram(self.entries, self.dim)
+
+    @property
+    def grams(self) -> tuple[Matrix, ...]:
+        return tuple(_gram(F, self.dim) for F in self.components)
 
     def eval(self, u: Sequence, v: Sequence) -> list:
         out = []
@@ -353,9 +358,7 @@ def build_form(L: LieSuperalgebra, kind: str) -> BilinearForm:
         F = {(i, j): x for i, j, x in pairs if x}
     else:
         raise LsaError(f"unknown form kind {kind!r}")
-    B = BilinearForm(n, [F])
-    B.declared_parity = form_parity(L, B)
-    return B
+    return BilinearForm(n, [F])
 
 
 def _radical(B: BilinearForm) -> Subspace:
@@ -365,7 +368,7 @@ def _radical(B: BilinearForm) -> Subspace:
     for c, F in enumerate(B.components):
         for (a, b), x in F.items():
             rows.setdefault((c, b), {})[a] = x
-    return Subspace(B.dim, dense_kernel(rows.values(), B.dim))
+    return Subspace(B.dim, sparse_kernel(rows.values(), B.dim))
 
 
 def form_report(L: LieSuperalgebra, B: BilinearForm) -> dict:

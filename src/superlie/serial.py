@@ -13,9 +13,8 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .cohomology import Cocycle2, HochschildMap
 from .linalg import Matrix, SparseMatrix, Subspace
-from .lsa import LieSuperalgebra, make_lsa
+from .lsa import BilinearForm, LieSuperalgebra, make_lsa
 from .scalars import format_scalar, parse_scalar
 
 
@@ -165,13 +164,11 @@ def sanitize(obj: Any) -> Any:
             "dim": obj.dim,
             "basis": [vector_to_json(r) for r in obj.rows],
         }
-    if isinstance(obj, Cocycle2):
+    if isinstance(obj, BilinearForm):
         return {
             "value_parities": list(obj.value_parities),
             "grams": [matrix_to_json(G) for G in obj.grams],
         }
-    if isinstance(obj, HochschildMap):
-        return {"parity": obj.parity, "gram": matrix_to_json(obj.gram)}
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

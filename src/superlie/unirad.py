@@ -16,13 +16,12 @@ from typing import Sequence
 from .assoc import AssocSuperalgebra, grassmann
 from .catalog import DEFINITE_COMPONENTS, CatalogEntry, _balancing_factor
 from .cohomology import (
-    Cocycle2,
-    HochschildMap,
     _central_extension,
+    centroid,
     eta_cocycle,
     h2_representatives,
+    hochschild_map,
     hochschild_space,
-    centroid,
     split_by_star,
     xi_cocycle,
 )
@@ -169,15 +168,13 @@ def nonpointedness_witness(entry: CatalogEntry):
 class CurrentExtension:
     """Central extension of A (x) k whose cocycle is a recorded eta/xi family."""
 
-    __slots__ = ("cur", "kappa", "ext", "algebra", "eta_data", "xi_data", "m_labels")
+    __slots__ = ("cur", "algebra", "eta_data", "xi_data", "m_labels")
 
-    def __init__(self, cur, kappa, ext, eta_data, xi_data, m_labels):
+    def __init__(self, cur, algebra, eta_data, xi_data, m_labels):
         self.cur = cur
-        self.kappa = kappa
-        self.ext = ext  # None when the value space is zero
-        self.algebra = ext.algebra if ext is not None else cur.algebra
+        self.algebra = algebra  # cur.algebra when the value space is zero
         self.eta_data = eta_data  # list of (f_row, D, d_parity)
-        self.xi_data = xi_data  # list of (HochschildMap, S)
+        self.xi_data = xi_data  # list of (Hochschild map, S)
         self.m_labels = m_labels
 
     @property
@@ -218,12 +215,10 @@ def extend_current(
         parities += c.value_parities
     labels = [f"eta{t + 1}" for t in range(len(eta_data))]
     labels += [f"xi{t + 1}" for t in range(len(xi_data))]
-    if not maps:
-        return CurrentExtension(cur, kappa, None, list(eta_data), list(xi_data), [])
-    # each run's cocycle was validated when built
-    omega = Cocycle2(cur.algebra, maps, parities, validate=False)
-    ext = _central_extension(cur.algebra, omega, labels, validated=True)
-    return CurrentExtension(cur, kappa, ext, list(eta_data), list(xi_data), labels)
+    algebra = cur.algebra
+    if maps:  # each run's cocycle was validated when built
+        algebra = _central_extension(algebra, BilinearForm(cur.dim, maps, parities), labels, validated=True)
+    return CurrentExtension(cur, algebra, list(eta_data), list(xi_data), labels)
 
 
 def universal_extension(entry: CatalogEntry, s: int) -> CurrentExtension:
@@ -304,7 +299,7 @@ def urad_lower(L: LieSuperalgebra, seeds: Sequence[tuple]) -> Subspace:
 # -- theorem replays ----------------------------------------------------------------
 
 
-def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> list[HochschildMap]:
+def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> list[BilinearForm]:
     basis = hochschild_space(A, parity=0)
     if not basis:
         return []
@@ -314,14 +309,14 @@ def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> 
         F: dict = {}
         for B in basis:
             _axpy(F, B.entries, -Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        out.append(HochschildMap(A, F, 0))
+        out.append(hochschild_map(A, F, 0))
     return out
 
 
 def verify_urad_theorem(
     entry: CatalogEntry,
     s: int,
-    hochschild: str | Sequence[HochschildMap] = "random",
+    hochschild: str | Sequence[BilinearForm] = "random",
     value_dim: int = 1,
     seed: int = 0,
 ) -> dict:
@@ -341,7 +336,7 @@ def verify_urad_theorem(
     else:
         F_list = list(hochschild)
     for F in F_list:
-        if F.parity != 0:
+        if F.value_parities[0] != 0:
             raise UniradError("the even-cocycle theorem needs even Hochschild maps")
     identity = {(i, i): Fraction(1) for i in range(K.dim)}
     gext = extend_current(cur, kappa, (), [(F, identity) for F in F_list])
@@ -501,7 +496,7 @@ def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
     report = {"family": entry.family, "s": s}
     if s <= 2:
         delta = {(k, k): Fraction(1) for k in (A.names.index(f"e{t + 1}") for t in range(s))}
-        F = HochschildMap(A, delta, 0)  # validates the Hochschild identities
+        F = hochschild_map(A, delta, 0)  # validates the Hochschild identities
         cur = current_lsa(A, K)
         gext = extend_current(cur, kappa, (), [(F, {(i, i): Fraction(1) for i in range(K.dim)})])
         L = gext.algebra

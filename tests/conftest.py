@@ -1,10 +1,13 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
+import superlie
+from superlie import cli, cohomology
 from superlie.assoc import AssocSuperalgebra, grassmann
 from superlie.catalog import build_catalog
-from superlie.cohomology import Cocycle2, _derivation_identity
+from superlie.cohomology import _derivation_identity, cocycle2
 from superlie.current import current_lsa
 from superlie.linalg import _dense
 from superlie.lsa import LieSuperalgebra, _complete_brackets, from_matrix_basis, make_lsa
@@ -39,28 +42,45 @@ def _with_complete_table(init):
     return __init__
 
 
-_cocycle_init = Cocycle2.__init__
+def _checking_cocycles(name, cocycles):
+    """Rebind the solver cohomology.<name> in every superlie namespace that
+    holds it to one that also runs cocycle2's checks (super-skewness and the
+    cocycle identity) on the (algebra, form) pairs cocycles(args, result)
+    lists; returns the solver as it was."""
+    solve = getattr(cohomology, name)
+
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        for L, omega in cocycles(args, result):
+            cocycle2(L, omega.components, omega.value_parities)
+        return result
+
+    for namespace in (superlie, cohomology, cli):
+        if getattr(namespace, name) is solve:
+            setattr(namespace, name, checked)
+    return solve
+
+
+def _certificate(args, rep):
+    """The verify_cor1(A, K, ...) certificate on its current algebra A (x) K."""
+    return [] if rep["certificate"] is None else [(current_lsa(*args[:2]).algebra, rep["certificate"])]
+
 
 # Installed on import, before any test module is collected, so that every
 # algebra valid by construction that the suite builds, at collection time or
 # in a test, still gets the full sweep: current algebras, central extensions
 # and Lie quotients (parity, super antisymmetry, graded Jacobi), associative
 # quotients (parity, unit, supercommutativity, associativity, grading).  So
-# does every cocycle built with validate=False (super-skewness and the
-# cocycle identity): the z2_space basis, the omega extend_current assembles
-# and the verify_cor1 certificate.  Every Lie superalgebra also asserts that
-# the table it was handed is complete, since only make_lsa completes one.
+# does every cocycle a solver builds from its kernel without the checks of
+# cocycle2: the z2_space basis and the verify_cor1 certificate (the omega
+# extend_current assembles is checked through its extension's sweep).  Every
+# Lie superalgebra also asserts that the table it was handed is complete,
+# since only make_lsa completes one.
 LieSuperalgebra.__init__ = _with_complete_table(_with_full_sweep(LieSuperalgebra, 4))
 AssocSuperalgebra.__init__ = _with_full_sweep(AssocSuperalgebra, 5)
-Cocycle2.__init__ = _with_full_sweep(Cocycle2, 3)
-
-
-@pytest.fixture
-def unswept_cocycles(monkeypatch):
-    """Cocycle2 with its own __init__ only, for the tests that hand
-    central_extension a broken omega built with validate=False, or count the
-    checks the library itself runs."""
-    monkeypatch.setattr(Cocycle2, "__init__", _cocycle_init)
+_checking_cocycles("z2_space", lambda args, basis: [(args[0], omega) for omega in basis])
+_checking_cocycles("verify_cor1", _certificate)
 
 
 def derivation_sweep(L, parity):

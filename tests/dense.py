@@ -46,6 +46,11 @@ def entries(A: list) -> dict:
     return {(a, b): x for a, row in enumerate(A) for b, x in enumerate(row) if x}
 
 
+def sparse_rows(A: list) -> list:
+    """The rows of A as sparse maps {c: A[r][c]} of their nonzero entries."""
+    return [{c: x for c, x in enumerate(row) if x} for row in A]
+
+
 def dense(F: dict, m: int, n: int | None = None) -> list:
     """The m x n (n = m by default) rows of a sparse map, Fraction(0) off it."""
     out = zeros(m, m if n is None else n)

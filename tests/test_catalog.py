@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import apply, reduce_vector
+from dense import sparse_rows
 from superlie.catalog import (
     CatalogError,
     build_catalog,
@@ -17,7 +18,7 @@ from superlie.cohomology import (
     sym_invariant_forms,
     z2_space,
 )
-from superlie.linalg import Subspace, _gram, kernel
+from superlie.linalg import Subspace, _gram, sparse_kernel
 from superlie.lsa import form_report
 from tower import Scalar
 
@@ -104,7 +105,7 @@ def test_su21_dimension_against_constraint_count_oracle(su21):
         row[entry(r, r)[1]] += 1
     row[entry(2, 2)[1]] -= 1
     rows.append(row)
-    assert len(kernel(rows, nvars)) == su21.algebra.dim == 8
+    assert len(sparse_kernel(sparse_rows(rows), nvars)) == su21.algebra.dim == 8
 
 
 def test_family_preconditions():
@@ -287,14 +288,14 @@ def test_centroid_scalar_su21(su21):
 
 
 def test_outer_derivation_descends_and_is_outer(psu22, pq3):
-    from superlie.cohomology import Cocycle2, is_coboundary, kappa_T
+    from superlie.cohomology import cocycle2, is_coboundary, kappa_T
 
     for entry in (psu22, pq3):
         D, dp = entry.outer_derivation
         L = entry.algebra
         for i in L.even_indices:
             assert not any(x for (_a, b), x in D.items() if b == i)
-        omega = Cocycle2(L, [kappa_T(L, entry.form, D).entries])
+        omega = cocycle2(L, [kappa_T(L, entry.form, D).entries])
         assert not is_coboundary(L, omega)
 
 

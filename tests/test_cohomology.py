@@ -9,17 +9,15 @@ from math import gcd
 import pytest
 
 from conftest import CATALOG_BUILDS, ROW_CASES, SOLVER_CASES, abelian, ad, apply, derivation_sweep, su2_cyclic
-from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon, inverse
+from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon, fraction_kernel, inverse
 from test_lsa import dense_invariant, scaled_form
 from test_sparse_oracles import assert_same_entries, dense_gram_of_vector, dense_supertrace_gram, end_kernel
 from test_term_groups import cocycle_terms, hochschild_terms, pair_coeff, skew_terms, term_rows
 from superlie.assoc import grassmann
 from superlie.cohomology import (
     CohomologyError,
-    Cocycle2,
     DimensionCapError,
     EndSpace,
-    HochschildMap,
     PairBasis,
     _centroid_identity,
     _cocycle_constraint_rows,
@@ -32,9 +30,11 @@ from superlie.cohomology import (
     central_extension,
     centroid,
     coboundary_vectors,
+    cocycle2,
     derivation_space,
     eta_cocycle,
     h2_dim,
+    hochschild_map,
     hochschild_space,
     in_centroid,
     is_coboundary,
@@ -72,7 +72,6 @@ from superlie.linalg import (
     definiteness,
     sparse_kernel,
 )
-from superlie.linalg import kernel as dense_kernel
 from superlie.catalog import DEFINITE_COMPONENTS, _restricted_definiteness, build_catalog
 from superlie.cli import main
 from superlie.lsa import (
@@ -204,7 +203,7 @@ def test_kappa_ad_is_coboundary_cocycle(su2k):
     L, kappa = su2k
     T = ad(L, 2)
     form = kappa_T(L, kappa, entries(T))
-    omega = Cocycle2(L, [entries(form.gram.rows)])  # validates super skew + cocycle identity
+    omega = cocycle2(L, [entries(form.gram.rows)])  # validates super skew + cocycle identity
     assert is_coboundary(L, omega)
     # equals f([x,y]) for f = kappa(e3, .): direct expansion
     for i in range(3):
@@ -361,7 +360,7 @@ H2_SCALE_CASES = {
 
 
 @pytest.mark.parametrize("case", H2_SCALE_CASES)
-def test_cocycle_system_solved_once_per_algebra_beyond_the_cap(case, monkeypatch):
+def test_cocycle_system_solved_once_per_algebra_and_refused_past_max_dim(case, monkeypatch):
     import superlie.cohomology
 
     spec, s, (dim_z2, dim_b2, h2) = H2_SCALE_CASES[case]
@@ -645,9 +644,7 @@ def test_xi_zero_map(su2k):
     L, kappa = su2k
     A = grassmann(1)
     cur = current_lsa(A, L)
-    from superlie.cohomology import HochschildMap
-
-    F0 = HochschildMap(A, {}, 0)
+    F0 = hochschild_map(A, {}, 0)
     omega = xi_cocycle(cur, kappa, [F0], entries(identity(3)))
     assert not any(any(map(any, G.rows)) for G in omega.grams)
 
@@ -666,24 +663,23 @@ def test_xi_rejects_bad_inputs(su2k):
 
 def test_extension_by_zero_cocycle(su2k):
     L, _ = su2k
-    omega = Cocycle2(L, [{}])
+    omega = cocycle2(L, [{}])
     ext = central_extension(L, omega)
-    assert ext.algebra.dim == 4
-    rep = structure_report(ext.algebra)
+    assert ext.dim == 4
+    rep = structure_report(ext)
     assert rep["center"].contains_vector([Fraction(0)] * 3 + [Fraction(1)])
 
 
 def test_heisenberg_extension():
     L = abelian(2)
     G = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
-    ext = central_extension(L, Cocycle2(L, [G]))
-    H = ext.algebra
+    H = central_extension(L, cocycle2(L, [G]))
     assert H.dim == 3
     assert H.bracket_basis(0, 1) == {2: Fraction(1)}
     assert structure_report(H)["center"].dim == 1
 
 
-def test_extension_validates_iff_cocycle(unswept_cocycles):
+def test_extension_validates_iff_cocycle():
     rng = random.Random(31)
     L = su2_cyclic()
     pb = PairBasis(L)
@@ -691,12 +687,12 @@ def test_extension_validates_iff_cocycle(unswept_cocycles):
         vec = {t: Fraction(rng.randint(-2, 2)) for t in range(pb.count)}
         G = dense_gram_of_vector(pb, {t: c for t, c in vec.items() if c})
         try:
-            Cocycle2(L, [entries(G)])
+            cocycle2(L, [entries(G)])
             ok_cocycle = True
         except CohomologyError:
             ok_cocycle = False
         try:
-            central_extension(L, Cocycle2(L, [entries(G)], validate=False))
+            central_extension(L, BilinearForm(L.dim, [entries(G)]))
             ok_ext = True
         except CohomologyError:
             ok_ext = False
@@ -728,7 +724,7 @@ def _sweep_extension(L, G):
     return make_lsa(*_extension_table(L, G))
 
 
-def test_extension_and_sweep_agree_on_non_cocycles(unswept_cocycles):
+def test_extension_and_sweep_agree_on_non_cocycles():
     # on su(2) every super-skew form is a cocycle (Z2 = all 3 forms); on
     # Lambda1 (x) su(2) Z2 has 7 of 18 dimensions, so both verdicts occur
     rng = random.Random(5)
@@ -750,8 +746,8 @@ def test_extension_and_sweep_agree_on_non_cocycles(unswept_cocycles):
         G = dense_gram_of_vector(pb, {k: v for k, v in vec.items() if v})
         verdicts = []
         for build in (
-            lambda: Cocycle2(L, [entries(G)]),
-            lambda: central_extension(L, Cocycle2(L, [entries(G)], validate=False)),
+            lambda: cocycle2(L, [entries(G)]),
+            lambda: central_extension(L, BilinearForm(L.dim, [entries(G)])),
             lambda: _sweep_extension(L, G),
         ):
             try:
@@ -791,7 +787,7 @@ def _mutant(L, kind):
         ("parity", "m1 has the wrong parity at", "parity violation"),
     ],
 )
-def test_extension_mutants_rejected_naming_witness(tmp_path, capsys, unswept_cocycles, kind, message, sweep_kind):
+def test_extension_mutants_rejected_naming_witness(tmp_path, capsys, kind, message, sweep_kind):
     L = current_lsa(grassmann(1), su2_cyclic()).algebra
     G = _mutant(L, kind)
     # the full sweep of the extension table is the oracle for the witness
@@ -800,7 +796,7 @@ def test_extension_mutants_rejected_naming_witness(tmp_path, capsys, unswept_coc
     assert sweep.value.kind == sweep_kind
     witness = "(" + ", ".join(L.names[i] for i in sorted(sweep.value.indices)) + ")"
     with pytest.raises(CohomologyError) as err:
-        central_extension(L, Cocycle2(L, [entries(G)], validate=False))
+        central_extension(L, BilinearForm(L.dim, [entries(G)]))
     assert str(err.value) == f"not a cocycle: {message} {witness}"
     # the same table written as an algebra file fails `superlie validate`
     names, parities, table = _extension_table(L, G)
@@ -822,8 +818,8 @@ def test_extension_from_xi_on_lambda2(su2k):
     # one scalar component: the 13-dim extension of the 12-dim current algebra
     omega = xi_cocycle(cur, kappa, hoch[:1], entries(identity(3)))
     ext = central_extension(cur.algebra, omega)
-    assert ext.algebra.dim == 13
-    center = structure_report(ext.algebra)["center"]
+    assert ext.dim == 13
+    center = structure_report(ext)["center"]
     assert center.contains_vector([Fraction(0)] * 12 + [Fraction(1)])
 
 
@@ -1029,11 +1025,11 @@ def test_cocycle_check_matches_dense_sweep(check_algebras):
             if dense_skew_witness(L.parities, G) is not None:
                 continue
             if want is None:
-                Cocycle2(L, [entries(G)])
+                cocycle2(L, [entries(G)])
             else:
                 names = ", ".join(L.names[i] for i in want)
                 with pytest.raises(CohomologyError, match=re.escape(f"cocycle identity fails at ({names})")):
-                    Cocycle2(L, [entries(G)])
+                    cocycle2(L, [entries(G)])
     assert verdicts == {True, False}
 
 
@@ -1048,7 +1044,7 @@ def test_skew_check_names_first_pair(check_algebras):
             if want is not None:
                 names = ", ".join(L.names[i] for i in want)
                 with pytest.raises(CohomologyError, match=re.escape(f"not super-skew at ({names})")):
-                    Cocycle2(L, [entries(G)])
+                    cocycle2(L, [entries(G)])
 
 
 def test_symmetry_witness_matches_the_retired_checks(check_algebras):
@@ -1094,7 +1090,7 @@ def test_hochschild_check_matches_dense_sweep():
             if skew is None and want is not None:
                 names = ", ".join(A.names[i] for i in want)
                 with pytest.raises(CohomologyError, match=re.escape(f"fails at ({names})")):
-                    HochschildMap(A, entries(F))
+                    hochschild_map(A, entries(F))
     assert verdicts == {True, False}
 
 
@@ -1106,7 +1102,7 @@ def test_xi_names_failing_hochschild_triple(su2k):
     want = dense_hochschild_witness(A, F)
     assert want is not None
     names = ", ".join(A.names[i] for i in want)
-    bad = HochschildMap(A, entries(F), validate=False)
+    bad = BilinearForm(A.dim, [entries(F)])
     with pytest.raises(CohomologyError, match=re.escape(f"cyclic Leibniz identity fails at ({names})")):
         xi_cocycle(cur, kappa, [bad], entries(identity(3)))
 
@@ -1115,15 +1111,20 @@ def test_kappa_parity_is_resolved_not_defaulted(su2k):
     L, kappa = su2k
     cur = current_lsa(grassmann(1), L)
     F = hochschild_space(grassmann(1))
-    undeclared = BilinearForm(L.dim, [kappa.entries])
-    assert undeclared.declared_parity is None
-    got = xi_cocycle(cur, undeclared, F, entries(identity(3)))
+    rebuilt = BilinearForm(L.dim, [dict(kappa.entries)])
+    got = xi_cocycle(cur, rebuilt, F, entries(identity(3)))
     want = xi_cocycle(cur, kappa, F, entries(identity(3)))
     assert got.components == want.components and got.value_parities == want.value_parities
-    mixed = BilinearForm(L.dim, [kappa.entries])
-    mixed.declared_parity = "mixed"
+    # su(2|1)'s kappa plus a supersymmetric even-odd pair is really mixed,
+    # and passes every check of eta and xi that comes before the parity
+    entry = build_catalog("su_pq", 2, 1)
+    K = entry.algebra
+    e, o = K.even_indices[0], K.odd_indices[0]
+    mixed = BilinearForm(K.dim, [{**entry.form.entries, (e, o): Fraction(1), (o, e): Fraction(1)}])
+    assert form_parity(K, mixed) == "mixed"
+    cur = current_lsa(grassmann(1), K)
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
-        xi_cocycle(cur, mixed, F, entries(identity(3)))
+        xi_cocycle(cur, mixed, F, {(i, i): Fraction(1) for i in range(K.dim)})
     with pytest.raises(CohomologyError, match="parity-homogeneous"):
         eta_cocycle(cur, mixed, [[Fraction(1), Fraction(0)]], {}, 0)
 
@@ -1378,7 +1379,7 @@ def per_element_split_by_star(L, kappa, space, sign):
         assert None not in action
         nb = len(basis)
         rows = [[action[c][r] - Fraction(sign) * Fraction(r == c) for c in range(nb)] for r in range(nb)]
-        for combo in dense_kernel(rows, nb):
+        for combo in fraction_kernel(rows, nb):
             M = zeros(L.dim, L.dim)
             for c, coef in enumerate(combo):
                 if coef:
@@ -1531,7 +1532,7 @@ def assert_map_matches_gram(L, B, G):
     F = B.entries
     assert list(F) == sorted(F) and all(type(x) is Fraction and x for x in F.values())
     assert_same_entries(_gram(F, L.dim), G)
-    assert B.declared_parity == dense_form_parity(L.parities, G)
+    assert form_parity(L, B) == dense_form_parity(L.parities, G)
 
 
 def assert_form_matches_gram(L, B, G):
@@ -1544,7 +1545,7 @@ def assert_form_matches_gram(L, B, G):
     assert rep["skew"] == (dense_skew_witness(L.parities, G) is None)
     assert rep["invariant"] == dense_invariant(L, [G])
     assert rep["parity"] == dense_form_parity(L.parities, G)
-    radical = Subspace(n, dense_kernel(transpose(G), n))  # x^T G = 0
+    radical = Subspace(n, fraction_kernel(transpose(G), n))  # x^T G = 0
     assert rep["radical"] == radical and rep["nondegenerate"] == (radical.dim == 0)
 
 
@@ -1558,7 +1559,6 @@ def test_form_maps_match_dense_oracles(spec):
     corner = zeros(n, n)
     corner[0][n - 1] = Fraction(1)
     corner_form = BilinearForm(n, [entries(corner)])
-    corner_form.declared_parity = form_parity(L, corner_form)
     forms = [(kappa, G), (build_form(L, "killing"), dense_killing_gram(L)), (corner_form, corner)]
     if L.realization is not None:
         forms.append((build_form(L, "supertrace"), dense_supertrace_gram(L)))

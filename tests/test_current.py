@@ -6,7 +6,7 @@ from conftest import apply, su2_cyclic
 from superlie.assoc import AssocSuperalgebra, grassmann
 from superlie.catalog import build_catalog
 from superlie.current import current_lsa, eps_projection
-from dense import dense, transpose
+from dense import dense, sparse_rows, transpose
 from superlie.linalg import _particular
 from superlie.lsa import structure_report
 
@@ -72,9 +72,9 @@ def test_eps_kernel_dimension():
     for s in (1, 2):
         cur = current_lsa(grassmann(s), su2_cyclic())
         P = eps_projection(cur)
-        from superlie.linalg import kernel
+        from superlie.linalg import sparse_kernel
 
-        ker = kernel(dense(P, 3, cur.dim), cur.dim)
+        ker = sparse_kernel(sparse_rows(dense(P, 3, cur.dim)), cur.dim)
         assert len(ker) == (2**s - 1) * 3
 
 

@@ -7,9 +7,9 @@ import pytest
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
 from superlie.cohomology import (
-    Cocycle2,
     CohomologyError,
     b2_space,
+    cocycle2,
     h2_dim,
     verify_cor1,
     z2_space,
@@ -61,11 +61,11 @@ def test_psu33_generic_h2():
 
 def test_z2_basis_survives_exhaustive_validation():
     # the solver works on sorted triples; re-validate every basis cocycle on
-    # the full unsorted triple set through the Cocycle2 constructor
+    # the full unsorted triple set through the cocycle2 constructor
     su21 = build_catalog("su_pq", 2, 1)
     cur = current_lsa(grassmann(1), su21.algebra)
     for omega in z2_space(cur.algebra):
-        Cocycle2(cur.algebra, omega.components, omega.value_parities, validate=True)
+        cocycle2(cur.algebra, omega.components, omega.value_parities)
 
 
 def test_kernel_theorem_s3_spot_check():

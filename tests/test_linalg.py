@@ -26,11 +26,10 @@ from superlie.linalg import (
     coordinates,
     definiteness,
     definiteness_with_witness,
-    kernel,
     sparse_kernel,
     symmetric_diagonalize,
 )
-from dense import combine, entries, identity, scale, shape, zeros
+from dense import combine, entries, identity, scale, shape, sparse_rows, zeros
 from tower import Scalar, from_dense, tower_seeds
 
 
@@ -128,7 +127,7 @@ def solve(A, b):
     the augmented rows [A | b] (None when inconsistent) and the kernel."""
     ncols = shape(A)[1]
     x = _particular((r + [bv] for r, bv in zip(A, b)), ncols)
-    return x, Subspace(ncols, kernel(A, ncols))
+    return x, Subspace(ncols, sparse_kernel(sparse_rows(A), ncols))
 
 
 def test_solve_identity():
@@ -534,7 +533,7 @@ def test_sparse_kernel_matches_dense():
             rows.append({c: v for c, v in row.items() if v})
         dense = [[rows[i].get(j, Fraction(0)) for j in range(n)] for i in range(m)]
         ker_sparse = sparse_kernel(rows, n)
-        ker_dense = kernel(dense, n)
+        ker_dense = fraction_kernel(dense, n)
         assert len(ker_sparse) == len(ker_dense)
         assert n - len(ker_sparse) == bareiss_rank(dense)
         # every sparse kernel vector solves all rows exactly
@@ -1088,7 +1087,7 @@ def test_int_rows_match_the_fraction_oracle():
     """Every read and solve of the int rows against the Fraction echelon,
     on random rational spans: add results, pivots, sparse and dense rows,
     reduce residuals with their key order, membership, ==, intersect,
-    coordinates, _particular and kernel."""
+    coordinates, _particular and the span of sparse_kernel."""
     rng = random.Random(43)
     for trial in range(80):
         entry = rational if trial % 2 == 0 else tower
@@ -1121,7 +1120,7 @@ def test_int_rows_match_the_fraction_oracle():
         got, want = S.intersect(Subspace(n, others)), O.intersect(FractionSubspace(n, others))
         assert got.pivots == want.pivots and got.sparse_rows == want.sparse_rows
         # solves: a kernel, an augmented system, coordinates in the rows
-        assert kernel(rows, n) == fraction_kernel(rows, n)
+        assert Subspace(n, sparse_kernel(vectors, n)) == Subspace(n, fraction_kernel(rows, n))
         assert _particular(augmented, n) == fraction_particular(augmented, n)
         basis = O.sparse_rows
         if basis:

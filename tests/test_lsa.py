@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import abelian, ad, apply, odd_heisenberg, odd_line
-from test_linalg import DenseEchelon
+from test_linalg import DenseEchelon, fraction_kernel
 from tower import sc, smatrix, tower_seeds
 from superlie.cohomology import _derivation_invariant, derivation_space, star
 from dense import dense, entries, identity, transpose
@@ -349,8 +349,6 @@ def test_form_invariance_matches_dense_sweep(spec):
 
 def dense_structure_report(L):
     """structure_report with dense rows: the derived span and the n^2 x n center system."""
-    from superlie.linalg import kernel
-
     n = L.dim
     derived_vecs = []
     for (i, j), val in L.brackets.items():
@@ -361,20 +359,20 @@ def dense_structure_report(L):
     for j in range(n):
         for k in range(n):
             stacked.append([L.bracket_basis(i, j).get(k, Fraction(0)) for i in range(n)])
-    center = Subspace(n, kernel(stacked, n))
+    center = Subspace(n, fraction_kernel(stacked, n))
     return {"derived_subalgebra": derived, "center": center, "is_perfect": derived.dim == n}
 
 
 def _report_cases():
     from superlie.catalog import build_catalog
-    from superlie.cohomology import Cocycle2, central_extension
+    from superlie.cohomology import central_extension, cocycle2
     from superlie.unirad import universal_extension
 
     for spec in [("su_n", 2), ("su_n", 3), ("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2), ("q_n", 3)]:
         yield build_catalog(*spec).algebra
     heis = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
-    yield central_extension(abelian(2), Cocycle2(abelian(2), [heis])).algebra
-    yield central_extension(abelian(3), Cocycle2(abelian(3), [{}])).algebra
+    yield central_extension(abelian(2), cocycle2(abelian(2), [heis]))
+    yield central_extension(abelian(3), cocycle2(abelian(3), [{}]))
     yield odd_heisenberg()
     yield odd_line()
     yield abelian(4, [0, 1, 0, 1])

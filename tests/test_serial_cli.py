@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import random
@@ -9,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from conftest import CATALOG_BUILDS, odd_heisenberg, su2_cyclic
+from superlie.assoc import grassmann
 from superlie.catalog import CATALOG_DIM_CAP, CatalogError, build_catalog, expected_dimension, verify_catalog_facts
-from superlie.cohomology import DimensionCapError
+from superlie.cohomology import DimensionCapError, verify_cor1
 from superlie.cli import main
 from superlie.linalg import SparseMatrix, _integral_part
 from superlie.scalars import format_scalar, parse_scalar
-from superlie.serial import SchemaError, algebra_from_json, algebra_to_json, sanitize, scalar_to_str
+from superlie.serial import SchemaError, algebra_from_json, algebra_to_json, dumps_canonical, sanitize, scalar_to_str
 from tower import Scalar, to_dense
 
 
@@ -27,6 +29,19 @@ def test_algebra_roundtrip_bit_exact():
         assert again.parities == L.parities
         assert again.brackets == L.brackets
         assert json.dumps(algebra_to_json(again), sort_keys=True) == text
+
+
+def test_drop_eta_certificate_prints_byte_for_byte():
+    """sanitize prints every BilinearForm as {"grams", "value_parities"}:
+    the verify_cor1 --drop-eta certificate of Lambda1 (x) pq(3) (defect 2)
+    prints the text it printed when 2-cocycles had a class of their own,
+    pinned by its SHA-256 (13,891 bytes)."""
+    entry = build_catalog("pq_n", 3)
+    rep = verify_cor1(grassmann(1), entry.algebra, entry.form, drop_eta=True)
+    text = dumps_canonical(rep["certificate"])
+    assert rep["defect"] == 2 and len(text) == 13891
+    assert sorted(json.loads(text)) == ["grams", "value_parities"] and json.loads(text)["value_parities"] == [0]
+    assert hashlib.sha256(text.encode()).hexdigest() == "59a8005855d247003c518f927c5772ce18b7a605ef205622bfcf39af6af0359b"
 
 
 def random_tower_matrix(rng, shape):
@@ -309,6 +324,9 @@ MALFORMED_ARGV = [
     ["validate", "$.brackets[0]", '{"names": ["a", "b"], "parities": [0, 0], "brackets": [5]}'],
     ["validate", "$.names", '{"names": "ab", "parities": [0, 0], "brackets": []}'],
     ["current", "--A", "grassmann:1", "--k", "catalog:nofam:2"],
+    # a catalog reference holds a family and at most one parameter field
+    ["current", "--A", "grassmann:1", "--k", "catalog:su_n:2:junk"],
+    ["current", "--A", "grassmann:1", "--k", "su_n:2:9"],
     ["cohomology", "h2", "--k", "catalog:su_n:2", "--max-dim", "0"],
     ["cohomology", "z2", "--k", "catalog:su_n:2", "--max-dim", "-1"],
     ["cohomology", "verify-cor1", "--A", "grassmann:1", "--k", "catalog:su_n:2", "--max-dim", "0"],
@@ -390,6 +408,9 @@ def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
         assert f" at {json_path}" in lines[0]
     if "catalog:nofam:2" in argv:
         assert "unknown catalog family 'nofam'" in lines[0] and "su_n" in lines[0]
+    for ref in ("catalog:su_n:2:junk", "su_n:2:9"):
+        if ref in argv:
+            assert repr(ref) in lines[0]
 
 
 def test_urad_pointed_decides_by_the_witness_without_a_search(monkeypatch, capsys):

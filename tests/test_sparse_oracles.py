@@ -24,7 +24,7 @@ from itertools import product
 import pytest
 
 from conftest import CATALOG_BUILDS, ROW_CASES, abelian, ad, derivation_sweep, su2_cyclic
-from test_linalg import DenseEchelon
+from test_linalg import DenseEchelon, fraction_kernel
 from test_term_groups import H2_SCALE_SYSTEMS
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog, build_su_pq
@@ -67,7 +67,6 @@ from superlie.linalg import (
     sparse_kernel,
     supertrace_pairing,
 )
-from superlie.linalg import kernel as dense_kernel
 from superlie.lsa import (
     BilinearForm,
     build_form,
@@ -670,7 +669,7 @@ def dense_split_by_star(L, kappa, space, sign):
         for s in (1, -1):
             groups = partial(_symmetry_groups, L.parities, s)
             sums = [[tot for _pair, tot in _group_sums(groups, pairs, F)] for F in maps]
-            kernels[s] = dense_kernel(zip(*sums), len(basis))
+            kernels[s] = fraction_kernel(list(zip(*sums)), len(basis))
         assert len(kernels[1]) + len(kernels[-1]) == len(basis)
         for combo in kernels[sign]:
             M = zeros(L.dim, L.dim)
@@ -758,27 +757,27 @@ def test_end_spaces_match_dense_oracles(catalog_entry):
 
 
 def z2_rows(L):
-    """(cocycle, oracle grams) for the z2_space basis: the dense gram of each
-    kernel vector."""
+    """(algebra, cocycle, oracle grams) for the z2_space basis: the dense
+    gram of each kernel vector."""
     cocycles = z2_space(L)
     pb = PairBasis(L)
-    return [(c, [dense_gram_of_vector(pb, vec)]) for c, vec in zip(cocycles, L._z2_kernel)]
+    return [(L, c, [dense_gram_of_vector(pb, vec)]) for c, vec in zip(cocycles, L._z2_kernel)]
 
 
 def cor1_rows(monkeypatch, A, entry, drop_eta):
-    """(cocycle, oracle grams) for every eta/xi cocycle verify_cor1 builds,
-    and for its certificate."""
+    """(algebra, cocycle, oracle grams) for every eta/xi cocycle verify_cor1
+    builds, and for its certificate."""
     out, certified = [], []
     eta, xi, to_gram = cohomology.eta_cocycle, cohomology.xi_cocycle, PairBasis.gram_of_vector
 
     def eta_rec(cur, kappa, f_rows, D, dp):
         c = eta(cur, kappa, f_rows, D, dp)
-        out.append((c, dense_eta_grams(cur, kappa, f_rows, dense(D, cur.K.dim))))
+        out.append((cur.algebra, c, dense_eta_grams(cur, kappa, f_rows, dense(D, cur.K.dim))))
         return c
 
     def xi_rec(cur, kappa, F_list, S):
         c = xi(cur, kappa, F_list, S)
-        out.append((c, dense_xi_grams(cur, kappa, F_list, dense(S, cur.K.dim))))
+        out.append((cur.algebra, c, dense_xi_grams(cur, kappa, F_list, dense(S, cur.K.dim))))
         return c
 
     def to_gram_rec(pb, vec):
@@ -791,7 +790,7 @@ def cor1_rows(monkeypatch, A, entry, drop_eta):
     rep = verify_cor1(A, entry.algebra, entry.form, drop_eta=drop_eta)
     monkeypatch.undo()
     if rep["certificate"] is not None:
-        out.append((rep["certificate"], certified[-1:]))
+        out.append((current_lsa(A, entry.algebra).algebra, rep["certificate"], certified[-1:]))
     return out
 
 
@@ -802,7 +801,8 @@ def inner_eta_rows(A, entry):
     out = []
     for i in range(entry.algebra.dim):
         D = ad(entry.algebra, i)
-        out.append((eta_cocycle(cur, entry.form, f_rows, entries(D), 0), dense_eta_grams(cur, entry.form, f_rows, D)))
+        out.append((cur.algebra, eta_cocycle(cur, entry.form, f_rows, entries(D), 0),
+                    dense_eta_grams(cur, entry.form, f_rows, D)))
     return out
 
 
@@ -820,8 +820,8 @@ COCHAIN_CASES = {
 def test_cochains_match_dense_grams(case, monkeypatch):
     rows = COCHAIN_CASES[case](monkeypatch)
     assert rows
-    for c, want in rows:
-        pb = PairBasis(c.carrier)
+    for L, c, want in rows:
+        pb = PairBasis(L)
         grams = c.grams
         assert len(grams) == len(want) == c.value_dim
         for G, W, F in zip(grams, want, c.components):

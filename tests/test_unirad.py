@@ -372,7 +372,7 @@ def test_kernel_theorem_all_families(su21, psu22, pq3):
             assert rep["meets_one_k_only_in_m"]
 
 
-def test_extend_current_validates_each_cocycle_once(psu22, monkeypatch, unswept_cocycles):
+def test_extend_current_validates_each_cocycle_once(psu22, monkeypatch):
     # eta_cocycle/xi_cocycle validate each component as they build it; the
     # extension by the assembled omega does not validate it again
     from superlie import cohomology
@@ -464,6 +464,6 @@ def test_random_even_hochschild_matches_dense_loop(s):
     for seed, value_dim in ((0, 1), (7, 2), (123, 3)):
         got = _random_even_hochschild(A, value_dim, seed)
         want = dense_random_even_hochschild(A, value_dim, seed)
-        assert [F.parity for F in got] == [0] * value_dim
+        assert [F.value_parities for F in got] == [(0,)] * value_dim
         assert [F.gram.rows for F in got] == want
         assert {type(x) for F in got for r in F.gram.rows for x in r} == {Fraction}
