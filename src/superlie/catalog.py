@@ -602,11 +602,10 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
         out["D_vanishes_on_even"] = all(L.parities[b] for _a, b in D)
         kd_map = _kappa_map(D, entry.form.entries)
         out["D_kappa_skew"] = _symmetry_witness(L.parities, -1, kd_map) is None
-        omega = cocycle2(L, [kd_map])
-        out["kappa_D_not_coboundary"] = not is_coboundary(L, omega)
+        kd = cocycle2(L, [kd_map])
+        out["kappa_D_not_coboundary"] = not is_coboundary(L, kd)
         if entry.family == "pq_n":
             odd = Subspace(L.dim, ({i: 1} for i in L.odd_indices))
-            kd = BilinearForm(L.dim, [kd_map])
             verdict = _restricted_definiteness(kd, odd)
             verdict_neg = _restricted_definiteness(kd, odd, -1)
             out["kappa_D_definite_on_odd"] = (

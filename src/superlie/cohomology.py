@@ -693,9 +693,8 @@ def central_extension(
 
     Graded Jacobi on the extension is graded Jacobi on L plus the cocycle
     identity of omega, and its antisymmetry is omega's super-skewness.  So
-    the value parities of omega and the checks of cocycle2 on L replace a
-    sweep of the extension; a bad omega raises CohomologyError naming its
-    witness.
+    the value parities of omega and cocycle2's checks on L replace a sweep
+    of the extension; a bad omega raises CohomologyError naming its witness.
     """
     return _central_extension(L, omega, m_names, validated=False)
 

@@ -4,7 +4,8 @@ Numbers travel as canonical strings (scalars.format_scalar: "p/q", "p/q*i",
 "p/q*sqrt(d)" and sums): a Fraction directly, a tower matrix from the parts
 of its SparseMatrix.  Algebra files are {"names", "parities", "brackets"}
 with one entry per pair i <= j, and their structure constants are rational.
-Round-trips are bit-exact.
+Round-trips are bit-exact.  sanitize prints every lsa.BilinearForm (a form,
+a 2-cocycle, a Hochschild map) as {"grams", "value_parities"}.
 """
 
 from __future__ import annotations
