@@ -360,7 +360,7 @@ H2_SCALE_CASES = {
 
 
 @pytest.mark.parametrize("case", H2_SCALE_CASES)
-def test_cocycle_system_solved_once_per_algebra_and_refused_past_max_dim(case, monkeypatch):
+def test_cocycle_system_solved_once_per_algebra_beyond_the_cap(case, monkeypatch):
     import superlie.cohomology
 
     spec, s, (dim_z2, dim_b2, h2) = H2_SCALE_CASES[case]
