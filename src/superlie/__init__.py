@@ -9,7 +9,7 @@ that the Clifford models need; every reported identity is checked exactly.
 """
 
 from .assoc import AssocSuperalgebra, augmentation, graded_part, grassmann, quotient_assoc
-from .catalog import CatalogEntry, build_catalog, special_elements, verify_catalog_facts
+from .catalog import CatalogEntry, build_catalog, verify_catalog_facts
 from .clifford import (
     CliffordAlgebra,
     CliffordLieSuperalgebra,
@@ -54,8 +54,8 @@ from .scalars import format_scalar, parse_scalar
 from .serial import algebra_from_json, algebra_to_json, load_algebra
 from .unirad import (
     PointednessCertificate,
+    decide_pointedness,
     faithfulness_boundary,
-    find_certificate,
     pointedness_certificate,
     square_zero_seeds,
     urad_lower,
@@ -65,7 +65,7 @@ from .unirad import (
 
 __all__ = [
     "AssocSuperalgebra", "augmentation", "graded_part", "grassmann", "quotient_assoc",
-    "CatalogEntry", "build_catalog", "special_elements", "verify_catalog_facts",
+    "CatalogEntry", "build_catalog", "verify_catalog_facts",
     "CliffordAlgebra", "CliffordLieSuperalgebra", "CliffordRep", "clifford_lie",
     "gamma_rep", "lambda_admissible_rep", "mu_lambda", "phase_adjust",
     "b2_space", "central_extension", "centroid", "cocycle2", "derivation_space",
@@ -77,7 +77,7 @@ __all__ = [
     "from_matrix_basis", "ideal_closure", "make_lsa", "quotient_lsa", "structure_report",
     "format_scalar", "parse_scalar",
     "algebra_from_json", "algebra_to_json", "load_algebra",
-    "PointednessCertificate", "faithfulness_boundary", "find_certificate",
+    "PointednessCertificate", "decide_pointedness", "faithfulness_boundary",
     "pointedness_certificate", "square_zero_seeds", "urad_lower",
     "verify_kernel_theorem", "verify_urad_theorem",
 ]

@@ -201,7 +201,6 @@ def build_su_pq(p: int, q: int, _allow_equal: bool = False) -> CatalogEntry:
     # z_* = odd x-basis at block position (1,1); kappa(z_*, z_*) = 0
     z_star = algebra.basis_vector(odd_slot[("x", 0, 0)])
     specials["z_star"] = z_star
-    specials["center_vector"] = algebra.basis_vector(comp["center"][0])
     # X_j elements (p = q case): sum of squares lands in i R 1
     if p == q:
         specials["X"] = [algebra.basis_vector(odd_slot[("x", j, j)]) for j in range(p)]
@@ -357,9 +356,7 @@ def build_c_n(n: int) -> CatalogEntry:
     form = build_form(algebra, "supertrace")
     dim = algebra.dim
     components = {k: _range_subspace(dim, comp_ranges[k]) for k in ("R", "sp")}
-    # isotropic even element r + x2 with kappa(r,r) = -kappa(x2,x2)
-    specials = {"center_vector": algebra.basis_vector(0)}
-    return CatalogEntry("c_n", (n,), algebra, form, specials=specials, components=components)
+    return CatalogEntry("c_n", (n,), algebra, form, components=components)
 
 
 # -- q(n) and pq(n) ------------------------------------------------------------------
@@ -446,34 +443,7 @@ def build_pq_n(n: int) -> CatalogEntry:
         part: Subspace(entry.algebra.dim, [lift(r) for r in pre.components[part].rows])
         for part in ("a_part", "b_part")
     }
-    # Y_j witnesses: b_j = i(B_j - B_{j+1}) cyclically
-    L = pre.algebra
-    Y = []
-    for j in range(n):
-        vec = [Fraction(0)] * L.dim
-        b = [Fraction(0)] * n
-        b[j] = Fraction(1)
-        b[(j + 1) % n] = Fraction(-1)
-        # i(B_j - B_{j+1}) expanded in the b-part diagonal basis h_r = i(E_rr - E_{r+1,r+1})
-        coeffs = _traceless_diag_coords(b)
-        for r, c in enumerate(coeffs):
-            if c:
-                vec[L.names.index(f"b.h{r + 1}")] = c
-        Y.append(lift(vec))
-    entry.specials = {"Y": Y}
     return entry
-
-
-def _traceless_diag_coords(diag: list[Fraction]) -> list[Fraction]:
-    """Coordinates of a traceless diagonal in the h_r = E_rr - E_{r+1,r+1} basis."""
-    n = len(diag)
-    assert sum(diag) == 0
-    coeffs = []
-    run = Fraction(0)
-    for r in range(n - 1):
-        run += diag[r]
-        coeffs.append(run)
-    return coeffs
 
 
 # -- public entry point ---------------------------------------------------------
@@ -526,16 +496,6 @@ def expected_dimension(family: str, *params: int) -> int:
         (n,) = params
         return 2 * (n * n - 1)
     raise CatalogError(f"unknown family {family!r}")
-
-
-_SPECIAL_FAMILIES = ("su_pq", "psu_pp", "pq_n")
-
-
-def special_elements(entry: CatalogEntry) -> dict:
-    """Named special element map; raises for families without the element set."""
-    if entry.family not in _SPECIAL_FAMILIES:
-        raise CatalogError(f"family {entry.family} carries no special elements")
-    return dict(entry.specials)
 
 
 # -- machine-checked facts --------------------------------------------------------

@@ -37,9 +37,8 @@ from .serial import (
 )
 from .unirad import (
     UniradError,
+    decide_pointedness,
     faithfulness_boundary,
-    find_certificate,
-    nonpointedness_witness,
     verify_kernel_theorem,
     verify_urad_theorem,
 )
@@ -228,21 +227,14 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_urad(args) -> int:
-    if args.height < 1:
-        raise UsageError(f"urad needs --height >= 1, got {args.height}")
-    if args.tries < 0:
-        raise UsageError(f"urad needs --tries >= 0, got {args.tries}")
     entry, K = _load_k(args.k)
     if args.action == "pointed":
-        # a witness decides the verdict: no certificate can exist beside it
-        witness = nonpointedness_witness(entry) if entry is not None else None
-        if witness is not None:
-            report = {"verdict": "non-pointed", "witness": witness}
-        else:
-            status, cert = find_certificate(K, seed=args.seed, tries=args.tries, height=args.height)
-            report = {"verdict": status}
-            if cert is not None:
-                report["certificate"] = {"lambda": cert.lam, "gram": cert.gram}
+        status, data = decide_pointedness(K)
+        report = {"verdict": status}
+        if status == "pointed":
+            report["certificate"] = {"lambda": data.lam, "gram": data.gram}
+        elif status == "non-pointed":
+            report["witness"] = data
         _emit(report, args.out)
         return EXIT_OK
     if entry is None:
@@ -472,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--hochschild", default="random", choices=["random", "zero"])
     p.add_argument("--value-dim", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="random seed for verify and pointed only")
-    p.add_argument("--tries", type=int, default=60)
-    p.add_argument("--height", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0, help="random seed for verify only; pointed accepts and ignores it")
     p.add_argument("--out")
     p.set_defaults(func=cmd_urad)
 

@@ -1,16 +1,22 @@
 """Cones of squares and unitary radicals, certificate style.
 
-The cone is never materialized: pointedness comes from a positive definite
-Gram certificate, non-pointedness from explicit vanishing square sums, and
-the unitary radical is lower-bounded by saturating verified square-zero
-seeds inside central extensions of current algebras.
+The cone spanned by the [x, x], x odd, is never materialized:
+decide_pointedness reads its verdict off the algebra alone, "pointed" from
+a positive definite Gram certificate of a centre functional of the even
+part, "non-pointed" from odd vectors whose squares sum to zero exactly,
+built from an invariant positive definite form on the odd part, and
+"unknown" when neither applies.  The unitary radical is lower-bounded by
+saturating verified square-zero seeds inside central extensions of current
+algebras.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
+from math import isqrt
 from typing import Sequence
 
 from .assoc import AssocSuperalgebra, grassmann
@@ -26,7 +32,7 @@ from .cohomology import (
     xi_cocycle,
 )
 from .current import Current, current_lsa
-from .identities import _integral_view
+from .identities import _integral_view, _invariance_groups
 from .linalg import (
     Subspace,
     _as_sparse,
@@ -34,9 +40,12 @@ from .linalg import (
     _dense,
     _first_escape,
     _gram,
+    _identity_rows,
     _table_product,
     coordinates,
     definiteness_with_witness,
+    sparse_kernel,
+    symmetric_diagonalize,
 )
 from .lsa import (
     BilinearForm,
@@ -72,20 +81,16 @@ class PointednessCertificate:
 
 
 def pointedness_certificate(L: LieSuperalgebra, lam: Sequence) -> PointednessCertificate:
-    """Exact test of lam([x,x]) > 0 for all odd x != 0 via the square Gram."""
+    """Exact test of lam([x,x]) > 0 for all odd x != 0 via the square Gram
+    (an empty Gram, with no odd part, is positive definite)."""
     odd = L.odd_indices
-    for i in odd:
-        if lam[i]:
-            raise UniradError("lambda must vanish on odd coordinates")
+    if any(lam[i] for i in odd):
+        raise UniradError("lambda must vanish on odd coordinates")
     F = odd_square_gram(L, lam)
-    gram = _gram(F, len(odd))
-    if not odd:
-        return PointednessCertificate(list(lam), gram, True, None, odd)
     verdict, data = definiteness_with_witness(F, len(odd))
-    if verdict == "positive_definite":
-        return PointednessCertificate(list(lam), gram, True, None, odd)
-    witness = data if verdict == "indefinite_or_negative" else (data[0] if data else None)
-    return PointednessCertificate(list(lam), gram, False, witness, odd)
+    valid = verdict == "positive_definite"
+    witness = None if valid else data if verdict == "indefinite_or_negative" else data[0]
+    return PointednessCertificate(list(lam), _gram(F, len(odd)), valid, witness, odd)
 
 
 def even_center_projections(L: LieSuperalgebra) -> list[list]:
@@ -121,45 +126,89 @@ def even_center_projections(L: LieSuperalgebra) -> list[list]:
     return out
 
 
-def find_certificate(L: LieSuperalgebra, seed: int = 0, tries: int = 60, height: int = 8):
-    """Search for a pointedness certificate: first +-lambda for each
-    projection onto the centre of the even part, then `tries` random lambda.
-
-    Returns (status, certificate): status "pointed" with a valid certificate,
-    or "unknown" with None.  Absence of a certificate proves nothing.
-    """
+def decide_pointedness(L: LieSuperalgebra):
+    """(verdict, data) for the cone of the [x, x], x odd, from the algebra
+    alone, by the first rule that applies: no odd part, "pointed" with
+    lambda = 0; +-lambda for each centre projection of the even part, in
+    order, "pointed" with the first valid certificate; "non-pointed" with
+    the vectors of _vanishing_squares; else "unknown" with None."""
     if not L.odd_indices:
-        lam = [Fraction(0)] * L.dim
-        return "pointed", pointedness_certificate(L, lam)
+        return "pointed", pointedness_certificate(L, [Fraction(0)] * L.dim)
     for lam in even_center_projections(L):
         for sign in (1, -1):
             cert = pointedness_certificate(L, [sign * x for x in lam])
             if cert.valid:
                 return "pointed", cert
-    rng = random.Random(seed)
-    for _ in range(tries):
-        lam = [Fraction(0)] * L.dim
-        for i in L.even_indices:
-            lam[i] = Fraction(rng.randint(-height, height), rng.randint(1, height))
-        cert = pointedness_certificate(L, lam)
-        if cert.valid:
-            return "pointed", cert
-    return "unknown", None
+    witness = _vanishing_squares(L)
+    return ("unknown", None) if witness is None else ("non-pointed", witness)
 
 
-def nonpointedness_witness(entry: CatalogEntry):
-    """Odd x_1, ..., x_k, not all zero, with sum of [x_j, x_j] exactly zero."""
-    key = {"psu_pp": "X", "pq_n": "Y"}.get(entry.family)
-    if key is None or key not in entry.specials:
-        return None
-    vecs = entry.specials[key]
-    L = entry.algebra
+def _invariant_odd_forms(L: LieSuperalgebra) -> list[dict]:
+    """Basis of the ad(L_0)-invariant symmetric forms G on L_1, each a sparse
+    map {(s, t): G[s][t]} on the positions s, t in L.odd_indices: the
+    invariance identity omega([a, x], b) = omega(a, [x, b]) on the triples
+    (odd a, even x, odd b), with one unknown per unordered odd pair."""
+    odd = L.odd_indices
+    cols: list[list] = [[None] * L.dim for _ in range(L.dim)]
+    pairs = [(s, t) for s in range(len(odd)) for t in range(s, len(odd))]
+    for u, (s, t) in enumerate(pairs):
+        cols[odd[s]][odd[t]] = cols[odd[t]][odd[s]] = (u, False)
+    triples = ((a, x, b) for a in odd for x in L.even_indices for b in odd)
+    rows = _identity_rows(partial(_invariance_groups, L._table_index()), triples, cols)
+    forms = [{pairs[u]: c for u, c in vec.items()} for vec in sparse_kernel(rows, len(pairs))]
+    return [{**G, **{(t, s): c for (s, t), c in G.items()}} for G in forms]
+
+
+def _four_squares(q: Fraction) -> list[Fraction]:
+    """At most four nonzero rationals whose squares sum to q > 0: q = sum
+    (x / den(q))^2 over m = num(q) den(q) = a^2 + b^2 + c^2 + d^2, found by
+    a descending search (one exists, by Lagrange's theorem)."""
+    if not q > 0:
+        raise UniradError(f"a sum of squares is positive, got {q}")
+    m, p = q.numerator * q.denominator, q.denominator
+    for a in range(isqrt(m), 0, -1):
+        for b in range(min(a, isqrt(m - a * a)), -1, -1):
+            s = m - a * a - b * b
+            for c in range(min(b, isqrt(s)), -1, -1):
+                d = isqrt(s - c * c)
+                if d * d == s - c * c and d <= c:
+                    return [Fraction(x, p) for x in (a, b, c, d) if x]
+
+
+def _vanishing_sum(L: LieSuperalgebra, weighted) -> bool:
+    """Whether the [v, v] / d over the pairs (v, d), v sparse odd, are not
+    all 0 and sum to 0."""
+    squares = [(_table_product(L.brackets, v, v), d) for v, d in weighted]
     total: dict = {}
-    for v in map(_as_sparse, vecs):
-        _axpy(total, _table_product(L.brackets, v, v), -1)
-    if total or not any(any(v) for v in vecs):
-        raise UniradError("catalog witness fails its defining identity")
-    return vecs
+    for sq, d in squares:
+        _axpy(total, sq, -1 / Fraction(d))
+    return not total and any(sq for sq, _d in squares)
+
+
+def _vanishing_squares(L: LieSuperalgebra) -> list[list] | None:
+    """Take the first +-G, G in the basis of _invariant_odd_forms, that is
+    positive definite, with G-orthogonal b_j and G(b_j, b_j) = d_j.  If c =
+    sum_j [b_j, b_j] / d_j is 0 and some [b_j, b_j] is not, the cone holds
+    a line, and each lambda sums to lambda(c) = 0 over the lambda([b_j,
+    b_j]) / d_j: the dense odd q b_j, q over _four_squares(1 / d_j), whose
+    unweighted squares sum to c, are returned after an exact check of both
+    facts on them (UniradError if it fails).  None otherwise."""
+    odd = L.odd_indices
+    for G in _invariant_odd_forms(L):
+        for sign in (1, -1):
+            pairs, radical, negative = symmetric_diagonalize({k: sign * x for k, x in G.items()}, len(odd))
+            if negative is None and not radical:
+                break
+        else:
+            continue
+        basis = [({odd[s]: x for s, x in enumerate(b) if x}, d) for b, d in pairs]
+        if not _vanishing_sum(L, basis):
+            return None
+        vecs = [({i: q * x for i, x in b.items()}, 1) for b, d in basis for q in _four_squares(1 / d)]
+        if not _vanishing_sum(L, vecs):
+            raise UniradError("the non-pointedness witness fails its defining identity")
+        return [_dense(v, L.dim) for v, _one in vecs]
+    return None
 
 
 # -- central extensions of currents with recorded cocycle data -------------------

@@ -31,7 +31,7 @@ from pathlib import Path
 from superlie.cli import main
 
 sys.path.insert(0, str(Path(__file__).parents[1]))
-from test_serial_cli import DIRECTORY, MALFORMED_ARGV  # noqa: E402
+from test_serial_cli import DIRECTORY, MALFORMED_ARGV, SPLIT_GL11  # noqa: E402
 
 CORPUS = Path(__file__).with_name("corpus.json")
 PLACEHOLDER = "{DIR}"
@@ -59,6 +59,8 @@ FILE_COMMANDS = [
     ("validate {DIR}/su2.json", {"su2.json": json.dumps(SU2)}),
     ("validate {DIR}/not_jacobi.json", {"not_jacobi.json": json.dumps(NOT_JACOBI)}),
     ("report all --params {DIR}/sweep.json", {"sweep.json": json.dumps(SWEEP)}),
+    # no rule of decide_pointedness applies to split gl(1|1)
+    ("urad pointed --k {DIR}/gl11.json", {"gl11.json": json.dumps(SPLIT_GL11)}),
 ]
 
 COMMANDS = [
@@ -94,6 +96,7 @@ COMMANDS = [
     "urad faithful --k catalog:su_n:2 --s 3",
     "urad pointed --k catalog:su_pq:2,1",
     "urad pointed --k catalog:psu_pp:2",
+    "urad pointed --k catalog:pq_n:3",
     "catalog build su_n --n 2 --facts",
     "catalog build su_n --n 3 --facts",
     "catalog build su_pq --p 2 --q 1 --facts",

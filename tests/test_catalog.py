@@ -7,7 +7,6 @@ from dense import sparse_rows
 from superlie.catalog import (
     CatalogError,
     build_catalog,
-    special_elements,
     verify_catalog_facts,
 )
 from superlie.cohomology import (
@@ -20,6 +19,7 @@ from superlie.cohomology import (
 )
 from superlie.linalg import Subspace, _gram, sparse_kernel
 from superlie.lsa import form_report
+from superlie.unirad import decide_pointedness
 from tower import Scalar
 
 
@@ -159,8 +159,7 @@ def test_pq_form_is_odd(pq3):
 
 def test_f_use_identities_psu22(psu22):
     L, kappa = psu22.algebra, psu22.form
-    sp = special_elements(psu22)
-    x, y = sp["x_star"], sp["y_star"]
+    x, y = psu22.specials["x_star"], psu22.specials["y_star"]
     assert kappa.eval(x, y)[0] == 0
     D = _gram(psu22.outer_derivation[0], L.dim).rows
     assert kappa.eval(apply(D, x), y)[0] == 0
@@ -213,9 +212,12 @@ def test_sum_of_squares_in_su_nn_center(psu22):
 
 
 def test_sum_of_squares_pq3_vanishes(pq3):
+    # the witness decide_pointedness reads off pq(3)'s invariant odd form
     L = pq3.algebra
+    status, witness = decide_pointedness(L)
+    assert status == "non-pointed" and len(witness) == 17
     total = [Fraction(0)] * L.dim
-    for Y in pq3.specials["Y"]:
+    for Y in witness:
         assert any(Y)
         total = [a + b for a, b in zip(total, L.bracket(Y, Y))]
     assert not any(total)
@@ -297,9 +299,3 @@ def test_outer_derivation_descends_and_is_outer(psu22, pq3):
             assert not any(x for (_a, b), x in D.items() if b == i)
         omega = cocycle2(L, [kappa_T(L, entry.form, D).entries])
         assert not is_coboundary(L, omega)
-
-
-def test_special_elements_require_family():
-    entry = build_catalog("q_n", 3)
-    with pytest.raises(CatalogError):
-        special_elements(entry)

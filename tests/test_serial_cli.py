@@ -263,14 +263,36 @@ def test_cli_urad_even_route_and_faithful(capsys):
     assert out["mode"] == "witness"
 
 
+# split gl(1|1): [E, x] = x, [E, y] = -y, [x, y] = Z.  Its even part is
+# abelian and every invariant symmetric form on {x, y} pairs x with y, so no
+# rule of decide_pointedness applies
+SPLIT_GL11 = {"names": ["E", "Z", "x", "y"], "parities": [0, 0, 1, 1], "brackets": [
+    {"i": 0, "j": 2, "value": ["0", "0", "1", "0"]},
+    {"i": 0, "j": 3, "value": ["0", "0", "0", "-1"]},
+    {"i": 2, "j": 3, "value": ["0", "1", "0", "0"]},
+]}
+
+
 def test_cli_pointed_from_file_reports_unknown(tmp_path, capsys):
-    # a bare algebra file has no catalog witness data: honest "unknown"
-    main(["catalog", "build", "psu_pp", "--p", "2", "--out", str(tmp_path / "psu.json")])
-    capsys.readouterr()
-    code = main(["urad", "pointed", "--k", str(tmp_path / "psu.json"), "--tries", "10"])
+    # no rule decides split gl(1|1): honest "unknown"
+    (tmp_path / "gl11.json").write_text(json.dumps(SPLIT_GL11))
+    code = main(["urad", "pointed", "--k", str(tmp_path / "gl11.json")])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["verdict"] == "unknown"
+    assert out == {"verdict": "unknown"}
+
+
+def test_cli_pointed_from_file_reads_the_algebra_alone(tmp_path, capsys):
+    # a bare psu(2|2) file carries no catalog data, and is decided as the
+    # catalog reference is, byte for byte
+    main(["catalog", "build", "psu_pp", "--p", "2", "--out", str(tmp_path / "psu.json")])
+    capsys.readouterr()
+    assert main(["urad", "pointed", "--k", str(tmp_path / "psu.json")]) == 0
+    text = capsys.readouterr().out
+    out = json.loads(text)
+    assert out["verdict"] == "non-pointed" and len(out["witness"]) == 8
+    assert main(["urad", "pointed", "--k", "catalog:psu_pp:2"]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_cli_catalog_deterministic(capsys):
@@ -345,9 +367,9 @@ MALFORMED_ARGV = [
     ["cohomology", "z2", "--k", "catalog:su_n:2", "--out", DIRECTORY],
     # refused by the 2-cocycle dimension cap (dim 384 > 192) before any solve
     ["cohomology", "h2", "--A", "grassmann:7", "--k", "catalog:su_n:2"],
-    # the random certificate search draws denominators from 1..height
-    ["urad", "pointed", "--k", "catalog:psu_pp:2", "--height", "0"],
-    ["urad", "pointed", "--k", "catalog:su_n:2", "--tries", "-3"],
+    # a catalog reference below the family's bound, refused before any rule
+    ["urad", "pointed", "--k", "catalog:psu_pp:1"],
+    ["urad", "pointed", "--k", "catalog:pq_n:2"],
     # one generator past the gamma cap (16): refused before any gamma is built
     ["clifford", "gamma", "--mu", ",".join(["1"] * 17)],
     # structure constants are rational, and each pair is given once
@@ -414,16 +436,22 @@ def test_cli_malformed_input_is_usage_error(capsys, tmp_path, argv):
 
 
 def test_urad_pointed_decides_by_the_witness_without_a_search(monkeypatch, capsys):
-    # no certificate can exist beside a witness, so no search runs
-    import superlie.cli
+    # the verdict is read off the algebra: no random draw is made, and
+    # --seed is accepted and changes nothing
+    import superlie.unirad
 
-    def fail(*_args, **_kwargs):
-        raise AssertionError("searched for a certificate beside a witness")
+    class NoRandom:
+        def __init__(self, *_args, **_kwargs):
+            raise AssertionError("a random draw in urad pointed")
 
-    monkeypatch.setattr(superlie.cli, "find_certificate", fail)
+    monkeypatch.setattr(superlie.unirad.random, "Random", NoRandom)
     for k in ("catalog:psu_pp:2", "catalog:pq_n:3"):
-        assert main(["urad", "pointed", "--k", k, "--tries", "100000000"]) == 0
-        out = json.loads(capsys.readouterr().out)
+        texts = set()
+        for seed in ("0", "7"):
+            assert main(["urad", "pointed", "--k", k, "--seed", seed]) == 0
+            texts.add(capsys.readouterr().out)
+        (text,) = texts
+        out = json.loads(text)
         assert set(out) == {"verdict", "witness"} and out["verdict"] == "non-pointed" and out["witness"]
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian
-from test_linalg import assert_is_intersection
+from conftest import CATALOG_BUILDS, abelian
+from test_linalg import assert_is_intersection, fraction_kernel
 from superlie.assoc import grassmann
 from tower import Scalar
 from superlie.catalog import build_catalog
@@ -12,15 +12,18 @@ from superlie.current import current_lsa
 from dense import entries, identity
 from superlie.linalg import Subspace, _as_sparse, _dense, _table_product
 from superlie.cohomology import hochschild_space
+from superlie import unirad
 from superlie.unirad import (
     UniradError,
+    _four_squares,
+    _invariant_odd_forms,
     _random_even_hochschild,
+    _vanishing_squares,
+    decide_pointedness,
     even_center_projections,
     extend_current,
     faithfulness_boundary,
-    find_certificate,
     isotropic_even_list,
-    nonpointedness_witness,
     pointedness_certificate,
     square_zero_seeds,
     universal_extension,
@@ -80,46 +83,179 @@ def test_lambda_must_vanish_on_odd(su21):
 
 
 def test_purely_even_trivially_pointed(su2):
-    status, cert = find_certificate(su2.algebra)
+    status, cert = decide_pointedness(su2.algebra)
     assert status == "pointed" and cert.valid
     assert cert.gram.rows == []
 
 
 def test_find_certificate_su31():
     e = build_catalog("su_pq", 3, 1)
-    status, cert = find_certificate(e.algebra)
+    status, cert = decide_pointedness(e.algebra)
     assert status == "pointed" and cert.valid
-    # found among +-lambda for the centre projections, before any random lambda
+    # found among +-lambda for the centre projections
     assert any(cert.lam in (lam, [-x for x in lam]) for lam in even_center_projections(e.algebra))
 
 
 def test_find_certificate_c2():
     e = build_catalog("c_n", 2)
-    status, cert = find_certificate(e.algebra)
+    status, cert = decide_pointedness(e.algebra)
     assert status == "pointed" and cert.valid
 
 
+def assert_vanishing_squares(L, witness):
+    """Nonzero odd vectors whose unweighted squares sum to 0 exactly."""
+    total = [Fraction(0)] * L.dim
+    for v in witness:
+        assert any(v) and all(not c or L.parities[k] for k, c in enumerate(v))
+        total = [a + b for a, b in zip(total, L.bracket(v, v))]
+    assert witness and not any(total)
+
+
 def test_psu22_and_pq3_unknown_with_witness(psu22, pq3):
+    # no centre functional exists, so the invariant odd form decides
     for entry in (psu22, pq3):
-        status, cert = find_certificate(entry.algebra, tries=25)
-        assert status == "unknown" and cert is None
-        witness = nonpointedness_witness(entry)
-        assert witness is not None
         L = entry.algebra
-        total = [Fraction(0)] * L.dim
-        for v in witness:
-            assert all(not c or L.parities[k] for k, c in enumerate(v))
-            total = [a + b for a, b in zip(total, L.bracket(v, v))]
-        assert not any(total)
+        assert even_center_projections(L) == []
+        status, witness = decide_pointedness(L)
+        assert status == "non-pointed"
+        assert_vanishing_squares(L, witness)
+    # psu(2|2): a basis form is the identity on the odd basis (every
+    # weight 1), so the witness is the odd basis itself
+    L = psu22.algebra
+    assert sorted(decide_pointedness(L)[1]) == sorted(L.basis_vector(i) for i in L.odd_indices)
+    # pq(3): -G has seven weights 1/2 and one 2/3, two and three squares
+    L = pq3.algebra
+    (G,) = _invariant_odd_forms(L)
+    pairs, _radical, _neg = unirad.symmetric_diagonalize({k: -x for k, x in G.items()}, len(L.odd_indices))
+    assert sorted(1 / d for _b, d in pairs) == [Fraction(1, 2)] * 7 + [Fraction(2, 3)]
+    assert len(decide_pointedness(L)[1]) == 7 * 2 + 3
 
 
-def test_certificate_and_witness_mutually_exclusive():
-    # valid certificate families carry no witness; witness families none valid
+def test_certificate_and_witness_mutually_exclusive(psu22, pq3):
+    # the pointed families give no witness; the non-pointed ones no valid
+    # certificate on any +-lambda tried, here each even coordinate
     for fam, params in [("su_pq", (2, 1)), ("c_n", (2,))]:
-        entry = build_catalog(fam, *params)
-        assert nonpointedness_witness(entry) is None
-        status, _ = find_certificate(entry.algebra)
-        assert status == "pointed"
+        L = build_catalog(fam, *params).algebra
+        assert decide_pointedness(L)[0] == "pointed"
+        assert _vanishing_squares(L) is None
+    for entry in (psu22, pq3):
+        L = entry.algebra
+        for i in L.even_indices:
+            lam = [Fraction(0)] * L.dim
+            lam[i] = Fraction(1)
+            assert not any(pointedness_certificate(L, [s * x for x in lam]).valid for s in (1, -1))
+
+
+@pytest.mark.parametrize("spec", CATALOG_BUILDS + (("psu_pp", 4), ("pq_n", 4), ("pq_n", 5)),
+                         ids=lambda spec: "_".join(map(str, spec)))
+def test_decide_pointedness_on_the_catalog(spec):
+    # psu(p|p) and pq(n) are non-pointed, every other build pointed; no
+    # build is left unknown
+    L = build_catalog(*spec).algebra
+    status, data = decide_pointedness(L)
+    if spec[0] in ("psu_pp", "pq_n"):
+        assert status == "non-pointed"
+        assert_vanishing_squares(L, data)
+    else:
+        assert status == "pointed" and data.valid
+
+
+@pytest.mark.parametrize("spec", CATALOG_BUILDS, ids=lambda spec: "_".join(map(str, spec)))
+def test_invariant_odd_forms_match_a_dense_solve(spec):
+    """Each form is symmetric and ad(L_0)-invariant, and there are as many
+    as the dense Fraction kernel of the invariance system over every
+    symmetric odd matrix has vectors."""
+    L = build_catalog(*spec).algebra
+    odd, even = L.odd_indices, L.even_indices
+    forms = _invariant_odd_forms(L)
+    pos = {a: s for s, a in enumerate(odd)}
+
+    def ad(x, a):  # [e_a, e_x] on the odd positions
+        return {pos[k]: c for k, c in enumerate(L.bracket(L.basis_vector(a), L.basis_vector(x))) if c}
+
+    images = {(x, a): ad(x, a) for x in even for a in odd}
+    for G in forms:
+        assert all(G.get((t, s)) == v for (s, t), v in G.items())
+        for x in even:
+            for a in odd:
+                for b in odd:
+                    # G([a, x], b) = G(a, [x, b]) = -G(a, [b, x])
+                    lhs = sum((c * G.get((k, pos[b]), 0) for k, c in images[x, a].items()), Fraction(0))
+                    rhs = -sum((c * G.get((pos[a], k), 0) for k, c in images[x, b].items()), Fraction(0))
+                    assert lhs == rhs
+    m = len(odd)
+    pairs = [(s, t) for s in range(m) for t in range(s, m)]
+    col = {}
+    for u, (s, t) in enumerate(pairs):
+        col[s, t] = col[t, s] = u
+    rows = []
+    for x in even:
+        for a in odd:
+            for b in odd:
+                row = {}
+                for k, c in images[x, a].items():
+                    row[col[k, pos[b]]] = row.get(col[k, pos[b]], 0) + c
+                for k, c in images[x, b].items():
+                    row[col[pos[a], k]] = row.get(col[pos[a], k], 0) + c
+                row = {u: c for u, c in row.items() if c}
+                if row:
+                    rows.append(row)
+    assert len(forms) == len(fraction_kernel(rows, len(pairs)))
+
+
+def test_zero_squares_are_not_a_witness():
+    # so(2) rotating x, y with [k_1, k_1] = 0: G = I is invariant and c = 0,
+    # but every square is 0 and the cone {0} holds no line; no lambda is a
+    # certificate either, so no rule decides
+    from superlie.lsa import make_lsa
+
+    L = make_lsa(["h", "x", "y"], [0, 1, 1], {(0, 1): {2: Fraction(1)}, (0, 2): {1: Fraction(-1)}})
+    assert _invariant_odd_forms(L) == [{(0, 0): 1, (1, 1): 1}]
+    assert decide_pointedness(L) == ("unknown", None)
+
+
+def test_four_squares_exhaustive():
+    for m in range(1, 2001):
+        terms = _four_squares(Fraction(m))
+        assert 1 <= len(terms) <= 4 and all(t > 0 for t in terms)
+        assert sum(t * t for t in terms) == m
+    for q in (Fraction(1, 2), Fraction(2, 3), Fraction(7, 12), Fraction(1, 1999)):
+        assert sum(t * t for t in _four_squares(q)) == q
+    for q in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(UniradError):
+            _four_squares(q)
+
+
+def test_witness_mutant_dropping_a_vector_raises(monkeypatch, psu22, pq3):
+    # the witness is checked again on the vectors it prints: one vector
+    # fewer is refused, not printed
+    for entry in (psu22, pq3):
+        calls = []
+
+        def dropping(q, real=_four_squares):
+            calls.append(q)
+            terms = real(q)
+            return terms[:-1] if len(calls) == 1 else terms
+
+        monkeypatch.setattr(unirad, "_four_squares", dropping)
+        with pytest.raises(UniradError, match="fails its defining identity"):
+            decide_pointedness(entry.algebra)
+
+
+def test_witness_mutant_negating_a_weight_is_not_non_pointed(monkeypatch, psu22, pq3):
+    # a diagonalization with one d_j negated weighs one square with the
+    # wrong sign: c is then nonzero, and no witness may come of it
+    real = unirad.symmetric_diagonalize
+
+    def negating(F, n):
+        pairs, radical, negative = real(F, n)
+        if pairs:
+            pairs = [(pairs[0][0], -pairs[0][1])] + pairs[1:]
+        return pairs, radical, negative
+
+    monkeypatch.setattr(unirad, "symmetric_diagonalize", negating)
+    for entry in (psu22, pq3):
+        assert decide_pointedness(entry.algebra)[0] != "non-pointed"
 
 
 def test_semidefinite_certificate_yields_isotropic_witness():
