@@ -24,7 +24,7 @@ from .lsa import (
     build_form,
     form_report,
     from_matrix_basis,
-    structure_report,
+    is_perfect,
     super_matrix_bracket,
 )
 
@@ -528,8 +528,7 @@ def verify_catalog_facts(entry: CatalogEntry) -> dict:
     else:
         out["form_nondegenerate"] = rep["nondegenerate"]
     out["form_parity"] = rep["parity"]
-    srep = structure_report(L)
-    out["perfect"] = srep["is_perfect"]
+    out["perfect"] = is_perfect(L)
     cent = centroid(L)
     out["centroid_is_scalar"] = cent.dim == 1 and not cent.odd
 

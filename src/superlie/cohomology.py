@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product
+from itertools import product
 from types import SimpleNamespace
 from typing import Iterator, Sequence
 
@@ -52,11 +52,12 @@ from .lsa import (
     BilinearForm,
     Coordvec,
     LieSuperalgebra,
+    _generating_set,
     _radical,
     form_parity,
     form_report,
     generating_set,
-    structure_report,
+    is_perfect,
 )
 
 DEFAULT_DIM_CAP = 192
@@ -294,10 +295,12 @@ class PairBasis:
 
     Skew: unknowns are pairs i<j plus odd diagonals, with
     omega(b,a) = -(-1)^{|a||b|} omega(a,b).  Symmetric: pairs i<j plus even
-    diagonals, with the +(-1)^{|a||b|} mirror rule.
+    diagonals, with the +(-1)^{|a||b|} mirror rule.  L is any algebra with
+    a dim and parities: a LieSuperalgebra, or an AssocSuperalgebra for its
+    Hochschild maps.
     """
 
-    def __init__(self, L: LieSuperalgebra, skew: bool = True):
+    def __init__(self, L: LieSuperalgebra | AssocSuperalgebra, skew: bool = True):
         self.L = L
         self.skew = skew
         self.pairs: list[tuple[int, int]] = []
@@ -313,14 +316,16 @@ class PairBasis:
     def count(self) -> int:
         return len(self.pairs)
 
-    def columns(self) -> list[list]:
+    def columns(self, parity: int | None = None) -> list[list]:
         """cols[a][b] = (unknown, negate) for every pair that omega(e_a, e_b)
         can fill, None elsewhere: the pair itself, and its mirror negated
-        when the mirror sign is -1."""
+        when the mirror sign is -1.  With a parity, the unknowns are the
+        pairs of that parity alone, numbered in pair order."""
         n = self.L.dim
         par = self.L.parities
         cols: list[list] = [[None] * n for _ in range(n)]
-        for t, (i, j) in enumerate(self.pairs):
+        pairs = (pair for pair, p in zip(self.pairs, self.parity) if parity in (None, p))
+        for t, (i, j) in enumerate(pairs):
             cols[i][j] = (t, False)
             if i != j:
                 cols[j][i] = (t, self.skew is not bool(par[i] and par[j]))
@@ -569,30 +574,54 @@ def hochschild_map(A: AssocSuperalgebra, entries: dict, parity: int = 0) -> Bili
     return BilinearForm(A.dim, [entries], [parity])
 
 
-def _hochschild_rows(A: AssocSuperalgebra) -> Iterator[dict[int, int]]:
-    """The skew rows on the pairs a <= b, then the cyclic Leibniz rows on the
-    triples with a product (in the order of the full sweep over A^3), over
-    the unknowns F[a, b] at column a * n + b, generated in that order."""
-    n = A.dim
-    cols = [[(a * n + b, False) for b in range(n)] for a in range(n)]
-    pairs = ((a, b) for a in range(n) for b in range(a, n))
-    cyclic = partial(_cocycle_groups, A._table_index(), A.parities, -1)
-    return chain(
-        _identity_rows(partial(_symmetry_groups, A.parities, -1), pairs, cols),
-        _identity_rows(cyclic, _table_triples(A.table, n, False), cols),
-    )
+def _unital_generators(A: AssocSuperalgebra) -> list[int]:
+    """Basis indices that generate A as a unital algebra, taken greedily in
+    basis order (lsa._generating_set with the unit as a seed); the unit is
+    never among them."""
+    return _generating_set(A.names, A._table_index().table, range(A.dim), A.unit)
+
+
+def _hochschild_constraint_rows(A: AssocSuperalgebra, pb: PairBasis, parity: int | None, gens: Sequence[int]):
+    """The cyclic Leibniz rows over the pair unknowns of pb = PairBasis(A)
+    of the given parity (every pair for None), on the sorted triples with a
+    product that hold an index of gens and whose parities add up to it."""
+    par = A.parities
+    triples = _table_triples(A.table, A.dim, True, gens)
+    if parity is not None:
+        triples = (t for t in triples if (par[t[0]] + par[t[1]] + par[t[2]]) % 2 == parity)
+    groups = partial(_cocycle_groups, A._table_index(), par, -1)
+    return _identity_rows(groups, triples, pb.columns(parity))
 
 
 def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[BilinearForm]:
-    """Kernel of the stacked skew + cyclic Leibniz constraints on A x A."""
-    n = A.dim
+    """Basis of the Hochschild maps of A of the given parity (both for None):
+    the super-skew F with T(x, y, z) = F(xy, z) - F(x, yz) - (-1)^{|x||y|}
+    F(y, xz) = 0, solved as the 2-cocycles are (_cocycle_kernel).
+
+    The unknowns are the pairs of PairBasis(A) of that parity, so F is
+    super-skew by construction, and the rows of T are parity-homogeneous: a
+    row of the other parity has no unknown and is not built.  For a
+    super-skew F, T is graded-symmetric in its three arguments, so a row is
+    +-1 times that of the sorted permutation of its triple, and the sorted
+    triples with a product suffice (_table_triples).  They are kept only
+    when they hold an index of a set G that generates A as a unital algebra
+    (_unital_generators): the a with T(a, ., .) = 0 form a subspace closed
+    under products, so it holds the span N of the products of generators.
+    It holds the unit as well, since A = R 1 + N and T(1, 1, 1) = -F(1, 1)
+    = 0 for the even unit, while each other term of T(1, b, c) has an
+    argument in N; the unit needs no rows of its own.  CohomologyError for
+    a parity other than None, 0 or 1.
+    """
+    if parity not in (None, 0, 1):
+        raise CohomologyError(f"parity must be None, 0 or 1, got {parity!r}")
+    pb = PairBasis(A)
+    pairs = [t for t, p in enumerate(pb.parity) if parity in (None, p)]
+    rows = _hochschild_constraint_rows(A, pb, parity, _unital_generators(A))
     out = []
-    for vec in sparse_kernel(_hochschild_rows(A), n * n):
-        F = {divmod(t, n): c for t, c in sorted(vec.items())}
-        p = _kernel_parity({(A.parities[a] + A.parities[b]) % 2 for a, b in F})
-        if parity is not None and p != parity:
-            continue
-        out.append(BilinearForm(n, [F], [p]))
+    for vec in sparse_kernel(rows, len(pairs)):
+        vec = {pairs[u]: c for u, c in sorted(vec.items())}
+        F = dict(sorted(pb.gram_of_vector(vec).items()))
+        out.append(BilinearForm(A.dim, [F], [_kernel_parity({pb.parity[t] for t in vec})]))
     return out
 
 
@@ -765,7 +794,7 @@ def verify_cor1(
         problems.append("kappa is not parity-homogeneous")
     if der is None or not _derivation_invariant(K, kappa, rep, der):
         problems.append("kappa is not derivation invariant")
-    if not structure_report(K)["is_perfect"]:
+    if not is_perfect(K):
         problems.append("K is not perfect")
     if problems:
         raise CohomologyError("theorem assumptions fail: " + "; ".join(problems))

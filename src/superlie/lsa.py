@@ -417,21 +417,29 @@ def generating_set(L: LieSuperalgebra, candidates: Iterable[int]) -> list[int]:
     [e_g1, [e_g2, ... e_gk]] span it).  The loop stops once that closure is L;
     if the candidates run out first, LsaError names a basis element outside.
     """
-    n = L.dim
-    table = _integral_view(L, L.brackets)
+    return _generating_set(L.names, _integral_view(L, L.brackets), candidates)
+
+
+def _generating_set(names: Sequence[str], table: dict, candidates: Iterable[int], unit: int | None = None) -> list[int]:
+    """generating_set on the integral table of any product: the closure is
+    the span of the unit, if given, and of the e_g taken, saturated under
+    each product e_g, so a unit makes it the unital subalgebra generated
+    (the unit itself is never taken)."""
+    n = len(names)
+    seeds = [] if unit is None else [{unit: 1}]
     gens: list[int] = []
-    closure = Subspace(n)
+    closure = Subspace(n, seeds)
     for j in candidates:
         if closure.dim == n:
             break
         if not closure.contains_vector({j: 1}):
             gens.append(j)
-            closure = _saturate(n, ({g: 1} for g in gens), table, gens)
+            closure = _saturate(n, seeds + [{g: 1} for g in gens], table, gens)
     if closure.dim < n:
         outside = next(j for j in range(n) if not closure.contains_vector({j: 1}))
         raise LsaError(
-            f"{{{', '.join(L.names[g] for g in gens)}}} generates a subalgebra of dimension "
-            f"{closure.dim} < {n}: {L.names[outside]} lies outside it"
+            f"{{{', '.join(names[g] for g in gens)}}} generates a subalgebra of dimension "
+            f"{closure.dim} < {n}: {names[outside]} lies outside it"
         )
     return gens
 
@@ -468,6 +476,16 @@ def quotient_lsa(L: LieSuperalgebra, ideal: Subspace) -> tuple[LieSuperalgebra, 
     """
     quo, _keep, rows, _project = _quotient(L, ideal)
     return quo, rows
+
+
+def is_perfect(L: LieSuperalgebra) -> bool:
+    """Whether the brackets span L, structure_report's is_perfect without
+    the centre: the brackets [e_i, e_j], i <= j, join the span one at a
+    time, and the first span that is all of L decides."""
+    n = L.dim
+    span = Subspace(n)
+    values = (val for (i, j), val in L.brackets.items() if i <= j)
+    return span.dim == n or any(span.add(val) and span.dim == n for val in values)
 
 
 def structure_report(L: LieSuperalgebra) -> dict:

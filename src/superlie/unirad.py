@@ -50,7 +50,9 @@ from .linalg import (
 from .lsa import (
     BilinearForm,
     LieSuperalgebra,
+    generating_set,
     ideal_closure,
+    is_perfect,
     odd_square_gram,
     quotient_lsa,
     structure_report,
@@ -93,6 +95,18 @@ def pointedness_certificate(L: LieSuperalgebra, lam: Sequence) -> PointednessCer
     return PointednessCertificate(list(lam), _gram(F, len(odd)), valid, witness, odd)
 
 
+def _even_part(L: LieSuperalgebra) -> LieSuperalgebra:
+    """The even subalgebra L_0, its basis the even basis elements of L in
+    order."""
+    pos = {k: t for t, k in enumerate(L.even_indices)}
+    table = {
+        (pos[i], pos[j]): {pos[k]: c for k, c in val.items()}
+        for (i, j), val in L.brackets.items()
+        if i in pos and j in pos
+    }
+    return LieSuperalgebra([L.names[k] for k in pos], [0] * len(pos), table, validate=False)
+
+
 def even_center_projections(L: LieSuperalgebra) -> list[list]:
     """Functionals projecting onto center coordinates of the even part.
 
@@ -104,13 +118,7 @@ def even_center_projections(L: LieSuperalgebra) -> list[list]:
     ne = len(ev)
     if ne == 0:
         return []
-    pos = {k: t for t, k in enumerate(ev)}
-    table = {
-        (pos[i], pos[j]): {pos[k]: c for k, c in val.items()}
-        for (i, j), val in L.brackets.items()
-        if i in pos and j in pos
-    }
-    srep = structure_report(LieSuperalgebra([L.names[k] for k in ev], [0] * ne, table, validate=False))
+    srep = structure_report(_even_part(L))
     center, derived = srep["center"], srep["derived_subalgebra"]
     if center.dim == 0 or center.dim + derived.dim != ne or center.intersect(derived).dim:
         return []
@@ -147,13 +155,19 @@ def _invariant_odd_forms(L: LieSuperalgebra) -> list[dict]:
     """Basis of the ad(L_0)-invariant symmetric forms G on L_1, each a sparse
     map {(s, t): G[s][t]} on the positions s, t in L.odd_indices: the
     invariance identity omega([a, x], b) = omega(a, [x, b]) on the triples
-    (odd a, even x, odd b), with one unknown per unordered odd pair."""
+    (odd a, even x, odd b), with one unknown per unordered odd pair.
+
+    x runs over a generating set of L_0 alone: the identity says that ad x
+    on L_1 lies in so(G), and as ad is a representation of L_0, the x it
+    holds for form a subalgebra."""
+    even = L.even_indices
+    gens = [even[g] for g in generating_set(_even_part(L), range(len(even)))]
     odd = L.odd_indices
     cols: list[list] = [[None] * L.dim for _ in range(L.dim)]
     pairs = [(s, t) for s in range(len(odd)) for t in range(s, len(odd))]
     for u, (s, t) in enumerate(pairs):
         cols[odd[s]][odd[t]] = cols[odd[t]][odd[s]] = (u, False)
-    triples = ((a, x, b) for a in odd for x in L.even_indices for b in odd)
+    triples = ((a, x, b) for a in odd for x in gens for b in odd)
     rows = _identity_rows(partial(_invariance_groups, L._table_index()), triples, cols)
     forms = [{pairs[u]: c for u, c in vec.items()} for vec in sparse_kernel(rows, len(pairs))]
     return [{**G, **{(t, s): c for (s, t), c in G.items()}} for G in forms]
@@ -349,6 +363,8 @@ def urad_lower(L: LieSuperalgebra, seeds: Sequence[tuple]) -> Subspace:
 
 
 def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> list[BilinearForm]:
+    """value_dim random rational combinations of the even Hochschild basis;
+    unchecked, as the xi_cocycle that takes them checks each one."""
     basis = hochschild_space(A, parity=0)
     if not basis:
         return []
@@ -358,7 +374,7 @@ def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> 
         F: dict = {}
         for B in basis:
             _axpy(F, B.entries, -Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        out.append(hochschild_map(A, F, 0))
+        out.append(BilinearForm(A.dim, [F], [0]))
     return out
 
 
@@ -528,8 +544,7 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
     m_space = Subspace(L.dim, ({i: 1} for i in m_slots))
     report["meets_one_k_only_in_m"] = m_space.contains(closure.intersect(one_k_m))
 
-    srep = structure_report(L)
-    report["extension_perfect"] = srep["is_perfect"]
+    report["extension_perfect"] = is_perfect(L)
     report["lower_bound_proper"] = closure.dim < L.dim
     report["quotient_carrier"] = "eps (x) id onto k"
     return report

@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -12,8 +12,10 @@ from conftest import CATALOG_BUILDS, ROW_CASES, SOLVER_CASES, abelian, ad, apply
 from test_linalg import assert_same_as_sorted_feed, assert_same_elimination, dense_echelon, fraction_kernel, inverse
 from test_lsa import dense_invariant, scaled_form
 from test_sparse_oracles import assert_same_entries, dense_gram_of_vector, dense_supertrace_gram, end_kernel
-from test_term_groups import cocycle_terms, hochschild_terms, pair_coeff, skew_terms, term_rows
-from superlie.assoc import grassmann
+from test_current import rebased, scaled_grassmann2, truncated_polynomials
+from test_term_groups import cocycle_terms, hochschild_terms, pair_coeff, pair_columns, row_items, skew_terms, sorted_triples, term_rows
+import superlie.cohomology
+from superlie.assoc import AssocSuperalgebra, grassmann
 from superlie.cohomology import (
     CohomologyError,
     DimensionCapError,
@@ -23,9 +25,10 @@ from superlie.cohomology import (
     _cocycle_constraint_rows,
     _cocycle_triples,
     _end_columns,
-    _hochschild_rows,
+    _hochschild_constraint_rows,
     _kernel_parity,
     _solve_end_space,
+    _unital_generators,
     b2_space,
     central_extension,
     centroid,
@@ -511,27 +514,156 @@ def test_cocycle_reconstruction_from_kappa_d_basis(su2k):
 # -- Hochschild maps -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
-def test_hochschild_rows_match_full_sweep(s):
-    # the cyclic Leibniz rows come from the triples with a product only; the
-    # rows, their order and each row's key order are those of the sweep over
-    # every triple of A^3
-    A = grassmann(s)
+def full_sweep_hochschild_rows(A):
+    """The full sweep hochschild_space solved before, kept as the oracle:
+    the skew rows on the pairs a <= b, then the cyclic Leibniz rows on every
+    ordered triple of A^3, over the n^2 unknowns F[a, b] at column a * n +
+    b, from the per-term generators."""
     n = A.dim
     columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    want = list(term_rows(partial(skew_terms, A.parities), pairs, columns))
-    want += list(term_rows(partial(hochschild_terms, A), product(range(n), repeat=3), columns))
-    assert row_items(list(_hochschild_rows(A))) == row_items(want)
-    with_terms = [t for t in product(range(n), repeat=3) if any(True for _ in hochschild_terms(A, *t))]
-    assert list(_table_triples(A.table, n, False)) == with_terms
+    return chain(
+        term_rows(partial(skew_terms, A.parities), pairs, columns),
+        term_rows(partial(hochschild_terms, A), product(range(n), repeat=3), columns),
+    )
+
+
+def full_sweep_hochschild_maps(A):
+    """{parity: the kernel vectors of the full sweep of that parity, as sparse maps}."""
+    n = A.dim
+    out = {0: [], 1: []}
+    for vec in sparse_kernel(full_sweep_hochschild_rows(A), n * n):
+        F = {divmod(t, n): c for t, c in vec.items()}
+        out[_kernel_parity({(A.parities[a] + A.parities[b]) % 2 for a, b in F})].append(F)
+    return out
+
+
+def map_span(A, maps):
+    n = A.dim
+    return Subspace(n * n, ({a * n + b: c for (a, b), c in F.items()} for F in maps))
+
+
+def lambda1_truncated(k):
+    """Lambda1 (x) R[t]/(t^k): the even t^i, then the odd e1 t^i, i < k."""
+    table = {}
+    for i in range(k):
+        for j in range(k - i):
+            table[(i, j)] = {i + j: 1}
+            table[(i, k + j)] = table[(k + j, i)] = {k + i + j: 1}
+    names = [f"t^{i}" for i in range(k)] + [f"e1 t^{i}" for i in range(k)]
+    return AssocSuperalgebra(names, [0] * k + [1] * k, table, unit=0)
+
+
+def random_rebasing(A, seed):
+    """A in a random homogeneous basis: the unit first, then for each other
+    basis element an integer combination of the basis elements of its
+    parity, the unit included for an even one."""
+    rng = random.Random(seed)
+    n = A.dim
+    while True:
+        basis = [[int(k == A.unit) for k in range(n)]]
+        for i in range(n):
+            if i != A.unit:
+                basis.append([rng.randint(-2, 2) if A.parities[k] == A.parities[i] else 0 for k in range(n)])
+        if Subspace(n, basis).dim == n:
+            return rebased(A, basis)
+
+
+HOCHSCHILD_ORACLE_CASES = {
+    **{f"Lambda{s}": partial(grassmann, s) for s in range(1, 7)},
+    "scaled_grassmann2": scaled_grassmann2,
+    "truncated_polynomials": truncated_polynomials,
+    **{f"Lambda1 x R[t]/(t^{k})": partial(lambda1_truncated, k) for k in (2, 3, 4)},
+    **{f"Lambda{s} rebased {seed}": partial(random_rebasing, grassmann(s), seed) for s in (2, 3) for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", HOCHSCHILD_ORACLE_CASES)
+def test_hochschild_space_spans_the_full_sweep_kernel(case):
+    # pair unknowns, one parity block, and rows only on the sorted triples
+    # that hold a generator of A as a unital algebra (the unit not among
+    # them): for each parity the same kernel as the full sweep
+    A = HOCHSCHILD_ORACLE_CASES[case]()
+    assert A.unit not in _unital_generators(A)
+    want = full_sweep_hochschild_maps(A)
+    for parity in (None, 0, 1):
+        expected = want[0] + want[1] if parity is None else want[parity]
+        got = hochschild_space(A, parity)
+        assert all(F.value_parities[0] in ((0, 1) if parity is None else (parity,)) for F in got)
+        assert len(got) == map_span(A, expected).dim == map_span(A, [F.entries for F in got]).dim
+        assert map_span(A, [F.entries for F in got]) == map_span(A, expected)
+
+
+@pytest.mark.parametrize("case", ["truncated_polynomials", "Lambda1 x R[t]/(t^3)"])
+def test_hochschild_rows_need_every_generator(case, monkeypatch):
+    # mutants: with any one generator left out, the rows no longer cut out
+    # the Hochschild maps
+    A = HOCHSCHILD_ORACLE_CASES[case]()
+    want = full_sweep_hochschild_maps(A)
+    want = map_span(A, want[0] + want[1])
+    gens = _unital_generators(A)
+    assert gens
+    for g in gens:
+        fewer = [h for h in gens if h != g]
+        monkeypatch.setattr(superlie.cohomology, "_unital_generators", lambda A, fewer=fewer: fewer)
+        assert map_span(A, [F.entries for F in hochschild_space(A)]) != want
+
+
+def test_hochschild_space_refuses_an_unknown_parity():
+    A = grassmann(2)
+    for parity in (2, -1):
+        with pytest.raises(CohomologyError, match=f"got {parity}"):
+            hochschild_space(A, parity)
+
+
+def test_even_hochschild_solve_reads_even_pairs_alone(monkeypatch):
+    # parity 0 on Lambda5: the solve gets the even pair unknowns alone, not
+    # the n^2 entries, and its rows are the cyclic Leibniz rows of the even
+    # sorted triples, with no skew row among them
+    A = grassmann(5)
+    pb = PairBasis(A)
+    even = {pair: u for u, pair in enumerate(pair for pair, p in zip(pb.pairs, pb.parity) if p == 0)}
+    seen = []
+
+    def recording(rows, ncols):
+        rows = list(rows)
+        seen.append((rows, ncols))
+        return sparse_kernel(rows, ncols)
+
+    monkeypatch.setattr(superlie.cohomology, "sparse_kernel", recording)
+    assert len(hochschild_space(A, parity=0)) == HOCHSCHILD_DIMS[5][1]
+    ((rows, ncols),) = seen
+    assert ncols == len(even) < pb.count < A.dim**2
+    columns = {key: (even[pb.pairs[t]], neg) for key, (t, neg) in pair_columns(pb).items() if pb.pairs[t] in even}
+    triples = [t for t in _table_triples(A.table, A.dim, True, _unital_generators(A)) if sum(A.parities[i] for i in t) % 2 == 0]
+    assert row_items(rows) == row_items(term_rows(partial(hochschild_terms, A), triples, columns))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_hochschild_rows_match_full_sweep(s):
+    # the rows are the full sweep's cyclic Leibniz rows on the sorted
+    # triples with a product that hold a generator, over the pair unknowns
+    # of the parity asked for: the rows, their order and each row's key
+    # order; a triple of the other parity gives no row
+    A = grassmann(s)
+    n = A.dim
+    gens = _unital_generators(A)
+    pb = PairBasis(A)
+    sweep = [t for t in sorted_triples(n) if set(t) & set(gens) and any(True for _ in hochschild_terms(A, *t))]
+    assert list(_table_triples(A.table, n, True, gens)) == sweep
+    for parity in (None, 0, 1):
+        kept = {pair: u for u, pair in enumerate(pair for pair, p in zip(pb.pairs, pb.parity) if parity in (None, p))}
+        columns = {key: (kept[pb.pairs[t]], neg) for key, (t, neg) in pair_columns(pb).items() if pb.pairs[t] in kept}
+        want = term_rows(partial(hochschild_terms, A), sweep, columns)
+        assert row_items(_hochschild_constraint_rows(A, pb, parity, gens)) == row_items(want)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
 def test_streamed_hochschild_solve_matches_sorted_feed(s):
     A = grassmann(s)
-    elim = assert_same_as_sorted_feed(list(_hochschild_rows(A)), A.dim**2)
-    assert A.dim**2 - len(elim.piv_cols) == HOCHSCHILD_DIMS[s][0]
+    pb = PairBasis(A)
+    elim = assert_same_as_sorted_feed(list(_hochschild_constraint_rows(A, pb, None, _unital_generators(A))), pb.count)
+    assert pb.count - len(elim.piv_cols) == HOCHSCHILD_DIMS[s][0]
 
 
 # s: (dim hochschild_space(Lambda_s), dim of its even part)

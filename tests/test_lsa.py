@@ -19,6 +19,7 @@ from superlie.lsa import (
     from_matrix_basis,
     generating_set,
     ideal_closure,
+    is_perfect,
     make_lsa,
     quotient_lsa,
     structure_report,
@@ -388,6 +389,24 @@ def test_structure_report_matches_dense_version():
         assert got["is_perfect"] == want["is_perfect"]
         perfect.add(got["is_perfect"])
     assert perfect == {True, False}
+
+
+def test_is_perfect_matches_the_structure_report():
+    # the catalog, abelian(2), the Heisenberg extension of abelian(2) and
+    # the eight kernel-replay extensions of the urad workload
+    from conftest import CATALOG_BUILDS
+    from superlie.catalog import build_catalog
+    from superlie.cohomology import central_extension, cocycle2
+    from superlie.unirad import universal_extension
+
+    cases = [build_catalog(*spec).algebra for spec in CATALOG_BUILDS]
+    cases.append(abelian(2))
+    cases.append(central_extension(abelian(2), cocycle2(abelian(2), [{(0, 1): Fraction(1), (1, 0): Fraction(-1)}])))
+    for spec in (("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2)):
+        cases += [universal_extension(build_catalog(*spec), s).algebra for s in (1, 2)]
+    verdicts = [is_perfect(L) for L in cases]
+    assert verdicts == [structure_report(L)["is_perfect"] for L in cases]
+    assert set(verdicts) == {True, False}
 
 
 # -- the dense saturations and quotient, full rows throughout: oracles ----------

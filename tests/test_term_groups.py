@@ -12,7 +12,7 @@ order), and the same first violated triple on valid and mutated maps.
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product
+from itertools import product
 
 import pytest
 from conftest import ad
@@ -28,7 +28,8 @@ from superlie.cohomology import (
     _cocycle_triples,
     _derivation_identity,
     _end_columns,
-    _hochschild_rows,
+    _hochschild_constraint_rows,
+    _unital_generators,
     centroid,
     derivation_space,
     hochschild_space,
@@ -333,14 +334,10 @@ def test_group_rows_match_term_rows_on_h2_scale_systems(case):
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
 def test_group_rows_match_term_rows_on_hochschild_systems(s):
     A = grassmann(s)
-    n = A.dim
-    columns = {(a, b): (a * n + b, False) for a in range(n) for b in range(n)}
-    pairs = ((a, b) for a in range(n) for b in range(a, n))
-    want = chain(
-        term_rows(partial(skew_terms, A.parities), pairs, columns),
-        term_rows(partial(hochschild_terms, A), _table_triples(A.table, n, False), columns),
-    )
-    assert row_items(_hochschild_rows(A)) == row_items(want)
+    pb = PairBasis(A)
+    gens = _unital_generators(A)
+    want = term_rows(partial(hochschild_terms, A), _table_triples(A.table, A.dim, True, gens), pair_columns(pb))
+    assert row_items(_hochschild_constraint_rows(A, pb, None, gens)) == row_items(want)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -169,11 +169,7 @@ def test_invariant_odd_forms_match_a_dense_solve(spec):
     odd, even = L.odd_indices, L.even_indices
     forms = _invariant_odd_forms(L)
     pos = {a: s for s, a in enumerate(odd)}
-
-    def ad(x, a):  # [e_a, e_x] on the odd positions
-        return {pos[k]: c for k, c in enumerate(L.bracket(L.basis_vector(a), L.basis_vector(x))) if c}
-
-    images = {(x, a): ad(x, a) for x in even for a in odd}
+    images = odd_images(L)
     for G in forms:
         assert all(G.get((t, s)) == v for (s, t), v in G.items())
         for x in even:
@@ -183,13 +179,31 @@ def test_invariant_odd_forms_match_a_dense_solve(spec):
                     lhs = sum((c * G.get((k, pos[b]), 0) for k, c in images[x, a].items()), Fraction(0))
                     rhs = -sum((c * G.get((pos[a], k), 0) for k, c in images[x, b].items()), Fraction(0))
                     assert lhs == rhs
+    assert len(forms) == len(dense_invariant_odd_kernel(L, images))
+
+
+def odd_images(L):
+    """{(x, a): [e_a, e_x] on the odd positions} over even x and odd a."""
+    pos = {a: s for s, a in enumerate(L.odd_indices)}
+
+    def ad(x, a):
+        return {pos[k]: c for k, c in enumerate(L.bracket(L.basis_vector(a), L.basis_vector(x))) if c}
+
+    return {(x, a): ad(x, a) for x in L.even_indices for a in L.odd_indices}
+
+
+def dense_invariant_odd_kernel(L, images=None):
+    """The dense Fraction kernel of the invariance system over every
+    symmetric odd matrix and every even basis element."""
+    images = images or odd_images(L)
+    odd, pos = L.odd_indices, {a: s for s, a in enumerate(L.odd_indices)}
     m = len(odd)
     pairs = [(s, t) for s in range(m) for t in range(s, m)]
     col = {}
     for u, (s, t) in enumerate(pairs):
         col[s, t] = col[t, s] = u
     rows = []
-    for x in even:
+    for x in L.even_indices:
         for a in odd:
             for b in odd:
                 row = {}
@@ -200,7 +214,30 @@ def test_invariant_odd_forms_match_a_dense_solve(spec):
                 row = {u: c for u, c in row.items() if c}
                 if row:
                     rows.append(row)
-    assert len(forms) == len(fraction_kernel(rows, len(pairs)))
+    return fraction_kernel(rows, len(pairs))
+
+
+def test_invariant_odd_forms_need_every_even_generator(monkeypatch):
+    # the invariance rows run over a generating set of L_0 only; a mutant
+    # that leaves out its last generator keeps forms that are not invariant
+    # on psu(2|2) and c(2), and one that leaves out its first does on
+    # su(2|1), so the dense solve above tells each from the real one
+    real = unirad.generating_set
+
+    def dropping(position):
+        def mutant(K, candidates):
+            gens = real(K, candidates)
+            del gens[position]
+            return gens
+
+        return mutant
+
+    for spec, position in ((("psu_pp", 2), -1), (("c_n", 2), -1), (("su_pq", 2, 1), 0)):
+        L = build_catalog(*spec).algebra
+        assert len(_invariant_odd_forms(L)) == len(dense_invariant_odd_kernel(L))
+        monkeypatch.setattr(unirad, "generating_set", dropping(position))
+        assert len(_invariant_odd_forms(L)) > len(dense_invariant_odd_kernel(L))
+        monkeypatch.setattr(unirad, "generating_set", real)
 
 
 def test_zero_squares_are_not_a_witness():
