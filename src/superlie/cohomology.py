@@ -316,19 +316,24 @@ class PairBasis:
     def count(self) -> int:
         return len(self.pairs)
 
+    def kept(self, parity: int | None = None) -> list[int]:
+        """Indices of the pairs of the given parity (every pair for None),
+        in pair order: unknown u of columns(parity) is pair kept(parity)[u]."""
+        return [t for t, p in enumerate(self.parity) if parity in (None, p)]
+
     def columns(self, parity: int | None = None) -> list[list]:
         """cols[a][b] = (unknown, negate) for every pair that omega(e_a, e_b)
         can fill, None elsewhere: the pair itself, and its mirror negated
         when the mirror sign is -1.  With a parity, the unknowns are the
-        pairs of that parity alone, numbered in pair order."""
+        pairs of that parity alone (kept)."""
         n = self.L.dim
         par = self.L.parities
         cols: list[list] = [[None] * n for _ in range(n)]
-        pairs = (pair for pair, p in zip(self.pairs, self.parity) if parity in (None, p))
-        for t, (i, j) in enumerate(pairs):
-            cols[i][j] = (t, False)
+        for u, t in enumerate(self.kept(parity)):
+            i, j = self.pairs[t]
+            cols[i][j] = (u, False)
             if i != j:
-                cols[j][i] = (t, self.skew is not bool(par[i] and par[j]))
+                cols[j][i] = (u, self.skew is not bool(par[i] and par[j]))
         return cols
 
     def _mirror_sign(self, i: int, j: int) -> Fraction:
@@ -407,7 +412,7 @@ def _cocycle_triples(L: LieSuperalgebra, gens: Sequence[int]):
     any permutation of it: a triple is needed when any of its indices is in
     gens, whichever place it holds.
     """
-    return _table_triples(L.brackets, L.dim, True, gens)
+    return _table_triples(L.brackets, L.dim, gens)
 
 
 def _cocycle_constraint_rows(L: LieSuperalgebra, pb: PairBasis, gens: Sequence[int]) -> Iterator[dict[int, int]]:
@@ -586,7 +591,7 @@ def _hochschild_constraint_rows(A: AssocSuperalgebra, pb: PairBasis, parity: int
     of the given parity (every pair for None), on the sorted triples with a
     product that hold an index of gens and whose parities add up to it."""
     par = A.parities
-    triples = _table_triples(A.table, A.dim, True, gens)
+    triples = _table_triples(A.table, A.dim, gens)
     if parity is not None:
         triples = (t for t in triples if (par[t[0]] + par[t[1]] + par[t[2]]) % 2 == parity)
     groups = partial(_cocycle_groups, A._table_index(), par, -1)
@@ -615,7 +620,7 @@ def hochschild_space(A: AssocSuperalgebra, parity: int | None = None) -> list[Bi
     if parity not in (None, 0, 1):
         raise CohomologyError(f"parity must be None, 0 or 1, got {parity!r}")
     pb = PairBasis(A)
-    pairs = [t for t, p in enumerate(pb.parity) if parity in (None, p)]
+    pairs = pb.kept(parity)
     rows = _hochschild_constraint_rows(A, pb, parity, _unital_generators(A))
     out = []
     for vec in sparse_kernel(rows, len(pairs)):

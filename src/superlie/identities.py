@@ -235,10 +235,9 @@ def _hochschild_witness(A, F: dict) -> tuple | None:
     return _first_violation(partial(_cocycle_groups, index, A.parities, -1), _reached(index, _COCYCLE_REACH, F), F)
 
 
-def _table_triples(table: dict, n: int, ascending: bool, gens: Iterable[int] | None = None):
-    """The triples (x, y, z) with a table entry on (x, y), (y, z) or (x, z),
-    in lexicographic order, one leading index x at a time; ascending keeps
-    only those with x <= y <= z.
+def _table_triples(table: dict, n: int, gens: Iterable[int] | None = None):
+    """The sorted triples x <= y <= z with a table entry on (x, y), (y, z)
+    or (x, z), in lexicographic order, one leading index x at a time.
 
     An identity whose terms read only these three entries, as the cocycle
     and cyclic Leibniz identities do, has no term on any other triple and
@@ -248,7 +247,7 @@ def _table_triples(table: dict, n: int, ascending: bool, gens: Iterable[int] | N
     """
     after: list[list[int]] = [[] for _ in range(n)]  # u -> v with an entry on (u, v)
     for u, v in table:
-        if u <= v or not ascending:
+        if u <= v:
             after[u].append(v)
     for vs in after:
         vs.sort()
@@ -259,19 +258,18 @@ def _table_triples(table: dict, n: int, ascending: bool, gens: Iterable[int] | N
         ax = after[x]
         hit = hits[x]
         lead = x in keep
-        for y in range(x if ascending else 0, n):
-            lo = y if ascending else 0
+        for y in range(x, n):
             if not lead and y not in keep:
                 hy = hits[y]
-                for z in gs[bisect_left(gs, lo):]:
+                for z in gs[bisect_left(gs, y):]:
                     if y in hit or z in hit or z in hy:
                         yield x, y, z
                 continue
             if y in hit:
-                for z in range(lo, n):
+                for z in range(y, n):
                     yield x, y, z
                 continue
-            zs = ax[bisect_left(ax, lo):]
+            zs = ax[bisect_left(ax, y):]
             if after[y]:
                 zs = sorted(set(zs).union(after[y]))
             for z in zs:

@@ -622,7 +622,7 @@ def test_even_hochschild_solve_reads_even_pairs_alone(monkeypatch):
     # sorted triples, with no skew row among them
     A = grassmann(5)
     pb = PairBasis(A)
-    even = {pair: u for u, pair in enumerate(pair for pair, p in zip(pb.pairs, pb.parity) if p == 0)}
+    even = {t: u for u, t in enumerate(pb.kept(0))}
     seen = []
 
     def recording(rows, ncols):
@@ -633,9 +633,10 @@ def test_even_hochschild_solve_reads_even_pairs_alone(monkeypatch):
     monkeypatch.setattr(superlie.cohomology, "sparse_kernel", recording)
     assert len(hochschild_space(A, parity=0)) == HOCHSCHILD_DIMS[5][1]
     ((rows, ncols),) = seen
-    assert ncols == len(even) < pb.count < A.dim**2
-    columns = {key: (even[pb.pairs[t]], neg) for key, (t, neg) in pair_columns(pb).items() if pb.pairs[t] in even}
-    triples = [t for t in _table_triples(A.table, A.dim, True, _unital_generators(A)) if sum(A.parities[i] for i in t) % 2 == 0]
+    assert ncols == len(even) == pb.parity.count(0) < pb.count < A.dim**2
+    assert all(pb.parity[t] == 0 for t in even)
+    columns = {key: (even[t], neg) for key, (t, neg) in pair_columns(pb).items() if t in even}
+    triples = [t for t in _table_triples(A.table, A.dim, _unital_generators(A)) if sum(A.parities[i] for i in t) % 2 == 0]
     assert row_items(rows) == row_items(term_rows(partial(hochschild_terms, A), triples, columns))
 
 
@@ -650,10 +651,10 @@ def test_hochschild_rows_match_full_sweep(s):
     gens = _unital_generators(A)
     pb = PairBasis(A)
     sweep = [t for t in sorted_triples(n) if set(t) & set(gens) and any(True for _ in hochschild_terms(A, *t))]
-    assert list(_table_triples(A.table, n, True, gens)) == sweep
+    assert list(_table_triples(A.table, n, gens)) == sweep
     for parity in (None, 0, 1):
-        kept = {pair: u for u, pair in enumerate(pair for pair, p in zip(pb.pairs, pb.parity) if parity in (None, p))}
-        columns = {key: (kept[pb.pairs[t]], neg) for key, (t, neg) in pair_columns(pb).items() if pb.pairs[t] in kept}
+        kept = {t: u for u, t in enumerate(pb.kept(parity))}
+        columns = {key: (kept[t], neg) for key, (t, neg) in pair_columns(pb).items() if t in kept}
         want = term_rows(partial(hochschild_terms, A), sweep, columns)
         assert row_items(_hochschild_constraint_rows(A, pb, parity, gens)) == row_items(want)
 

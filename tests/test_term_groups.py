@@ -336,7 +336,7 @@ def test_group_rows_match_term_rows_on_hochschild_systems(s):
     A = grassmann(s)
     pb = PairBasis(A)
     gens = _unital_generators(A)
-    want = term_rows(partial(hochschild_terms, A), _table_triples(A.table, A.dim, True, gens), pair_columns(pb))
+    want = term_rows(partial(hochschild_terms, A), _table_triples(A.table, A.dim, gens), pair_columns(pb))
     assert row_items(_hochschild_constraint_rows(A, pb, None, gens)) == row_items(want)
 
 
