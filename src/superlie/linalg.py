@@ -601,18 +601,19 @@ def _row_primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _to_int_row(row: dict) -> dict[int, int]:
-    """Clear denominators of a sparse Fraction/int row (_integral_map); drop
-    zeros and strip content.
+    """Clear denominators of a sparse Fraction/int row (_integral_map) and
+    drop zeros: a positive multiple of the row, its content not stripped
+    (SparseEliminator.add_row strips the reduced row once).
 
-    A row of nonzero ints, as the identity systems emit, goes straight to
-    _row_primitive and may come back as the same dict.
+    A row of nonzero ints, as the identity systems emit, comes back as the
+    same dict.
     """
     for v in row.values():
         if v.__class__ is not int or not v:
             break
     else:
-        return _row_primitive(row)
-    return _row_primitive({c: v for c, v in _integral_map(row)[0].items() if v})
+        return row
+    return {c: v for c, v in _integral_map(row)[0].items() if v}
 
 
 def _lcm_denominator(values) -> int:
@@ -720,8 +721,9 @@ def _first_violation(groups, triples, F: dict) -> tuple | None:
 class SparseEliminator:
     """Incremental exact elimination of sparse integer rows.
 
-    Rows are reduced with integer cross-multiplication plus content
-    stripping, so no fractions appear during the forward pass.
+    Rows are reduced with integer cross-multiplication and stripped of
+    their content once reduced, so no fractions appear during the forward
+    pass; the back-solve makes a Fraction only where a division is inexact.
     """
 
     def __init__(self, ncols: int):
@@ -732,24 +734,32 @@ class SparseEliminator:
         self.unit_cols: set[int] = set()  # pivot columns whose pivot row is {c: 1}
 
     def add_row(self, row: dict) -> bool:
-        """Reduce a row against current pivots; True if rank grew."""
-        r = _to_int_row(row)
-        r = self._reduce(r)
+        """Reduce a row against current pivots; True if rank grew.
+
+        The reduced row is stripped of its content here, once: a one-entry
+        row becomes the unit row {c: 1} outright.
+        """
+        r = self._reduce(_to_int_row(row))
         if not r:
             return False
-        # pivot choice: smallest |coeff|, then column index (keeps ints small)
-        pc = min(r, key=lambda c: (abs(r[c]), c))
-        if r[pc] < 0:
-            r = {c: -v for c, v in r.items()}
         if len(r) == 1:
+            (pc,) = r
+            r = {pc: 1}
             self.unit_cols.add(pc)
+        else:
+            r = _row_primitive(r)
+            # pivot choice: smallest |coeff|, then column index (keeps ints small)
+            pc = min(r, key=lambda c: (abs(r[c]), c))
+            if r[pc] < 0:
+                r = {c: -v for c, v in r.items()}
         self.col_to_idx[pc] = len(self.piv_cols)
         self.piv_cols.append(pc)
         self.piv_rows.append(r)
         return True
 
     def _reduce(self, r: dict[int, int]) -> dict[int, int]:
-        """Clear every pivot column of r.
+        """Clear every pivot column of the int row r; the result is a
+        positive multiple of the reduced row, its content not stripped.
 
         The unit pivot columns go first, all at once: subtracting the pivot
         row {c: 1} only deletes c.  The rest go earliest-created pivot
@@ -760,16 +770,20 @@ class SparseEliminator:
         has cancelled since it was pushed is skipped, and a unit column that
         a subtracted row brings back is cleared like any other.
 
-        Clearing the unit columns first changes nothing: the fully reduced
-        row is the one representative of r modulo the pivot rows that is
-        zero on every pivot column, times the positive factor that makes it
-        primitive, whatever the order of the steps; and deleting a column
-        moves no other key, so the item order is that of the earliest-first
-        reduction too.
+        Neither clearing the unit columns first nor leaving the content in
+        changes the row add_row strips: every step scales the row by a
+        positive factor or subtracts a pivot row multiple, so every order of
+        steps, from any positive multiple of r, ends at a positive multiple
+        of the one representative of r modulo the pivot rows that is zero on
+        every pivot column.  A step from a multiple of the row cancels the
+        same columns, and deleting a column moves no other key, so the item
+        order is that of the earliest-first reduction that strips at every
+        step.  r itself is never written to: it may be the caller's row.
         """
         units = self.unit_cols
-        if not units.isdisjoint(r):
-            r = _row_primitive({c: v for c, v in r.items() if c not in units})
+        owned = not units.isdisjoint(r)
+        if owned:
+            r = {c: v for c, v in r.items() if c not in units}
         col_to_idx = self.col_to_idx
         heap = [col_to_idx[c] for c in r if c in col_to_idx]
         heapify(heap)
@@ -784,22 +798,25 @@ class SparseEliminator:
             a = prow[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            out = {col: v * ma for col, v in r.items()} if ma != 1 else dict(r)
+            if ma != 1:
+                r = {col: v * ma for col, v in r.items()}
+            elif not owned:
+                r = dict(r)
+            owned = True
             # inline rather than _axpy: the hot loop of the eliminator, where
             # the extra call and second dict lookup cost a few percent
             for col, v in prow.items():
-                old = out.get(col)
+                old = r.get(col)
                 if old is None:
-                    out[col] = -v * mb
+                    r[col] = -v * mb
                     if col in col_to_idx:
                         heappush(heap, col_to_idx[col])
                 else:
                     nv = old - v * mb
                     if nv:
-                        out[col] = nv
+                        r[col] = nv
                     else:
-                        del out[col]
-            r = _row_primitive(out)
+                        del r[col]
             if not r:
                 return r
         return r
@@ -811,37 +828,57 @@ class SparseEliminator:
         a nonzero value only if it holds a column already set in the vector.
         So each vector visits just the rows it reaches, latest pivot first;
         every row it skips would have solved to zero.
+
+        The values are solved as ints: the sum over a row is an int while
+        every value it reads is, and dividing it by the pivot coefficient
+        (almost always 1) stays an int where the division is exact; only an
+        inexact one makes a Fraction.  A finished vector's values become
+        Fractions once, in its insertion order, equal integers sharing one
+        Fraction.  The pivot column of a row is never set in the vector when
+        the row is visited, so the sum needs no test for it.
         """
         reach: dict[int, list[int]] = {}  # column -> pivot rows holding it off-pivot
         for idx, (pc, row) in enumerate(zip(self.piv_cols, self.piv_rows)):
             for c in row:
                 if c != pc:
                     reach.setdefault(c, []).append(idx)
+        piv_cols, piv_rows = self.piv_cols, self.piv_rows
+        exact: dict[int, Fraction] = {}  # int value -> its Fraction
         out = []
         for f in range(self.ncols):
             if f in self.col_to_idx:
                 continue
-            v: dict[int, Fraction] = {f: Fraction(1)}
+            v: dict = {f: 1}
             queued = set(reach.get(f, ()))
             heap = [-idx for idx in queued]  # max-heap of pivot indices
             heapify(heap)
             while heap:
                 idx = -heappop(heap)
-                prow = self.piv_cols[idx]
-                row = self.piv_rows[idx]
-                s = Fraction(0)
+                pc = piv_cols[idx]
+                row = piv_rows[idx]
+                s = 0
                 for c, coef in row.items():
-                    if c == prow:
-                        continue
                     val = v.get(c)
                     if val:
                         s += coef * val
                 if s:
-                    v[prow] = -s / row[prow]
-                    for j in reach.get(prow, ()):
+                    a = row[pc]
+                    if a == 1:
+                        v[pc] = -s
+                    elif s.__class__ is int and not s % a:
+                        v[pc] = -s // a
+                    else:
+                        v[pc] = Fraction(-s, a) if s.__class__ is int else -s / a
+                    for j in reach.get(pc, ()):
                         if j not in queued:
                             queued.add(j)
                             heappush(heap, -j)
+            for c, x in v.items():
+                if x.__class__ is int:
+                    q = exact.get(x)
+                    if q is None:
+                        q = exact[x] = Fraction(x)
+                    v[c] = q
             out.append(v)
         return out
 

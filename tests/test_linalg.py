@@ -10,7 +10,7 @@ import superlie.linalg
 from conftest import CATALOG_BUILDS, apply, pair_parts, reduce_vector
 from superlie.assoc import grassmann
 from superlie.catalog import build_catalog
-from superlie.cohomology import PairBasis, _cocycle_constraint_rows
+from superlie.cohomology import PairBasis, _cocycle_constraint_rows, z2_space
 from superlie.current import current_lsa
 from superlie.linalg import (
     SparseEliminator,
@@ -614,6 +614,65 @@ def test_kernel_basis_matches_full_sweep_on_cocycle_rows(s):
     assert_same_kernel(elim)
 
 
+def back_solve_steps(elim, kernel):
+    """Count the divisions the back-solve made, by kind: by a pivot
+    coefficient 1, exact by a larger one, inexact on an integral sum, and
+    on a sum that was already a non-integer."""
+    kinds = dict.fromkeys(("unit", "exact", "inexact", "fraction"), 0)
+    for v in kernel:
+        for pc, row in zip(elim.piv_cols, elim.piv_rows):
+            if pc not in v:
+                continue
+            s = sum(coef * v[c] for c, coef in row.items() if c != pc and c in v)
+            a = row[pc]
+            if a == 1:
+                kinds["unit"] += 1
+            elif s.denominator != 1:
+                kinds["fraction"] += 1
+            else:
+                kinds["exact" if s.numerator % a == 0 else "inexact"] += 1
+    return kinds
+
+
+def test_int_back_solve_matches_full_sweep_on_pivot_coefficients_2_and_3():
+    # rows of +-2 and +-3 leave pivot rows that are 2 or 3 at their pivot,
+    # so the back-solve divides exactly, inexactly and on Fraction sums
+    rng = random.Random(47)
+    kinds = dict.fromkeys(("unit", "exact", "inexact", "fraction"), 0)
+    for _ in range(60):
+        ncols = rng.randint(4, 14)
+        rows = []
+        for _ in range(rng.randint(2, ncols)):
+            row = {c: rng.choice((-3, -2, 2, 3)) for c in range(ncols) if rng.random() < 0.35}
+            if row:
+                rows.append(row)
+        elim = SparseEliminator(ncols)
+        for r in rows:
+            elim.add_row(r)
+        assert_same_kernel(elim)
+        for key, count in back_solve_steps(elim, elim.kernel_basis()).items():
+            kinds[key] += count
+    assert all(kinds.values()), kinds
+
+
+def test_kernel_values_are_fractions():
+    # an int leaking out of the int back-solve would be written 2, not "2",
+    # in a JSON report
+    rng = random.Random(53)
+    for _ in range(30):
+        ncols = rng.randint(3, 12)
+        rows = random_int_system(rng, rng.randint(1, ncols), ncols)
+        rows.append({0: Fraction(rng.randint(1, 5), rng.randint(1, 5)), ncols - 1: 2})
+        for v in sparse_kernel(rows, ncols):
+            assert all(type(x) is Fraction for x in v.values())
+    for s, family in ((2, ("su_pq", 2, 1)), (3, ("su_n", 2))):
+        L = current_lsa(grassmann(s), build_catalog(*family).algebra).algebra
+        forms = z2_space(L)
+        assert forms
+        for omega in forms:
+            assert all(type(x) is Fraction for x in omega.components[0].values())
+
+
 # -- reference reduction: rescan the row for its earliest pivot at every step -----
 
 
@@ -622,14 +681,16 @@ class RescanningEliminator(SparseEliminator):
     step rescans the row for the pivot columns it holds and clears the
     earliest-created one.
 
-    It also counts, over all reductions, the pivot columns that cancelled
-    without being the one cleared, those that a subtracted pivot row brought
-    in, and those brought back in after they had cancelled.
+    It strips the content at every step, where SparseEliminator strips the
+    reduced row once.  It also counts, over all reductions, the pivot
+    columns that cancelled without being the one cleared, those that a
+    subtracted pivot row brought in, those brought back in after they had
+    cancelled, and the steps whose row had content > 1.
     """
 
     def __init__(self, ncols):
         super().__init__(ncols)
-        self.cancelled = self.introduced = self.reintroduced = 0
+        self.cancelled = self.introduced = self.reintroduced = self.stripped = 0
 
     def _reduce(self, r):
         gone = set()
@@ -659,6 +720,7 @@ class RescanningEliminator(SparseEliminator):
             self.reintroduced += len(after & gone)
             gone = (gone | (before - after)) - after
             r = _row_primitive(out)
+            self.stripped += r is not out
             if not r:
                 return r
 
@@ -710,6 +772,31 @@ def test_heap_reduce_matches_rescanning_on_random_systems():
         reintroduced += scan.reintroduced
     assert verdicts == {True, False}
     assert cancelled and introduced and reintroduced
+
+
+def test_deferred_strip_matches_stripping_at_every_step():
+    # rows of +-2, +-4 and +-6 often reduce through rows of content > 1,
+    # which SparseEliminator carries to the end; the stripped reductions of
+    # the probes are the oracle's, item order included
+    rng = random.Random(41)
+    stripped = 0
+    for _ in range(50):
+        ncols = rng.randint(4, 16)
+        rows = []
+        for _ in range(rng.randint(2, 20)):
+            row = {c: rng.choice((-6, -4, -2, -1, 2, 3, 4, 6)) for c in range(ncols) if rng.random() < 0.4}
+            if row:
+                rows.append(row)
+        probes = [row for row in random_int_system(rng, 4, ncols) if row]
+        scan, _ = assert_same_elimination(rows, ncols, probes)
+        heap = SparseEliminator(ncols)
+        for r in rows:
+            heap.add_row(r)
+        for p in probes:
+            got = _row_primitive(heap._reduce(_to_int_row(p)))
+            assert list(got.items()) == list(_row_primitive(scan._reduce(_to_int_row(p))).items())
+        stripped += scan.stripped
+    assert stripped
 
 
 # -- reference feed: every row held, then sorted by length ----------------------
@@ -925,8 +1012,8 @@ def test_coordinates_recombine_to_the_target():
             coordinates(dependent, n)
 
 
-def general_int_row(row):
-    """Denominators cleared by Fraction products, then content stripped."""
+def cleared_int_row(row):
+    """Denominators cleared by Fraction products, zeros dropped."""
     lcm = 1
     for v in row.values():
         if isinstance(v, Fraction):
@@ -936,6 +1023,12 @@ def general_int_row(row):
         iv = int(v * lcm) if isinstance(v, Fraction) else v * lcm
         if iv:
             out[c] = iv
+    return out
+
+
+def general_int_row(row):
+    """Denominators cleared by Fraction products, then content stripped."""
+    out = cleared_int_row(row)
     g = 0
     for v in out.values():
         g = gcd(g, abs(v))
@@ -955,8 +1048,10 @@ def test_to_int_row_matches_general_path():
             elif kind == "fractional":
                 v = Fraction(v, rng.choice([1, 2, 3, 4, 6]))
             row[c] = v
-        got, want = _to_int_row(row), general_int_row(row)
-        assert list(got.items()) == list(want.items())
+        # _to_int_row leaves the content in: add_row strips the reduced row
+        got = _to_int_row(row)
+        assert list(got.items()) == list(cleared_int_row(row).items())
+        assert list(_row_primitive(got).items()) == list(general_int_row(row).items())
         assert all(type(v) is int for v in got.values())
 
 

@@ -575,6 +575,39 @@ def test_faithfulness_boundary(su2):
     assert rep["hochschild_maps_checked"] >= 1
 
 
+def unit_named_e1(s):
+    """grassmann(s) with the names of its unit and of e1 swapped, so that
+    the delta map faithfulness_boundary reads off the names is 1 on the
+    unit pair: not super-skew, so not a Hochschild map."""
+    A = grassmann(s)
+    names = list(A.names)
+    i, j = A.unit, names.index("e1")
+    names[i], names[j] = names[j], names[i]
+    return A.__class__(names, A.parities, A.table, A.unit, A.z_degrees)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_faithfulness_boundary_refuses_a_bad_delta_map(su2, monkeypatch, s):
+    from superlie.cohomology import CohomologyError
+
+    monkeypatch.setattr(unirad, "grassmann", unit_named_e1)
+    with pytest.raises(CohomologyError, match="not super-skew"):
+        faithfulness_boundary(su2, s)
+
+
+def test_faithfulness_boundary_checks_its_delta_map_once(su2, monkeypatch):
+    # the one check is xi_cocycle's, as the map goes into the extension
+    from superlie import cohomology
+
+    calls = []
+    failure = cohomology._hochschild_failure
+    monkeypatch.setattr(cohomology, "_hochschild_failure", lambda *args: calls.append(1) or failure(*args))
+    for s in (1, 2):
+        calls.clear()
+        assert faithfulness_boundary(su2, s)["certificate_valid"]
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("spec", [("su_pq", 2, 1), ("psu_pp", 2), ("pq_n", 3), ("c_n", 2)])
 def test_universal_extension_passes_full_validation(spec):
     # central_extension builds without a sweep; the full sweep is the oracle
