@@ -865,10 +865,12 @@ class SparseEliminator:
                     a = row[pc]
                     if a == 1:
                         v[pc] = -s
-                    elif s.__class__ is int and not s % a:
-                        v[pc] = -s // a
+                    elif s.__class__ is not int:
+                        v[pc] = -s / a
+                    elif s % a:
+                        v[pc] = Fraction(-s, a)
                     else:
-                        v[pc] = Fraction(-s, a) if s.__class__ is int else -s / a
+                        v[pc] = -s // a
                     for j in reach.get(pc, ()):
                         if j not in queued:
                             queued.add(j)
