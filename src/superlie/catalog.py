@@ -46,6 +46,10 @@ DEFINITE_COMPONENTS = {
 }
 
 
+# The families whose fact sheet solves h2.
+H2_FAMILIES = ("su_n", "su_pq", "psu_pp", "c_n", "pq_n")
+
+
 class CatalogError(ValueError):
     pass
 
@@ -508,14 +512,20 @@ def _restricted_definiteness(form: BilinearForm, sub: Subspace, sign: int = 1) -
     return definiteness({key: v for key, v in values if v}, len(basis))
 
 
+def check_fact_sheet_cap(entry: CatalogEntry) -> None:
+    """Refuse (DimensionCapError) an entry whose fact sheet solves h2 past
+    the solver's default cap."""
+    if entry.family in H2_FAMILIES:
+        check_dim_cap(entry.algebra.dim, DEFAULT_DIM_CAP, "catalog fact sheet's")
+
+
 def verify_catalog_facts(entry: CatalogEntry) -> dict:
     """Machine-check the family fact sheet; returns {fact_name: bool | value}.
     A sheet with h2 solves at the solver's default cap, so it refuses a
     larger algebra (DimensionCapError) before any work."""
     L = entry.algebra
-    has_h2 = entry.family in ("su_n", "su_pq", "psu_pp", "c_n", "pq_n")
-    if has_h2:
-        check_dim_cap(L.dim, DEFAULT_DIM_CAP, "catalog fact sheet's")
+    has_h2 = entry.family in H2_FAMILIES
+    check_fact_sheet_cap(entry)
     out: dict[str, object] = {}
     rep = form_report(L, entry.form)
     out["dim_matches_closed_form"] = L.dim == expected_dimension(entry.family, *entry.params)

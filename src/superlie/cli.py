@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from fractions import Fraction
 
 from .assoc import GRASSMANN_CAP, AssocError, grassmann
-from .catalog import FAMILIES, CatalogError, build_catalog, verify_catalog_facts
+from .catalog import FAMILIES, CatalogError, build_catalog, check_fact_sheet_cap, verify_catalog_facts
 from .clifford import (
     CliffordError,
     commutant_dimension,
@@ -34,6 +33,7 @@ from .serial import (
     algebra_to_json,
     dumps_canonical,
     load_algebra,
+    load_json,
 )
 from .unirad import (
     UniradError,
@@ -369,55 +369,48 @@ def _sweep_entry(k: list, path: str):
 
 
 def cmd_report_all(args) -> int:
-    with open(args.params) as fh:
-        try:
-            sweep = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"malformed JSON in {args.params}: {exc}")
+    sweep = load_json(args.params)
     _check_sweep(sweep, args.seed)
-    # the urad and kernel replays build the current algebra of each spec:
-    # refused past the cap before any section runs
-    entries = {}
-    for section in ("urad", "kernel"):
+    # every item's algebra is built, and refused past its cap, before any
+    # section runs: the fact sheet's for a catalog item, the 2-cocycle
+    # solver's for a cor1 item's current algebra, the current algebra cap
+    # for the urad and kernel replays
+    items = []  # (section, spec, entry) in sweep order
+    for section in SECTIONS:
         for t, spec in enumerate(sweep.get(section, [])):
             path = f"$.{section}[{t}]"
-            entries[path] = _sweep_entry(spec["k"], f"{path}.k")
             try:
-                check_dim_cap(2 ** spec["s"] * entries[path].algebra.dim, CURRENT_DIM_CAP, "current algebra")
+                if section == "catalog":
+                    entry = _sweep_entry(spec, path)
+                    check_fact_sheet_cap(entry)
+                else:
+                    entry = _sweep_entry(spec["k"], f"{path}.k")
+                    cap = (DEFAULT_DIM_CAP,) if section == "cor1" else (CURRENT_DIM_CAP, "current algebra")
+                    check_dim_cap(2 ** spec["s"] * entry.algebra.dim, *cap)
             except DimensionCapError as exc:
                 raise SchemaError(f"{exc} at {path}") from None
+            items.append((section, spec, entry))
     results = {}
     all_pass = True
-    for t, spec in enumerate(sweep.get("catalog", [])):
-        entry = _sweep_entry(spec, f"$.catalog[{t}]")
-        facts = verify_catalog_facts(entry)
-        ok = not any(v is False for v in facts.values())
+    for section, spec, entry in items:
+        if section == "catalog":
+            facts = verify_catalog_facts(entry)
+            rep = {"pass": not any(v is False for v in facts.values()), "facts": facts}
+            ok = rep["pass"]
+        elif section == "cor1":
+            rep = verify_cor1(grassmann(spec["s"]), entry.algebra, entry.form)
+            ok = rep["defect"] == 0
+        elif section == "urad":
+            rep = verify_urad_theorem(
+                entry, spec["s"], hochschild=spec.get("hochschild", "random"),
+                seed=spec.get("seed", args.seed),
+            )
+            ok = rep["closure_contains_I"]
+        else:
+            rep = verify_kernel_theorem(entry, spec["s"])
+            ok = rep["contains_lambda_plus_k"]
         all_pass = all_pass and ok
-        results[_sweep_key("catalog", spec, args.seed)] = {
-            "pass": ok,
-            "facts": facts,
-        }
-    for t, spec in enumerate(sweep.get("cor1", [])):
-        entry = _sweep_entry(spec["k"], f"$.cor1[{t}].k")
-        rep = verify_cor1(grassmann(spec["s"]), entry.algebra, entry.form)
-        ok = rep["defect"] == 0
-        all_pass = all_pass and ok
-        results[_sweep_key("cor1", spec, args.seed)] = rep
-    for t, spec in enumerate(sweep.get("urad", [])):
-        entry = entries[f"$.urad[{t}]"]
-        rep = verify_urad_theorem(
-            entry, spec["s"], hochschild=spec.get("hochschild", "random"),
-            seed=spec.get("seed", args.seed),
-        )
-        ok = rep["closure_contains_I"]
-        all_pass = all_pass and ok
-        results[_sweep_key("urad", spec, args.seed)] = rep
-    for t, spec in enumerate(sweep.get("kernel", [])):
-        entry = entries[f"$.kernel[{t}]"]
-        rep = verify_kernel_theorem(entry, spec["s"])
-        ok = rep["contains_lambda_plus_k"]
-        all_pass = all_pass and ok
-        results[_sweep_key("kernel", spec, args.seed)] = rep
+        results[_sweep_key(section, spec, args.seed)] = rep
     report = {"all_pass": all_pass, "results": results}
     _emit(report, args.out)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED

@@ -501,30 +501,18 @@ def sym_invariant_forms(L: LieSuperalgebra) -> list[dict]:
     return [pb.gram_of_vector(vec) for vec in sparse_kernel(rows, pb.count)]
 
 
-def h2_representatives(
-    L: LieSuperalgebra, kappa: BilinearForm, vanish_on_even: bool = False
-) -> list[tuple[dict, int]]:
-    """Echelon-selected D's in der_-(L) whose kappa_D classes span H^2(L).
-
-    With vanish_on_even, each representative is corrected by an inner
-    derivation so that it kills the even part, whenever the class allows it.
-    """
+def h2_representatives(L: LieSuperalgebra, kappa: BilinearForm) -> list[tuple[dict, int]]:
+    """Echelon-selected D's in der_-(L) whose kappa_D classes span H^2(L),
+    each corrected by an inner derivation so that it kills the even part
+    whenever the class allows it."""
     der, inner = derivation_space(L)
-    return _h2_representatives(L, split_by_star(L, kappa, der, -1), inner, vanish_on_even)
+    return _h2_representatives(L, split_by_star(L, kappa, der, -1), inner)
 
 
-def _h2_representatives(
-    L: LieSuperalgebra, der_minus: EndSpace, inner: EndSpace, vanish_on_even: bool
-) -> list[tuple[dict, int]]:
+def _h2_representatives(L: LieSuperalgebra, der_minus: EndSpace, inner: EndSpace) -> list[tuple[dict, int]]:
     # the (a, b) keys order the columns row-major, as a flattened matrix would
     span = Subspace(L.dim * L.dim, (M for M, _p in inner.members()))
-    reps = []
-    for M, p in der_minus.members():
-        if span.add(M):
-            if vanish_on_even:
-                M = _correct_to_vanish_on_even(L, M, p, inner)
-            reps.append((M, p))
-    return reps
+    return [(_correct_to_vanish_on_even(L, M, p, inner), p) for M, p in der_minus.members() if span.add(M)]
 
 
 def _correct_to_vanish_on_even(L: LieSuperalgebra, D: dict, parity: int, inner: EndSpace) -> dict:
@@ -714,35 +702,46 @@ def xi_cocycle(
     return cocycle2(cur.algebra, maps, vps)
 
 
+def cor1_family(
+    cur: Current,
+    kappa: BilinearForm,
+    eta_runs: Sequence[tuple[dict, int]],
+    xi_runs: Sequence[tuple[dict, Sequence[BilinearForm]]],
+) -> Iterator[BilinearForm]:
+    """The eta/xi cocycles of Cor 1 on cur = A (x) K, in order: one
+    eta_cocycle over the dual basis of A per (D, d_parity) of eta_runs, then
+    one xi_cocycle per (S, F_list) of xi_runs.  Each is checked as it is
+    built, so D or S is checked once per run."""
+    dual = [[Fraction(p == t) for p in range(cur.A.dim)] for t in range(cur.A.dim)]
+    for D, dp in eta_runs:
+        yield eta_cocycle(cur, kappa, dual, D, dp)
+    for S, F_list in xi_runs:
+        yield xi_cocycle(cur, kappa, F_list, S)
+
+
 # -- central extensions ---------------------------------------------------------
 
 
-def central_extension(
-    L: LieSuperalgebra,
-    omega: BilinearForm,
-    m_names: Sequence[str] | None = None,
-) -> LieSuperalgebra:
+def central_extension(L: LieSuperalgebra, omega: BilinearForm) -> LieSuperalgebra:
     """The algebra L + M with [x, y] = [x, y]_L + omega(x, y), M central,
-    its basis L's followed by m_names (m1, m2, ... by default).
+    its basis L's followed by m1, m2, ...
 
     Graded Jacobi on the extension is graded Jacobi on L plus the cocycle
     identity of omega, and its antisymmetry is omega's super-skewness.  So
     the value parities of omega and cocycle2's checks on L replace a sweep
     of the extension; a bad omega raises CohomologyError naming its witness.
     """
-    return _central_extension(L, omega, m_names, validated=False)
+    parts = _extension_parts(L, omega, [f"m{c + 1}" for c in range(omega.value_dim)])
+    why = _cocycle_failure(L, omega.components)
+    if why is not None:
+        raise CohomologyError(f"not a cocycle: {why}")
+    return LieSuperalgebra(*parts, validate=False)
 
 
-def _central_extension(
-    L: LieSuperalgebra, omega: BilinearForm, m_names: Sequence[str] | None, validated: bool
-) -> LieSuperalgebra:
-    """central_extension; validated=True skips the cocycle identity for an
-    omega assembled from cocycles that were validated when built."""
-    vd = omega.value_dim
-    if m_names is None:
-        m_names = [f"m{c + 1}" for c in range(vd)]
-    if len(m_names) != vd:
-        raise CohomologyError("m_names must match the cocycle value dimension")
+def _extension_parts(L: LieSuperalgebra, omega: BilinearForm, m_names: Sequence[str]) -> tuple[list, list, dict]:
+    """(names, parities, table) of L + M, M named m_names, once every
+    nonzero omega_c(e_a, e_b) is checked to have the value parity |a| + |b|
+    of m_c; the cocycle identity is left to the caller."""
     n = L.dim
     extra: dict[tuple[int, int], Coordvec] = {}
     for c, (F, vp) in enumerate(zip(omega.components, omega.value_parities)):
@@ -752,16 +751,13 @@ def _central_extension(
                     f"not a cocycle: {m_names[c]} has the wrong parity at {_at(L.names, (a, b))}"
                 )
             extra.setdefault((a, b), {})[n + c] = Fraction(x)
-    why = None if validated else _cocycle_failure(L, omega.components)
-    if why is not None:
-        raise CohomologyError(f"not a cocycle: {why}")
     table = {
         key: {**L.bracket_basis(*key), **extra.get(key, {})}
         for key in sorted(L.brackets.keys() | extra.keys())
     }
     names = list(L.names) + list(m_names)
     parities = list(L.parities) + [p % 2 for p in omega.value_parities]
-    return LieSuperalgebra(names, parities, table, validate=False)
+    return names, parities, table
 
 
 # -- the structure theorem verifier ---------------------------------------------
@@ -812,24 +808,13 @@ def verify_cor1(
     dim_b2 = span.dim
 
     # _derivation_invariant proved D* = -D on all of der, so der_- = der
-    d_reps = _h2_representatives(K, der, inner, vanish_on_even=False)
+    d_reps = _h2_representatives(K, der, inner)
     s_reps = [S for S, _p in split_by_star(K, kappa, centroid(K), +1).members()]
     hoch = hochschild_space(A)
-
-    n_eta = 0
-    n_xi = 0
-    dual_f = [[Fraction(p == t) for p in range(A.dim)] for t in range(A.dim)]
-    if not drop_eta:
-        for D, dp in d_reps:
-            c = eta_cocycle(cur, kappa, dual_f, D, dp)
-            for F in c.components:
-                span.add(pb.vector_of_gram(F))
-                n_eta += 1
-    for S in s_reps:
-        c = xi_cocycle(cur, kappa, hoch, S)
+    eta_runs = () if drop_eta else d_reps
+    for c in cor1_family(cur, kappa, eta_runs, [(S, hoch) for S in s_reps]):
         for F in c.components:
             span.add(pb.vector_of_gram(F))
-            n_xi += 1
     span_dim = span.dim
     defect = dim_z2 - span_dim
     certificate = None
@@ -842,8 +827,8 @@ def verify_cor1(
         "dim_z2": dim_z2,
         "dim_b2": dim_b2,
         "h2": dim_z2 - dim_b2,
-        "n_eta_generators": n_eta,
-        "n_xi_generators": n_xi,
+        "n_eta_generators": len(eta_runs) * A.dim,
+        "n_xi_generators": len(s_reps) * len(hoch),
         "span_dim": span_dim,
         "defect": defect,
         "certificate": certificate,

@@ -140,13 +140,19 @@ def algebra_text(L: LieSuperalgebra) -> str:
     return json.dumps(algebra_to_json(L), sort_keys=True, indent=2) + "\n"
 
 
-def load_algebra(path: str) -> LieSuperalgebra:
+def load_json(path: str) -> Any:
+    """The JSON value of the file at path.  SchemaError for text that does
+    not parse, nests deeper than the parser recurses, or holds an integer
+    past CPython's digit limit (a ValueError, as JSONDecodeError is)."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"malformed JSON in {path}: {exc}")
-    return algebra_from_json(data)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"malformed JSON at $ in {path}: {exc}") from None
+
+
+def load_algebra(path: str) -> LieSuperalgebra:
+    return algebra_from_json(load_json(path))
 
 
 def sanitize(obj: Any) -> Any:

@@ -15,20 +15,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import groupby
 from math import isqrt
 from typing import Sequence
 
 from .assoc import AssocSuperalgebra, grassmann
 from .catalog import DEFINITE_COMPONENTS, CatalogEntry, _balancing_factor
 from .cohomology import (
-    _central_extension,
+    _extension_parts,
     centroid,
-    eta_cocycle,
+    cor1_family,
     h2_representatives,
     hochschild_space,
     split_by_star,
-    xi_cocycle,
 )
 from .current import Current, current_lsa
 from .identities import _integral_view, _invariance_groups
@@ -230,13 +228,13 @@ def _vanishing_squares(L: LieSuperalgebra) -> list[list] | None:
 class CurrentExtension:
     """Central extension of A (x) k whose cocycle is a recorded eta/xi family."""
 
-    __slots__ = ("cur", "algebra", "eta_data", "xi_data", "m_labels")
+    __slots__ = ("cur", "algebra", "eta_runs", "xi_runs", "m_labels")
 
-    def __init__(self, cur, algebra, eta_data, xi_data, m_labels):
+    def __init__(self, cur, algebra, eta_runs, xi_runs, m_labels):
         self.cur = cur
         self.algebra = algebra  # cur.algebra when the value space is zero
-        self.eta_data = eta_data  # list of (f_row, D, d_parity)
-        self.xi_data = xi_data  # list of (Hochschild map, S)
+        self.eta_runs = eta_runs  # list of (D, d_parity), each over the dual basis of A
+        self.xi_runs = xi_runs  # list of (S, list of Hochschild maps)
         self.m_labels = m_labels
 
     @property
@@ -247,40 +245,31 @@ class CurrentExtension:
     def value_dim(self) -> int:
         return len(self.m_labels)
 
-    def degree_block_embedded(self, keep) -> Subspace:
-        """Span of the current slots whose A-degree satisfies the predicate."""
-        slots = (idx for idx in range(self.base_dim) if keep(self.cur.a_degree(idx)))
+    def slot_span(self, keep) -> Subspace:
+        """Span of the current slots p (x) e_i with keep(p, i)."""
+        slots = (idx for idx in range(self.base_dim) if keep(*self.cur.factors(idx)))
         return Subspace(self.algebra.dim, ({idx: 1} for idx in slots))
 
 
 def extend_current(
     cur: Current,
     kappa: BilinearForm,
-    eta_data: Sequence[tuple] = (),
-    xi_data: Sequence[tuple] = (),
+    eta_runs: Sequence[tuple[dict, int]] = (),
+    xi_runs: Sequence[tuple[dict, Sequence[BilinearForm]]] = (),
 ) -> CurrentExtension:
-    """Assemble the central extension by the given eta/xi cocycle components.
-
-    Each run of eta_data sharing (D, d_parity), and each run of xi_data
-    sharing S, is one eta_cocycle / xi_cocycle call, so D or S is checked
-    once per run; the components keep their order and eta<t>/xi<t> labels.
-    """
-    maps = []
-    parities = []
-    for (D, dp), run in groupby(eta_data, key=lambda e: (e[1], e[2])):
-        c = eta_cocycle(cur, kappa, [f_row for f_row, _D, _dp in run], D, dp)
-        maps += c.components
-        parities += c.value_parities
-    for S, run in groupby(xi_data, key=lambda e: e[1]):
-        c = xi_cocycle(cur, kappa, [F for F, _S in run], S)
-        maps += c.components
-        parities += c.value_parities
-    labels = [f"eta{t + 1}" for t in range(len(eta_data))]
-    labels += [f"xi{t + 1}" for t in range(len(xi_data))]
+    """The central extension of cur by the cocycles cohomology.cor1_family
+    builds from the runs, labelled eta<t>/xi<t> in component order.  Each
+    cocycle is checked as it is built, so the extension is not checked
+    again."""
+    family = list(cor1_family(cur, kappa, eta_runs, xi_runs))
+    labels = [f"eta{t + 1}" for t in range(len(eta_runs) * cur.A.dim)]
+    labels += [f"xi{t + 1}" for t in range(sum(len(F_list) for _S, F_list in xi_runs))]
     algebra = cur.algebra
-    if maps:  # each run's cocycle was validated when built
-        algebra = _central_extension(algebra, BilinearForm(cur.dim, maps, parities), labels, validated=True)
-    return CurrentExtension(cur, algebra, list(eta_data), list(xi_data), labels)
+    if labels:
+        omega = BilinearForm(cur.dim, [F for c in family for F in c.components],
+                             [p for c in family for p in c.value_parities])
+        algebra = LieSuperalgebra(*_extension_parts(algebra, omega, labels), validate=False)
+    return CurrentExtension(cur, algebra, list(eta_runs), list(xi_runs), labels)
 
 
 def universal_extension(entry: CatalogEntry, s: int) -> CurrentExtension:
@@ -293,16 +282,10 @@ def universal_extension(entry: CatalogEntry, s: int) -> CurrentExtension:
     K, kappa = entry.algebra, entry.form
     A = grassmann(s)
     cur = current_lsa(A, K)
-    d_reps = h2_representatives(K, kappa, vanish_on_even=True)
-    eta_data = []
-    for D, dp in d_reps:
-        for t in range(A.dim):
-            f_row = [Fraction(p == t) for p in range(A.dim)]
-            eta_data.append((f_row, D, dp))
+    d_reps = h2_representatives(K, kappa)
     s_reps = [S for S, p in split_by_star(K, kappa, centroid(K), +1).members() if p == 0]
     hoch = hochschild_space(A) if s_reps else []
-    xi_data = [(F, S) for S in s_reps for F in hoch]
-    return extend_current(cur, kappa, eta_data, xi_data)
+    return extend_current(cur, kappa, d_reps, [(S, hoch) for S in s_reps])
 
 
 # -- square-zero seeds and saturation ---------------------------------------------
@@ -380,30 +363,26 @@ def _random_even_hochschild(A: AssocSuperalgebra, value_dim: int, seed: int) -> 
 def verify_urad_theorem(
     entry: CatalogEntry,
     s: int,
-    hochschild: str | Sequence[BilinearForm] = "random",
+    hochschild: str = "random",
     value_dim: int = 1,
     seed: int = 0,
 ) -> dict:
     """Purely even compact k: the saturation of top-degree seeds equals
-    I = (Lambda^{>=3} (x) k) + R, and the quotient is Clifford--Lie."""
+    I = (Lambda^{>=3} (x) k) + R, and the quotient is Clifford--Lie.  The
+    extension's Hochschild maps are value_dim random even ones for
+    hochschild = "random", none for "zero"."""
     K, kappa = entry.algebra, entry.form
     if K.odd_indices:
         raise UniradError("verify_urad_theorem needs a purely even algebra")
+    if hochschild not in ("random", "zero"):
+        raise UniradError(f"verify_urad_theorem needs hochschild \"random\" or \"zero\", got {hochschild!r}")
     if value_dim < 0:
         raise UniradError(f"verify_urad_theorem needs value_dim >= 0, got {value_dim}")
     A = grassmann(s)
     cur = current_lsa(A, K)
-    if hochschild == "random":
-        F_list = _random_even_hochschild(A, value_dim, seed)
-    elif hochschild == "zero":
-        F_list = []
-    else:
-        F_list = list(hochschild)
-    for F in F_list:
-        if F.value_parities[0] != 0:
-            raise UniradError("the even-cocycle theorem needs even Hochschild maps")
+    F_list = _random_even_hochschild(A, value_dim, seed) if hochschild == "random" else []
     identity = {(i, i): Fraction(1) for i in range(K.dim)}
-    gext = extend_current(cur, kappa, (), [(F, identity) for F in F_list])
+    gext = extend_current(cur, kappa, (), [(identity, F_list)] if F_list else ())
     L = gext.algebra
     seeds = square_zero_seeds(gext)
     closure = urad_lower(L, seeds)
@@ -418,7 +397,7 @@ def verify_urad_theorem(
             if row:
                 r_rows.append(row)
     r_space = Subspace(L.dim, r_rows)
-    ideal_i = gext.degree_block_embedded(lambda d: d >= 3).sum(r_space)
+    ideal_i = gext.slot_span(lambda p, _i: A.z_degrees[p] >= 3).sum(r_space)
     contains_i = all(closure.contains_vector(r) for r in ideal_i.sparse_rows)
     inside_i = all(ideal_i.contains_vector(r) for r in closure.sparse_rows)
     report = {
@@ -509,16 +488,11 @@ def verify_kernel_theorem(entry: CatalogEntry, s: int) -> dict:
     seeds = square_zero_seeds(gext, isotropic_even=iso)
     closure = urad_lower(L, seeds)
 
-    def block(pred_deg, pred_parity):
-        factors = enumerate(map(cur.factors, range(gext.base_dim)))
-        return Subspace(L.dim, (
-            {idx: 1} for idx, (p, i) in factors if pred_deg(A.z_degrees[p]) and pred_parity(K.parities[i])
-        ))
-
+    deg, par = A.z_degrees, K.parities
     stages = [
-        ("odd_degree_k0", block(lambda d: d % 2 == 1, lambda p: p == 0)),
-        ("plus_k1", block(lambda d: d >= 1, lambda p: p == 1)),
-        ("plus_k", block(lambda d: d >= 1, lambda p: True)),
+        ("odd_degree_k0", gext.slot_span(lambda p, i: deg[p] % 2 == 1 and par[i] == 0)),
+        ("plus_k1", gext.slot_span(lambda p, i: deg[p] >= 1 and par[i] == 1)),
+        ("plus_k", gext.slot_span(lambda p, _i: deg[p] >= 1)),
     ]
     report = {
         "family": entry.family,
@@ -556,12 +530,12 @@ def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
     if K.odd_indices:
         raise UniradError("faithfulness_boundary needs a purely even algebra")
     A = grassmann(s)
+    cur = current_lsa(A, K)
     report = {"family": entry.family, "s": s}
     if s <= 2:
         delta = {(k, k): Fraction(1) for k in (A.names.index(f"e{t + 1}") for t in range(s))}
         F = BilinearForm(A.dim, [delta], [0])  # checked a Hochschild map by xi_cocycle
-        cur = current_lsa(A, K)
-        gext = extend_current(cur, kappa, (), [(F, {(i, i): Fraction(1) for i in range(K.dim)})])
+        gext = extend_current(cur, kappa, (), [({(i, i): Fraction(1) for i in range(K.dim)}, [F])])
         L = gext.algebra
         lam = [Fraction(0)] * L.dim
         lam[L.dim - 1] = Fraction(-1)  # minus the central coordinate
@@ -576,16 +550,13 @@ def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
         )
         return report
     # s >= 3: a universal square-zero witness
-    cur = current_lsa(A, K)
     hoch = hochschild_space(A)
     top3 = A.names.index("e1^e2^e3")
     witness = [Fraction(0)] * cur.dim
     witness[cur.slot(top3, 0)] = Fraction(1)
-    checked = 0
     for F in hoch:
         if F.entries.get((top3, top3), 0) != 0:
             raise UniradError("witness square check failed for a Hochschild map")
-        checked += 1
     sq = cur.algebra.bracket(witness, witness)
     if any(sq):
         raise UniradError("witness bracket square is nonzero in the base algebra")
@@ -594,7 +565,7 @@ def faithfulness_boundary(entry: CatalogEntry, s: int) -> dict:
             "mode": "witness",
             "witness_slot": cur.algebra.names[cur.slot(top3, 0)],
             "witness": witness,
-            "hochschild_maps_checked": checked,
+            "hochschild_maps_checked": len(hoch),
         }
     )
     return report

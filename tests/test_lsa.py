@@ -485,7 +485,7 @@ def _urad_current_case(s):
     su2 = build_catalog("su_n", 2)
     A = grassmann(s)
     F_list = _random_even_hochschild(A, 1, 0)
-    gext = extend_current(current_lsa(A, su2.algebra), su2.form, (), [(F, entries(identity(3))) for F in F_list])
+    gext = extend_current(current_lsa(A, su2.algebra), su2.form, (), [(entries(identity(3)), F_list)])
     return gext.algebra, square_zero_seeds(gext)
 
 

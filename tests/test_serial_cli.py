@@ -400,6 +400,13 @@ MALFORMED_ARGV = [
     ["validate", "$.brackets[0].value", '{"names": ["a", "b"], "parities": [0, 0], '
                  '"brackets": [{"i": 0, "j": 1, "value": ["sqrt(2305843009213693951)", "0"]}]}'],
     ["clifford", "gamma", "--mu", "2305843009213693951"],
+    # text the JSON parser refuses: an array nested past its recursion
+    # limit, and an integer past CPython's 4,300-digit conversion limit
+    ["report", "all", "--params", "[" * 1100 + "]" * 1100],
+    ["report", "all", "--params", '{"cor1": [{"s": ' + "1" * 5000 + ', "k": ["su_n", 2]}]}'],
+    ["validate", "$", "[" * 1100 + "]" * 1100],
+    ["validate", "$", '{"names": ["a", "b"], "parities": [0, 0], '
+                 '"brackets": [{"i": ' + "1" * 5000 + ', "j": 1, "value": ["1", "0"]}]}'],
 ]
 
 
@@ -548,6 +555,28 @@ def test_urad_cap_refuses_before_building(monkeypatch, capsys, tmp_path):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: dim 384 exceeds the current algebra cap 256{path}\n")
     assert ran == ["faithfulness_boundary"]
+
+
+def test_report_all_checks_every_cap_before_any_section(monkeypatch, capsys, tmp_path):
+    """report all refuses a cor1 item whose current algebra passes the
+    2-cocycle solver cap, and a catalog item past the fact sheet's cap,
+    before any section runs and before grassmann(s) is built."""
+    import superlie.cli
+
+    ran = []
+    for name in ("verify_catalog_facts", "verify_cor1", "grassmann"):
+        monkeypatch.setattr(superlie.cli, name, lambda *args, _name=name: ran.append(_name) or {})
+    sweep = tmp_path / "sweep.json"
+    for items, message in (
+        ({"catalog": [["su_n", 2]], "cor1": [{"s": 1, "k": ["su_n", 2]}, {"s": 10, "k": ["su_n", 2]}]},
+         "dim 3072 exceeds the configured 2-cocycle solver cap 192 at $.cor1[1]"),
+        ({"catalog": [["su_n", 2], ["psu_pp", 7]], "cor1": [{"s": 1, "k": ["su_n", 2]}]},
+         "dim 194 exceeds the catalog fact sheet's cap 192 at $.catalog[1]"),
+    ):
+        sweep.write_text(json.dumps(items))
+        assert main(["report", "all", "--params", str(sweep)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert ran == []
 
 
 def test_every_traced_module_imports_from_src():

@@ -743,12 +743,12 @@ def test_end_spaces_match_dense_oracles(catalog_entry):
         assert dense(got, n) == dense_correct_to_vanish_on_even(L, dense(X, n), p, want_inner)
     if not form_report(L, kappa)["nondegenerate"]:  # q(n): star is not defined
         with pytest.raises(CohomologyError, match="kappa is degenerate"):
-            h2_representatives(L, kappa, vanish_on_even=True)
+            h2_representatives(L, kappa)
         return
     for space, want in spaces:
         for sign in (1, -1):
             assert dense_members(split_by_star(L, kappa, space, sign), n) == dense_split_by_star(L, kappa, want, sign)
-    reps = h2_representatives(L, kappa, vanish_on_even=True)
+    reps = h2_representatives(L, kappa)
     want = dense_h2_representatives(L, dense_split_by_star(L, kappa, want_der, -1), want_inner)
     assert [(dense(D, n), p) for D, p in reps] == want
 

@@ -398,9 +398,7 @@ def test_seed_square_identity_with_hochschild(su2):
     A = grassmann(3)
     cur = current_lsa(A, su2.algebra)
     hoch = hochschild_space(A)
-    gext = extend_current(
-        cur, su2.form, (), [(F, entries(identity(3))) for F in hoch]
-    )
+    gext = extend_current(cur, su2.form, (), [(entries(identity(3)), hoch)])
     for X, _Y, _r in square_zero_seeds(gext):
         assert not any(gext.algebra.bracket(X, X))
 
@@ -516,6 +514,12 @@ def test_urad_theorem_rejects_negative_value_dim(su2):
     assert verify_urad_theorem(su2, 3, value_dim=0)["value_dim"] == 0
 
 
+def test_urad_theorem_rejects_an_unknown_hochschild_mode(su2):
+    with pytest.raises(UniradError) as err:
+        verify_urad_theorem(su2, 1, hochschild="bogus")
+    assert str(err.value) == 'verify_urad_theorem needs hochschild "random" or "zero", got \'bogus\''
+
+
 def test_isotropic_lists(su21, psu22, pq3):
     # each pair (x, y, r) stands for sqrt(r) x +- y, isotropic exactly when
     # r kappa(x, x) + kappa(y, y) = 0 = kappa(x, y)
@@ -618,7 +622,9 @@ def test_universal_extension_passes_full_validation(spec):
 
 def test_universal_extension_solves_hochschild_space_once(monkeypatch):
     """With two even star-symmetric centroid members S and 2S, the Hochschild
-    space of A is solved once, and xi_data lists its maps for S, then 2S."""
+    space of A is solved once, xi_runs holds its maps for S, then 2S, and
+    the extension's xi values follow that order: those of 2S are twice those
+    of S, map by map."""
     from superlie import unirad
     from superlie.cohomology import EndSpace
 
@@ -641,10 +647,17 @@ def test_universal_extension_solves_hochschild_space_once(monkeypatch):
     gext = universal_extension(build_catalog("su_pq", 2, 1), 2)
     assert calls == [4]
     hoch = real_hoch(grassmann(2))
-    S_list = [S for _F, S in gext.xi_data[:: len(hoch)]]
+    S_list = [S for S, _F_list in gext.xi_runs]
     assert len(S_list) == 2 and S_list[1] == doubled(S_list[0])
-    assert [(F.entries, S) for F, S in gext.xi_data] == [(F.entries, S) for S in S_list for F in hoch]
-    assert gext.value_dim == len(gext.eta_data) + 2 * len(hoch)
+    assert gext.xi_runs[0][1] is gext.xi_runs[1][1]
+    assert [[F.entries for F in F_list] for _S, F_list in gext.xi_runs] == [[F.entries for F in hoch]] * 2
+    n_eta = 4 * len(gext.eta_runs)
+    assert gext.value_dim == n_eta + 2 * len(hoch)
+    assert gext.m_labels[n_eta:] == [f"xi{t + 1}" for t in range(2 * len(hoch))]
+    L, first = gext.algebra, gext.base_dim + n_eta
+    for t in range(len(hoch)):
+        values = [{key: v[m] for key, v in L.brackets.items() if m in v} for m in (first + t, first + len(hoch) + t)]
+        assert values[0] and values[1] == {key: 2 * x for key, x in values[0].items()}
 
 
 def dense_random_even_hochschild(A, value_dim, seed):
