@@ -712,9 +712,9 @@ def cor1_family(
     eta_cocycle over the dual basis of A per (D, d_parity) of eta_runs, then
     one xi_cocycle per (S, F_list) of xi_runs.  Each is checked as it is
     built, so D or S is checked once per run."""
-    dual = [[Fraction(p == t) for p in range(cur.A.dim)] for t in range(cur.A.dim)]
+    n = cur.A.dim
     for D, dp in eta_runs:
-        yield eta_cocycle(cur, kappa, dual, D, dp)
+        yield eta_cocycle(cur, kappa, [[Fraction(p == t) for p in range(n)] for t in range(n)], D, dp)
     for S, F_list in xi_runs:
         yield xi_cocycle(cur, kappa, F_list, S)
 
